@@ -31,7 +31,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .frame import FRAME_LEN, MAGIC_BYTES, ChecksumError, FdrFrame, FramingError, decode_frame
+from .frame import (
+    FRAME_LEN,
+    MAGIC_BYTES,
+    ChecksumError,
+    FdrFrame,
+    FrameDecodeError,
+    FramingError,
+    decode_frame,
+)
 
 log = logging.getLogger(__name__)
 
@@ -40,9 +48,12 @@ log = logging.getLogger(__name__)
 JUNK_DROP_BYTES = 65_536
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
 def dumps(obj) -> str:
     """Deterministic one-line JSON: fixed separators, insertion order."""
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+    return _ENCODER.encode(obj)
 
 
 def ms(value: float) -> float:
@@ -121,6 +132,69 @@ class CaptureRecord:
         }
 
 
+# the lines of MeasurementRow.to_json and CaptureRecord.to_json, spelled
+# out for the simulator's hot path; %r of an int or a finite float is
+# exactly what dumps writes for it
+_MEASUREMENT_LINE = (
+    '{"device_id":%r,"frame_seq":%r,"frame_timestamp":%r,"arrival_time":%r,'
+    '"frequency":%r,"voltage_mag":%r,"voltage_angle":%r,"status":%r}'
+)
+_CAPTURE_LINE = (
+    '{"wall_time":%s,"device_id":%r,"direction":"%s","seq_range":[%r,%r],'
+    '"payload_bytes":%r,"header_bytes":%r,"retransmission_class":"%s","frame_complete":%s}'
+)
+_FRAME_COMPLETE = '{"frame_seq":%r,"frame_timestamp":%r,"arrival_time_of_last_byte":%r}'
+
+
+def measurement_line(row: MeasurementRow) -> str:
+    """``dumps(row.to_json())`` for a row whose floats are finite, as
+    every row decoded from an encoded frame is."""
+    return _MEASUREMENT_LINE % (
+        row.device_id,
+        row.frame_seq,
+        row.frame_timestamp,
+        row.arrival_time,
+        row.frequency,
+        row.voltage_mag,
+        row.voltage_angle,
+        row.status,
+    )
+
+
+def capture_line(
+    wall_time: Optional[float],
+    device_id: int,
+    direction: str,
+    seq_start: int,
+    seq_end: int,
+    payload_bytes: int,
+    header_bytes: int,
+    retransmission_class: str,
+    rows: Optional[list] = None,
+) -> str:
+    """The encoded JSON line of the CaptureRecord with these fields,
+    without building the record; ``rows`` are the MeasurementRows that
+    make up its frame_complete list."""
+    if rows:
+        entries = ",".join(
+            [_FRAME_COMPLETE % (r.frame_seq, r.frame_timestamp, r.arrival_time) for r in rows]
+        )
+        frame_complete = f"[{entries}]"
+    else:
+        frame_complete = "null"
+    return _CAPTURE_LINE % (
+        "null" if wall_time is None else repr(wall_time),
+        device_id,
+        direction,
+        seq_start,
+        seq_end,
+        payload_bytes,
+        header_bytes,
+        retransmission_class,
+        frame_complete,
+    )
+
+
 def frame_complete_entry(row: MeasurementRow) -> dict:
     return {
         "frame_seq": row.frame_seq,
@@ -156,8 +230,9 @@ class LogWriter:
         self.write({"header": header})
 
     def write(self, obj) -> None:
-        self._fh.write(dumps(obj))
-        self._fh.write("\n")
+        """Append one line: ``obj`` JSON-encoded, or as is when it is a
+        str that already holds one encoded JSON value."""
+        self._fh.write((obj if obj.__class__ is str else dumps(obj)) + "\n")
 
     def close(self, integrity: Optional[dict] = None) -> None:
         if integrity is not None:
@@ -176,6 +251,16 @@ class FrameAssembler:
     def feed(self, data: bytes) -> tuple:
         """Returns (decoded frames, Counter of integrity events)."""
         events: Counter = Counter()
+        if not self.buf and len(data) == FRAME_LEN and data.startswith(MAGIC_BYTES):
+            # the usual case: exactly one whole frame and nothing buffered
+            try:
+                frame = decode_frame(data)
+            except FrameDecodeError:
+                pass  # the scan below counts and skips it
+            else:
+                self.device_id = frame.device_id
+                self.junk_since_frame = 0
+                return [frame], events
         self.buf.extend(data)
         frames = []
         while True:
@@ -226,17 +311,23 @@ class IngestState:
         self.counters: Counter = Counter()
 
     def assembler(self, conn_key) -> FrameAssembler:
-        return self.assemblers.setdefault(conn_key, FrameAssembler())
+        asm = self.assemblers.get(conn_key)
+        if asm is None:
+            asm = self.assemblers[conn_key] = FrameAssembler()
+        return asm
 
     def deliver(self, conn_key, data: bytes, arrival_ms: float) -> list:
         """Feed bytes delivered in order on one connection; returns the
         MeasurementRows completed by this delivery."""
         asm = self.assembler(conn_key)
         frames, events = asm.feed(data)
-        self.counters.update(events)
+        if events:
+            self.counters.update(events)
         rows = []
         for frame in frames:
-            key = (frame.device_id, frame.frame_seq)
+            # (device_id, frame_seq) packed into one int: the wire fields
+            # are 16 and 32 bits wide, and an int costs less than a pair
+            key = frame.device_id << 32 | frame.frame_seq
             if key in self.seen:
                 self.counters["duplicate_frames"] += 1
                 continue

@@ -24,10 +24,11 @@ import logging
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
-from .dcs import CaptureRecord, IngestState, LogWriter, frame_complete_entry, log_header, ms
+from .dcs import IngestState, LogWriter, capture_line, log_header, measurement_line, ms
 from .fdr import DeviceNode
 from .scenario import Scenario
 from .simnet import Link, Simulator
@@ -64,6 +65,60 @@ class RunResult:
         return self.ingest_counters.get("rows", 0)
 
 
+class _DcsEndpoint(Connection):
+    """The concentrator's end of one device connection.
+
+    Every segment from the device arrives here before the transport
+    sees it.  During an outage nothing reaches the transport at all:
+    the host refuses the port and answers RST.  A data copy is logged
+    at its arrival instant, together with the frames it completed.
+    """
+
+    def __init__(self, harness: "_DeviceHarness", conn_key: str, sim, config, link, role):
+        super().__init__(
+            sim,
+            config,
+            link,
+            role,
+            name=f"{conn_key}.server",
+            on_deliver=self._ingest,
+            on_wire=harness._on_downlink_wire,
+        )
+        self.harness = harness
+        self.conn_key = conn_key
+        self._rows: list = []  # rows completed by the segment being delivered
+
+    def _ingest(self, data: bytes) -> None:
+        run = self.harness.run
+        self._rows.extend(run.ingest.deliver(self.conn_key, data, run.wall_ms(run.sim.now_us)))
+
+    def deliver_segment(self, seg: Segment) -> None:
+        harness = self.harness
+        run = harness.run
+        now_us = run.sim.now_us
+        if run.in_outage(now_us):
+            if seg.payload:
+                run.write_record(harness.device_id, "UPLINK", seg, now_us)
+            self._refuse()
+            return
+        super().deliver_segment(seg)
+        if seg.payload:
+            rows, self._rows = self._rows, []
+            run.write_record(harness.device_id, "UPLINK", seg, now_us, rows)
+            for row in rows:
+                run.rows_log.write(measurement_line(row))
+
+    def _refuse(self) -> None:
+        run = self.harness.run
+        run.capture_counters["outage_rsts"] += 1
+        rst = Segment(seq=0, ack=0, flags=frozenset({RST}))
+        arrival_us = self.link.transmit(HEADER_BYTES)
+        run.write_record(self.harness.device_id, "ACK", rst, arrival_us)
+        client = self.peer
+        if arrival_us is not None and client is not None:
+            run.sim.schedule(arrival_us, lambda: client.deliver_segment(rst))
+
+
 class _DeviceHarness:
     """Everything one device owns for the lifetime of a run.
 
@@ -89,23 +144,19 @@ class _DeviceHarness:
             run.scenario.duration_s,
             self._make_connection,
         )
-        self._pending_rows: list = []
 
     def _make_connection(self, node: DeviceNode) -> Connection:
         self.dials += 1
         conn_key = f"dev{self.device_id}#{self.dials}"
-        client, server = connect_pair(
+        client, _ = connect_pair(
             self.run.sim,
             self.run.scenario.transport,
             self.uplink,
             self.downlink,
+            server_factory=partial(_DcsEndpoint, self, conn_key),
             name=f"{conn_key}.client",
+            on_wire=self._on_uplink_wire,
         )
-        server.name = f"{conn_key}.server"
-        client.on_wire = self._on_uplink_wire
-        server.on_wire = self._on_downlink_wire
-        server.on_deliver = lambda data: self._on_deliver(conn_key, data)
-        self._wrap_server(server)
         return client
 
     # -- capture hooks -------------------------------------------------------
@@ -117,47 +168,6 @@ class _DeviceHarness:
 
     def _on_downlink_wire(self, seg: Segment, arrival_us: Optional[int]) -> None:
         self.run.write_record(self.device_id, "ACK", seg, arrival_us)
-
-    def _on_deliver(self, conn_key: str, data: bytes) -> None:
-        arrival_ms = self.run.wall_ms(self.run.sim.now_us)
-        self._pending_rows.extend(self.run.ingest.deliver(conn_key, data, arrival_ms))
-
-    def _wrap_server(self, server: Connection) -> None:
-        """Interpose on segment arrival for outage gating and capture.
-
-        Data copies must be logged at their arrival instant together
-        with the frames they completed, and during an outage nothing
-        reaches the transport at all: the concentrator answers RST.
-        """
-        original = server.deliver_segment
-
-        def deliver(seg: Segment) -> None:
-            run = self.run
-            if run.in_outage(run.sim.now_us):
-                if seg.payload:
-                    run.write_record(self.device_id, "UPLINK", seg, run.sim.now_us)
-                self._send_rst(server)
-                return
-            if not seg.payload:
-                original(seg)
-                return
-            self._pending_rows = []
-            original(seg)
-            rows, self._pending_rows = self._pending_rows, []
-            run.write_record(self.device_id, "UPLINK", seg, run.sim.now_us, rows)
-            for row in rows:
-                run.rows_log.write(row.to_json())
-
-        server.deliver_segment = deliver  # type: ignore[method-assign]
-
-    def _send_rst(self, server: Connection) -> None:
-        self.run.capture_counters["outage_rsts"] += 1
-        rst = Segment(seq=0, ack=0, flags=frozenset({RST}))
-        arrival_us = self.downlink.transmit(HEADER_BYTES)
-        self.run.write_record(self.device_id, "ACK", rst, arrival_us)
-        client = server.peer
-        if arrival_us is not None and client is not None:
-            self.run.sim.schedule(arrival_us, lambda: client.deliver_segment(rst))
 
     def report(self) -> DeviceReport:
         n = self.node
@@ -189,6 +199,8 @@ class _SimulationRun:
         return self.scenario.epoch_utc_ms + t_us / 1000.0
 
     def in_outage(self, t_us: int) -> bool:
+        if not self.scenario.outages:
+            return False
         t_s = t_us / 1_000_000.0
         return any(start <= t_s < end for start, end in self.scenario.outages)
 
@@ -200,17 +212,21 @@ class _SimulationRun:
         arrival_us: Optional[int],
         rows: Optional[list] = None,
     ) -> None:
-        record = CaptureRecord(
-            wall_time=ms(self.wall_ms(arrival_us)) if arrival_us is not None else None,
-            device_id=device_id,
-            direction=direction,
-            seq_range=(seg.seq, seg.seq + seg.seq_len),
-            payload_bytes=len(seg.payload),
-            header_bytes=HEADER_BYTES,
-            retransmission_class=seg.retx_class.value,
-            frame_complete=[frame_complete_entry(r) for r in rows] if rows else None,
+        """Log one wire copy as a CaptureRecord line, encoded straight
+        from the segment."""
+        self.capture_log.write(
+            capture_line(
+                ms(self.wall_ms(arrival_us)) if arrival_us is not None else None,
+                device_id,
+                direction,
+                seg.seq,
+                seg.seq + seg.seq_len,
+                len(seg.payload),
+                HEADER_BYTES,
+                seg.retx_class.value,
+                rows,
+            )
         )
-        self.capture_log.write(record.to_json())
         self.capture_counters["records"] += 1
         self.capture_counters[f"{direction.lower()}_copies"] += 1
         if arrival_us is None:

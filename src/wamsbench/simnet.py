@@ -10,10 +10,10 @@ caller-supplied seeded generator, so identical seeds replay identical
 runs.
 """
 
-import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 US_PER_MS = 1000
@@ -24,50 +24,46 @@ class SchedulingError(Exception):
     """Attempt to schedule an event before the current simulation time."""
 
 
-@dataclass(order=True)
-class Event:
-    fire_us: int
-    insertion_seq: int
-    event_id: int = field(compare=False)
-    action: Optional[Callable[[], None]] = field(compare=False)
-
-
 class Simulator:
     """Event queue plus the simulation clock it drives.
 
     The clock only moves while events are processed; ties break in
-    insertion order.  Canceled events stay in the heap but never fire.
+    insertion order.  The heap holds plain ``[fire_us, seq, action]``
+    lists, so ordering is a C-level list comparison that never reaches
+    ``action`` because ``seq`` is unique.  ``schedule`` hands the entry
+    back as the cancel handle; canceling (and firing) sets its action
+    to None, so a canceled entry stays in the heap as a tombstone and
+    is skipped when it surfaces.
     """
 
     def __init__(self) -> None:
         self._now_us = 0
-        self._heap: list[Event] = []
+        self._heap: list = []
         self._seq = 0
-        self._next_id = 1
-        self._live: dict[int, Event] = {}
+        self._tombstones = 0  # canceled entries still in the heap
 
     @property
     def now_us(self) -> int:
         return self._now_us
 
-    def schedule(self, fire_us: int, action: Callable[[], None]) -> int:
-        """Queue ``action`` to run at ``fire_us``; returns a cancelable id."""
+    def schedule(self, fire_us: int, action: Callable[[], None]) -> list:
+        """Queue ``action`` to run at ``fire_us``; returns a cancel handle."""
         if fire_us < self._now_us:
             raise SchedulingError(f"fire_us={fire_us} is before now={self._now_us}")
-        event = Event(fire_us, self._seq, self._next_id, action)
+        entry = [fire_us, self._seq, action]
         self._seq += 1
-        self._next_id += 1
-        heapq.heappush(self._heap, event)
-        self._live[event.event_id] = event
-        return event.event_id
+        heappush(self._heap, entry)
+        return entry
 
-    def schedule_in(self, delay_us: int, action: Callable[[], None]) -> int:
+    def schedule_in(self, delay_us: int, action: Callable[[], None]) -> list:
         return self.schedule(self._now_us + delay_us, action)
 
-    def cancel(self, event_id: int) -> None:
-        event = self._live.pop(event_id, None)
-        if event is not None:
-            event.action = None
+    def cancel(self, handle: list) -> None:
+        """Stop a queued event from firing; a no-op once it has fired or
+        been canceled."""
+        if handle[2] is not None:
+            handle[2] = None
+            self._tombstones += 1
 
     def run_until(self, t_end_us: int) -> int:
         """Process every event with fire time <= ``t_end_us``, in order.
@@ -77,20 +73,23 @@ class Simulator:
         """
         if t_end_us < self._now_us:
             raise SchedulingError(f"t_end_us={t_end_us} is before now={self._now_us}")
+        heap = self._heap
         processed = 0
-        while self._heap and self._heap[0].fire_us <= t_end_us:
-            event = heapq.heappop(self._heap)
-            if event.action is None:
-                continue  # canceled
-            del self._live[event.event_id]
-            self._now_us = event.fire_us
-            event.action()
+        while heap and heap[0][0] <= t_end_us:
+            entry = heappop(heap)
+            action = entry[2]
+            if action is None:
+                self._tombstones -= 1
+                continue
+            entry[2] = None  # fired: a later cancel of this handle is a no-op
+            self._now_us = entry[0]
+            action()
             processed += 1
         self._now_us = t_end_us
         return processed
 
     def pending(self) -> int:
-        return len(self._live)
+        return len(self._heap) - self._tombstones
 
 
 @dataclass(frozen=True)
@@ -187,10 +186,13 @@ class Link:
     def transmit(self, serialized_bytes: int) -> Optional[int]:
         """Place one unit on the link; returns its arrival time in us,
         or None when the channel drops it."""
-        entry_us = max(self.sim.now_us, self._free_at_us)
-        ser_us = round(serialization_ms(serialized_bytes, self.params) * US_PER_MS)
+        # serialization_ms and should_drop, inlined on the per-segment path
+        params = self.params
+        now_us = self.sim._now_us
+        entry_us = now_us if now_us > self._free_at_us else self._free_at_us
+        ser_us = round(8.0 * serialized_bytes / params.r_ul_bps * 1000.0 * US_PER_MS)
         self._free_at_us = entry_us + ser_us
-        if should_drop(self.params, self.rng):
+        if params.p_loss != 0.0 and self.rng.random() < params.p_loss:
             return None
-        delay_ms = self.params.t_p_ms + self.params.jitter.sample(self.rng)
+        delay_ms = params.t_p_ms + params.jitter.sample(self.rng)
         return entry_us + ser_us + round(delay_ms * US_PER_MS)

@@ -33,11 +33,19 @@ ACK = "ACK"
 PSH = "PSH"
 RST = "RST"
 
+# flag sets of the segments sent on every frame, built once
+_ACK_FLAGS = frozenset({ACK})
+_DATA_FLAGS = frozenset({ACK, PSH})
+
 
 class RetxClass(enum.Enum):
     FIRST = "FIRST"
     RTO_RETX = "RTO_RETX"
     FAST_RETX = "FAST_RETX"
+
+    # members are singletons, so identity hashing is exact; it keeps the
+    # per-copy counter updates off Enum's Python-level __hash__
+    __hash__ = object.__hash__
 
 
 class ConnState(enum.Enum):
@@ -153,7 +161,7 @@ class Connection:
         self.unacked: list[_InFlight] = []
 
         self._ooo: dict[int, bytes] = {}  # reassembly buffer, seq -> payload
-        self._timer_id: Optional[int] = None
+        self._timer: Optional[list] = None  # Simulator cancel handle
         self._dead = False
         self.wire_copies: Counter = Counter()
         self.wire_bytes: Counter = Counter()
@@ -201,13 +209,13 @@ class Connection:
             seg = Segment(
                 seq=self.snd_next,
                 ack=self.rcv_next,
-                flags=frozenset({ACK, PSH}),
+                flags=_DATA_FLAGS,
                 payload=part,
             )
             self.snd_next += seg.seq_len
             self.unacked.append(_InFlight(seg, self.sim.now_us))
             self._transmit(seg)
-        if self._timer_id is None:  # never postpone an older segment's timeout
+        if self._timer is None:  # never postpone an older segment's timeout
             self._arm_timer()
         return len(parts)
 
@@ -355,21 +363,21 @@ class Connection:
         self._send_pure_ack()
 
     def _send_pure_ack(self) -> None:
-        self._transmit(Segment(seq=self.snd_next, ack=self.rcv_next, flags=frozenset({ACK})))
+        self._transmit(Segment(seq=self.snd_next, ack=self.rcv_next, flags=_ACK_FLAGS))
 
     # -- retransmission timer ----------------------------------------------
 
     def _arm_timer(self) -> None:
         self._disarm_timer()
-        self._timer_id = self.sim.schedule_in(round(self.rto * 1000), self._on_rto)
+        self._timer = self.sim.schedule_in(round(self.rto * 1000), self._on_rto)
 
     def _disarm_timer(self) -> None:
-        if self._timer_id is not None:
-            self.sim.cancel(self._timer_id)
-            self._timer_id = None
+        if self._timer is not None:
+            self.sim.cancel(self._timer)
+            self._timer = None
 
     def _on_rto(self) -> None:
-        self._timer_id = None
+        self._timer = None
         if not self.unacked:
             return  # nothing in flight, timer should have been disarmed
         handshake = self.state in (ConnState.SYN_SENT, ConnState.SYN_RCVD)
@@ -398,11 +406,13 @@ class Connection:
     # -- wire --------------------------------------------------------------
 
     def _transmit(self, seg: Segment) -> None:
-        self.wire_copies[seg.retx_class] += 1
-        self.wire_bytes[seg.retx_class] += seg.wire_bytes
+        retx_class = seg.retx_class
+        payload_len = len(seg.payload)
+        self.wire_copies[retx_class] += 1
+        self.wire_bytes[retx_class] += HEADER_BYTES + payload_len
         # data segments are clocked out at their payload length; control
         # segments have nothing but headers to serialize
-        serialized = len(seg.payload) if seg.payload else HEADER_BYTES
+        serialized = payload_len or HEADER_BYTES
         arrival_us = self.link.transmit(serialized)
         if self.on_wire:
             self.on_wire(seg, arrival_us)
@@ -425,14 +435,17 @@ def connect_pair(
     config: TransportConfig,
     uplink,
     downlink,
+    server_factory: Callable[..., Connection] = Connection,
     **client_kwargs,
 ) -> tuple[Connection, Connection]:
     """Build a cross-wired client/server pair over two one-way links.
 
-    The client still needs ``open()`` called to start the handshake.
+    ``server_factory`` builds the server end from (sim, config, link,
+    role); a subclass of Connection may stand in for it.  The client
+    still needs ``open()`` called to start the handshake.
     """
     client = Connection(sim, config, uplink, "client", **client_kwargs)
-    server = Connection(sim, config, downlink, "server")
+    server = server_factory(sim, config, downlink, "server")
     client.peer = server
     server.peer = client
     return client, server

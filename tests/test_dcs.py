@@ -16,8 +16,12 @@ from wamsbench.dcs import (
     IngestState,
     LiveDcsServer,
     LogWriter,
+    MeasurementRow,
+    capture_line,
+    dumps,
     frame_complete_entry,
     log_header,
+    measurement_line,
 )
 from wamsbench.frame import FdrFrame, encode_frame
 
@@ -82,6 +86,25 @@ class TestFrameAssembler:
         assert [f.frame_seq for f in frames] == [2]
         assert events["crc_errors"] == 1
         assert events["resync_bytes"] == 55
+
+    @pytest.mark.parametrize("corrupt_at", [None, 30, 54])
+    def test_whole_frame_fast_path_matches_the_scan(self, corrupt_at):
+        data = bytearray(wire())
+        if corrupt_at is not None:
+            data[corrupt_at] ^= 0x01
+        data = bytes(data)
+        whole = FrameAssembler()
+        frames, events = whole.feed(data)
+        split = FrameAssembler()
+        split.feed(data[:1])  # a lone first magic byte is only buffered
+        split_frames, split_events = split.feed(data[1:])
+        assert frames == split_frames
+        assert events == split_events
+        assert bytes(whole.buf) == bytes(split.buf)
+        assert (whole.device_id, whole.junk_since_frame) == (
+            split.device_id,
+            split.junk_since_frame,
+        )
 
     def test_magic_split_across_feeds(self):
         asm = FrameAssembler()
@@ -169,6 +192,37 @@ class TestLogWriter:
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert "header" in json.loads(lines[0])
+
+    @pytest.mark.parametrize("wall_time", [None, 1_700_000_000_101.146, 0.5])
+    @pytest.mark.parametrize("n_rows", [0, 1, 2])
+    def test_capture_line_is_the_encoded_record(self, wall_time, n_rows):
+        rows = IngestState().deliver(
+            "c1", b"".join(wire(frame_seq=k) for k in range(1, n_rows + 1)), 1000.125
+        )
+        record = CaptureRecord(
+            wall_time=wall_time,
+            device_id=7,
+            direction="ACK",
+            seq_range=(1, 1 + 55 * n_rows),
+            payload_bytes=55 * n_rows,
+            header_bytes=40,
+            retransmission_class="RTO_RETX",
+            frame_complete=[frame_complete_entry(r) for r in rows] or None,
+        )
+        line = capture_line(wall_time, 7, "ACK", 1, 1 + 55 * n_rows, 55 * n_rows, 40, "RTO_RETX", rows)
+        assert line == dumps(record.to_json())
+
+    def test_measurement_line_is_the_encoded_row(self):
+        row = MeasurementRow(3, 9, 1_700_000_000_900, 1_700_000_001_012.345, 49.98765432101, 1.0, -179.5, 2)
+        assert measurement_line(row) == dumps(row.to_json())
+
+    def test_write_takes_an_encoded_line_as_is(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        writer = LogWriter(path, {"k": 1})
+        writer.write('{"already":"encoded"}')
+        writer.write({"already": "encoded"})
+        writer.close()
+        assert path.read_text().splitlines()[1:] == ['{"already":"encoded"}'] * 2
 
     def test_frame_complete_entry_shape(self):
         ingest = IngestState()

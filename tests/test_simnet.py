@@ -124,6 +124,49 @@ class TestSimulator:
         sim.run_until(100)
         assert sim.pending() == 0
 
+    def test_cancel_after_fire_is_a_no_op(self):
+        sim = Simulator()
+        fired = []
+        done = sim.schedule(10, lambda: fired.append("done"))
+        sim.schedule(20, lambda: fired.append("later"))
+        sim.run_until(10)
+        assert sim.pending() == 1
+        sim.cancel(done)
+        sim.cancel(done)
+        assert sim.pending() == 1
+        sim.run_until(30)
+        assert fired == ["done", "later"]
+        assert sim.pending() == 0
+
+    def test_event_canceled_at_the_same_instant_does_not_fire(self):
+        sim = Simulator()
+        fired = []
+        handles = {}
+
+        def first():
+            fired.append("first")
+            sim.cancel(handles["victim"])
+
+        sim.schedule(100, first)
+        handles["victim"] = sim.schedule(100, lambda: fired.append("victim"))
+        sim.schedule(100, lambda: fired.append("last"))
+        assert sim.run_until(100) == 2
+        assert fired == ["first", "last"]
+        assert sim.pending() == 0
+
+    def test_same_instant_fifo_survives_cancel_and_reschedule(self):
+        sim = Simulator()
+        fired = []
+        handles = {tag: sim.schedule(500, lambda t=tag: fired.append(t)) for tag in "abcde"}
+        sim.cancel(handles["b"])
+        sim.cancel(handles["d"])
+        sim.schedule(500, lambda: fired.append("b2"))  # re-scheduled: joins the back
+        sim.schedule(400, lambda: fired.append("early"))
+        assert sim.pending() == 5
+        sim.run_until(500)
+        assert fired == ["early", "a", "c", "e", "b2"]
+        assert sim.pending() == 0
+
 
 class TestJitterSpec:
     def test_constant_returns_median(self):
