@@ -26,6 +26,10 @@ Metric definitions, chosen once and used everywhere:
                the same ratio for the other class, and wasted bandwidth
                is their sum by definition.
 
+Integrity: the loader counts records, uplink, ack and dropped copies as
+it parses, and Capture.integrity_problems() compares them with the
+trailer the writer appended; a capture without a trailer was cut short.
+
 Reporting slots: the sampling workflow treats the run as one population
 slot per configured second.  A frame belongs to the slot its timestamp
 falls in, where a grid instant on a second boundary belongs to the
@@ -41,6 +45,7 @@ import math
 import statistics
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
@@ -56,9 +61,10 @@ SUMMARY_COLUMNS = [
     "wasted_bw_pct",
 ]
 
-_REQUIRED_KEYS = frozenset(
-    ["wall_time", "device_id", "direction", "payload_bytes", "header_bytes", "retransmission_class"]
-)
+# the trailer counters a capture writer keeps, each recomputed on load
+TRAILER_KEYS = ("records", "uplink_copies", "ack_copies", "dropped_copies")
+
+_decode = json.JSONDecoder().raw_decode
 
 
 class CaptureError(Exception):
@@ -67,10 +73,23 @@ class CaptureError(Exception):
 
 @dataclass(frozen=True)
 class Capture:
+    """A parsed capture log, kept as plain tuples.
+
+    records   one tuple per record line, in file order: (wall_time,
+              device_id, direction, payload_bytes, header_bytes,
+              retransmission_class)
+    frames    one tuple per frame_complete entry, sorted by (device_id,
+              frame_seq): (device_id, frame_seq, frame_timestamp,
+              arrival_time_of_last_byte)
+    counts    what the parse found, under the TRAILER_KEYS names
+    """
+
     header: dict
     records: list
+    frames: list
     integrity: Optional[dict]
     skipped_lines: int
+    counts: dict
 
     @property
     def epoch_utc_ms(self) -> int:
@@ -89,7 +108,9 @@ class Capture:
         return self.header.get("t_dcs_ms") or 0.0
 
     def devices(self) -> list:
-        return sorted({r["device_id"] for r in self.records if r["device_id"] is not None})
+        devices = {rec[1] for rec in self.records}
+        devices.discard(None)
+        return sorted(devices)
 
     def population_slots(self) -> int:
         """Number of 1-second population slots this capture covers.
@@ -100,13 +121,24 @@ class Capture:
         duration = self.header.get("duration_s")
         if duration:
             return int(duration)
-        last = 0
-        for rec in self.records:
-            for entry in rec.get("frame_complete") or ():
-                last = max(last, _slot_of_timestamp(entry["frame_timestamp"], self.epoch_utc_ms) + 1)
-            if rec["wall_time"] is not None:
-                last = max(last, int((rec["wall_time"] - self.epoch_utc_ms) // 1000) + 1)
-        return last
+        epoch = self.epoch_utc_ms
+        last_frame = max((_slot_of_timestamp(ts, epoch) + 1 for _, _, ts, _ in self.frames), default=0)
+        last_arrival = max(
+            (int((wall - epoch) // 1000) + 1 for wall, *_ in self.records if wall is not None),
+            default=0,
+        )
+        return max(last_frame, last_arrival)
+
+    def integrity_problems(self) -> list:
+        """Why the trailer does not vouch for the parsed contents; empty
+        when it is there and every counter it holds agrees."""
+        if self.integrity is None:
+            return ["no integrity trailer: the capture is truncated or unfinished"]
+        return [
+            f"trailer counts {key}={self.integrity[key]}, parsed {self.counts[key]}"
+            for key in TRAILER_KEYS
+            if key in self.integrity and self.integrity[key] != self.counts[key]
+        ]
 
 
 @dataclass(frozen=True)
@@ -146,28 +178,27 @@ def _slot_of_timestamp(ts_ms: int, epoch_ms: int) -> int:
     return -((ts_ms - epoch_ms) // -1000) - 1
 
 
-def _window_of_wall(wall_ms: float, epoch_ms: int, window_s: float) -> int:
-    return math.floor((wall_ms - epoch_ms) / (1000.0 * window_s))
-
-
 def load_capture(path) -> Capture:
-    """Parse a capture log, skipping corrupt lines with a warning."""
+    """Parse a capture log in one pass, skipping corrupt lines with a
+    warning and counting what the integrity trailer is checked against."""
     path = Path(path)
     header = None
     integrity = None
     records: list = []
-    skipped = 0
+    frames: list = []
+    skipped = uplink = ack = dropped = 0
+    add_record, add_frames = records.append, frames.extend
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj, end = _decode(line)
             except json.JSONDecodeError:
                 skipped += 1
                 continue
-            if not isinstance(obj, dict):
+            if end != len(line) or obj.__class__ is not dict:
                 skipped += 1
                 continue
             if "header" in obj:
@@ -177,17 +208,46 @@ def load_capture(path) -> Capture:
                     skipped += 1
                 continue
             if "integrity" in obj:
-                integrity = obj["integrity"]
+                if isinstance(obj["integrity"], dict):
+                    integrity = obj["integrity"]
+                else:
+                    skipped += 1
                 continue
-            if not _REQUIRED_KEYS <= obj.keys():
+            try:
+                rec = (
+                    obj["wall_time"],
+                    obj["device_id"],
+                    obj["direction"],
+                    obj["payload_bytes"],
+                    obj["header_bytes"],
+                    obj["retransmission_class"],
+                )
+                complete = obj.get("frame_complete")
+                if complete:
+                    dev = rec[1]
+                    complete = [
+                        (dev, e["frame_seq"], e["frame_timestamp"], e["arrival_time_of_last_byte"])
+                        for e in complete
+                    ]
+            except (KeyError, TypeError):
                 skipped += 1
                 continue
-            records.append(obj)
+            add_record(rec)
+            if complete:
+                add_frames(complete)
+            if rec[2] == "UPLINK":
+                uplink += 1
+            elif rec[2] == "ACK":
+                ack += 1
+            if rec[0] is None:
+                dropped += 1
     if header is None:
         raise CaptureError(f"{path}: no header line, not a capture log")
     if skipped:
         log.warning("%s: skipped %d corrupt lines", path, skipped)
-    return Capture(header=header, records=records, integrity=integrity, skipped_lines=skipped)
+    frames.sort(key=itemgetter(0, 1))
+    counts = dict(records=len(records), uplink_copies=uplink, ack_copies=ack, dropped_copies=dropped)
+    return Capture(header, records, frames, integrity, skipped, counts)
 
 
 def one_way_delays(
@@ -204,59 +264,60 @@ def one_way_delays(
     """
     t_fdr = capture.t_fdr_ms if t_fdr_ms is None else t_fdr_ms
     t_dcs = capture.t_dcs_ms if t_dcs_ms is None else t_dcs_ms
-    skew = capture.skew_bound_ms
+    flag_below = -capture.skew_bound_ms
     out = []
-    for rec in capture.records:
-        for entry in rec.get("frame_complete") or ():
-            t_ci = entry["arrival_time_of_last_byte"] - (entry["frame_timestamp"] + t_fdr)
-            out.append(
-                FrameDelay(
-                    device_id=rec["device_id"],
-                    frame_seq=entry["frame_seq"],
-                    frame_timestamp=entry["frame_timestamp"],
-                    arrival_time=entry["arrival_time_of_last_byte"],
-                    t_ci_ms=t_ci,
-                    t_ete_ms=t_ci + t_fdr + t_dcs,
-                    flagged=t_ci < -skew,
-                )
-            )
-    out.sort(key=lambda d: (d.device_id, d.frame_seq))
+    add = out.append
+    for dev, seq, ts, arrival in capture.frames:
+        t_ci = arrival - (ts + t_fdr)
+        add(FrameDelay(dev, seq, ts, arrival, t_ci, t_ci + t_fdr + t_dcs, t_ci < flag_below))
     return out
+
+
+def _uplink_totals(capture: Capture, window_s: float) -> tuple:
+    """One pass over the records: per-device delivered kbit/s per window,
+    and per-device uplink wire bytes by retransmission class."""
+    if window_s <= 0:
+        raise ValueError("window_s must be positive")
+    windows = max(1, math.ceil(capture.population_slots() / window_s))
+    devices = capture.devices()
+    series = {dev: [0.0] * windows for dev in devices}
+    by_class = {dev: {} for dev in devices}
+    epoch = capture.epoch_utc_ms
+    span_ms = 1000.0 * window_s
+    floor = math.floor
+    for wall, dev, direction, payload, header, cls in capture.records:
+        if direction != "UPLINK" or dev is None:
+            continue
+        wire = payload + header
+        totals = by_class[dev]
+        totals[cls] = totals.get(cls, 0) + wire
+        if payload and wall is not None:
+            w = floor((wall - epoch) / span_ms)
+            if 0 <= w < windows:
+                series[dev][w] += wire * 8 / span_ms
+    return series, by_class
 
 
 def throughput_series(capture: Capture, window_s: float = 1.0) -> dict:
     """Per-device delivered-byte rate in kbit/s, one value per window."""
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
-    windows = max(1, math.ceil(capture.population_slots() / window_s))
-    series = {dev: [0.0] * windows for dev in capture.devices()}
-    for rec in capture.records:
-        if rec["direction"] != "UPLINK" or not rec["payload_bytes"] or rec["wall_time"] is None:
-            continue
-        if rec["device_id"] not in series:
-            continue
-        w = _window_of_wall(rec["wall_time"], capture.epoch_utc_ms, window_s)
-        if 0 <= w < windows:
-            bits = (rec["payload_bytes"] + rec["header_bytes"]) * 8
-            series[rec["device_id"]][w] += bits / (window_s * 1000.0)
-    return series
+    return _uplink_totals(capture, window_s)[0]
 
 
 def _uplink_wire_bytes(records) -> Counter:
     totals: Counter = Counter()
-    for rec in records:
-        if rec["direction"] == "UPLINK":
-            totals[rec["retransmission_class"]] += rec["payload_bytes"] + rec["header_bytes"]
+    for _, _, direction, payload, header, cls in records:
+        if direction == "UPLINK":
+            totals[cls] += payload + header
     return totals
 
 
-def _retx_pcts(totals: Counter) -> tuple:
+def _retx_pcts(totals) -> tuple:
     denom = sum(totals.values())
     if denom == 0:
         return 0.0, 0.0
     return (
-        100.0 * totals["RTO_RETX"] / denom,
-        100.0 * totals["FAST_RETX"] / denom,
+        100.0 * totals.get("RTO_RETX", 0) / denom,
+        100.0 * totals.get("FAST_RETX", 0) / denom,
     )
 
 
@@ -283,43 +344,42 @@ def summarize(
     throughput windows contribute.  Retransmission percentages are byte
     ratios over the whole capture either way; sampling a ratio of
     totals is not meaningful.  Passing every index equals not sampling.
+    t_dcs_ms enters only the end-to-end delay, which no summary figure
+    uses; it is accepted so every analysis takes the same options.
+
+    The averages are statistics.fmean, an exactly rounded sum, so they
+    do not depend on the order frames and slots are visited in.
     """
     population = capture.population_slots()
-    selected = None
+    slots = range(population)
     if sample_indices is not None:
-        selected = set(sample_indices)
-        bad = sorted(i for i in selected if not 0 <= i < population)
+        slots = set(sample_indices)
+        bad = sorted(i for i in slots if not 0 <= i < population)
         if bad:
             raise ValueError(f"sample indices out of range [0, {population}): {bad}")
 
-    delays = one_way_delays(capture, t_fdr_ms, t_dcs_ms)
+    t_fdr = capture.t_fdr_ms if t_fdr_ms is None else t_fdr_ms
+    flag_below = -capture.skew_bound_ms
+    epoch = capture.epoch_utc_ms
     per_dev_delays = defaultdict(list)
     flagged = 0
     frames_counted = 0
-    for d in delays:
-        if d.flagged:
+    for dev, _, ts, arrival in capture.frames:
+        t_ci = arrival - (ts + t_fdr)
+        if t_ci < flag_below:
             flagged += 1
             continue
-        slot = _slot_of_timestamp(d.frame_timestamp, capture.epoch_utc_ms)
-        if not 0 <= slot < population or (selected is not None and slot not in selected):
-            continue
-        frames_counted += 1
-        per_dev_delays[d.device_id].append(d.t_ci_ms)
+        # _slot_of_timestamp, inlined
+        if -((ts - epoch) // -1000) - 1 in slots:
+            frames_counted += 1
+            per_dev_delays[dev].append(t_ci)
 
-    series = throughput_series(capture, window_s=1.0)
-    slot_list = sorted(selected) if selected is not None else range(population)
-    per_dev_retx = defaultdict(Counter)
-    for rec in capture.records:
-        if rec["device_id"] is not None and rec["direction"] == "UPLINK":
-            cls = rec["retransmission_class"]
-            per_dev_retx[rec["device_id"]][cls] += rec["payload_bytes"] + rec["header_bytes"]
-
+    series, by_class = _uplink_totals(capture, window_s=1.0)
     rows = []
-    for dev in capture.devices():
-        values = series.get(dev, [])
-        throughput = statistics.fmean(values[i] for i in slot_list) if population else 0.0
+    for dev, values in series.items():
+        throughput = statistics.fmean(values[i] for i in slots) if population else 0.0
         dev_delays = per_dev_delays.get(dev)
-        retx, fast = _retx_pcts(per_dev_retx[dev])
+        retx, fast = _retx_pcts(by_class[dev])
         rows.append(
             DeviceMetrics(
                 device=dev,
@@ -334,7 +394,7 @@ def summarize(
     return MetricsSummary(
         devices=tuple(rows),
         population_slots=population,
-        selected_slots=len(selected) if selected is not None else population,
+        selected_slots=len(slots),
         frames_counted=frames_counted,
         flagged_delays=flagged,
     )

@@ -9,6 +9,8 @@ Subcommands:
     report      print the metrics table for a capture, no files
 
 Exit codes: 0 success, 2 usage or validation error, 1 runtime failure.
+analyze and report also exit 1 on a capture whose integrity trailer is
+missing or disagrees with the parsed counts, unless --allow-incomplete.
 Set WAMS_LOG_LEVEL (DEBUG/INFO/WARNING/ERROR) to tune diagnostics.
 """
 
@@ -16,9 +18,9 @@ import argparse
 import logging
 import math
 import os
+import signal
 import sys
 import threading
-import time
 from pathlib import Path
 
 from . import analyzer, stats
@@ -38,15 +40,34 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _load_capture_or_none(path: str):
-    """Shared loader for analyze/report; prints the skip warning."""
-    capture = analyzer.load_capture(path)
+def _load_checked(args):
+    """Shared loader for analyze/report: prints the skip warning and
+    checks the integrity trailer; None when the capture is incomplete
+    and --allow-incomplete was not given."""
+    capture = analyzer.load_capture(args.capture)
     if capture.skipped_lines:
         print(
             f"warning: skipped {capture.skipped_lines} corrupt log line(s)",
             file=sys.stderr,
         )
+    problems = capture.integrity_problems()
+    level = "warning" if args.allow_incomplete else "error"
+    for problem in problems:
+        print(f"{level}: {args.capture}: {problem}", file=sys.stderr)
+    if problems and not args.allow_incomplete:
+        print(
+            "error: not reporting on an incomplete capture; see --allow-incomplete",
+            file=sys.stderr,
+        )
+        return None
     return capture
+
+
+def _print_table(capture, summary) -> None:
+    problems = capture.integrity_problems()
+    if problems:
+        print(f"INCOMPLETE CAPTURE, figures cover only the parsed records: {'; '.join(problems)}")
+    print(analyzer.format_table(summary))
 
 
 def _sample_indices(capture, size, seed):
@@ -76,7 +97,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    capture = _load_capture_or_none(args.capture)
+    capture = _load_checked(args)
+    if capture is None:
+        return RUNTIME_ERROR
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.capture).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     indices = _sample_indices(capture, args.sample_size, args.sample_seed)
@@ -90,17 +113,19 @@ def cmd_analyze(args) -> int:
     analyzer.write_throughput_series_csv(series, args.window, out_dir / "throughput_series.csv")
     if indices is not None:
         print(f"sampled {summary.selected_slots} of {summary.population_slots} slots")
-    print(analyzer.format_table(summary))
+    _print_table(capture, summary)
     return 0
 
 
 def cmd_report(args) -> int:
-    capture = _load_capture_or_none(args.capture)
+    capture = _load_checked(args)
+    if capture is None:
+        return RUNTIME_ERROR
     indices = _sample_indices(capture, args.sample_size, args.sample_seed)
     summary = analyzer.summarize(
         capture, sample_indices=indices, t_fdr_ms=args.t_fdr_ms, t_dcs_ms=args.t_dcs_ms
     )
-    print(analyzer.format_table(summary))
+    _print_table(capture, summary)
     return 0
 
 
@@ -146,15 +171,19 @@ def cmd_serve(args) -> int:
         server.start()
     except OSError as err:
         return _fail(RUNTIME_ERROR, f"cannot listen on {args.host}:{args.port}: {err}")
+    # SIGTERM stops the server like Ctrl-C, so both logs get their
+    # trailer; it is the only stop signal a background job (SIGINT
+    # ignored) can be sent short of SIGKILL.  Installed before the
+    # banner, so whoever waits for the banner may send it at once.
+    stopping = threading.Event()
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: stopping.set())
     print(f"listening on {server.host}:{server.port}", flush=True)
     try:
-        if args.duration_s is not None:
-            time.sleep(args.duration_s)
-        else:
-            while True:
-                time.sleep(3600)
+        stopping.wait(args.duration_s)
     except KeyboardInterrupt:
         pass
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     server.stop()
     print(f"wrote {server.ingest.counters.get('rows', 0)} measurement rows")
     return 0
@@ -200,6 +229,11 @@ def cmd_emulate(args) -> int:
 
 # -- parser -----------------------------------------------------------------
 
+ALLOW_INCOMPLETE_HELP = (
+    "report on a capture whose integrity trailer is missing or disagrees with "
+    "its contents (default: exit 1); the table is marked"
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -224,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-size", type=int, help="analyze a random subset of 1 s slots")
     p.add_argument("--sample-seed", default="sample", help="seed for slot selection")
     p.add_argument("--window", type=float, default=1.0, help="throughput window seconds")
+    p.add_argument("--allow-incomplete", action="store_true", help=ALLOW_INCOMPLETE_HELP)
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("report", help="print the metrics table for a capture")
@@ -232,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-dcs-ms", type=float)
     p.add_argument("--sample-size", type=int)
     p.add_argument("--sample-seed", default="sample")
+    p.add_argument("--allow-incomplete", action="store_true", help=ALLOW_INCOMPLETE_HELP)
     p.set_defaults(handler=cmd_report)
 
     p = sub.add_parser("samplesize", help="minimum sample size for a target error bound")

@@ -22,6 +22,7 @@ it skipped.
 
 import json
 import logging
+import math
 import queue
 import socket
 import threading
@@ -337,6 +338,14 @@ class IngestState:
         return rows
 
 
+def _finite_row(row: MeasurementRow) -> bool:
+    return (
+        math.isfinite(row.frequency)
+        and math.isfinite(row.voltage_mag)
+        and math.isfinite(row.voltage_angle)
+    )
+
+
 class LiveDcsServer:
     """Real-socket concentrator: N device connections, one log writer.
 
@@ -461,6 +470,16 @@ class LiveDcsServer:
             self.ingest.counters["refused_connections"] += 1
             return
         rows = self.ingest.deliver(conn_id, data, arrival)
+        finite = [r for r in rows if _finite_row(r)]
+        if len(finite) < len(rows):
+            # a CRC-valid frame can still carry NaN or inf, which no JSON
+            # line may hold; such a row is never logged and never counted
+            # as one
+            bad = len(rows) - len(finite)
+            log.warning("conn %d: dropping %d row(s) with non-finite values", conn_id, bad)
+            self.ingest.counters["nonfinite_rows"] += bad
+            self.ingest.counters["rows"] -= bad
+            rows = finite
         asm = self.ingest.assembler(conn_id)
         start = self._offsets.get(conn_id, 0)
         self._offsets[conn_id] = start + len(data)

@@ -14,6 +14,7 @@ import statistics
 import pytest
 
 import oracle_logs
+from test_sim import JITTERY
 from wamsbench import analyzer
 from wamsbench.analyzer import (
     SUMMARY_COLUMNS,
@@ -89,6 +90,36 @@ class TestLoader:
         assert len(cap.records) == 5
         assert [d.t_ci_ms for d in one_way_delays(cap)] == [10.5, 20.5, 30.5]
 
+    def test_trailing_data_and_bad_frame_entries_are_corrupt(self, tmp_path):
+        path, _ = oracle_logs.simple_delays(tmp_path / "base.jsonl")
+        lines = path.read_text().splitlines()
+        bad_entry = oracle_logs._rec(300.0, 1, 85, complete=[{"frame_seq": 9}])
+        lines[2:2] = [lines[1] + " []", lines[1] + lines[1], json.dumps(bad_entry)]
+        path.write_text("\n".join(lines) + "\n")
+        cap = load_capture(path)
+        assert cap.skipped_lines == 3
+        assert len(cap.records) == 5
+
+    def test_records_and_frames_are_compact_tuples(self, tmp_path):
+        header = oracle_logs._header(duration_s=2)
+        records = [
+            oracle_logs._rec(250.5, 2, 55, complete=oracle_logs._done(7, 200, 250.5)),
+            oracle_logs._rec(None, 1, 55, cls="RTO_RETX"),
+            oracle_logs._rec(260.0, 1, 0, direction="ACK", header=52),
+            oracle_logs._rec(
+                150.25, 1, 110, complete=oracle_logs._done(4, 100, 150.25) + oracle_logs._done(3, 0, 150.25)
+            ),
+        ]
+        cap = load_capture(oracle_logs.write_log(tmp_path / "t.jsonl", header, records))
+        assert cap.records == [
+            (250.5, 2, "UPLINK", 55, 40, "FIRST"),
+            (None, 1, "UPLINK", 55, 40, "RTO_RETX"),
+            (260.0, 1, "ACK", 0, 52, "FIRST"),
+            (150.25, 1, "UPLINK", 110, 40, "FIRST"),
+        ]
+        assert cap.frames == [(1, 3, 0, 150.25), (1, 4, 100, 150.25), (2, 7, 200, 250.5)]
+        assert cap.counts == {"records": 4, "uplink_copies": 3, "ack_copies": 1, "dropped_copies": 1}
+
     def test_line_order_never_matters(self, tmp_path):
         path, _ = oracle_logs.sampling_and_skew(tmp_path / "fwd.jsonl")
         forward = summarize(load_capture(path))
@@ -103,6 +134,30 @@ class TestLoader:
         records = [oracle_logs._rec(2500.5, 1, 55, complete=oracle_logs._done(1, 100, 2500.5))]
         path = oracle_logs.write_log(tmp_path / "live.jsonl", header, records)
         assert load_capture(path).population_slots() == 3
+
+
+class TestIntegrity:
+    def test_simulated_counts_match_the_trailer(self, tmp_path):
+        # uplink loss, so the trailer holds non-zero dropped copies
+        result = run_simulation(parse_scenario(JITTERY), tmp_path / "run")
+        cap = load_capture(result.capture_path)
+        assert cap.counts["dropped_copies"] > 0
+        assert cap.counts == {key: cap.integrity[key] for key in analyzer.TRAILER_KEYS}
+        assert cap.integrity_problems() == []
+
+    def test_only_disagreeing_keys_are_listed(self, tmp_path):
+        path, _ = oracle_logs.simple_delays(tmp_path / "a.jsonl")
+        lines = path.read_text().splitlines()
+        lines[-1] = json.dumps({"integrity": {"records": 6, "ack_copies": 2, "rows": 99}})
+        path.write_text("\n".join(lines) + "\n")
+        assert load_capture(path).integrity_problems() == ["trailer counts records=6, parsed 5"]
+
+    def test_missing_trailer_is_a_problem(self, tmp_path):
+        path, _ = oracle_logs.simple_delays(tmp_path / "a.jsonl")
+        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+        cap = load_capture(path)
+        assert cap.integrity is None
+        assert len(cap.integrity_problems()) == 1
 
 
 class TestSampling:

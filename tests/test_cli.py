@@ -1,6 +1,10 @@
 """Command-line behavior: exit codes, file outputs, printed figures."""
 
+import json
+import signal
 import socket
+import subprocess
+import sys
 
 import pytest
 
@@ -132,6 +136,59 @@ class TestReport:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestIntegrityTrailer:
+    """analyze and report refuse a capture its trailer does not vouch for."""
+
+    @pytest.fixture()
+    def lines(self, mini_run):
+        return (mini_run / "capture.jsonl").read_text().splitlines()
+
+    def _argv(self, command, tmp_path, lines):
+        path = tmp_path / "capture.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        out = ["--out-dir", str(tmp_path / "out")] if command == "analyze" else []
+        return [command, str(path), *out]
+
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    def test_truncated_capture_exits_1(self, lines, tmp_path, capsys, command):
+        assert cli.main(self._argv(command, tmp_path, lines[: len(lines) * 2 // 3])) == 1
+        captured = capsys.readouterr()
+        assert "no integrity trailer" in captured.err
+        assert "avg_delay_ms" not in captured.out
+
+    def test_capture_without_trailer_exits_1(self, lines, tmp_path, capsys):
+        assert json.loads(lines[-1]).keys() == {"integrity"}
+        assert cli.main(self._argv("report", tmp_path, lines[:-1])) == 1
+        assert "no integrity trailer" in capsys.readouterr().err
+
+    def test_count_mismatch_exits_1(self, lines, tmp_path, capsys):
+        # one delivered uplink copy cut out in place: only the counters
+        # can tell, every remaining line parses
+        k = next(i for i, line in enumerate(lines) if '"direction":"UPLINK"' in line)
+        assert cli.main(self._argv("analyze", tmp_path, lines[:k] + lines[k + 1 :])) == 1
+        err = capsys.readouterr().err
+        trailer = json.loads(lines[-1])["integrity"]
+        assert f"records={trailer['records']}, parsed {trailer['records'] - 1}" in err
+        assert f"uplink_copies={trailer['uplink_copies']}" in err
+        assert "ack_copies" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    def test_allow_incomplete_marks_the_table(self, lines, tmp_path, capsys, command):
+        assert cli.main(self._argv(command, tmp_path, lines[:-1]) + ["--allow-incomplete"]) == 0
+        captured = capsys.readouterr()
+        assert "warning:" in captured.err and "no integrity trailer" in captured.err
+        marker = [line for line in captured.out.splitlines() if line.startswith("INCOMPLETE CAPTURE")]
+        assert len(marker) == 1 and "no integrity trailer" in marker[0]
+        assert "avg_delay_ms" in captured.out
+
+    def test_complete_capture_is_not_marked(self, mini_run, capsys):
+        assert cli.main(["report", str(mini_run / "capture.jsonl"), "--allow-incomplete"]) == 0
+        captured = capsys.readouterr()
+        assert "INCOMPLETE" not in captured.out
+        assert captured.err == ""
+
+
 class TestSampleSize:
     def test_published_figures(self, capsys):
         code = cli.main(
@@ -212,3 +269,26 @@ class TestEmulate:
         captured = capsys.readouterr()
         assert "generated 0 frames, sent 0" in captured.out
         assert "connect" in captured.err
+
+
+class TestServe:
+    def test_sigterm_stops_cleanly_with_sigint_ignored(self, tmp_path):
+        # a background job of a non-interactive shell starts with SIGINT
+        # ignored, so SIGTERM is what stops it
+        serve = subprocess.Popen(
+            [sys.executable, "-m", "wamsbench.cli", "serve", "--port", "0", "--out-dir", str(tmp_path)],
+            stdout=subprocess.PIPE,
+            text=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            assert serve.stdout.readline().startswith("listening on ")
+            serve.send_signal(signal.SIGTERM)
+            out, _ = serve.communicate(timeout=15)
+        finally:
+            serve.kill()
+        assert serve.returncode == 0
+        assert "wrote 0 measurement rows" in out
+        for name in ("capture.jsonl", "measurements.jsonl"):
+            last = (tmp_path / name).read_text().splitlines()[-1]
+            assert json.loads(last).keys() == {"integrity"}

@@ -5,7 +5,9 @@ time of the delivery that completed it, never the first fragment's.
 """
 
 import json
+import math
 import socket
+import struct
 import time
 
 import pytest
@@ -23,7 +25,7 @@ from wamsbench.dcs import (
     log_header,
     measurement_line,
 )
-from wamsbench.frame import FdrFrame, encode_frame
+from wamsbench.frame import MAGIC, FdrFrame, crc16, encode_frame
 
 
 def make_frame(device_id=1, frame_seq=1, ts=1_700_000_000_000):
@@ -261,6 +263,27 @@ class TestLiveDcsServer:
         assert sum(r["payload_bytes"] for r in recs) == 110
         assert all(r["direction"] == "UPLINK" for r in recs)
         assert all(r["header_bytes"] == 0 for r in recs)
+
+    def test_non_finite_row_is_dropped_and_ingest_goes_on(self, tmp_path):
+        # CRC-valid, so it decodes; NaN has no JSON spelling
+        body = struct.pack(">HHIQdddB", MAGIC, 1, 1, 1_700_000_000_000, math.nan, 1.0, 0.0, 0)
+        body += bytes(12)
+        nan_frame = body + struct.pack(">H", crc16(body))
+        server = LiveDcsServer(out_dir=tmp_path, max_conns=4)
+        server.start()
+        try:
+            self._send_frames(server.port, [nan_frame, wire(frame_seq=2)])
+            time.sleep(0.3)
+        finally:
+            server.stop()
+        lines = [json.loads(l) for l in (tmp_path / "measurements.jsonl").read_text().splitlines()]
+        assert [r["frame_seq"] for r in lines[1:-1]] == [2]
+        assert lines[-1]["integrity"]["rows"] == 1
+        assert lines[-1]["integrity"]["nonfinite_rows"] == 1
+        cap_lines = [json.loads(l) for l in (tmp_path / "capture.jsonl").read_text().splitlines()]
+        completed = [e["frame_seq"] for r in cap_lines[1:-1] for e in r["frame_complete"] or ()]
+        assert completed == [2]
+        assert cap_lines[-1]["integrity"]["records"] == len(cap_lines) - 2
 
     def test_max_conns_refuses_extra_connection(self, tmp_path):
         server = LiveDcsServer(out_dir=tmp_path, max_conns=1)

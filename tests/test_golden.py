@@ -1,4 +1,5 @@
-"""Byte-level pins of the two logs a simulation run writes.
+"""Byte-level pins of the two logs a simulation run writes, and of what
+the analyzer makes of them.
 
 The determinism tests in test_sim.py only show that a build agrees with
 itself, which a change of event order or log encoding between builds
@@ -11,10 +12,12 @@ digests and name the change in CHANGES.md.
 
 import dataclasses
 import hashlib
+import random
 
 import pytest
 from test_sim import OUTAGE
 
+from wamsbench import analyzer, cli
 from wamsbench.scenario import load_scenario, parse_scenario
 from wamsbench.sim import run_simulation
 
@@ -56,3 +59,99 @@ def test_bundled_scenario_logs_match_golden_bytes(name, tmp_path):
 
 def test_outage_logs_match_golden_bytes(tmp_path):
     assert digests(parse_scenario(OUTAGE), tmp_path) == OUTAGE_GOLDEN
+
+
+# -- analyzer outputs ---------------------------------------------------------
+#
+# SHA-256 of what `analyze` writes and `report` prints, taken from the
+# build before the capture loader was made one-pass and compact.  The
+# printed figures are rounded to 3-4 decimals, far above the last-bit
+# drift a change of summation order makes, so FULL_PRECISION_GOLDEN also
+# pins the unrounded figures: throughput windows add up in file order,
+# and a loader or summary that reorders the additions drifts there.
+
+ANALYZE_FILES = ("summary.csv", "delay_series.csv", "throughput_series.csv")
+REPORT_SEED = "audit"
+
+# (scenario, --window, --t-fdr-ms; None keeps the default) -> (summary,
+# delay series, throughput series, sampled report table)
+ANALYZER_GOLDEN = {
+    ("lossy_0p3", None, None): (
+        "975267965381fa268e0a0151771e20872e267f1481f227036a784bc3e1f1ad61",
+        "56f8926faa4bbf4aae463e64aab3f7e6573cf9ac510b01d2574acde1f7bc62a8",
+        "ba120f4945b06f1af5c3d555d3de60f67970dc384e7a25fe183d10356745ebc2",
+        "971a35c7d7bbbec39b43397fbe3b39468c905c7b32de43f05d88ab7044a9fe27",
+    ),
+    ("lossy_0p3", "2.5", "1.5"): (
+        "6ee5175dfd865b8bbb2b43eb2b6c5ffa69d95f9978f45a6d2776c871085a18a7",
+        "db400d11a5b6a37d1270088315ba784a9b39d1f50eb59a72f10b1ee41a3d1d5c",
+        "bd7c625140d8f4db2d56516b438075e7bfc17884e3e3217f77720a45d3cd88ed",
+        "b4021332cd7a2dff4c11c04f3bf4728aa08983afade3da0649d2aee75c9acdad",
+    ),
+    ("outage", None, None): (
+        "fe00badd3a70f7950e085c756bbac62a7b71206e6953972bc7082f5b96951c27",
+        "f2a15d8b57eca38ca1f21a9e225b50650531b06e8c988aaf198b7581909ab399",
+        "9e7f1976a8121aa4e2ad5d6565b6eaf91135ceadf93fb050241cc0363c0b7246",
+        "2b086d9b05c89baadf148cec269b091e862019ba6198eda7f0f8c136b85c7883",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def analyzer_captures(tmp_path_factory):
+    """Capture path and report sample size per scenario, simulated once."""
+    lossy = dataclasses.replace(load_scenario("lossy_0p3"), duration_s=60)
+    scenarios = {"lossy_0p3": lossy, "outage": parse_scenario(OUTAGE)}
+    out = {}
+    for name, scenario in scenarios.items():
+        result = run_simulation(scenario, tmp_path_factory.mktemp(name))
+        # 30 of lossy's 60 slots; half of the 12 s outage run's
+        out[name] = (result.capture_path, min(30, scenario.duration_s // 2))
+    return out
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(ANALYZER_GOLDEN, key=str), ids=lambda k: "-".join(map(str, k)))
+def test_analyzer_outputs_match_golden_bytes(key, analyzer_captures, tmp_path, capsys):
+    name, window, t_fdr = key
+    capture, sample = analyzer_captures[name]
+    delay_opts = ["--t-fdr-ms", t_fdr] if t_fdr else []
+    window_opts = ["--window", window] if window else []
+    analyze = ["analyze", str(capture), "--out-dir", str(tmp_path), *window_opts, *delay_opts]
+    assert cli.main(analyze) == 0
+    got = [_sha((tmp_path / f).read_bytes()) for f in ANALYZE_FILES]
+    capsys.readouterr()
+    report = ["report", str(capture), "--sample-size", str(sample), "--sample-seed", REPORT_SEED]
+    assert cli.main(report + delay_opts) == 0
+    got.append(_sha(capsys.readouterr().out.encode()))
+    assert tuple(got) == ANALYZER_GOLDEN[key]
+
+
+# scenario -> SHA-256 of full_precision_figures()
+FULL_PRECISION_GOLDEN = {
+    "lossy_0p3": "4ca9c6be92361b7745dad030a38484f50290d4b3cc4113d0c812fdad968454d3",
+    "outage": "661db09ed3ee1871401dd40d85f0d02a64a85467d3f84104f33ad2a97b57c5e4",
+}
+
+
+def full_precision_figures(capture) -> str:
+    """repr of every float the outputs are printed from, unrounded."""
+    population = capture.population_slots()
+    sample = random.Random("golden").sample(range(population), population // 2)
+    figures = [
+        [dataclasses.astuple(m) for m in analyzer.summarize(capture).devices],
+        [dataclasses.astuple(m) for m in analyzer.summarize(capture, sample, t_fdr_ms=1.5).devices],
+        sorted(analyzer.throughput_series(capture).items()),
+        sorted(analyzer.throughput_series(capture, window_s=2.5).items()),
+        [(d.t_ci_ms, d.t_ete_ms) for d in analyzer.one_way_delays(capture, t_fdr_ms=1.5, t_dcs_ms=0.25)],
+    ]
+    return repr(figures)
+
+
+@pytest.mark.parametrize("name", ["lossy_0p3", "outage"])
+def test_full_precision_figures_match_golden(name, analyzer_captures):
+    capture = analyzer.load_capture(analyzer_captures[name][0])
+    assert _sha(full_precision_figures(capture).encode()) == FULL_PRECISION_GOLDEN[name]
