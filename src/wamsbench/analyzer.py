@@ -47,7 +47,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 log = logging.getLogger(__name__)
 
@@ -141,8 +141,7 @@ class Capture:
         ]
 
 
-@dataclass(frozen=True)
-class FrameDelay:
+class FrameDelay(NamedTuple):
     device_id: int
     frame_seq: int
     frame_timestamp: int
@@ -266,10 +265,10 @@ def one_way_delays(
     t_dcs = capture.t_dcs_ms if t_dcs_ms is None else t_dcs_ms
     flag_below = -capture.skew_bound_ms
     out = []
-    add = out.append
+    add, make = out.append, FrameDelay._make
     for dev, seq, ts, arrival in capture.frames:
         t_ci = arrival - (ts + t_fdr)
-        add(FrameDelay(dev, seq, ts, arrival, t_ci, t_ci + t_fdr + t_dcs, t_ci < flag_below))
+        add(make((dev, seq, ts, arrival, t_ci, t_ci + t_fdr + t_dcs, t_ci < flag_below)))
     return out
 
 
@@ -350,6 +349,32 @@ def summarize(
     The averages are statistics.fmean, an exactly rounded sum, so they
     do not depend on the order frames and slots are visited in.
     """
+    return _summarize(capture, sample_indices, t_fdr_ms, *_uplink_totals(capture, window_s=1.0))
+
+
+def analyze(
+    capture: Capture,
+    sample_indices=None,
+    t_fdr_ms: Optional[float] = None,
+    t_dcs_ms: Optional[float] = None,
+    window_s: float = 1.0,
+) -> tuple:
+    """Everything the analyze command writes: (summarize(...),
+    one_way_delays(...), throughput_series(capture, window_s)).
+
+    The summary's 1-second windows come from the same pass over the
+    records as the series when window_s is 1; the caller then owns that
+    series, which the summary does not keep.
+    """
+    series, by_class = _uplink_totals(capture, window_s=1.0)
+    summary = _summarize(capture, sample_indices, t_fdr_ms, series, by_class)
+    if window_s != 1.0:
+        series = throughput_series(capture, window_s)
+    return summary, one_way_delays(capture, t_fdr_ms, t_dcs_ms), series
+
+
+def _summarize(capture, sample_indices, t_fdr_ms, series, by_class) -> MetricsSummary:
+    """summarize, given _uplink_totals(capture, 1.0)."""
     population = capture.population_slots()
     slots = range(population)
     if sample_indices is not None:
@@ -374,7 +399,6 @@ def summarize(
             frames_counted += 1
             per_dev_delays[dev].append(t_ci)
 
-    series, by_class = _uplink_totals(capture, window_s=1.0)
     rows = []
     for dev, values in series.items():
         throughput = statistics.fmean(values[i] for i in slots) if population else 0.0
@@ -434,24 +458,35 @@ def format_table(summary: MetricsSummary) -> str:
     return "\n".join(lines)
 
 
+DELAY_COLUMNS = ["device", "frame_seq", "frame_timestamp", "arrival_time", "t_ci_ms", "t_ete_ms", "flagged"]
+
+# one delay_series.csv row: what csv.writer writes for a FrameDelay whose
+# device_id and frame_seq are ints, since str() of a number needs no
+# quoting and the figures are formatted as the cells below format them
+_DELAY_ROW = "%s,%s,%s,%.3f,%.3f,%.3f,%d\n"
+
+
+def _delay_cells(d: FrameDelay) -> list:
+    return [
+        d.device_id,
+        d.frame_seq,
+        d.frame_timestamp,
+        f"{d.arrival_time:.3f}",
+        f"{d.t_ci_ms:.3f}",
+        f"{d.t_ete_ms:.3f}",
+        int(d.flagged),
+    ]
+
+
 def write_delay_series_csv(delays, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["device", "frame_seq", "frame_timestamp", "arrival_time", "t_ci_ms", "t_ete_ms", "flagged"]
-        )
-        for d in delays:
-            writer.writerow(
-                [
-                    d.device_id,
-                    d.frame_seq,
-                    d.frame_timestamp,
-                    f"{d.arrival_time:.3f}",
-                    f"{d.t_ci_ms:.3f}",
-                    f"{d.t_ete_ms:.3f}",
-                    int(d.flagged),
-                ]
-            )
+        writer.writerow(DELAY_COLUMNS)
+        if all(d[0].__class__ is int and d[1].__class__ is int for d in delays):
+            fh.writelines(_DELAY_ROW % d for d in delays)
+        else:
+            # a capture from elsewhere may hold ids that need quoting
+            writer.writerows([_delay_cells(d) for d in delays])
 
 
 def write_throughput_series_csv(series: dict, window_s: float, path) -> None:

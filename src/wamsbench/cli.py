@@ -103,11 +103,9 @@ def cmd_analyze(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.capture).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     indices = _sample_indices(capture, args.sample_size, args.sample_seed)
-    summary = analyzer.summarize(
-        capture, sample_indices=indices, t_fdr_ms=args.t_fdr_ms, t_dcs_ms=args.t_dcs_ms
+    summary, delays, series = analyzer.analyze(
+        capture, indices, t_fdr_ms=args.t_fdr_ms, t_dcs_ms=args.t_dcs_ms, window_s=args.window
     )
-    delays = analyzer.one_way_delays(capture, t_fdr_ms=args.t_fdr_ms, t_dcs_ms=args.t_dcs_ms)
-    series = analyzer.throughput_series(capture, window_s=args.window)
     analyzer.write_summary_csv(summary, out_dir / "summary.csv")
     analyzer.write_delay_series_csv(delays, out_dir / "delay_series.csv")
     analyzer.write_throughput_series_csv(series, args.window, out_dir / "throughput_series.csv")

@@ -30,7 +30,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from types import MappingProxyType
+from typing import NamedTuple, Optional
 
 from .frame import (
     FRAME_LEN,
@@ -48,6 +49,10 @@ log = logging.getLogger(__name__)
 # not speaking the protocol and gets dropped
 JUNK_DROP_BYTES = 65_536
 
+# what FrameAssembler.feed reports for a delivery without integrity
+# events: one shared read-only Counter, so missing keys still read 0
+_NO_EVENTS = MappingProxyType(Counter())
+
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 
@@ -62,8 +67,7 @@ def ms(value: float) -> float:
     return round(value, 3)
 
 
-@dataclass(frozen=True)
-class MeasurementRow:
+class MeasurementRow(NamedTuple):
     device_id: int
     frame_seq: int
     frame_timestamp: int
@@ -75,28 +79,11 @@ class MeasurementRow:
 
     @classmethod
     def from_frame(cls, frame: FdrFrame, arrival_ms: float) -> "MeasurementRow":
-        return cls(
-            device_id=frame.device_id,
-            frame_seq=frame.frame_seq,
-            frame_timestamp=frame.utc_timestamp,
-            arrival_time=ms(arrival_ms),
-            frequency=frame.frequency,
-            voltage_mag=frame.voltage_mag,
-            voltage_angle=frame.voltage_angle,
-            status=frame.status,
-        )
+        device_id, frame_seq, utc, freq, vmag, vangle, status = frame
+        return cls(device_id, frame_seq, utc, ms(arrival_ms), freq, vmag, vangle, status)
 
     def to_json(self) -> dict:
-        return {
-            "device_id": self.device_id,
-            "frame_seq": self.frame_seq,
-            "frame_timestamp": self.frame_timestamp,
-            "arrival_time": self.arrival_time,
-            "frequency": self.frequency,
-            "voltage_mag": self.voltage_mag,
-            "voltage_angle": self.voltage_angle,
-            "status": self.status,
-        }
+        return self._asdict()
 
 
 @dataclass(frozen=True)
@@ -150,16 +137,7 @@ _FRAME_COMPLETE = '{"frame_seq":%r,"frame_timestamp":%r,"arrival_time_of_last_by
 def measurement_line(row: MeasurementRow) -> str:
     """``dumps(row.to_json())`` for a row whose floats are finite, as
     every row decoded from an encoded frame is."""
-    return _MEASUREMENT_LINE % (
-        row.device_id,
-        row.frame_seq,
-        row.frame_timestamp,
-        row.arrival_time,
-        row.frequency,
-        row.voltage_mag,
-        row.voltage_angle,
-        row.status,
-    )
+    return _MEASUREMENT_LINE % row  # the line's fields are the row's, in order
 
 
 def capture_line(
@@ -178,7 +156,8 @@ def capture_line(
     make up its frame_complete list."""
     if rows:
         entries = ",".join(
-            [_FRAME_COMPLETE % (r.frame_seq, r.frame_timestamp, r.arrival_time) for r in rows]
+            # r[1:4] is (frame_seq, frame_timestamp, arrival_time)
+            [_FRAME_COMPLETE % r[1:4] for r in rows]
         )
         frame_complete = f"[{entries}]"
     else:
@@ -250,8 +229,8 @@ class FrameAssembler:
         self.junk_since_frame = 0
 
     def feed(self, data: bytes) -> tuple:
-        """Returns (decoded frames, Counter of integrity events)."""
-        events: Counter = Counter()
+        """Returns (decoded frames, Counter of integrity events); the
+        counts are read-only when the delivery had none."""
         if not self.buf and len(data) == FRAME_LEN and data.startswith(MAGIC_BYTES):
             # the usual case: exactly one whole frame and nothing buffered
             try:
@@ -261,7 +240,8 @@ class FrameAssembler:
             else:
                 self.device_id = frame.device_id
                 self.junk_since_frame = 0
-                return [frame], events
+                return [frame], _NO_EVENTS
+        events: Counter = Counter()
         self.buf.extend(data)
         frames = []
         while True:

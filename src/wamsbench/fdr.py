@@ -117,14 +117,7 @@ class SignalGenerator:
             dt_s = (t_utc_ms - self._last_utc_ms) / 1000.0
             self._angle = _wrap_angle(self._angle + 360.0 * (f - self.model.f_nominal) * dt_s)
         self._last_utc_ms = t_utc_ms
-        return FdrFrame(
-            device_id=device_id,
-            frame_seq=frame_seq,
-            utc_timestamp=t_utc_ms,
-            frequency=f,
-            voltage_mag=self.model.v_nominal,
-            voltage_angle=self._angle,
-        )
+        return FdrFrame(device_id, frame_seq, t_utc_ms, f, self.model.v_nominal, self._angle)
 
 
 def next_grid_ms(t_utc_ms: float) -> int:

@@ -28,14 +28,16 @@ documented stand-in with the same total length.
 import binascii
 import math
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 FRAME_LEN = 55
 MAGIC = 0xAA01
 MAGIC_BYTES = b"\xaa\x01"
 
-_HEADER_FMT = ">HHIQdddB"
-_CRC_OFFSET = 53
+_BODY = struct.Struct(">HHIQdddB12x")  # everything the CRC covers
+_CRC = struct.Struct(">H")
+_CRC_OFFSET = _BODY.size
+_INF = math.inf
 
 
 class FrameError(Exception):
@@ -58,8 +60,7 @@ class ChecksumError(FrameDecodeError):
     """CRC mismatch over an otherwise well-framed record."""
 
 
-@dataclass(frozen=True)
-class FdrFrame:
+class FdrFrame(NamedTuple):
     """One synchrophasor measurement record.
 
     ``utc_timestamp`` is integer milliseconds since the Unix epoch; in
@@ -101,32 +102,38 @@ def encode_frame(frame: FdrFrame) -> bytes:
     Raises FrameEncodeError naming the first field found out of range.
     Out-of-range angles are rejected rather than silently wrapped.
     """
-    _check_int("device_id", frame.device_id, 0, 0xFFFF)
-    _check_int("frame_seq", frame.frame_seq, 0, 0xFFFFFFFF)
-    _check_int("utc_timestamp", frame.utc_timestamp, 0, 0xFFFFFFFFFFFFFFFF)
-    _check_int("status", frame.status, 0, 0xFF)
-    _check_real("frequency", frame.frequency)
-    _check_real("voltage_mag", frame.voltage_mag)
-    _check_real("voltage_angle", frame.voltage_angle)
-    if not -180.0 <= frame.voltage_angle < 180.0:
-        raise FrameEncodeError(
-            f"voltage_angle={frame.voltage_angle} outside [-180, 180)"
-        )
-
-    body = struct.pack(
-        _HEADER_FMT,
-        MAGIC,
-        frame.device_id,
-        frame.frame_seq,
-        frame.utc_timestamp,
-        frame.frequency,
-        frame.voltage_mag,
-        frame.voltage_angle,
-        frame.status,
-    )
-    body += b"\x00" * 12
-    assert len(body) == _CRC_OFFSET
-    return body + struct.pack(">H", crc16(body))
+    device_id, frame_seq, utc, freq, vmag, vangle, status = frame
+    # One test for the frames the devices build: exact int and float
+    # types, in range and finite.  Anything else (an int frequency, an
+    # IntEnum status, a bad value) takes the per-field checks, which
+    # accept and reject exactly what they always did.
+    if not (
+        device_id.__class__ is int
+        and frame_seq.__class__ is int
+        and utc.__class__ is int
+        and status.__class__ is int
+        and freq.__class__ is float
+        and vmag.__class__ is float
+        and vangle.__class__ is float
+        and 0 <= device_id <= 0xFFFF
+        and 0 <= frame_seq <= 0xFFFFFFFF
+        and 0 <= utc <= 0xFFFFFFFFFFFFFFFF
+        and 0 <= status <= 0xFF
+        and -_INF < freq < _INF
+        and -_INF < vmag < _INF
+        and -180.0 <= vangle < 180.0
+    ):
+        _check_int("device_id", device_id, 0, 0xFFFF)
+        _check_int("frame_seq", frame_seq, 0, 0xFFFFFFFF)
+        _check_int("utc_timestamp", utc, 0, 0xFFFFFFFFFFFFFFFF)
+        _check_int("status", status, 0, 0xFF)
+        _check_real("frequency", freq)
+        _check_real("voltage_mag", vmag)
+        _check_real("voltage_angle", vangle)
+        if not -180.0 <= vangle < 180.0:
+            raise FrameEncodeError(f"voltage_angle={vangle} outside [-180, 180)")
+    body = _BODY.pack(MAGIC, device_id, frame_seq, utc, freq, vmag, vangle, status)
+    return body + _CRC.pack(crc16(body))
 
 
 def decode_frame(data: bytes) -> FdrFrame:
@@ -140,18 +147,8 @@ def decode_frame(data: bytes) -> FdrFrame:
         raise FramingError(f"need {FRAME_LEN} bytes, got {len(data)}")
     if data[:2] != MAGIC_BYTES:
         raise FramingError(f"bad magic {data[:2].hex()}")
-    body, (crc,) = data[:_CRC_OFFSET], struct.unpack_from(">H", data, _CRC_OFFSET)
-    if crc16(body) != crc:
+    (crc,) = _CRC.unpack_from(data, _CRC_OFFSET)
+    if crc16(data[:_CRC_OFFSET]) != crc:
         raise ChecksumError("crc mismatch")
-    (_, device_id, frame_seq, utc, freq, vmag, vangle, status) = struct.unpack_from(
-        _HEADER_FMT, body
-    )
-    return FdrFrame(
-        device_id=device_id,
-        frame_seq=frame_seq,
-        utc_timestamp=utc,
-        frequency=freq,
-        voltage_mag=vmag,
-        voltage_angle=vangle,
-        status=status,
-    )
+    # the unpacked fields after the magic, in FdrFrame's field order
+    return FdrFrame._make(_BODY.unpack_from(data)[1:])

@@ -40,6 +40,9 @@ log = logging.getLogger(__name__)
 # and redial loops settle before the run stops
 DRAIN_GRACE_S = 30
 
+# capture trailer counter of each record direction
+_COPIES_KEY = {"UPLINK": "uplink_copies", "ACK": "ack_copies"}
+
 
 @dataclass(frozen=True)
 class DeviceReport:
@@ -108,10 +111,14 @@ class _DcsEndpoint(Connection):
             for row in rows:
                 run.rows_log.write(measurement_line(row))
 
+    def detach(self) -> None:
+        super().detach()
+        self.harness = None
+
     def _refuse(self) -> None:
         run = self.harness.run
         run.capture_counters["outage_rsts"] += 1
-        rst = Segment(seq=0, ack=0, flags=frozenset({RST}))
+        rst = Segment(0, 0, frozenset({RST}))
         arrival_us = self.link.transmit(HEADER_BYTES)
         run.write_record(self.harness.device_id, "ACK", rst, arrival_us)
         client = self.peer
@@ -136,6 +143,7 @@ class _DeviceHarness:
             run.sim, spec.downlink, random.Random(f"{seed}:dev{self.device_id}:down")
         )
         self.dials = 0
+        self.connections: list = []  # both ends of every dial
         self.node = DeviceNode(
             run.sim,
             spec.config,
@@ -148,7 +156,7 @@ class _DeviceHarness:
     def _make_connection(self, node: DeviceNode) -> Connection:
         self.dials += 1
         conn_key = f"dev{self.device_id}#{self.dials}"
-        client, _ = connect_pair(
+        client, server = connect_pair(
             self.run.sim,
             self.run.scenario.transport,
             self.uplink,
@@ -157,6 +165,7 @@ class _DeviceHarness:
             name=f"{conn_key}.client",
             on_wire=self._on_uplink_wire,
         )
+        self.connections += (client, server)
         return client
 
     # -- capture hooks -------------------------------------------------------
@@ -168,6 +177,14 @@ class _DeviceHarness:
 
     def _on_downlink_wire(self, seg: Segment, arrival_us: Optional[int]) -> None:
         self.run.write_record(self.device_id, "ACK", seg, arrival_us)
+
+    def close(self) -> None:
+        """Break the reference cycles between this device's node, its
+        connections and the run, once the run is over."""
+        self.node.make_connection = None
+        for conn in self.connections:
+            conn.detach()
+        self.connections.clear()
 
     def report(self) -> DeviceReport:
         n = self.node
@@ -227,10 +244,11 @@ class _SimulationRun:
                 rows,
             )
         )
-        self.capture_counters["records"] += 1
-        self.capture_counters[f"{direction.lower()}_copies"] += 1
+        counters = self.capture_counters
+        counters["records"] += 1
+        counters[_COPIES_KEY[direction]] += 1
         if arrival_us is None:
-            self.capture_counters["dropped_copies"] += 1
+            counters["dropped_copies"] += 1
 
     def _header(self, kind: str) -> dict:
         sc = self.scenario
@@ -255,6 +273,12 @@ class _SimulationRun:
         finally:
             self.capture_log.close(dict(sorted(self.capture_counters.items())))
             self.rows_log.close(dict(sorted(self.ingest.counters.items())))
+            # a finished run is freed by reference counting alone, so the
+            # process's peak memory does not depend on when the cyclic
+            # collector happens to run
+            self.sim.clear()
+            for h in harnesses:
+                h.close()
         log.info(
             "scenario %s: %d events, %d rows, %d capture records",
             sc.name,

@@ -91,6 +91,11 @@ class Simulator:
     def pending(self) -> int:
         return len(self._heap) - self._tombstones
 
+    def clear(self) -> None:
+        """Drop every queued event without running it; the clock stays."""
+        self._heap = []
+        self._tombstones = 0
+
 
 @dataclass(frozen=True)
 class JitterSpec:

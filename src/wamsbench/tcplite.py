@@ -15,12 +15,11 @@ length for data segments, since the link-rate math treats the frame
 itself as the unit being clocked out.
 """
 
-import dataclasses
 import enum
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 from .simnet import Simulator
 
@@ -59,8 +58,7 @@ class TransportError(Exception):
     """Operation not valid in the connection's current state."""
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One TCP-lite segment as it appears on the wire."""
 
     seq: int
@@ -105,11 +103,17 @@ class TransportConfig:
             raise ValueError("split_at must be >= 1")
 
 
-@dataclass
 class _InFlight:
-    segment: Segment
-    send_time_us: int
-    retx_count: int = 0
+    """A sent segment waiting for its ACK; ``end`` is the sequence
+    number an ACK must reach to cover it."""
+
+    __slots__ = ("segment", "end", "send_time_us", "retx_count")
+
+    def __init__(self, segment: Segment, send_time_us: int):
+        self.segment = segment
+        self.end = segment.seq + segment.seq_len
+        self.send_time_us = send_time_us
+        self.retx_count = 0
 
 
 class Connection:
@@ -178,7 +182,7 @@ class Connection:
             raise TransportError("only the client end opens actively")
         self.snd_una = 0
         self.snd_next = 1  # SYN occupies sequence 0
-        syn = Segment(seq=0, ack=0, flags=frozenset({SYN}))
+        syn = Segment(0, 0, frozenset({SYN}))
         self.unacked.append(_InFlight(syn, self.sim.now_us))
         self.state = ConnState.SYN_SENT
         self._transmit(syn)
@@ -206,13 +210,8 @@ class Connection:
         else:
             parts = [payload]
         for part in parts:
-            seg = Segment(
-                seq=self.snd_next,
-                ack=self.rcv_next,
-                flags=_DATA_FLAGS,
-                payload=part,
-            )
-            self.snd_next += seg.seq_len
+            seg = Segment(self.snd_next, self.rcv_next, _DATA_FLAGS, part)
+            self.snd_next += len(part)  # seq_len of a data segment
             self.unacked.append(_InFlight(seg, self.sim.now_us))
             self._transmit(seg)
         if self._timer is None:  # never postpone an older segment's timeout
@@ -224,6 +223,17 @@ class Connection:
         self._disarm_timer()
         self.state = ConnState.CLOSED
         self._dead = True
+
+    def detach(self) -> None:
+        """Let go of the peer, the simulator, the link, every callback
+        and all in-flight state, once the run driving this end is over;
+        the counters stay readable.  The two ends, their timer and their
+        callbacks otherwise hold each other and the whole run in
+        reference cycles that only the cyclic garbage collector frees."""
+        self.peer = self.sim = self.link = self._timer = None
+        self.on_deliver = self.on_wire = self.on_established = self.on_failed = None
+        self.unacked = []
+        self._ooo = {}
 
     @property
     def established(self) -> bool:
@@ -275,7 +285,7 @@ class Connection:
         self.rcv_next = seg.seq + 1
         self.snd_una = 0
         self.snd_next = 1
-        synack = Segment(seq=0, ack=self.rcv_next, flags=frozenset({SYN, ACK}))
+        synack = Segment(0, self.rcv_next, frozenset({SYN, ACK}))
         self.unacked.append(_InFlight(synack, self.sim.now_us))
         self.state = ConnState.SYN_RCVD
         self._transmit(synack)
@@ -294,8 +304,7 @@ class Connection:
             self.dup_ack_count = 0
             acked, remaining = [], []
             for entry in self.unacked:
-                target = acked if entry.segment.seq + entry.segment.seq_len <= ack else remaining
-                target.append(entry)
+                (acked if entry.end <= ack else remaining).append(entry)
             self.unacked = remaining
             # An ack covering several segments marks a loss-recovery
             # epoch: the covered segments sat behind a receiver-side
@@ -328,9 +337,7 @@ class Connection:
                 lowest = self.unacked[0]
                 if lowest.retx_count == 0:  # never race an RTO recovery
                     lowest.retx_count += 1
-                    self._transmit(
-                        dataclasses.replace(lowest.segment, retx_class=RetxClass.FAST_RETX)
-                    )
+                    self._transmit(lowest.segment._replace(retx_class=RetxClass.FAST_RETX))
 
     def rto_update(self, sample_ms: float) -> float:
         """Feed one round-trip sample to the estimator; returns the new rto."""
@@ -363,7 +370,7 @@ class Connection:
         self._send_pure_ack()
 
     def _send_pure_ack(self) -> None:
-        self._transmit(Segment(seq=self.snd_next, ack=self.rcv_next, flags=_ACK_FLAGS))
+        self._transmit(Segment(self.snd_next, self.rcv_next, _ACK_FLAGS))
 
     # -- retransmission timer ----------------------------------------------
 
@@ -387,7 +394,7 @@ class Connection:
             self._fail("retransmit limit exceeded")
             return
         lowest.retx_count += 1
-        self._transmit(dataclasses.replace(lowest.segment, retx_class=RetxClass.RTO_RETX))
+        self._transmit(lowest.segment._replace(retx_class=RetxClass.RTO_RETX))
         self.rto = min(self.rto * 2.0, self.config.max_rto_ms)  # exponential backoff
         self._arm_timer()
 

@@ -7,6 +7,8 @@ cover the loader's failure modes, sampling validation, output formats,
 and a bootstrap agreement check on a real simulated capture.
 """
 
+import csv
+import io
 import json
 import math
 import statistics
@@ -17,8 +19,10 @@ import oracle_logs
 from test_sim import JITTERY
 from wamsbench import analyzer
 from wamsbench.analyzer import (
+    DELAY_COLUMNS,
     SUMMARY_COLUMNS,
     CaptureError,
+    FrameDelay,
     format_table,
     load_capture,
     one_way_delays,
@@ -208,6 +212,32 @@ class TestOutputs:
             "1,1,0.000",
             "1,2,0.000",
         ]
+
+    @pytest.mark.parametrize("dev,seq", [(1, 2), ("a,b", 'say "x"'), (None, 2.5)])
+    def test_delay_csv_is_what_the_csv_module_writes(self, dev, seq, tmp_path):
+        delays = [
+            FrameDelay(dev, seq, 1_700_000_000_000, 1_700_000_000_101.1464, 101.1464, 101.6464, False),
+            FrameDelay(dev, seq, 1_700_000_000_100, 1_700_000_000_099.0, -1.0, -0.5, True),
+        ]
+        out = tmp_path / "delay.csv"
+        write_delay_series_csv(delays, out)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(DELAY_COLUMNS)
+        for d in delays:
+            writer.writerow(
+                [d.device_id, d.frame_seq, d.frame_timestamp]
+                + [f"{x:.3f}" for x in (d.arrival_time, d.t_ci_ms, d.t_ete_ms)]
+                + [int(d.flagged)]
+            )
+        assert out.read_text(encoding="utf-8") == expected.getvalue()
+
+    @pytest.mark.parametrize("window_s", [1.0, 2.5])
+    def test_analyze_equals_the_separate_analyses(self, cap, window_s):
+        summary, delays, series = analyzer.analyze(cap, [0, 2], t_fdr_ms=0.5, window_s=window_s)
+        assert summary == summarize(cap, [0, 2], t_fdr_ms=0.5)
+        assert delays == one_way_delays(cap, t_fdr_ms=0.5)
+        assert series == throughput_series(cap, window_s)
 
     def test_reanalysis_is_byte_identical(self, cap, tmp_path):
         first, second = tmp_path / "one.csv", tmp_path / "two.csv"

@@ -162,6 +162,11 @@ class TestIngestState:
         assert row.frequency == 50.0
         assert row.status == 0
 
+    def test_row_is_immutable(self):
+        (row,) = IngestState().deliver("c1", wire(), 1000.0)
+        with pytest.raises(AttributeError):
+            row.arrival_time = 0.0
+
 
 class TestLogWriter:
     def test_header_records_trailer_shape(self, tmp_path):

@@ -1,5 +1,6 @@
 """Frame codec tests: golden vector, round trips, CRC behavior."""
 
+import enum
 import math
 import random
 
@@ -165,9 +166,51 @@ def test_decode_bad_crc_is_checksum_error():
         ("voltage_angle", 180.0),
         ("voltage_angle", -180.0001),
         ("voltage_angle", 720.0),
+        ("voltage_angle", float("nan")),
     ],
 )
 def test_encode_rejects_out_of_range_fields(field, value):
-    frame = FdrFrame(**{**GOLDEN_FRAME.__dict__, field: value})
+    frame = FdrFrame(**{**GOLDEN_FRAME._asdict(), field: value})
     with pytest.raises(FrameEncodeError, match=field):
         encode_frame(frame)
+
+
+class Status(enum.IntEnum):
+    OK = 0
+    GPS_UNLOCKED = 3
+
+
+class Hertz(float):
+    pass
+
+
+# inputs the one-test fast path in encode_frame turns away, which the
+# per-field checks must still accept, with the same bytes
+@pytest.mark.parametrize(
+    "field,value,equivalent",
+    [
+        ("frequency", 50, 50.0),
+        ("voltage_mag", 1, 1.0),
+        ("voltage_angle", 0, 0.0),
+        ("frequency", Hertz(50.0), 50.0),
+        ("status", Status.GPS_UNLOCKED, 3),
+    ],
+)
+def test_encode_accepts_other_numeric_types_as_before(field, value, equivalent):
+    frame = FdrFrame(**{**GOLDEN_FRAME._asdict(), field: value})
+    same = FdrFrame(**{**GOLDEN_FRAME._asdict(), field: equivalent})
+    assert encode_frame(frame) == encode_frame(same)
+
+
+@pytest.mark.parametrize("field", FdrFrame._fields)
+def test_encode_rejects_bool_naming_the_field(field):
+    frame = FdrFrame(**{**GOLDEN_FRAME._asdict(), field: True})
+    integer = field in ("device_id", "frame_seq", "utc_timestamp", "status")
+    kind = "an integer" if integer else "a real number"
+    with pytest.raises(FrameEncodeError, match=f"^{field} must be {kind}, got True$"):
+        encode_frame(frame)
+
+
+def test_frame_is_immutable():
+    with pytest.raises(AttributeError):
+        GOLDEN_FRAME.frequency = 60.0

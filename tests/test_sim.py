@@ -8,12 +8,15 @@ microsecond accuracy; the randomized scenario then only needs to check
 conservation laws and byte-exact determinism.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
+from wamsbench import sim
 from wamsbench.scenario import parse_scenario
-from wamsbench.sim import run_simulation
+from wamsbench.sim import _SimulationRun, run_simulation
 
 LOSSLESS = """
 [scenario]
@@ -233,3 +236,32 @@ class TestRandomizedRun:
         again = run(JITTERY, tmp_path_factory.mktemp("jittery2"))
         assert again.capture_path.read_bytes() == jittery.capture_path.read_bytes()
         assert again.measurements_path.read_bytes() == jittery.measurements_path.read_bytes()
+
+
+class TestRunLifetime:
+    @pytest.mark.parametrize("text", [JITTERY, OUTAGE], ids=["jittery", "outage"])
+    def test_finished_run_is_freed_without_the_cyclic_collector(self, text, tmp_path, monkeypatch):
+        pairs = []  # held past the run, as the benchmark holds them
+
+        def recording_connect_pair(*args, **kwargs):
+            pairs.append(connect_pair(*args, **kwargs))
+            return pairs[-1]
+
+        connect_pair = sim.connect_pair
+        monkeypatch.setattr(sim, "connect_pair", recording_connect_pair)
+        gc.collect()
+        gc.disable()
+        try:
+            run = _SimulationRun(parse_scenario(text), tmp_path)
+            result = run.run()
+            counters = result.capture_counters
+            refs = [weakref.ref(run.ingest), weakref.ref(run.sim)]
+            del run, result
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+        # every wire copy but the refusals' RSTs went through a connection,
+        # whose counters stay readable after the run
+        copies = sum(sum(conn.wire_copies.values()) for pair in pairs for conn in pair)
+        assert copies + counters["outage_rsts"] == counters["records"]
+        assert all(conn.protocol_errors == 0 for pair in pairs for conn in pair)

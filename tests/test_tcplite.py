@@ -213,6 +213,24 @@ class TestAckProcessing:
         assert client.wire_copies[RetxClass.FAST_RETX] == 1
         assert client.dup_ack_count == 0
 
+    def test_retransmit_is_a_copy_and_the_original_stays_first(self):
+        sim = Simulator()
+        client = self._isolated_client(sim)
+        copies = []
+        client.on_wire = lambda seg, arrival: copies.append(seg)
+        for _ in range(3):
+            client.on_segment(self._pure_ack(1))
+        sim.run_until(sim.now_us + round(client.rto * MS))  # one RTO fires
+        original = client.unacked[0].segment
+        assert original.retx_class is RetxClass.FIRST
+        assert [c.retx_class for c in copies] == [RetxClass.FAST_RETX, RetxClass.RTO_RETX]
+        assert all(c[:4] == original[:4] for c in copies)
+
+    def test_segment_is_immutable(self):
+        seg = self._pure_ack(1)
+        with pytest.raises(AttributeError):
+            seg.retx_class = RetxClass.RTO_RETX
+
     def test_fast_retransmit_not_repeated_for_same_hole(self):
         sim = Simulator()
         client = self._isolated_client(sim)
