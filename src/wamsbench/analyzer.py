@@ -495,4 +495,5 @@ def write_throughput_series_csv(series: dict, window_s: float, path) -> None:
         writer.writerow(["device", "window_start_s", "kbit_per_s"])
         for dev in sorted(series):
             for k, value in enumerate(series[dev]):
-                writer.writerow([dev, f"{k * window_s:g}", f"{value:.3f}"])
+                # every digit: ":g" keeps 6, merging windows of long captures
+                writer.writerow([dev, f"{k * window_s:.15g}", f"{value:.3f}"])

@@ -79,8 +79,10 @@ class MeasurementRow(NamedTuple):
 
     @classmethod
     def from_frame(cls, frame: FdrFrame, arrival_ms: float) -> "MeasurementRow":
+        """The row of ``frame`` arriving at ``arrival_ms``, a time already
+        at microsecond precision (see ``ms``)."""
         device_id, frame_seq, utc, freq, vmag, vangle, status = frame
-        return cls(device_id, frame_seq, utc, ms(arrival_ms), freq, vmag, vangle, status)
+        return cls(device_id, frame_seq, utc, arrival_ms, freq, vmag, vangle, status)
 
     def to_json(self) -> dict:
         return self._asdict()
@@ -298,7 +300,8 @@ class IngestState:
         return asm
 
     def deliver(self, conn_key, data: bytes, arrival_ms: float) -> list:
-        """Feed bytes delivered in order on one connection; returns the
+        """Feed bytes delivered in order on one connection at
+        ``arrival_ms``, a time at microsecond precision; returns the
         MeasurementRows completed by this delivery."""
         asm = self.assembler(conn_key)
         frames, events = asm.feed(data)
@@ -433,6 +436,9 @@ class LiveDcsServer:
             sock.close()
             with self._lock:
                 self._active.pop(conn_id, None)
+            # queued behind this connection's last data, so the writer
+            # drops its ingest state only after processing all of it
+            self._queue.put(("closed", conn_id, None, None))
 
     def _writer_loop(self) -> None:
         while True:
@@ -449,6 +455,12 @@ class LiveDcsServer:
         if kind == "refused":
             self.ingest.counters["refused_connections"] += 1
             return
+        if kind == "closed":
+            # the connection's last data is already processed
+            self.ingest.assemblers.pop(conn_id, None)
+            self._offsets.pop(conn_id, None)
+            return
+        arrival = ms(arrival)
         rows = self.ingest.deliver(conn_id, data, arrival)
         finite = [r for r in rows if _finite_row(r)]
         if len(finite) < len(rows):
@@ -464,7 +476,7 @@ class LiveDcsServer:
         start = self._offsets.get(conn_id, 0)
         self._offsets[conn_id] = start + len(data)
         record = CaptureRecord(
-            wall_time=ms(arrival),
+            wall_time=arrival,
             device_id=asm.device_id,
             direction="UPLINK",
             seq_range=(start, start + len(data)),

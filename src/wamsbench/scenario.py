@@ -28,6 +28,12 @@ from .simnet import ChannelParams, JitterSpec
 from .tcplite import TransportConfig
 
 
+# Simulated wall times are exact integer microseconds divided by 1000.0,
+# which equals their 3-decimal rounding only below 2**43 ms; this bound
+# (about the year 2109) leaves more than a century of run time under it.
+MAX_EPOCH_UTC_MS = 2**42
+
+
 class ScenarioError(Exception):
     """Scenario file invalid; message names the offending section/key."""
 
@@ -185,6 +191,8 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
         raise ScenarioError("[scenario] devices: must be in 1..65535")
     if epoch_utc_ms % 100 != 0 or epoch_utc_ms < 0:
         raise ScenarioError("[scenario] epoch_utc_ms: must be a non-negative multiple of 100")
+    if epoch_utc_ms >= MAX_EPOCH_UTC_MS:
+        raise ScenarioError(f"[scenario] epoch_utc_ms: must be below 2**42 ({MAX_EPOCH_UTC_MS})")
 
     tr = section("transport")
     try:

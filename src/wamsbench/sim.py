@@ -28,11 +28,11 @@ from functools import partial
 from pathlib import Path
 from typing import Optional
 
-from .dcs import IngestState, LogWriter, capture_line, log_header, measurement_line, ms
+from .dcs import IngestState, LogWriter, capture_line, log_header, measurement_line
 from .fdr import DeviceNode
-from .scenario import Scenario
+from .scenario import MAX_EPOCH_UTC_MS, Scenario
 from .simnet import Link, Simulator
-from .tcplite import HEADER_BYTES, RST, Connection, Segment, connect_pair
+from .tcplite import HEADER_BYTES, RST, SYN, Connection, Segment, connect_pair
 
 log = logging.getLogger(__name__)
 
@@ -200,7 +200,10 @@ class _DeviceHarness:
 
 class _SimulationRun:
     def __init__(self, scenario: Scenario, out_dir):
+        if not 0 <= scenario.epoch_utc_ms < MAX_EPOCH_UTC_MS:
+            raise ValueError(f"epoch_utc_ms={scenario.epoch_utc_ms} outside [0, 2**42)")
         self.scenario = scenario
+        self.epoch_us = scenario.epoch_utc_ms * 1000
         self.out_dir = Path(out_dir)
         self.sim = Simulator()
         self.ingest = IngestState()
@@ -213,7 +216,15 @@ class _SimulationRun:
         self.rows_log: Optional[LogWriter] = None
 
     def wall_ms(self, t_us: int) -> float:
-        return self.scenario.epoch_utc_ms + t_us / 1000.0
+        """UTC milliseconds of simulation instant ``t_us``, at
+        microsecond precision.
+
+        The exact integer microsecond count divided by 1000.0 is the
+        double nearest the 3-decimal value, which is what
+        ``ms(epoch_utc_ms + t_us / 1000.0)`` returns while the epoch is
+        below 2**43 ms, at a tenth of the cost of ``round``.
+        """
+        return (self.epoch_us + t_us) / 1000.0
 
     def in_outage(self, t_us: int) -> bool:
         if not self.scenario.outages:
@@ -231,16 +242,19 @@ class _SimulationRun:
     ) -> None:
         """Log one wire copy as a CaptureRecord line, encoded straight
         from the segment."""
+        seq, _, flags, payload, retx_class = seg
+        payload_bytes = len(payload)
         self.capture_log.write(
             capture_line(
-                ms(self.wall_ms(arrival_us)) if arrival_us is not None else None,
+                None if arrival_us is None else self.wall_ms(arrival_us),
                 device_id,
                 direction,
-                seg.seq,
-                seg.seq + seg.seq_len,
-                len(seg.payload),
+                seq,
+                # Segment.seq_len: a SYN takes one sequence number
+                seq + payload_bytes + (SYN in flags),
+                payload_bytes,
                 HEADER_BYTES,
-                seg.retx_class.value,
+                retx_class._value_,  # Enum's value is a Python-level property
                 rows,
             )
         )

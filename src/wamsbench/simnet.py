@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from math import exp, log
 from typing import Callable, Optional
 
 US_PER_MS = 1000
@@ -130,6 +131,46 @@ class JitterSpec:
             raw = rng.lognormvariate(math.log(self.median_ms), self.sigma)
         return min(raw, self.cap_ms)
 
+    def sampler(self, rng: random.Random) -> Callable[[], float]:
+        """A zero-argument draw that returns what ``self.sample(rng)``
+        would, call for call, and leaves ``rng`` in the same state.
+
+        The kind, the distribution parameter and the cap are resolved
+        once, and a random draw spells out the float operations of
+        ``random.Random.expovariate`` and ``lognormvariate`` (the same
+        from Python 3.10 through 3.13), so it costs only its calls into
+        ``rng.random``.  ``sample`` stays the reference the tests hold
+        this to.
+        """
+        cap = self.cap_ms
+        if self.kind == "constant" or self.median_ms == 0:
+            value = min(self.median_ms, cap)
+            return lambda: value
+        uniform = rng.random
+        if self.kind == "exponential":
+            lambd = math.log(2) / self.median_ms
+
+            def draw() -> float:
+                raw = -log(1.0 - uniform()) / lambd
+                return cap if cap < raw else raw  # min(raw, cap)
+
+            return draw
+        mu, sigma = math.log(self.median_ms), self.sigma
+        magic = random.NV_MAGICCONST
+
+        def draw() -> float:
+            # normalvariate's Kinderman-Monahan loop, then exp
+            while True:
+                u1 = uniform()
+                u2 = 1.0 - uniform()
+                z = magic * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    break
+            raw = exp(mu + z * sigma)
+            return cap if cap < raw else raw  # min(raw, cap)
+
+        return draw
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -184,20 +225,34 @@ class Link:
 
     def __init__(self, sim: Simulator, params: ChannelParams, rng: random.Random):
         self.sim = sim
-        self.params = params
         self.rng = rng
+        self.params = params
         self._free_at_us = 0
+
+    @property
+    def params(self) -> ChannelParams:
+        return self._params
+
+    @params.setter
+    def params(self, params: ChannelParams) -> None:
+        # resolve the per-unit constants once, not on every transmit
+        self._params = params
+        self._ser_us: dict = {}  # unit bytes -> serialization us
+        self._jitter = params.jitter.sampler(self.rng)
 
     def transmit(self, serialized_bytes: int) -> Optional[int]:
         """Place one unit on the link; returns its arrival time in us,
         or None when the channel drops it."""
-        # serialization_ms and should_drop, inlined on the per-segment path
-        params = self.params
+        # serialization_ms, should_drop and transit_delay, inlined on
+        # the per-segment path
+        params = self._params
         now_us = self.sim._now_us
         entry_us = now_us if now_us > self._free_at_us else self._free_at_us
-        ser_us = round(8.0 * serialized_bytes / params.r_ul_bps * 1000.0 * US_PER_MS)
+        ser_us = self._ser_us.get(serialized_bytes)
+        if ser_us is None:
+            ser_us = round(8.0 * serialized_bytes / params.r_ul_bps * 1000.0 * US_PER_MS)
+            self._ser_us[serialized_bytes] = ser_us
         self._free_at_us = entry_us + ser_us
         if params.p_loss != 0.0 and self.rng.random() < params.p_loss:
             return None
-        delay_ms = params.t_p_ms + params.jitter.sample(self.rng)
-        return entry_us + ser_us + round(delay_ms * US_PER_MS)
+        return entry_us + ser_us + round((params.t_p_ms + self._jitter()) * US_PER_MS)

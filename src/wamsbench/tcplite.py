@@ -47,6 +47,9 @@ class RetxClass(enum.Enum):
     __hash__ = object.__hash__
 
 
+_FIRST = RetxClass.FIRST
+
+
 class ConnState(enum.Enum):
     CLOSED = "CLOSED"
     SYN_SENT = "SYN_SENT"
@@ -79,6 +82,11 @@ class Segment(NamedTuple):
     def describe(self) -> str:
         names = "+".join(sorted(self.flags)) or "-"
         return f"{names} seq={self.seq} ack={self.ack} len={len(self.payload)}"
+
+
+# Segment(...) runs namedtuple's Python-level __new__; the segments sent
+# for every frame are built from a full field tuple at half the cost
+_new_segment = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -210,7 +218,7 @@ class Connection:
         else:
             parts = [payload]
         for part in parts:
-            seg = Segment(self.snd_next, self.rcv_next, _DATA_FLAGS, part)
+            seg = _new_segment(Segment, (self.snd_next, self.rcv_next, _DATA_FLAGS, part, _FIRST))
             self.snd_next += len(part)  # seq_len of a data segment
             self.unacked.append(_InFlight(seg, self.sim.now_us))
             self._transmit(seg)
@@ -370,13 +378,17 @@ class Connection:
         self._send_pure_ack()
 
     def _send_pure_ack(self) -> None:
-        self._transmit(Segment(self.snd_next, self.rcv_next, _ACK_FLAGS))
+        seg = _new_segment(Segment, (self.snd_next, self.rcv_next, _ACK_FLAGS, b"", _FIRST))
+        self._transmit(seg)
 
     # -- retransmission timer ----------------------------------------------
 
     def _arm_timer(self) -> None:
-        self._disarm_timer()
-        self._timer = self.sim.schedule_in(round(self.rto * 1000), self._on_rto)
+        # _disarm_timer then schedule_in, spelled out: it runs on every ACK
+        sim = self.sim
+        if self._timer is not None:
+            sim.cancel(self._timer)
+        self._timer = sim.schedule(sim.now_us + round(self.rto * 1000), self._on_rto)
 
     def _disarm_timer(self) -> None:
         if self._timer is not None:

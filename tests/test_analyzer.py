@@ -213,6 +213,22 @@ class TestOutputs:
             "1,2,0.000",
         ]
 
+    @pytest.mark.parametrize(
+        "window_s,k,label",
+        [
+            (0.25, 49_381, "12345.25"),
+            (2.5, 40_001, "100002.5"),
+            (250.0, 4_000, "1000000"),
+            (0.1, 3, "0.3"),  # 3 * 0.1 is 0.30000000000000004
+        ],
+    )
+    def test_throughput_window_labels_keep_every_digit(self, window_s, k, label, tmp_path):
+        out = tmp_path / "tp.csv"
+        write_throughput_series_csv({1: [0.0] * (k + 1)}, window_s, out)
+        labels = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
+        assert labels[k] == label
+        assert len(set(labels)) == k + 1  # no two windows share a label
+
     @pytest.mark.parametrize("dev,seq", [(1, 2), ("a,b", 'say "x"'), (None, 2.5)])
     def test_delay_csv_is_what_the_csv_module_writes(self, dev, seq, tmp_path):
         delays = [

@@ -290,6 +290,27 @@ class TestLiveDcsServer:
         assert completed == [2]
         assert cap_lines[-1]["integrity"]["records"] == len(cap_lines) - 2
 
+    def test_closed_connections_leave_no_ingest_state(self, tmp_path):
+        server = LiveDcsServer(out_dir=tmp_path)
+        server.start()
+        try:
+            for seq in range(1, 51):  # one short connection after another
+                with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+                    sock.sendall(wire(frame_seq=seq))
+            deadline = time.monotonic() + 15.0
+            while time.monotonic() < deadline and (
+                server.ingest.counters["rows"] < 50 or server.ingest.assemblers or server._offsets
+            ):
+                time.sleep(0.05)
+            assert server.ingest.assemblers == {}
+            assert server._offsets == {}
+        finally:
+            server.stop()
+        lines = [json.loads(l) for l in (tmp_path / "measurements.jsonl").read_text().splitlines()]
+        # handlers of back-to-back connections may overlap
+        assert sorted(r["frame_seq"] for r in lines[1:-1]) == list(range(1, 51))
+        assert lines[-1]["integrity"]["rows"] == 50
+
     def test_max_conns_refuses_extra_connection(self, tmp_path):
         server = LiveDcsServer(out_dir=tmp_path, max_conns=1)
         server.start()

@@ -42,6 +42,35 @@ OUTAGE_GOLDEN = (
     "3f8029638695385fbb7a13b25bf0c80783354707b564faaa5f60aeb975d61bdc",
 )
 
+# exponential uplink jitter clamped at its cap, with loss and split
+# frames; a constant downlink jitter.  Digests taken from the build
+# before the channel drew its jitter through JitterSpec.sampler.
+EXPONENTIAL = """
+[scenario]
+name = lab-exponential
+seed = expo-1
+duration_s = 60
+devices = 3
+[uplink]
+t_p_ms = 40.0
+p_loss = 0.02
+jitter = exponential
+jitter_median_ms = 10.0
+jitter_cap_ms = 30.0
+[downlink]
+t_p_ms = 40.0
+jitter = constant
+jitter_median_ms = 2.5
+jitter_cap_ms = 2.5
+[device]
+p_seg = 0.3
+noise_sigma = 0.003
+"""
+EXPONENTIAL_GOLDEN = (
+    "5ae2d30eef8e9328e04eac67b21c545dcfcb4eedb7768e4ebebda863933809c9",
+    "b8d4460ffce7c4711f1773df9a5592c1d9f5750491714349bc34c44d1a902d84",
+)
+
 
 def digests(scenario, out_dir) -> tuple:
     result = run_simulation(scenario, out_dir)
@@ -59,6 +88,10 @@ def test_bundled_scenario_logs_match_golden_bytes(name, tmp_path):
 
 def test_outage_logs_match_golden_bytes(tmp_path):
     assert digests(parse_scenario(OUTAGE), tmp_path) == OUTAGE_GOLDEN
+
+
+def test_exponential_jitter_logs_match_golden_bytes(tmp_path):
+    assert digests(parse_scenario(EXPONENTIAL), tmp_path) == EXPONENTIAL_GOLDEN
 
 
 # -- analyzer outputs ---------------------------------------------------------

@@ -63,12 +63,17 @@ dcs_outages = 10-15, 42.5-44
         )
         assert sc.outages == ((10.0, 15.0), (42.5, 44.0))
 
+    def test_latest_epoch_below_2_pow_42_is_accepted(self):
+        sc = parse_scenario("[scenario]\nepoch_utc_ms = 4398046511100\n")
+        assert sc.epoch_utc_ms == 4_398_046_511_100 < 2**42
+
     @pytest.mark.parametrize(
         "snippet,needle",
         [
             ("[scenario]\nduration_s = 0\n", "duration_s"),
             ("[scenario]\nduration_s = ten\n", "duration_s"),
             ("[scenario]\nepoch_utc_ms = 1700000000050\n", "epoch_utc_ms"),
+            ("[scenario]\nepoch_utc_ms = 4398046511200\n", "epoch_utc_ms"),  # above 2**42
             ("[scenario]\ndevices = 0\n", "devices"),
             ("[scenario]\nwat = 1\n", "wat"),
             ("[scenario]\nduration_s = 5\n[uplink]\np_loss = 1.5\n", "uplink"),

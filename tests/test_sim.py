@@ -8,13 +8,17 @@ microsecond accuracy; the randomized scenario then only needs to check
 conservation laws and byte-exact determinism.
 """
 
+import dataclasses
 import gc
 import json
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wamsbench import sim
+from wamsbench.dcs import ms
 from wamsbench.scenario import parse_scenario
 from wamsbench.sim import _SimulationRun, run_simulation
 
@@ -265,3 +269,22 @@ class TestRunLifetime:
         copies = sum(sum(conn.wire_copies.values()) for pair in pairs for conn in pair)
         assert copies + counters["outage_rsts"] == counters["records"]
         assert all(conn.protocol_errors == 0 for pair in pairs for conn in pair)
+
+
+class TestWallClock:
+    @given(
+        epoch_ms=st.integers(min_value=0, max_value=2**42 - 1),
+        t_us=st.integers(min_value=0, max_value=10**11),
+    )
+    @settings(max_examples=2000, deadline=None)
+    def test_integer_clock_equals_rounded_float_clock(self, epoch_ms, t_us):
+        scenario = dataclasses.replace(parse_scenario(LOSSLESS), epoch_utc_ms=epoch_ms)
+        wall = _SimulationRun(scenario, "unused").wall_ms(t_us)
+        assert wall == (epoch_ms * 1000 + t_us) / 1000.0 == ms(epoch_ms + t_us / 1000.0)
+
+    @pytest.mark.parametrize("epoch_ms", [2**42, 2**43 + 100, -100])
+    def test_run_rejects_epoch_outside_integer_clock_range(self, epoch_ms, tmp_path):
+        scenario = dataclasses.replace(parse_scenario(LOSSLESS), epoch_utc_ms=epoch_ms)
+        with pytest.raises(ValueError, match="epoch_utc_ms"):
+            run_simulation(scenario, tmp_path)
+        assert not list(tmp_path.iterdir())  # nothing written

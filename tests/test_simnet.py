@@ -223,6 +223,64 @@ class TestJitterSpec:
         assert abs(statistics.fmean(samples) - expected) < 3 * se
 
 
+class TestJitterSampler:
+    """JitterSpec.sampler against the reference JitterSpec.sample."""
+
+    @pytest.mark.parametrize(
+        "spec,clamps",
+        [
+            (JitterSpec("constant", 5.0, 0.0, 10.0), False),
+            (JitterSpec(), False),
+            (JitterSpec("exponential", 10.0, 0.0, 25.0), True),
+            (JitterSpec("exponential", 0.0, 0.0, 0.0), False),
+            (JitterSpec("lognormal", 10.0, 0.8, 25.0), True),
+            (JitterSpec("lognormal", 0.0, 0.5, 0.0), False),
+            (JitterSpec("lognormal", 15.0, 0.0, 50.0), False),
+        ],
+        ids=[
+            "constant",
+            "default",
+            "exponential",
+            "exponential-median-0",
+            "lognormal",
+            "lognormal-median-0",
+            "lognormal-sigma-0",
+        ],
+    )
+    def test_draw_for_draw_equal_with_same_rng_state(self, spec, clamps):
+        reference, mine = random.Random(2024), random.Random(2024)
+        draw = spec.sampler(mine)
+        expected = [spec.sample(reference) for _ in range(20_000)]
+        assert [draw() for _ in range(20_000)] == expected
+        assert mine.getstate() == reference.getstate()
+        assert (spec.median_ms > 0 and spec.cap_ms in expected) == clamps
+
+    def test_link_arrivals_match_reference_transmit(self):
+        params = ChannelParams(
+            t_p_ms=100.0,
+            r_ul_bps=384_000.0,
+            jitter=JitterSpec("exponential", 15.0, 0.0, 50.0),
+            p_loss=0.05,
+        )
+        sizes = [55, 27, 28, 40] * 2_500
+        sim = Simulator()
+        link = Link(sim, params, random.Random("link"))
+        got = [link.transmit(n) for n in sizes]
+        # the channel arithmetic spelled out with the reference draws
+        rng, free_at, expected = random.Random("link"), 0, []
+        for n in sizes:
+            entry, ser = free_at, round(serialization_ms(n, params) * 1000)
+            free_at = entry + ser
+            if should_drop(params, rng):
+                expected.append(None)
+            else:
+                delay_ms = params.t_p_ms + params.jitter.sample(rng)
+                expected.append(entry + ser + round(delay_ms * 1000))
+        assert got == expected
+        assert link.rng.getstate() == rng.getstate()
+        assert None in got
+
+
 class TestChannelParams:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
