@@ -43,9 +43,11 @@ import json
 import logging
 import math
 import statistics
-from collections import Counter, defaultdict
+from array import array
+from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import islice, repeat
+from operator import itemgetter, le
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -71,22 +73,110 @@ class CaptureError(Exception):
     """The file is not a usable capture log."""
 
 
+class _Codes(dict):
+    """Value -> small int code, handing out the next code on first sight;
+    the values in code order are list(self)."""
+
+    def __missing__(self, value):
+        code = self[value] = len(self)
+        return code
+
+
+class _Columns:
+    """Equality and repr shared by the column views: a view equals
+    another view or a list holding the same tuples in the same order."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _Columns)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Records(_Columns):
+    """A capture's records in typed columns, one row per record line in
+    file order.
+
+    wall_time                    'd'; NaN for a dropped copy (null in
+                                 the log: the loader rejects every
+                                 non-finite wall time, so NaN is free)
+    device, direction,           'H', 'B', 'B' codes into device_ids,
+    retx_class                   directions and classes, which list
+                                 each distinct value once
+    payload_bytes, header_bytes  'q'
+
+    Iterating yields the tuples (wall_time, device_id, direction,
+    payload_bytes, header_bytes, retransmission_class), with None for a
+    dropped copy's wall time.
+    """
+
+    wall_time: array
+    device: array
+    direction: array
+    retx_class: array
+    payload_bytes: array
+    header_bytes: array
+    device_ids: list
+    directions: list
+    classes: list
+
+    def __len__(self) -> int:
+        return len(self.wall_time)
+
+    def __iter__(self):
+        ids, directions, classes = self.device_ids, self.directions, self.classes
+        columns = (self.wall_time, self.device, self.direction, self.payload_bytes,
+                   self.header_bytes, self.retx_class)
+        for wall, dev, direction, payload, header, cls in zip(*columns):
+            yield (None if wall != wall else wall, ids[dev], directions[direction],
+                   payload, header, classes[cls])
+
+    def direction_code(self, direction) -> int:
+        """The code of ``direction``; -1 when no record has it."""
+        directions = self.directions
+        return directions.index(direction) if direction in directions else -1
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Frames(_Columns):
+    """A capture's frame_complete entries in typed columns, per device.
+
+    by_device holds (device_id, frame_seq 'q', frame_timestamp 'q',
+    arrival 'd') per device that completed a frame, sorted by device id,
+    each device's columns sorted by frame_seq.  Iterating yields the
+    tuples (device_id, frame_seq, frame_timestamp, arrival_time).
+    """
+
+    by_device: list
+
+    def __len__(self) -> int:
+        return sum(len(seqs) for _, seqs, _, _ in self.by_device)
+
+    def __iter__(self):
+        for dev, seqs, stamps, arrivals in self.by_device:
+            yield from zip(repeat(dev), seqs, stamps, arrivals)
+
+
 @dataclass(frozen=True)
 class Capture:
-    """A parsed capture log, kept as plain tuples.
+    """A parsed capture log, kept in typed columns.
 
-    records   one tuple per record line, in file order: (wall_time,
-              device_id, direction, payload_bytes, header_bytes,
-              retransmission_class)
-    frames    one tuple per frame_complete entry, sorted by (device_id,
-              frame_seq): (device_id, frame_seq, frame_timestamp,
-              arrival_time_of_last_byte)
+    records   Records: one row per record line, in file order
+    frames    Frames: one row per frame_complete entry, sorted by
+              (device_id, frame_seq)
     counts    what the parse found, under the TRAILER_KEYS names
     """
 
     header: dict
-    records: list
-    frames: list
+    records: Records
+    frames: Frames
     integrity: Optional[dict]
     skipped_lines: int
     counts: dict
@@ -108,9 +198,8 @@ class Capture:
         return self.header.get("t_dcs_ms") or 0.0
 
     def devices(self) -> list:
-        devices = {rec[1] for rec in self.records}
-        devices.discard(None)
-        return sorted(devices)
+        ids = self.records.device_ids
+        return sorted(ids[code] for code in set(self.records.device) if ids[code] is not None)
 
     def population_slots(self) -> int:
         """Number of 1-second population slots this capture covers.
@@ -122,11 +211,14 @@ class Capture:
         if duration:
             return int(duration)
         epoch = self.epoch_utc_ms
-        last_frame = max((_slot_of_timestamp(ts, epoch) + 1 for _, _, ts, _ in self.frames), default=0)
-        last_arrival = max(
-            (int((wall - epoch) // 1000) + 1 for wall, *_ in self.records if wall is not None),
+        # both slot numbers grow with their time, so the latest time
+        # gives the last slot
+        last_frame = max(
+            (_slot_of_timestamp(max(stamps), epoch) + 1 for _, _, stamps, _ in self.frames.by_device),
             default=0,
         )
+        last_wall = max((wall for wall in self.records.wall_time if wall == wall), default=None)
+        last_arrival = 0 if last_wall is None else int((last_wall - epoch) // 1000) + 1
         return max(last_frame, last_arrival)
 
     def integrity_problems(self) -> list:
@@ -179,14 +271,26 @@ def _slot_of_timestamp(ts_ms: int, epoch_ms: int) -> int:
 
 def load_capture(path) -> Capture:
     """Parse a capture log in one pass, skipping corrupt lines with a
-    warning and counting what the integrity trailer is checked against."""
+    warning and counting what the integrity trailer is checked against.
+
+    A record line counts as corrupt when a field does not fit its
+    column: a wall time that is neither null nor a finite number, byte
+    counts or frame numbers that are not 64-bit integers, an arrival
+    that is not a number, an unhashable device id, direction or class,
+    or a missing key.
+    """
     path = Path(path)
     header = None
     integrity = None
-    records: list = []
-    frames: list = []
-    skipped = uplink = ack = dropped = 0
-    add_record, add_frames = records.append, frames.extend
+    skipped = dropped = 0
+    nan = math.nan
+    walls, payloads, headers = array("d"), array("q"), array("q")
+    devices, directions, classes = array("H"), array("B"), array("B")
+    record_columns = (walls, payloads, headers, devices, directions, classes)
+    add_wall, add_payload, add_header = walls.append, payloads.append, headers.append
+    add_device, add_direction, add_class = devices.append, directions.append, classes.append
+    device_codes, direction_codes, class_codes = _Codes(), _Codes(), _Codes()
+    frame_columns: dict = {}  # device code -> (frame_seq, frame_timestamp, arrival)
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -212,41 +316,108 @@ def load_capture(path) -> Capture:
                 else:
                     skipped += 1
                 continue
+            frame_cols = None
             try:
-                rec = (
-                    obj["wall_time"],
-                    obj["device_id"],
-                    obj["direction"],
-                    obj["payload_bytes"],
-                    obj["header_bytes"],
-                    obj["retransmission_class"],
-                )
+                wall = obj["wall_time"]
+                if wall is None:
+                    wall = nan
+                elif wall * 0.0 != 0.0:  # NaN or infinite; a str raises TypeError
+                    raise ValueError(wall)
+                add_payload(obj["payload_bytes"])
+                add_header(obj["header_bytes"])
+                dev = device_codes[obj["device_id"]]
+                add_device(dev)
+                add_direction(direction_codes[obj["direction"]])
+                add_class(class_codes[obj["retransmission_class"]])
                 complete = obj.get("frame_complete")
                 if complete:
-                    dev = rec[1]
-                    complete = [
-                        (dev, e["frame_seq"], e["frame_timestamp"], e["arrival_time_of_last_byte"])
-                        for e in complete
-                    ]
-            except (KeyError, TypeError):
+                    frame_cols = frame_columns.get(dev)
+                    if frame_cols is None:
+                        frame_cols = frame_columns[dev] = (array("q"), array("q"), array("d"))
+                    seqs, stamps, arrivals = frame_cols
+                    kept = len(seqs)
+                    for e in complete:
+                        seqs.append(e["frame_seq"])
+                        stamps.append(e["frame_timestamp"])
+                        arrivals.append(e["arrival_time_of_last_byte"])
+            except (KeyError, TypeError, ValueError, OverflowError):
+                # undo this line's appends; the wall column is appended
+                # last, so it holds the count of the lines kept
+                kept_records = len(walls)
+                for column in record_columns:
+                    del column[kept_records:]
+                if frame_cols is not None:
+                    for column in frame_cols:
+                        del column[kept:]
                 skipped += 1
                 continue
-            add_record(rec)
-            if complete:
-                add_frames(complete)
-            if rec[2] == "UPLINK":
-                uplink += 1
-            elif rec[2] == "ACK":
-                ack += 1
-            if rec[0] is None:
+            add_wall(wall)
+            if wall is nan:
                 dropped += 1
     if header is None:
         raise CaptureError(f"{path}: no header line, not a capture log")
     if skipped:
         log.warning("%s: skipped %d corrupt lines", path, skipped)
-    frames.sort(key=itemgetter(0, 1))
-    counts = dict(records=len(records), uplink_copies=uplink, ack_copies=ack, dropped_copies=dropped)
-    return Capture(header, records, frames, integrity, skipped, counts)
+    records = Records(
+        walls, devices, directions, classes, payloads, headers,
+        list(device_codes), list(direction_codes), list(class_codes),
+    )
+    counts = dict(
+        records=len(walls),
+        uplink_copies=directions.count(records.direction_code("UPLINK")),
+        ack_copies=directions.count(records.direction_code("ACK")),
+        dropped_copies=dropped,
+    )
+    by_device = [
+        (records.device_ids[code], *_sorted_by_seq(*columns))
+        for code, columns in frame_columns.items()
+        if columns[0]
+    ]
+    by_device.sort(key=itemgetter(0))
+    return Capture(header, records, Frames(by_device), integrity, skipped, counts)
+
+
+def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
+    """One device's frame columns ordered by frame_seq; equal numbers
+    keep file order, and columns already in order are kept as they are."""
+    if all(map(le, seqs, islice(seqs, 1, None))):
+        return seqs, stamps, arrivals
+    order = sorted(range(len(seqs)), key=seqs.__getitem__)
+    return tuple(array(column.typecode, [column[i] for i in order]) for column in (seqs, stamps, arrivals))
+
+
+class DelaySeries(_Columns):
+    """The per-frame delay series of a capture, computed from its frame
+    columns each time it is read; iterating yields FrameDelay tuples in
+    (device, frame_seq) order."""
+
+    __slots__ = ("frames", "t_fdr_ms", "t_dcs_ms", "flag_below")
+
+    def __init__(self, capture: Capture, t_fdr_ms: Optional[float] = None, t_dcs_ms: Optional[float] = None):
+        self.frames = capture.frames
+        self.t_fdr_ms = capture.t_fdr_ms if t_fdr_ms is None else t_fdr_ms
+        self.t_dcs_ms = capture.t_dcs_ms if t_dcs_ms is None else t_dcs_ms
+        self.flag_below = -capture.skew_bound_ms
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    def __iter__(self):
+        make = FrameDelay._make
+        for _, rows in self.by_device():
+            yield from map(make, rows)
+
+    def by_device(self):
+        """(device_id, iterator of that device's delay rows as plain
+        tuples in FrameDelay field order), per device."""
+        for dev, seqs, stamps, arrivals in self.frames.by_device:
+            yield dev, self._rows(dev, seqs, stamps, arrivals)
+
+    def _rows(self, dev, seqs, stamps, arrivals):
+        t_fdr, t_dcs, flag_below = self.t_fdr_ms, self.t_dcs_ms, self.flag_below
+        for seq, ts, arrival in zip(seqs, stamps, arrivals):
+            t_ci = arrival - (ts + t_fdr)
+            yield dev, seq, ts, arrival, t_ci, t_ci + t_fdr + t_dcs, t_ci < flag_below
 
 
 def one_way_delays(
@@ -261,39 +432,42 @@ def one_way_delays(
     of its last byte.  The end-to-end figure adds the processing times
     on both sides back on top.
     """
-    t_fdr = capture.t_fdr_ms if t_fdr_ms is None else t_fdr_ms
-    t_dcs = capture.t_dcs_ms if t_dcs_ms is None else t_dcs_ms
-    flag_below = -capture.skew_bound_ms
-    out = []
-    add, make = out.append, FrameDelay._make
-    for dev, seq, ts, arrival in capture.frames:
-        t_ci = arrival - (ts + t_fdr)
-        add(make((dev, seq, ts, arrival, t_ci, t_ci + t_fdr + t_dcs, t_ci < flag_below)))
-    return out
+    return list(DelaySeries(capture, t_fdr_ms, t_dcs_ms))
 
 
 def _uplink_totals(capture: Capture, window_s: float) -> tuple:
     """One pass over the records: per-device delivered kbit/s per window,
-    and per-device uplink wire bytes by retransmission class."""
+    and uplink wire bytes by retransmission class per device id, records
+    without a device under None."""
     if window_s <= 0:
         raise ValueError("window_s must be positive")
     windows = max(1, math.ceil(capture.population_slots() / window_s))
-    devices = capture.devices()
-    series = {dev: [0.0] * windows for dev in devices}
-    by_class = {dev: {} for dev in devices}
+    records = capture.records
+    ids, classes = records.device_ids, records.classes
+    n_classes = len(classes)
+    rates = [[0.0] * windows for _ in ids]
+    wire_bytes = [0] * (len(ids) * n_classes)  # device code * n_classes + class code
+    uplink = records.direction_code("UPLINK")
     epoch = capture.epoch_utc_ms
     span_ms = 1000.0 * window_s
     floor = math.floor
-    for wall, dev, direction, payload, header, cls in capture.records:
-        if direction != "UPLINK" or dev is None:
+    columns = (records.wall_time, records.device, records.direction, records.payload_bytes,
+               records.header_bytes, records.retx_class)
+    for wall, dev, direction, payload, header, cls in zip(*columns):
+        if direction != uplink:
             continue
         wire = payload + header
-        totals = by_class[dev]
-        totals[cls] = totals.get(cls, 0) + wire
-        if payload and wall is not None:
+        wire_bytes[dev * n_classes + cls] += wire
+        if payload and wall == wall:
             w = floor((wall - epoch) / span_ms)
             if 0 <= w < windows:
-                series[dev][w] += wire * 8 / span_ms
+                rates[dev][w] += wire * 8 / span_ms
+    code_of = {dev: code for code, dev in enumerate(ids)}
+    series = {dev: rates[code_of[dev]] for dev in capture.devices()}
+    by_class = {}
+    for code, dev in enumerate(ids):
+        totals = wire_bytes[code * n_classes:(code + 1) * n_classes]
+        by_class[dev] = {cls: total for cls, total in zip(classes, totals) if total}
     return series, by_class
 
 
@@ -302,11 +476,12 @@ def throughput_series(capture: Capture, window_s: float = 1.0) -> dict:
     return _uplink_totals(capture, window_s)[0]
 
 
-def _uplink_wire_bytes(records) -> Counter:
+def _uplink_wire_bytes(by_class: dict) -> Counter:
+    """Capture-wide uplink wire bytes by class, from _uplink_totals'
+    per-device totals; records without a device count too."""
     totals: Counter = Counter()
-    for _, _, direction, payload, header, cls in records:
-        if direction == "UPLINK":
-            totals[cls] += payload + header
+    for per_class in by_class.values():
+        totals.update(per_class)
     return totals
 
 
@@ -322,7 +497,7 @@ def _retx_pcts(totals) -> tuple:
 
 def retransmission_stats(capture: Capture) -> tuple:
     """(timeout retx %, fast retx %) over all uplink wire bytes."""
-    return _retx_pcts(_uplink_wire_bytes(capture.records))
+    return _retx_pcts(_uplink_wire_bytes(_uplink_totals(capture, window_s=1.0)[1]))
 
 
 def wasted_bandwidth_pct(capture: Capture) -> float:
@@ -359,18 +534,20 @@ def analyze(
     t_dcs_ms: Optional[float] = None,
     window_s: float = 1.0,
 ) -> tuple:
-    """Everything the analyze command writes: (summarize(...),
-    one_way_delays(...), throughput_series(capture, window_s)).
+    """Everything the analyze command writes: (summarize(...), the
+    DelaySeries of one_way_delays(...), throughput_series(capture,
+    window_s)).
 
     The summary's 1-second windows come from the same pass over the
     records as the series when window_s is 1; the caller then owns that
-    series, which the summary does not keep.
+    series, which the summary does not keep.  The delay series is
+    computed as it is read, so no list of FrameDelay is built.
     """
     series, by_class = _uplink_totals(capture, window_s=1.0)
     summary = _summarize(capture, sample_indices, t_fdr_ms, series, by_class)
     if window_s != 1.0:
         series = throughput_series(capture, window_s)
-    return summary, one_way_delays(capture, t_fdr_ms, t_dcs_ms), series
+    return summary, DelaySeries(capture, t_fdr_ms, t_dcs_ms), series
 
 
 def _summarize(capture, sample_indices, t_fdr_ms, series, by_class) -> MetricsSummary:
@@ -386,18 +563,22 @@ def _summarize(capture, sample_indices, t_fdr_ms, series, by_class) -> MetricsSu
     t_fdr = capture.t_fdr_ms if t_fdr_ms is None else t_fdr_ms
     flag_below = -capture.skew_bound_ms
     epoch = capture.epoch_utc_ms
-    per_dev_delays = defaultdict(list)
+    per_dev_delays = {}
     flagged = 0
     frames_counted = 0
-    for dev, _, ts, arrival in capture.frames:
-        t_ci = arrival - (ts + t_fdr)
-        if t_ci < flag_below:
-            flagged += 1
-            continue
-        # _slot_of_timestamp, inlined
-        if -((ts - epoch) // -1000) - 1 in slots:
-            frames_counted += 1
-            per_dev_delays[dev].append(t_ci)
+    for dev, _, stamps, arrivals in capture.frames.by_device:
+        delays = array("d")
+        add = delays.append
+        for ts, arrival in zip(stamps, arrivals):
+            t_ci = arrival - (ts + t_fdr)
+            if t_ci < flag_below:
+                flagged += 1
+                continue
+            # _slot_of_timestamp, inlined
+            if -((ts - epoch) // -1000) - 1 in slots:
+                add(t_ci)
+        frames_counted += len(delays)
+        per_dev_delays[dev] = delays
 
     rows = []
     for dev, values in series.items():
@@ -466,23 +647,33 @@ DELAY_COLUMNS = ["device", "frame_seq", "frame_timestamp", "arrival_time", "t_ci
 _DELAY_ROW = "%s,%s,%s,%.3f,%.3f,%.3f,%d\n"
 
 
-def _delay_cells(d: FrameDelay) -> list:
+def _delay_cells(d) -> list:
+    device_id, frame_seq, frame_timestamp, arrival_time, t_ci_ms, t_ete_ms, flagged = d
     return [
-        d.device_id,
-        d.frame_seq,
-        d.frame_timestamp,
-        f"{d.arrival_time:.3f}",
-        f"{d.t_ci_ms:.3f}",
-        f"{d.t_ete_ms:.3f}",
-        int(d.flagged),
+        device_id,
+        frame_seq,
+        frame_timestamp,
+        f"{arrival_time:.3f}",
+        f"{t_ci_ms:.3f}",
+        f"{t_ete_ms:.3f}",
+        int(flagged),
     ]
 
 
 def write_delay_series_csv(delays, path) -> None:
+    """Write FrameDelay tuples, or a DelaySeries streamed from its
+    capture's columns."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(DELAY_COLUMNS)
-        if all(d[0].__class__ is int and d[1].__class__ is int for d in delays):
+        if isinstance(delays, DelaySeries):
+            # frame_seq comes from an integer column; only ids vary
+            for dev, rows in delays.by_device():
+                if dev.__class__ is int:
+                    fh.writelines(_DELAY_ROW % row for row in rows)
+                else:
+                    writer.writerows(map(_delay_cells, rows))
+        elif all(d[0].__class__ is int and d[1].__class__ is int for d in delays):
             fh.writelines(_DELAY_ROW % d for d in delays)
         else:
             # a capture from elsewhere may hold ids that need quoting

@@ -27,6 +27,7 @@ import queue
 import socket
 import threading
 import time
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -281,16 +282,56 @@ class FrameAssembler:
         return frames, events
 
 
+class SeqRuns:
+    """A set of ints kept as sorted, disjoint runs [start, end) that
+    merge when they touch, so it costs memory per hole, not per member.
+
+    Adding the number after the highest member extends the last run;
+    anything else goes through bisect.
+    """
+
+    __slots__ = ("starts", "ends")
+
+    def __init__(self) -> None:
+        self.starts: list = []
+        self.ends: list = []
+
+    def add(self, n: int) -> bool:
+        """Add n; False when it was a member already."""
+        starts, ends = self.starts, self.ends
+        if ends and n == ends[-1]:
+            ends[-1] = n + 1
+            return True
+        i = bisect_right(starts, n)  # runs starting at or below n
+        if i and n < ends[i - 1]:
+            return False
+        joins_below = i and ends[i - 1] == n
+        joins_above = i < len(starts) and starts[i] == n + 1
+        if joins_below and joins_above:
+            ends[i - 1] = ends[i]
+            del starts[i], ends[i]
+        elif joins_below:
+            ends[i - 1] = n + 1
+        elif joins_above:
+            starts[i] = n
+        else:
+            starts.insert(i, n)
+            ends.insert(i, n + 1)
+        return True
+
+
 class IngestState:
     """Shared reassembly state for all connections of one run.
 
     Deduplication is global on (device_id, frame_seq): the first
-    arrival produces the row, later copies only bump a counter.
+    arrival produces the row, later copies only bump a counter.  Each
+    device's seen frame numbers are SeqRuns, which frames arriving in
+    order keep at one run.
     """
 
     def __init__(self) -> None:
         self.assemblers: dict = {}
-        self.seen: set = set()
+        self.seen: dict = {}  # device_id -> SeqRuns of frame_seq
         self.counters: Counter = Counter()
 
     def assembler(self, conn_key) -> FrameAssembler:
@@ -309,13 +350,12 @@ class IngestState:
             self.counters.update(events)
         rows = []
         for frame in frames:
-            # (device_id, frame_seq) packed into one int: the wire fields
-            # are 16 and 32 bits wide, and an int costs less than a pair
-            key = frame.device_id << 32 | frame.frame_seq
-            if key in self.seen:
+            runs = self.seen.get(frame.device_id)
+            if runs is None:
+                runs = self.seen[frame.device_id] = SeqRuns()
+            if not runs.add(frame.frame_seq):
                 self.counters["duplicate_frames"] += 1
                 continue
-            self.seen.add(key)
             rows.append(MeasurementRow.from_frame(frame, arrival_ms))
         self.counters["rows"] += len(rows)
         return rows
@@ -416,6 +456,9 @@ class LiveDcsServer:
                 self._active[conn_id] = sock
             t = threading.Thread(target=self._handler, args=(sock, conn_id), daemon=True)
             t.start()
+            # finished handlers go, so the list holds only live threads
+            # plus the ones that ended since the last connection
+            self._threads[:] = [th for th in self._threads if th.is_alive()]
             self._threads.append(t)
         self._listener.close()
 

@@ -124,6 +124,41 @@ class TestLoader:
         assert cap.frames == [(1, 3, 0, 150.25), (1, 4, 100, 150.25), (2, 7, 200, 250.5)]
         assert cap.counts == {"records": 4, "uplink_copies": 3, "ack_copies": 1, "dropped_copies": 1}
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("wall_time", math.nan),
+            ("wall_time", math.inf),
+            ("wall_time", -math.inf),
+            ("wall_time", "300.0"),
+            ("wall_time", [300.0]),
+            ("payload_bytes", 85.0),
+            ("payload_bytes", "85"),
+            ("header_bytes", None),
+            ("header_bytes", 2**64),
+            ("device_id", [7]),
+            ("direction", {"UPLINK": 1}),
+            ("retransmission_class", ["FIRST"]),
+            # the first entry fits, the second does not: neither is kept
+            ("frame_complete", oracle_logs._done(9, 290, 300.0) + oracle_logs._done(10.5, 290, 300.0)),
+            ("frame_complete", oracle_logs._done(9, 290, 300.0) + oracle_logs._done(10, "290", 300.0)),
+        ],
+    )
+    def test_field_that_does_not_fit_its_column_is_corrupt(self, field, value, tmp_path):
+        path, _ = oracle_logs.simple_delays(tmp_path / "base.jsonl")
+        lines = path.read_text().splitlines()
+        bad = oracle_logs._rec(300.0, 7, 85, complete=oracle_logs._done(9, 290, 300.0))
+        bad[field] = value
+        lines.insert(2, json.dumps(bad))  # NaN and Infinity as Python's json writes them
+        path.write_text("\n".join(lines) + "\n")
+        cap = load_capture(path)
+        assert cap.skipped_lines == 1
+        assert cap.counts["records"] == len(cap.records) == 5
+        # nothing of the corrupt line is left in any column
+        assert cap.devices() == [1]
+        assert [d.t_ci_ms for d in one_way_delays(cap)] == [10.5, 20.5, 30.5]
+        assert [m.device for m in summarize(cap).devices] == [1]
+
     def test_line_order_never_matters(self, tmp_path):
         path, _ = oracle_logs.sampling_and_skew(tmp_path / "fwd.jsonl")
         forward = summarize(load_capture(path))
@@ -247,6 +282,18 @@ class TestOutputs:
                 + [int(d.flagged)]
             )
         assert out.read_text(encoding="utf-8") == expected.getvalue()
+
+    def test_streamed_delay_csv_quotes_ids_as_the_list_one_does(self, tmp_path):
+        records = [
+            oracle_logs._rec(110.5, "a,b", 85, complete=oracle_logs._done(1, 100, 110.5)),
+            oracle_logs._rec(120.5, 'say "x"', 85, complete=oracle_logs._done(1, 100, 120.5)),
+        ]
+        cap = load_capture(oracle_logs.write_log(tmp_path / "ids.jsonl", oracle_logs._header(duration_s=1), records))
+        streamed, listed = tmp_path / "streamed.csv", tmp_path / "listed.csv"
+        write_delay_series_csv(analyzer.analyze(cap)[1], streamed)
+        write_delay_series_csv(one_way_delays(cap), listed)
+        assert streamed.read_bytes() == listed.read_bytes()
+        assert '"a,b",1,100,' in streamed.read_text()
 
     @pytest.mark.parametrize("window_s", [1.0, 2.5])
     def test_analyze_equals_the_separate_analyses(self, cap, window_s):

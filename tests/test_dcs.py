@@ -8,9 +8,12 @@ import json
 import math
 import socket
 import struct
+import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wamsbench.dcs import (
     CaptureRecord,
@@ -19,6 +22,7 @@ from wamsbench.dcs import (
     LiveDcsServer,
     LogWriter,
     MeasurementRow,
+    SeqRuns,
     capture_line,
     dumps,
     frame_complete_entry,
@@ -152,6 +156,42 @@ class TestIngestState:
         again = ingest.deliver("c2", wire(), 1200.0)
         assert again == []
         assert ingest.counters["duplicate_frames"] == 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(1, 2), st.integers(1, 12)), max_size=60),
+        st.booleans(),
+    )
+    def test_dedup_matches_a_reference_set(self, arrivals, in_order):
+        # random draws repeat numbers and leave holes; sorted, most
+        # arrivals extend a run, shuffled, most go through bisect
+        if in_order:
+            arrivals.sort()
+        ingest = IngestState()
+        reference = set()
+        for k, (dev, seq) in enumerate(arrivals):
+            rows = ingest.deliver(f"c{k % 2}", wire(device_id=dev, frame_seq=seq), float(k))
+            assert [(r.device_id, r.frame_seq, r.arrival_time) for r in rows] == (
+                [] if (dev, seq) in reference else [(dev, seq, float(k))]
+            )
+            reference.add((dev, seq))
+        assert ingest.counters["rows"] == len(reference)
+        assert ingest.counters["duplicate_frames"] == len(arrivals) - len(reference)
+        for dev, runs in ingest.seen.items():
+            members = {seq for d, seq in reference if d == dev}
+            bounds = sorted(zip(runs.starts, runs.ends))
+            assert bounds == list(zip(runs.starts, runs.ends))
+            # disjoint, and apart by at least one hole, so each run is a
+            # maximal stretch of the reference set
+            assert all(end < start for (_, end), (start, _) in zip(bounds, bounds[1:]))
+            assert {n for start, end in bounds for n in range(start, end)} == members
+
+    def test_seq_runs_merge_across_a_filled_hole(self):
+        runs = SeqRuns()
+        for n in (5, 6, 8, 9, 7, 1):
+            assert runs.add(n)
+        assert (runs.starts, runs.ends) == ([1, 5], [2, 10])
+        assert not runs.add(7)
 
     def test_row_carries_decoded_fields(self):
         ingest = IngestState()
@@ -310,6 +350,37 @@ class TestLiveDcsServer:
         # handlers of back-to-back connections may overlap
         assert sorted(r["frame_seq"] for r in lines[1:-1]) == list(range(1, 51))
         assert lines[-1]["integrity"]["rows"] == 50
+
+    def test_finished_handlers_leave_the_thread_list(self, tmp_path):
+        server = LiveDcsServer(out_dir=tmp_path)
+        server.start()
+        baseline = threading.active_count()
+        keeper = None
+        try:
+            for seq in range(1, 31):  # one finished connection after another
+                with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+                    sock.sendall(wire(frame_seq=seq))
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline and (
+                    server.ingest.counters["rows"] < seq or threading.active_count() > baseline
+                ):
+                    time.sleep(0.01)
+                assert server.ingest.counters["rows"] == seq
+            # one more connection, held open: its handler stays alive
+            keeper = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
+            keeper.sendall(wire(frame_seq=31))
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and (
+                server.ingest.counters["rows"] < 31 or len(server._threads) != 3
+            ):
+                time.sleep(0.01)
+            # the accept and writer threads plus the one live handler
+            assert len(server._threads) == 3
+            assert all(th.is_alive() for th in server._threads)
+        finally:
+            if keeper is not None:
+                keeper.close()
+            server.stop()
 
     def test_max_conns_refuses_extra_connection(self, tmp_path):
         server = LiveDcsServer(out_dir=tmp_path, max_conns=1)
