@@ -74,12 +74,35 @@ class CaptureError(Exception):
 
 
 class _Codes(dict):
-    """Value -> small int code, handing out the next code on first sight;
-    the values in code order are list(self)."""
+    """Value -> small int code for the array ``column``, handing out the
+    next code on first sight, and CaptureError once ``column`` cannot
+    hold it; the values in code order are list(self).
+
+    ``rows`` is the column appended last for each kept line, so its
+    length is the number of the line being parsed.  Each code remembers
+    that line, so forget(line) can drop the code a line handed out
+    before it was rolled back.
+    """
+
+    def __init__(self, name: str, column: array, rows: array):
+        super().__init__()
+        self.name, self.rows = name, rows
+        self.limit = 256**column.itemsize
+        self.first_lines: list = []
 
     def __missing__(self, value):
-        code = self[value] = len(self)
+        code = len(self)
+        if code == self.limit:
+            raise CaptureError(f"more than {self.limit} distinct {self.name} values")
+        self[value] = code
+        self.first_lines.append(len(self.rows))
         return code
+
+    def forget(self, line: int) -> None:
+        # a line hands out at most one code, the newest one
+        if self.first_lines and self.first_lines[-1] == line:
+            self.popitem()
+            self.first_lines.pop()
 
 
 class _Columns:
@@ -107,9 +130,12 @@ class Records(_Columns):
     wall_time                    'd'; NaN for a dropped copy (null in
                                  the log: the loader rejects every
                                  non-finite wall time, so NaN is free)
-    device, direction,           'H', 'B', 'B' codes into device_ids,
+    device, direction,           'I', 'B', 'B' codes into device_ids,
     retx_class                   directions and classes, which list
-                                 each distinct value once
+                                 each distinct value once: any number
+                                 of device ids (a live capture's None
+                                 is one more), at most 256 directions
+                                 and 256 classes
     payload_bytes, header_bytes  'q'
 
     Iterating yields the tuples (wall_time, device_id, direction,
@@ -277,7 +303,8 @@ def load_capture(path) -> Capture:
     column: a wall time that is neither null nor a finite number, byte
     counts or frame numbers that are not 64-bit integers, an arrival
     that is not a number, an unhashable device id, direction or class,
-    or a missing key.
+    or a missing key.  A capture with more than 256 distinct directions
+    or retransmission classes raises CaptureError.
     """
     path = Path(path)
     header = None
@@ -285,11 +312,16 @@ def load_capture(path) -> Capture:
     skipped = dropped = 0
     nan = math.nan
     walls, payloads, headers = array("d"), array("q"), array("q")
-    devices, directions, classes = array("H"), array("B"), array("B")
+    devices, directions, classes = array("I"), array("B"), array("B")
     record_columns = (walls, payloads, headers, devices, directions, classes)
     add_wall, add_payload, add_header = walls.append, payloads.append, headers.append
     add_device, add_direction, add_class = devices.append, directions.append, classes.append
-    device_codes, direction_codes, class_codes = _Codes(), _Codes(), _Codes()
+    all_codes = (
+        _Codes("device_id", devices, walls),
+        _Codes("direction", directions, walls),
+        _Codes("retransmission_class", classes, walls),
+    )
+    device_codes, direction_codes, class_codes = all_codes
     frame_columns: dict = {}  # device code -> (frame_seq, frame_timestamp, arrival)
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -346,6 +378,8 @@ def load_capture(path) -> Capture:
                 kept_records = len(walls)
                 for column in record_columns:
                     del column[kept_records:]
+                for codes in all_codes:
+                    codes.forget(kept_records)
                 if frame_cols is not None:
                     for column in frame_cols:
                         del column[kept:]
@@ -404,16 +438,12 @@ class DelaySeries(_Columns):
 
     def __iter__(self):
         make = FrameDelay._make
-        for _, rows in self.by_device():
-            yield from map(make, rows)
-
-    def by_device(self):
-        """(device_id, iterator of that device's delay rows as plain
-        tuples in FrameDelay field order), per device."""
         for dev, seqs, stamps, arrivals in self.frames.by_device:
-            yield dev, self._rows(dev, seqs, stamps, arrivals)
+            yield from map(make, self._rows(dev, seqs, stamps, arrivals))
 
     def _rows(self, dev, seqs, stamps, arrivals):
+        """One device's delay rows as plain tuples in FrameDelay field
+        order."""
         t_fdr, t_dcs, flag_below = self.t_fdr_ms, self.t_dcs_ms, self.flag_below
         for seq, ts, arrival in zip(seqs, stamps, arrivals):
             t_ci = arrival - (ts + t_fdr)
@@ -667,8 +697,12 @@ def write_delay_series_csv(delays, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(DELAY_COLUMNS)
         if isinstance(delays, DelaySeries):
-            # frame_seq comes from an integer column; only ids vary
-            for dev, rows in delays.by_device():
+            # one pass over plain tuples, checking ids once per device
+            # (frame_seq comes from an integer column); the list path
+            # below would compute the series twice, once to check it,
+            # and build a FrameDelay per row each time
+            for dev, *columns in delays.frames.by_device:
+                rows = delays._rows(dev, *columns)
                 if dev.__class__ is int:
                     fh.writelines(_DELAY_ROW % row for row in rows)
                 else:

@@ -158,6 +158,45 @@ class TestLoader:
         assert cap.devices() == [1]
         assert [d.t_ci_ms for d in one_way_delays(cap)] == [10.5, 20.5, 30.5]
         assert [m.device for m in summarize(cap).devices] == [1]
+        assert cap.records.device_ids == [1]
+
+    def test_corrupt_line_hands_out_no_codes(self, tmp_path):
+        # new device, direction and class, then a frame entry that does
+        # not fit: the three codes go back, and the next line reuses them
+        bad = oracle_logs._rec(300.0, 7, 85, cls="ODD", direction="SIDEWAYS", complete=oracle_logs._done(9.5, 1, 300.0))
+        records = [
+            oracle_logs._rec(110.5, 1, 85, complete=oracle_logs._done(1, 100, 110.5)),
+            bad,
+            oracle_logs._rec(None, 8, 85, cls="RTO_RETX", direction="ACK"),
+        ]
+        cap = load_capture(oracle_logs.write_log(tmp_path / "t.jsonl", oracle_logs._header(duration_s=1), records))
+        assert cap.skipped_lines == 1
+        assert cap.records.device_ids == [1, 8]
+        assert cap.records.directions == ["UPLINK", "ACK"]
+        assert cap.records.classes == ["FIRST", "RTO_RETX"]
+        assert cap.records == [(110.5, 1, "UPLINK", 85, 40, "FIRST"), (None, 8, "ACK", 85, 40, "RTO_RETX")]
+        assert analyzer._uplink_totals(cap, 1.0)[1] == {1: {"FIRST": 125}, 8: {}}
+
+    def test_every_wire_device_id_has_a_code(self, tmp_path):
+        # the 65536 ids a 16-bit wire field holds, plus a live capture's None
+        ids = [*range(2**16), None]
+        records = [oracle_logs._rec(None, dev, 0) for dev in ids]
+        cap = load_capture(oracle_logs.write_log(tmp_path / "t.jsonl", oracle_logs._header(duration_s=1), records))
+        assert cap.skipped_lines == 0
+        assert cap.records.device_ids == ids
+        assert cap.devices() == ids[:-1]
+
+    @pytest.mark.parametrize("field", ["direction", "retransmission_class"])
+    def test_more_than_256_distinct_codes_is_an_error(self, field, tmp_path):
+        def log(n):
+            records = [oracle_logs._rec(None, 1, 0) for _ in range(n)]
+            for k, record in enumerate(records):
+                record[field] = f"v{k}"
+            return oracle_logs.write_log(tmp_path / f"{n}.jsonl", oracle_logs._header(duration_s=1), records)
+
+        assert len(load_capture(log(256)).records) == 256
+        with pytest.raises(analyzer.CaptureError, match=f"more than 256 distinct {field} values"):
+            load_capture(log(257))
 
     def test_line_order_never_matters(self, tmp_path):
         path, _ = oracle_logs.sampling_and_skew(tmp_path / "fwd.jsonl")

@@ -1,23 +1,22 @@
 """Peak RSS of the simulator and of the analyzer against capture size.
 
-Runs the bundled ``lossy_0p3`` scenario cut to each given duration (by
-default 1000 s and 4000 s) and records ``ru_maxrss`` of two fresh child
-processes per duration:
+Runs the bundled ``lossy_0p3`` scenario cut to 1000 s and to 4000 s and
+records ``ru_maxrss`` of two fresh child processes per duration:
 
   simulate   ``run_simulation`` alone, which writes the capture
   analyze    ``wamsbench analyze`` on that capture
 
-then prints each process's peak and the slope between the shortest and
-the longest run, per capture record and per frame.  A fixed cost
+then prints each process's peak and the slope between the two
+durations, per capture record and per frame.  A fixed cost
 (interpreter, imports, buffers) cancels out of the slope; what is left
 is what the program keeps per record or per frame.
 
-    python tools/rss_slope.py [--root DIR] [--durations 1000 4000] [--work DIR]
+    python tools/rss_slope.py [--root DIR]
 
 ``--root`` selects the checkout whose ``src/`` is measured (default:
 the one holding this script), so two checkouts can be compared with the
-same script.  Stdlib only; the work directory is deleted afterwards
-unless ``--work`` names one.  The 4000 s simulation writes a capture of
+same script.  Stdlib only; the captures go to a temporary directory
+that is deleted afterwards.  The 4000 s simulation writes a capture of
 about 200 MB and takes a few minutes.
 """
 
@@ -30,6 +29,7 @@ import sys
 import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+DURATIONS_S = (1000, 4000)
 
 # what a child runs: argv[1] is the checkout root, argv[2] a JSON spec;
 # the last line of its stdout is a JSON object with ru_maxrss in KiB
@@ -66,10 +66,10 @@ def run_child(root: str, step: str, duration_s: int, work: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def measure(root: str, durations: list, work: str) -> list:
+def measure(root: str, work: str) -> list:
     """One row per duration: records, frames and each step's peak RSS in bytes."""
     rows = []
-    for duration in durations:
+    for duration in DURATIONS_S:
         sim = run_child(root, "simulate", duration, work)
         analyze = run_child(root, "analyze", duration, work)
         rows.append(
@@ -108,18 +108,9 @@ def report(rows: list) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=os.path.dirname(HERE), help="checkout whose src/ is measured")
-    parser.add_argument("--durations", type=int, nargs="+", default=[1000, 4000])
-    parser.add_argument("--work", help="work directory (default: a temporary one)")
     args = parser.parse_args(argv)
-    if len(args.durations) < 2:
-        parser.error("give at least two durations")
-    work = args.work or tempfile.mkdtemp(prefix="rss_slope-")
-    os.makedirs(work, exist_ok=True)
-    try:
-        rows = measure(os.path.abspath(args.root), sorted(args.durations), work)
-    finally:
-        if not args.work:
-            shutil.rmtree(work, ignore_errors=True)
+    with tempfile.TemporaryDirectory(prefix="rss_slope-") as work:
+        rows = measure(os.path.abspath(args.root), work)
     print(report(rows))
     return 0
 
