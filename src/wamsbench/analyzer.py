@@ -42,12 +42,13 @@ import csv
 import json
 import logging
 import math
+import re
 import statistics
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import islice, repeat
-from operator import itemgetter, le
+from itertools import compress, groupby, islice, repeat
+from operator import itemgetter, le, ne
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -79,9 +80,10 @@ class _Codes(dict):
     hold it; the values in code order are list(self).
 
     ``rows`` is the column appended last for each kept line, so its
-    length is the number of the line being parsed.  Each code remembers
-    that line, so forget(line) can drop the code a line handed out
-    before it was rolled back.
+    length is the number of the line being parsed, or of the first line
+    of a run appended in bulk.  Each code remembers that number, so
+    forget(line) can drop the code a line handed out before it was
+    rolled back.
     """
 
     def __init__(self, name: str, column: array, rows: array):
@@ -305,48 +307,175 @@ def load_capture(path) -> Capture:
     that is not a number, an unhashable device id, direction or class,
     or a missing key.  A capture with more than 256 distinct directions
     or retransmission classes raises CaptureError.
+
+    The file is read in blocks of whole lines.  Record lines in the
+    compact form the capture writers produce are matched by one pattern
+    and appended to the columns a run at a time; every other line, the
+    header and the trailer included, is decoded as JSON on its own.
+    Either way a line gives the same values, in file order.
     """
     path = Path(path)
-    header = None
-    integrity = None
-    skipped = dropped = 0
-    nan = math.nan
-    walls, payloads, headers = array("d"), array("q"), array("q")
-    devices, directions, classes = array("I"), array("B"), array("B")
-    record_columns = (walls, payloads, headers, devices, directions, classes)
-    add_wall, add_payload, add_header = walls.append, payloads.append, headers.append
-    add_device, add_direction, add_class = devices.append, directions.append, classes.append
-    all_codes = (
-        _Codes("device_id", devices, walls),
-        _Codes("direction", directions, walls),
-        _Codes("retransmission_class", classes, walls),
-    )
-    device_codes, direction_codes, class_codes = all_codes
-    frame_columns: dict = {}  # device code -> (frame_seq, frame_timestamp, arrival)
+    parser = _Parser()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        while block := fh.read(_BLOCK_CHARS):
+            if block[-1] != "\n":
+                block += fh.readline()  # a block holds whole lines only
+            parser.feed(block)
+    return parser.capture(path)
+
+
+_BLOCK_CHARS = 1 << 16
+
+# A record line exactly as dcs.capture_line and
+# dumps(CaptureRecord(...).to_json()) write it: fixed key order, no
+# spaces, strings without escapes or control characters, and number
+# tokens bounded so that converting them cannot fail.  An int has at
+# most 18 digits, so it fits 'q', and is never "-0" (json reads the int
+# 0, float() would read -0.0); a float has a fraction, no exponent and
+# at most 301 integer digits, so it is finite.  Every line the pattern
+# matches is therefore valid JSON, and its groups convert to the values
+# json decodes.
+_INT = r"(?:0|-?[1-9][0-9]{0,17})"
+_NUM = r"(?:-?(?:0|[1-9][0-9]{0,300})\.[0-9]+|%s)" % _INT
+_STR = r'"([^"\\\x00-\x1f]*)"'
+
+
+def _entry_pattern(group: str) -> str:
+    """A frame_complete entry; ``group`` is "" to capture its three
+    numbers, "?:" not to."""
+    return r'\{"frame_seq":(%s%s),"frame_timestamp":(%s%s),"arrival_time_of_last_byte":(%s%s)\}' % (
+        group, _INT, group, _INT, group, _NUM,
+    )
+
+
+# Patterns are compiled by the first load in a process (re caches them),
+# not at import: every CLI command imports this module.
+_ENTRY = _entry_pattern("")
+# One line of a block: a compact record line, with wall_time, device_id,
+# direction, payload_bytes, header_bytes, retransmission_class and the
+# frame_complete text in groups 1-7, or any other line, whole, in group 8.
+_LINE = (
+    r'(?m)^(?:\{"wall_time":(null|%s),"device_id":(null|%s),"direction":%s,"seq_range":\[%s,%s\],'
+    r'"payload_bytes":(%s),"header_bytes":(%s),"retransmission_class":%s,'
+    r'"frame_complete":(null|\[%s(?:,%s)*\])\}\n|(.*\n|.+))'
+    % (_NUM, _INT, _STR, _INT, _INT, _INT, _INT, _STR, _entry_pattern("?:"), _entry_pattern("?:"))
+)
+
+
+def _is_compact(row: tuple) -> bool:
+    return not row[7]
+
+
+class _DeviceTexts(dict):
+    """device_id text of a compact record line -> its code in ``codes``.
+
+    A code stays valid here: only the line that handed a code out can
+    give it back, and a line that hands one out through this map is kept.
+    """
+
+    def __init__(self, codes: _Codes):
+        super().__init__()
+        self.codes = codes
+
+    def __missing__(self, text):
+        code = self[text] = self.codes[None if text == "null" else int(text)]
+        return code
+
+
+class _Parser:
+    """The state of one load_capture pass."""
+
+    def __init__(self):
+        self.header = self.integrity = None
+        self.skipped = self.dropped = 0
+        self.walls, self.payloads, self.headers = array("d"), array("q"), array("q")
+        self.devices, self.directions, self.classes = array("I"), array("B"), array("B")
+        self.record_columns = (self.walls, self.payloads, self.headers, self.devices, self.directions, self.classes)
+        self.codes = (
+            _Codes("device_id", self.devices, self.walls),
+            _Codes("direction", self.directions, self.walls),
+            _Codes("retransmission_class", self.classes, self.walls),
+        )
+        self.device_texts = _DeviceTexts(self.codes[0])
+        self.line_pattern, self.entry_pattern = re.compile(_LINE), re.compile(_ENTRY)
+        # device code -> (frame_seq, frame_timestamp, arrival)
+        self.frame_columns = defaultdict(lambda: (array("q"), array("q"), array("d")))
+
+    def feed(self, block: str) -> None:
+        """Parse a block of whole lines."""
+        rows = self.line_pattern.findall(block)
+        if not any(map(itemgetter(7), rows)):
+            self._records([*zip(*rows)])
+            return
+        # each maximal run of compact record lines, and of other lines,
+        # in file order
+        for compact, run in groupby(rows, _is_compact):
+            if compact:
+                self._records([*zip(*run)])
+            else:
+                self._lines(map(itemgetter(7), run))
+
+    def _records(self, columns) -> None:
+        """Append a run of compact record lines, given as the columns of
+        their _LINE groups."""
+        walls, device_ids, directions, payloads, headers, classes, completes, _ = columns
+        _, direction_codes, class_codes = self.codes
+        devices = array("I", map(self.device_texts.__getitem__, device_ids))
+        self.devices.extend(devices)
+        self.directions.extend(map(direction_codes.__getitem__, directions))
+        self.classes.extend(map(class_codes.__getitem__, classes))
+        self.payloads.extend(map(int, payloads))
+        self.headers.extend(map(int, headers))
+        # one findall per device over the run's frame_complete texts;
+        # the stable sort keeps each device's lines in file order
+        with_frames = compress(zip(devices, completes), map(ne, completes, repeat("null")))
+        for dev, lines in groupby(sorted(with_frames, key=itemgetter(0)), itemgetter(0)):
+            seqs, stamps, arrivals = zip(*self.entry_pattern.findall("".join(map(itemgetter(1), lines))))
+            frame_seqs, frame_stamps, frame_arrivals = self.frame_columns[dev]
+            frame_seqs.extend(map(int, seqs))
+            frame_stamps.extend(map(int, stamps))
+            frame_arrivals.extend(map(float, arrivals))
+        # the wall column last, as in _lines, so that a code handed out
+        # above remembers a line number below every later line's
+        dropped = walls.count("null")
+        if dropped:
+            nan = math.nan
+            self.walls.extend([nan if wall == "null" else float(wall) for wall in walls])
+            self.dropped += dropped
+        else:
+            self.walls.extend(map(float, walls))
+
+    def _lines(self, lines) -> None:
+        """Parse lines one at a time as JSON: the header, the trailer,
+        and record lines in any other form."""
+        nan = math.nan
+        walls, frame_columns = self.walls, self.frame_columns
+        add_wall, add_payload, add_header = walls.append, self.payloads.append, self.headers.append
+        add_device, add_direction, add_class = self.devices.append, self.directions.append, self.classes.append
+        device_codes, direction_codes, class_codes = self.codes
+        for line in lines:
             line = line.strip()
             if not line:
                 continue
             try:
                 obj, end = _decode(line)
             except json.JSONDecodeError:
-                skipped += 1
+                self.skipped += 1
                 continue
             if end != len(line) or obj.__class__ is not dict:
-                skipped += 1
+                self.skipped += 1
                 continue
             if "header" in obj:
-                if header is None and isinstance(obj["header"], dict):
-                    header = obj["header"]
+                if self.header is None and isinstance(obj["header"], dict):
+                    self.header = obj["header"]
                 else:
-                    skipped += 1
+                    self.skipped += 1
                 continue
             if "integrity" in obj:
                 if isinstance(obj["integrity"], dict):
-                    integrity = obj["integrity"]
+                    self.integrity = obj["integrity"]
                 else:
-                    skipped += 1
+                    self.skipped += 1
                 continue
             frame_cols = None
             try:
@@ -363,10 +492,7 @@ def load_capture(path) -> Capture:
                 add_class(class_codes[obj["retransmission_class"]])
                 complete = obj.get("frame_complete")
                 if complete:
-                    frame_cols = frame_columns.get(dev)
-                    if frame_cols is None:
-                        frame_cols = frame_columns[dev] = (array("q"), array("q"), array("d"))
-                    seqs, stamps, arrivals = frame_cols
+                    frame_cols = seqs, stamps, arrivals = frame_columns[dev]
                     kept = len(seqs)
                     for e in complete:
                         seqs.append(e["frame_seq"])
@@ -376,39 +502,42 @@ def load_capture(path) -> Capture:
                 # undo this line's appends; the wall column is appended
                 # last, so it holds the count of the lines kept
                 kept_records = len(walls)
-                for column in record_columns:
+                for column in self.record_columns:
                     del column[kept_records:]
-                for codes in all_codes:
+                for codes in self.codes:
                     codes.forget(kept_records)
                 if frame_cols is not None:
                     for column in frame_cols:
                         del column[kept:]
-                skipped += 1
+                self.skipped += 1
                 continue
             add_wall(wall)
             if wall is nan:
-                dropped += 1
-    if header is None:
-        raise CaptureError(f"{path}: no header line, not a capture log")
-    if skipped:
-        log.warning("%s: skipped %d corrupt lines", path, skipped)
-    records = Records(
-        walls, devices, directions, classes, payloads, headers,
-        list(device_codes), list(direction_codes), list(class_codes),
-    )
-    counts = dict(
-        records=len(walls),
-        uplink_copies=directions.count(records.direction_code("UPLINK")),
-        ack_copies=directions.count(records.direction_code("ACK")),
-        dropped_copies=dropped,
-    )
-    by_device = [
-        (records.device_ids[code], *_sorted_by_seq(*columns))
-        for code, columns in frame_columns.items()
-        if columns[0]
-    ]
-    by_device.sort(key=itemgetter(0))
-    return Capture(header, records, Frames(by_device), integrity, skipped, counts)
+                self.dropped += 1
+
+    def capture(self, path: Path) -> Capture:
+        if self.header is None:
+            raise CaptureError(f"{path}: no header line, not a capture log")
+        if self.skipped:
+            log.warning("%s: skipped %d corrupt lines", path, self.skipped)
+        device_codes, direction_codes, class_codes = self.codes
+        records = Records(
+            self.walls, self.devices, self.directions, self.classes, self.payloads, self.headers,
+            list(device_codes), list(direction_codes), list(class_codes),
+        )
+        counts = dict(
+            records=len(self.walls),
+            uplink_copies=self.directions.count(records.direction_code("UPLINK")),
+            ack_copies=self.directions.count(records.direction_code("ACK")),
+            dropped_copies=self.dropped,
+        )
+        by_device = [
+            (records.device_ids[code], *_sorted_by_seq(*columns))
+            for code, columns in self.frame_columns.items()
+            if columns[0]
+        ]
+        by_device.sort(key=itemgetter(0))
+        return Capture(self.header, records, Frames(by_device), self.integrity, self.skipped, counts)
 
 
 def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:

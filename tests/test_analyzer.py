@@ -8,16 +8,19 @@ and a bootstrap agreement check on a real simulated capture.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle_logs
-from test_sim import JITTERY
-from wamsbench import analyzer
+from test_sim import JITTERY, OUTAGE
+from wamsbench import analyzer, dcs
 from wamsbench.analyzer import (
     DELAY_COLUMNS,
     SUMMARY_COLUMNS,
@@ -32,7 +35,7 @@ from wamsbench.analyzer import (
     write_summary_csv,
     write_throughput_series_csv,
 )
-from wamsbench.scenario import parse_scenario
+from wamsbench.scenario import load_scenario, parse_scenario
 from wamsbench.sim import run_simulation
 
 
@@ -236,6 +239,284 @@ class TestIntegrity:
         cap = load_capture(path)
         assert cap.integrity is None
         assert len(cap.integrity_problems()) == 1
+
+
+def _state(cap) -> tuple:
+    """Everything a load gives, typed: the record and frame columns as
+    their bytes (so -0.0 and NaN bits count), the rest as repr (so the
+    int 1 and True differ)."""
+    records = cap.records
+    columns = (records.wall_time, records.device, records.direction, records.retx_class,
+               records.payload_bytes, records.header_bytes)
+    frames = [(repr(dev), *map(bytes, cols)) for dev, *cols in cap.frames.by_device]
+    values = (cap.header, cap.integrity, cap.skipped_lines, cap.counts,
+              records.device_ids, records.directions, records.classes)
+    return tuple(map(bytes, columns)), frames, repr(values)
+
+
+def _spaced(line: str) -> str:
+    """``line`` re-encoded by json with its default spacing, which the
+    compact pattern never matches; a line json rejects stays as it is."""
+    try:
+        return json.dumps(json.loads(line))
+    except ValueError:
+        return line
+
+
+class _CountingDecode:
+    """Stands in for analyzer._decode and counts the lines it decodes."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self.decode = analyzer._decode
+        monkeypatch.setattr(analyzer, "_decode", self)
+
+    def __call__(self, line):
+        self.calls += 1
+        return self.decode(line)
+
+
+HEADER_LINE = dcs.dumps({"header": oracle_logs._header(duration_s=1)})
+
+
+def _compact(wall, dev, payload, direction="UPLINK", cls="FIRST", header=40, frames=()):
+    """A record line as the simulator writes it; ``frames`` holds
+    (frame_seq, frame_timestamp, arrival) triples."""
+    rows = [dcs.MeasurementRow(dev, seq, ts, arrival, 50.0, 1.0, 0.0, 0) for seq, ts, arrival in frames]
+    return dcs.capture_line(wall, dev, direction, 0, payload, payload, header, cls, rows)
+
+
+def _write(path, lines, end="\n"):
+    path.write_text("".join(line + end for line in [HEADER_LINE, *lines, '{"integrity":{"records":2}}']))
+    return path
+
+
+def _outcome(path) -> tuple:
+    """(_state, capture) of the capture at ``path``, or (the error its
+    load raised, None)."""
+    try:
+        cap = load_capture(path)
+    except (CaptureError, TypeError) as err:
+        return repr(err), None
+    return _state(cap), cap
+
+
+def _differential(tmp_path, lines) -> tuple:
+    """Load ``lines`` as they are and re-encoded by json: the two loads
+    must agree.  Returns the first capture and how many of its lines
+    other than the header and the trailer were decoded as JSON."""
+    spaced, _ = _outcome(_write(tmp_path / "spaced.jsonl", [_spaced(line) for line in lines]))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        decode = _CountingDecode(monkeypatch)
+        as_is, cap = _outcome(_write(tmp_path / "as_is.jsonl", lines))
+    assert as_is == spaced
+    return cap, decode.calls - 2
+
+
+def _replace(line: str, old: str, new: str) -> str:
+    assert old in line
+    return line.replace(old, new, 1)
+
+
+BASE = _compact(1250.5, 3, 55, frames=[(4, 1200, 1250.5)])
+# (case, line, whether it is in the compact form)
+DIFFERENTIAL_CASES = [
+    ("canonical", BASE, True),
+    ("minus-zero-int-wall", _replace(BASE, "1250.5,", "-0,"), False),
+    ("minus-zero-float-wall", _replace(BASE, "1250.5,", "-0.0,"), True),
+    ("minus-zero-arrival", _replace(BASE, ":1250.5}", ":-0.0}"), True),
+    ("int-wall", _replace(BASE, "1250.5,", "1250,"), True),
+    ("18-digit-int", _replace(BASE, ':55,', ':999999999999999999,'), True),
+    ("19-digit-int", _replace(BASE, ':55,', ':1000000000000000000,'), False),
+    ("20-digit-int", _replace(BASE, ':55,', ':10000000000000000000,'), False),
+    ("2**63", _replace(BASE, ':55,', f':{2**63},'), False),
+    ("2**63-1", _replace(BASE, ':55,', f':{2**63 - 1},'), False),
+    ("18-digit-int-wall", _replace(BASE, "1250.5,", "123456789012345678,"), True),
+    ("19-digit-int-wall", _replace(BASE, "1250.5,", "1234567890123456789,"), False),
+    ("301-digit-float", _replace(BASE, "1250.5,", "9" * 301 + ".5,"), True),
+    ("302-digit-float", _replace(BASE, "1250.5,", "9" * 302 + ".5,"), False),
+    ("400-digit-float", _replace(BASE, "1250.5,", "1" * 400 + ".5,"), False),
+    ("long-fraction", _replace(BASE, "1250.5,", "0." + "0" * 400 + "1,"), True),
+    ("exponent-1e5", _replace(BASE, "1250.5,", "1e5,"), False),
+    ("exponent-1.0E+2", _replace(BASE, ":1250.5}", ":1.0E+2}"), False),
+    ("NaN-wall", _replace(BASE, "1250.5,", "NaN,"), False),
+    ("Infinity-arrival", _replace(BASE, ":1250.5}", ":Infinity}"), False),
+    ("float-payload", _replace(BASE, ':55,', ':55.0,'), False),
+    ("empty-frame-list", _replace(BASE, '[{"frame_seq":4,"frame_timestamp":1200,"arrival_time_of_last_byte":1250.5}]', "[]"), False),
+    ("two-entries", _compact(1250.5, 3, 110, frames=[(4, 1200, 1250.5), (5, 1300, 1250.5)]), True),
+    ("null-wall", _compact(None, 3, 55, cls="RTO_RETX"), True),
+    ("null-device", dcs.dumps(dcs.CaptureRecord(1250.5, None, "UPLINK", (0, 55), 55, 0, "FIRST", None).to_json()), True),
+    ("escaped-direction", _replace(BASE, '"UPLINK"', '"UP\\u004cINK"'), False),
+    ("escaped-quote", _replace(BASE, '"UPLINK"', '"UP\\"LINK"'), False),
+    ("non-ascii-direction", _replace(BASE, '"UPLINK"', '"ÜPLINK "'), True),
+    ("missing-header-bytes", _replace(BASE, '"header_bytes":40,', ""), False),
+    ("missing-seq-range", _replace(BASE, '"seq_range":[0,55],', ""), False),
+    ("extra-key", _replace(BASE, "{", '{"note":"x",'), False),
+    ("reordered-keys", json.dumps(dict(reversed(json.loads(BASE).items())), separators=(",", ":")), False),
+    ("duplicate-key", _replace(BASE, "{", '{"payload_bytes":7,'), False),
+    ("padded", "  \t" + BASE + " ", False),
+    ("unhashable-device", _replace(BASE, '"device_id":3', '"device_id":[3]'), False),
+    ("bool-device", _replace(BASE, '"device_id":3', '"device_id":true'), False),
+    ("string-timestamp", _replace(BASE, '"frame_timestamp":1200', '"frame_timestamp":"1200"'), False),
+]
+NOT_JSON = [
+    "{not json",
+    BASE[:-1],
+    BASE + "x",
+    BASE + BASE,
+    '{"wall_time":1.0,"device_id":3,',
+    "[1,2,3]",
+    '"UPLINK"',
+    _replace(BASE, ':55,', ':055,'),  # a leading zero
+    _replace(BASE, '"UPLINK"', '"UP\tLINK"'),  # a raw control character
+]
+
+
+class TestCompactLines:
+    """The loader's compact-line pattern against its JSON path: any line
+    json accepts loads exactly as its re-encoding with json's default
+    spacing, which the pattern never matches."""
+
+    @pytest.mark.parametrize("case,line,compact", DIFFERENTIAL_CASES, ids=[c[0] for c in DIFFERENTIAL_CASES])
+    def test_line_loads_as_its_json_reencoding(self, case, line, compact, tmp_path):
+        # the line sits between two runs of compact lines, the first of
+        # which hands out new device, direction and class codes
+        before = [_compact(1.5, 1, 55, frames=[(1, 0, 1.5)]), _compact(2.5, 2, 0, direction="ACK", cls="FAST_RETX")]
+        after = [_compact(3.5, 8, 55, frames=[(2, 1000, 3.5)]), _compact(None, 1, 55)]
+        json.loads(line)  # every case is valid JSON
+        cap, decoded = _differential(tmp_path, [*before, line, *after])
+        assert decoded == (0 if compact else 1)
+        if compact:
+            assert cap.skipped_lines == 0
+
+    @pytest.mark.parametrize("line", NOT_JSON)
+    def test_line_that_is_not_a_record_is_skipped_and_counted(self, line, tmp_path):
+        lines = [_compact(1.5, 1, 55, frames=[(1, 0, 1.5)]), line, _compact(2.5, 2, 55)]
+        cap, decoded = _differential(tmp_path, lines)
+        assert decoded == 1
+        assert cap.skipped_lines == 1
+        assert cap.records.device_ids == [1, 2]
+
+    def test_corrupt_line_after_a_run_gives_back_only_its_codes(self, tmp_path):
+        bad = _compact(9.5, 77, 85, direction="SIDEWAYS", cls="ODD", frames=[(1, 2, 9.5)])
+        lines = [_compact(1.5, 1, 55, direction="NEW", cls="C1"), bad.replace('"frame_seq":1', '"frame_seq":1.5'),
+                 _compact(2.5, 5, 55, direction="NEXT", cls="C2", frames=[(3, 0, 2.5)])]
+        cap, decoded = _differential(tmp_path, lines)
+        assert decoded == 1
+        assert cap.skipped_lines == 1
+        assert cap.records.device_ids == [1, 5]
+        assert cap.records.directions == ["NEW", "NEXT"]
+        assert cap.records.classes == ["C1", "C2"]
+        assert cap.frames == [(5, 3, 0, 2.5)]
+
+    def test_blank_lines_and_crlf_line_ends(self, tmp_path):
+        lines = [_compact(1.5, 1, 55, frames=[(1, 0, 1.5)]), "", "   ", _compact(None, 2, 55)]
+        plain = load_capture(_write(tmp_path / "plain.jsonl", [line for line in lines if line.strip()]))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            decode = _CountingDecode(monkeypatch)
+            crlf = load_capture(_write(tmp_path / "crlf.jsonl", lines, end="\r\n"))
+        assert _state(crlf) == _state(plain)
+        assert decode.calls == 2  # blank lines never reach json
+        assert crlf.skipped_lines == 0
+
+    def test_last_line_without_newline(self, tmp_path):
+        lines = [_compact(1.5, 1, 55, frames=[(1, 0, 1.5)]), _compact(2.5, 1, 55, frames=[(2, 100, 2.5)])]
+        path = tmp_path / "cut.jsonl"
+        path.write_text("\n".join([HEADER_LINE, *lines]))
+        cap = load_capture(path)
+        assert cap.frames == [(1, 1, 0, 1.5), (1, 2, 100, 2.5)]
+        assert cap.integrity is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        records=st.lists(
+            st.tuples(
+                st.sampled_from(["capture_line", "to_json", "spaced"]),
+                st.one_of(st.none(), st.floats(-1e20, 1e20, allow_nan=False), st.integers(-10**20, 10**20)),
+                st.one_of(st.none(), st.integers(0, 2**16), st.integers(-10**19, 10**19)),
+                st.sampled_from(["UPLINK", "ACK", "ÜP", " "]),
+                st.one_of(st.integers(0, 1500), st.integers(-2**64, 2**64)),
+                st.sampled_from(["FIRST", "RTO_RETX", "FAST_RETX"]),
+                st.lists(
+                    st.tuples(
+                        st.integers(-2**63, 2**63),
+                        st.integers(0, 2**62),
+                        st.one_of(st.floats(0, 1e15, allow_nan=False), st.integers(0, 10**18)),
+                    ),
+                    max_size=3,
+                ),
+            ),
+            max_size=30,
+        )
+    )
+    def test_mixed_lines_load_as_their_json_reencoding(self, records, tmp_path_factory):
+        lines = []
+        for form, wall, dev, direction, payload, cls, entries in records:
+            if form == "capture_line":
+                rows = [dcs.MeasurementRow(dev, *entry, 50.0, 1.0, 0.0, 0) for entry in entries]
+                lines.append(dcs.capture_line(wall, dev, direction, 0, 1, payload, 40, cls, rows))
+                continue
+            complete = [dcs.frame_complete_entry(dcs.MeasurementRow(dev, *e, 50.0, 1.0, 0.0, 0)) for e in entries]
+            record = dcs.CaptureRecord(wall, dev, direction, (0, 1), payload, 0, cls, complete or None)
+            line = dcs.dumps(record.to_json())
+            lines.append(line if form == "to_json" else _spaced(line))
+        _differential(tmp_path_factory.mktemp("mixed"), lines)
+
+    def test_multi_block_capture_loads_as_its_json_reencoding(self, tmp_path):
+        result = run_simulation(dataclasses.replace(load_scenario("lossy_0p3"), duration_s=60), tmp_path / "run")
+        lines = result.capture_path.read_text().splitlines()[1:-1]
+        assert sum(map(len, lines)) > 4 * analyzer._BLOCK_CHARS
+        cap, decoded = _differential(tmp_path, lines)
+        assert decoded == 0
+        assert len(cap.records) == len(lines)
+
+
+# the writer's compact line must reach the pattern: each of these
+# captures decodes only its header and trailer as JSON (OUTAGE: a
+# concentrator outage, RSTs and redials)
+@pytest.mark.parametrize("name", ["lossless", "lossy_0p3", "outage", "paper_like"])
+def test_simulated_capture_takes_the_compact_path(name, tmp_path, monkeypatch):
+    if name == "outage":
+        scenario = parse_scenario(OUTAGE)
+    else:
+        scenario = dataclasses.replace(load_scenario(name), duration_s=60)
+    result = run_simulation(scenario, tmp_path)
+    decode = _CountingDecode(monkeypatch)
+    cap = load_capture(result.capture_path)
+    assert decode.calls == 2
+    assert cap.skipped_lines == 0
+    assert cap.integrity_problems() == []
+    if name in ("lossy_0p3", "paper_like"):
+        # dropped copies (null wall times), both retransmission classes
+        # and frame_complete lists of several entries
+        assert cap.counts["dropped_copies"] > 0
+        assert sorted(cap.records.classes) == ["FAST_RETX", "FIRST", "RTO_RETX"]
+        assert "},{" in result.capture_path.read_text()
+
+
+def test_live_capture_takes_the_compact_path(tmp_path, monkeypatch):
+    # as the live concentrator writes it: no device id, no header bytes
+    def record(wall, start, rows):
+        complete = [dcs.frame_complete_entry(row) for row in rows] or None
+        size = 55 * len(rows)
+        return dcs.CaptureRecord(wall, None, "UPLINK", (start, start + size), size, 0, "FIRST", complete).to_json()
+
+    rows = [dcs.MeasurementRow(3, seq, 1000 * seq, 1000 * seq + 0.25, 50.0, 1.0, 0.0, 0) for seq in range(1, 4)]
+    lines = [
+        {"header": oracle_logs._header(duration_s=None)},
+        record(1000.25, 0, rows[:1]),
+        record(2000.5, 55, []),
+        record(3000.25, 55, rows[1:]),
+        {"integrity": {"records": 3}},
+    ]
+    path = tmp_path / "live.jsonl"
+    path.write_text("".join(dcs.dumps(line) + "\n" for line in lines))
+    decode = _CountingDecode(monkeypatch)
+    cap = load_capture(path)
+    assert decode.calls == 2
+    assert cap.records == [(1000.25, None, "UPLINK", 55, 0, "FIRST"), (2000.5, None, "UPLINK", 0, 0, "FIRST"),
+                           (3000.25, None, "UPLINK", 110, 0, "FIRST")]
+    assert cap.frames == [(None, 1, 1000, 1000.25), (None, 2, 2000, 2000.25), (None, 3, 3000, 3000.25)]
 
 
 class TestSampling:

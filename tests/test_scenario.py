@@ -91,7 +91,17 @@ dcs_outages = 10-15, 42.5-44
 
 class TestBundled:
     def test_all_three_ship(self):
-        assert builtin_scenarios() == ["lossless", "lossy_0p3", "paper_like"]
+        assert builtin_scenarios() == ["ewams_day", "lossless", "lossy_0p3", "paper_like"]
+
+    def test_ewams_day_is_paper_like_for_a_day(self):
+        # parsed only: a run takes about 15 minutes and writes 6.7 GB of logs
+        day, paper = load_scenario("ewams_day"), load_scenario("paper_like")
+        assert day.duration_s == 86_400
+        assert day.frames_expected == 9_504_000
+        assert day.devices[:10] == paper.devices
+        assert day.devices[10].uplink.t_p_ms == 108.0
+        assert day.devices[10].config.device_id == 11
+        assert (day.epoch_utc_ms, day.transport, day.outages) == (paper.epoch_utc_ms, paper.transport, paper.outages)
 
     def test_lossless_is_actually_lossless(self):
         sc = load_scenario("lossless")
