@@ -536,7 +536,13 @@ class _Parser:
             for code, columns in self.frame_columns.items()
             if columns[0]
         ]
-        by_device.sort(key=itemgetter(0))
+        try:
+            # what Capture.devices() sorts, so that it cannot fail either
+            sorted(dev for dev in device_codes if dev is not None)
+        except TypeError:
+            raise CaptureError("device ids of types that do not sort together") from None
+        # a null device, as a live record has before its stream's first frame, sorts first
+        by_device.sort(key=lambda entry: (entry[0] is not None, entry[0]))
         return Capture(self.header, records, Frames(by_device), self.integrity, self.skipped, counts)
 
 

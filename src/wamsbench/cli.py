@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import analyzer, stats
 from .dcs import LiveDcsServer
-from .fdr import FdrConfig, LiveEmulator
+from .fdr import FdrConfig, LiveEmulator, emulate
 from .scenario import ScenarioError, builtin_scenarios, load_scenario
 from .sim import run_simulation
 
@@ -202,16 +202,7 @@ def cmd_emulate(args) -> int:
         )
         for dev in range(args.first_device, args.first_device + args.devices)
     ]
-    outcomes = [None] * len(emulators)
-
-    def drive(k):
-        outcomes[k] = emulators[k].run()
-
-    threads = [threading.Thread(target=drive, args=(k,)) for k in range(len(emulators))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    outcomes = emulate(emulators)
     ok = True
     for emu, outcome in zip(emulators, outcomes):
         print(

@@ -23,7 +23,7 @@ it skipped.
 import json
 import logging
 import math
-import queue
+import selectors
 import socket
 import threading
 import time
@@ -124,14 +124,14 @@ class CaptureRecord:
 
 
 # the lines of MeasurementRow.to_json and CaptureRecord.to_json, spelled
-# out for the simulator's hot path; %r of an int or a finite float is
-# exactly what dumps writes for it
+# out for the writers' hot paths; %r or %s of an int or a finite float
+# is exactly what dumps writes for it
 _MEASUREMENT_LINE = (
     '{"device_id":%r,"frame_seq":%r,"frame_timestamp":%r,"arrival_time":%r,'
     '"frequency":%r,"voltage_mag":%r,"voltage_angle":%r,"status":%r}'
 )
 _CAPTURE_LINE = (
-    '{"wall_time":%s,"device_id":%r,"direction":"%s","seq_range":[%r,%r],'
+    '{"wall_time":%s,"device_id":%s,"direction":"%s","seq_range":[%r,%r],'
     '"payload_bytes":%r,"header_bytes":%r,"retransmission_class":"%s","frame_complete":%s}'
 )
 _FRAME_COMPLETE = '{"frame_seq":%r,"frame_timestamp":%r,"arrival_time_of_last_byte":%r}'
@@ -145,7 +145,7 @@ def measurement_line(row: MeasurementRow) -> str:
 
 def capture_line(
     wall_time: Optional[float],
-    device_id: int,
+    device_id: Optional[int],
     direction: str,
     seq_start: int,
     seq_end: int,
@@ -167,7 +167,7 @@ def capture_line(
         frame_complete = "null"
     return _CAPTURE_LINE % (
         "null" if wall_time is None else repr(wall_time),
-        device_id,
+        "null" if device_id is None else device_id,
         direction,
         seq_start,
         seq_end,
@@ -370,11 +370,13 @@ def _finite_row(row: MeasurementRow) -> bool:
 
 
 class LiveDcsServer:
-    """Real-socket concentrator: N device connections, one log writer.
+    """Real-socket concentrator: N device connections, one thread.
 
-    Connection handlers only move bytes; a single writer thread owns
-    the ingest state and both log files, so records and rows land in
-    arrival order without locking around the files.
+    start() runs one selectors loop on its own thread.  The loop
+    accepts, reads, ingests and writes both logs, so records and rows
+    land in arrival order with no queue and no lock.  A connection the
+    loop has not read yet backs up in the kernel's socket buffers, so
+    memory stays bounded however far the writes fall behind.
     """
 
     def __init__(
@@ -393,14 +395,12 @@ class LiveDcsServer:
         self.skew_bound_ms = skew_bound_ms
         self.duration_s = duration_s
         self.ingest = IngestState()
-        self._queue: queue.Queue = queue.Queue()
         self._stop = threading.Event()
-        self._lock = threading.Lock()
-        self._active: dict = {}  # conn_id -> socket
         self._next_id = 0
-        self._threads: list = []
-        self._offsets: dict = {}  # conn_id -> delivered byte count
+        self._offsets: dict = {}  # conn_id -> delivered byte count, per open connection
         self._listener = None
+        self._selector = None
+        self._loop = None
         self._capture = None
         self._rows = None
 
@@ -414,96 +414,64 @@ class LiveDcsServer:
         )
         self._listener = socket.create_server((self.host, self.port))
         self.port = self._listener.getsockname()[1]
-        self._listener.settimeout(0.2)
-        for target in (self._accept_loop, self._writer_loop):
-            t = threading.Thread(target=target, daemon=True)
-            t.start()
-            self._threads.append(t)
+        # a peer that gives up between select and accept must not block the loop
+        self._listener.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._loop = threading.Thread(target=self._run, daemon=True)
+        self._loop.start()
         log.info("dcs listening on %s:%d", self.host, self.port)
 
     def stop(self) -> None:
         self._stop.set()
-        with self._lock:
-            socks = list(self._active.values())
-        for sock in socks:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        while self._threads:  # handlers may still be registering
-            self._threads.pop().join(timeout=10.0)
+        self._loop.join(timeout=10.0)
         self._capture.close(self.ingest.counters)
         self._rows.close(self.ingest.counters)
 
-    # -- threads -----------------------------------------------------------
+    # -- the loop ----------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                sock, addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            with self._lock:
-                if len(self._active) >= self.max_conns:
-                    log.warning("refusing connection from %s: at max_conns", addr)
-                    self._queue.put(("refused", None, None, None))
-                    sock.close()
-                    continue
-                self._next_id += 1
-                conn_id = self._next_id
-                self._active[conn_id] = sock
-            t = threading.Thread(target=self._handler, args=(sock, conn_id), daemon=True)
-            t.start()
-            # finished handlers go, so the list holds only live threads
-            # plus the ones that ended since the last connection
-            self._threads[:] = [th for th in self._threads if th.is_alive()]
-            self._threads.append(t)
-        self._listener.close()
-
-    def _handler(self, sock: socket.socket, conn_id: int) -> None:
-        sock.settimeout(0.5)
+    def _run(self) -> None:
         try:
             while not self._stop.is_set():
-                try:
-                    data = sock.recv(4096)
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                if not data:
-                    break
-                self._queue.put(("data", conn_id, data, time.time() * 1000.0))
+                for key, _ in self._selector.select(timeout=0.2):
+                    if key.fileobj is self._listener:
+                        self._accept()
+                    else:
+                        self._read(key.fileobj, key.data)
         finally:
-            sock.close()
-            with self._lock:
-                self._active.pop(conn_id, None)
-            # queued behind this connection's last data, so the writer
-            # drops its ingest state only after processing all of it
-            self._queue.put(("closed", conn_id, None, None))
+            for key in list(self._selector.get_map().values()):
+                key.fileobj.close()
+            self._selector.close()
 
-    def _writer_loop(self) -> None:
-        while True:
-            try:
-                item = self._queue.get(timeout=0.2)
-            except queue.Empty:
-                if self._stop.is_set():
-                    break
-                continue
-            self._process(item)
-
-    def _process(self, item) -> None:
-        kind, conn_id, data, arrival = item
-        if kind == "refused":
+    def _accept(self) -> None:
+        try:
+            sock, addr = self._listener.accept()
+        except OSError:
+            return
+        if len(self._offsets) >= self.max_conns:
+            log.warning("refusing connection from %s: at max_conns", addr)
             self.ingest.counters["refused_connections"] += 1
+            sock.close()
             return
-        if kind == "closed":
-            # the connection's last data is already processed
-            self.ingest.assemblers.pop(conn_id, None)
-            self._offsets.pop(conn_id, None)
+        self._next_id += 1
+        self._offsets[self._next_id] = 0
+        self._selector.register(sock, selectors.EVENT_READ, self._next_id)
+
+    def _close(self, sock: socket.socket, conn_id: int) -> None:
+        self._selector.unregister(sock)
+        sock.close()
+        self.ingest.assemblers.pop(conn_id, None)
+        del self._offsets[conn_id]
+
+    def _read(self, sock: socket.socket, conn_id: int) -> None:
+        try:
+            data = sock.recv(4096)  # selected as readable: returns at once
+        except OSError:
+            data = b""
+        if not data:
+            self._close(sock, conn_id)
             return
-        arrival = ms(arrival)
+        arrival = ms(time.time() * 1000.0)
         rows = self.ingest.deliver(conn_id, data, arrival)
         finite = [r for r in rows if _finite_row(r)]
         if len(finite) < len(rows):
@@ -515,31 +483,17 @@ class LiveDcsServer:
             self.ingest.counters["nonfinite_rows"] += bad
             self.ingest.counters["rows"] -= bad
             rows = finite
-        asm = self.ingest.assembler(conn_id)
-        start = self._offsets.get(conn_id, 0)
-        self._offsets[conn_id] = start + len(data)
-        record = CaptureRecord(
-            wall_time=arrival,
-            device_id=asm.device_id,
-            direction="UPLINK",
-            seq_range=(start, start + len(data)),
-            payload_bytes=len(data),
-            header_bytes=0,  # no sniffer in live mode, payload bytes only
-            retransmission_class="FIRST",
-            frame_complete=[frame_complete_entry(r) for r in rows] or None,
+        asm = self.ingest.assemblers[conn_id]
+        start = self._offsets[conn_id]
+        end = self._offsets[conn_id] = start + len(data)
+        # no sniffer in live mode: payload bytes only, every copy a first one
+        self._capture.write(
+            capture_line(arrival, asm.device_id, "UPLINK", start, end, len(data), 0, "FIRST", rows)
         )
-        self._capture.write(record.to_json())
         self.ingest.counters["records"] += 1
         for row in rows:
-            self._rows.write(row.to_json())
+            self._rows.write(measurement_line(row))
         if asm.junk_since_frame > JUNK_DROP_BYTES:
             log.warning("conn %d: dropping malformed stream", conn_id)
             self.ingest.counters["dropped_connections"] += 1
-            asm.junk_since_frame = 0
-            with self._lock:
-                sock = self._active.get(conn_id)
-            if sock is not None:
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
+            self._close(sock, conn_id)

@@ -13,6 +13,7 @@ is counted and dropped, and the sequence number still advances, so
 gaps in the capture are honest evidence of the outage.
 """
 
+import heapq
 import logging
 import math
 import random
@@ -210,11 +211,12 @@ class DeviceNode:
 
 
 class LiveEmulator:
-    """Real-socket device for live runs: one thread, one TCP client.
+    """Real-socket device for live runs: one TCP client.
 
     Frames ride the kernel's TCP stack back-to-back; the DCS side
     reassembles them from the byte stream.  Timestamps come from the
-    host clock rounded to the 100 ms grid.
+    host clock rounded to the 100 ms grid.  ``emulate`` runs any number
+    of them on one thread.
     """
 
     def __init__(
@@ -234,11 +236,13 @@ class LiveEmulator:
         self.frames_sent = 0
         self.failed_reason: Optional[str] = None
 
-    def _connect(self) -> Optional[socket.socket]:
+    def _connect(self):
+        """Dial, waiting between attempts; a generator like ``steps``
+        that returns the socket, or None once every attempt failed."""
         last_err = None
         for attempt in range(self.connect_attempts):
             if attempt:
-                time.sleep(self.connect_backoff_s * attempt)
+                yield time.time() + self.connect_backoff_s * attempt
             try:
                 sock = socket.create_connection(
                     (self.config.host, self.config.port), timeout=5.0
@@ -251,9 +255,11 @@ class LiveEmulator:
         log.error("device %d: %s", self.config.device_id, self.failed_reason)
         return None
 
-    def run(self) -> bool:
-        """Stream frames until the duration elapses; True when all sent."""
-        sock = self._connect()
+    def steps(self):
+        """Stream frames until the duration elapses, as a generator: it
+        yields each instant (``time.time()`` seconds) it waits for, and
+        returns True when every frame was sent."""
+        sock = yield from self._connect()
         if sock is None:
             return False
         epoch_ms = next_grid_ms(time.time() * 1000.0 + GRID_MS)
@@ -266,15 +272,13 @@ class LiveEmulator:
         try:
             for k in range(total):
                 target_ms = epoch_ms + k * GRID_MS
-                delay = target_ms / 1000.0 - time.time()
-                if delay > 0:
-                    time.sleep(delay)
+                yield target_ms / 1000.0
                 self.frames_generated += 1
                 frame = gen.measure(self.config.device_id, self.frames_generated, target_ms)
                 if self.config.t_fdr_ms:
-                    time.sleep(self.config.t_fdr_ms / 1000.0)
+                    yield time.time() + self.config.t_fdr_ms / 1000.0
                 if sock is None:
-                    sock = self._connect()
+                    sock = yield from self._connect()
                     if sock is None:
                         return False  # persistent failure: report offline
                 try:
@@ -288,3 +292,34 @@ class LiveEmulator:
             if sock is not None:
                 sock.close()
         return self.frames_sent == total
+
+
+def emulate(emulators: list) -> list:
+    """Run every emulator from one loop on this thread; returns what
+    each one's ``steps`` returned.
+
+    The loop keeps one deadline per device on a heap: a grid tick, a
+    t_fdr_ms send delay or a redial backoff.  It sleeps until the
+    earliest and runs that device up to its next wait.  A dial or a
+    send blocks the loop for as long as it takes, up to the socket's
+    5 s timeout.
+    """
+    outcomes = [None] * len(emulators)
+    # (deadline, index, steps): the index breaks ties, so steps are never
+    # compared; a list in order is a heap
+    heap = [(0.0, k, emu.steps()) for k, emu in enumerate(emulators)]
+    try:
+        while heap:
+            deadline, k, steps = heap[0]
+            delay = deadline - time.time()
+            if delay > 0:
+                time.sleep(delay)
+            try:
+                heapq.heapreplace(heap, (next(steps), k, steps))
+            except StopIteration as done:
+                heapq.heappop(heap)
+                outcomes[k] = done.value
+    finally:
+        for _, _, steps in heap:
+            steps.close()  # closes the device's socket
+    return outcomes

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import oracle_logs
 from test_sim import JITTERY, OUTAGE
-from wamsbench import analyzer, dcs
+from wamsbench import analyzer, cli, dcs
 from wamsbench.analyzer import (
     DELAY_COLUMNS,
     SUMMARY_COLUMNS,
@@ -296,7 +296,7 @@ def _outcome(path) -> tuple:
     load raised, None)."""
     try:
         cap = load_capture(path)
-    except (CaptureError, TypeError) as err:
+    except CaptureError as err:
         return repr(err), None
     return _state(cap), cap
 
@@ -408,6 +408,20 @@ class TestCompactLines:
         assert cap.records.directions == ["NEW", "NEXT"]
         assert cap.records.classes == ["C1", "C2"]
         assert cap.frames == [(5, 3, 0, 2.5)]
+
+    def test_null_device_frames_sort_before_int_ones(self, tmp_path):
+        lines = [_compact(1.5, 3, 55, frames=[(1, 0, 1.5)]), _compact(2.5, None, 55, frames=[(7, 100, 2.5)])]
+        cap, decoded = _differential(tmp_path, lines)
+        assert decoded == 0
+        assert cap.frames == [(None, 7, 100, 2.5), (3, 1, 0, 1.5)]
+
+    def test_device_ids_that_do_not_sort_together_are_a_capture_error(self, tmp_path, capsys):
+        cap, _ = _differential(tmp_path, [BASE, _replace(BASE, '"device_id":3', '"device_id":"x"')])
+        assert cap is None
+        with pytest.raises(CaptureError, match="do not sort together"):
+            load_capture(tmp_path / "as_is.jsonl")
+        assert cli.main(["report", str(tmp_path / "as_is.jsonl")]) == 2
+        assert "do not sort together" in capsys.readouterr().err
 
     def test_blank_lines_and_crlf_line_ends(self, tmp_path):
         lines = [_compact(1.5, 1, 55, frames=[(1, 0, 1.5)]), "", "   ", _compact(None, 2, 55)]

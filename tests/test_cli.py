@@ -5,10 +5,15 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
+import time
+from collections import defaultdict
 
 import pytest
 
 from wamsbench import cli
+from wamsbench.analyzer import load_capture
+from wamsbench.dcs import LiveDcsServer
 
 MINI = """\
 [scenario]
@@ -269,6 +274,36 @@ class TestEmulate:
         captured = capsys.readouterr()
         assert "generated 0 frames, sent 0" in captured.out
         assert "connect" in captured.err
+
+
+    def test_devices_share_one_thread(self, tmp_path, monkeypatch):
+        server = LiveDcsServer(out_dir=tmp_path)
+        server.start()  # its loop thread starts before the patch
+        try:
+
+            def no_thread(thread):
+                raise AssertionError(f"thread started: {thread!r}")
+
+            monkeypatch.setattr(threading.Thread, "start", no_thread)
+            code = cli.main(
+                ["emulate", "--port", str(server.port), "--devices", "20", "--duration-s", "2"]
+            )
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and server.ingest.counters["rows"] < 400:
+                time.sleep(0.05)
+        finally:
+            server.stop()
+        assert code == 0
+        assert server.ingest.counters["rows"] == 400
+        assert load_capture(tmp_path / "capture.jsonl").devices() == list(range(1, 21))
+        stamps = defaultdict(list)
+        for line in (tmp_path / "measurements.jsonl").read_text().splitlines()[1:-1]:
+            row = json.loads(line)
+            stamps[row["device_id"]].append(row["frame_timestamp"])
+        assert sorted(stamps) == list(range(1, 21))
+        for series in stamps.values():
+            assert all(ts % 100 == 0 for ts in series)
+            assert all(b > a for a, b in zip(series, series[1:]))
 
 
 class TestServe:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wamsbench.analyzer import load_capture
 from wamsbench.dcs import (
     CaptureRecord,
     FrameAssembler,
@@ -41,6 +42,10 @@ def make_frame(device_id=1, frame_seq=1, ts=1_700_000_000_000):
         voltage_mag=1.0,
         voltage_angle=0.0,
     )
+
+
+def _no_thread(thread):
+    raise AssertionError(f"thread started: {thread!r}")
 
 
 def wire(device_id=1, frame_seq=1, ts=1_700_000_000_000):
@@ -241,14 +246,15 @@ class TestLogWriter:
         assert "header" in json.loads(lines[0])
 
     @pytest.mark.parametrize("wall_time", [None, 1_700_000_000_101.146, 0.5])
+    @pytest.mark.parametrize("device_id", [7, None])
     @pytest.mark.parametrize("n_rows", [0, 1, 2])
-    def test_capture_line_is_the_encoded_record(self, wall_time, n_rows):
+    def test_capture_line_is_the_encoded_record(self, wall_time, device_id, n_rows):
         rows = IngestState().deliver(
             "c1", b"".join(wire(frame_seq=k) for k in range(1, n_rows + 1)), 1000.125
         )
         record = CaptureRecord(
             wall_time=wall_time,
-            device_id=7,
+            device_id=device_id,
             direction="ACK",
             seq_range=(1, 1 + 55 * n_rows),
             payload_bytes=55 * n_rows,
@@ -256,7 +262,7 @@ class TestLogWriter:
             retransmission_class="RTO_RETX",
             frame_complete=[frame_complete_entry(r) for r in rows] or None,
         )
-        line = capture_line(wall_time, 7, "ACK", 1, 1 + 55 * n_rows, 55 * n_rows, 40, "RTO_RETX", rows)
+        line = capture_line(wall_time, device_id, "ACK", 1, 1 + 55 * n_rows, 55 * n_rows, 40, "RTO_RETX", rows)
         assert line == dumps(record.to_json())
 
     def test_measurement_line_is_the_encoded_row(self):
@@ -351,36 +357,48 @@ class TestLiveDcsServer:
         assert sorted(r["frame_seq"] for r in lines[1:-1]) == list(range(1, 51))
         assert lines[-1]["integrity"]["rows"] == 50
 
-    def test_finished_handlers_leave_the_thread_list(self, tmp_path):
+    def test_half_frame_logs_a_null_device_then_the_id(self, tmp_path):
+        data = wire(device_id=4)
         server = LiveDcsServer(out_dir=tmp_path)
         server.start()
-        baseline = threading.active_count()
-        keeper = None
         try:
-            for seq in range(1, 31):  # one finished connection after another
-                with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
-                    sock.sendall(wire(frame_seq=seq))
-                deadline = time.monotonic() + 10.0
-                while time.monotonic() < deadline and (
-                    server.ingest.counters["rows"] < seq or threading.active_count() > baseline
-                ):
-                    time.sleep(0.01)
-                assert server.ingest.counters["rows"] == seq
-            # one more connection, held open: its handler stays alive
-            keeper = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
-            keeper.sendall(wire(frame_seq=31))
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline and (
-                server.ingest.counters["rows"] < 31 or len(server._threads) != 3
-            ):
-                time.sleep(0.01)
-            # the accept and writer threads plus the one live handler
-            assert len(server._threads) == 3
-            assert all(th.is_alive() for th in server._threads)
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+                sock.sendall(data[:20])
+                time.sleep(0.3)  # the first 20 bytes arrive on their own
+                sock.sendall(data[20:])
+                time.sleep(0.3)
         finally:
-            if keeper is not None:
-                keeper.close()
             server.stop()
+        path = tmp_path / "capture.jsonl"
+        lines = path.read_text().splitlines()[1:-1]
+        assert [json.loads(line)["device_id"] for line in lines] == [None, 4]
+        assert '"device_id":null,' in lines[0]
+        capture = load_capture(path)
+        assert capture.skipped_lines == 0
+        assert capture.integrity_problems() == []
+        assert capture.records.device_ids == [None, 4]
+
+    def test_connections_start_no_thread(self, tmp_path, monkeypatch):
+        server = LiveDcsServer(out_dir=tmp_path)
+        server.start()
+        socks = []
+        try:
+            monkeypatch.setattr(threading.Thread, "start", _no_thread)
+            for seq in range(1, 51):  # all 50 open at once
+                sock = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
+                socks.append(sock)
+                sock.sendall(wire(device_id=seq))
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and server.ingest.counters["rows"] < 50:
+                time.sleep(0.05)
+            assert len(server._offsets) == 50
+        finally:
+            for sock in socks:
+                sock.close()
+            server.stop()
+        lines = [json.loads(l) for l in (tmp_path / "measurements.jsonl").read_text().splitlines()]
+        assert sorted(r["device_id"] for r in lines[1:-1]) == list(range(1, 51))
+        assert lines[-1]["integrity"]["rows"] == 50
 
     def test_max_conns_refuses_extra_connection(self, tmp_path):
         server = LiveDcsServer(out_dir=tmp_path, max_conns=1)
