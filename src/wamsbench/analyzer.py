@@ -30,6 +30,12 @@ Integrity: the loader counts records, uplink, ack and dropped copies as
 it parses, and Capture.integrity_problems() compares them with the
 trailer the writer appended; a capture without a trailer was cut short.
 
+Column cache: load_capture keeps the columns of a finished capture in
+``<capture>.columns`` beside it, keyed by the SHA-256 of the capture's
+bytes, so a capture is parsed once however often it is analyzed.  The
+cache only saves time: a load whose digest does not match parses the
+file, and deleting the cache is always safe.
+
 Reporting slots: the sampling workflow treats the run as one population
 slot per configured second.  A frame belongs to the slot its timestamp
 falls in, where a grid instant on a second boundary belongs to the
@@ -38,12 +44,15 @@ second it closes: slot k covers (k, k+1] seconds after the epoch, so a
 windows are wall-clock aligned: window k covers arrivals in [k, k+1).
 """
 
+import contextlib
 import csv
 import json
 import logging
 import math
+import os
 import re
 import statistics
+import sys
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -308,23 +317,47 @@ def load_capture(path) -> Capture:
     or a missing key.  A capture with more than 256 distinct directions
     or retransmission classes raises CaptureError.
 
-    The file is read in blocks of whole lines.  Record lines in the
-    compact form the capture writers produce are matched by one pattern
-    and appended to the columns a run at a time; every other line, the
-    header and the trailer included, is decoded as JSON on its own.
-    Either way a line gives the same values, in file order.
+    The file is read in blocks of whole lines, as UTF-8 text with
+    universal newlines.  Record lines in the compact form the capture
+    writers produce are matched by one pattern and appended to the
+    columns a run at a time; every other line, the header and the
+    trailer included, is decoded as JSON on its own.  Either way a line
+    gives the same values, in file order.
+
+    The columns of a capture with a trailer are cached beside it, at
+    ``<capture>.columns``, keyed by the SHA-256 of the capture's bytes.
+    Every load hashes the capture: when the digest matches the cache's,
+    the columns are read from the cache instead of parsed, and give the
+    same Capture.  A parse hashes the blocks it parses, so it reads the
+    file once, and the digest it caches is that of the bytes it parsed.
     """
+    import hashlib  # here, not at module import: every CLI command imports this module
+
     path = Path(path)
-    parser = _Parser()
-    with open(path, encoding="utf-8") as fh:
-        while block := fh.read(_BLOCK_CHARS):
-            if block[-1] != "\n":
-                block += fh.readline()  # a block holds whole lines only
-            parser.feed(block)
-    return parser.capture(path)
+    cache_path = path.with_name(path.name + ".columns")
+    with open(path, "rb") as fh:
+        capture = _read_cache(cache_path, fh)
+        if capture is None:
+            fh.seek(0)
+            digest, parser = hashlib.sha256(), _Parser()
+            while block := fh.read(_BLOCK_BYTES):
+                if not block.endswith(b"\n"):
+                    block += fh.readline()  # a block holds whole lines only
+                digest.update(block)
+                text = block.decode("utf-8")
+                if "\r" in text:  # universal newlines, as text-mode open() reads
+                    text = text.replace("\r\n", "\n").replace("\r", "\n")
+                parser.feed(text)
+            capture = parser.capture(path)
+            # a capture without a trailer may still be growing
+            if capture.integrity is not None:
+                _write_cache(cache_path, capture, digest.hexdigest())
+    if capture.skipped_lines:
+        log.warning("%s: skipped %d corrupt lines", path, capture.skipped_lines)
+    return capture
 
 
-_BLOCK_CHARS = 1 << 16
+_BLOCK_BYTES = 1 << 16
 
 # A record line exactly as dcs.capture_line and
 # dumps(CaptureRecord(...).to_json()) write it: fixed key order, no
@@ -518,8 +551,6 @@ class _Parser:
     def capture(self, path: Path) -> Capture:
         if self.header is None:
             raise CaptureError(f"{path}: no header line, not a capture log")
-        if self.skipped:
-            log.warning("%s: skipped %d corrupt lines", path, self.skipped)
         device_codes, direction_codes, class_codes = self.codes
         records = Records(
             self.walls, self.devices, self.directions, self.classes, self.payloads, self.headers,
@@ -553,6 +584,104 @@ def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
         return seqs, stamps, arrivals
     order = sorted(range(len(seqs)), key=seqs.__getitem__)
     return tuple(array(column.typecode, [column[i] for i in order]) for column in (seqs, stamps, arrivals))
+
+
+# -- column cache --------------------------------------------------------------
+#
+# A cache file is one line of ASCII JSON (CACHE_VERSION, the byte order,
+# the capture's SHA-256, the Capture's fields other than its columns, and
+# each column's typecode, itemsize and length), then the columns' raw
+# bytes in that order, then the SHA-256 of everything before it.  The
+# columns are the six of Records in field order, then frame_seq,
+# frame_timestamp and arrival for each device of Frames.by_device, whose
+# ids are given as codes into device_ids.
+
+CACHE_VERSION = 1
+_RECORD_TYPECODES, _FRAME_TYPECODES = "dIBBqq", "qqd"
+# what reading a cache that is missing, cut short, garbage or of another
+# layout can raise; any of them means the capture is parsed instead
+_BAD_CACHE = (OSError, EOFError, ValueError, LookupError, TypeError, RecursionError)
+
+
+def _read_cache(cache_path: Path, capture_file) -> Optional[Capture]:
+    """The Capture cached at ``cache_path`` for the bytes of
+    ``capture_file``, read from its start; None when no whole cache of
+    this version and column layout is there for those bytes."""
+    import hashlib
+
+    try:
+        with open(cache_path, "rb") as fh:
+            meta_line = fh.readline()
+            meta = json.loads(meta_line)
+            if meta["version"] != CACHE_VERSION or meta["byteorder"] != sys.byteorder:
+                return None
+            typecodes = _RECORD_TYPECODES + _FRAME_TYPECODES * len(meta["frame_devices"])
+            layout = [[code, array(code).itemsize] for code in typecodes]
+            if [column[:2] for column in meta["columns"]] != layout:
+                return None
+            lengths = [column[2] for column in meta["columns"]]
+            # the record columns have one length, and so do each device's frame columns
+            groups = [lengths[:6], *(lengths[k:k + 3] for k in range(6, len(lengths), 3))]
+            if any(len(set(group)) != 1 for group in groups):
+                return None
+            body = sum(length * itemsize for length, (_, itemsize) in zip(lengths, layout))
+            if os.fstat(fh.fileno()).st_size != len(meta_line) + body + 32:
+                return None
+            digest = hashlib.sha256()
+            while block := capture_file.read(_BLOCK_BYTES):
+                digest.update(block)
+            if digest.hexdigest() != meta["capture_sha256"]:
+                return None
+            digest = hashlib.sha256(meta_line)
+            columns = []
+            for code, length in zip(typecodes, lengths):
+                column = array(code)
+                column.fromfile(fh, length)
+                digest.update(column)
+                columns.append(column)
+            if fh.read() != digest.digest():
+                return None
+        ids = meta["device_ids"]
+        frame_columns = (columns[k:k + 3] for k in range(6, len(columns), 3))
+        by_device = [(ids[code], *device_columns) for code, device_columns in zip(meta["frame_devices"], frame_columns)]
+        records = Records(*columns[:6], ids, meta["directions"], meta["classes"])
+        frames = Frames(by_device)
+        return Capture(meta["header"], records, frames, meta["integrity"], meta["skipped_lines"], meta["counts"])
+    except _BAD_CACHE:
+        return None
+
+
+def _write_cache(cache_path: Path, capture: Capture, capture_sha256: str) -> None:
+    """Cache ``capture``'s columns at ``cache_path``, through a temporary
+    file renamed into place; a cache that cannot be written is left out."""
+    import hashlib
+
+    records, by_device = capture.records, capture.frames.by_device
+    code_of = {dev: code for code, dev in enumerate(records.device_ids)}
+    columns = [records.wall_time, records.device, records.direction, records.retx_class,
+               records.payload_bytes, records.header_bytes]
+    columns += [column for _, *frame_columns in by_device for column in frame_columns]
+    meta = dict(
+        version=CACHE_VERSION, byteorder=sys.byteorder, capture_sha256=capture_sha256,
+        header=capture.header, integrity=capture.integrity, skipped_lines=capture.skipped_lines,
+        counts=capture.counts, device_ids=records.device_ids, directions=records.directions,
+        classes=records.classes, frame_devices=[code_of[dev] for dev, *_ in by_device],
+        columns=[[column.typecode, column.itemsize, len(column)] for column in columns],
+    )
+    meta_line = json.dumps(meta).encode() + b"\n"
+    digest = hashlib.sha256(meta_line)
+    tmp = cache_path.with_name(f"{cache_path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(meta_line)
+            for column in columns:
+                column.tofile(fh)
+                digest.update(column)
+            fh.write(digest.digest())
+        os.replace(tmp, cache_path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 class DelaySeries(_Columns):
@@ -604,8 +733,8 @@ def _uplink_totals(capture: Capture, window_s: float) -> tuple:
     """One pass over the records: per-device delivered kbit/s per window,
     and uplink wire bytes by retransmission class per device id, records
     without a device under None."""
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
+    if not 0 < window_s < math.inf:
+        raise ValueError(f"window_s must be finite and positive, got {window_s}")
     windows = max(1, math.ceil(capture.population_slots() / window_s))
     records = capture.records
     ids, classes = records.device_ids, records.classes

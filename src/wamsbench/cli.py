@@ -6,7 +6,8 @@ Subcommands:
     emulate     run N real-socket device clients against a concentrator
     analyze     compute metrics and series CSVs from a capture log
     samplesize  minimum-sample-size calculator
-    report      print the metrics table for a capture, no files
+    report      print the metrics table for a capture; writes no output
+                files (a load may leave the capture's column cache)
 
 Exit codes: 0 success, 2 usage or validation error, 1 runtime failure.
 analyze and report also exit 1 on a capture whose integrity trailer is
@@ -33,6 +34,7 @@ log = logging.getLogger(__name__)
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
+INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 
 def _fail(code: int, message: str) -> int:
@@ -73,6 +75,8 @@ def _print_table(capture, summary) -> None:
 def _sample_indices(capture, size, seed):
     if size is None:
         return None
+    if size < 1:
+        raise ValueError(f"--sample-size must be at least 1, got {size}")
     population = capture.population_slots()
     if size > population:
         raise ValueError(
@@ -202,7 +206,13 @@ def cmd_emulate(args) -> int:
         )
         for dev in range(args.first_device, args.first_device + args.devices)
     ]
-    outcomes = emulate(emulators)
+    interrupted = False
+    try:
+        outcomes = emulate(emulators)
+    except KeyboardInterrupt:
+        # Ctrl-C: each device's counts so far, and no traceback
+        interrupted = True
+        outcomes = [emu.failed_reason is None for emu in emulators]
     ok = True
     for emu, outcome in zip(emulators, outcomes):
         print(
@@ -213,10 +223,24 @@ def cmd_emulate(args) -> int:
             ok = False
             if emu.failed_reason:
                 print(f"device {emu.config.device_id}: {emu.failed_reason}", file=sys.stderr)
+    if interrupted:
+        return INTERRUPTED
     return 0 if ok else RUNTIME_ERROR
 
 
 # -- parser -----------------------------------------------------------------
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
 
 ALLOW_INCOMPLETE_HELP = (
     "report on a capture whose integrity trailer is missing or disagrees with "
@@ -242,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="compute metrics and series CSVs from a capture log")
     p.add_argument("capture", help="path to capture.jsonl")
     p.add_argument("--out-dir", help="output directory (default: alongside the capture)")
-    p.add_argument("--t-fdr-ms", type=float, help="device processing time (default: log header)")
-    p.add_argument("--t-dcs-ms", type=float, help="concentrator processing time (default: log header)")
+    p.add_argument("--t-fdr-ms", type=_finite_float, help="device processing time (default: log header)")
+    p.add_argument("--t-dcs-ms", type=_finite_float, help="concentrator processing time (default: log header)")
     p.add_argument("--sample-size", type=int, help="analyze a random subset of 1 s slots")
     p.add_argument("--sample-seed", default="sample", help="seed for slot selection")
     p.add_argument("--window", type=float, default=1.0, help="throughput window seconds")
@@ -252,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="print the metrics table for a capture")
     p.add_argument("capture", help="path to capture.jsonl")
-    p.add_argument("--t-fdr-ms", type=float)
-    p.add_argument("--t-dcs-ms", type=float)
+    p.add_argument("--t-fdr-ms", type=_finite_float)
+    p.add_argument("--t-dcs-ms", type=_finite_float)
     p.add_argument("--sample-size", type=int)
     p.add_argument("--sample-seed", default="sample")
     p.add_argument("--allow-incomplete", action="store_true", help=ALLOW_INCOMPLETE_HELP)

@@ -9,16 +9,22 @@ and a bootstrap agreement check on a real simulated capture.
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
+import logging
 import math
+import os
 import statistics
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_logs
+import test_golden
+from test_golden import analyzer_captures  # noqa: F401  a fixture, shared
 from test_sim import JITTERY, OUTAGE
 from wamsbench import analyzer, cli, dcs
 from wamsbench.analyzer import (
@@ -241,17 +247,21 @@ class TestIntegrity:
         assert len(cap.integrity_problems()) == 1
 
 
+def _typed(column) -> tuple:
+    return column.typecode, bytes(column)
+
+
 def _state(cap) -> tuple:
     """Everything a load gives, typed: the record and frame columns as
-    their bytes (so -0.0 and NaN bits count), the rest as repr (so the
-    int 1 and True differ)."""
+    their typecodes and bytes (so -0.0 and NaN bits count), the rest as
+    repr (so the int 1 and True differ)."""
     records = cap.records
     columns = (records.wall_time, records.device, records.direction, records.retx_class,
                records.payload_bytes, records.header_bytes)
-    frames = [(repr(dev), *map(bytes, cols)) for dev, *cols in cap.frames.by_device]
+    frames = [(repr(dev), *map(_typed, cols)) for dev, *cols in cap.frames.by_device]
     values = (cap.header, cap.integrity, cap.skipped_lines, cap.counts,
               records.device_ids, records.directions, records.classes)
-    return tuple(map(bytes, columns)), frames, repr(values)
+    return tuple(map(_typed, columns)), frames, repr(values)
 
 
 def _spaced(line: str) -> str:
@@ -479,7 +489,7 @@ class TestCompactLines:
     def test_multi_block_capture_loads_as_its_json_reencoding(self, tmp_path):
         result = run_simulation(dataclasses.replace(load_scenario("lossy_0p3"), duration_s=60), tmp_path / "run")
         lines = result.capture_path.read_text().splitlines()[1:-1]
-        assert sum(map(len, lines)) > 4 * analyzer._BLOCK_CHARS
+        assert sum(map(len, lines)) > 4 * analyzer._BLOCK_BYTES
         cap, decoded = _differential(tmp_path, lines)
         assert decoded == 0
         assert len(cap.records) == len(lines)
@@ -670,3 +680,238 @@ def test_disjoint_sample_sets_agree(tmp_path):
     bound = 3.0 * sigma * math.sqrt(1 / evens.frames_counted + 1 / odds.frames_counted)
     gap = abs(evens.devices[0].avg_delay_ms - odds.devices[0].avg_delay_ms)
     assert gap <= bound
+
+
+# -- column cache ---------------------------------------------------------------
+
+
+def _cache_of(path):
+    return path.with_name(path.name + ".columns")
+
+
+def _no_parse():
+    raise AssertionError("parsed a capture whose column cache should have been read")
+
+
+def _cold(path) -> tuple:
+    """_state of a load with no cache beside the capture; the load leaves one."""
+    _cache_of(path).unlink(missing_ok=True)
+    state = _state(load_capture(path))
+    assert _cache_of(path).exists()
+    return state
+
+
+def _warm(path) -> tuple:
+    """_state of a load that must read the cache, not parse."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(analyzer, "_Parser", _no_parse)
+        return _state(load_capture(path))
+
+
+@pytest.mark.parametrize("name", ["lossless", "lossy_0p3", "paper_like", "outage"])
+def test_warm_load_equals_cold_load(name, tmp_path):
+    if name == "outage":
+        scenario = parse_scenario(OUTAGE)
+    else:
+        scenario = dataclasses.replace(load_scenario(name), duration_s=60)
+    path = run_simulation(scenario, tmp_path).capture_path
+    cold = _cold(path)
+    assert _warm(path) == cold
+
+
+def _skipped_lines_capture(path):
+    path, _ = oracle_logs.simple_delays(path)
+    lines = path.read_text().splitlines()
+    lines[2:2] = ["{not json", '{"direction":"UPLINK"}']
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _null_device_capture(path):
+    # as a live concentrator writes it, plus one record under an id
+    lines = [_compact(1000.25, None, 55, frames=[(1, 1000, 1000.25)]), _compact(2000.5, None, 0),
+             _compact(None, 3, 55, cls="RTO_RETX"), _compact(3000.5, 3, 55, frames=[(2, 2000, 3000.5)])]
+    return _write(path, lines)
+
+
+def _json_ids_capture(path):
+    # ids that need quoting or escaping, and header values JSON spells
+    # in its own way: NaN, Infinity, -0.0, a big int, a line separator
+    header = dict(oracle_logs._header(duration_s=2), nan=math.nan, inf=math.inf, zero=-0.0, big=2**70, text="Ü\u2028")
+    ids = ["a,b", 'say "x"', "Ü\u2028"]
+    records = [
+        oracle_logs._rec(110.5 + k, dev, 85, complete=oracle_logs._done(k, 100, 110.5 + k)) for k, dev in enumerate(ids)
+    ]
+    records.append(oracle_logs._rec(None, ids[0], 85, cls="RTO_RETX"))
+    return oracle_logs.write_log(path, header, records)
+
+
+def _number_ids_capture(path):
+    records = [oracle_logs._rec(110.5, dev, 85, complete=oracle_logs._done(1, 100, 110.5)) for dev in (2.5, 1, 1e300)]
+    return oracle_logs.write_log(path, oracle_logs._header(duration_s=1), records)
+
+
+@pytest.mark.parametrize(
+    "build", [_skipped_lines_capture, _null_device_capture, _json_ids_capture, _number_ids_capture],
+    ids=lambda build: build.__name__.strip("_"),
+)
+def test_warm_load_of_a_hand_built_capture_equals_cold_load(build, tmp_path):
+    path = build(tmp_path / "c.jsonl")
+    cold = _cold(path)
+    assert _warm(path) == cold
+
+
+def test_warm_load_still_warns_of_skipped_lines(tmp_path, caplog):
+    path = _skipped_lines_capture(tmp_path / "c.jsonl")
+    _cold(path)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="wamsbench.analyzer"):
+        _warm(path)
+    assert caplog.messages == [f"{path}: skipped 2 corrupt lines"]
+
+
+def _two_device_capture(path):
+    return _write(path, [_compact(1.5, 1, 55, frames=[(1, 0, 1.5)]), _compact(2.5, 2, 55, frames=[(1, 0, 2.5)])])
+
+
+def test_capture_edited_in_place_is_reparsed_and_recached(tmp_path):
+    path = _two_device_capture(tmp_path / "c.jsonl")
+    before = _cold(path)
+    cached = _cache_of(path).read_bytes()
+    stat = path.stat()
+    path.write_text(_replace(path.read_text(), '"wall_time":2.5', '"wall_time":3.5'))
+    # same size and modification time: only the digest tells
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+    after = _state(load_capture(path))
+    assert after != before
+    assert _cache_of(path).read_bytes() != cached
+    assert _warm(path) == after == _cold(path)
+
+
+def _edit_meta(edit, sign=True):
+    """A mangler that applies ``edit`` to a cache's JSON line and, with
+    ``sign``, ends the cache with the digest of its new contents, as a
+    writer of that JSON would have."""
+
+    def mangle(data: bytes) -> bytes:
+        line, rest = data.split(b"\n", 1)
+        meta = json.loads(line)
+        edit(meta)
+        head, body = json.dumps(meta).encode() + b"\n", rest[:-32]
+        return head + body + (hashlib.sha256(head + body).digest() if sign else rest[-32:])
+
+    return mangle
+
+
+def _flip_column_byte(data: bytes) -> bytes:
+    at = data.index(b"\n") + 9
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
+
+def _set_length(column: int, change: int):
+    def edit(meta):
+        meta["columns"][column][2] += change
+
+    return edit
+
+
+def _shift_lengths(meta):
+    # one frame_seq more, one arrival fewer: the same bytes, cut elsewhere
+    _set_length(6, 1)(meta)
+    _set_length(8, -1)(meta)
+
+
+def _grow_records(meta):
+    # far past the file: read without a size check, this asks for 8 TiB
+    for column in range(6):
+        _set_length(column, 2**40)(meta)
+
+
+BAD_CACHES = {
+    "empty": lambda data: b"",
+    "cut-in-its-json": lambda data: data[:20],
+    "cut-short": lambda data: data[:-1],
+    "trailing-bytes": lambda data: data + b"\0",
+    "garbage": lambda data: bytes(range(256)) * 64,
+    "not-json": lambda data: b"{not json\n" + data.split(b"\n", 1)[1],
+    "json-list": lambda data: b"[1, 2]\n" + data.split(b"\n", 1)[1],
+    "json-too-deep": lambda data: b"[" * 100_000 + b"\n",
+    "flipped-column-byte": _flip_column_byte,
+    "edited-header": _edit_meta(lambda meta: meta["header"].update(t_fdr_ms=1.0), sign=False),
+    # caches whose digest holds: only their layout tells
+    "other-version": _edit_meta(lambda meta: meta.update(version=analyzer.CACHE_VERSION + 1)),
+    "other-byte-order": _edit_meta(lambda meta: meta.update(byteorder={"little": "big"}.get(sys.byteorder, "little"))),
+    "other-typecode": _edit_meta(lambda meta: meta["columns"][0].__setitem__(0, "f")),
+    "other-itemsize": _edit_meta(lambda meta: meta["columns"][1].__setitem__(1, 8)),
+    "unequal-lengths": _edit_meta(_shift_lengths),
+    "lengths-past-the-file": _edit_meta(_grow_records),
+    "missing-key": _edit_meta(lambda meta: meta.pop("counts")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CACHES))
+def test_bad_cache_is_ignored_and_rewritten(case, tmp_path):
+    path = _two_device_capture(tmp_path / "c.jsonl")
+    state = _cold(path)
+    good = _cache_of(path).read_bytes()
+    bad = BAD_CACHES[case](good)
+    assert bad != good
+    _cache_of(path).write_bytes(bad)
+    assert _state(load_capture(path)) == state
+    assert _cache_of(path).read_bytes() == good
+
+
+def test_capture_without_trailer_leaves_no_cache(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text(f"{HEADER_LINE}\n{_compact(1.5, 1, 55, frames=[(1, 0, 1.5)])}\n")
+    assert load_capture(path).integrity is None
+    assert os.listdir(tmp_path) == ["c.jsonl"]
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0, reason="permissions do not bind root")
+def test_read_only_directory_loads_and_writes_nothing(tmp_path):
+    path = _two_device_capture(tmp_path / "c.jsonl")
+    state = _cold(path)
+    _cache_of(path).unlink()
+    tmp_path.chmod(0o555)
+    try:
+        assert _state(load_capture(path)) == state
+        assert os.listdir(tmp_path) == ["c.jsonl"]
+    finally:
+        tmp_path.chmod(0o755)
+
+
+def test_cache_that_cannot_be_written_leaves_no_temporary_file(tmp_path):
+    path = _two_device_capture(tmp_path / "c.jsonl")
+    state = _cold(path)
+    _cache_of(path).unlink()
+    _cache_of(path).mkdir()  # the rename onto it fails
+    assert _state(load_capture(path)) == state
+    assert sorted(os.listdir(tmp_path)) == ["c.jsonl", "c.jsonl.columns"]
+    assert _cache_of(path).is_dir()
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("name", ["lossy_0p3", "outage"])
+def test_golden_outputs_from_cold_and_warm_loads(name, warm, analyzer_captures, tmp_path, capsys, monkeypatch):
+    path, sample = analyzer_captures[name]
+    load_capture(path)  # leaves the cache
+    if warm:
+        monkeypatch.setattr(analyzer, "_Parser", _no_parse)
+
+    def run(argv):
+        if not warm:
+            _cache_of(path).unlink()
+        assert cli.main(argv) == 0
+
+    run(["analyze", str(path), "--out-dir", str(tmp_path)])
+    got = [test_golden._sha((tmp_path / file).read_bytes()) for file in test_golden.ANALYZE_FILES]
+    capsys.readouterr()
+    run(["report", str(path), "--sample-size", str(sample), "--sample-seed", test_golden.REPORT_SEED])
+    got.append(test_golden._sha(capsys.readouterr().out.encode()))
+    assert tuple(got) == test_golden.ANALYZER_GOLDEN[(name, None, None)]
+    if not warm:
+        _cache_of(path).unlink()
+    figures = test_golden.full_precision_figures(load_capture(path))
+    assert test_golden._sha(figures.encode()) == test_golden.FULL_PRECISION_GOLDEN[name]

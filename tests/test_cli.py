@@ -64,6 +64,9 @@ class TestSimulate:
     def test_unknown_bundled_name_is_a_usage_error(self, tmp_path):
         assert cli.main(["simulate", "no-such", str(tmp_path / "out")]) == 2
 
+    def test_summary_load_leaves_the_column_cache(self, mini_run):
+        assert (mini_run / "capture.jsonl.columns").exists()
+
 
 class TestAnalyze:
     def test_summary_matches_simulate_inline_byte_for_byte(self, mini_run, tmp_path):
@@ -122,6 +125,36 @@ class TestAnalyze:
 
     def test_missing_file_is_a_runtime_error(self, tmp_path):
         assert cli.main(["analyze", str(tmp_path / "gone.jsonl")]) == 1
+
+    @pytest.mark.parametrize("window", ["inf", "nan", "0"])
+    def test_window_that_is_not_finite_and_positive_is_a_usage_error(self, mini_run, tmp_path, capsys, window):
+        out = tmp_path / "an"
+        code = cli.main(["analyze", str(mini_run / "capture.jsonl"), "--out-dir", str(out), "--window", window])
+        assert code == 2
+        assert "window_s must be finite and positive" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    def test_sample_size_below_one_is_a_usage_error(self, mini_run, tmp_path, capsys, command, size):
+        argv = [command, str(mini_run / "capture.jsonl"), "--sample-size", size]
+        if command == "analyze":
+            argv += ["--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 2
+        assert f"--sample-size must be at least 1, got {size}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
+    @pytest.mark.parametrize("option", ["--t-fdr-ms", "--t-dcs-ms"])
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    def test_processing_time_must_be_finite(self, mini_run, tmp_path, capsys, command, option, value):
+        argv = [command, str(mini_run / "capture.jsonl"), f"{option}={value}"]
+        if command == "analyze":
+            argv += ["--out-dir", str(tmp_path / "an")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"not a finite number: {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "an").exists()
 
 
 class TestReport:
@@ -274,6 +307,21 @@ class TestEmulate:
         captured = capsys.readouterr()
         assert "generated 0 frames, sent 0" in captured.out
         assert "connect" in captured.err
+
+    def test_ctrl_c_prints_what_was_sent_and_exits_130(self, capsys, monkeypatch):
+        def interrupted(emulators):
+            for k, emu in enumerate(emulators):
+                emu.frames_generated, emu.frames_sent = 10 + k, 9 + k
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "emulate", interrupted)
+        assert cli.main(["emulate", "--port", "9", "--devices", "2", "--first-device", "4"]) == 130
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "device 4: generated 10 frames, sent 9",
+            "device 5: generated 11 frames, sent 10",
+        ]
+        assert captured.err == ""
 
 
     def test_devices_share_one_thread(self, tmp_path, monkeypatch):

@@ -1,13 +1,15 @@
 """Peak RSS of the simulator and of the analyzer against capture size.
 
 Runs the bundled ``lossy_0p3`` scenario cut to 1000 s and to 4000 s and
-records ``ru_maxrss`` of two fresh child processes per duration:
+records ``ru_maxrss`` of three fresh child processes per duration:
 
-  simulate   ``run_simulation`` alone, which writes the capture
-  analyze    ``wamsbench analyze`` on that capture
+  simulate         ``run_simulation`` alone, which writes the capture
+  analyze          ``wamsbench analyze`` on that capture, which parses it
+                   and leaves its column cache (``capture.jsonl.columns``)
+  analyze, cached  ``wamsbench analyze`` again, which reads the cache
 
-then prints each process's peak and the slope between the two
-durations, per capture record and per frame.  A fixed cost
+then prints each process's peak, the cache size, and the slope between
+the two durations, per capture record and per frame.  A fixed cost
 (interpreter, imports, buffers) cancels out of the slope; what is left
 is what the program keeps per record or per frame.
 
@@ -30,6 +32,7 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DURATIONS_S = (1000, 4000)
+STEPS = ("simulate", "analyze", "analyze, cached")
 
 # what a child runs: argv[1] is the checkout root, argv[2] a JSON spec;
 # the last line of its stdout is a JSON object with ru_maxrss in KiB
@@ -67,18 +70,24 @@ def run_child(root: str, step: str, duration_s: int, work: str) -> dict:
 
 
 def measure(root: str, work: str) -> list:
-    """One row per duration: records, frames and each step's peak RSS in bytes."""
+    """One row per duration: records, frames, each step's peak RSS and
+    the cache size, in bytes."""
     rows = []
     for duration in DURATIONS_S:
         sim = run_child(root, "simulate", duration, work)
-        analyze = run_child(root, "analyze", duration, work)
+        cold = run_child(root, "analyze", duration, work)
+        warm = run_child(root, "analyze", duration, work)
+        cache = os.path.join(work, f"d{duration}", "capture.jsonl.columns")
         rows.append(
             {
                 "duration_s": duration,
                 "records": sim["records"],
                 "frames": sim["frames"],
                 "simulate": sim["maxrss_kib"] * 1024,
-                "analyze": analyze["maxrss_kib"] * 1024,
+                "analyze": cold["maxrss_kib"] * 1024,
+                "analyze, cached": warm["maxrss_kib"] * 1024,
+                # a checkout without the cache leaves none
+                "cache": os.path.getsize(cache) if os.path.exists(cache) else 0,
             }
         )
         shutil.rmtree(os.path.join(work, f"d{duration}"))
@@ -87,19 +96,20 @@ def measure(root: str, work: str) -> list:
 
 def report(rows: list) -> str:
     lines = [
-        "| duration_s | records | frames | simulate peak MB | analyze peak MB |",
-        "| ---: | ---: | ---: | ---: | ---: |",
+        "| duration_s | records | frames | simulate peak MB | analyze peak MB "
+        "| analyze, cached peak MB | cache MB |",
+        "| ---: | ---: | ---: | ---: | ---: | ---: | ---: |",
     ]
     for r in rows:
+        peaks = " | ".join(f"{r[step] / 2**20:.1f}" for step in STEPS)
         lines.append(
-            f"| {r['duration_s']} | {r['records']} | {r['frames']} "
-            f"| {r['simulate'] / 2**20:.1f} | {r['analyze'] / 2**20:.1f} |"
+            f"| {r['duration_s']} | {r['records']} | {r['frames']} | {peaks} | {r['cache'] / 2**20:.1f} |"
         )
     first, last = rows[0], rows[-1]
     d_records = last["records"] - first["records"]
     d_frames = last["frames"] - first["frames"]
     lines += ["", "| step | B per record | B per frame |", "| --- | ---: | ---: |"]
-    for step in ("simulate", "analyze"):
+    for step in (*STEPS, "cache"):
         d_rss = last[step] - first[step]
         lines.append(f"| {step} | {d_rss / d_records:.1f} | {d_rss / d_frames:.1f} |")
     return "\n".join(lines)
