@@ -50,14 +50,13 @@ import json
 import logging
 import math
 import os
-import re
 import statistics
 import sys
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import compress, groupby, islice, repeat
-from operator import itemgetter, le, ne
+from itertools import islice, repeat
+from operator import le
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -89,10 +88,9 @@ class _Codes(dict):
     hold it; the values in code order are list(self).
 
     ``rows`` is the column appended last for each kept line, so its
-    length is the number of the line being parsed, or of the first line
-    of a run appended in bulk.  Each code remembers that number, so
-    forget(line) can drop the code a line handed out before it was
-    rolled back.
+    length is the number of the line being parsed.  Each code remembers
+    that number, so forget(line) can drop the code a line handed out
+    before it was rolled back.
     """
 
     def __init__(self, name: str, column: array, rows: array):
@@ -318,11 +316,7 @@ def load_capture(path) -> Capture:
     or retransmission classes raises CaptureError.
 
     The file is read in blocks of whole lines, as UTF-8 text with
-    universal newlines.  Record lines in the compact form the capture
-    writers produce are matched by one pattern and appended to the
-    columns a run at a time; every other line, the header and the
-    trailer included, is decoded as JSON on its own.  Either way a line
-    gives the same values, in file order.
+    universal newlines, and each line is decoded as JSON on its own.
 
     The columns of a capture with a trailer are cached beside it, at
     ``<capture>.columns``, keyed by the SHA-256 of the capture's bytes.
@@ -359,62 +353,6 @@ def load_capture(path) -> Capture:
 
 _BLOCK_BYTES = 1 << 16
 
-# A record line exactly as dcs.capture_line and
-# dumps(CaptureRecord(...).to_json()) write it: fixed key order, no
-# spaces, strings without escapes or control characters, and number
-# tokens bounded so that converting them cannot fail.  An int has at
-# most 18 digits, so it fits 'q', and is never "-0" (json reads the int
-# 0, float() would read -0.0); a float has a fraction, no exponent and
-# at most 301 integer digits, so it is finite.  Every line the pattern
-# matches is therefore valid JSON, and its groups convert to the values
-# json decodes.
-_INT = r"(?:0|-?[1-9][0-9]{0,17})"
-_NUM = r"(?:-?(?:0|[1-9][0-9]{0,300})\.[0-9]+|%s)" % _INT
-_STR = r'"([^"\\\x00-\x1f]*)"'
-
-
-def _entry_pattern(group: str) -> str:
-    """A frame_complete entry; ``group`` is "" to capture its three
-    numbers, "?:" not to."""
-    return r'\{"frame_seq":(%s%s),"frame_timestamp":(%s%s),"arrival_time_of_last_byte":(%s%s)\}' % (
-        group, _INT, group, _INT, group, _NUM,
-    )
-
-
-# Patterns are compiled by the first load in a process (re caches them),
-# not at import: every CLI command imports this module.
-_ENTRY = _entry_pattern("")
-# One line of a block: a compact record line, with wall_time, device_id,
-# direction, payload_bytes, header_bytes, retransmission_class and the
-# frame_complete text in groups 1-7, or any other line, whole, in group 8.
-_LINE = (
-    r'(?m)^(?:\{"wall_time":(null|%s),"device_id":(null|%s),"direction":%s,"seq_range":\[%s,%s\],'
-    r'"payload_bytes":(%s),"header_bytes":(%s),"retransmission_class":%s,'
-    r'"frame_complete":(null|\[%s(?:,%s)*\])\}\n|(.*\n|.+))'
-    % (_NUM, _INT, _STR, _INT, _INT, _INT, _INT, _STR, _entry_pattern("?:"), _entry_pattern("?:"))
-)
-
-
-def _is_compact(row: tuple) -> bool:
-    return not row[7]
-
-
-class _DeviceTexts(dict):
-    """device_id text of a compact record line -> its code in ``codes``.
-
-    A code stays valid here: only the line that handed a code out can
-    give it back, and a line that hands one out through this map is kept.
-    """
-
-    def __init__(self, codes: _Codes):
-        super().__init__()
-        self.codes = codes
-
-    def __missing__(self, text):
-        code = self[text] = self.codes[None if text == "null" else int(text)]
-        return code
-
-
 class _Parser:
     """The state of one load_capture pass."""
 
@@ -429,64 +367,20 @@ class _Parser:
             _Codes("direction", self.directions, self.walls),
             _Codes("retransmission_class", self.classes, self.walls),
         )
-        self.device_texts = _DeviceTexts(self.codes[0])
-        self.line_pattern, self.entry_pattern = re.compile(_LINE), re.compile(_ENTRY)
         # device code -> (frame_seq, frame_timestamp, arrival)
         self.frame_columns = defaultdict(lambda: (array("q"), array("q"), array("d")))
 
     def feed(self, block: str) -> None:
-        """Parse a block of whole lines."""
-        rows = self.line_pattern.findall(block)
-        if not any(map(itemgetter(7), rows)):
-            self._records([*zip(*rows)])
-            return
-        # each maximal run of compact record lines, and of other lines,
-        # in file order
-        for compact, run in groupby(rows, _is_compact):
-            if compact:
-                self._records([*zip(*run)])
-            else:
-                self._lines(map(itemgetter(7), run))
-
-    def _records(self, columns) -> None:
-        """Append a run of compact record lines, given as the columns of
-        their _LINE groups."""
-        walls, device_ids, directions, payloads, headers, classes, completes, _ = columns
-        _, direction_codes, class_codes = self.codes
-        devices = array("I", map(self.device_texts.__getitem__, device_ids))
-        self.devices.extend(devices)
-        self.directions.extend(map(direction_codes.__getitem__, directions))
-        self.classes.extend(map(class_codes.__getitem__, classes))
-        self.payloads.extend(map(int, payloads))
-        self.headers.extend(map(int, headers))
-        # one findall per device over the run's frame_complete texts;
-        # the stable sort keeps each device's lines in file order
-        with_frames = compress(zip(devices, completes), map(ne, completes, repeat("null")))
-        for dev, lines in groupby(sorted(with_frames, key=itemgetter(0)), itemgetter(0)):
-            seqs, stamps, arrivals = zip(*self.entry_pattern.findall("".join(map(itemgetter(1), lines))))
-            frame_seqs, frame_stamps, frame_arrivals = self.frame_columns[dev]
-            frame_seqs.extend(map(int, seqs))
-            frame_stamps.extend(map(int, stamps))
-            frame_arrivals.extend(map(float, arrivals))
-        # the wall column last, as in _lines, so that a code handed out
-        # above remembers a line number below every later line's
-        dropped = walls.count("null")
-        if dropped:
-            nan = math.nan
-            self.walls.extend([nan if wall == "null" else float(wall) for wall in walls])
-            self.dropped += dropped
-        else:
-            self.walls.extend(map(float, walls))
-
-    def _lines(self, lines) -> None:
-        """Parse lines one at a time as JSON: the header, the trailer,
-        and record lines in any other form."""
+        """Parse a block of whole lines, one at a time as JSON: the
+        header, the trailer and the record lines."""
         nan = math.nan
         walls, frame_columns = self.walls, self.frame_columns
         add_wall, add_payload, add_header = walls.append, self.payloads.append, self.headers.append
         add_device, add_direction, add_class = self.devices.append, self.directions.append, self.classes.append
         device_codes, direction_codes, class_codes = self.codes
-        for line in lines:
+        # "\n" only: str.splitlines() would also split at characters
+        # such as U+2028 that JSON allows raw inside a string
+        for line in block.split("\n"):
             line = line.strip()
             if not line:
                 continue

@@ -134,7 +134,10 @@ def cmd_report(args) -> int:
 def _read_presample(path: str) -> list:
     values = []
     for token in Path(path).read_text().split():
-        values.append(float(token))
+        try:
+            values.append(_finite_float(token))
+        except argparse.ArgumentTypeError as err:
+            raise ValueError(f"presample file {path}: {err}") from None
     if not values:
         raise ValueError(f"presample file {path} holds no values")
     return values
@@ -192,6 +195,8 @@ def cmd_serve(args) -> int:
 
 
 def cmd_emulate(args) -> int:
+    if args.devices < 1:
+        raise ValueError(f"--devices must be at least 1, got {args.devices}")
     emulators = [
         LiveEmulator(
             FdrConfig(
@@ -284,14 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_report)
 
     p = sub.add_parser("samplesize", help="minimum sample size for a target error bound")
-    p.add_argument("--s", type=float, action="append", help="pre-sample standard deviation (repeatable)")
+    p.add_argument("--s", type=_finite_float, action="append", help="pre-sample standard deviation (repeatable)")
     p.add_argument(
         "--presample-file",
         action="append",
         help="file of measured values; S is computed from it (repeatable)",
     )
     p.add_argument("--confidence", type=float, default=0.95, help="confidence level (default 0.95)")
-    p.add_argument("--e", type=float, default=0.02, help="acceptable sampling error (default 0.02)")
+    p.add_argument("--e", type=_finite_float, default=0.02, help="acceptable sampling error (default 0.02)")
     p.add_argument("--population", type=int, default=86400, help="population size (default 86400)")
     p.set_defaults(handler=cmd_samplesize)
 

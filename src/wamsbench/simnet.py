@@ -18,7 +18,6 @@ from math import exp, log
 from typing import Callable, Optional
 
 US_PER_MS = 1000
-US_PER_S = 1_000_000
 
 
 class SchedulingError(Exception):

@@ -79,10 +79,6 @@ class Segment(NamedTuple):
     def wire_bytes(self) -> int:
         return HEADER_BYTES + len(self.payload)
 
-    def describe(self) -> str:
-        names = "+".join(sorted(self.flags)) or "-"
-        return f"{names} seq={self.seq} ack={self.ack} len={len(self.payload)}"
-
 
 # Segment(...) runs namedtuple's Python-level __new__; the segments sent
 # for every frame are built from a full field tuple at half the cost

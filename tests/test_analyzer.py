@@ -265,8 +265,8 @@ def _state(cap) -> tuple:
 
 
 def _spaced(line: str) -> str:
-    """``line`` re-encoded by json with its default spacing, which the
-    compact pattern never matches; a line json rejects stays as it is."""
+    """``line`` re-encoded by json with its default spacing; a line json
+    rejects stays as it is."""
     try:
         return json.dumps(json.loads(line))
     except ValueError:
@@ -311,16 +311,13 @@ def _outcome(path) -> tuple:
     return _state(cap), cap
 
 
-def _differential(tmp_path, lines) -> tuple:
+def _differential(tmp_path, lines):
     """Load ``lines`` as they are and re-encoded by json: the two loads
-    must agree.  Returns the first capture and how many of its lines
-    other than the header and the trailer were decoded as JSON."""
+    must agree.  Returns the first capture, None when its load raised."""
     spaced, _ = _outcome(_write(tmp_path / "spaced.jsonl", [_spaced(line) for line in lines]))
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        decode = _CountingDecode(monkeypatch)
-        as_is, cap = _outcome(_write(tmp_path / "as_is.jsonl", lines))
+    as_is, cap = _outcome(_write(tmp_path / "as_is.jsonl", lines))
     assert as_is == spaced
-    return cap, decode.calls - 2
+    return cap
 
 
 def _replace(line: str, old: str, new: str) -> str:
@@ -329,44 +326,46 @@ def _replace(line: str, old: str, new: str) -> str:
 
 
 BASE = _compact(1250.5, 3, 55, frames=[(4, 1200, 1250.5)])
-# (case, line, whether it is in the compact form)
+# (case, line, whether it loads as a record)
 DIFFERENTIAL_CASES = [
     ("canonical", BASE, True),
-    ("minus-zero-int-wall", _replace(BASE, "1250.5,", "-0,"), False),
+    ("minus-zero-int-wall", _replace(BASE, "1250.5,", "-0,"), True),
     ("minus-zero-float-wall", _replace(BASE, "1250.5,", "-0.0,"), True),
     ("minus-zero-arrival", _replace(BASE, ":1250.5}", ":-0.0}"), True),
     ("int-wall", _replace(BASE, "1250.5,", "1250,"), True),
     ("18-digit-int", _replace(BASE, ':55,', ':999999999999999999,'), True),
-    ("19-digit-int", _replace(BASE, ':55,', ':1000000000000000000,'), False),
+    ("19-digit-int", _replace(BASE, ':55,', ':1000000000000000000,'), True),
     ("20-digit-int", _replace(BASE, ':55,', ':10000000000000000000,'), False),
     ("2**63", _replace(BASE, ':55,', f':{2**63},'), False),
-    ("2**63-1", _replace(BASE, ':55,', f':{2**63 - 1},'), False),
+    ("2**63-1", _replace(BASE, ':55,', f':{2**63 - 1},'), True),
     ("18-digit-int-wall", _replace(BASE, "1250.5,", "123456789012345678,"), True),
-    ("19-digit-int-wall", _replace(BASE, "1250.5,", "1234567890123456789,"), False),
+    ("19-digit-int-wall", _replace(BASE, "1250.5,", "1234567890123456789,"), True),
     ("301-digit-float", _replace(BASE, "1250.5,", "9" * 301 + ".5,"), True),
-    ("302-digit-float", _replace(BASE, "1250.5,", "9" * 302 + ".5,"), False),
+    ("302-digit-float", _replace(BASE, "1250.5,", "9" * 302 + ".5,"), True),
     ("400-digit-float", _replace(BASE, "1250.5,", "1" * 400 + ".5,"), False),
     ("long-fraction", _replace(BASE, "1250.5,", "0." + "0" * 400 + "1,"), True),
-    ("exponent-1e5", _replace(BASE, "1250.5,", "1e5,"), False),
-    ("exponent-1.0E+2", _replace(BASE, ":1250.5}", ":1.0E+2}"), False),
+    ("exponent-1e5", _replace(BASE, "1250.5,", "1e5,"), True),
+    ("exponent-1.0E+2", _replace(BASE, ":1250.5}", ":1.0E+2}"), True),
     ("NaN-wall", _replace(BASE, "1250.5,", "NaN,"), False),
-    ("Infinity-arrival", _replace(BASE, ":1250.5}", ":Infinity}"), False),
+    ("Infinity-arrival", _replace(BASE, ":1250.5}", ":Infinity}"), True),
     ("float-payload", _replace(BASE, ':55,', ':55.0,'), False),
-    ("empty-frame-list", _replace(BASE, '[{"frame_seq":4,"frame_timestamp":1200,"arrival_time_of_last_byte":1250.5}]', "[]"), False),
+    ("empty-frame-list", _replace(BASE, '[{"frame_seq":4,"frame_timestamp":1200,"arrival_time_of_last_byte":1250.5}]', "[]"), True),
     ("two-entries", _compact(1250.5, 3, 110, frames=[(4, 1200, 1250.5), (5, 1300, 1250.5)]), True),
     ("null-wall", _compact(None, 3, 55, cls="RTO_RETX"), True),
     ("null-device", dcs.dumps(dcs.CaptureRecord(1250.5, None, "UPLINK", (0, 55), 55, 0, "FIRST", None).to_json()), True),
-    ("escaped-direction", _replace(BASE, '"UPLINK"', '"UP\\u004cINK"'), False),
-    ("escaped-quote", _replace(BASE, '"UPLINK"', '"UP\\"LINK"'), False),
+    ("escaped-direction", _replace(BASE, '"UPLINK"', '"UP\\u004cINK"'), True),
+    ("escaped-quote", _replace(BASE, '"UPLINK"', '"UP\\"LINK"'), True),
     ("non-ascii-direction", _replace(BASE, '"UPLINK"', '"ÜPLINK "'), True),
+    # a raw U+2028 and U+0085, at which str.splitlines() splits too
+    ("raw-separators-in-direction", _replace(BASE, '"UPLINK"', '"UP\u2028LI\x85NK"'), True),
     ("missing-header-bytes", _replace(BASE, '"header_bytes":40,', ""), False),
-    ("missing-seq-range", _replace(BASE, '"seq_range":[0,55],', ""), False),
-    ("extra-key", _replace(BASE, "{", '{"note":"x",'), False),
-    ("reordered-keys", json.dumps(dict(reversed(json.loads(BASE).items())), separators=(",", ":")), False),
-    ("duplicate-key", _replace(BASE, "{", '{"payload_bytes":7,'), False),
-    ("padded", "  \t" + BASE + " ", False),
+    ("missing-seq-range", _replace(BASE, '"seq_range":[0,55],', ""), True),
+    ("extra-key", _replace(BASE, "{", '{"note":"x",'), True),
+    ("reordered-keys", json.dumps(dict(reversed(json.loads(BASE).items())), separators=(",", ":")), True),
+    ("duplicate-key", _replace(BASE, "{", '{"payload_bytes":7,'), True),
+    ("padded", "  \t" + BASE + " ", True),
     ("unhashable-device", _replace(BASE, '"device_id":3', '"device_id":[3]'), False),
-    ("bool-device", _replace(BASE, '"device_id":3', '"device_id":true'), False),
+    ("bool-device", _replace(BASE, '"device_id":3', '"device_id":true'), True),
     ("string-timestamp", _replace(BASE, '"frame_timestamp":1200', '"frame_timestamp":"1200"'), False),
 ]
 NOT_JSON = [
@@ -383,27 +382,25 @@ NOT_JSON = [
 
 
 class TestCompactLines:
-    """The loader's compact-line pattern against its JSON path: any line
-    json accepts loads exactly as its re-encoding with json's default
-    spacing, which the pattern never matches."""
+    """Record lines as the capture writers write them, and edge cases of
+    them: any line json accepts loads exactly as its re-encoding with
+    json's default spacing."""
 
-    @pytest.mark.parametrize("case,line,compact", DIFFERENTIAL_CASES, ids=[c[0] for c in DIFFERENTIAL_CASES])
-    def test_line_loads_as_its_json_reencoding(self, case, line, compact, tmp_path):
-        # the line sits between two runs of compact lines, the first of
+    @pytest.mark.parametrize("case,line,kept", DIFFERENTIAL_CASES, ids=[c[0] for c in DIFFERENTIAL_CASES])
+    def test_line_loads_as_its_json_reencoding(self, case, line, kept, tmp_path):
+        # the line sits between two pairs of compact lines, the first of
         # which hands out new device, direction and class codes
         before = [_compact(1.5, 1, 55, frames=[(1, 0, 1.5)]), _compact(2.5, 2, 0, direction="ACK", cls="FAST_RETX")]
         after = [_compact(3.5, 8, 55, frames=[(2, 1000, 3.5)]), _compact(None, 1, 55)]
         json.loads(line)  # every case is valid JSON
-        cap, decoded = _differential(tmp_path, [*before, line, *after])
-        assert decoded == (0 if compact else 1)
-        if compact:
-            assert cap.skipped_lines == 0
+        cap = _differential(tmp_path, [*before, line, *after])
+        assert cap.skipped_lines == (0 if kept else 1)
+        assert len(cap.records) == 4 + kept
 
     @pytest.mark.parametrize("line", NOT_JSON)
     def test_line_that_is_not_a_record_is_skipped_and_counted(self, line, tmp_path):
         lines = [_compact(1.5, 1, 55, frames=[(1, 0, 1.5)]), line, _compact(2.5, 2, 55)]
-        cap, decoded = _differential(tmp_path, lines)
-        assert decoded == 1
+        cap = _differential(tmp_path, lines)
         assert cap.skipped_lines == 1
         assert cap.records.device_ids == [1, 2]
 
@@ -411,8 +408,7 @@ class TestCompactLines:
         bad = _compact(9.5, 77, 85, direction="SIDEWAYS", cls="ODD", frames=[(1, 2, 9.5)])
         lines = [_compact(1.5, 1, 55, direction="NEW", cls="C1"), bad.replace('"frame_seq":1', '"frame_seq":1.5'),
                  _compact(2.5, 5, 55, direction="NEXT", cls="C2", frames=[(3, 0, 2.5)])]
-        cap, decoded = _differential(tmp_path, lines)
-        assert decoded == 1
+        cap = _differential(tmp_path, lines)
         assert cap.skipped_lines == 1
         assert cap.records.device_ids == [1, 5]
         assert cap.records.directions == ["NEW", "NEXT"]
@@ -421,12 +417,11 @@ class TestCompactLines:
 
     def test_null_device_frames_sort_before_int_ones(self, tmp_path):
         lines = [_compact(1.5, 3, 55, frames=[(1, 0, 1.5)]), _compact(2.5, None, 55, frames=[(7, 100, 2.5)])]
-        cap, decoded = _differential(tmp_path, lines)
-        assert decoded == 0
+        cap = _differential(tmp_path, lines)
         assert cap.frames == [(None, 7, 100, 2.5), (3, 1, 0, 1.5)]
 
     def test_device_ids_that_do_not_sort_together_are_a_capture_error(self, tmp_path, capsys):
-        cap, _ = _differential(tmp_path, [BASE, _replace(BASE, '"device_id":3', '"device_id":"x"')])
+        cap = _differential(tmp_path, [BASE, _replace(BASE, '"device_id":3', '"device_id":"x"')])
         assert cap is None
         with pytest.raises(CaptureError, match="do not sort together"):
             load_capture(tmp_path / "as_is.jsonl")
@@ -440,7 +435,7 @@ class TestCompactLines:
             decode = _CountingDecode(monkeypatch)
             crlf = load_capture(_write(tmp_path / "crlf.jsonl", lines, end="\r\n"))
         assert _state(crlf) == _state(plain)
-        assert decode.calls == 2  # blank lines never reach json
+        assert decode.calls == 4  # blank lines never reach json
         assert crlf.skipped_lines == 0
 
     def test_last_line_without_newline(self, tmp_path):
@@ -490,24 +485,19 @@ class TestCompactLines:
         result = run_simulation(dataclasses.replace(load_scenario("lossy_0p3"), duration_s=60), tmp_path / "run")
         lines = result.capture_path.read_text().splitlines()[1:-1]
         assert sum(map(len, lines)) > 4 * analyzer._BLOCK_BYTES
-        cap, decoded = _differential(tmp_path, lines)
-        assert decoded == 0
+        cap = _differential(tmp_path, lines)
         assert len(cap.records) == len(lines)
 
 
-# the writer's compact line must reach the pattern: each of these
-# captures decodes only its header and trailer as JSON (OUTAGE: a
-# concentrator outage, RSTs and redials)
+# OUTAGE: a concentrator outage, RSTs and redials
 @pytest.mark.parametrize("name", ["lossless", "lossy_0p3", "outage", "paper_like"])
-def test_simulated_capture_takes_the_compact_path(name, tmp_path, monkeypatch):
+def test_simulated_capture_loads_every_line(name, tmp_path):
     if name == "outage":
         scenario = parse_scenario(OUTAGE)
     else:
         scenario = dataclasses.replace(load_scenario(name), duration_s=60)
     result = run_simulation(scenario, tmp_path)
-    decode = _CountingDecode(monkeypatch)
     cap = load_capture(result.capture_path)
-    assert decode.calls == 2
     assert cap.skipped_lines == 0
     assert cap.integrity_problems() == []
     if name in ("lossy_0p3", "paper_like"):
@@ -518,7 +508,7 @@ def test_simulated_capture_takes_the_compact_path(name, tmp_path, monkeypatch):
         assert "},{" in result.capture_path.read_text()
 
 
-def test_live_capture_takes_the_compact_path(tmp_path, monkeypatch):
+def test_live_capture_loads_its_records_and_frames(tmp_path):
     # as the live concentrator writes it: no device id, no header bytes
     def record(wall, start, rows):
         complete = [dcs.frame_complete_entry(row) for row in rows] or None
@@ -535,9 +525,7 @@ def test_live_capture_takes_the_compact_path(tmp_path, monkeypatch):
     ]
     path = tmp_path / "live.jsonl"
     path.write_text("".join(dcs.dumps(line) + "\n" for line in lines))
-    decode = _CountingDecode(monkeypatch)
     cap = load_capture(path)
-    assert decode.calls == 2
     assert cap.records == [(1000.25, None, "UPLINK", 55, 0, "FIRST"), (2000.5, None, "UPLINK", 0, 0, "FIRST"),
                            (3000.25, None, "UPLINK", 110, 0, "FIRST")]
     assert cap.frames == [(None, 1, 1000, 1000.25), (None, 2, 2000, 2000.25), (None, 3, 3000, 3000.25)]

@@ -272,6 +272,26 @@ class TestSampleSize:
     def test_untabulated_confidence_is_a_usage_error(self):
         assert cli.main(["samplesize", "--s", "1.0", "--confidence", "0.80"]) == 2
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "x"])
+    def test_presample_value_that_is_not_a_finite_number_is_a_usage_error(self, tmp_path, capsys, token):
+        data = tmp_path / "pre.txt"
+        data.write_text(f"1.0\n{token}\n3.0\n")
+        assert cli.main(["samplesize", "--presample-file", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert f"presample file {data}: not a finite number: {token!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("option", ["--s", "--e"])
+    def test_s_and_e_must_be_finite(self, capsys, option, value):
+        argv = ["samplesize", "--s", "1.0", f"{option}={value}"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"not a finite number: {value!r}" in captured.err
+        assert captured.out == ""
+
 
 class TestArgparse:
     def test_no_subcommand_exits_2(self):
@@ -323,6 +343,16 @@ class TestEmulate:
         ]
         assert captured.err == ""
 
+    @pytest.mark.parametrize("devices", ["0", "-3"])
+    def test_devices_below_one_is_a_usage_error(self, capsys, monkeypatch, devices):
+        def no_emulate(emulators):
+            raise AssertionError("emulate started")
+
+        monkeypatch.setattr(cli, "emulate", no_emulate)
+        assert cli.main(["emulate", "--port", "9", "--devices", devices]) == 2
+        captured = capsys.readouterr()
+        assert f"--devices must be at least 1, got {devices}" in captured.err
+        assert captured.out == ""
 
     def test_devices_share_one_thread(self, tmp_path, monkeypatch):
         server = LiveDcsServer(out_dir=tmp_path)

@@ -97,7 +97,8 @@ def test_exponential_jitter_logs_match_golden_bytes(tmp_path):
 # -- analyzer outputs ---------------------------------------------------------
 #
 # SHA-256 of what `analyze` writes and `report` prints, taken from the
-# build before the capture loader was made one-pass and compact.  The
+# build whose loader kept each record line as a decoded dict, before the
+# loader moved to tuples, then typed columns and a column cache.  The
 # printed figures are rounded to 3-4 decimals, far above the last-bit
 # drift a change of summation order makes, so FULL_PRECISION_GOLDEN also
 # pins the unrounded figures: throughput windows add up in file order,
