@@ -30,11 +30,16 @@ Integrity: the loader counts records, uplink, ack and dropped copies as
 it parses, and Capture.integrity_problems() compares them with the
 trailer the writer appended; a capture without a trailer was cut short.
 
-Column cache: load_capture keeps the columns of a finished capture in
-``<capture>.columns`` beside it, keyed by the SHA-256 of the capture's
-bytes, so a capture is parsed once however often it is analyzed.  The
-cache only saves time: a load whose digest does not match parses the
-file, and deleting the cache is always safe.
+Slot table: every summary figure is a fold over 1-second slots, so a
+parse ends by folding the columns into a SlotTable, per device and
+slot, and summaries of any set of slots read that table alone.
+
+Column cache: load_capture keeps the slot table and the columns of a
+finished capture in ``<capture>.columns`` beside it, keyed by the
+SHA-256 of the capture's bytes, so a capture is parsed once however
+often it is analyzed, and a summary reads no column.  The cache only
+saves time: a load whose digest does not match parses the file, and
+deleting the cache is always safe.
 
 Reporting slots: the sampling workflow treats the run as one population
 slot per configured second.  A frame belongs to the slot its timestamp
@@ -54,9 +59,10 @@ import statistics
 import sys
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from itertools import islice, repeat
-from operator import le
+from dataclasses import dataclass, replace
+from functools import partial
+from itertools import accumulate, chain, count, groupby, islice, repeat
+from operator import itemgetter, le
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -199,7 +205,6 @@ class Frames(_Columns):
             yield from zip(repeat(dev), seqs, stamps, arrivals)
 
 
-@dataclass(frozen=True)
 class Capture:
     """A parsed capture log, kept in typed columns.
 
@@ -207,14 +212,30 @@ class Capture:
     frames    Frames: one row per frame_complete entry, sorted by
               (device_id, frame_seq)
     counts    what the parse found, under the TRAILER_KEYS names
+
+    A Capture read from the column cache holds its header, counts and
+    SlotTable, and reads records and frames from the cache when either
+    is first used.
     """
 
-    header: dict
-    records: Records
-    frames: Frames
-    integrity: Optional[dict]
-    skipped_lines: int
-    counts: dict
+    def __init__(self, header, integrity, skipped_lines, counts, columns, table=None):
+        self.header, self.integrity = header, integrity
+        self.skipped_lines, self.counts = skipped_lines, counts
+        self._columns = columns  # (Records, Frames), or a function returning them
+        self._table = table  # the SlotTable at the header's t_fdr_ms, once built
+
+    @property
+    def records(self) -> Records:
+        return self._loaded_columns()[0]
+
+    @property
+    def frames(self) -> Frames:
+        return self._loaded_columns()[1]
+
+    def _loaded_columns(self) -> tuple:
+        if callable(self._columns):
+            self._columns = self._columns()
+        return self._columns
 
     @property
     def epoch_utc_ms(self) -> int:
@@ -242,6 +263,8 @@ class Capture:
         The configured duration wins; a live capture without one gets
         the smallest slot count covering every frame and arrival.
         """
+        if self._table is not None:
+            return self._table.population
         duration = self.header.get("duration_s")
         if duration:
             return int(duration)
@@ -255,6 +278,21 @@ class Capture:
         last_wall = max((wall for wall in self.records.wall_time if wall == wall), default=None)
         last_arrival = 0 if last_wall is None else int((last_wall - epoch) // 1000) + 1
         return max(last_frame, last_arrival)
+
+    def slot_table(self, t_fdr_ms: Optional[float] = None) -> "SlotTable":
+        """The SlotTable of this capture at ``t_fdr_ms`` (default: the
+        header's).  The header's table is built once, by the parse or
+        from the column cache, and kept; another t_fdr_ms folds the frame
+        columns again, since it moves every delay by a rounding no table
+        can undo."""
+        own = self.t_fdr_ms
+        if t_fdr_ms is None or (t_fdr_ms.__class__ is own.__class__ and t_fdr_ms == own):
+            if self._table is None:
+                self._table = _build_table(self, own)
+            return self._table
+        if self._table is None:
+            return _build_table(self, t_fdr_ms)
+        return replace(self._table, **_fold_delays(self, self._table.population, t_fdr_ms))
 
     def integrity_problems(self) -> list:
         """Why the trailer does not vouch for the parsed contents; empty
@@ -317,38 +355,45 @@ def load_capture(path) -> Capture:
 
     The file is read in blocks of whole lines, as UTF-8 text with
     universal newlines, and each line is decoded as JSON on its own.
+    The parse ends by building the capture's SlotTable from the columns.
 
-    The columns of a capture with a trailer are cached beside it, at
-    ``<capture>.columns``, keyed by the SHA-256 of the capture's bytes.
-    Every load hashes the capture: when the digest matches the cache's,
-    the columns are read from the cache instead of parsed, and give the
-    same Capture.  A parse hashes the blocks it parses, so it reads the
-    file once, and the digest it caches is that of the bytes it parsed.
+    A capture with a trailer is cached beside it, at
+    ``<capture>.columns``, keyed by the SHA-256 of the capture's bytes:
+    its SlotTable, then its columns.  Every load hashes the capture:
+    when the digest matches the cache's, the table is read from the
+    cache instead of parsed, and the columns when records or frames are
+    first used; either way the Capture is the same.  A parse hashes the
+    blocks it parses, so it reads the file once, and the digest it
+    caches is that of the bytes it parsed.
     """
-    import hashlib  # here, not at module import: every CLI command imports this module
-
     path = Path(path)
     cache_path = path.with_name(path.name + ".columns")
     with open(path, "rb") as fh:
-        capture = _read_cache(cache_path, fh)
+        capture = _read_cache(path, cache_path, fh)
         if capture is None:
             fh.seek(0)
-            digest, parser = hashlib.sha256(), _Parser()
-            while block := fh.read(_BLOCK_BYTES):
-                if not block.endswith(b"\n"):
-                    block += fh.readline()  # a block holds whole lines only
-                digest.update(block)
-                text = block.decode("utf-8")
-                if "\r" in text:  # universal newlines, as text-mode open() reads
-                    text = text.replace("\r\n", "\n").replace("\r", "\n")
-                parser.feed(text)
-            capture = parser.capture(path)
-            # a capture without a trailer may still be growing
-            if capture.integrity is not None:
-                _write_cache(cache_path, capture, digest.hexdigest())
+            capture, digest = _parse(path, fh)
+            _write_cache(cache_path, capture, digest)
     if capture.skipped_lines:
         log.warning("%s: skipped %d corrupt lines", path, capture.skipped_lines)
     return capture
+
+
+def _parse(path: Path, capture_file) -> tuple:
+    """(the Capture, the SHA-256 hex digest) of the bytes of
+    ``capture_file``, read from where it stands."""
+    import hashlib  # here, not at module import: every CLI command imports this module
+
+    digest, parser = hashlib.sha256(), _Parser()
+    while block := capture_file.read(_BLOCK_BYTES):
+        if not block.endswith(b"\n"):
+            block += capture_file.readline()  # a block holds whole lines only
+        digest.update(block)
+        text = block.decode("utf-8")
+        if "\r" in text:  # universal newlines, as text-mode open() reads
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        parser.feed(text)
+    return parser.capture(path), digest.hexdigest()
 
 
 _BLOCK_BYTES = 1 << 16
@@ -468,7 +513,12 @@ class _Parser:
             raise CaptureError("device ids of types that do not sort together") from None
         # a null device, as a live record has before its stream's first frame, sorts first
         by_device.sort(key=lambda entry: (entry[0] is not None, entry[0]))
-        return Capture(self.header, records, Frames(by_device), self.integrity, self.skipped, counts)
+        capture = Capture(self.header, self.integrity, self.skipped, counts, (records, Frames(by_device)))
+        try:
+            capture.slot_table()
+        except (ArithmeticError, TypeError, ValueError):
+            pass  # header values that do not fold: a summary raises this again
+        return capture
 
 
 def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
@@ -482,25 +532,56 @@ def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
 
 # -- column cache --------------------------------------------------------------
 #
-# A cache file is one line of ASCII JSON (CACHE_VERSION, the byte order,
-# the capture's SHA-256, the Capture's fields other than its columns, and
-# each column's typecode, itemsize and length), then the columns' raw
-# bytes in that order, then the SHA-256 of everything before it.  The
-# columns are the six of Records in field order, then frame_seq,
-# frame_timestamp and arrival for each device of Frames.by_device, whose
-# ids are given as codes into device_ids.
+# A cache file is one line of ASCII JSON, then two sections, each ending
+# with its own SHA-256 of the JSON line and the section's bytes:
+#
+#   JSON     CACHE_VERSION, the byte order, the capture's SHA-256, the
+#            Capture's fields other than its columns, and the typecode,
+#            itemsize and length of each column of either section; under
+#            "table", the SlotTable's fields that are not arrays, device
+#            ids given as codes into device_ids and classes
+#   table    the raw bytes of the SlotTable's arrays, in _TABLE_ARRAYS order
+#   columns  the raw bytes of the six columns of Records in field order,
+#            then frame_seq, frame_timestamp and arrival for each device
+#            of Frames.by_device, whose ids are given as codes
+#
+# A load reads the JSON line and the table, and the columns only when
+# records or frames are first used, so a summary reads no column.
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 _RECORD_TYPECODES, _FRAME_TYPECODES = "dIBBqq", "qqd"
 # what reading a cache that is missing, cut short, garbage or of another
 # layout can raise; any of them means the capture is parsed instead
 _BAD_CACHE = (OSError, EOFError, ValueError, LookupError, TypeError, RecursionError)
 
 
-def _read_cache(cache_path: Path, capture_file) -> Optional[Capture]:
+def _layout(columns: list, typecodes: str) -> list:
+    """The lengths of a cache's ``columns``, checked against ``typecodes``
+    and this platform's itemsizes; ValueError when they differ."""
+    if [column[:2] for column in columns] != [[code, array(code).itemsize] for code in typecodes]:
+        raise ValueError("another column layout")
+    return [column[2] for column in columns]
+
+
+def _section_bytes(typecodes: str, lengths: list) -> int:
+    return sum(length * array(code).itemsize for code, length in zip(typecodes, lengths))
+
+
+def _read_arrays(fh, typecodes: str, lengths: list, digest) -> list:
+    arrays = []
+    for code, length in zip(typecodes, lengths):
+        column = array(code)
+        column.fromfile(fh, length)
+        digest.update(column)
+        arrays.append(column)
+    return arrays
+
+
+def _read_cache(path: Path, cache_path: Path, capture_file) -> Optional[Capture]:
     """The Capture cached at ``cache_path`` for the bytes of
-    ``capture_file``, read from its start; None when no whole cache of
-    this version and column layout is there for those bytes."""
+    ``capture_file``, read from its start, with its columns left in the
+    cache; None when no whole cache of this version and layout is there
+    for those bytes."""
     import hashlib
 
     try:
@@ -509,17 +590,16 @@ def _read_cache(cache_path: Path, capture_file) -> Optional[Capture]:
             meta = json.loads(meta_line)
             if meta["version"] != CACHE_VERSION or meta["byteorder"] != sys.byteorder:
                 return None
-            typecodes = _RECORD_TYPECODES + _FRAME_TYPECODES * len(meta["frame_devices"])
-            layout = [[code, array(code).itemsize] for code in typecodes]
-            if [column[:2] for column in meta["columns"]] != layout:
-                return None
-            lengths = [column[2] for column in meta["columns"]]
+            column_codes = _RECORD_TYPECODES + _FRAME_TYPECODES * len(meta["frame_devices"])
+            lengths = _layout(meta["columns"], column_codes)
             # the record columns have one length, and so do each device's frame columns
             groups = [lengths[:6], *(lengths[k:k + 3] for k in range(6, len(lengths), 3))]
             if any(len(set(group)) != 1 for group in groups):
                 return None
-            body = sum(length * itemsize for length, (_, itemsize) in zip(lengths, layout))
-            if os.fstat(fh.fileno()).st_size != len(meta_line) + body + 32:
+            table_lengths = _layout(meta["table"]["columns"], _TABLE_TYPECODES)
+            size = len(meta_line) + _section_bytes(_TABLE_TYPECODES, table_lengths) + 32
+            size += _section_bytes(column_codes, lengths) + 32
+            if os.fstat(fh.fileno()).st_size != size:
                 return None
             digest = hashlib.sha256()
             while block := capture_file.read(_BLOCK_BYTES):
@@ -527,51 +607,106 @@ def _read_cache(cache_path: Path, capture_file) -> Optional[Capture]:
             if digest.hexdigest() != meta["capture_sha256"]:
                 return None
             digest = hashlib.sha256(meta_line)
-            columns = []
-            for code, length in zip(typecodes, lengths):
-                column = array(code)
-                column.fromfile(fh, length)
-                digest.update(column)
-                columns.append(column)
-            if fh.read() != digest.digest():
+            arrays = _read_arrays(fh, _TABLE_TYPECODES, table_lengths, digest)
+            if fh.read(32) != digest.digest():
                 return None
-        ids = meta["device_ids"]
-        frame_columns = (columns[k:k + 3] for k in range(6, len(columns), 3))
-        by_device = [(ids[code], *device_columns) for code, device_columns in zip(meta["frame_devices"], frame_columns)]
-        records = Records(*columns[:6], ids, meta["directions"], meta["classes"])
-        frames = Frames(by_device)
-        return Capture(meta["header"], records, frames, meta["integrity"], meta["skipped_lines"], meta["counts"])
+        table = _table_from_cache(meta, arrays)
+        columns = partial(_read_cached_columns, path, cache_path, meta_line, meta)
+        return Capture(meta["header"], meta["integrity"], meta["skipped_lines"], meta["counts"], columns, table)
     except _BAD_CACHE:
         return None
 
 
-def _write_cache(cache_path: Path, capture: Capture, capture_sha256: str) -> None:
-    """Cache ``capture``'s columns at ``cache_path``, through a temporary
-    file renamed into place; a cache that cannot be written is left out."""
+def _read_cached_columns(path: Path, cache_path: Path, meta_line: bytes, meta: dict) -> tuple:
+    """(Records, Frames) of the capture whose cache began with
+    ``meta_line``, parsed as ``meta``, when it was loaded.  A cache whose
+    columns fail their digest, which covers that line, is replaced by a
+    parse of the capture; CaptureError when the capture's bytes changed
+    since the load."""
     import hashlib
 
+    column_codes = _RECORD_TYPECODES + _FRAME_TYPECODES * len(meta["frame_devices"])
+    lengths = [column[2] for column in meta["columns"]]
+    table_bytes = _section_bytes(_TABLE_TYPECODES, [column[2] for column in meta["table"]["columns"]])
+    try:
+        with open(cache_path, "rb") as fh:
+            fh.seek(len(meta_line) + table_bytes + 32)
+            digest = hashlib.sha256(meta_line)
+            columns = _read_arrays(fh, column_codes, lengths, digest)
+            if fh.read() != digest.digest():
+                raise ValueError("columns fail their digest")
+    except _BAD_CACHE:
+        with open(path, "rb") as fh:
+            capture, capture_sha256 = _parse(path, fh)
+        if capture_sha256 != meta["capture_sha256"]:
+            raise CaptureError(f"{path}: the capture changed after it was loaded") from None
+        _write_cache(cache_path, capture, capture_sha256)
+        return capture.records, capture.frames
+    ids = meta["device_ids"]
+    frame_columns = (columns[k:k + 3] for k in range(6, len(columns), 3))
+    by_device = [(ids[code], *device_columns) for code, device_columns in zip(meta["frame_devices"], frame_columns)]
+    return Records(*columns[:6], ids, meta["directions"], meta["classes"]), Frames(by_device)
+
+
+def _table_from_cache(meta: dict, arrays: list) -> "SlotTable":
+    ids, classes, fields = meta["device_ids"], meta["classes"], meta["table"]
+    wire_bytes = {ids[code]: {classes[cls]: total for cls, total in totals}
+                  for code, totals in enumerate(fields["wire_bytes"])}
+    table = SlotTable(
+        population=fields["population"],
+        devices=[ids[code] for code in fields["devices"]],
+        wire_bytes=wire_bytes,
+        flagged=fields["flagged"],
+        delay_devices=[ids[code] for code in fields["delay_devices"]],
+        **dict(zip(_TABLE_ARRAYS, arrays)),
+    )
+    table.check()
+    return table
+
+
+def _write_cache(cache_path: Path, capture: Capture, capture_sha256: str) -> None:
+    """Cache ``capture``'s table and columns at ``cache_path``, through a
+    temporary file renamed into place.  Nothing is cached for a capture
+    without a trailer, which may still be growing, or without a table;
+    a cache that cannot be written is left out."""
+    import hashlib
+
+    table = capture._table
+    if capture.integrity is None or table is None:
+        return
     records, by_device = capture.records, capture.frames.by_device
     code_of = {dev: code for code, dev in enumerate(records.device_ids)}
+    class_of = {cls: code for code, cls in enumerate(records.classes)}
     columns = [records.wall_time, records.device, records.direction, records.retx_class,
                records.payload_bytes, records.header_bytes]
     columns += [column for _, *frame_columns in by_device for column in frame_columns]
+    arrays = [getattr(table, name) for name in _TABLE_ARRAYS]
+    table_fields = dict(
+        population=table.population, devices=[code_of[dev] for dev in table.devices],
+        wire_bytes=[[[class_of[cls], total] for cls, total in table.wire_bytes[dev].items()]
+                    for dev in records.device_ids],
+        flagged=table.flagged, delay_devices=[code_of[dev] for dev in table.delay_devices],
+        columns=[[column.typecode, column.itemsize, len(column)] for column in arrays],
+    )
     meta = dict(
         version=CACHE_VERSION, byteorder=sys.byteorder, capture_sha256=capture_sha256,
         header=capture.header, integrity=capture.integrity, skipped_lines=capture.skipped_lines,
         counts=capture.counts, device_ids=records.device_ids, directions=records.directions,
         classes=records.classes, frame_devices=[code_of[dev] for dev, *_ in by_device],
         columns=[[column.typecode, column.itemsize, len(column)] for column in columns],
+        table=table_fields,
     )
     meta_line = json.dumps(meta).encode() + b"\n"
-    digest = hashlib.sha256(meta_line)
     tmp = cache_path.with_name(f"{cache_path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
             fh.write(meta_line)
-            for column in columns:
-                column.tofile(fh)
-                digest.update(column)
-            fh.write(digest.digest())
+            for section in (arrays, columns):
+                digest = hashlib.sha256(meta_line)
+                for column in section:
+                    column.tofile(fh)
+                    digest.update(column)
+                fh.write(digest.digest())
         os.replace(tmp, cache_path)
     except OSError:
         with contextlib.suppress(OSError):
@@ -623,15 +758,27 @@ def one_way_delays(
     return list(DelaySeries(capture, t_fdr_ms, t_dcs_ms))
 
 
+# windows x device ids one throughput pass may hold, about 268 MB of
+# list slots: a day of 1-second windows for 388 device ids
+MAX_SERIES_VALUES = 1 << 25
+
+
 def _uplink_totals(capture: Capture, window_s: float) -> tuple:
     """One pass over the records: per-device delivered kbit/s per window,
     and uplink wire bytes by retransmission class per device id, records
     without a device under None."""
     if not 0 < window_s < math.inf:
         raise ValueError(f"window_s must be finite and positive, got {window_s}")
-    windows = max(1, math.ceil(capture.population_slots() / window_s))
+    population = capture.population_slots()
     records = capture.records
     ids, classes = records.device_ids, records.classes
+    # checked before ceil(), which fails on an infinite quotient
+    if population / window_s * len(ids) > MAX_SERIES_VALUES:
+        raise ValueError(
+            f"{population} s in windows of {window_s:g} s for {len(ids)} device ids is more than "
+            f"{MAX_SERIES_VALUES} throughput values; use a longer window"
+        )
+    windows = max(1, math.ceil(population / window_s))
     n_classes = len(classes)
     rates = [[0.0] * windows for _ in ids]
     wire_bytes = [0] * (len(ids) * n_classes)  # device code * n_classes + class code
@@ -710,9 +857,12 @@ def summarize(
     uses; it is accepted so every analysis takes the same options.
 
     The averages are statistics.fmean, an exactly rounded sum, so they
-    do not depend on the order frames and slots are visited in.
+    do not depend on the order frames and slots are visited in.  The
+    summary reads only the capture's SlotTable: at the header's t_fdr_ms
+    no record or frame is touched.  CaptureError when a device's delays
+    sum past the largest float.
     """
-    return _summarize(capture, sample_indices, t_fdr_ms, *_uplink_totals(capture, window_s=1.0))
+    return _summarize(capture.slot_table(t_fdr_ms), sample_indices)
 
 
 def analyze(
@@ -726,21 +876,20 @@ def analyze(
     DelaySeries of one_way_delays(...), throughput_series(capture,
     window_s)).
 
-    The summary's 1-second windows come from the same pass over the
-    records as the series when window_s is 1; the caller then owns that
-    series, which the summary does not keep.  The delay series is
-    computed as it is read, so no list of FrameDelay is built.
+    At the default window the series comes from the SlotTable the
+    summary reads; another window makes one pass over the records.  The
+    delay series is computed as it is read, so no list of FrameDelay is
+    built.
     """
-    series, by_class = _uplink_totals(capture, window_s=1.0)
-    summary = _summarize(capture, sample_indices, t_fdr_ms, series, by_class)
-    if window_s != 1.0:
-        series = throughput_series(capture, window_s)
+    table = capture.slot_table(t_fdr_ms)
+    summary = _summarize(table, sample_indices)
+    series = table.series() if window_s == 1.0 else throughput_series(capture, window_s)
     return summary, DelaySeries(capture, t_fdr_ms, t_dcs_ms), series
 
 
-def _summarize(capture, sample_indices, t_fdr_ms, series, by_class) -> MetricsSummary:
-    """summarize, given _uplink_totals(capture, 1.0)."""
-    population = capture.population_slots()
+def _summarize(table: "SlotTable", sample_indices) -> MetricsSummary:
+    """summarize, from the capture's slot table."""
+    population = table.population
     slots = range(population)
     if sample_indices is not None:
         slots = set(sample_indices)
@@ -748,37 +897,19 @@ def _summarize(capture, sample_indices, t_fdr_ms, series, by_class) -> MetricsSu
         if bad:
             raise ValueError(f"sample indices out of range [0, {population}): {bad}")
 
-    t_fdr = capture.t_fdr_ms if t_fdr_ms is None else t_fdr_ms
-    flag_below = -capture.skew_bound_ms
-    epoch = capture.epoch_utc_ms
-    per_dev_delays = {}
-    flagged = 0
-    frames_counted = 0
-    for dev, _, stamps, arrivals in capture.frames.by_device:
-        delays = array("d")
-        add = delays.append
-        for ts, arrival in zip(stamps, arrivals):
-            t_ci = arrival - (ts + t_fdr)
-            if t_ci < flag_below:
-                flagged += 1
-                continue
-            # _slot_of_timestamp, inlined
-            if -((ts - epoch) // -1000) - 1 in slots:
-                add(t_ci)
-        frames_counted += len(delays)
-        per_dev_delays[dev] = delays
-
+    rates, windows = table.rates, max(1, population)
     rows = []
-    for dev, values in series.items():
-        throughput = statistics.fmean(values[i] for i in slots) if population else 0.0
-        dev_delays = per_dev_delays.get(dev)
-        retx, fast = _retx_pcts(by_class[dev])
+    for k, dev in enumerate(table.devices):
+        base = k * windows
+        throughput = statistics.fmean(rates[base + i] for i in slots) if population else 0.0
+        avg_delay, max_delay = table.delay_figures(dev, slots)
+        retx, fast = _retx_pcts(table.wire_bytes[dev])
         rows.append(
             DeviceMetrics(
                 device=dev,
                 avg_throughput_kbps=throughput,
-                avg_delay_ms=statistics.fmean(dev_delays) if dev_delays else math.nan,
-                max_delay_ms=max(dev_delays) if dev_delays else math.nan,
+                avg_delay_ms=avg_delay,
+                max_delay_ms=max_delay,
                 retx_pct=retx,
                 fast_retx_pct=fast,
                 wasted_bw_pct=retx + fast,
@@ -788,9 +919,258 @@ def _summarize(capture, sample_indices, t_fdr_ms, series, by_class) -> MetricsSu
         devices=tuple(rows),
         population_slots=population,
         selected_slots=len(slots),
-        frames_counted=frames_counted,
-        flagged_delays=flagged,
+        frames_counted=table.frames_counted(slots),
+        flagged_delays=table.flagged,
     )
+
+
+# -- slot table ------------------------------------------------------------------
+
+# the SlotTable fields kept in arrays, and their typecodes
+_TABLE_ARRAYS = ("rates", "counts", "tops", "top_at", "first_at", "part_ends", "partials", "special_keys", "specials")
+_TABLE_TYPECODES = "dqdqqqdqd"
+
+
+@dataclass(frozen=True)
+class SlotTable:
+    """Every figure a summary reads, per device and 1-second slot, so a
+    summary of any set of slots costs O(devices x slots) and touches no
+    record or frame.  Built once from the columns (_build_table) and kept
+    in the column cache.
+
+    population     Capture.population_slots()
+    devices        the ids with a summary row, sorted: Capture.devices()
+    rates          'd', max(1, population) 1-second window rates in
+                   kbit/s per id of ``devices``, in that order: the
+                   series _uplink_totals(capture, 1.0) gives
+    wire_bytes     device id -> {class: uplink wire bytes}, for every id,
+                   None included
+    flagged        frames whose delay is below minus the skew bound, in
+                   any slot
+
+    delay_devices  the ids of Frames.by_device, in its order.  For each
+                   and each slot k of the population, entry
+                   row * population + k of the columns below describes
+                   the frames the summary counts there: unflagged, with
+                   a timestamp in slot k.  A frame's place is its index
+                   in its device's frame columns, which are in frame_seq
+                   order.
+    counts         'q', how many
+    tops           'd', the largest delay that is not NaN, as max() picks
+                   it; NaN when there is none
+    top_at         'q', the place of that frame; -1 when there is none
+    first_at       'q', the place of the first; -1 when there is none
+    part_ends      'q', where the entry's partials end in ``partials``;
+                   they start where the previous entry's end
+    partials       'd', finite doubles whose exact sum is the exact sum
+                   of the entry's finite delays, largest first (the
+                   rounded sum, then the rounded remainders)
+    special_keys   'q', (row, slot, place) of each counted frame whose
+                   delay is infinite or NaN
+    specials       'd', those delays
+
+    The places are what makes max() exact: it keeps the first of equal
+    values (a 0.0 beside a -0.0) and a NaN that comes first.
+    """
+
+    population: int
+    devices: list
+    rates: array
+    wire_bytes: dict
+    flagged: int
+    delay_devices: list
+    counts: array
+    tops: array
+    top_at: array
+    first_at: array
+    part_ends: array
+    partials: array
+    special_keys: array
+    specials: array
+
+    def check(self) -> None:
+        """ValueError unless every array has the length its fields imply."""
+        entries = len(self.delay_devices) * self.population
+        expected = dict(
+            rates=len(self.devices) * max(1, self.population), counts=entries, tops=entries, top_at=entries,
+            first_at=entries, part_ends=entries, partials=self.part_ends[-1] if entries else 0,
+            special_keys=3 * len(self.specials),
+        )
+        if any(len(getattr(self, name)) != length for name, length in expected.items()):
+            raise ValueError("slot table arrays of the wrong length")
+
+    def series(self) -> dict:
+        """Device id -> its 1-second window rates, as throughput_series
+        gives them."""
+        windows = max(1, self.population)
+        return {dev: self.rates[k * windows:(k + 1) * windows].tolist() for k, dev in enumerate(self.devices)}
+
+    def frames_counted(self, slots) -> int:
+        counts, population = self.counts, self.population
+        return sum(counts[row * population + s] for row in range(len(self.delay_devices)) for s in slots)
+
+    def delay_figures(self, dev, slots) -> tuple:
+        """(statistics.fmean, max()) of device ``dev``'s counted delays in
+        ``slots``, taken in frame_seq order, bit for bit; (NaN, NaN) when
+        it has none there.  Where the delays' finite part sums past the
+        largest float, CaptureError, whatever their order."""
+        if dev not in self.delay_devices:
+            return math.nan, math.nan
+        row = self.delay_devices.index(dev)
+        counts, tops, top_at, first_at = self.counts, self.tops, self.top_at, self.first_at
+        ends, partials = self.part_ends, self.partials
+        base = row * self.population
+        n, parts, lead, top, top_place = 0, [], None, None, None
+        for s in slots:
+            k = base + s
+            if not counts[k]:
+                continue
+            n += counts[k]
+            parts += partials[ends[k - 1] if k else 0:ends[k]]
+            if lead is None or first_at[k] < lead:
+                lead = first_at[k]
+            value = tops[k]
+            # max() keeps the first of equal values
+            if value == value and (top is None or value > top or (value == top and top_at[k] < top_place)):
+                top, top_place = value, top_at[k]
+        if not n:
+            return math.nan, math.nan
+        try:
+            total = _sum_exactly(parts)
+        except OverflowError:
+            raise CaptureError(f"device {dev}: its frame delays sum past the largest float") from None
+        keys = self.special_keys
+        specials = sorted(
+            (keys[3 * i + 2], value) for i, value in enumerate(self.specials)
+            if keys[3 * i] == row and keys[3 * i + 1] in slots
+        )
+        if specials:
+            # what fsum makes of the infinities and NaNs, in frame order
+            total = math.fsum(value for _, value in specials)
+            place, value = specials[0]
+            if place == lead and value != value:
+                top = value  # max() keeps a NaN that comes first
+        return total / n, top
+
+
+def _build_table(capture: Capture, t_fdr_ms) -> SlotTable:
+    """The SlotTable of ``capture`` at ``t_fdr_ms``: one pass over the
+    records, then one over the frames."""
+    population = capture.population_slots()
+    series, by_class = _uplink_totals(capture, 1.0)
+    return SlotTable(
+        population=population,
+        devices=list(series),
+        rates=array("d", chain.from_iterable(series.values())),
+        wire_bytes=by_class,
+        **_fold_delays(capture, population, t_fdr_ms),
+    )
+
+
+def _fold_delays(capture: Capture, population: int, t_fdr_ms) -> dict:
+    """The SlotTable fields that depend on t_fdr_ms, from the frame
+    columns."""
+    flag_below = -capture.skew_bound_ms
+    epoch = capture.epoch_utc_ms
+    by_device = capture.frames.by_device
+    entries = len(by_device) * population
+    counts = array("q", bytes(8 * entries))
+    tops = array("d", [math.nan]) * entries
+    top_at, first_at = array("q", [-1]) * entries, array("q", [-1]) * entries
+    part_ends, partials = array("q", bytes(8 * entries)), array("d")
+    special_keys, specials = array("q"), array("d")
+    flagged = 0
+    for row, (_, _, stamps, arrivals) in enumerate(by_device):
+        delays = array("d", (arrival - (ts + t_fdr_ms) for ts, arrival in zip(stamps, arrivals)))
+        # (slot, place) of each unflagged frame: _slot_of_timestamp, inlined
+        kept = (
+            (-((ts - epoch) // -1000) - 1, place)
+            for place, ts, t_ci in zip(count(), stamps, delays)
+            if not t_ci < flag_below
+        )
+        flagged += sum(1 for t_ci in delays if t_ci < flag_below)
+        slots = {}  # slot -> places of the frames counted there
+        # a device's frames mostly come in runs of one slot
+        for slot, run in groupby(kept, itemgetter(0)):
+            if 0 <= slot < population:
+                # int(): a float epoch gives whole float slots
+                slots.setdefault(int(slot), []).extend(map(itemgetter(1), run))
+        for slot in sorted(slots):
+            places = slots[slot]
+            values = list(map(delays.__getitem__, places))
+            k = row * population + slot
+            counts[k], first_at[k] = len(values), places[0]
+            finite = numbers = values
+            if not all(map(math.isfinite, values)):
+                finite = [value for value in values if math.isfinite(value)]
+                numbers = [value for value in values if value == value]
+                for place, value in zip(places, values):
+                    if not math.isfinite(value):
+                        special_keys.extend((row, slot, place))
+                        specials.append(value)
+            if numbers:
+                tops[k] = top = max(numbers)
+                top_at[k] = places[values.index(top)]  # the first equal value, as max() keeps
+            if finite:
+                partials.extend(_exact_parts(finite))
+            part_ends[k] = len(partials)
+    return dict(
+        flagged=flagged,
+        delay_devices=[dev for dev, *_ in by_device],
+        counts=counts,
+        tops=tops,
+        top_at=top_at,
+        first_at=first_at,
+        # an entry without frames ends where the one before it does
+        part_ends=array("q", accumulate(part_ends, max)),
+        partials=partials,
+        special_keys=special_keys,
+        specials=specials,
+    )
+
+
+# 2**1074 times a finite double is an integer: the exact sums below are
+# integers in units of the smallest subnormal
+_SCALE = 1 << 1074
+
+
+def _scaled_sum(values) -> int:
+    return sum(n * (_SCALE // d) for n, d in map(float.as_integer_ratio, values))
+
+
+def _sum_exactly(values) -> float:
+    """math.fsum of finite ``values``, also where its running sum
+    overflows and the exact sum does not; OverflowError where the exact
+    sum rounds past the largest float."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return _scaled_sum(values) / _SCALE
+
+
+def _exact_parts(values: list) -> list:
+    """Finite doubles whose exact sum is that of the finite ``values``:
+    their rounded sum, then the rounded remainders, none for a zero sum.
+    A sum past the largest float is held in parts of at most that size."""
+    parts, rest = [], list(values)
+    try:
+        total = math.fsum(rest)
+        while total:
+            parts.append(total)
+            rest.append(-total)
+            total = math.fsum(rest)
+        return parts
+    except OverflowError:
+        parts = []
+    exact = _scaled_sum(values)
+    while exact:
+        try:
+            part = exact / _SCALE
+        except OverflowError:
+            part = sys.float_info.max if exact > 0 else -sys.float_info.max
+        parts.append(part)
+        exact -= _scaled_sum((part,))
+    return parts
 
 
 # -- output ----------------------------------------------------------------

@@ -197,6 +197,8 @@ def cmd_serve(args) -> int:
 def cmd_emulate(args) -> int:
     if args.devices < 1:
         raise ValueError(f"--devices must be at least 1, got {args.devices}")
+    if args.connect_attempts < 1:
+        raise ValueError(f"--connect-attempts must be at least 1, got {args.connect_attempts}")
     emulators = [
         LiveEmulator(
             FdrConfig(

@@ -15,8 +15,12 @@ import json
 import logging
 import math
 import os
+import random
+import shutil
 import statistics
+import struct
 import sys
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -252,16 +256,19 @@ def _typed(column) -> tuple:
 
 
 def _state(cap) -> tuple:
-    """Everything a load gives, typed: the record and frame columns as
-    their typecodes and bytes (so -0.0 and NaN bits count), the rest as
-    repr (so the int 1 and True differ)."""
+    """Everything a load gives, typed: the record and frame columns and
+    the slot table's arrays as their typecodes and bytes (so -0.0 and
+    NaN bits count), the rest as repr (so the int 1 and True differ)."""
     records = cap.records
     columns = (records.wall_time, records.device, records.direction, records.retx_class,
                records.payload_bytes, records.header_bytes)
     frames = [(repr(dev), *map(_typed, cols)) for dev, *cols in cap.frames.by_device]
+    table = cap.slot_table()
     values = (cap.header, cap.integrity, cap.skipped_lines, cap.counts,
-              records.device_ids, records.directions, records.classes)
-    return tuple(map(_typed, columns)), frames, repr(values)
+              records.device_ids, records.directions, records.classes, table.population, table.devices,
+              table.wire_bytes, table.flagged, table.delay_devices)
+    arrays = [_typed(getattr(table, name)) for name in analyzer._TABLE_ARRAYS]
+    return tuple(map(_typed, columns)), frames, arrays, repr(values)
 
 
 def _spaced(line: str) -> str:
@@ -670,6 +677,217 @@ def test_disjoint_sample_sets_agree(tmp_path):
     assert gap <= bound
 
 
+# -- slot table -----------------------------------------------------------------
+
+
+def _fold_over_frames(cap, sample_indices=None, t_fdr_ms=None) -> tuple:
+    """The summary as a fold over the frame and record columns, the way
+    summarize computed it before the slot table: the reference the table
+    is held to."""
+    series, by_class = analyzer._uplink_totals(cap, 1.0)
+    population = cap.population_slots()
+    slots = range(population) if sample_indices is None else set(sample_indices)
+    t_fdr = cap.t_fdr_ms if t_fdr_ms is None else t_fdr_ms
+    flag_below = -cap.skew_bound_ms
+    delays, flagged = {}, 0
+    for dev, _, stamps, arrivals in cap.frames.by_device:
+        kept = []
+        for ts, arrival in zip(stamps, arrivals):
+            t_ci = arrival - (ts + t_fdr)
+            if t_ci < flag_below:
+                flagged += 1
+            elif analyzer._slot_of_timestamp(ts, cap.epoch_utc_ms) in slots:
+                kept.append(t_ci)
+        delays[dev] = kept
+    rows = []
+    for dev, values in series.items():
+        kept = delays.get(dev)
+        rows.append((
+            dev,
+            statistics.fmean(values[i] for i in slots) if population else 0.0,
+            statistics.fmean(kept) if kept else math.nan,
+            max(kept) if kept else math.nan,
+            *analyzer._retx_pcts(by_class[dev]),
+        ))
+    return _packed((rows, population, len(slots), sum(map(len, delays.values())), flagged))
+
+
+def _packed(value):
+    """``value`` with every float replaced by its bytes, so -0.0 and NaN
+    compare bit for bit."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_packed, value))
+    return value
+
+
+def _from_table(cap, sample_indices=None, t_fdr_ms=None) -> tuple:
+    summary = summarize(cap, sample_indices, t_fdr_ms)
+    rows = [(m.device, m.avg_throughput_kbps, m.avg_delay_ms, m.max_delay_ms, m.retx_pct, m.fast_retx_pct)
+            for m in summary.devices]
+    assert [m.wasted_bw_pct for m in summary.devices] == [m.retx_pct + m.fast_retx_pct for m in summary.devices]
+    return _packed((rows, summary.population_slots, summary.selected_slots, summary.frames_counted,
+                    summary.flagged_delays))
+
+
+def _frames_capture(path, frames, duration_s=3, epoch=0, skew=0.0, t_fdr=0.0):
+    """A capture of one delivered copy per (device, frame_seq,
+    frame_timestamp, arrival), in the order given."""
+    records = [
+        oracle_logs._rec(1.0 + abs(ts % 7), dev, 85, complete=oracle_logs._done(seq, ts, arrival))
+        for dev, seq, ts, arrival in frames
+    ]
+    header = oracle_logs._header(duration_s=duration_s, epoch=epoch, skew=skew, t_fdr=t_fdr)
+    if duration_s is None:
+        del header["duration_s"]
+    return oracle_logs.write_log(path, header, records)
+
+
+def _all_slot_sets(population):
+    return [None, [], *([k] for k in range(population)), list(range(0, population, 2)), list(range(population))]
+
+
+def _assert_table_is_the_fold(path, t_fdr_values=(None,), slot_sets=None):
+    """Cold and warm loads of ``path`` summarize every slot set as the
+    fold over its frames does, bit for bit."""
+    _cache_of(path).unlink(missing_ok=True)
+    for cap in (load_capture(path), load_capture(path)):
+        population = _fold_over_frames(cap)[1]
+        for t_fdr_ms in t_fdr_values:
+            for slots in slot_sets or _all_slot_sets(population):
+                if slots == [] and population:
+                    with pytest.raises(statistics.StatisticsError):
+                        summarize(cap, slots, t_fdr_ms)
+                    continue
+                assert _from_table(cap, slots, t_fdr_ms) == _fold_over_frames(cap, slots, t_fdr_ms)
+    assert cap.slot_table() is not None
+
+
+class TestSlotTable:
+    def test_bundled_captures_summarize_as_their_frames(self, analyzer_captures):
+        for path, _ in analyzer_captures.values():
+            cap = load_capture(path)
+            population = cap.population_slots()
+            draws = [random.Random(k).sample(range(population), population // (k + 2)) for k in range(4)]
+            for t_fdr_ms in (None, 1.5):
+                for slots in [None, *draws]:
+                    assert _from_table(cap, slots, t_fdr_ms) == _fold_over_frames(cap, slots, t_fdr_ms)
+
+    def test_slots_without_frames_or_with_only_flagged_ones(self, tmp_path):
+        # slot 0: none; slot 1: two flagged; slot 2: one flagged, one kept
+        frames = [(1, 1, 1500, 1490.0), (1, 2, 1600, 1580.0), (1, 3, 2500, 2490.0), (1, 4, 2600, 2612.5),
+                  (2, 1, 1500, 1400.0)]
+        _assert_table_is_the_fold(_frames_capture(tmp_path / "c.jsonl", frames, skew=5.0), (None, -30.0))
+
+    def test_frames_outside_the_population(self, tmp_path):
+        # slot -1 (a timestamp on the epoch), slot 3 and slot 40 of 3
+        frames = [(1, 1, 0, 10.0), (1, 2, 500, 512.5), (1, 3, 3500, 3520.0), (1, 4, 40100, 40110.0)]
+        _assert_table_is_the_fold(_frames_capture(tmp_path / "c.jsonl", frames), (None, 2.5))
+
+    def test_live_capture_without_a_duration(self, tmp_path):
+        frames = [(None, 1, 1000, 1000.25), (3, 1, 2000, 2000.75), (3, 2, 4500, 4501.5)]
+        path = _frames_capture(tmp_path / "c.jsonl", frames, duration_s=None)
+        assert load_capture(path).population_slots() == 5
+        _assert_table_is_the_fold(path, (None, 0.5))
+
+    def test_signed_zeros_and_a_first_nan_keep_their_frame_order(self, tmp_path):
+        # with the epoch 1 s back, timestamp 0 falls in slot 0; arrival
+        # -0.0 at timestamp 0 is a -0.0 delay, arrival 1000.0 at 1000 a
+        # 0.0 one.  Frame order and slot order disagree on purpose.
+        frames = [
+            (1, 1, 1000, 1000.0), (1, 2, 0, -0.0),  # 0.0 in slot 1 before -0.0 in slot 0
+            (2, 1, 0, -0.0), (2, 2, 1000, 1000.0), (2, 3, 500, 500.0),  # -0.0 first
+            (3, 1, 1500, math.nan), (3, 2, 500, 510.0), (3, 3, 700, math.nan),  # NaN first, in slot 1
+            (4, 1, 500, 510.0), (4, 2, 1500, math.nan),  # NaN second
+            (5, 1, 500, math.inf), (5, 2, 1500, 1510.0), (5, 3, 2500, math.inf),
+            (6, 1, 500, -math.inf), (6, 2, 1500, 1510.0),  # -inf counts: a NaN skew bound flags nothing
+        ]
+        path = _frames_capture(tmp_path / "c.jsonl", frames, epoch=-1000)
+        _assert_table_is_the_fold(path)
+        cap = load_capture(path)
+        maxima = {m.device: m.max_delay_ms for m in summarize(cap).devices}
+        assert _packed([maxima[1], maxima[2]]) == _packed([0.0, -0.0])
+        assert math.isnan(maxima[3]) and maxima[4] == 10.0 and maxima[5] == math.inf
+
+    def test_a_nan_skew_bound_counts_opposite_infinities(self, tmp_path):
+        frames = [(1, 1, 500, math.inf), (1, 2, 1500, -math.inf), (2, 1, 500, -math.inf)]
+        path = _frames_capture(tmp_path / "c.jsonl", frames, skew=math.nan)
+        _cache_of(path).unlink(missing_ok=True)
+        cap = load_capture(path)
+        with pytest.raises(ValueError, match="-inf \\+ inf in fsum"):
+            summarize(cap)
+        # without slot 1 the infinities of device 1 no longer meet
+        assert _from_table(cap, [0, 2]) == _fold_over_frames(cap, [0, 2])
+        assert summarize(cap, [0, 2]).devices[1].avg_delay_ms == -math.inf
+
+    def test_slot_sums_that_round(self, tmp_path):
+        # each slot's delays sum to a double only after rounding (1e16 + 1
+        # is a tie, and 1e16 has a spacing of 2), and the rounded slot
+        # sums, naive or exact, add up to another double than the frames
+        # do (3e16 + 4); the skew bound keeps -1e16 unflagged
+        delays = [[1e16, 1.0], [1e16, 1.0], [1e16, 1.0], [1.0, 1e16, -1e16]]
+        frames = [(1, 10 * slot + k, 1000 * slot + 100 * (k + 1), 1000 * slot + 100 * (k + 1) + delay)
+                  for slot, values in enumerate(delays) for k, delay in enumerate(values)]
+        path = _frames_capture(tmp_path / "c.jsonl", frames, duration_s=len(delays), skew=1e17)
+        cap = load_capture(path)
+        t_ci = [d.t_ci_ms for d in one_way_delays(cap)]
+        by_slot = [t_ci[k:k + n] for k, n in zip(accumulate([0, *map(len, delays)]), map(len, delays))]
+        assert math.fsum(map(sum, by_slot)) != math.fsum(t_ci)
+        assert math.fsum(map(math.fsum, by_slot)) != math.fsum(t_ci)
+        _assert_table_is_the_fold(path, (None, 0.25))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        frames=st.lists(
+            st.tuples(
+                st.sampled_from([1, 2, 3]),
+                st.integers(-1500, 5500),
+                st.one_of(
+                    st.floats(-1e6, 1e6, allow_nan=False),
+                    st.floats(-1e300, 1e300, allow_nan=False),
+                    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 2**-1074, 1e-300]),
+                ),
+            ),
+            max_size=40,
+        ),
+        skew=st.sampled_from([0.0, 5.0, 1e305]),
+        t_fdr=st.sampled_from([None, 0.0, 1.5, -3.25]),
+        draws=st.lists(st.sets(st.integers(0, 4), min_size=1), min_size=1, max_size=4),
+    )
+    def test_hypothesis_drawn_frames_and_sample_sets(self, frames, skew, t_fdr, draws, tmp_path_factory):
+        entries = [(dev, seq, ts, ts + delay) for seq, (dev, ts, delay) in enumerate(frames)]
+        path = _frames_capture(tmp_path_factory.mktemp("drawn") / "c.jsonl", entries, duration_s=5, skew=skew)
+        for cap in (load_capture(path), load_capture(path)):
+            for slots in [None, *map(sorted, draws)]:
+                try:
+                    expected = _fold_over_frames(cap, slots, t_fdr)
+                except (OverflowError, ValueError) as err:
+                    with pytest.raises(type(err) if isinstance(err, ValueError) else CaptureError):
+                        summarize(cap, slots, t_fdr)
+                    continue
+                assert _from_table(cap, slots, t_fdr) == expected
+
+
+@pytest.mark.parametrize(
+    "arrivals", [[1e308, 1e308], [1e308, math.inf, 1e308], [math.inf, 1e308, 1e308], [1e308, 1e308, math.inf]],
+    ids=["finite", "inf-between", "inf-first", "inf-last"],
+)
+def test_delays_that_sum_past_the_largest_float_are_a_capture_error(arrivals, tmp_path):
+    frames = [(1, seq, 100 * seq, arrival) for seq, arrival in enumerate(arrivals, 1)]
+    cap = load_capture(_frames_capture(tmp_path / "c.jsonl", frames))
+    with pytest.raises(CaptureError, match="device 1: its frame delays sum past the largest float"):
+        summarize(cap)
+    # one delay per slot, and -1e308 kept by an infinite skew bound: only
+    # the drawn slots' exact sum counts, however fsum's running sum goes
+    frames = [(1, 1, 100, 1e308), (1, 2, 1100, 1e308), (1, 3, 2100, -1e308)]
+    cap = load_capture(_frames_capture(tmp_path / "d.jsonl", frames, skew=math.inf))
+    with pytest.raises(CaptureError):
+        summarize(cap, [0, 1])
+    assert summarize(cap).devices[0].avg_delay_ms == 1e308 / 3
+    assert summarize(cap, [0, 2]).devices[0].avg_delay_ms == 0.0
+
+
 # -- column cache ---------------------------------------------------------------
 
 
@@ -777,24 +995,41 @@ def test_capture_edited_in_place_is_reparsed_and_recached(tmp_path):
     assert _warm(path) == after == _cold(path)
 
 
+def _sections(data: bytes) -> tuple:
+    """A cache's JSON line, table section and column section, each
+    section without the digest that ends it."""
+    line, rest = data.split(b"\n", 1)
+    table_bytes = sum(length * size for _, size, length in json.loads(line)["table"]["columns"])
+    return line + b"\n", rest[:table_bytes], rest[table_bytes + 32:-32]
+
+
 def _edit_meta(edit, sign=True):
     """A mangler that applies ``edit`` to a cache's JSON line and, with
-    ``sign``, ends the cache with the digest of its new contents, as a
-    writer of that JSON would have."""
+    ``sign``, ends each section with the digest of its new contents, as
+    a writer of that JSON would have."""
 
     def mangle(data: bytes) -> bytes:
-        line, rest = data.split(b"\n", 1)
+        line, table, columns = _sections(data)
         meta = json.loads(line)
         edit(meta)
-        head, body = json.dumps(meta).encode() + b"\n", rest[:-32]
-        return head + body + (hashlib.sha256(head + body).digest() if sign else rest[-32:])
+        head = json.dumps(meta).encode() + b"\n"
+        if not sign:
+            return head + data[len(line):]
+        return head + b"".join(section + hashlib.sha256(head + section).digest() for section in (table, columns))
 
     return mangle
 
 
-def _flip_column_byte(data: bytes) -> bytes:
-    at = data.index(b"\n") + 9
-    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+def _flip_byte(section: int):
+    """A mangler that flips a bit of the first byte of the table (1) or
+    column (2) section."""
+
+    def mangle(data: bytes) -> bytes:
+        parts = _sections(data)
+        at = len(parts[0]) if section == 1 else len(parts[0]) + len(parts[1]) + 32
+        return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
+    return mangle
 
 
 def _set_length(column: int, change: int):
@@ -825,7 +1060,8 @@ BAD_CACHES = {
     "not-json": lambda data: b"{not json\n" + data.split(b"\n", 1)[1],
     "json-list": lambda data: b"[1, 2]\n" + data.split(b"\n", 1)[1],
     "json-too-deep": lambda data: b"[" * 100_000 + b"\n",
-    "flipped-column-byte": _flip_column_byte,
+    "flipped-column-byte": _flip_byte(2),
+    "flipped-table-byte": _flip_byte(1),
     "edited-header": _edit_meta(lambda meta: meta["header"].update(t_fdr_ms=1.0), sign=False),
     # caches whose digest holds: only their layout tells
     "other-version": _edit_meta(lambda meta: meta.update(version=analyzer.CACHE_VERSION + 1)),
@@ -835,6 +1071,8 @@ BAD_CACHES = {
     "unequal-lengths": _edit_meta(_shift_lengths),
     "lengths-past-the-file": _edit_meta(_grow_records),
     "missing-key": _edit_meta(lambda meta: meta.pop("counts")),
+    "other-table-typecode": _edit_meta(lambda meta: meta["table"]["columns"][1].__setitem__(0, "d")),
+    "table-of-another-population": _edit_meta(lambda meta: meta["table"].update(population=3)),
 }
 
 
@@ -848,6 +1086,76 @@ def test_bad_cache_is_ignored_and_rewritten(case, tmp_path):
     _cache_of(path).write_bytes(bad)
     assert _state(load_capture(path)) == state
     assert _cache_of(path).read_bytes() == good
+
+
+class _CountingReads:
+    """Stands in for analyzer._read_cached_columns and counts the column
+    reads a warm load defers."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self.read = analyzer._read_cached_columns
+        monkeypatch.setattr(analyzer, "_read_cached_columns", self)
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.read(*args)
+
+
+def test_warm_summary_reads_no_column(tmp_path, monkeypatch):
+    path, _ = oracle_logs.simple_delays(tmp_path / "c.jsonl")
+    cold = _cold(path)
+    reads = _CountingReads(monkeypatch)
+    cap = load_capture(path)
+    assert (cap.population_slots(), cap.integrity_problems(), cap.skipped_lines) == (3, [], 0)
+    summaries = [summarize(cap), summarize(cap, [0, 2]), summarize(cap, t_fdr_ms=0.0)]
+    assert reads.calls == 0
+    # another t_fdr_ms folds the frames again; the columns are read once
+    assert summarize(cap, t_fdr_ms=0.5) != summaries[0]
+    assert _state(cap) == cold
+    assert reads.calls == 1
+
+
+def test_report_at_the_header_t_fdr_reads_no_column(analyzer_captures, tmp_path, capsys, monkeypatch):
+    source, sample = analyzer_captures["lossy_0p3"]
+    path = tmp_path / "capture.jsonl"
+    shutil.copyfile(source, path)
+    load_capture(path)  # leaves the cache
+    good = _cache_of(path).read_bytes()
+    # a column read would find this bit flipped, parse and rewrite the cache
+    _cache_of(path).write_bytes(_flip_byte(2)(good))
+    reads = _CountingReads(monkeypatch)
+    report = ["report", str(path), "--sample-size", str(sample), "--sample-seed", test_golden.REPORT_SEED]
+    golden = test_golden.ANALYZER_GOLDEN
+    for argv, key, calls in [(report, None, 0), ([*report, "--t-fdr-ms", "1.5"], "1.5", 1)]:
+        assert cli.main(argv) == 0
+        got = test_golden._sha(capsys.readouterr().out.encode())
+        assert got == golden[("lossy_0p3", key and "2.5", key)][3]
+        assert reads.calls == calls
+        assert (_cache_of(path).read_bytes() == good) == bool(calls)
+
+
+def test_deferred_read_without_its_cache_parses_and_recaches(tmp_path):
+    path = _two_device_capture(tmp_path / "c.jsonl")
+    cold = _cold(path)
+    good = _cache_of(path).read_bytes()
+    cap = load_capture(path)
+    _cache_of(path).unlink()
+    assert _state(cap) == cold
+    assert _cache_of(path).read_bytes() == good
+
+
+def test_deferred_read_after_the_capture_changed(tmp_path):
+    path = _two_device_capture(tmp_path / "c.jsonl")
+    cold = _cold(path)
+    kept, gone = load_capture(path), load_capture(path)
+    path.write_text(_replace(path.read_text(), '"wall_time":2.5', '"wall_time":3.5'))
+    # the cache still holds the columns of the bytes that were loaded
+    assert _state(kept) == cold
+    _cache_of(path).unlink()
+    with pytest.raises(CaptureError, match="changed after it was loaded"):
+        gone.frames
+    assert not _cache_of(path).exists()
 
 
 def test_capture_without_trailer_leaves_no_cache(tmp_path):

@@ -1,17 +1,20 @@
 """Command-line behavior: exit codes, file outputs, printed figures."""
 
 import json
+import math
 import signal
 import socket
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from collections import defaultdict
 
 import pytest
 
-from wamsbench import cli
+import oracle_logs
+from wamsbench import analyzer, cli
 from wamsbench.analyzer import load_capture
 from wamsbench.dcs import LiveDcsServer
 
@@ -134,6 +137,30 @@ class TestAnalyze:
         assert "window_s must be finite and positive" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("window", ["1e-9", "5e-324"])
+    def test_window_count_past_the_cap_is_a_usage_error(self, mini_run, tmp_path, capsys, window):
+        out = tmp_path / "an"
+        tracemalloc.start()
+        try:
+            code = cli.main(["analyze", str(mini_run / "capture.jsonl"), "--out-dir", str(out), "--window", window])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"is more than {analyzer.MAX_SERIES_VALUES} throughput values; use a longer window" in err
+        assert list(out.iterdir()) == []
+        # refused before the series are allocated: 1e-9 s windows would
+        # take 4e9 values per device
+        assert peak < 8 * 2**20
+
+    def test_window_count_at_the_cap_is_analyzed(self, mini_run, tmp_path, monkeypatch):
+        # mini: 4 slots and 2 device ids, so 0.5 s windows make 16 values
+        monkeypatch.setattr(analyzer, "MAX_SERIES_VALUES", 16)
+        argv = ["analyze", str(mini_run / "capture.jsonl"), "--out-dir", str(tmp_path)]
+        assert cli.main([*argv, "--window", "0.5"]) == 0
+        assert cli.main([*argv, "--window", "0.4"]) == 2
+
     @pytest.mark.parametrize("size", ["0", "-3"])
     @pytest.mark.parametrize("command", ["analyze", "report"])
     def test_sample_size_below_one_is_a_usage_error(self, mini_run, tmp_path, capsys, command, size):
@@ -172,6 +199,28 @@ class TestReport:
             "wasted_bw_pct",
         ]
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "arrivals", [[1e308, 1e308], [1e308, math.inf, 1e308], [math.inf, 1e308, 1e308], [1e308, 1e308, math.inf]],
+    ids=["finite", "inf-between", "inf-first", "inf-last"],
+)
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_delays_past_the_largest_float_are_a_usage_error(command, arrivals, tmp_path, capsys):
+    # fsum raised OverflowError on three of these orders and gave inf on
+    # the other; each is one error line now
+    records = [
+        oracle_logs._rec(1.0 + seq, 1, 85, complete=oracle_logs._done(seq, 100 * seq, arrival))
+        for seq, arrival in enumerate(arrivals, 1)
+    ]
+    path = oracle_logs.write_log(tmp_path / "c.jsonl", oracle_logs._header(duration_s=1), records)
+    out = tmp_path / "out"
+    argv = [command, str(path), *(["--out-dir", str(out)] if command == "analyze" else [])]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: device 1: its frame delays sum past the largest float"]
+    assert captured.out == ""
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 class TestIntegrityTrailer:
@@ -352,6 +401,17 @@ class TestEmulate:
         assert cli.main(["emulate", "--port", "9", "--devices", devices]) == 2
         captured = capsys.readouterr()
         assert f"--devices must be at least 1, got {devices}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("attempts", ["0", "-1"])
+    def test_connect_attempts_below_one_is_a_usage_error(self, capsys, monkeypatch, attempts):
+        def no_emulate(emulators):
+            raise AssertionError("emulate started")
+
+        monkeypatch.setattr(cli, "emulate", no_emulate)
+        assert cli.main(["emulate", "--port", "9", "--connect-attempts", attempts]) == 2
+        captured = capsys.readouterr()
+        assert f"--connect-attempts must be at least 1, got {attempts}" in captured.err
         assert captured.out == ""
 
     def test_devices_share_one_thread(self, tmp_path, monkeypatch):

@@ -1,12 +1,15 @@
 """Peak RSS of the simulator and of the analyzer against capture size.
 
 Runs the bundled ``lossy_0p3`` scenario cut to 1000 s and to 4000 s and
-records ``ru_maxrss`` of three fresh child processes per duration:
+records ``ru_maxrss`` of four fresh child processes per duration:
 
   simulate         ``run_simulation`` alone, which writes the capture
   analyze          ``wamsbench analyze`` on that capture, which parses it
                    and leaves its column cache (``capture.jsonl.columns``)
   analyze, cached  ``wamsbench analyze`` again, which reads the cache
+  report, cached   ``wamsbench report --sample-size 300`` on the cached
+                   capture, which reads the cache's slot table and, in a
+                   checkout that keeps one, none of its columns
 
 then prints each process's peak, the cache size, and the slope between
 the two durations, per capture record and per frame.  A fixed cost
@@ -32,7 +35,7 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DURATIONS_S = (1000, 4000)
-STEPS = ("simulate", "analyze", "analyze, cached")
+STEPS = ("simulate", "analyze", "analyze, cached", "report, cached")
 
 # what a child runs: argv[1] is the checkout root, argv[2] a JSON spec;
 # the last line of its stdout is a JSON object with ru_maxrss in KiB
@@ -49,8 +52,12 @@ if spec["step"] == "simulate":
     out = {"records": result.capture_counters["records"], "frames": result.rows}
 else:
     from wamsbench import cli
+    capture = spec["dir"] + "/capture.jsonl"
+    argv = ["analyze", capture, "--out-dir", spec["dir"]]
+    if spec["step"] == "report":
+        argv = ["report", capture, "--sample-size", "300"]
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["analyze", spec["dir"] + "/capture.jsonl", "--out-dir", spec["dir"]])
+        code = cli.main(argv)
     if code != 0:
         sys.exit(code)
 out["maxrss_kib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -77,6 +84,7 @@ def measure(root: str, work: str) -> list:
         sim = run_child(root, "simulate", duration, work)
         cold = run_child(root, "analyze", duration, work)
         warm = run_child(root, "analyze", duration, work)
+        table = run_child(root, "report", duration, work)
         cache = os.path.join(work, f"d{duration}", "capture.jsonl.columns")
         rows.append(
             {
@@ -86,6 +94,7 @@ def measure(root: str, work: str) -> list:
                 "simulate": sim["maxrss_kib"] * 1024,
                 "analyze": cold["maxrss_kib"] * 1024,
                 "analyze, cached": warm["maxrss_kib"] * 1024,
+                "report, cached": table["maxrss_kib"] * 1024,
                 # a checkout without the cache leaves none
                 "cache": os.path.getsize(cache) if os.path.exists(cache) else 0,
             }
@@ -97,8 +106,8 @@ def measure(root: str, work: str) -> list:
 def report(rows: list) -> str:
     lines = [
         "| duration_s | records | frames | simulate peak MB | analyze peak MB "
-        "| analyze, cached peak MB | cache MB |",
-        "| ---: | ---: | ---: | ---: | ---: | ---: | ---: |",
+        "| analyze, cached peak MB | report, cached peak MB | cache MB |",
+        "| ---: | ---: | ---: | ---: | ---: | ---: | ---: | ---: |",
     ]
     for r in rows:
         peaks = " | ".join(f"{r[step] / 2**20:.1f}" for step in STEPS)
