@@ -26,6 +26,12 @@ Metric definitions, chosen once and used everywhere:
                the same ratio for the other class, and wasted bandwidth
                is their sum by definition.
 
+Value rule: every millisecond value read, a frame's arrival, the
+header's skew_bound_ms, t_fdr_ms and t_dcs_ms and the t_fdr_ms/t_dcs_ms
+arguments, is a finite number of magnitude below 2**63 (MS_LIMIT), the
+range of the int64 frame_timestamp column.  So every delay is finite
+and below 2**65 in magnitude, and no sum of them can overflow a double.
+
 Integrity: the loader counts records, uplink, ack and dropped copies as
 it parses, and Capture.integrity_problems() compares them with the
 trailer the writer appended; a capture without a trailer was cut short.
@@ -81,11 +87,36 @@ SUMMARY_COLUMNS = [
 # the trailer counters a capture writer keeps, each recomputed on load
 TRAILER_KEYS = ("records", "uplink_copies", "ack_copies", "dropped_copies")
 
+# the bound of the value rule: the int64 range of frame_timestamp
+MS_LIMIT = 2.0**63
+
 _decode = json.JSONDecoder().raw_decode
 
 
 class CaptureError(Exception):
     """The file is not a usable capture log."""
+
+
+def _check_ms(name: str, value) -> None:
+    """ValueError unless ``value`` is None or a number of magnitude below
+    MS_LIMIT: the value rule."""
+    try:
+        if value is None or -MS_LIMIT < value < MS_LIMIT:
+            return
+    except TypeError:  # not a number
+        pass
+    raise ValueError(f"{name} must be a finite number of magnitude below 2**63, got {value!r}")
+
+
+def _check_header(header: dict) -> None:
+    """ValueError naming the first header value the analyzer cannot use."""
+    for key in ("skew_bound_ms", "t_fdr_ms", "t_dcs_ms"):
+        _check_ms(key, header.get(key))
+    epoch, duration = header.get("epoch_utc_ms"), header.get("duration_s")
+    if epoch is not None and (epoch.__class__ is not int or not -MS_LIMIT < epoch < MS_LIMIT):
+        raise ValueError(f"epoch_utc_ms must be null or an int of magnitude below 2**63, got {epoch!r}")
+    if duration is not None and (duration.__class__ is not int or duration < 0):
+        raise ValueError(f"duration_s must be null, 0 or a positive int, got {duration!r}")
 
 
 class _Codes(dict):
@@ -218,11 +249,11 @@ class Capture:
     is first used.
     """
 
-    def __init__(self, header, integrity, skipped_lines, counts, columns, table=None):
+    def __init__(self, header, integrity, skipped_lines, counts, columns, table):
         self.header, self.integrity = header, integrity
         self.skipped_lines, self.counts = skipped_lines, counts
         self._columns = columns  # (Records, Frames), or a function returning them
-        self._table = table  # the SlotTable at the header's t_fdr_ms, once built
+        self._table = table  # the SlotTable at the header's t_fdr_ms
 
     @property
     def records(self) -> Records:
@@ -263,21 +294,7 @@ class Capture:
         The configured duration wins; a live capture without one gets
         the smallest slot count covering every frame and arrival.
         """
-        if self._table is not None:
-            return self._table.population
-        duration = self.header.get("duration_s")
-        if duration:
-            return int(duration)
-        epoch = self.epoch_utc_ms
-        # both slot numbers grow with their time, so the latest time
-        # gives the last slot
-        last_frame = max(
-            (_slot_of_timestamp(max(stamps), epoch) + 1 for _, _, stamps, _ in self.frames.by_device),
-            default=0,
-        )
-        last_wall = max((wall for wall in self.records.wall_time if wall == wall), default=None)
-        last_arrival = 0 if last_wall is None else int((last_wall - epoch) // 1000) + 1
-        return max(last_frame, last_arrival)
+        return self._table.population
 
     def slot_table(self, t_fdr_ms: Optional[float] = None) -> "SlotTable":
         """The SlotTable of this capture at ``t_fdr_ms`` (default: the
@@ -287,11 +304,8 @@ class Capture:
         can undo."""
         own = self.t_fdr_ms
         if t_fdr_ms is None or (t_fdr_ms.__class__ is own.__class__ and t_fdr_ms == own):
-            if self._table is None:
-                self._table = _build_table(self, own)
             return self._table
-        if self._table is None:
-            return _build_table(self, t_fdr_ms)
+        _check_ms("t_fdr_ms", t_fdr_ms)
         return replace(self._table, **_fold_delays(self, self._table.population, t_fdr_ms))
 
     def integrity_problems(self) -> list:
@@ -418,7 +432,7 @@ class _Parser:
     def feed(self, block: str) -> None:
         """Parse a block of whole lines, one at a time as JSON: the
         header, the trailer and the record lines."""
-        nan = math.nan
+        nan, limit = math.nan, MS_LIMIT
         walls, frame_columns = self.walls, self.frame_columns
         add_wall, add_payload, add_header = walls.append, self.payloads.append, self.headers.append
         add_device, add_direction, add_class = self.devices.append, self.directions.append, self.classes.append
@@ -469,7 +483,10 @@ class _Parser:
                     for e in complete:
                         seqs.append(e["frame_seq"])
                         stamps.append(e["frame_timestamp"])
-                        arrivals.append(e["arrival_time_of_last_byte"])
+                        arrival = e["arrival_time_of_last_byte"]
+                        if not -limit < arrival < limit:  # the value rule; a str raises TypeError
+                            raise ValueError(arrival)
+                        arrivals.append(arrival)
             except (KeyError, TypeError, ValueError, OverflowError):
                 # undo this line's appends; the wall column is appended
                 # last, so it holds the count of the lines kept
@@ -490,6 +507,10 @@ class _Parser:
     def capture(self, path: Path) -> Capture:
         if self.header is None:
             raise CaptureError(f"{path}: no header line, not a capture log")
+        try:
+            _check_header(self.header)
+        except ValueError as err:
+            raise CaptureError(f"{path}: header {err}") from None
         device_codes, direction_codes, class_codes = self.codes
         records = Records(
             self.walls, self.devices, self.directions, self.classes, self.payloads, self.headers,
@@ -513,12 +534,33 @@ class _Parser:
             raise CaptureError("device ids of types that do not sort together") from None
         # a null device, as a live record has before its stream's first frame, sorts first
         by_device.sort(key=lambda entry: (entry[0] is not None, entry[0]))
-        capture = Capture(self.header, self.integrity, self.skipped, counts, (records, Frames(by_device)))
-        try:
-            capture.slot_table()
-        except (ArithmeticError, TypeError, ValueError):
-            pass  # header values that do not fold: a summary raises this again
+        # the table is folded from the capture's own columns, below
+        capture = Capture(self.header, self.integrity, self.skipped, counts, (records, Frames(by_device)), None)
+        population = self.header.get("duration_s") or _covered_slots(capture)
+        ids = max(1, len(records.device_ids))
+        if population * ids > MAX_SERIES_VALUES:
+            raise CaptureError(
+                f"{path}: {population} 1-second slots for {ids} device ids is more than "
+                f"{MAX_SERIES_VALUES} slot table values"
+            )
+        capture._table = _build_table(capture, population)
         return capture
+
+
+def _covered_slots(capture: Capture) -> int:
+    """The smallest population slot count covering every frame and
+    arrival of ``capture``: the population of a live capture, which
+    configures no duration."""
+    epoch = capture.epoch_utc_ms
+    # both slot numbers grow with their time, so the latest time gives
+    # the last slot
+    last_frame = max(
+        (_slot_of_timestamp(max(stamps), epoch) + 1 for _, _, stamps, _ in capture.frames.by_device),
+        default=0,
+    )
+    last_wall = max((wall for wall in capture.records.wall_time if wall == wall), default=None)
+    last_arrival = 0 if last_wall is None else int((last_wall - epoch) // 1000) + 1
+    return max(last_frame, last_arrival)
 
 
 def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
@@ -548,7 +590,7 @@ def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
 # A load reads the JSON line and the table, and the columns only when
 # records or frames are first used, so a summary reads no column.
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 _RECORD_TYPECODES, _FRAME_TYPECODES = "dIBBqq", "qqd"
 # what reading a cache that is missing, cut short, garbage or of another
 # layout can raise; any of them means the capture is parsed instead
@@ -667,12 +709,12 @@ def _table_from_cache(meta: dict, arrays: list) -> "SlotTable":
 def _write_cache(cache_path: Path, capture: Capture, capture_sha256: str) -> None:
     """Cache ``capture``'s table and columns at ``cache_path``, through a
     temporary file renamed into place.  Nothing is cached for a capture
-    without a trailer, which may still be growing, or without a table;
-    a cache that cannot be written is left out."""
+    without a trailer, which may still be growing; a cache that cannot
+    be written is left out."""
     import hashlib
 
     table = capture._table
-    if capture.integrity is None or table is None:
+    if capture.integrity is None:
         return
     records, by_device = capture.records, capture.frames.by_device
     code_of = {dev: code for code, dev in enumerate(records.device_ids)}
@@ -721,6 +763,8 @@ class DelaySeries(_Columns):
     __slots__ = ("frames", "t_fdr_ms", "t_dcs_ms", "flag_below")
 
     def __init__(self, capture: Capture, t_fdr_ms: Optional[float] = None, t_dcs_ms: Optional[float] = None):
+        _check_ms("t_fdr_ms", t_fdr_ms)
+        _check_ms("t_dcs_ms", t_dcs_ms)
         self.frames = capture.frames
         self.t_fdr_ms = capture.t_fdr_ms if t_fdr_ms is None else t_fdr_ms
         self.t_dcs_ms = capture.t_dcs_ms if t_dcs_ms is None else t_dcs_ms
@@ -763,13 +807,12 @@ def one_way_delays(
 MAX_SERIES_VALUES = 1 << 25
 
 
-def _uplink_totals(capture: Capture, window_s: float) -> tuple:
-    """One pass over the records: per-device delivered kbit/s per window,
-    and uplink wire bytes by retransmission class per device id, records
-    without a device under None."""
+def _uplink_totals(capture: Capture, window_s: float, population: int) -> tuple:
+    """One pass over the records: per-device delivered kbit/s per window
+    of the ``population`` seconds, and uplink wire bytes by retransmission
+    class per device id, records without a device under None."""
     if not 0 < window_s < math.inf:
         raise ValueError(f"window_s must be finite and positive, got {window_s}")
-    population = capture.population_slots()
     records = capture.records
     ids, classes = records.device_ids, records.classes
     # checked before ceil(), which fails on an infinite quotient
@@ -807,13 +850,17 @@ def _uplink_totals(capture: Capture, window_s: float) -> tuple:
 
 
 def throughput_series(capture: Capture, window_s: float = 1.0) -> dict:
-    """Per-device delivered-byte rate in kbit/s, one value per window."""
-    return _uplink_totals(capture, window_s)[0]
+    """Per-device delivered-byte rate in kbit/s, one value per window.
+    At 1-second windows these are the SlotTable's rates; another window
+    makes one pass over the records."""
+    if window_s == 1.0:
+        return capture.slot_table().series()
+    return _uplink_totals(capture, window_s, capture.population_slots())[0]
 
 
 def _uplink_wire_bytes(by_class: dict) -> Counter:
-    """Capture-wide uplink wire bytes by class, from _uplink_totals'
-    per-device totals; records without a device count too."""
+    """Capture-wide uplink wire bytes by class, from per-device totals
+    such as SlotTable.wire_bytes; records without a device count too."""
     totals: Counter = Counter()
     for per_class in by_class.values():
         totals.update(per_class)
@@ -832,7 +879,7 @@ def _retx_pcts(totals) -> tuple:
 
 def retransmission_stats(capture: Capture) -> tuple:
     """(timeout retx %, fast retx %) over all uplink wire bytes."""
-    return _retx_pcts(_uplink_wire_bytes(_uplink_totals(capture, window_s=1.0)[1]))
+    return _retx_pcts(_uplink_wire_bytes(capture.slot_table().wire_bytes))
 
 
 def wasted_bandwidth_pct(capture: Capture) -> float:
@@ -859,36 +906,11 @@ def summarize(
     The averages are statistics.fmean, an exactly rounded sum, so they
     do not depend on the order frames and slots are visited in.  The
     summary reads only the capture's SlotTable: at the header's t_fdr_ms
-    no record or frame is touched.  CaptureError when a device's delays
-    sum past the largest float.
+    no record or frame is touched.  ValueError when t_fdr_ms or t_dcs_ms
+    breaks the value rule.
     """
-    return _summarize(capture.slot_table(t_fdr_ms), sample_indices)
-
-
-def analyze(
-    capture: Capture,
-    sample_indices=None,
-    t_fdr_ms: Optional[float] = None,
-    t_dcs_ms: Optional[float] = None,
-    window_s: float = 1.0,
-) -> tuple:
-    """Everything the analyze command writes: (summarize(...), the
-    DelaySeries of one_way_delays(...), throughput_series(capture,
-    window_s)).
-
-    At the default window the series comes from the SlotTable the
-    summary reads; another window makes one pass over the records.  The
-    delay series is computed as it is read, so no list of FrameDelay is
-    built.
-    """
+    _check_ms("t_dcs_ms", t_dcs_ms)
     table = capture.slot_table(t_fdr_ms)
-    summary = _summarize(table, sample_indices)
-    series = table.series() if window_s == 1.0 else throughput_series(capture, window_s)
-    return summary, DelaySeries(capture, t_fdr_ms, t_dcs_ms), series
-
-
-def _summarize(table: "SlotTable", sample_indices) -> MetricsSummary:
-    """summarize, from the capture's slot table."""
     population = table.population
     slots = range(population)
     if sample_indices is not None:
@@ -924,11 +946,29 @@ def _summarize(table: "SlotTable", sample_indices) -> MetricsSummary:
     )
 
 
+def analyze(
+    capture: Capture,
+    sample_indices=None,
+    t_fdr_ms: Optional[float] = None,
+    t_dcs_ms: Optional[float] = None,
+    window_s: float = 1.0,
+) -> tuple:
+    """Everything the analyze command writes: (summarize(...), the
+    DelaySeries of one_way_delays(...), throughput_series(capture,
+    window_s)).
+
+    The delay series is computed as it is read, so no list of FrameDelay
+    is built.
+    """
+    summary = summarize(capture, sample_indices, t_fdr_ms, t_dcs_ms)
+    return summary, DelaySeries(capture, t_fdr_ms, t_dcs_ms), throughput_series(capture, window_s)
+
+
 # -- slot table ------------------------------------------------------------------
 
 # the SlotTable fields kept in arrays, and their typecodes
-_TABLE_ARRAYS = ("rates", "counts", "tops", "top_at", "first_at", "part_ends", "partials", "special_keys", "specials")
-_TABLE_TYPECODES = "dqdqqqdqd"
+_TABLE_ARRAYS = ("rates", "counts", "tops", "top_at", "part_ends", "partials")
+_TABLE_TYPECODES = "dqdqqd"
 
 
 @dataclass(frozen=True)
@@ -942,7 +982,7 @@ class SlotTable:
     devices        the ids with a summary row, sorted: Capture.devices()
     rates          'd', max(1, population) 1-second window rates in
                    kbit/s per id of ``devices``, in that order: the
-                   series _uplink_totals(capture, 1.0) gives
+                   series _uplink_totals(capture, 1.0, population) gives
     wire_bytes     device id -> {class: uplink wire bytes}, for every id,
                    None included
     flagged        frames whose delay is below minus the skew bound, in
@@ -956,21 +996,18 @@ class SlotTable:
                    in its device's frame columns, which are in frame_seq
                    order.
     counts         'q', how many
-    tops           'd', the largest delay that is not NaN, as max() picks
-                   it; NaN when there is none
-    top_at         'q', the place of that frame; -1 when there is none
-    first_at       'q', the place of the first; -1 when there is none
+    tops           'd', the largest delay, as max() picks it; 0.0 when
+                   there is none
+    top_at         'q', the place of that frame; 0 when there is none
     part_ends      'q', where the entry's partials end in ``partials``;
                    they start where the previous entry's end
-    partials       'd', finite doubles whose exact sum is the exact sum
-                   of the entry's finite delays, largest first (the
-                   rounded sum, then the rounded remainders)
-    special_keys   'q', (row, slot, place) of each counted frame whose
-                   delay is infinite or NaN
-    specials       'd', those delays
+    partials       'd', doubles whose exact sum is the exact sum of the
+                   entry's delays, largest first (the rounded sum, then
+                   the rounded remainders)
 
     The places are what makes max() exact: it keeps the first of equal
-    values (a 0.0 beside a -0.0) and a NaN that comes first.
+    values, such as a 0.0 beside a -0.0.  The value rule keeps every
+    delay finite and far below the largest float, so no sum overflows.
     """
 
     population: int
@@ -982,19 +1019,15 @@ class SlotTable:
     counts: array
     tops: array
     top_at: array
-    first_at: array
     part_ends: array
     partials: array
-    special_keys: array
-    specials: array
 
     def check(self) -> None:
         """ValueError unless every array has the length its fields imply."""
         entries = len(self.delay_devices) * self.population
         expected = dict(
             rates=len(self.devices) * max(1, self.population), counts=entries, tops=entries, top_at=entries,
-            first_at=entries, part_ends=entries, partials=self.part_ends[-1] if entries else 0,
-            special_keys=3 * len(self.specials),
+            part_ends=entries, partials=self.part_ends[-1] if entries else 0,
         )
         if any(len(getattr(self, name)) != length for name, length in expected.items()):
             raise ValueError("slot table arrays of the wrong length")
@@ -1012,58 +1045,40 @@ class SlotTable:
     def delay_figures(self, dev, slots) -> tuple:
         """(statistics.fmean, max()) of device ``dev``'s counted delays in
         ``slots``, taken in frame_seq order, bit for bit; (NaN, NaN) when
-        it has none there.  Where the delays' finite part sums past the
-        largest float, CaptureError, whatever their order."""
+        it has none there."""
         if dev not in self.delay_devices:
             return math.nan, math.nan
         row = self.delay_devices.index(dev)
-        counts, tops, top_at, first_at = self.counts, self.tops, self.top_at, self.first_at
+        counts, tops, top_at = self.counts, self.tops, self.top_at
         ends, partials = self.part_ends, self.partials
         base = row * self.population
-        n, parts, lead, top, top_place = 0, [], None, None, None
+        n, parts, top, top_place = 0, [], None, None
         for s in slots:
             k = base + s
             if not counts[k]:
                 continue
             n += counts[k]
             parts += partials[ends[k - 1] if k else 0:ends[k]]
-            if lead is None or first_at[k] < lead:
-                lead = first_at[k]
             value = tops[k]
             # max() keeps the first of equal values
-            if value == value and (top is None or value > top or (value == top and top_at[k] < top_place)):
+            if top is None or value > top or (value == top and top_at[k] < top_place):
                 top, top_place = value, top_at[k]
         if not n:
             return math.nan, math.nan
-        try:
-            total = _sum_exactly(parts)
-        except OverflowError:
-            raise CaptureError(f"device {dev}: its frame delays sum past the largest float") from None
-        keys = self.special_keys
-        specials = sorted(
-            (keys[3 * i + 2], value) for i, value in enumerate(self.specials)
-            if keys[3 * i] == row and keys[3 * i + 1] in slots
-        )
-        if specials:
-            # what fsum makes of the infinities and NaNs, in frame order
-            total = math.fsum(value for _, value in specials)
-            place, value = specials[0]
-            if place == lead and value != value:
-                top = value  # max() keeps a NaN that comes first
-        return total / n, top
+        return math.fsum(parts) / n, top
 
 
-def _build_table(capture: Capture, t_fdr_ms) -> SlotTable:
-    """The SlotTable of ``capture`` at ``t_fdr_ms``: one pass over the
-    records, then one over the frames."""
-    population = capture.population_slots()
-    series, by_class = _uplink_totals(capture, 1.0)
+def _build_table(capture: Capture, population: int) -> SlotTable:
+    """The SlotTable of ``capture`` over ``population`` slots at the
+    header's t_fdr_ms: one pass over the records, then one over the
+    frames."""
+    series, by_class = _uplink_totals(capture, 1.0, population)
     return SlotTable(
         population=population,
         devices=list(series),
         rates=array("d", chain.from_iterable(series.values())),
         wire_bytes=by_class,
-        **_fold_delays(capture, population, t_fdr_ms),
+        **_fold_delays(capture, population, capture.t_fdr_ms),
     )
 
 
@@ -1074,11 +1089,9 @@ def _fold_delays(capture: Capture, population: int, t_fdr_ms) -> dict:
     epoch = capture.epoch_utc_ms
     by_device = capture.frames.by_device
     entries = len(by_device) * population
-    counts = array("q", bytes(8 * entries))
-    tops = array("d", [math.nan]) * entries
-    top_at, first_at = array("q", [-1]) * entries, array("q", [-1]) * entries
-    part_ends, partials = array("q", bytes(8 * entries)), array("d")
-    special_keys, specials = array("q"), array("d")
+    zeros = bytes(8 * entries)
+    counts, tops, top_at, part_ends = array("q", zeros), array("d", zeros), array("q", zeros), array("q", zeros)
+    partials = array("d")
     flagged = 0
     for row, (_, _, stamps, arrivals) in enumerate(by_device):
         delays = array("d", (arrival - (ts + t_fdr_ms) for ts, arrival in zip(stamps, arrivals)))
@@ -1093,26 +1106,15 @@ def _fold_delays(capture: Capture, population: int, t_fdr_ms) -> dict:
         # a device's frames mostly come in runs of one slot
         for slot, run in groupby(kept, itemgetter(0)):
             if 0 <= slot < population:
-                # int(): a float epoch gives whole float slots
-                slots.setdefault(int(slot), []).extend(map(itemgetter(1), run))
+                slots.setdefault(slot, []).extend(map(itemgetter(1), run))
         for slot in sorted(slots):
             places = slots[slot]
             values = list(map(delays.__getitem__, places))
             k = row * population + slot
-            counts[k], first_at[k] = len(values), places[0]
-            finite = numbers = values
-            if not all(map(math.isfinite, values)):
-                finite = [value for value in values if math.isfinite(value)]
-                numbers = [value for value in values if value == value]
-                for place, value in zip(places, values):
-                    if not math.isfinite(value):
-                        special_keys.extend((row, slot, place))
-                        specials.append(value)
-            if numbers:
-                tops[k] = top = max(numbers)
-                top_at[k] = places[values.index(top)]  # the first equal value, as max() keeps
-            if finite:
-                partials.extend(_exact_parts(finite))
+            counts[k] = len(values)
+            tops[k] = top = max(values)
+            top_at[k] = places[values.index(top)]  # the first equal value, as max() keeps
+            partials.extend(_exact_parts(values))
             part_ends[k] = len(partials)
     return dict(
         flagged=flagged,
@@ -1120,56 +1122,21 @@ def _fold_delays(capture: Capture, population: int, t_fdr_ms) -> dict:
         counts=counts,
         tops=tops,
         top_at=top_at,
-        first_at=first_at,
         # an entry without frames ends where the one before it does
         part_ends=array("q", accumulate(part_ends, max)),
         partials=partials,
-        special_keys=special_keys,
-        specials=specials,
     )
 
 
-# 2**1074 times a finite double is an integer: the exact sums below are
-# integers in units of the smallest subnormal
-_SCALE = 1 << 1074
-
-
-def _scaled_sum(values) -> int:
-    return sum(n * (_SCALE // d) for n, d in map(float.as_integer_ratio, values))
-
-
-def _sum_exactly(values) -> float:
-    """math.fsum of finite ``values``, also where its running sum
-    overflows and the exact sum does not; OverflowError where the exact
-    sum rounds past the largest float."""
-    try:
-        return math.fsum(values)
-    except OverflowError:
-        return _scaled_sum(values) / _SCALE
-
-
 def _exact_parts(values: list) -> list:
-    """Finite doubles whose exact sum is that of the finite ``values``:
-    their rounded sum, then the rounded remainders, none for a zero sum.
-    A sum past the largest float is held in parts of at most that size."""
+    """Doubles whose exact sum is that of ``values``: their rounded sum,
+    then the rounded remainders, none for a zero sum."""
     parts, rest = [], list(values)
-    try:
+    total = math.fsum(rest)
+    while total:
+        parts.append(total)
+        rest.append(-total)
         total = math.fsum(rest)
-        while total:
-            parts.append(total)
-            rest.append(-total)
-            total = math.fsum(rest)
-        return parts
-    except OverflowError:
-        parts = []
-    exact = _scaled_sum(values)
-    while exact:
-        try:
-            part = exact / _SCALE
-        except OverflowError:
-            part = sys.float_info.max if exact > 0 else -sys.float_info.max
-        parts.append(part)
-        exact -= _scaled_sum((part,))
     return parts
 
 

@@ -164,6 +164,8 @@ def cmd_samplesize(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    if args.duration_s is not None and args.duration_s < 1:
+        raise ValueError(f"--duration-s must be at least 1, got {args.duration_s}")
     server = LiveDcsServer(
         host=args.host,
         port=args.port,
@@ -307,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=0, help="0 picks a free port (printed on start)")
     p.add_argument("--out-dir", default=".", help="directory for the log files")
     p.add_argument("--max-conns", type=int, default=64)
-    p.add_argument("--skew-bound-ms", type=float, default=10.0)
+    p.add_argument("--skew-bound-ms", type=_finite_float, default=10.0)
     p.add_argument("--duration-s", type=int, help="stop after this long (default: until interrupted)")
     p.set_defaults(handler=cmd_serve)
 
@@ -317,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--devices", type=int, default=1)
     p.add_argument("--first-device", type=int, default=1, help="device id of the first emulator")
     p.add_argument("--duration-s", type=int, default=10)
-    p.add_argument("--t-fdr-ms", type=float, default=0.0)
+    p.add_argument("--t-fdr-ms", type=_finite_float, default=0.0)
     p.add_argument("--seed", default="live")
     p.add_argument("--connect-attempts", type=int, default=5)
     p.set_defaults(handler=cmd_emulate)

@@ -210,7 +210,11 @@ class LogWriter:
     def __init__(self, path, header: dict):
         self.path = Path(path)
         self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
-        self.write({"header": header})
+        try:
+            self.write({"header": header})
+        except BaseException:
+            self._fh.close()
+            raise
 
     def write(self, obj) -> None:
         """Append one line: ``obj`` JSON-encoded, or as is when it is a

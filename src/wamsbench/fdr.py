@@ -72,8 +72,8 @@ class FdrConfig:
     signal: SignalModel = SignalModel()
 
     def __post_init__(self) -> None:
-        if self.t_fdr_ms < 0:
-            raise ValueError("t_fdr_ms must be non-negative")
+        if not 0 <= self.t_fdr_ms < math.inf:
+            raise ValueError(f"t_fdr_ms must be finite and non-negative, got {self.t_fdr_ms}")
         if not 0.0 <= self.p_seg <= 1.0:
             raise ValueError("p_seg outside [0, 1]")
 

@@ -18,6 +18,7 @@ Sections:
 """
 
 import configparser
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -63,6 +64,13 @@ class Scenario:
         return len(self.devices) * self.duration_s * 10
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 class _Section:
     """One INI section with typed, defaulted, consumed-once access."""
 
@@ -86,7 +94,7 @@ class _Section:
         return self._take(key, default, int)
 
     def take_float(self, key: str, default: Optional[float] = None):
-        return self._take(key, default, float)
+        return self._take(key, default, _finite_float)
 
     def finish(self) -> None:
         if self.data:

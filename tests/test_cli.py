@@ -206,9 +206,9 @@ class TestReport:
     ids=["finite", "inf-between", "inf-first", "inf-last"],
 )
 @pytest.mark.parametrize("command", ["analyze", "report"])
-def test_delays_past_the_largest_float_are_a_usage_error(command, arrivals, tmp_path, capsys):
-    # fsum raised OverflowError on three of these orders and gave inf on
-    # the other; each is one error line now
+def test_arrivals_whose_delays_summed_past_the_largest_float_are_refused(command, arrivals, tmp_path, capsys):
+    # each arrival breaks the value rule, so its line is skipped and the
+    # trailer no longer vouches for the capture
     records = [
         oracle_logs._rec(1.0 + seq, 1, 85, complete=oracle_logs._done(seq, 100 * seq, arrival))
         for seq, arrival in enumerate(arrivals, 1)
@@ -216,11 +216,71 @@ def test_delays_past_the_largest_float_are_a_usage_error(command, arrivals, tmp_
     path = oracle_logs.write_log(tmp_path / "c.jsonl", oracle_logs._header(duration_s=1), records)
     out = tmp_path / "out"
     argv = [command, str(path), *(["--out-dir", str(out)] if command == "analyze" else [])]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"warning: skipped {len(arrivals)} corrupt log line(s)",
+        f"error: {path}: trailer counts records={len(arrivals)}, parsed 0",
+        "error: not reporting on an incomplete capture; see --allow-incomplete",
+    ]
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def _refused(command, path, tmp_path, capsys, *options) -> str:
+    """Run ``command`` on the capture at ``path``, which it must refuse
+    with exit 2 and one error line, writing nothing; returns that line."""
+    out = tmp_path / "out"
+    argv = [command, str(path), *options, *(["--out-dir", str(out)] if command == "analyze" else [])]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == ["error: device 1: its frame delays sum past the largest float"]
     assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
     assert not out.exists() or list(out.iterdir()) == []
+    return line
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("duration_s", math.inf), ("duration_s", -1), ("duration_s", 2.5), ("duration_s", "2"),
+        ("epoch_utc_ms", "0"), ("epoch_utc_ms", 1.5), ("epoch_utc_ms", 2**63),
+        ("t_fdr_ms", "x"), ("t_fdr_ms", math.nan),
+        ("skew_bound_ms", math.nan), ("skew_bound_ms", 1e305),
+    ],
+)
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_header_value_the_analyzer_cannot_use_is_a_usage_error(command, key, value, tmp_path, capsys):
+    header = dict(oracle_logs._header(duration_s=1), **{key: value})
+    records = [oracle_logs._rec(110.5, 1, 85, complete=oracle_logs._done(1, 100, 110.5))]
+    path = oracle_logs.write_log(tmp_path / "c.jsonl", header, records)
+    line = _refused(command, path, tmp_path, capsys)
+    assert line.startswith(f"error: {path}: header {key} must be ")
+    assert line.endswith(f"got {value!r}")
+    assert not (tmp_path / "c.jsonl.columns").exists()
+
+
+@pytest.mark.parametrize("option", ["--t-fdr-ms", "--t-dcs-ms"])
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_processing_time_past_the_value_rule_is_a_usage_error(command, option, mini_run, tmp_path, capsys):
+    line = _refused(command, mini_run / "capture.jsonl", tmp_path, capsys, f"{option}=1e300")
+    name = option[2:].replace("-", "_")
+    assert line == f"error: {name} must be a finite number of magnitude below 2**63, got 1e+300"
+
+
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_capture_past_the_slot_table_cap_is_a_usage_error(command, mini_run, tmp_path, capsys, monkeypatch):
+    # mini: 4 slots and 2 device ids
+    path = tmp_path / "capture.jsonl"
+    path.write_bytes((mini_run / "capture.jsonl").read_bytes())
+    monkeypatch.setattr(analyzer, "MAX_SERIES_VALUES", 7)
+    line = _refused(command, path, tmp_path, capsys)
+    assert line == f"error: {path}: 4 1-second slots for 2 device ids is more than 7 slot table values"
+    assert "window" not in line
+    assert not (tmp_path / "capture.jsonl.columns").exists()
+    monkeypatch.setattr(analyzer, "MAX_SERIES_VALUES", 8)
+    assert cli.main(["report", str(path)]) == 0
 
 
 class TestIntegrityTrailer:
@@ -403,6 +463,13 @@ class TestEmulate:
         assert f"--devices must be at least 1, got {devices}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_processing_time_must_be_finite(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["emulate", "--port", "9", "--t-fdr-ms", value])
+        assert exc.value.code == 2
+        assert f"not a finite number: {value!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("attempts", ["0", "-1"])
     def test_connect_attempts_below_one_is_a_usage_error(self, capsys, monkeypatch, attempts):
         def no_emulate(emulators):
@@ -445,6 +512,17 @@ class TestEmulate:
 
 
 class TestServe:
+    @pytest.mark.parametrize("argv", [["--skew-bound-ms", "nan"], ["--skew-bound-ms", "inf"],
+                                      ["--duration-s", "0"], ["--duration-s", "-1"]])
+    def test_header_value_a_log_cannot_hold_is_a_usage_error(self, argv, tmp_path, capsys):
+        try:
+            code = cli.main(["serve", "--port", "0", "--out-dir", str(tmp_path), *argv])
+        except SystemExit as exc:  # argparse's refusal
+            code = exc.code
+        assert code == 2
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_sigterm_stops_cleanly_with_sigint_ignored(self, tmp_path):
         # a background job of a non-interactive shell starts with SIGINT
         # ignored, so SIGTERM is what stops it

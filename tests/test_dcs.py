@@ -4,12 +4,14 @@ The split-frame rule matters most here: a frame's arrival time is the
 time of the delivery that completed it, never the first fragment's.
 """
 
+import gc
 import json
 import math
 import socket
 import struct
 import threading
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -276,6 +278,14 @@ class TestLogWriter:
         writer.write({"already": "encoded"})
         writer.close()
         assert path.read_text().splitlines()[1:] == ['{"already":"encoded"}'] * 2
+
+    def test_header_that_cannot_be_written_closes_the_file(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+                LogWriter(tmp_path / "log.jsonl", {"skew_bound_ms": math.nan})
+            gc.collect()
+        assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_frame_complete_entry_shape(self):
         ingest = IngestState()

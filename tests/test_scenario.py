@@ -81,6 +81,10 @@ dcs_outages = 10-15, 42.5-44
             ("[scenario]\ndevices = 2\n[device 9]\np_seg = 0\n", "device 9"),
             ("[scenario]\ndcs_outages = 9-3\n", "dcs_outages"),
             ("[scenario]\nduration_s = 5\n[device 1]\ndisturbance = oops\n", "disturbance"),
+            # a float that is not finite could not be written to a log header
+            ("[scenario]\nskew_bound_ms = nan\n", "[scenario] skew_bound_ms: not a finite number: 'nan'"),
+            ("[scenario]\nt_dcs_ms = inf\n", "[scenario] t_dcs_ms: not a finite number: 'inf'"),
+            ("[device]\nt_fdr_ms = -Infinity\n", "[device] t_fdr_ms: not a finite number: '-Infinity'"),
         ],
     )
     def test_invalid_scenarios_name_the_field(self, snippet, needle):
