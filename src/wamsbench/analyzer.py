@@ -32,6 +32,12 @@ arguments, is a finite number of magnitude below 2**63 (MS_LIMIT), the
 range of the int64 frame_timestamp column.  So every delay is finite
 and below 2**65 in magnitude, and no sum of them can overflow a double.
 
+Identifier rule: a record's device_id is null or an int in [0, 65535],
+the 16-bit id its frames carry; its direction is one of DIRECTIONS and
+its retransmission_class one of CLASSES; and a record that completes
+frames names its device.  A record line that breaks either rule is a
+corrupt line.
+
 Integrity: the loader counts records, uplink, ack and dropped copies as
 it parses, and Capture.integrity_problems() compares them with the
 trailer the writer appended; a capture without a trailer was cut short.
@@ -90,6 +96,14 @@ TRAILER_KEYS = ("records", "uplink_copies", "ack_copies", "dropped_copies")
 # the bound of the value rule: the int64 range of frame_timestamp
 MS_LIMIT = 2.0**63
 
+# the identifier rule: the largest device id, and the directions and
+# classes a record may hold, each stored as its place in its tuple
+MAX_DEVICE_ID = 0xFFFF
+DIRECTIONS = ("UPLINK", "ACK")
+CLASSES = ("FIRST", "RTO_RETX", "FAST_RETX")
+_DIRECTION_INDEX = {value: code for code, value in enumerate(DIRECTIONS)}
+_CLASS_INDEX = {value: code for code, value in enumerate(CLASSES)}
+
 _decode = json.JSONDecoder().raw_decode
 
 
@@ -108,7 +122,7 @@ def _check_ms(name: str, value) -> None:
     raise ValueError(f"{name} must be a finite number of magnitude below 2**63, got {value!r}")
 
 
-def _check_header(header: dict) -> None:
+def check_header(header: dict) -> None:
     """ValueError naming the first header value the analyzer cannot use."""
     for key in ("skew_bound_ms", "t_fdr_ms", "t_dcs_ms"):
         _check_ms(key, header.get(key))
@@ -117,38 +131,6 @@ def _check_header(header: dict) -> None:
         raise ValueError(f"epoch_utc_ms must be null or an int of magnitude below 2**63, got {epoch!r}")
     if duration is not None and (duration.__class__ is not int or duration < 0):
         raise ValueError(f"duration_s must be null, 0 or a positive int, got {duration!r}")
-
-
-class _Codes(dict):
-    """Value -> small int code for the array ``column``, handing out the
-    next code on first sight, and CaptureError once ``column`` cannot
-    hold it; the values in code order are list(self).
-
-    ``rows`` is the column appended last for each kept line, so its
-    length is the number of the line being parsed.  Each code remembers
-    that number, so forget(line) can drop the code a line handed out
-    before it was rolled back.
-    """
-
-    def __init__(self, name: str, column: array, rows: array):
-        super().__init__()
-        self.name, self.rows = name, rows
-        self.limit = 256**column.itemsize
-        self.first_lines: list = []
-
-    def __missing__(self, value):
-        code = len(self)
-        if code == self.limit:
-            raise CaptureError(f"more than {self.limit} distinct {self.name} values")
-        self[value] = code
-        self.first_lines.append(len(self.rows))
-        return code
-
-    def forget(self, line: int) -> None:
-        # a line hands out at most one code, the newest one
-        if self.first_lines and self.first_lines[-1] == line:
-            self.popitem()
-            self.first_lines.pop()
 
 
 class _Columns:
@@ -176,17 +158,13 @@ class Records(_Columns):
     wall_time                    'd'; NaN for a dropped copy (null in
                                  the log: the loader rejects every
                                  non-finite wall time, so NaN is free)
-    device, direction,           'I', 'B', 'B' codes into device_ids,
-    retx_class                   directions and classes, which list
-                                 each distinct value once: any number
-                                 of device ids (a live capture's None
-                                 is one more), at most 256 directions
-                                 and 256 classes
+    device                       'i', the device id; -1 for null
+    direction, retx_class        'B', places in DIRECTIONS and CLASSES
     payload_bytes, header_bytes  'q'
 
     Iterating yields the tuples (wall_time, device_id, direction,
     payload_bytes, header_bytes, retransmission_class), with None for a
-    dropped copy's wall time.
+    dropped copy's wall time and for a null device id.
     """
 
     wall_time: array
@@ -195,25 +173,16 @@ class Records(_Columns):
     retx_class: array
     payload_bytes: array
     header_bytes: array
-    device_ids: list
-    directions: list
-    classes: list
 
     def __len__(self) -> int:
         return len(self.wall_time)
 
     def __iter__(self):
-        ids, directions, classes = self.device_ids, self.directions, self.classes
         columns = (self.wall_time, self.device, self.direction, self.payload_bytes,
                    self.header_bytes, self.retx_class)
         for wall, dev, direction, payload, header, cls in zip(*columns):
-            yield (None if wall != wall else wall, ids[dev], directions[direction],
-                   payload, header, classes[cls])
-
-    def direction_code(self, direction) -> int:
-        """The code of ``direction``; -1 when no record has it."""
-        directions = self.directions
-        return directions.index(direction) if direction in directions else -1
+            yield (None if wall != wall else wall, None if dev < 0 else dev, DIRECTIONS[direction],
+                   payload, header, CLASSES[cls])
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -221,7 +190,8 @@ class Frames(_Columns):
     """A capture's frame_complete entries in typed columns, per device.
 
     by_device holds (device_id, frame_seq 'q', frame_timestamp 'q',
-    arrival 'd') per device that completed a frame, sorted by device id,
+    arrival 'd') per device that completed a frame, sorted by device id
+    (an int: a record with frames names its device),
     each device's columns sorted by frame_seq.  Iterating yields the
     tuples (device_id, frame_seq, frame_timestamp, arrival_time).
     """
@@ -285,8 +255,9 @@ class Capture:
         return self.header.get("t_dcs_ms") or 0.0
 
     def devices(self) -> list:
-        ids = self.records.device_ids
-        return sorted(ids[code] for code in set(self.records.device) if ids[code] is not None)
+        """The device ids of the records, sorted, null left out; read
+        from the SlotTable, so no column is read."""
+        return list(self._table.devices)
 
     def population_slots(self) -> int:
         """Number of 1-second population slots this capture covers.
@@ -363,9 +334,8 @@ def load_capture(path) -> Capture:
     A record line counts as corrupt when a field does not fit its
     column: a wall time that is neither null nor a finite number, byte
     counts or frame numbers that are not 64-bit integers, an arrival
-    that is not a number, an unhashable device id, direction or class,
-    or a missing key.  A capture with more than 256 distinct directions
-    or retransmission classes raises CaptureError.
+    that breaks the value rule, an id, direction or class that breaks
+    the identifier rule, or a missing key.
 
     The file is read in blocks of whole lines, as UTF-8 text with
     universal newlines, and each line is decoded as JSON on its own.
@@ -419,24 +389,19 @@ class _Parser:
         self.header = self.integrity = None
         self.skipped = self.dropped = 0
         self.walls, self.payloads, self.headers = array("d"), array("q"), array("q")
-        self.devices, self.directions, self.classes = array("I"), array("B"), array("B")
+        self.devices, self.directions, self.classes = array("i"), array("B"), array("B")
         self.record_columns = (self.walls, self.payloads, self.headers, self.devices, self.directions, self.classes)
-        self.codes = (
-            _Codes("device_id", self.devices, self.walls),
-            _Codes("direction", self.directions, self.walls),
-            _Codes("retransmission_class", self.classes, self.walls),
-        )
-        # device code -> (frame_seq, frame_timestamp, arrival)
+        # device id -> (frame_seq, frame_timestamp, arrival)
         self.frame_columns = defaultdict(lambda: (array("q"), array("q"), array("d")))
 
     def feed(self, block: str) -> None:
         """Parse a block of whole lines, one at a time as JSON: the
         header, the trailer and the record lines."""
-        nan, limit = math.nan, MS_LIMIT
+        nan, limit, max_id = math.nan, MS_LIMIT, MAX_DEVICE_ID
+        direction_index, class_index = _DIRECTION_INDEX, _CLASS_INDEX
         walls, frame_columns = self.walls, self.frame_columns
         add_wall, add_payload, add_header = walls.append, self.payloads.append, self.headers.append
         add_device, add_direction, add_class = self.devices.append, self.directions.append, self.classes.append
-        device_codes, direction_codes, class_codes = self.codes
         # "\n" only: str.splitlines() would also split at characters
         # such as U+2028 that JSON allows raw inside a string
         for line in block.split("\n"):
@@ -472,12 +437,18 @@ class _Parser:
                     raise ValueError(wall)
                 add_payload(obj["payload_bytes"])
                 add_header(obj["header_bytes"])
-                dev = device_codes[obj["device_id"]]
+                dev = obj["device_id"]
+                if dev is None:
+                    dev = -1
+                elif dev.__class__ is not int or not 0 <= dev <= max_id:  # the identifier rule
+                    raise ValueError(dev)
                 add_device(dev)
-                add_direction(direction_codes[obj["direction"]])
-                add_class(class_codes[obj["retransmission_class"]])
+                add_direction(direction_index[obj["direction"]])
+                add_class(class_index[obj["retransmission_class"]])
                 complete = obj.get("frame_complete")
                 if complete:
+                    if dev < 0:
+                        raise ValueError("frames under a null device id")
                     frame_cols = seqs, stamps, arrivals = frame_columns[dev]
                     kept = len(seqs)
                     for e in complete:
@@ -493,8 +464,6 @@ class _Parser:
                 kept_records = len(walls)
                 for column in self.record_columns:
                     del column[kept_records:]
-                for codes in self.codes:
-                    codes.forget(kept_records)
                 if frame_cols is not None:
                     for column in frame_cols:
                         del column[kept:]
@@ -508,42 +477,31 @@ class _Parser:
         if self.header is None:
             raise CaptureError(f"{path}: no header line, not a capture log")
         try:
-            _check_header(self.header)
+            check_header(self.header)
         except ValueError as err:
             raise CaptureError(f"{path}: header {err}") from None
-        device_codes, direction_codes, class_codes = self.codes
-        records = Records(
-            self.walls, self.devices, self.directions, self.classes, self.payloads, self.headers,
-            list(device_codes), list(direction_codes), list(class_codes),
-        )
+        records = Records(self.walls, self.devices, self.directions, self.classes, self.payloads, self.headers)
         counts = dict(
             records=len(self.walls),
-            uplink_copies=self.directions.count(records.direction_code("UPLINK")),
-            ack_copies=self.directions.count(records.direction_code("ACK")),
+            uplink_copies=self.directions.count(_DIRECTION_INDEX["UPLINK"]),
+            ack_copies=self.directions.count(_DIRECTION_INDEX["ACK"]),
             dropped_copies=self.dropped,
         )
         by_device = [
-            (records.device_ids[code], *_sorted_by_seq(*columns))
-            for code, columns in self.frame_columns.items()
-            if columns[0]
+            (dev, *_sorted_by_seq(*self.frame_columns[dev]))
+            for dev in sorted(self.frame_columns)
+            if self.frame_columns[dev][0]
         ]
-        try:
-            # what Capture.devices() sorts, so that it cannot fail either
-            sorted(dev for dev in device_codes if dev is not None)
-        except TypeError:
-            raise CaptureError("device ids of types that do not sort together") from None
-        # a null device, as a live record has before its stream's first frame, sorts first
-        by_device.sort(key=lambda entry: (entry[0] is not None, entry[0]))
         # the table is folded from the capture's own columns, below
         capture = Capture(self.header, self.integrity, self.skipped, counts, (records, Frames(by_device)), None)
         population = self.header.get("duration_s") or _covered_slots(capture)
-        ids = max(1, len(records.device_ids))
-        if population * ids > MAX_SERIES_VALUES:
+        ids = sorted(set(self.devices))  # -1, a null id, first
+        if population * max(1, len(ids)) > MAX_SERIES_VALUES:
             raise CaptureError(
-                f"{path}: {population} 1-second slots for {ids} device ids is more than "
+                f"{path}: {population} 1-second slots for {len(ids)} device ids is more than "
                 f"{MAX_SERIES_VALUES} slot table values"
             )
-        capture._table = _build_table(capture, population)
+        capture._table = _build_table(capture, population, ids)
         return capture
 
 
@@ -580,18 +538,17 @@ def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
 #   JSON     CACHE_VERSION, the byte order, the capture's SHA-256, the
 #            Capture's fields other than its columns, and the typecode,
 #            itemsize and length of each column of either section; under
-#            "table", the SlotTable's fields that are not arrays, device
-#            ids given as codes into device_ids and classes
+#            "table", the SlotTable's fields that are not arrays
 #   table    the raw bytes of the SlotTable's arrays, in _TABLE_ARRAYS order
 #   columns  the raw bytes of the six columns of Records in field order,
 #            then frame_seq, frame_timestamp and arrival for each device
-#            of Frames.by_device, whose ids are given as codes
+#            of Frames.by_device, whose ids are listed in "frame_devices"
 #
 # A load reads the JSON line and the table, and the columns only when
 # records or frames are first used, so a summary reads no column.
 
-CACHE_VERSION = 3
-_RECORD_TYPECODES, _FRAME_TYPECODES = "dIBBqq", "qqd"
+CACHE_VERSION = 4
+_RECORD_TYPECODES, _FRAME_TYPECODES = "diBBqq", "qqd"
 # what reading a cache that is missing, cut short, garbage or of another
 # layout can raise; any of them means the capture is parsed instead
 _BAD_CACHE = (OSError, EOFError, ValueError, LookupError, TypeError, RecursionError)
@@ -684,22 +641,19 @@ def _read_cached_columns(path: Path, cache_path: Path, meta_line: bytes, meta: d
             raise CaptureError(f"{path}: the capture changed after it was loaded") from None
         _write_cache(cache_path, capture, capture_sha256)
         return capture.records, capture.frames
-    ids = meta["device_ids"]
     frame_columns = (columns[k:k + 3] for k in range(6, len(columns), 3))
-    by_device = [(ids[code], *device_columns) for code, device_columns in zip(meta["frame_devices"], frame_columns)]
-    return Records(*columns[:6], ids, meta["directions"], meta["classes"]), Frames(by_device)
+    by_device = [(dev, *device_columns) for dev, device_columns in zip(meta["frame_devices"], frame_columns)]
+    return Records(*columns[:6]), Frames(by_device)
 
 
 def _table_from_cache(meta: dict, arrays: list) -> "SlotTable":
-    ids, classes, fields = meta["device_ids"], meta["classes"], meta["table"]
-    wire_bytes = {ids[code]: {classes[cls]: total for cls, total in totals}
-                  for code, totals in enumerate(fields["wire_bytes"])}
+    fields = meta["table"]
     table = SlotTable(
         population=fields["population"],
-        devices=[ids[code] for code in fields["devices"]],
-        wire_bytes=wire_bytes,
+        devices=fields["devices"],
+        wire_bytes=dict(fields["wire_bytes"]),
         flagged=fields["flagged"],
-        delay_devices=[ids[code] for code in fields["delay_devices"]],
+        delay_devices=fields["delay_devices"],
         **dict(zip(_TABLE_ARRAYS, arrays)),
     )
     table.check()
@@ -717,24 +671,21 @@ def _write_cache(cache_path: Path, capture: Capture, capture_sha256: str) -> Non
     if capture.integrity is None:
         return
     records, by_device = capture.records, capture.frames.by_device
-    code_of = {dev: code for code, dev in enumerate(records.device_ids)}
-    class_of = {cls: code for code, cls in enumerate(records.classes)}
     columns = [records.wall_time, records.device, records.direction, records.retx_class,
                records.payload_bytes, records.header_bytes]
     columns += [column for _, *frame_columns in by_device for column in frame_columns]
     arrays = [getattr(table, name) for name in _TABLE_ARRAYS]
     table_fields = dict(
-        population=table.population, devices=[code_of[dev] for dev in table.devices],
-        wire_bytes=[[[class_of[cls], total] for cls, total in table.wire_bytes[dev].items()]
-                    for dev in records.device_ids],
-        flagged=table.flagged, delay_devices=[code_of[dev] for dev in table.delay_devices],
+        population=table.population, devices=table.devices,
+        # pairs, since a JSON object's keys are strings and an id may be null
+        wire_bytes=list(table.wire_bytes.items()),
+        flagged=table.flagged, delay_devices=table.delay_devices,
         columns=[[column.typecode, column.itemsize, len(column)] for column in arrays],
     )
     meta = dict(
         version=CACHE_VERSION, byteorder=sys.byteorder, capture_sha256=capture_sha256,
         header=capture.header, integrity=capture.integrity, skipped_lines=capture.skipped_lines,
-        counts=capture.counts, device_ids=records.device_ids, directions=records.directions,
-        classes=records.classes, frame_devices=[code_of[dev] for dev, *_ in by_device],
+        counts=capture.counts, frame_devices=[dev for dev, *_ in by_device],
         columns=[[column.typecode, column.itemsize, len(column)] for column in columns],
         table=table_fields,
     )
@@ -807,14 +758,14 @@ def one_way_delays(
 MAX_SERIES_VALUES = 1 << 25
 
 
-def _uplink_totals(capture: Capture, window_s: float, population: int) -> tuple:
+def _uplink_totals(capture: Capture, window_s: float, population: int, ids: list) -> tuple:
     """One pass over the records: per-device delivered kbit/s per window
     of the ``population`` seconds, and uplink wire bytes by retransmission
-    class per device id, records without a device under None."""
+    class per device id, records without a device under None.  ``ids``
+    are the sorted ids of the device column, -1 (null) included."""
     if not 0 < window_s < math.inf:
         raise ValueError(f"window_s must be finite and positive, got {window_s}")
     records = capture.records
-    ids, classes = records.device_ids, records.classes
     # checked before ceil(), which fails on an infinite quotient
     if population / window_s * len(ids) > MAX_SERIES_VALUES:
         raise ValueError(
@@ -822,10 +773,9 @@ def _uplink_totals(capture: Capture, window_s: float, population: int) -> tuple:
             f"{MAX_SERIES_VALUES} throughput values; use a longer window"
         )
     windows = max(1, math.ceil(population / window_s))
-    n_classes = len(classes)
-    rates = [[0.0] * windows for _ in ids]
-    wire_bytes = [0] * (len(ids) * n_classes)  # device code * n_classes + class code
-    uplink = records.direction_code("UPLINK")
+    rates = {dev: [0.0] * windows for dev in ids}
+    wire_bytes = {dev: [0] * len(CLASSES) for dev in ids}
+    uplink = _DIRECTION_INDEX["UPLINK"]
     epoch = capture.epoch_utc_ms
     span_ms = 1000.0 * window_s
     floor = math.floor
@@ -835,17 +785,16 @@ def _uplink_totals(capture: Capture, window_s: float, population: int) -> tuple:
         if direction != uplink:
             continue
         wire = payload + header
-        wire_bytes[dev * n_classes + cls] += wire
+        wire_bytes[dev][cls] += wire
         if payload and wall == wall:
             w = floor((wall - epoch) / span_ms)
             if 0 <= w < windows:
                 rates[dev][w] += wire * 8 / span_ms
-    code_of = {dev: code for code, dev in enumerate(ids)}
-    series = {dev: rates[code_of[dev]] for dev in capture.devices()}
-    by_class = {}
-    for code, dev in enumerate(ids):
-        totals = wire_bytes[code * n_classes:(code + 1) * n_classes]
-        by_class[dev] = {cls: total for cls, total in zip(classes, totals) if total}
+    series = {dev: rates[dev] for dev in ids if dev >= 0}
+    by_class = {
+        None if dev < 0 else dev: {cls: total for cls, total in zip(CLASSES, totals) if total}
+        for dev, totals in wire_bytes.items()
+    }
     return series, by_class
 
 
@@ -855,7 +804,8 @@ def throughput_series(capture: Capture, window_s: float = 1.0) -> dict:
     makes one pass over the records."""
     if window_s == 1.0:
         return capture.slot_table().series()
-    return _uplink_totals(capture, window_s, capture.population_slots())[0]
+    ids = sorted(set(capture.records.device))
+    return _uplink_totals(capture, window_s, capture.population_slots(), ids)[0]
 
 
 def _uplink_wire_bytes(by_class: dict) -> Counter:
@@ -979,10 +929,11 @@ class SlotTable:
     in the column cache.
 
     population     Capture.population_slots()
-    devices        the ids with a summary row, sorted: Capture.devices()
+    devices        the ids with a summary row: every id of a record,
+                   null left out, sorted
     rates          'd', max(1, population) 1-second window rates in
                    kbit/s per id of ``devices``, in that order: the
-                   series _uplink_totals(capture, 1.0, population) gives
+                   series _uplink_totals(capture, 1.0, population, ids) gives
     wire_bytes     device id -> {class: uplink wire bytes}, for every id,
                    None included
     flagged        frames whose delay is below minus the skew bound, in
@@ -1068,11 +1019,11 @@ class SlotTable:
         return math.fsum(parts) / n, top
 
 
-def _build_table(capture: Capture, population: int) -> SlotTable:
+def _build_table(capture: Capture, population: int, ids: list) -> SlotTable:
     """The SlotTable of ``capture`` over ``population`` slots at the
     header's t_fdr_ms: one pass over the records, then one over the
     frames."""
-    series, by_class = _uplink_totals(capture, 1.0, population)
+    series, by_class = _uplink_totals(capture, 1.0, population, ids)
     return SlotTable(
         population=population,
         devices=list(series),
@@ -1176,47 +1127,22 @@ def format_table(summary: MetricsSummary) -> str:
 
 DELAY_COLUMNS = ["device", "frame_seq", "frame_timestamp", "arrival_time", "t_ci_ms", "t_ete_ms", "flagged"]
 
-# one delay_series.csv row: what csv.writer writes for a FrameDelay whose
-# device_id and frame_seq are ints, since str() of a number needs no
-# quoting and the figures are formatted as the cells below format them
+# one delay_series.csv row, as csv.writer writes a FrameDelay: its
+# device_id, frame_seq and frame_timestamp are ints, which need no
+# quoting, and its times get three decimals
 _DELAY_ROW = "%s,%s,%s,%.3f,%.3f,%.3f,%d\n"
-
-
-def _delay_cells(d) -> list:
-    device_id, frame_seq, frame_timestamp, arrival_time, t_ci_ms, t_ete_ms, flagged = d
-    return [
-        device_id,
-        frame_seq,
-        frame_timestamp,
-        f"{arrival_time:.3f}",
-        f"{t_ci_ms:.3f}",
-        f"{t_ete_ms:.3f}",
-        int(flagged),
-    ]
 
 
 def write_delay_series_csv(delays, path) -> None:
     """Write FrameDelay tuples, or a DelaySeries streamed from its
-    capture's columns."""
+    capture's columns as plain tuples, one device at a time."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DELAY_COLUMNS)
+        fh.write(",".join(DELAY_COLUMNS) + "\n")
         if isinstance(delays, DelaySeries):
-            # one pass over plain tuples, checking ids once per device
-            # (frame_seq comes from an integer column); the list path
-            # below would compute the series twice, once to check it,
-            # and build a FrameDelay per row each time
-            for dev, *columns in delays.frames.by_device:
-                rows = delays._rows(dev, *columns)
-                if dev.__class__ is int:
-                    fh.writelines(_DELAY_ROW % row for row in rows)
-                else:
-                    writer.writerows(map(_delay_cells, rows))
-        elif all(d[0].__class__ is int and d[1].__class__ is int for d in delays):
-            fh.writelines(_DELAY_ROW % d for d in delays)
+            rows = chain.from_iterable(delays._rows(*device) for device in delays.frames.by_device)
         else:
-            # a capture from elsewhere may hold ids that need quoting
-            writer.writerows([_delay_cells(d) for d in delays])
+            rows = delays
+        fh.writelines(_DELAY_ROW % row for row in rows)
 
 
 def write_throughput_series_csv(series: dict, window_s: float, path) -> None:

@@ -34,6 +34,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
+from .analyzer import CLASSES, DIRECTIONS, check_header
 from .frame import (
     FRAME_LEN,
     MAGIC_BYTES,
@@ -205,9 +206,13 @@ def log_header(
 
 
 class LogWriter:
-    """Append-only JSON-lines file with a header line and a trailer."""
+    """Append-only JSON-lines file with a header line and a trailer.
+
+    ValueError, before the file is opened, for a header the analyzer
+    would refuse to load."""
 
     def __init__(self, path, header: dict):
+        check_header(header)
         self.path = Path(path)
         self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
         try:
@@ -490,9 +495,10 @@ class LiveDcsServer:
         asm = self.ingest.assemblers[conn_id]
         start = self._offsets[conn_id]
         end = self._offsets[conn_id] = start + len(data)
-        # no sniffer in live mode: payload bytes only, every copy a first one
+        # no sniffer in live mode: payload bytes only, every copy an
+        # UPLINK one of class FIRST
         self._capture.write(
-            capture_line(arrival, asm.device_id, "UPLINK", start, end, len(data), 0, "FIRST", rows)
+            capture_line(arrival, asm.device_id, DIRECTIONS[0], start, end, len(data), 0, CLASSES[0], rows)
         )
         self.ingest.counters["records"] += 1
         for row in rows:

@@ -28,6 +28,7 @@ from functools import partial
 from pathlib import Path
 from typing import Optional
 
+from .analyzer import DIRECTIONS
 from .dcs import IngestState, LogWriter, capture_line, log_header, measurement_line
 from .fdr import DeviceNode
 from .scenario import MAX_EPOCH_UTC_MS, Scenario
@@ -40,8 +41,10 @@ log = logging.getLogger(__name__)
 # and redial loops settle before the run stops
 DRAIN_GRACE_S = 30
 
-# capture trailer counter of each record direction
-_COPIES_KEY = {"UPLINK": "uplink_copies", "ACK": "ack_copies"}
+# the record directions, as analyzer.DIRECTIONS names them, and the
+# capture trailer counter of each
+_UPLINK, _ACK = DIRECTIONS
+_COPIES_KEY = {_UPLINK: "uplink_copies", _ACK: "ack_copies"}
 
 
 @dataclass(frozen=True)
@@ -101,13 +104,13 @@ class _DcsEndpoint(Connection):
         now_us = run.sim.now_us
         if run.in_outage(now_us):
             if seg.payload:
-                run.write_record(harness.device_id, "UPLINK", seg, now_us)
+                run.write_record(harness.device_id, _UPLINK, seg, now_us)
             self._refuse()
             return
         super().deliver_segment(seg)
         if seg.payload:
             rows, self._rows = self._rows, []
-            run.write_record(harness.device_id, "UPLINK", seg, now_us, rows)
+            run.write_record(harness.device_id, _UPLINK, seg, now_us, rows)
             for row in rows:
                 run.rows_log.write(measurement_line(row))
 
@@ -120,7 +123,7 @@ class _DcsEndpoint(Connection):
         run.capture_counters["outage_rsts"] += 1
         rst = Segment(0, 0, frozenset({RST}))
         arrival_us = self.link.transmit(HEADER_BYTES)
-        run.write_record(self.harness.device_id, "ACK", rst, arrival_us)
+        run.write_record(self.harness.device_id, _ACK, rst, arrival_us)
         client = self.peer
         if arrival_us is not None and client is not None:
             run.sim.schedule(arrival_us, lambda: client.deliver_segment(rst))
@@ -173,10 +176,10 @@ class _DeviceHarness:
     def _on_uplink_wire(self, seg: Segment, arrival_us: Optional[int]) -> None:
         if seg.payload and arrival_us is not None:
             return  # written at arrival, with the reassembly outcome attached
-        self.run.write_record(self.device_id, "UPLINK", seg, arrival_us)
+        self.run.write_record(self.device_id, _UPLINK, seg, arrival_us)
 
     def _on_downlink_wire(self, seg: Segment, arrival_us: Optional[int]) -> None:
-        self.run.write_record(self.device_id, "ACK", seg, arrival_us)
+        self.run.write_record(self.device_id, _ACK, seg, arrival_us)
 
     def close(self) -> None:
         """Break the reference cycles between this device's node, its

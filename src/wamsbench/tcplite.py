@@ -21,6 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
+from .analyzer import CLASSES
 from .simnet import Simulator
 
 log = logging.getLogger(__name__)
@@ -38,9 +39,9 @@ _DATA_FLAGS = frozenset({ACK, PSH})
 
 
 class RetxClass(enum.Enum):
-    FIRST = "FIRST"
-    RTO_RETX = "RTO_RETX"
-    FAST_RETX = "FAST_RETX"
+    # the classes a capture record may name, valued and ordered as
+    # analyzer.CLASSES, which owns them
+    FIRST, RTO_RETX, FAST_RETX = CLASSES
 
     # members are singletons, so identity hashing is exact; it keeps the
     # per-copy counter updates off Enum's Python-level __hash__

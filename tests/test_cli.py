@@ -67,6 +67,23 @@ class TestSimulate:
     def test_unknown_bundled_name_is_a_usage_error(self, tmp_path):
         assert cli.main(["simulate", "no-such", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize(
+        "anchor,line",
+        [
+            ("devices = 2\n", "skew_bound_ms = 1e305\n"),
+            ("devices = 2\n", "t_dcs_ms = 1e300\n"),
+            ("p_seg = 0.2\n", "t_fdr_ms = 1e300\n"),  # under [device]
+        ],
+    )
+    def test_header_value_the_analyzer_refuses_is_a_usage_error(self, anchor, line, tmp_path, capsys):
+        scenario = tmp_path / "bad.scenario"
+        scenario.write_text(MINI.replace(anchor, anchor + line))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", str(scenario), str(out)]) == 2
+        key, value = line.split(" = ")
+        assert capsys.readouterr().err == f"error: {key} must be a finite number of magnitude below 2**63, got {float(value)!r}\n"
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_summary_load_leaves_the_column_cache(self, mini_run):
         assert (mini_run / "capture.jsonl.columns").exists()
 
@@ -513,7 +530,7 @@ class TestEmulate:
 
 class TestServe:
     @pytest.mark.parametrize("argv", [["--skew-bound-ms", "nan"], ["--skew-bound-ms", "inf"],
-                                      ["--duration-s", "0"], ["--duration-s", "-1"]])
+                                      ["--skew-bound-ms", "1e305"], ["--duration-s", "0"], ["--duration-s", "-1"]])
     def test_header_value_a_log_cannot_hold_is_a_usage_error(self, argv, tmp_path, capsys):
         try:
             code = cli.main(["serve", "--port", "0", "--out-dir", str(tmp_path), *argv])

@@ -283,9 +283,16 @@ class TestLogWriter:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
-                LogWriter(tmp_path / "log.jsonl", {"skew_bound_ms": math.nan})
+                LogWriter(tmp_path / "log.jsonl", {"note": math.nan})  # a key the analyzer does not read
             gc.collect()
         assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    @pytest.mark.parametrize("key,value", [("skew_bound_ms", math.nan), ("t_fdr_ms", 1e300), ("t_dcs_ms", -2**63),
+                                           ("duration_s", 2.5), ("epoch_utc_ms", "0")])
+    def test_header_the_analyzer_refuses_opens_no_file(self, key, value, tmp_path):
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            LogWriter(tmp_path / "log.jsonl", {key: value})
+        assert list(tmp_path.iterdir()) == []
 
     def test_frame_complete_entry_shape(self):
         ingest = IngestState()
@@ -386,7 +393,8 @@ class TestLiveDcsServer:
         capture = load_capture(path)
         assert capture.skipped_lines == 0
         assert capture.integrity_problems() == []
-        assert capture.records.device_ids == [None, 4]
+        assert capture.records.device.tolist() == [-1, 4]
+        assert capture.devices() == [4]
 
     def test_connections_start_no_thread(self, tmp_path, monkeypatch):
         server = LiveDcsServer(out_dir=tmp_path)

@@ -20,9 +20,12 @@ is what the program keeps per record or per frame.
 
 ``--root`` selects the checkout whose ``src/`` is measured (default:
 the one holding this script), so two checkouts can be compared with the
-same script.  Stdlib only; the captures go to a temporary directory
-that is deleted afterwards.  The 4000 s simulation writes a capture of
-about 200 MB and takes a few minutes.
+same script.  ``tools/cold_load.py`` runs its children through
+``run_child`` too, with one more step, ``load``: the time of one
+in-process ``load_capture`` after the column cache is deleted.  Stdlib
+only; the captures go to a temporary directory that is deleted
+afterwards.  The 4000 s simulation writes a capture of about 200 MB and
+takes a few minutes.
 """
 
 import argparse
@@ -40,7 +43,7 @@ STEPS = ("simulate", "analyze", "analyze, cached", "report, cached")
 # what a child runs: argv[1] is the checkout root, argv[2] a JSON spec;
 # the last line of its stdout is a JSON object with ru_maxrss in KiB
 CHILD = r"""
-import contextlib, dataclasses, io, json, resource, sys
+import contextlib, dataclasses, io, json, os, resource, sys, time
 sys.path.insert(0, sys.argv[1] + "/src")
 spec = json.loads(sys.argv[2])
 out = {}
@@ -50,6 +53,14 @@ if spec["step"] == "simulate":
     scenario = dataclasses.replace(load_scenario("lossy_0p3"), duration_s=spec["duration_s"])
     result = run_simulation(scenario, spec["dir"])
     out = {"records": result.capture_counters["records"], "frames": result.rows}
+elif spec["step"] == "load":
+    from wamsbench import analyzer
+    capture = spec["dir"] + "/capture.jsonl"
+    if os.path.exists(capture + ".columns"):
+        os.unlink(capture + ".columns")
+    start = time.perf_counter()
+    loaded = analyzer.load_capture(capture)
+    out = {"seconds": time.perf_counter() - start, "records": len(loaded.records)}
 else:
     from wamsbench import cli
     capture = spec["dir"] + "/capture.jsonl"
