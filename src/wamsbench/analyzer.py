@@ -31,6 +31,8 @@ header's skew_bound_ms, t_fdr_ms and t_dcs_ms and the t_fdr_ms/t_dcs_ms
 arguments, is a finite number of magnitude below 2**63 (MS_LIMIT), the
 range of the int64 frame_timestamp column.  So every delay is finite
 and below 2**65 in magnitude, and no sum of them can overflow a double.
+An arrival of -0.0 reads as 0.0, so no delay is -0.0 and equal delays
+are the same double.
 
 Identifier rule: a record's device_id is null or an int in [0, 65535],
 the 16-bit id its frames carry; its direction is one of DIRECTIONS and
@@ -73,8 +75,8 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import accumulate, chain, count, groupby, islice, repeat
-from operator import itemgetter, le
+from itertools import accumulate, chain, islice, repeat
+from operator import le
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -277,7 +279,8 @@ class Capture:
         if t_fdr_ms is None or (t_fdr_ms.__class__ is own.__class__ and t_fdr_ms == own):
             return self._table
         _check_ms("t_fdr_ms", t_fdr_ms)
-        return replace(self._table, **_fold_delays(self, self._table.population, t_fdr_ms))
+        table = self._table
+        return replace(table, **_fold_delays(self, table.population, table.devices, t_fdr_ms))
 
     def integrity_problems(self) -> list:
         """Why the trailer does not vouch for the parsed contents; empty
@@ -457,7 +460,7 @@ class _Parser:
                         arrival = e["arrival_time_of_last_byte"]
                         if not -limit < arrival < limit:  # the value rule; a str raises TypeError
                             raise ValueError(arrival)
-                        arrivals.append(arrival)
+                        arrivals.append(arrival + 0.0)  # -0.0 + 0.0 is 0.0
             except (KeyError, TypeError, ValueError, OverflowError):
                 # undo this line's appends; the wall column is appended
                 # last, so it holds the count of the lines kept
@@ -547,7 +550,7 @@ def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
 # A load reads the JSON line and the table, and the columns only when
 # records or frames are first used, so a summary reads no column.
 
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 _RECORD_TYPECODES, _FRAME_TYPECODES = "diBBqq", "qqd"
 # what reading a cache that is missing, cut short, garbage or of another
 # layout can raise; any of them means the capture is parsed instead
@@ -566,13 +569,21 @@ def _section_bytes(typecodes: str, lengths: list) -> int:
     return sum(length * array(code).itemsize for code, length in zip(typecodes, lengths))
 
 
-def _read_arrays(fh, typecodes: str, lengths: list, digest) -> list:
-    arrays = []
+def _read_section(fh, typecodes: str, lengths: list, meta_line: bytes) -> list:
+    """The arrays of the cache section that starts where ``fh`` stands,
+    ``lengths[i]`` items of ``typecodes[i]`` each; ValueError unless the
+    SHA-256 that ends the section is that of ``meta_line`` and the
+    arrays' bytes."""
+    import hashlib
+
+    digest, arrays = hashlib.sha256(meta_line), []
     for code, length in zip(typecodes, lengths):
         column = array(code)
         column.fromfile(fh, length)
         digest.update(column)
         arrays.append(column)
+    if fh.read(32) != digest.digest():
+        raise ValueError("a cache section fails its digest")
     return arrays
 
 
@@ -596,44 +607,34 @@ def _read_cache(path: Path, cache_path: Path, capture_file) -> Optional[Capture]
             if any(len(set(group)) != 1 for group in groups):
                 return None
             table_lengths = _layout(meta["table"]["columns"], _TABLE_TYPECODES)
-            size = len(meta_line) + _section_bytes(_TABLE_TYPECODES, table_lengths) + 32
-            size += _section_bytes(column_codes, lengths) + 32
-            if os.fstat(fh.fileno()).st_size != size:
+            columns_at = len(meta_line) + _section_bytes(_TABLE_TYPECODES, table_lengths) + 32
+            if os.fstat(fh.fileno()).st_size != columns_at + _section_bytes(column_codes, lengths) + 32:
                 return None
             digest = hashlib.sha256()
             while block := capture_file.read(_BLOCK_BYTES):
                 digest.update(block)
             if digest.hexdigest() != meta["capture_sha256"]:
                 return None
-            digest = hashlib.sha256(meta_line)
-            arrays = _read_arrays(fh, _TABLE_TYPECODES, table_lengths, digest)
-            if fh.read(32) != digest.digest():
-                return None
+            arrays = _read_section(fh, _TABLE_TYPECODES, table_lengths, meta_line)
         table = _table_from_cache(meta, arrays)
-        columns = partial(_read_cached_columns, path, cache_path, meta_line, meta)
+        columns = partial(_read_cached_columns, path, cache_path, meta, meta_line, columns_at, column_codes, lengths)
         return Capture(meta["header"], meta["integrity"], meta["skipped_lines"], meta["counts"], columns, table)
     except _BAD_CACHE:
         return None
 
 
-def _read_cached_columns(path: Path, cache_path: Path, meta_line: bytes, meta: dict) -> tuple:
+def _read_cached_columns(path: Path, cache_path: Path, meta: dict, meta_line: bytes, offset: int,
+                         typecodes: str, lengths: list) -> tuple:
     """(Records, Frames) of the capture whose cache began with
-    ``meta_line``, parsed as ``meta``, when it was loaded.  A cache whose
-    columns fail their digest, which covers that line, is replaced by a
-    parse of the capture; CaptureError when the capture's bytes changed
-    since the load."""
-    import hashlib
-
-    column_codes = _RECORD_TYPECODES + _FRAME_TYPECODES * len(meta["frame_devices"])
-    lengths = [column[2] for column in meta["columns"]]
-    table_bytes = _section_bytes(_TABLE_TYPECODES, [column[2] for column in meta["table"]["columns"]])
+    ``meta_line``, parsed as ``meta``, when it was loaded; its column
+    section starts at ``offset`` and holds ``lengths`` items of
+    ``typecodes``.  A cache whose columns fail their digest, which covers
+    that line, is replaced by a parse of the capture; CaptureError when
+    the capture's bytes changed since the load."""
     try:
         with open(cache_path, "rb") as fh:
-            fh.seek(len(meta_line) + table_bytes + 32)
-            digest = hashlib.sha256(meta_line)
-            columns = _read_arrays(fh, column_codes, lengths, digest)
-            if fh.read() != digest.digest():
-                raise ValueError("columns fail their digest")
+            fh.seek(offset)
+            columns = _read_section(fh, typecodes, lengths, meta_line)
     except _BAD_CACHE:
         with open(path, "rb") as fh:
             capture, capture_sha256 = _parse(path, fh)
@@ -653,7 +654,6 @@ def _table_from_cache(meta: dict, arrays: list) -> "SlotTable":
         devices=fields["devices"],
         wire_bytes=dict(fields["wire_bytes"]),
         flagged=fields["flagged"],
-        delay_devices=fields["delay_devices"],
         **dict(zip(_TABLE_ARRAYS, arrays)),
     )
     table.check()
@@ -679,7 +679,7 @@ def _write_cache(cache_path: Path, capture: Capture, capture_sha256: str) -> Non
         population=table.population, devices=table.devices,
         # pairs, since a JSON object's keys are strings and an id may be null
         wire_bytes=list(table.wire_bytes.items()),
-        flagged=table.flagged, delay_devices=table.delay_devices,
+        flagged=table.flagged,
         columns=[[column.typecode, column.itemsize, len(column)] for column in arrays],
     )
     meta = dict(
@@ -874,7 +874,7 @@ def summarize(
     for k, dev in enumerate(table.devices):
         base = k * windows
         throughput = statistics.fmean(rates[base + i] for i in slots) if population else 0.0
-        avg_delay, max_delay = table.delay_figures(dev, slots)
+        avg_delay, max_delay = table.delay_figures(k, slots)
         retx, fast = _retx_pcts(table.wire_bytes[dev])
         rows.append(
             DeviceMetrics(
@@ -917,8 +917,8 @@ def analyze(
 # -- slot table ------------------------------------------------------------------
 
 # the SlotTable fields kept in arrays, and their typecodes
-_TABLE_ARRAYS = ("rates", "counts", "tops", "top_at", "part_ends", "partials")
-_TABLE_TYPECODES = "dqdqqd"
+_TABLE_ARRAYS = ("rates", "counts", "tops", "part_ends", "partials")
+_TABLE_TYPECODES = "dqdqd"
 
 
 @dataclass(frozen=True)
@@ -928,37 +928,33 @@ class SlotTable:
     record or frame.  Built once from the columns (_build_table) and kept
     in the column cache.
 
-    population     Capture.population_slots()
-    devices        the ids with a summary row: every id of a record,
-                   null left out, sorted
-    rates          'd', max(1, population) 1-second window rates in
-                   kbit/s per id of ``devices``, in that order: the
-                   series _uplink_totals(capture, 1.0, population, ids) gives
-    wire_bytes     device id -> {class: uplink wire bytes}, for every id,
-                   None included
-    flagged        frames whose delay is below minus the skew bound, in
-                   any slot
+    population  Capture.population_slots()
+    devices     the ids with a summary row: every id of a record, null
+                left out, sorted
+    wire_bytes  device id -> {class: uplink wire bytes}, for every id,
+                None included
+    flagged     frames whose delay is below minus the skew bound, in any
+                slot
 
-    delay_devices  the ids of Frames.by_device, in its order.  For each
-                   and each slot k of the population, entry
-                   row * population + k of the columns below describes
-                   the frames the summary counts there: unflagged, with
-                   a timestamp in slot k.  A frame's place is its index
-                   in its device's frame columns, which are in frame_seq
-                   order.
-    counts         'q', how many
-    tops           'd', the largest delay, as max() picks it; 0.0 when
-                   there is none
-    top_at         'q', the place of that frame; 0 when there is none
-    part_ends      'q', where the entry's partials end in ``partials``;
-                   they start where the previous entry's end
-    partials       'd', doubles whose exact sum is the exact sum of the
-                   entry's delays, largest first (the rounded sum, then
-                   the rounded remainders)
+    The arrays hold one row per id of ``devices``, in that order.
+    rates       'd', max(1, population) 1-second window rates in kbit/s
+                per row: the series _uplink_totals(capture, 1.0,
+                population, ids) gives
 
-    The places are what makes max() exact: it keeps the first of equal
-    values, such as a 0.0 beside a -0.0.  The value rule keeps every
-    delay finite and far below the largest float, so no sum overflows.
+    Entry row * population + k of the arrays below describes the frames
+    of that row's device the summary counts in slot k: unflagged, with a
+    timestamp in slot k.
+    counts      'q', how many; 0 for a device without frames there
+    tops        'd', their largest delay; 0.0 when there is none
+    part_ends   'q', where the entry's partials end in ``partials``;
+                they start where the previous entry's end
+    partials    'd', doubles whose exact sum is the exact sum of the
+                entry's delays, largest first (the rounded sum, then the
+                rounded remainders)
+
+    The value rule keeps every delay finite and far below the largest
+    float, so no sum overflows, and never -0.0, so equal delays are the
+    same double and a max needs no tie-break.
     """
 
     population: int
@@ -966,19 +962,17 @@ class SlotTable:
     rates: array
     wire_bytes: dict
     flagged: int
-    delay_devices: list
     counts: array
     tops: array
-    top_at: array
     part_ends: array
     partials: array
 
     def check(self) -> None:
         """ValueError unless every array has the length its fields imply."""
-        entries = len(self.delay_devices) * self.population
+        entries = len(self.devices) * self.population
         expected = dict(
-            rates=len(self.devices) * max(1, self.population), counts=entries, tops=entries, top_at=entries,
-            part_ends=entries, partials=self.part_ends[-1] if entries else 0,
+            rates=len(self.devices) * max(1, self.population), counts=entries, tops=entries, part_ends=entries,
+            partials=self.part_ends[-1] if entries else 0,
         )
         if any(len(getattr(self, name)) != length for name, length in expected.items()):
             raise ValueError("slot table arrays of the wrong length")
@@ -991,32 +985,19 @@ class SlotTable:
 
     def frames_counted(self, slots) -> int:
         counts, population = self.counts, self.population
-        return sum(counts[row * population + s] for row in range(len(self.delay_devices)) for s in slots)
+        return sum(counts[row * population + s] for row in range(len(self.devices)) for s in slots)
 
-    def delay_figures(self, dev, slots) -> tuple:
-        """(statistics.fmean, max()) of device ``dev``'s counted delays in
-        ``slots``, taken in frame_seq order, bit for bit; (NaN, NaN) when
-        it has none there."""
-        if dev not in self.delay_devices:
-            return math.nan, math.nan
-        row = self.delay_devices.index(dev)
-        counts, tops, top_at = self.counts, self.tops, self.top_at
-        ends, partials = self.part_ends, self.partials
+    def delay_figures(self, row: int, slots) -> tuple:
+        """(statistics.fmean, max()) of the counted delays of the device
+        in row ``row`` in ``slots``, bit for bit; (NaN, NaN) when it has
+        none there."""
+        counts, ends, partials = self.counts, self.part_ends, self.partials
         base = row * self.population
-        n, parts, top, top_place = 0, [], None, None
-        for s in slots:
-            k = base + s
-            if not counts[k]:
-                continue
-            n += counts[k]
-            parts += partials[ends[k - 1] if k else 0:ends[k]]
-            value = tops[k]
-            # max() keeps the first of equal values
-            if top is None or value > top or (value == top and top_at[k] < top_place):
-                top, top_place = value, top_at[k]
-        if not n:
+        drawn = [base + s for s in slots if counts[base + s]]
+        if not drawn:
             return math.nan, math.nan
-        return math.fsum(parts) / n, top
+        parts = chain.from_iterable(partials[ends[k - 1] if k else 0:ends[k]] for k in drawn)
+        return math.fsum(parts) / sum(counts[k] for k in drawn), max(self.tops[k] for k in drawn)
 
 
 def _build_table(capture: Capture, population: int, ids: list) -> SlotTable:
@@ -1024,55 +1005,49 @@ def _build_table(capture: Capture, population: int, ids: list) -> SlotTable:
     header's t_fdr_ms: one pass over the records, then one over the
     frames."""
     series, by_class = _uplink_totals(capture, 1.0, population, ids)
+    devices = list(series)
     return SlotTable(
         population=population,
-        devices=list(series),
+        devices=devices,
         rates=array("d", chain.from_iterable(series.values())),
         wire_bytes=by_class,
-        **_fold_delays(capture, population, capture.t_fdr_ms),
+        **_fold_delays(capture, population, devices, capture.t_fdr_ms),
     )
 
 
-def _fold_delays(capture: Capture, population: int, t_fdr_ms) -> dict:
+def _fold_delays(capture: Capture, population: int, devices: list, t_fdr_ms) -> dict:
     """The SlotTable fields that depend on t_fdr_ms, from the frame
-    columns."""
+    columns, with a row per id of ``devices``, which holds the ids of
+    Frames.by_device in the same order."""
     flag_below = -capture.skew_bound_ms
     epoch = capture.epoch_utc_ms
-    by_device = capture.frames.by_device
-    entries = len(by_device) * population
-    zeros = bytes(8 * entries)
-    counts, tops, top_at, part_ends = array("q", zeros), array("d", zeros), array("q", zeros), array("q", zeros)
+    row_of = {dev: row for row, dev in enumerate(devices)}
+    zeros = bytes(8 * len(devices) * population)
+    counts, tops, part_ends = array("q", zeros), array("d", zeros), array("q", zeros)
     partials = array("d")
     flagged = 0
-    for row, (_, _, stamps, arrivals) in enumerate(by_device):
-        delays = array("d", (arrival - (ts + t_fdr_ms) for ts, arrival in zip(stamps, arrivals)))
-        # (slot, place) of each unflagged frame: _slot_of_timestamp, inlined
-        kept = (
-            (-((ts - epoch) // -1000) - 1, place)
-            for place, ts, t_ci in zip(count(), stamps, delays)
-            if not t_ci < flag_below
-        )
-        flagged += sum(1 for t_ci in delays if t_ci < flag_below)
-        slots = {}  # slot -> places of the frames counted there
-        # a device's frames mostly come in runs of one slot
-        for slot, run in groupby(kept, itemgetter(0)):
+    for dev, _, stamps, arrivals in capture.frames.by_device:
+        slots = defaultdict(list)  # slot -> the delays counted there
+        for ts, arrival in zip(stamps, arrivals):
+            t_ci = arrival - (ts + t_fdr_ms)
+            if t_ci < flag_below:
+                flagged += 1
+                continue
+            slot = -((ts - epoch) // -1000) - 1  # _slot_of_timestamp, inlined
             if 0 <= slot < population:
-                slots.setdefault(slot, []).extend(map(itemgetter(1), run))
+                slots[slot].append(t_ci)
+        base = row_of[dev] * population
         for slot in sorted(slots):
-            places = slots[slot]
-            values = list(map(delays.__getitem__, places))
-            k = row * population + slot
+            values = slots[slot]
+            k = base + slot
             counts[k] = len(values)
-            tops[k] = top = max(values)
-            top_at[k] = places[values.index(top)]  # the first equal value, as max() keeps
+            tops[k] = max(values)
             partials.extend(_exact_parts(values))
             part_ends[k] = len(partials)
     return dict(
         flagged=flagged,
-        delay_devices=[dev for dev, *_ in by_device],
         counts=counts,
         tops=tops,
-        top_at=top_at,
         # an entry without frames ends where the one before it does
         part_ends=array("q", accumulate(part_ends, max)),
         partials=partials,

@@ -43,15 +43,10 @@ def _fail(code: int, message: str) -> int:
 
 
 def _load_checked(args):
-    """Shared loader for analyze/report: prints the skip warning and
-    checks the integrity trailer; None when the capture is incomplete
-    and --allow-incomplete was not given."""
+    """Shared loader for analyze/report: checks the integrity trailer
+    (the load logs its own skipped-lines warning); None when the capture
+    is incomplete and --allow-incomplete was not given."""
     capture = analyzer.load_capture(args.capture)
-    if capture.skipped_lines:
-        print(
-            f"warning: skipped {capture.skipped_lines} corrupt log line(s)",
-            file=sys.stderr,
-        )
     problems = capture.integrity_problems()
     level = "warning" if args.allow_incomplete else "error"
     for problem in problems:

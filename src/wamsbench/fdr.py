@@ -29,6 +29,8 @@ from .tcplite import Connection
 log = logging.getLogger(__name__)
 
 GRID_MS = 100  # frame cadence: 10 samples per second
+RECONNECT_BACKOFF_MS = 1_000.0  # a simulated device's wait before it redials
+CONNECT_BACKOFF_S = 0.5  # a live device's wait after its first failed dial, growing linearly
 
 
 @dataclass(frozen=True)
@@ -143,14 +145,12 @@ class DeviceNode:
         seed: str,
         duration_s: int,
         make_connection: Callable[["DeviceNode"], Connection],
-        reconnect_backoff_ms: float = 1_000.0,
     ):
         self.sim = sim
         self.config = config
         self.epoch_utc_ms = epoch_utc_ms
         self.duration_s = duration_s
         self.make_connection = make_connection
-        self.reconnect_backoff_ms = reconnect_backoff_ms
         self.signal = SignalGenerator(
             config.signal, epoch_utc_ms, random.Random(f"{seed}:dev{config.device_id}:signal")
         )
@@ -184,7 +184,7 @@ class DeviceNode:
     def _on_failed(self, reason: str) -> None:
         self.reconnects += 1
         log.info("device %d: connection lost (%s), redialing", self.config.device_id, reason)
-        self.sim.schedule_in(round(self.reconnect_backoff_ms * 1000), self._dial)
+        self.sim.schedule_in(round(RECONNECT_BACKOFF_MS * 1000), self._dial)
 
     def _tick(self, t_utc_ms: int) -> None:
         if self.frames_generated >= self.frames_total:
@@ -225,13 +225,11 @@ class LiveEmulator:
         duration_s: int,
         seed: str = "live",
         connect_attempts: int = 5,
-        connect_backoff_s: float = 0.5,
     ):
         self.config = config
         self.duration_s = duration_s
         self.seed = seed
         self.connect_attempts = connect_attempts
-        self.connect_backoff_s = connect_backoff_s
         self.frames_generated = 0
         self.frames_sent = 0
         self.failed_reason: Optional[str] = None
@@ -242,7 +240,7 @@ class LiveEmulator:
         last_err = None
         for attempt in range(self.connect_attempts):
             if attempt:
-                yield time.time() + self.connect_backoff_s * attempt
+                yield time.time() + CONNECT_BACKOFF_S * attempt
             try:
                 sock = socket.create_connection(
                     (self.config.host, self.config.port), timeout=5.0

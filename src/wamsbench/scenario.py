@@ -13,8 +13,11 @@ Sections:
   [uplink]     device-to-concentrator channel defaults
   [downlink]   concentrator-to-device channel defaults
   [device]     defaults for every device (timing, signal, p_seg)
-  [device N]   overrides for device N: any [device] key, plus channel
-               fields prefixed uplink_ / downlink_ (e.g. uplink_t_p_ms)
+  [device N]   overrides for device N: any [device] key except t_fdr_ms,
+               plus channel fields prefixed uplink_ / downlink_ (e.g.
+               uplink_t_p_ms).  The capture header carries one t_fdr_ms,
+               which the analyzer subtracts from every device's delays,
+               so t_fdr_ms is set once, under [device].
 """
 
 import configparser
@@ -148,7 +151,6 @@ def _parse_disturbances(sec: _Section, epoch_utc_ms: int) -> tuple:
 
 def _device_fields(sec: _Section, defaults: dict, epoch_utc_ms: int) -> dict:
     fields = dict(defaults)
-    fields["t_fdr_ms"] = sec.take_float("t_fdr_ms", fields["t_fdr_ms"])
     fields["p_seg"] = sec.take_float("p_seg", fields["p_seg"])
     for key in ("f_nominal", "f_wander_amp", "f_wander_period_s", "noise_sigma", "v_nominal"):
         fields[key] = sec.take_float(key, fields[key])
@@ -222,8 +224,8 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
     down_sec.finish()
 
     dev_sec = section("device")
+    t_fdr_ms = dev_sec.take_float("t_fdr_ms", 0.0)
     base_fields = {
-        "t_fdr_ms": 0.0,
         "p_seg": 0.15,
         "f_nominal": 50.0,
         "f_wander_amp": 0.0,
@@ -251,6 +253,8 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
     devices = []
     for dev_id in range(1, n_devices + 1):
         sec = by_id.get(dev_id, _Section(f"device {dev_id}", {}))
+        if "t_fdr_ms" in sec.data:
+            raise ScenarioError(f"[{sec.name}] t_fdr_ms: set only under [device], for every device")
         fields = _device_fields(sec, base_fields, epoch_utc_ms)
         dev_up = _parse_channel(sec, uplink, prefix="uplink_")
         dev_down = _parse_channel(sec, downlink, prefix="downlink_")
@@ -258,7 +262,7 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
         try:
             config = FdrConfig(
                 device_id=dev_id,
-                t_fdr_ms=fields["t_fdr_ms"],
+                t_fdr_ms=t_fdr_ms,
                 p_seg=fields["p_seg"],
                 signal=SignalModel(
                     f_nominal=fields["f_nominal"],
@@ -279,7 +283,7 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
         duration_s=duration_s,
         epoch_utc_ms=epoch_utc_ms,
         t_dcs_ms=t_dcs_ms,
-        default_t_fdr_ms=base_fields["t_fdr_ms"],
+        default_t_fdr_ms=t_fdr_ms,
         skew_bound_ms=skew_bound_ms,
         transport=transport,
         devices=tuple(devices),

@@ -28,6 +28,15 @@ log = logging.getLogger(__name__)
 
 HEADER_BYTES = 40  # 20 IP + 20 TCP, no options
 
+# RFC 6298's estimator gains, RFC 5681's duplicate-ACK threshold, the
+# byte a split frame is cut at, and the retransmissions of the lowest
+# unacknowledged segment before a connection fails, in the handshake
+# and after it
+ALPHA, BETA = 0.125, 0.25
+DUPACK_THRESHOLD = 3
+SPLIT_AT = 27
+SYN_RETRY_LIMIT, RETX_LIMIT = 5, 15
+
 SYN = "SYN"
 ACK = "ACK"
 PSH = "PSH"
@@ -92,20 +101,12 @@ class TransportConfig:
     min_rto_ms: float = 200.0
     max_rto_ms: float = 60_000.0
     initial_rto_ms: float = 1_000.0
-    alpha: float = 0.125
-    beta: float = 0.25
-    dupack_threshold: int = 3
-    split_at: int = 27
-    syn_retry_limit: int = 5
-    retx_limit: int = 15
 
     def __post_init__(self) -> None:
         if self.mss < 2:
             raise ValueError("mss must allow at least a 2-byte payload")
         if self.min_rto_ms <= 0 or self.max_rto_ms < self.min_rto_ms:
             raise ValueError("rto bounds must satisfy 0 < min <= max")
-        if not 1 <= self.split_at:
-            raise ValueError("split_at must be >= 1")
 
 
 class _InFlight:
@@ -173,7 +174,6 @@ class Connection:
         self._timer: Optional[list] = None  # Simulator cancel handle
         self._dead = False
         self.wire_copies: Counter = Counter()
-        self.wire_bytes: Counter = Counter()
         self.protocol_errors = 0
         self.dup_data_segments = 0
 
@@ -199,8 +199,8 @@ class Connection:
         """Queue application bytes; returns the number of segments sent.
 
         ``split`` is the caller's per-frame segmentation decision: when
-        true the payload goes out as two segments cut at the configured
-        split point.  Payloads above the MSS are chunked regardless.
+        true the payload goes out as two segments cut after byte
+        SPLIT_AT.  Payloads above the MSS are chunked regardless.
         """
         if self.state is not ConnState.ESTABLISHED:
             raise TransportError(f"send in state {self.state.value}")
@@ -210,7 +210,7 @@ class Connection:
         if len(payload) > cfg.mss:
             parts = [payload[i : i + cfg.mss] for i in range(0, len(payload), cfg.mss)]
         elif split and len(payload) >= 2:
-            cut = min(cfg.split_at, len(payload) - 1)
+            cut = min(SPLIT_AT, len(payload) - 1)
             parts = [payload[:cut], payload[cut:]]
         else:
             parts = [payload]
@@ -337,7 +337,7 @@ class Connection:
             and self.unacked
         ):
             self.dup_ack_count += 1
-            if self.dup_ack_count >= self.config.dupack_threshold:
+            if self.dup_ack_count >= DUPACK_THRESHOLD:
                 self.dup_ack_count = 0
                 lowest = self.unacked[0]
                 if lowest.retx_count == 0:  # never race an RTO recovery
@@ -351,8 +351,8 @@ class Connection:
             self.srtt = sample_ms
             self.rttvar = sample_ms / 2.0
         else:
-            self.srtt = (1.0 - cfg.alpha) * self.srtt + cfg.alpha * sample_ms
-            self.rttvar = (1.0 - cfg.beta) * self.rttvar + cfg.beta * abs(self.srtt - sample_ms)
+            self.srtt = (1.0 - ALPHA) * self.srtt + ALPHA * sample_ms
+            self.rttvar = (1.0 - BETA) * self.rttvar + BETA * abs(self.srtt - sample_ms)
         self.rto = min(max(cfg.min_rto_ms, self.srtt + 4.0 * self.rttvar), cfg.max_rto_ms)
         return self.rto
 
@@ -397,7 +397,7 @@ class Connection:
         if not self.unacked:
             return  # nothing in flight, timer should have been disarmed
         handshake = self.state in (ConnState.SYN_SENT, ConnState.SYN_RCVD)
-        limit = self.config.syn_retry_limit if handshake else self.config.retx_limit
+        limit = SYN_RETRY_LIMIT if handshake else RETX_LIMIT
         lowest = self.unacked[0]
         if lowest.retx_count >= limit:
             self._fail("retransmit limit exceeded")
@@ -422,10 +422,8 @@ class Connection:
     # -- wire --------------------------------------------------------------
 
     def _transmit(self, seg: Segment) -> None:
-        retx_class = seg.retx_class
         payload_len = len(seg.payload)
-        self.wire_copies[retx_class] += 1
-        self.wire_bytes[retx_class] += HEADER_BYTES + payload_len
+        self.wire_copies[seg.retx_class] += 1
         # data segments are clocked out at their payload length; control
         # segments have nothing but headers to serialize
         serialized = payload_len or HEADER_BYTES

@@ -264,7 +264,7 @@ def _state(cap) -> tuple:
     frames = [(repr(dev), *map(_typed, cols)) for dev, *cols in cap.frames.by_device]
     table = cap.slot_table()
     values = (cap.header, cap.integrity, cap.skipped_lines, cap.counts, table.population, table.devices,
-              table.wire_bytes, table.flagged, table.delay_devices)
+              table.wire_bytes, table.flagged)
     arrays = [_typed(getattr(table, name)) for name in analyzer._TABLE_ARRAYS]
     return tuple(map(_typed, _record_columns(cap.records))), frames, arrays, repr(values)
 
@@ -413,7 +413,7 @@ class TestCompactLines:
         assert cap.records.device.tolist() == [1, 2]
 
     @pytest.mark.parametrize("other", ["true", "1.0"])
-    def test_report_does_not_depend_on_where_an_id_outside_the_rule_sits(self, other, tmp_path, capsys):
+    def test_report_does_not_depend_on_where_an_id_outside_the_rule_sits(self, other, tmp_path, capsys, caplog):
         # a line whose id equals 1 without being the int 1, before or
         # after a line of device 1: either way it is one skipped line
         one = _compact(1.5, 1, 55, frames=[(1, 0, 1.5)])
@@ -421,9 +421,11 @@ class TestCompactLines:
         outputs = []
         for name, lines in [("before", [bad, one]), ("after", [one, bad])]:
             path = _write(tmp_path / f"{name}.jsonl", lines)
+            caplog.clear()
             assert cli.main(["report", str(path), "--allow-incomplete"]) == 0
             out, err = capsys.readouterr()
-            assert "skipped 1 corrupt log line(s)" in err
+            assert caplog.messages == [f"{path}: skipped 1 corrupt lines"]
+            assert "corrupt" not in err
             outputs.append(out)
         assert outputs[0] == outputs[1]
         assert outputs[0].splitlines()[-1].split()[0] == "1"
@@ -787,19 +789,35 @@ class TestSlotTable:
         assert load_capture(path).population_slots() == 5
         _assert_table_is_the_fold(path, (None, 0.5))
 
-    def test_signed_zeros_keep_their_frame_order(self, tmp_path):
-        # with the epoch 1 s back, timestamp 0 falls in slot 0; arrival
-        # -0.0 at timestamp 0 is a -0.0 delay, arrival 1000.0 at 1000 a
-        # 0.0 one.  Frame order and slot order disagree on purpose.
-        frames = [
-            (1, 1, 1000, 1000.0), (1, 2, 0, -0.0),  # 0.0 in slot 1 before -0.0 in slot 0
-            (2, 1, 0, -0.0), (2, 2, 1000, 1000.0), (2, 3, 500, 500.0),  # -0.0 first
-        ]
+    def test_an_arrival_of_minus_zero_loads_as_zero(self, tmp_path):
+        # with the epoch 1 s back, timestamp 0 falls in slot 0, and each
+        # -0.0 arrival there is a zero delay
+        frames = [(1, 1, 1000, 1000.0), (1, 2, 0, -0.0), (2, 1, 0, -0.0)]
         path = _frames_capture(tmp_path / "c.jsonl", frames, epoch=-1000)
+        assert path.read_text().count('"arrival_time_of_last_byte": -0.0') == 2
         _assert_table_is_the_fold(path)
-        cap = load_capture(path)
-        maxima = {m.device: m.max_delay_ms for m in summarize(cap).devices}
-        assert _packed([maxima[1], maxima[2]]) == _packed([0.0, -0.0])
+        _cache_of(path).unlink()
+        for cap in (load_capture(path), load_capture(path)):  # cold, then warm
+            assert _packed([arrival for *_, arrival in cap.frames]) == _packed([1000.0, 0.0, 0.0])
+            maxima = [m.max_delay_ms for m in summarize(cap).devices]
+            assert _packed(maxima) == _packed([0.0, 0.0])
+            out = tmp_path / "delay_series.csv"
+            write_delay_series_csv(analyzer.DelaySeries(cap), out)
+            assert out.read_text().splitlines()[2:] == ["1,2,0,0.000,0.000,0.000,0", "2,1,0,0.000,0.000,0.000,0"]
+
+    def test_device_with_records_but_no_frames(self, tmp_path):
+        # device 2 only acknowledges: it has a table row, without frames
+        lines = [_compact(112.5, 1, 55, frames=[(1, 100, 112.5)]), _compact(2.5, 2, 0, direction="ACK")]
+        path = _write(tmp_path / "c.jsonl", lines)
+        _assert_table_is_the_fold(path, (None, 2.5))
+        _cache_of(path).unlink()
+        for cap in (load_capture(path), load_capture(path)):  # cold, then warm
+            for table in (cap.slot_table(), cap.slot_table(2.5)):
+                assert (table.devices, table.counts.tolist()) == ([1, 2], [1, 0])
+            assert cap.slot_table().tops.tolist() == [12.5, 0.0]
+            one, two = summarize(cap).devices
+            assert (one.device, one.avg_delay_ms, one.max_delay_ms) == (1, 12.5, 12.5)
+            assert two.device == 2 and math.isnan(two.avg_delay_ms) and math.isnan(two.max_delay_ms)
 
     def test_slot_sums_that_round(self, tmp_path):
         # each slot's delays sum to a double only after rounding (1e16 + 1
@@ -826,7 +844,8 @@ class TestSlotTable:
                 st.one_of(
                     st.floats(-1e6, 1e6, allow_nan=False),
                     st.floats(-1e300, 1e300, allow_nan=False),
-                    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 2**-1074, 1e-300]),
+                    # None: an arrival of exactly -0.0, which ts + delay never is
+                    st.sampled_from([0.0, -0.0, None, math.nan, math.inf, -math.inf, 2**-1074, 1e-300]),
                 ),
             ),
             max_size=40,
@@ -837,11 +856,12 @@ class TestSlotTable:
         draws=st.lists(st.sets(st.integers(0, 4), min_size=1), min_size=1, max_size=4),
     )
     def test_hypothesis_drawn_frames_and_sample_sets(self, frames, skew, t_fdr, draws, tmp_path_factory):
-        entries = [(dev, seq, ts, ts + delay) for seq, (dev, ts, delay) in enumerate(frames)]
+        entries = [(dev, seq, ts, -0.0 if delay is None else ts + delay) for seq, (dev, ts, delay) in enumerate(frames)]
         path = _frames_capture(tmp_path_factory.mktemp("drawn") / "c.jsonl", entries, duration_s=5, skew=skew)
         for cap in (load_capture(path), load_capture(path)):
-            # NaN, infinite and 1e300-sized arrivals are skipped lines
+            # NaN, infinite and 1e300-sized arrivals are skipped lines, and -0.0 reads as 0.0
             assert all(math.isfinite(arrival) for *_, arrival in cap.frames)
+            assert _packed(-0.0) not in {_packed(arrival) for *_, arrival in cap.frames}
             for slots in [None, *map(sorted, draws)]:
                 assert _from_table(cap, slots, t_fdr) == _fold_over_frames(cap, slots, t_fdr)
 
@@ -1057,6 +1077,7 @@ BAD_CACHES = {
     # caches whose digest holds: only their layout tells
     "other-version": _edit_meta(lambda meta: meta.update(version=analyzer.CACHE_VERSION + 1)),
     "version-3": _edit_meta(lambda meta: meta.update(version=3)),
+    "version-4": _edit_meta(lambda meta: meta.update(version=4)),
     "other-byte-order": _edit_meta(lambda meta: meta.update(byteorder={"little": "big"}.get(sys.byteorder, "little"))),
     "other-typecode": _edit_meta(lambda meta: meta["columns"][0].__setitem__(0, "f")),
     "other-itemsize": _edit_meta(lambda meta: meta["columns"][1].__setitem__(1, 8)),

@@ -84,6 +84,15 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {key} must be a finite number of magnitude below 2**63, got {float(value)!r}\n"
         assert not out.exists() or list(out.iterdir()) == []
 
+    def test_per_device_t_fdr_ms_is_a_usage_error(self, tmp_path, capsys):
+        # the capture header carries one t_fdr_ms, the [device] default
+        scenario = tmp_path / "bad.scenario"
+        scenario.write_text(MINI + "\n[device 2]\nt_fdr_ms = 1e300\n")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", str(scenario), str(out)]) == 2
+        assert capsys.readouterr().err == "error: [device 2] t_fdr_ms: set only under [device], for every device\n"
+        assert not out.exists()
+
     def test_summary_load_leaves_the_column_cache(self, mini_run):
         assert (mini_run / "capture.jsonl.columns").exists()
 
@@ -135,13 +144,13 @@ class TestAnalyze:
         assert code == 2
         assert "population" in capsys.readouterr().err
 
-    def test_corrupt_line_warns_and_completes(self, mini_run, tmp_path, capsys):
+    def test_corrupt_line_warns_and_completes(self, mini_run, tmp_path, caplog):
         lines = (mini_run / "capture.jsonl").read_text().splitlines()
         mangled = tmp_path / "mangled.jsonl"
         mangled.write_text("\n".join([lines[0], "{truncated", *lines[1:]]) + "\n")
         code = cli.main(["analyze", str(mangled), "--out-dir", str(tmp_path / "out")])
         assert code == 0
-        assert "skipped 1 corrupt log line" in capsys.readouterr().err
+        assert caplog.messages == [f"{mangled}: skipped 1 corrupt lines"]
 
     def test_missing_file_is_a_runtime_error(self, tmp_path):
         assert cli.main(["analyze", str(tmp_path / "gone.jsonl")]) == 1
@@ -223,7 +232,7 @@ class TestReport:
     ids=["finite", "inf-between", "inf-first", "inf-last"],
 )
 @pytest.mark.parametrize("command", ["analyze", "report"])
-def test_arrivals_whose_delays_summed_past_the_largest_float_are_refused(command, arrivals, tmp_path, capsys):
+def test_arrivals_whose_delays_summed_past_the_largest_float_are_refused(command, arrivals, tmp_path, capsys, caplog):
     # each arrival breaks the value rule, so its line is skipped and the
     # trailer no longer vouches for the capture
     records = [
@@ -235,8 +244,8 @@ def test_arrivals_whose_delays_summed_past_the_largest_float_are_refused(command
     argv = [command, str(path), *(["--out-dir", str(out)] if command == "analyze" else [])]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
+    assert caplog.messages == [f"{path}: skipped {len(arrivals)} corrupt lines"]
     assert captured.err.splitlines() == [
-        f"warning: skipped {len(arrivals)} corrupt log line(s)",
         f"error: {path}: trailer counts records={len(arrivals)}, parsed 0",
         "error: not reporting on an incomplete capture; see --allow-incomplete",
     ]

@@ -85,6 +85,8 @@ dcs_outages = 10-15, 42.5-44
             ("[scenario]\nskew_bound_ms = nan\n", "[scenario] skew_bound_ms: not a finite number: 'nan'"),
             ("[scenario]\nt_dcs_ms = inf\n", "[scenario] t_dcs_ms: not a finite number: 'inf'"),
             ("[device]\nt_fdr_ms = -Infinity\n", "[device] t_fdr_ms: not a finite number: '-Infinity'"),
+            # the capture header carries only the [device] t_fdr_ms
+            ("[scenario]\ndevices = 2\n[device 2]\nt_fdr_ms = 2.0\n", "[device 2] t_fdr_ms: set only under [device]"),
         ],
     )
     def test_invalid_scenarios_name_the_field(self, snippet, needle):
