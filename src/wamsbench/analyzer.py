@@ -837,12 +837,7 @@ def wasted_bandwidth_pct(capture: Capture) -> float:
     return retx + fast
 
 
-def summarize(
-    capture: Capture,
-    sample_indices=None,
-    t_fdr_ms: Optional[float] = None,
-    t_dcs_ms: Optional[float] = None,
-) -> MetricsSummary:
+def summarize(capture: Capture, sample_indices=None, t_fdr_ms: Optional[float] = None) -> MetricsSummary:
     """Per-device metric summary, optionally over sampled 1-second slots.
 
     With sample_indices the averages reproduce the random-sampling
@@ -850,16 +845,13 @@ def summarize(
     throughput windows contribute.  Retransmission percentages are byte
     ratios over the whole capture either way; sampling a ratio of
     totals is not meaningful.  Passing every index equals not sampling.
-    t_dcs_ms enters only the end-to-end delay, which no summary figure
-    uses; it is accepted so every analysis takes the same options.
 
     The averages are statistics.fmean, an exactly rounded sum, so they
     do not depend on the order frames and slots are visited in.  The
     summary reads only the capture's SlotTable: at the header's t_fdr_ms
-    no record or frame is touched.  ValueError when t_fdr_ms or t_dcs_ms
-    breaks the value rule.
+    no record or frame is touched.  ValueError when t_fdr_ms breaks the
+    value rule.
     """
-    _check_ms("t_dcs_ms", t_dcs_ms)
     table = capture.slot_table(t_fdr_ms)
     population = table.population
     slots = range(population)
@@ -910,8 +902,8 @@ def analyze(
     The delay series is computed as it is read, so no list of FrameDelay
     is built.
     """
-    summary = summarize(capture, sample_indices, t_fdr_ms, t_dcs_ms)
-    return summary, DelaySeries(capture, t_fdr_ms, t_dcs_ms), throughput_series(capture, window_s)
+    delays = DelaySeries(capture, t_fdr_ms, t_dcs_ms)
+    return summarize(capture, sample_indices, t_fdr_ms), delays, throughput_series(capture, window_s)
 
 
 # -- slot table ------------------------------------------------------------------

@@ -119,9 +119,7 @@ def cmd_report(args) -> int:
     if capture is None:
         return RUNTIME_ERROR
     indices = _sample_indices(capture, args.sample_size, args.sample_seed)
-    summary = analyzer.summarize(
-        capture, sample_indices=indices, t_fdr_ms=args.t_fdr_ms, t_dcs_ms=args.t_dcs_ms
-    )
+    summary = analyzer.summarize(capture, sample_indices=indices, t_fdr_ms=args.t_fdr_ms)
     _print_table(capture, summary)
     return 0
 
@@ -196,6 +194,8 @@ def cmd_emulate(args) -> int:
         raise ValueError(f"--devices must be at least 1, got {args.devices}")
     if args.connect_attempts < 1:
         raise ValueError(f"--connect-attempts must be at least 1, got {args.connect_attempts}")
+    if args.duration_s < 1:
+        raise ValueError(f"--duration-s must be at least 1, got {args.duration_s}")
     emulators = [
         LiveEmulator(
             FdrConfig(
@@ -281,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="print the metrics table for a capture")
     p.add_argument("capture", help="path to capture.jsonl")
     p.add_argument("--t-fdr-ms", type=_finite_float)
-    p.add_argument("--t-dcs-ms", type=_finite_float)
     p.add_argument("--sample-size", type=int)
     p.add_argument("--sample-seed", default="sample")
     p.add_argument("--allow-incomplete", action="store_true", help=ALLOW_INCOMPLETE_HELP)

@@ -41,7 +41,6 @@ from .frame import (
     ChecksumError,
     FdrFrame,
     FrameDecodeError,
-    FramingError,
     decode_frame,
 )
 
@@ -277,9 +276,6 @@ class FrameAssembler:
                 events["crc_errors"] += 1
                 events["resync_bytes"] += 1
                 del self.buf[:1]  # step past this magic and rescan
-                continue
-            except FramingError:
-                del self.buf[:1]
                 continue
             del self.buf[:FRAME_LEN]
             frames.append(frame)

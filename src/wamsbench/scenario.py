@@ -1,15 +1,14 @@
 """Scenario files: flat INI text describing one simulated deployment.
 
 A scenario names the fleet (device count, signal shape, per-device
-overrides), the channel in each direction, the transport knobs, and
-the run framing (seed, duration, epoch).  The format is deliberately
-hand-editable; every key has a default, and unknown keys are errors so
-typos fail loudly instead of silently meaning nothing.
+overrides), the channel in each direction, and the run framing (seed,
+duration, epoch).  The format is deliberately hand-editable; every key
+has a default, and unknown keys and sections are errors so typos fail
+loudly instead of silently meaning nothing.
 
 Sections:
   [scenario]   run framing: name, seed, duration_s, epoch_utc_ms,
                devices, t_dcs_ms, skew_bound_ms, dcs_outages
-  [transport]  TCP-lite knobs: min_rto_ms, max_rto_ms, initial_rto_ms, mss
   [uplink]     device-to-concentrator channel defaults
   [downlink]   concentrator-to-device channel defaults
   [device]     defaults for every device (timing, signal, p_seg)
@@ -29,7 +28,6 @@ from typing import Optional
 
 from .fdr import DisturbanceEvent, FdrConfig, SignalModel
 from .simnet import ChannelParams, JitterSpec
-from .tcplite import TransportConfig
 
 
 # Simulated wall times are exact integer microseconds divided by 1000.0,
@@ -58,7 +56,6 @@ class Scenario:
     t_dcs_ms: float
     default_t_fdr_ms: float
     skew_bound_ms: float
-    transport: TransportConfig
     devices: tuple
     outages: tuple
 
@@ -204,18 +201,6 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
     if epoch_utc_ms >= MAX_EPOCH_UTC_MS:
         raise ScenarioError(f"[scenario] epoch_utc_ms: must be below 2**42 ({MAX_EPOCH_UTC_MS})")
 
-    tr = section("transport")
-    try:
-        transport = TransportConfig(
-            mss=tr.take_int("mss", 1460),
-            min_rto_ms=tr.take_float("min_rto_ms", 200.0),
-            max_rto_ms=tr.take_float("max_rto_ms", 60_000.0),
-            initial_rto_ms=tr.take_float("initial_rto_ms", 1_000.0),
-        )
-    except ValueError as err:
-        raise ScenarioError(f"[transport]: {err}") from None
-    tr.finish()
-
     up_sec = section("uplink")
     uplink = _parse_channel(up_sec, ChannelParams(r_ul_bps=384_000.0))
     up_sec.finish()
@@ -237,7 +222,7 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
     base_fields = _device_fields(dev_sec, base_fields, epoch_utc_ms)
     dev_sec.finish()
 
-    known = {"scenario", "transport", "uplink", "downlink", "device"}
+    known = {"scenario", "uplink", "downlink", "device"}
     by_id = {}
     for sec_name in parser.sections():
         if sec_name in known:
@@ -285,7 +270,6 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
         t_dcs_ms=t_dcs_ms,
         default_t_fdr_ms=t_fdr_ms,
         skew_bound_ms=skew_bound_ms,
-        transport=transport,
         devices=tuple(devices),
         outages=outages,
     )

@@ -80,10 +80,9 @@ class _DcsEndpoint(Connection):
     at its arrival instant, together with the frames it completed.
     """
 
-    def __init__(self, harness: "_DeviceHarness", conn_key: str, sim, config, link, role):
+    def __init__(self, harness: "_DeviceHarness", conn_key: str, sim, link, role):
         super().__init__(
             sim,
-            config,
             link,
             role,
             name=f"{conn_key}.server",
@@ -161,7 +160,6 @@ class _DeviceHarness:
         conn_key = f"dev{self.device_id}#{self.dials}"
         client, server = connect_pair(
             self.run.sim,
-            self.run.scenario.transport,
             self.uplink,
             self.downlink,
             server_factory=partial(_DcsEndpoint, self, conn_key),

@@ -18,7 +18,6 @@ itself as the unit being clocked out.
 import enum
 import logging
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .analyzer import CLASSES
@@ -28,11 +27,12 @@ log = logging.getLogger(__name__)
 
 HEADER_BYTES = 40  # 20 IP + 20 TCP, no options
 
-# RFC 6298's estimator gains, RFC 5681's duplicate-ACK threshold, the
-# byte a split frame is cut at, and the retransmissions of the lowest
-# unacknowledged segment before a connection fails, in the handshake
-# and after it
+# RFC 6298's estimator gains and retransmission timeout bounds, RFC
+# 5681's duplicate-ACK threshold, the byte a split frame is cut at, and
+# the retransmissions of the lowest unacknowledged segment before a
+# connection fails, in the handshake and after it
 ALPHA, BETA = 0.125, 0.25
+MIN_RTO_MS, MAX_RTO_MS, INITIAL_RTO_MS = 200.0, 60_000.0, 1_000.0
 DUPACK_THRESHOLD = 3
 SPLIT_AT = 27
 SYN_RETRY_LIMIT, RETX_LIMIT = 5, 15
@@ -95,20 +95,6 @@ class Segment(NamedTuple):
 _new_segment = tuple.__new__
 
 
-@dataclass(frozen=True)
-class TransportConfig:
-    mss: int = 1460
-    min_rto_ms: float = 200.0
-    max_rto_ms: float = 60_000.0
-    initial_rto_ms: float = 1_000.0
-
-    def __post_init__(self) -> None:
-        if self.mss < 2:
-            raise ValueError("mss must allow at least a 2-byte payload")
-        if self.min_rto_ms <= 0 or self.max_rto_ms < self.min_rto_ms:
-            raise ValueError("rto bounds must satisfy 0 < min <= max")
-
-
 class _InFlight:
     """A sent segment waiting for its ACK; ``end`` is the sequence
     number an ACK must reach to cover it."""
@@ -138,7 +124,6 @@ class Connection:
     def __init__(
         self,
         sim: Simulator,
-        config: TransportConfig,
         link,
         role: str,
         name: str = "",
@@ -150,7 +135,6 @@ class Connection:
         if role not in ("client", "server"):
             raise ValueError(f"role must be client or server, got {role!r}")
         self.sim = sim
-        self.config = config
         self.link = link
         self.role = role
         self.name = name or role
@@ -167,7 +151,7 @@ class Connection:
         self.dup_ack_count = 0
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
-        self.rto = config.initial_rto_ms
+        self.rto = INITIAL_RTO_MS
         self.unacked: list[_InFlight] = []
 
         self._ooo: dict[int, bytes] = {}  # reassembly buffer, seq -> payload
@@ -200,16 +184,13 @@ class Connection:
 
         ``split`` is the caller's per-frame segmentation decision: when
         true the payload goes out as two segments cut after byte
-        SPLIT_AT.  Payloads above the MSS are chunked regardless.
+        SPLIT_AT.
         """
         if self.state is not ConnState.ESTABLISHED:
             raise TransportError(f"send in state {self.state.value}")
         if not payload:
             raise TransportError("empty payload")
-        cfg = self.config
-        if len(payload) > cfg.mss:
-            parts = [payload[i : i + cfg.mss] for i in range(0, len(payload), cfg.mss)]
-        elif split and len(payload) >= 2:
+        if split and len(payload) >= 2:
             cut = min(SPLIT_AT, len(payload) - 1)
             parts = [payload[:cut], payload[cut:]]
         else:
@@ -222,12 +203,6 @@ class Connection:
         if self._timer is None:  # never postpone an older segment's timeout
             self._arm_timer()
         return len(parts)
-
-    def close(self) -> None:
-        """Drop the connection without ceremony."""
-        self._disarm_timer()
-        self.state = ConnState.CLOSED
-        self._dead = True
 
     def detach(self) -> None:
         """Let go of the peer, the simulator, the link, every callback
@@ -321,10 +296,7 @@ class Connection:
             elif self.srtt is not None:
                 # forward progress ends the timeout episode: drop the
                 # exponential backoff back to the estimator's figure
-                cfg = self.config
-                self.rto = min(
-                    max(cfg.min_rto_ms, self.srtt + 4.0 * self.rttvar), cfg.max_rto_ms
-                )
+                self.rto = min(max(MIN_RTO_MS, self.srtt + 4.0 * self.rttvar), MAX_RTO_MS)
             if self.unacked:
                 self._arm_timer()
             else:
@@ -346,14 +318,13 @@ class Connection:
 
     def rto_update(self, sample_ms: float) -> float:
         """Feed one round-trip sample to the estimator; returns the new rto."""
-        cfg = self.config
         if self.srtt is None:
             self.srtt = sample_ms
             self.rttvar = sample_ms / 2.0
         else:
             self.srtt = (1.0 - ALPHA) * self.srtt + ALPHA * sample_ms
             self.rttvar = (1.0 - BETA) * self.rttvar + BETA * abs(self.srtt - sample_ms)
-        self.rto = min(max(cfg.min_rto_ms, self.srtt + 4.0 * self.rttvar), cfg.max_rto_ms)
+        self.rto = min(max(MIN_RTO_MS, self.srtt + 4.0 * self.rttvar), MAX_RTO_MS)
         return self.rto
 
     # -- data receive ------------------------------------------------------
@@ -404,7 +375,7 @@ class Connection:
             return
         lowest.retx_count += 1
         self._transmit(lowest.segment._replace(retx_class=RetxClass.RTO_RETX))
-        self.rto = min(self.rto * 2.0, self.config.max_rto_ms)  # exponential backoff
+        self.rto = min(self.rto * 2.0, MAX_RTO_MS)  # exponential backoff
         self._arm_timer()
 
     def _fail(self, reason: str) -> None:
@@ -446,7 +417,6 @@ class Connection:
 
 def connect_pair(
     sim: Simulator,
-    config: TransportConfig,
     uplink,
     downlink,
     server_factory: Callable[..., Connection] = Connection,
@@ -454,12 +424,12 @@ def connect_pair(
 ) -> tuple[Connection, Connection]:
     """Build a cross-wired client/server pair over two one-way links.
 
-    ``server_factory`` builds the server end from (sim, config, link,
-    role); a subclass of Connection may stand in for it.  The client
-    still needs ``open()`` called to start the handshake.
+    ``server_factory`` builds the server end from (sim, link, role); a
+    subclass of Connection may stand in for it.  The client still needs
+    ``open()`` called to start the handshake.
     """
-    client = Connection(sim, config, uplink, "client", **client_kwargs)
-    server = server_factory(sim, config, downlink, "server")
+    client = Connection(sim, uplink, "client", **client_kwargs)
+    server = server_factory(sim, downlink, "server")
     client.peer = server
     server.peer = client
     return client, server

@@ -25,7 +25,7 @@ from wamsbench.frame import FdrFrame, FrameDecodeError, decode_frame, encode_fra
 from wamsbench.scenario import load_scenario
 from wamsbench.sim import run_simulation
 from wamsbench.simnet import ChannelParams, Link, Simulator, transit_delay
-from wamsbench.tcplite import RetxClass, TransportConfig, connect_pair
+from wamsbench.tcplite import RetxClass, connect_pair
 
 SERIALIZATION_55_MS = 8 * 55 / 384_000 * 1000  # 1.1458333... ms
 
@@ -130,9 +130,7 @@ def _stream_frames(p_loss):
         ChannelParams(t_p_ms=20.0, r_ul_bps=7_200_000.0, p_loss=p_loss),
         random.Random(f"c7:{p_loss}:dn"),
     )
-    client, server = connect_pair(
-        sim, TransportConfig(), uplink, downlink, name=f"c7-{p_loss}"
-    )
+    client, server = connect_pair(sim, uplink, downlink, name=f"c7-{p_loss}")
     payload_rng = random.Random(f"c7:{p_loss}:payload")
     frames = [payload_rng.randbytes(55) for _ in range(10_000)]
     received = []

@@ -885,7 +885,7 @@ def test_processing_time_that_breaks_the_value_rule_is_a_value_error(value, tmp_
     cap = load_capture(path)
     calls = [
         *(partial(f, cap, t_fdr_ms=value) for f in (summarize, analyzer.analyze, one_way_delays, analyzer.DelaySeries)),
-        *(partial(f, cap, t_dcs_ms=value) for f in (summarize, analyzer.analyze, one_way_delays, analyzer.DelaySeries)),
+        *(partial(f, cap, t_dcs_ms=value) for f in (analyzer.analyze, one_way_delays, analyzer.DelaySeries)),
         partial(cap.slot_table, value),
     ]
     for call in calls:

@@ -197,8 +197,9 @@ class TestAnalyze:
         assert f"--sample-size must be at least 1, got {size}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
-    @pytest.mark.parametrize("option", ["--t-fdr-ms", "--t-dcs-ms"])
-    @pytest.mark.parametrize("command", ["analyze", "report"])
+    @pytest.mark.parametrize(
+        "command,option", [("analyze", "--t-fdr-ms"), ("analyze", "--t-dcs-ms"), ("report", "--t-fdr-ms")]
+    )
     def test_processing_time_must_be_finite(self, mini_run, tmp_path, capsys, command, option, value):
         argv = [command, str(mini_run / "capture.jsonl"), f"{option}={value}"]
         if command == "analyze":
@@ -225,6 +226,13 @@ class TestReport:
             "wasted_bw_pct",
         ]
         assert list(tmp_path.iterdir()) == []
+
+    def test_concentrator_processing_time_is_not_an_option(self, mini_run, capsys):
+        # no summary figure reads t_dcs_ms; only analyze's delay series does
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["report", str(mini_run / "capture.jsonl"), "--t-dcs-ms", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --t-dcs-ms 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -287,8 +295,9 @@ def test_header_value_the_analyzer_cannot_use_is_a_usage_error(command, key, val
     assert not (tmp_path / "c.jsonl.columns").exists()
 
 
-@pytest.mark.parametrize("option", ["--t-fdr-ms", "--t-dcs-ms"])
-@pytest.mark.parametrize("command", ["analyze", "report"])
+@pytest.mark.parametrize(
+    "command,option", [("analyze", "--t-fdr-ms"), ("analyze", "--t-dcs-ms"), ("report", "--t-fdr-ms")]
+)
 def test_processing_time_past_the_value_rule_is_a_usage_error(command, option, mini_run, tmp_path, capsys):
     line = _refused(command, mini_run / "capture.jsonl", tmp_path, capsys, f"{option}=1e300")
     name = option[2:].replace("-", "_")
@@ -487,6 +496,17 @@ class TestEmulate:
         assert cli.main(["emulate", "--port", "9", "--devices", devices]) == 2
         captured = capsys.readouterr()
         assert f"--devices must be at least 1, got {devices}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("duration", ["0", "-3"])
+    def test_duration_below_one_is_a_usage_error(self, capsys, monkeypatch, duration):
+        def no_emulate(emulators):
+            raise AssertionError("emulate started")
+
+        monkeypatch.setattr(cli, "emulate", no_emulate)
+        assert cli.main(["emulate", "--port", "9", "--duration-s", duration]) == 2
+        captured = capsys.readouterr()
+        assert f"--duration-s must be at least 1, got {duration}" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -20,7 +20,7 @@ from wamsbench.fdr import (
 )
 from wamsbench.frame import decode_frame
 from wamsbench.simnet import ChannelParams, Link, Simulator
-from wamsbench.tcplite import RST, Segment, TransportConfig, connect_pair
+from wamsbench.tcplite import RST, Segment, connect_pair
 
 EPOCH = 1_700_000_000_000  # grid-aligned UTC ms
 
@@ -126,7 +126,7 @@ class _Harness:
             ChannelParams(t_p_ms=self.t_p_ms, r_ul_bps=7_200_000.0),
             random.Random(f"h{self.dials}:down"),
         )
-        client, server = connect_pair(self.sim, TransportConfig(), up, down)
+        client, server = connect_pair(self.sim, up, down)
         server.on_deliver = self.received.extend
         return client
 

@@ -21,7 +21,6 @@ class TestParsing:
         assert sc.devices[0].config.device_id == 1
         assert sc.devices[0].uplink.r_ul_bps == 384_000.0
         assert sc.devices[0].downlink.r_ul_bps == 7_200_000.0
-        assert sc.transport.min_rto_ms == 200.0
         assert sc.frames_expected == 100
 
     def test_device_override_beats_fleet_default(self):
@@ -78,6 +77,12 @@ dcs_outages = 10-15, 42.5-44
             ("[scenario]\nwat = 1\n", "wat"),
             ("[scenario]\nduration_s = 5\n[uplink]\np_loss = 1.5\n", "uplink"),
             ("[scenario]\nduration_s = 5\n[nonsense]\nx = 1\n", "nonsense"),
+            # the transport's timer bounds are constants; a section that
+            # once set them is refused rather than silently ignored
+            *(
+                (f"[scenario]\nduration_s = 5\n[transport]\n{body}", "[transport]: unknown section")
+                for body in ("", "mss = 10\n", "min_rto_ms = 100\n", "max_rto_ms = 500\n", "initial_rto_ms = 3000\n")
+            ),
             ("[scenario]\ndevices = 2\n[device 9]\np_seg = 0\n", "device 9"),
             ("[scenario]\ndcs_outages = 9-3\n", "dcs_outages"),
             ("[scenario]\nduration_s = 5\n[device 1]\ndisturbance = oops\n", "disturbance"),
@@ -107,7 +112,7 @@ class TestBundled:
         assert day.devices[:10] == paper.devices
         assert day.devices[10].uplink.t_p_ms == 108.0
         assert day.devices[10].config.device_id == 11
-        assert (day.epoch_utc_ms, day.transport, day.outages) == (paper.epoch_utc_ms, paper.transport, paper.outages)
+        assert (day.epoch_utc_ms, day.outages) == (paper.epoch_utc_ms, paper.outages)
 
     def test_lossless_is_actually_lossless(self):
         sc = load_scenario("lossless")

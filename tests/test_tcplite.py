@@ -15,6 +15,7 @@ from wamsbench.simnet import ChannelParams, JitterSpec, Link, Simulator
 from wamsbench.tcplite import (
     ACK,
     HEADER_BYTES,
+    MAX_RTO_MS,
     PSH,
     SYN,
     SYN_RETRY_LIMIT,
@@ -22,7 +23,6 @@ from wamsbench.tcplite import (
     Connection,
     RetxClass,
     Segment,
-    TransportConfig,
     TransportError,
     connect_pair,
 )
@@ -48,11 +48,10 @@ class FakeLink:
         return self.sim.now_us + self.delay_us
 
 
-def make_pair(sim, config=None, client_drops=(), server_drops=(), delay_ms=10.0):
-    config = config or TransportConfig()
+def make_pair(sim, client_drops=(), server_drops=(), delay_ms=10.0):
     uplink = FakeLink(sim, delay_ms, client_drops)
     downlink = FakeLink(sim, delay_ms, server_drops)
-    client, server = connect_pair(sim, config, uplink, downlink)
+    client, server = connect_pair(sim, uplink, downlink)
     return client, server
 
 
@@ -101,13 +100,10 @@ class TestHandshake:
 
     def test_dead_uplink_fails_after_syn_retry_limit(self):
         sim = Simulator()
-        config = TransportConfig()
         failures = []
         uplink = FakeLink(sim, drop_all=True)
         downlink = FakeLink(sim)
-        client, server = connect_pair(
-            sim, config, uplink, downlink, on_failed=failures.append
-        )
+        client, server = connect_pair(sim, uplink, downlink, on_failed=failures.append)
         client.open()
         sim.run_until(200_000 * MS)
         assert failures == ["retransmit limit exceeded"]
@@ -124,8 +120,8 @@ class TestHandshake:
 
 
 class TestSend:
-    def _established(self, sim, **kw):
-        client, server = make_pair(sim, **kw)
+    def _established(self, sim):
+        client, server = make_pair(sim)
         client.open()
         sim.run_until(100 * MS)
         assert client.established
@@ -171,15 +167,6 @@ class TestSend:
             client.send(frame_bytes(fill))
         assert [s.seq for s in wire] == [1, 56, 111]
 
-    def test_oversize_payload_chunked_at_mss(self):
-        sim = Simulator()
-        client, _ = self._established(sim, config=TransportConfig(mss=10))
-        wire = []
-        client.on_wire = lambda seg, arr: wire.append(seg)
-        assert client.send(bytes(range(25))) == 3
-        assert [len(s.payload) for s in wire] == [10, 10, 5]
-        assert b"".join(s.payload for s in wire) == bytes(range(25))
-
     def test_delivery_and_ack_roundtrip(self):
         sim = Simulator()
         client, server = self._established(sim)
@@ -196,7 +183,7 @@ class TestAckProcessing:
 
     def _isolated_client(self, sim):
         # everything this client transmits vanishes; we inject replies
-        client = Connection(sim, TransportConfig(), FakeLink(sim, drop_all=True), "client")
+        client = Connection(sim, FakeLink(sim, drop_all=True), "client")
         client.open()
         client.on_segment(Segment(seq=0, ack=1, flags=frozenset({SYN, ACK})))
         assert client.established
@@ -271,7 +258,7 @@ class TestAckProcessing:
 class TestRtoEstimator:
     def _fresh(self):
         sim = Simulator()
-        return Connection(sim, TransportConfig(), FakeLink(sim), "client")
+        return Connection(sim, FakeLink(sim), "client")
 
     def test_first_sample_initialization(self):
         conn = self._fresh()
@@ -342,10 +329,9 @@ class TestRtoEstimator:
 
     def test_backoff_doubles_and_caps(self):
         sim = Simulator()
-        config = TransportConfig(max_rto_ms=500.0)
         uplink = FakeLink(sim)
         downlink = FakeLink(sim)
-        client, server = connect_pair(sim, config, uplink, downlink)
+        client, server = connect_pair(sim, uplink, downlink)
         client.open()
         sim.run_until(100 * MS)
         assert client.rto == pytest.approx(200.0)
@@ -353,9 +339,12 @@ class TestRtoEstimator:
         client.on_wire = lambda seg, arr: times.append(sim.now_us)
         uplink.drop_all = True
         client.send(frame_bytes(1))
-        sim.run_until(sim.now_us + 2_000 * MS)
+        sim.run_until(sim.now_us + 400_000 * MS)
         gaps = [round((b - a) / MS) for a, b in zip(times, times[1:])]
-        assert gaps == [200, 400, 500, 500]  # r, 2r, then capped
+        # r, 2r, ... 256r, then capped; 13 retransmits fit in 400 s,
+        # below the limit that fails the connection
+        assert gaps == [200 * 2**k for k in range(9)] + [MAX_RTO_MS] * 4
+        assert client.established
 
 
 class TestReliability:
@@ -373,7 +362,7 @@ class TestReliability:
             random.Random(f"{seed}:down"),
         )
         received = bytearray()
-        client, server = connect_pair(sim, TransportConfig(), up, down, on_wire=on_wire)
+        client, server = connect_pair(sim, up, down, on_wire=on_wire)
         server.on_deliver = received.extend
         payload_rng = random.Random(f"{seed}:payload")
         split_rng = random.Random(f"{seed}:split")
