@@ -51,9 +51,11 @@ slot, and summaries of any set of slots read that table alone.
 Column cache: load_capture keeps the slot table and the columns of a
 finished capture in ``<capture>.columns`` beside it, keyed by the
 SHA-256 of the capture's bytes, so a capture is parsed once however
-often it is analyzed, and a summary reads no column.  The cache only
-saves time: a load whose digest does not match parses the file, and
-deleting the cache is always safe.
+often it is analyzed.  The records and each device's frames have a
+section of their own, so a summary reads no column and the delay series
+holds one device's frames at a time.  The cache only saves time: a load
+whose digest does not match parses the file, and deleting the cache is
+always safe.
 
 Reporting slots: the sampling workflow treats the run as one population
 slot per configured second.  A frame belongs to the slot its timestamp
@@ -74,8 +76,7 @@ import sys
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from functools import partial
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat, starmap
 from operator import le
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -217,28 +218,67 @@ class Capture:
     counts    what the parse found, under the TRAILER_KEYS names
 
     A Capture read from the column cache holds its header, counts and
-    SlotTable, and reads records and frames from the cache when either
-    is first used.
+    SlotTable.  It reads the records from the cache's record section
+    when they are first used, and each device's frames from that
+    device's section each time device_frames() reaches it; frames reads
+    every device once and keeps them.
     """
 
-    def __init__(self, header, integrity, skipped_lines, counts, columns, table):
+    def __init__(self, header, integrity, skipped_lines, counts, table, records=None, frames=None, cache=None):
         self.header, self.integrity = header, integrity
         self.skipped_lines, self.counts = skipped_lines, counts
-        self._columns = columns  # (Records, Frames), or a function returning them
         self._table = table  # the SlotTable at the header's t_fdr_ms
+        self._records, self._frames = records, frames  # None until read from the cache
+        self._cache = cache  # the _CacheSections a cached load reads its columns from
 
     @property
     def records(self) -> Records:
-        return self._loaded_columns()[0]
+        if self._records is None:
+            self._records = Records(*self._cached_section(0))
+        return self._records
 
     @property
     def frames(self) -> Frames:
-        return self._loaded_columns()[1]
+        if self._frames is None:
+            self._frames = Frames(list(self.device_frames()))
+        return self._frames
 
-    def _loaded_columns(self) -> tuple:
-        if callable(self._columns):
-            self._columns = self._columns()
-        return self._columns
+    def device_frames(self):
+        """Yield (device_id, frame_seq, frame_timestamp, arrival) per
+        device, as Frames.by_device holds them.  A cached capture whose
+        frames were never read reads one device's section per step and
+        keeps none, so a caller that drops each device's columns before
+        the next step holds one device's frames at a time."""
+        k = 0
+        while self._frames is None and k < len(self._cache.devices):
+            yield (self._cache.devices[k], *self._cached_section(1 + k))
+            k += 1
+        if self._frames is not None:  # parsed, kept, or a cache section failed
+            yield from islice(self._frames.by_device, k, None)
+
+    def _frame_count(self) -> int:
+        if self._frames is not None:
+            return len(self._frames)
+        return sum(lengths[0] for _, _, lengths in self._cache.sections[1:])
+
+    def _cached_section(self, index: int) -> list:
+        """The arrays of cache section ``index``: 0 the records, 1 + k
+        the frames of device k.  When the section cannot be read or fails
+        its digest, the capture is parsed again, the cache rewritten, and
+        the capture keeps the parse's columns; CaptureError when the
+        capture's bytes changed since the load."""
+        try:
+            return _read_cached_section(self._cache, index)
+        except _BAD_CACHE:
+            pass
+        cache = self._cache
+        with open(cache.path, "rb") as fh:
+            parsed, capture_sha256 = _parse(cache.path, fh)
+        if capture_sha256 != cache.capture_sha256:
+            raise CaptureError(f"{cache.path}: the capture changed after it was loaded")
+        _write_cache(cache.cache_path, parsed, capture_sha256)
+        self._records, self._frames = parsed.records, parsed.frames
+        return _column_sections(parsed)[index]
 
     @property
     def epoch_utc_ms(self) -> int:
@@ -496,7 +536,7 @@ class _Parser:
             if self.frame_columns[dev][0]
         ]
         # the table is folded from the capture's own columns, below
-        capture = Capture(self.header, self.integrity, self.skipped, counts, (records, Frames(by_device)), None)
+        capture = Capture(self.header, self.integrity, self.skipped, counts, None, records, Frames(by_device))
         population = self.header.get("duration_s") or _covered_slots(capture)
         ids = sorted(set(self.devices))  # -1, a null id, first
         if population * max(1, len(ids)) > MAX_SERIES_VALUES:
@@ -516,7 +556,7 @@ def _covered_slots(capture: Capture) -> int:
     # both slot numbers grow with their time, so the latest time gives
     # the last slot
     last_frame = max(
-        (_slot_of_timestamp(max(stamps), epoch) + 1 for _, _, stamps, _ in capture.frames.by_device),
+        (_slot_of_timestamp(max(stamps), epoch) + 1 for _, _, stamps, _ in capture.device_frames()),
         default=0,
     )
     last_wall = max((wall for wall in capture.records.wall_time if wall == wall), default=None)
@@ -535,33 +575,52 @@ def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
 
 # -- column cache --------------------------------------------------------------
 #
-# A cache file is one line of ASCII JSON, then two sections, each ending
-# with its own SHA-256 of the JSON line and the section's bytes:
+# A cache file is one line of ASCII JSON, then sections, each ending with
+# its own SHA-256 of the JSON line and the section's bytes:
 #
 #   JSON     CACHE_VERSION, the byte order, the capture's SHA-256, the
 #            Capture's fields other than its columns, and the typecode,
-#            itemsize and length of each column of either section; under
-#            "table", the SlotTable's fields that are not arrays
+#            itemsize and length of each column of the column sections;
+#            under "table", the SlotTable's fields that are not arrays
 #   table    the raw bytes of the SlotTable's arrays, in _TABLE_ARRAYS order
-#   columns  the raw bytes of the six columns of Records in field order,
-#            then frame_seq, frame_timestamp and arrival for each device
-#            of Frames.by_device, whose ids are listed in "frame_devices"
+#   records  the raw bytes of the six columns of Records in field order
+#   frames   one section per device of Frames.by_device, in the order of
+#            the ids listed in "frame_devices": its frame_seq,
+#            frame_timestamp and arrival columns
 #
-# A load reads the JSON line and the table, and the columns only when
-# records or frames are first used, so a summary reads no column.
+# A load reads the JSON line and the table; the records section is read
+# when records are first used, and a device's section each time
+# Capture.device_frames() reaches that device, so a summary reads no
+# column and a delay series one device's frames at a time.
 
-CACHE_VERSION = 5
+CACHE_VERSION = 6
 _RECORD_TYPECODES, _FRAME_TYPECODES = "diBBqq", "qqd"
 # what reading a cache that is missing, cut short, garbage or of another
 # layout can raise; any of them means the capture is parsed instead
 _BAD_CACHE = (OSError, EOFError, ValueError, LookupError, TypeError, RecursionError)
 
 
+class _CacheSections(NamedTuple):
+    """Where a cached load finds its column sections: ``sections[0]`` is
+    the records', ``sections[1 + k]`` the frames' of ``devices[k]``,
+    each as (offset, typecodes, lengths)."""
+
+    path: Path
+    cache_path: Path
+    meta_line: bytes
+    capture_sha256: str
+    devices: list
+    sections: list
+
+
 def _layout(columns: list, typecodes: str) -> list:
     """The lengths of a cache's ``columns``, checked against ``typecodes``
-    and this platform's itemsizes; ValueError when they differ."""
+    and this platform's itemsizes; ValueError when they differ or a
+    length is negative."""
     if [column[:2] for column in columns] != [[code, array(code).itemsize] for code in typecodes]:
         raise ValueError("another column layout")
+    if any(column[2] < 0 for column in columns):
+        raise ValueError("a negative column length")
     return [column[2] for column in columns]
 
 
@@ -571,15 +630,18 @@ def _section_bytes(typecodes: str, lengths: list) -> int:
 
 def _read_section(fh, typecodes: str, lengths: list, meta_line: bytes) -> list:
     """The arrays of the cache section that starts where ``fh`` stands,
-    ``lengths[i]`` items of ``typecodes[i]`` each; ValueError unless the
-    SHA-256 that ends the section is that of ``meta_line`` and the
-    arrays' bytes."""
+    ``lengths[i]`` items of ``typecodes[i]`` each, read straight into
+    arrays of their size; EOFError when the file ends first, ValueError
+    unless the SHA-256 that ends the section is that of ``meta_line`` and
+    the arrays' bytes."""
     import hashlib
 
     digest, arrays = hashlib.sha256(meta_line), []
     for code, length in zip(typecodes, lengths):
-        column = array(code)
-        column.fromfile(fh, length)
+        column = array(code, [0]) * length
+        with memoryview(column) as view, view.cast("B") as raw:
+            if fh.readinto(raw) != len(raw):
+                raise EOFError("a cache section is cut short")
         digest.update(column)
         arrays.append(column)
     if fh.read(32) != digest.digest():
@@ -600,15 +662,19 @@ def _read_cache(path: Path, cache_path: Path, capture_file) -> Optional[Capture]
             meta = json.loads(meta_line)
             if meta["version"] != CACHE_VERSION or meta["byteorder"] != sys.byteorder:
                 return None
-            column_codes = _RECORD_TYPECODES + _FRAME_TYPECODES * len(meta["frame_devices"])
-            lengths = _layout(meta["columns"], column_codes)
-            # the record columns have one length, and so do each device's frame columns
-            groups = [lengths[:6], *(lengths[k:k + 3] for k in range(6, len(lengths), 3))]
-            if any(len(set(group)) != 1 for group in groups):
-                return None
+            devices = meta["frame_devices"]
+            lengths = _layout(meta["columns"], _RECORD_TYPECODES + _FRAME_TYPECODES * len(devices))
             table_lengths = _layout(meta["table"]["columns"], _TABLE_TYPECODES)
-            columns_at = len(meta_line) + _section_bytes(_TABLE_TYPECODES, table_lengths) + 32
-            if os.fstat(fh.fileno()).st_size != columns_at + _section_bytes(column_codes, lengths) + 32:
+            offset = len(meta_line) + _section_bytes(_TABLE_TYPECODES, table_lengths) + 32
+            sections = []
+            groups = [(_RECORD_TYPECODES, lengths[:6])]
+            groups += [(_FRAME_TYPECODES, lengths[k:k + 3]) for k in range(6, len(lengths), 3)]
+            for codes, group in groups:
+                if len(set(group)) != 1:  # a section's columns have one length
+                    return None
+                sections.append((offset, codes, group))
+                offset += _section_bytes(codes, group) + 32
+            if os.fstat(fh.fileno()).st_size != offset:
                 return None
             digest = hashlib.sha256()
             while block := capture_file.read(_BLOCK_BYTES):
@@ -617,34 +683,28 @@ def _read_cache(path: Path, cache_path: Path, capture_file) -> Optional[Capture]
                 return None
             arrays = _read_section(fh, _TABLE_TYPECODES, table_lengths, meta_line)
         table = _table_from_cache(meta, arrays)
-        columns = partial(_read_cached_columns, path, cache_path, meta, meta_line, columns_at, column_codes, lengths)
-        return Capture(meta["header"], meta["integrity"], meta["skipped_lines"], meta["counts"], columns, table)
+        cache = _CacheSections(path, cache_path, meta_line, meta["capture_sha256"], devices, sections)
+        return Capture(meta["header"], meta["integrity"], meta["skipped_lines"], meta["counts"], table, cache=cache)
     except _BAD_CACHE:
         return None
 
 
-def _read_cached_columns(path: Path, cache_path: Path, meta: dict, meta_line: bytes, offset: int,
-                         typecodes: str, lengths: list) -> tuple:
-    """(Records, Frames) of the capture whose cache began with
-    ``meta_line``, parsed as ``meta``, when it was loaded; its column
-    section starts at ``offset`` and holds ``lengths`` items of
-    ``typecodes``.  A cache whose columns fail their digest, which covers
-    that line, is replaced by a parse of the capture; CaptureError when
-    the capture's bytes changed since the load."""
-    try:
-        with open(cache_path, "rb") as fh:
-            fh.seek(offset)
-            columns = _read_section(fh, typecodes, lengths, meta_line)
-    except _BAD_CACHE:
-        with open(path, "rb") as fh:
-            capture, capture_sha256 = _parse(path, fh)
-        if capture_sha256 != meta["capture_sha256"]:
-            raise CaptureError(f"{path}: the capture changed after it was loaded") from None
-        _write_cache(cache_path, capture, capture_sha256)
-        return capture.records, capture.frames
-    frame_columns = (columns[k:k + 3] for k in range(6, len(columns), 3))
-    by_device = [(dev, *device_columns) for dev, device_columns in zip(meta["frame_devices"], frame_columns)]
-    return Records(*columns[:6]), Frames(by_device)
+def _read_cached_section(cache: _CacheSections, index: int) -> list:
+    """The arrays of column section ``index`` of ``cache``: 0 the
+    records, 1 + k the frames of device k."""
+    offset, typecodes, lengths = cache.sections[index]
+    with open(cache.cache_path, "rb") as fh:
+        fh.seek(offset)
+        return _read_section(fh, typecodes, lengths, cache.meta_line)
+
+
+def _column_sections(capture: Capture) -> list:
+    """The arrays of ``capture``'s column sections, in cache order: the
+    record columns, then each device's frame columns."""
+    records = capture.records
+    record_columns = [records.wall_time, records.device, records.direction, records.retx_class,
+                      records.payload_bytes, records.header_bytes]
+    return [record_columns, *(frame_columns for _, *frame_columns in capture.frames.by_device)]
 
 
 def _table_from_cache(meta: dict, arrays: list) -> "SlotTable":
@@ -670,10 +730,7 @@ def _write_cache(cache_path: Path, capture: Capture, capture_sha256: str) -> Non
     table = capture._table
     if capture.integrity is None:
         return
-    records, by_device = capture.records, capture.frames.by_device
-    columns = [records.wall_time, records.device, records.direction, records.retx_class,
-               records.payload_bytes, records.header_bytes]
-    columns += [column for _, *frame_columns in by_device for column in frame_columns]
+    column_sections = _column_sections(capture)
     arrays = [getattr(table, name) for name in _TABLE_ARRAYS]
     table_fields = dict(
         population=table.population, devices=table.devices,
@@ -685,8 +742,8 @@ def _write_cache(cache_path: Path, capture: Capture, capture_sha256: str) -> Non
     meta = dict(
         version=CACHE_VERSION, byteorder=sys.byteorder, capture_sha256=capture_sha256,
         header=capture.header, integrity=capture.integrity, skipped_lines=capture.skipped_lines,
-        counts=capture.counts, frame_devices=[dev for dev, *_ in by_device],
-        columns=[[column.typecode, column.itemsize, len(column)] for column in columns],
+        counts=capture.counts, frame_devices=[dev for dev, *_ in capture.frames.by_device],
+        columns=[[column.typecode, column.itemsize, len(column)] for section in column_sections for column in section],
         table=table_fields,
     )
     meta_line = json.dumps(meta).encode() + b"\n"
@@ -694,7 +751,7 @@ def _write_cache(cache_path: Path, capture: Capture, capture_sha256: str) -> Non
     try:
         with open(tmp, "xb") as fh:
             fh.write(meta_line)
-            for section in (arrays, columns):
+            for section in (arrays, *column_sections):
                 digest = hashlib.sha256(meta_line)
                 for column in section:
                     column.tofile(fh)
@@ -708,26 +765,30 @@ def _write_cache(cache_path: Path, capture: Capture, capture_sha256: str) -> Non
 
 class DelaySeries(_Columns):
     """The per-frame delay series of a capture, computed from its frame
-    columns each time it is read; iterating yields FrameDelay tuples in
+    columns each time it is read, one device at a time
+    (Capture.device_frames); iterating yields FrameDelay tuples in
     (device, frame_seq) order."""
 
-    __slots__ = ("frames", "t_fdr_ms", "t_dcs_ms", "flag_below")
+    __slots__ = ("capture", "t_fdr_ms", "t_dcs_ms", "flag_below")
 
     def __init__(self, capture: Capture, t_fdr_ms: Optional[float] = None, t_dcs_ms: Optional[float] = None):
         _check_ms("t_fdr_ms", t_fdr_ms)
         _check_ms("t_dcs_ms", t_dcs_ms)
-        self.frames = capture.frames
+        self.capture = capture
         self.t_fdr_ms = capture.t_fdr_ms if t_fdr_ms is None else t_fdr_ms
         self.t_dcs_ms = capture.t_dcs_ms if t_dcs_ms is None else t_dcs_ms
         self.flag_below = -capture.skew_bound_ms
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return self.capture._frame_count()
 
     def __iter__(self):
-        make = FrameDelay._make
-        for dev, seqs, stamps, arrivals in self.frames.by_device:
-            yield from map(make, self._rows(dev, seqs, stamps, arrivals))
+        return map(FrameDelay._make, self._plain_rows())
+
+    def _plain_rows(self):
+        """Every delay row as a plain tuple; starmap and chain let go of
+        a device's columns before the next device's are read."""
+        return chain.from_iterable(starmap(self._rows, self.capture.device_frames()))
 
     def _rows(self, dev, seqs, stamps, arrivals):
         """One device's delay rows as plain tuples in FrameDelay field
@@ -1009,8 +1070,8 @@ def _build_table(capture: Capture, population: int, ids: list) -> SlotTable:
 
 def _fold_delays(capture: Capture, population: int, devices: list, t_fdr_ms) -> dict:
     """The SlotTable fields that depend on t_fdr_ms, from the frame
-    columns, with a row per id of ``devices``, which holds the ids of
-    Frames.by_device in the same order."""
+    columns read one device at a time, with a row per id of ``devices``,
+    which holds the ids of Frames.by_device in the same order."""
     flag_below = -capture.skew_bound_ms
     epoch = capture.epoch_utc_ms
     row_of = {dev: row for row, dev in enumerate(devices)}
@@ -1018,7 +1079,7 @@ def _fold_delays(capture: Capture, population: int, devices: list, t_fdr_ms) -> 
     counts, tops, part_ends = array("q", zeros), array("d", zeros), array("q", zeros)
     partials = array("d")
     flagged = 0
-    for dev, _, stamps, arrivals in capture.frames.by_device:
+    for dev, seqs, stamps, arrivals in capture.device_frames():
         slots = defaultdict(list)  # slot -> the delays counted there
         for ts, arrival in zip(stamps, arrivals):
             t_ci = arrival - (ts + t_fdr_ms)
@@ -1036,6 +1097,7 @@ def _fold_delays(capture: Capture, population: int, devices: list, t_fdr_ms) -> 
             tops[k] = max(values)
             partials.extend(_exact_parts(values))
             part_ends[k] = len(partials)
+        del seqs, stamps, arrivals, slots  # before the next device's frames are read
     return dict(
         flagged=flagged,
         counts=counts,
@@ -1105,10 +1167,7 @@ def write_delay_series_csv(delays, path) -> None:
     capture's columns as plain tuples, one device at a time."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(DELAY_COLUMNS) + "\n")
-        if isinstance(delays, DelaySeries):
-            rows = chain.from_iterable(delays._rows(*device) for device in delays.frames.by_device)
-        else:
-            rows = delays
+        rows = delays._plain_rows() if isinstance(delays, DelaySeries) else delays
         fh.writelines(_DELAY_ROW % row for row in rows)
 
 

@@ -106,8 +106,9 @@ def cmd_analyze(args) -> int:
         capture, indices, t_fdr_ms=args.t_fdr_ms, t_dcs_ms=args.t_dcs_ms, window_s=args.window
     )
     analyzer.write_summary_csv(summary, out_dir / "summary.csv")
-    analyzer.write_delay_series_csv(delays, out_dir / "delay_series.csv")
     analyzer.write_throughput_series_csv(series, args.window, out_dir / "throughput_series.csv")
+    del series  # freed before the delay series reads the frames
+    analyzer.write_delay_series_csv(delays, out_dir / "delay_series.csv")
     if indices is not None:
         print(f"sampled {summary.selected_slots} of {summary.population_slots} slots")
     _print_table(capture, summary)
@@ -196,6 +197,13 @@ def cmd_emulate(args) -> int:
         raise ValueError(f"--connect-attempts must be at least 1, got {args.connect_attempts}")
     if args.duration_s < 1:
         raise ValueError(f"--duration-s must be at least 1, got {args.duration_s}")
+    if args.first_device < 0:
+        raise ValueError(f"--first-device must be at least 0, got {args.first_device}")
+    last_device = args.first_device + args.devices - 1
+    if last_device > analyzer.MAX_DEVICE_ID:
+        raise ValueError(
+            f"--first-device + --devices - 1 must be at most {analyzer.MAX_DEVICE_ID}, got {last_device}"
+        )
     emulators = [
         LiveEmulator(
             FdrConfig(

@@ -31,7 +31,7 @@ import oracle_logs
 import test_golden
 from test_golden import analyzer_captures  # noqa: F401  a fixture, shared
 from test_sim import JITTERY, OUTAGE
-from wamsbench import analyzer, cli, dcs
+from wamsbench import analyzer, cli, dcs, stats
 from wamsbench.analyzer import (
     DELAY_COLUMNS,
     SUMMARY_COLUMNS,
@@ -1006,12 +1006,20 @@ def test_capture_edited_in_place_is_reparsed_and_recached(tmp_path):
     assert _warm(path) == after == _cold(path)
 
 
-def _sections(data: bytes) -> tuple:
-    """A cache's JSON line, table section and column section, each
-    section without the digest that ends it."""
+def _sections(data: bytes) -> list:
+    """A cache's JSON line, then its table, records and device sections,
+    each section without the digest that ends it."""
     line, rest = data.split(b"\n", 1)
-    table_bytes = sum(length * size for _, size, length in json.loads(line)["table"]["columns"])
-    return line + b"\n", rest[:table_bytes], rest[table_bytes + 32:-32]
+    meta = json.loads(line)
+    columns = meta["table"]["columns"], meta["columns"][:6], *(
+        meta["columns"][k:k + 3] for k in range(6, len(meta["columns"]), 3)
+    )
+    parts = [line + b"\n"]
+    for section in columns:
+        size = sum(length * itemsize for _, itemsize, length in section)
+        parts.append(rest[:size])
+        rest = rest[size + 32:]
+    return parts
 
 
 def _edit_meta(edit, sign=True):
@@ -1020,24 +1028,31 @@ def _edit_meta(edit, sign=True):
     a writer of that JSON would have."""
 
     def mangle(data: bytes) -> bytes:
-        line, table, columns = _sections(data)
+        line, *sections = _sections(data)
         meta = json.loads(line)
         edit(meta)
         head = json.dumps(meta).encode() + b"\n"
         if not sign:
             return head + data[len(line):]
-        return head + b"".join(section + hashlib.sha256(head + section).digest() for section in (table, columns))
+        return head + b"".join(section + hashlib.sha256(head + section).digest() for section in sections)
 
     return mangle
 
 
+def _section_start(data: bytes, section: int) -> int:
+    """Where section ``section`` of a cache starts: 1 the table, 2 the
+    records, 3 the first device's frames, -1 the last device's."""
+    parts = _sections(data)
+    section %= len(parts)
+    return len(parts[0]) + sum(len(part) + 32 for part in parts[1:section])
+
+
 def _flip_byte(section: int):
-    """A mangler that flips a bit of the first byte of the table (1) or
-    column (2) section."""
+    """A mangler that flips a bit of the first byte of a section, as
+    _section_start numbers them."""
 
     def mangle(data: bytes) -> bytes:
-        parts = _sections(data)
-        at = len(parts[0]) if section == 1 else len(parts[0]) + len(parts[1]) + 32
+        at = _section_start(data, section)
         return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
 
     return mangle
@@ -1062,6 +1077,15 @@ def _grow_records(meta):
         _set_length(column, 2**40)(meta)
 
 
+def _trade_lengths(meta):
+    # 2**40 more of each record column, and as many bytes fewer in the
+    # last device's columns: the same total size, one length negative
+    for column in range(6):
+        _set_length(column, 2**40)(meta)
+    for column in range(len(meta["columns"]) - 3, len(meta["columns"])):
+        _set_length(column, -5 * 2**38)(meta)
+
+
 BAD_CACHES = {
     "empty": lambda data: b"",
     "cut-in-its-json": lambda data: data[:20],
@@ -1071,13 +1095,16 @@ BAD_CACHES = {
     "not-json": lambda data: b"{not json\n" + data.split(b"\n", 1)[1],
     "json-list": lambda data: b"[1, 2]\n" + data.split(b"\n", 1)[1],
     "json-too-deep": lambda data: b"[" * 100_000 + b"\n",
-    "flipped-column-byte": _flip_byte(2),
+    "flipped-records-byte": _flip_byte(2),
     "flipped-table-byte": _flip_byte(1),
+    "flipped-last-device-byte": _flip_byte(-1),
+    "cut-in-a-device-section": lambda data: data[:_section_start(data, -1) + 1],
     "edited-header": _edit_meta(lambda meta: meta["header"].update(t_fdr_ms=1.0), sign=False),
     # caches whose digest holds: only their layout tells
     "other-version": _edit_meta(lambda meta: meta.update(version=analyzer.CACHE_VERSION + 1)),
     "version-3": _edit_meta(lambda meta: meta.update(version=3)),
     "version-4": _edit_meta(lambda meta: meta.update(version=4)),
+    "version-5": _edit_meta(lambda meta: meta.update(version=5)),
     "other-byte-order": _edit_meta(lambda meta: meta.update(byteorder={"little": "big"}.get(sys.byteorder, "little"))),
     "other-typecode": _edit_meta(lambda meta: meta["columns"][0].__setitem__(0, "f")),
     "other-itemsize": _edit_meta(lambda meta: meta["columns"][1].__setitem__(1, 8)),
@@ -1101,18 +1128,31 @@ def test_bad_cache_is_ignored_and_rewritten(case, tmp_path):
     assert _cache_of(path).read_bytes() == good
 
 
+def test_negative_cache_length_is_refused_before_any_column_is_read(tmp_path):
+    path = _two_device_capture(tmp_path / "c.jsonl")
+    cold = load_capture(path)
+    good = _cache_of(path).read_bytes()
+    bad = _edit_meta(_trade_lengths)(good)
+    assert len(bad) - len(bad.split(b"\n", 1)[0]) == len(good) - len(good.split(b"\n", 1)[0])
+    _cache_of(path).write_bytes(bad)
+    # read with that length, the record section would ask for 8 TiB
+    records = load_capture(path).records
+    assert list(map(_typed, _record_columns(records))) == list(map(_typed, _record_columns(cold.records)))
+    assert _cache_of(path).read_bytes() == good
+
+
 class _CountingReads:
-    """Stands in for analyzer._read_cached_columns and counts the column
-    reads a warm load defers."""
+    """Stands in for analyzer._read_cached_section and lists the column
+    sections a warm load reads: 0 the records, 1 + k device k's frames."""
 
     def __init__(self, monkeypatch):
-        self.calls = 0
-        self.read = analyzer._read_cached_columns
-        monkeypatch.setattr(analyzer, "_read_cached_columns", self)
+        self.sections = []
+        self.read = analyzer._read_cached_section
+        monkeypatch.setattr(analyzer, "_read_cached_section", self)
 
-    def __call__(self, *args):
-        self.calls += 1
-        return self.read(*args)
+    def __call__(self, cache, index):
+        self.sections.append(index)
+        return self.read(cache, index)
 
 
 def test_warm_summary_reads_no_column(tmp_path, monkeypatch):
@@ -1122,18 +1162,21 @@ def test_warm_summary_reads_no_column(tmp_path, monkeypatch):
     cap = load_capture(path)
     assert (cap.population_slots(), cap.integrity_problems(), cap.skipped_lines) == (3, [], 0)
     summaries = [summarize(cap), summarize(cap, [0, 2]), summarize(cap, t_fdr_ms=0.0)]
-    assert reads.calls == 0
-    # another t_fdr_ms folds the frames again; the columns are read once
+    assert reads.sections == []
+    # another t_fdr_ms folds the frames again: the one device's section,
+    # and no record
     assert summarize(cap, t_fdr_ms=0.5) != summaries[0]
+    assert reads.sections == [1]
+    # frames reads the device's section again, records the record section
     assert _state(cap) == cold
-    assert reads.calls == 1
+    assert reads.sections == [1, 1, 0]
 
 
 def test_warm_devices_read_no_column(tmp_path, monkeypatch):
     path = _null_device_capture(tmp_path / "c.jsonl")
     assert load_capture(path).devices() == [3]  # leaves the cache
     monkeypatch.setattr(analyzer, "_Parser", _no_parse)
-    monkeypatch.setattr(analyzer, "_read_cached_columns", _no_parse)
+    monkeypatch.setattr(analyzer, "_read_cached_section", _no_parse)
     assert load_capture(path).devices() == [3]
 
 
@@ -1146,7 +1189,7 @@ def test_warm_uplink_figures_are_the_record_fold_read_from_the_table(analyzer_ca
     retx = analyzer._retx_pcts(analyzer._uplink_wire_bytes(by_class))
     assert min(retx) > 0
     monkeypatch.setattr(analyzer, "_Parser", _no_parse)
-    monkeypatch.setattr(analyzer, "_read_cached_columns", _no_parse)
+    monkeypatch.setattr(analyzer, "_read_cached_section", _no_parse)
     cap = load_capture(path)
     assert throughput_series(cap) == throughput_series(cap, 1.0) == series
     assert analyzer.retransmission_stats(cap) == retx
@@ -1159,17 +1202,67 @@ def test_report_at_the_header_t_fdr_reads_no_column(analyzer_captures, tmp_path,
     shutil.copyfile(source, path)
     load_capture(path)  # leaves the cache
     good = _cache_of(path).read_bytes()
-    # a column read would find this bit flipped, parse and rewrite the cache
-    _cache_of(path).write_bytes(_flip_byte(2)(good))
+    # a read of the first device's frames would find this bit flipped,
+    # parse and rewrite the cache
+    _cache_of(path).write_bytes(_flip_byte(3)(good))
     reads = _CountingReads(monkeypatch)
     report = ["report", str(path), "--sample-size", str(sample), "--sample-seed", test_golden.REPORT_SEED]
     golden = test_golden.ANALYZER_GOLDEN
-    for argv, key, calls in [(report, None, 0), ([*report, "--t-fdr-ms", "1.5"], "1.5", 1)]:
+    for argv, key, sections in [(report, None, []), ([*report, "--t-fdr-ms", "1.5"], "1.5", [1])]:
         assert cli.main(argv) == 0
         got = test_golden._sha(capsys.readouterr().out.encode())
         assert got == golden[("lossy_0p3", key and "2.5", key)][3]
-        assert reads.calls == calls
-        assert (_cache_of(path).read_bytes() == good) == bool(calls)
+        # the parse that replaced the failed section serves the other devices
+        assert reads.sections == sections
+        assert (_cache_of(path).read_bytes() == good) == bool(sections)
+
+
+def _frames_never_built(self):
+    raise AssertionError("built capture.frames")
+
+
+def test_warm_analyze_reads_each_device_section_once_and_no_record(analyzer_captures, tmp_path, monkeypatch):
+    source, _ = analyzer_captures["lossy_0p3"]
+    path = tmp_path / "capture.jsonl"
+    shutil.copyfile(source, path)
+    devices = len(load_capture(path).frames.by_device)  # leaves the cache
+    assert devices == 10
+    monkeypatch.setattr(analyzer, "_Parser", _no_parse)
+    monkeypatch.setattr(analyzer.Capture, "frames", property(_frames_never_built))
+    reads = _CountingReads(monkeypatch)
+    assert cli.main(["analyze", str(path), "--out-dir", str(tmp_path)]) == 0
+    assert reads.sections == list(range(1, devices + 1))
+    got = tuple(test_golden._sha((tmp_path / file).read_bytes()) for file in test_golden.ANALYZE_FILES)
+    assert got == test_golden.ANALYZER_GOLDEN[("lossy_0p3", None, None)][:3]
+
+
+def test_delay_series_reads_no_column_until_iterated(tmp_path, monkeypatch):
+    path = _two_device_capture(tmp_path / "c.jsonl")
+    cold = one_way_delays(load_capture(path))  # leaves the cache
+    reads = _CountingReads(monkeypatch)
+    series = analyzer.DelaySeries(load_capture(path))
+    assert len(series) == 2
+    assert reads.sections == []
+    assert list(series) == list(series) == cold
+    assert reads.sections == [1, 2, 1, 2]
+
+
+def test_warm_summary_at_another_t_fdr_equals_cold(analyzer_captures, tmp_path):
+    source, sample = analyzer_captures["lossy_0p3"]
+    path = tmp_path / "capture.jsonl"
+    shutil.copyfile(source, path)
+    cold = load_capture(path)  # leaves the cache
+    warm = load_capture(path)
+    assert warm._frames is None
+    slots = stats.random_sample(cold.population_slots(), sample, seed="t-fdr")
+    for t_fdr_ms in (0.5, -2.0):
+        for indices in (None, slots):
+            assert repr(summarize(warm, indices, t_fdr_ms=t_fdr_ms)) == repr(summarize(cold, indices, t_fdr_ms=t_fdr_ms))
+        warm_table, cold_table = warm.slot_table(t_fdr_ms), cold.slot_table(t_fdr_ms)
+        assert [_typed(getattr(warm_table, name)) for name in analyzer._TABLE_ARRAYS] == [
+            _typed(getattr(cold_table, name)) for name in analyzer._TABLE_ARRAYS
+        ]
+    assert warm._frames is None
 
 
 def test_deferred_read_without_its_cache_parses_and_recaches(tmp_path):

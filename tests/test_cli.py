@@ -498,6 +498,37 @@ class TestEmulate:
         assert f"--devices must be at least 1, got {devices}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--first-device", "-1"], "--first-device must be at least 0, got -1"),
+            (["--first-device", "70000"], "--first-device + --devices - 1 must be at most 65535, got 70000"),
+            (["--first-device", "65535", "--devices", "2"],
+             "--first-device + --devices - 1 must be at most 65535, got 65536"),
+        ],
+    )
+    def test_device_ids_outside_16_bits_are_a_usage_error(self, capsys, monkeypatch, argv, message):
+        def no_emulate(emulators):
+            raise AssertionError("emulate started")
+
+        monkeypatch.setattr(cli, "emulate", no_emulate)
+        assert cli.main(["emulate", "--port", "9", *argv]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_device_ids_up_to_65535_are_emulated(self, capsys, monkeypatch):
+        started = []
+
+        def record(emulators):
+            started.extend(emulators)
+            return [True] * len(emulators)
+
+        monkeypatch.setattr(cli, "emulate", record)
+        assert cli.main(["emulate", "--port", "9", "--first-device", "65534", "--devices", "2"]) == 0
+        assert [emu.config.device_id for emu in started] == [65534, 65535]
+        capsys.readouterr()
+
     @pytest.mark.parametrize("duration", ["0", "-3"])
     def test_duration_below_one_is_a_usage_error(self, capsys, monkeypatch, duration):
         def no_emulate(emulators):

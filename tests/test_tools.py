@@ -3,8 +3,7 @@
 ``tools/rss_slope.py`` and ``tools/cold_load.py`` back the cold-load and
 peak-RSS figures quoted in CHANGES.md and README; nothing else imports
 them, so a signature change in the package could break them silently.
-The ``report`` step draws 300 slots and needs a capture of at least
-300 s, so it is left out here.
+Every step runs here on a 5 s capture; ``report`` then draws 5 slots.
 """
 
 import importlib
@@ -32,6 +31,8 @@ def test_child_steps_run_on_a_short_capture(tools, tmp_path):
     assert analyze["maxrss_kib"] > 0
     assert (tmp_path / "d5" / "summary.csv").is_file()
     assert (tmp_path / "d5" / "capture.jsonl.columns").is_file()
+    report = rss_slope.run_child(str(ROOT), "report", 5, str(tmp_path))
+    assert report["maxrss_kib"] > 0
 
 
 def test_cold_load_report_gives_median_and_quartiles(tools):

@@ -7,8 +7,9 @@ records ``ru_maxrss`` of four fresh child processes per duration:
   analyze          ``wamsbench analyze`` on that capture, which parses it
                    and leaves its column cache (``capture.jsonl.columns``)
   analyze, cached  ``wamsbench analyze`` again, which reads the cache
-  report, cached   ``wamsbench report --sample-size 300`` on the cached
-                   capture, which reads the cache's slot table and, in a
+  report, cached   ``wamsbench report --sample-size N`` on the cached
+                   capture, N the smaller of 300 and the duration in
+                   seconds, which reads the cache's slot table and, in a
                    checkout that keeps one, none of its columns
 
 then prints each process's peak, the cache size, and the slope between
@@ -66,7 +67,7 @@ else:
     capture = spec["dir"] + "/capture.jsonl"
     argv = ["analyze", capture, "--out-dir", spec["dir"]]
     if spec["step"] == "report":
-        argv = ["report", capture, "--sample-size", "300"]
+        argv = ["report", capture, "--sample-size", str(min(300, spec["duration_s"]))]
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     if code != 0:
