@@ -14,9 +14,9 @@ Metric definitions, chosen once and used everywhere:
                against a skewed clock can go slightly negative; delays
                below minus the header's skew bound are flagged and
                excluded from averages.
-  throughput   per device and per window, bits of successfully
-               delivered uplink data copies (payload plus that copy's
-               headers) divided by the window length; kbit/s.  Dropped
+  throughput   per device and per 1-second window, bits of
+               successfully delivered uplink data copies (payload plus
+               that copy's headers) over that second; kbit/s.  Dropped
                copies never count; a delivered retransmission does,
                because the receiver genuinely got those bytes.
   retx pct     bytes of timeout retransmissions over total uplink bytes
@@ -44,18 +44,19 @@ Integrity: the loader counts records, uplink, ack and dropped copies as
 it parses, and Capture.integrity_problems() compares them with the
 trailer the writer appended; a capture without a trailer was cut short.
 
-Slot table: every summary figure is a fold over 1-second slots, so a
-parse ends by folding the columns into a SlotTable, per device and
-slot, and summaries of any set of slots read that table alone.
+Slot table: every summary figure and the throughput series are folds
+over 1-second slots, so a parse ends by folding the columns into a
+SlotTable, per device and slot, and summaries of any set of slots and
+the series read that table alone.
 
 Column cache: load_capture keeps the slot table and the columns of a
 finished capture in ``<capture>.columns`` beside it, keyed by the
 SHA-256 of the capture's bytes, so a capture is parsed once however
 often it is analyzed.  The records and each device's frames have a
-section of their own, so a summary reads no column and the delay series
-holds one device's frames at a time.  The cache only saves time: a load
-whose digest does not match parses the file, and deleting the cache is
-always safe.
+section of their own, so a summary or a throughput series reads no
+column and the delay series holds one device's frames at a time.  The
+cache only saves time: a load whose digest does not match parses the
+file, and deleting the cache is always safe.
 
 Reporting slots: the sampling workflow treats the run as one population
 slot per configured second.  A frame belongs to the slot its timestamp
@@ -129,6 +130,9 @@ def check_header(header: dict) -> None:
     """ValueError naming the first header value the analyzer cannot use."""
     for key in ("skew_bound_ms", "t_fdr_ms", "t_dcs_ms"):
         _check_ms(key, header.get(key))
+    skew = header.get("skew_bound_ms")
+    if skew is not None and skew < 0:
+        raise ValueError(f"skew_bound_ms must be null or at least 0, got {skew!r}")
     epoch, duration = header.get("epoch_utc_ms"), header.get("duration_s")
     if epoch is not None and (epoch.__class__ is not int or not -MS_LIMIT < epoch < MS_LIMIT):
         raise ValueError(f"epoch_utc_ms must be null or an int of magnitude below 2**63, got {epoch!r}")
@@ -136,25 +140,8 @@ def check_header(header: dict) -> None:
         raise ValueError(f"duration_s must be null, 0 or a positive int, got {duration!r}")
 
 
-class _Columns:
-    """Equality and repr shared by the column views: a view equals
-    another view or a list holding the same tuples in the same order."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if isinstance(other, (list, _Columns)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self)!r})"
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Records(_Columns):
+@dataclass(frozen=True, eq=False)
+class Records:
     """A capture's records in typed columns, one row per record line in
     file order.
 
@@ -188,8 +175,8 @@ class Records(_Columns):
                    payload, header, CLASSES[cls])
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Frames(_Columns):
+@dataclass(frozen=True, eq=False)
+class Frames:
     """A capture's frame_complete entries in typed columns, per device.
 
     by_device holds (device_id, frame_seq 'q', frame_timestamp 'q',
@@ -217,68 +204,64 @@ class Capture:
               (device_id, frame_seq)
     counts    what the parse found, under the TRAILER_KEYS names
 
-    A Capture read from the column cache holds its header, counts and
-    SlotTable.  It reads the records from the cache's record section
-    when they are first used, and each device's frames from that
-    device's section each time device_frames() reaches it; frames reads
-    every device once and keeps them.
+    The columns are kept as a list of sections, in the column cache's
+    order: section 0 the records' columns, section 1 + k the frame
+    columns of the k-th frame device id.  A parse holds every section;
+    a Capture read from the column cache holds its header, counts and
+    SlotTable, and reads a section from the cache each time it is used,
+    so device_frames() holds one device's frames at a time.
     """
 
-    def __init__(self, header, integrity, skipped_lines, counts, table, records=None, frames=None, cache=None):
+    def __init__(self, header, integrity, skipped_lines, counts, table, frame_devices, sections, cache=None):
         self.header, self.integrity = header, integrity
         self.skipped_lines, self.counts = skipped_lines, counts
         self._table = table  # the SlotTable at the header's t_fdr_ms
-        self._records, self._frames = records, frames  # None until read from the cache
-        self._cache = cache  # the _CacheSections a cached load reads its columns from
+        self._frame_devices = frame_devices  # the ids with frames, sorted
+        self._sections = sections  # each section's arrays, None while left in the cache
+        self._cache = cache  # the _CacheSections a cached load reads its sections from
 
     @property
     def records(self) -> Records:
-        if self._records is None:
-            self._records = Records(*self._cached_section(0))
-        return self._records
+        return Records(*self._section(0))
 
     @property
     def frames(self) -> Frames:
-        if self._frames is None:
-            self._frames = Frames(list(self.device_frames()))
-        return self._frames
+        return Frames(list(self.device_frames()))
 
     def device_frames(self):
         """Yield (device_id, frame_seq, frame_timestamp, arrival) per
-        device, as Frames.by_device holds them.  A cached capture whose
-        frames were never read reads one device's section per step and
-        keeps none, so a caller that drops each device's columns before
-        the next step holds one device's frames at a time."""
-        k = 0
-        while self._frames is None and k < len(self._cache.devices):
-            yield (self._cache.devices[k], *self._cached_section(1 + k))
-            k += 1
-        if self._frames is not None:  # parsed, kept, or a cache section failed
-            yield from islice(self._frames.by_device, k, None)
+        device, as Frames.by_device holds them, reading one device's
+        section per step."""
+        for k, dev in enumerate(self._frame_devices):
+            yield (dev, *self._section(1 + k))
 
     def _frame_count(self) -> int:
-        if self._frames is not None:
-            return len(self._frames)
-        return sum(lengths[0] for _, _, lengths in self._cache.sections[1:])
+        """The frames of every device, a section left in the cache
+        counted from its recorded length, so none is read."""
+        return sum(
+            self._cache.sections[index][2][0] if section is None else len(section[0])
+            for index, section in enumerate(self._sections[1:], 1)
+        )
 
-    def _cached_section(self, index: int) -> list:
-        """The arrays of cache section ``index``: 0 the records, 1 + k
-        the frames of device k.  When the section cannot be read or fails
-        its digest, the capture is parsed again, the cache rewritten, and
-        the capture keeps the parse's columns; CaptureError when the
-        capture's bytes changed since the load."""
-        try:
-            return _read_cached_section(self._cache, index)
-        except _BAD_CACHE:
-            pass
-        cache = self._cache
-        with open(cache.path, "rb") as fh:
-            parsed, capture_sha256 = _parse(cache.path, fh)
-        if capture_sha256 != cache.capture_sha256:
-            raise CaptureError(f"{cache.path}: the capture changed after it was loaded")
-        _write_cache(cache.cache_path, parsed, capture_sha256)
-        self._records, self._frames = parsed.records, parsed.frames
-        return _column_sections(parsed)[index]
+    def _section(self, index: int) -> list:
+        """The arrays of column section ``index``.  A section left in the
+        cache is read from it; when it cannot be read or fails its digest,
+        the capture is parsed again, the cache rewritten, and every
+        section replaced by the parse's; CaptureError when the capture's
+        bytes changed since the load."""
+        if self._sections[index] is None:
+            cache = self._cache
+            try:
+                return _read_cached_section(cache, index)
+            except _BAD_CACHE:
+                pass
+            with open(cache.path, "rb") as fh:
+                parsed, capture_sha256 = _parse(cache.path, fh)
+            if capture_sha256 != cache.capture_sha256:
+                raise CaptureError(f"{cache.path}: the capture changed after it was loaded")
+            _write_cache(cache.cache_path, parsed, capture_sha256)
+            self._sections = parsed._sections
+        return self._sections[index]
 
     @property
     def epoch_utc_ms(self) -> int:
@@ -523,20 +506,19 @@ class _Parser:
             check_header(self.header)
         except ValueError as err:
             raise CaptureError(f"{path}: header {err}") from None
-        records = Records(self.walls, self.devices, self.directions, self.classes, self.payloads, self.headers)
         counts = dict(
             records=len(self.walls),
             uplink_copies=self.directions.count(_DIRECTION_INDEX["UPLINK"]),
             ack_copies=self.directions.count(_DIRECTION_INDEX["ACK"]),
             dropped_copies=self.dropped,
         )
-        by_device = [
-            (dev, *_sorted_by_seq(*self.frame_columns[dev]))
-            for dev in sorted(self.frame_columns)
-            if self.frame_columns[dev][0]
+        frame_devices = sorted(dev for dev, (seqs, _, _) in self.frame_columns.items() if seqs)
+        sections = [
+            [self.walls, self.devices, self.directions, self.classes, self.payloads, self.headers],
+            *(list(_sorted_by_seq(*self.frame_columns[dev])) for dev in frame_devices),
         ]
         # the table is folded from the capture's own columns, below
-        capture = Capture(self.header, self.integrity, self.skipped, counts, None, records, Frames(by_device))
+        capture = Capture(self.header, self.integrity, self.skipped, counts, None, frame_devices, sections)
         population = self.header.get("duration_s") or _covered_slots(capture)
         ids = sorted(set(self.devices))  # -1, a null id, first
         if population * max(1, len(ids)) > MAX_SERIES_VALUES:
@@ -588,10 +570,10 @@ def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
 #            the ids listed in "frame_devices": its frame_seq,
 #            frame_timestamp and arrival columns
 #
-# A load reads the JSON line and the table; the records section is read
-# when records are first used, and a device's section each time
-# Capture.device_frames() reaches that device, so a summary reads no
-# column and a delay series one device's frames at a time.
+# A load reads the JSON line and the table, and leaves the column
+# sections to Capture._section, which reads one each time it is used, so
+# a summary reads no column and a delay series one device's frames at a
+# time.
 
 CACHE_VERSION = 6
 _RECORD_TYPECODES, _FRAME_TYPECODES = "diBBqq", "qqd"
@@ -601,15 +583,13 @@ _BAD_CACHE = (OSError, EOFError, ValueError, LookupError, TypeError, RecursionEr
 
 
 class _CacheSections(NamedTuple):
-    """Where a cached load finds its column sections: ``sections[0]`` is
-    the records', ``sections[1 + k]`` the frames' of ``devices[k]``,
-    each as (offset, typecodes, lengths)."""
+    """Where a cached load finds its column sections, in Capture's
+    section order, each as (offset, typecodes, lengths)."""
 
     path: Path
     cache_path: Path
     meta_line: bytes
     capture_sha256: str
-    devices: list
     sections: list
 
 
@@ -682,29 +662,21 @@ def _read_cache(path: Path, cache_path: Path, capture_file) -> Optional[Capture]
             if digest.hexdigest() != meta["capture_sha256"]:
                 return None
             arrays = _read_section(fh, _TABLE_TYPECODES, table_lengths, meta_line)
+        check_header(meta["header"])  # a cache written before a rule the header breaks
         table = _table_from_cache(meta, arrays)
-        cache = _CacheSections(path, cache_path, meta_line, meta["capture_sha256"], devices, sections)
-        return Capture(meta["header"], meta["integrity"], meta["skipped_lines"], meta["counts"], table, cache=cache)
+        cache = _CacheSections(path, cache_path, meta_line, meta["capture_sha256"], sections)
+        return Capture(meta["header"], meta["integrity"], meta["skipped_lines"], meta["counts"], table,
+                       devices, [None] * len(sections), cache)
     except _BAD_CACHE:
         return None
 
 
 def _read_cached_section(cache: _CacheSections, index: int) -> list:
-    """The arrays of column section ``index`` of ``cache``: 0 the
-    records, 1 + k the frames of device k."""
+    """The arrays of column section ``index`` of ``cache``."""
     offset, typecodes, lengths = cache.sections[index]
     with open(cache.cache_path, "rb") as fh:
         fh.seek(offset)
         return _read_section(fh, typecodes, lengths, cache.meta_line)
-
-
-def _column_sections(capture: Capture) -> list:
-    """The arrays of ``capture``'s column sections, in cache order: the
-    record columns, then each device's frame columns."""
-    records = capture.records
-    record_columns = [records.wall_time, records.device, records.direction, records.retx_class,
-                      records.payload_bytes, records.header_bytes]
-    return [record_columns, *(frame_columns for _, *frame_columns in capture.frames.by_device)]
 
 
 def _table_from_cache(meta: dict, arrays: list) -> "SlotTable":
@@ -721,16 +693,15 @@ def _table_from_cache(meta: dict, arrays: list) -> "SlotTable":
 
 
 def _write_cache(cache_path: Path, capture: Capture, capture_sha256: str) -> None:
-    """Cache ``capture``'s table and columns at ``cache_path``, through a
-    temporary file renamed into place.  Nothing is cached for a capture
-    without a trailer, which may still be growing; a cache that cannot
-    be written is left out."""
+    """Cache a parsed ``capture``'s table and column sections, as it
+    holds them, at ``cache_path``, through a temporary file renamed into
+    place.  Nothing is cached for a capture without a trailer, which may
+    still be growing; a cache that cannot be written is left out."""
     import hashlib
 
     table = capture._table
     if capture.integrity is None:
         return
-    column_sections = _column_sections(capture)
     arrays = [getattr(table, name) for name in _TABLE_ARRAYS]
     table_fields = dict(
         population=table.population, devices=table.devices,
@@ -742,8 +713,8 @@ def _write_cache(cache_path: Path, capture: Capture, capture_sha256: str) -> Non
     meta = dict(
         version=CACHE_VERSION, byteorder=sys.byteorder, capture_sha256=capture_sha256,
         header=capture.header, integrity=capture.integrity, skipped_lines=capture.skipped_lines,
-        counts=capture.counts, frame_devices=[dev for dev, *_ in capture.frames.by_device],
-        columns=[[column.typecode, column.itemsize, len(column)] for section in column_sections for column in section],
+        counts=capture.counts, frame_devices=capture._frame_devices,
+        columns=[[column.typecode, column.itemsize, len(column)] for section in capture._sections for column in section],
         table=table_fields,
     )
     meta_line = json.dumps(meta).encode() + b"\n"
@@ -751,7 +722,7 @@ def _write_cache(cache_path: Path, capture: Capture, capture_sha256: str) -> Non
     try:
         with open(tmp, "xb") as fh:
             fh.write(meta_line)
-            for section in (arrays, *column_sections):
+            for section in (arrays, *capture._sections):
                 digest = hashlib.sha256(meta_line)
                 for column in section:
                     column.tofile(fh)
@@ -763,7 +734,7 @@ def _write_cache(cache_path: Path, capture: Capture, capture_sha256: str) -> Non
             os.unlink(tmp)
 
 
-class DelaySeries(_Columns):
+class DelaySeries:
     """The per-frame delay series of a capture, computed from its frame
     columns each time it is read, one device at a time
     (Capture.device_frames); iterating yields FrameDelay tuples in
@@ -814,31 +785,23 @@ def one_way_delays(
     return list(DelaySeries(capture, t_fdr_ms, t_dcs_ms))
 
 
-# windows x device ids one throughput pass may hold, about 268 MB of
-# list slots: a day of 1-second windows for 388 device ids
+# population slots x device ids one slot table may hold, about 268 MB of
+# list slots while it is built: a day of slots for 388 device ids
 MAX_SERIES_VALUES = 1 << 25
 
 
-def _uplink_totals(capture: Capture, window_s: float, population: int, ids: list) -> tuple:
-    """One pass over the records: per-device delivered kbit/s per window
-    of the ``population`` seconds, and uplink wire bytes by retransmission
-    class per device id, records without a device under None.  ``ids``
-    are the sorted ids of the device column, -1 (null) included."""
-    if not 0 < window_s < math.inf:
-        raise ValueError(f"window_s must be finite and positive, got {window_s}")
+def _uplink_totals(capture: Capture, population: int, ids: list) -> tuple:
+    """One pass over the records: per-device delivered kbit/s per
+    1-second window of the ``population`` seconds, and uplink wire bytes
+    by retransmission class per device id, records without a device
+    under None.  ``ids`` are the sorted ids of the device column, -1
+    (null) included."""
     records = capture.records
-    # checked before ceil(), which fails on an infinite quotient
-    if population / window_s * len(ids) > MAX_SERIES_VALUES:
-        raise ValueError(
-            f"{population} s in windows of {window_s:g} s for {len(ids)} device ids is more than "
-            f"{MAX_SERIES_VALUES} throughput values; use a longer window"
-        )
-    windows = max(1, math.ceil(population / window_s))
+    windows = max(1, population)
     rates = {dev: [0.0] * windows for dev in ids}
     wire_bytes = {dev: [0] * len(CLASSES) for dev in ids}
     uplink = _DIRECTION_INDEX["UPLINK"]
     epoch = capture.epoch_utc_ms
-    span_ms = 1000.0 * window_s
     floor = math.floor
     columns = (records.wall_time, records.device, records.direction, records.payload_bytes,
                records.header_bytes, records.retx_class)
@@ -848,9 +811,9 @@ def _uplink_totals(capture: Capture, window_s: float, population: int, ids: list
         wire = payload + header
         wire_bytes[dev][cls] += wire
         if payload and wall == wall:
-            w = floor((wall - epoch) / span_ms)
+            w = floor((wall - epoch) / 1000.0)
             if 0 <= w < windows:
-                rates[dev][w] += wire * 8 / span_ms
+                rates[dev][w] += wire * 8 / 1000.0
     series = {dev: rates[dev] for dev in ids if dev >= 0}
     by_class = {
         None if dev < 0 else dev: {cls: total for cls, total in zip(CLASSES, totals) if total}
@@ -859,14 +822,10 @@ def _uplink_totals(capture: Capture, window_s: float, population: int, ids: list
     return series, by_class
 
 
-def throughput_series(capture: Capture, window_s: float = 1.0) -> dict:
-    """Per-device delivered-byte rate in kbit/s, one value per window.
-    At 1-second windows these are the SlotTable's rates; another window
-    makes one pass over the records."""
-    if window_s == 1.0:
-        return capture.slot_table().series()
-    ids = sorted(set(capture.records.device))
-    return _uplink_totals(capture, window_s, capture.population_slots(), ids)[0]
+def throughput_series(capture: Capture) -> dict:
+    """Per-device delivered-byte rate in kbit/s, one value per 1-second
+    window, read from the SlotTable."""
+    return capture.slot_table().series()
 
 
 def _uplink_wire_bytes(by_class: dict) -> Counter:
@@ -954,17 +913,15 @@ def analyze(
     sample_indices=None,
     t_fdr_ms: Optional[float] = None,
     t_dcs_ms: Optional[float] = None,
-    window_s: float = 1.0,
 ) -> tuple:
     """Everything the analyze command writes: (summarize(...), the
-    DelaySeries of one_way_delays(...), throughput_series(capture,
-    window_s)).
+    DelaySeries of one_way_delays(...), throughput_series(capture)).
 
     The delay series is computed as it is read, so no list of FrameDelay
     is built.
     """
     delays = DelaySeries(capture, t_fdr_ms, t_dcs_ms)
-    return summarize(capture, sample_indices, t_fdr_ms), delays, throughput_series(capture, window_s)
+    return summarize(capture, sample_indices, t_fdr_ms), delays, throughput_series(capture)
 
 
 # -- slot table ------------------------------------------------------------------
@@ -976,10 +933,10 @@ _TABLE_TYPECODES = "dqdqd"
 
 @dataclass(frozen=True)
 class SlotTable:
-    """Every figure a summary reads, per device and 1-second slot, so a
-    summary of any set of slots costs O(devices x slots) and touches no
-    record or frame.  Built once from the columns (_build_table) and kept
-    in the column cache.
+    """Every figure a summary and the throughput series read, per device
+    and 1-second slot, so a summary of any set of slots costs
+    O(devices x slots) and touches no record or frame.  Built once from
+    the columns (_build_table) and kept in the column cache.
 
     population  Capture.population_slots()
     devices     the ids with a summary row: every id of a record, null
@@ -991,8 +948,8 @@ class SlotTable:
 
     The arrays hold one row per id of ``devices``, in that order.
     rates       'd', max(1, population) 1-second window rates in kbit/s
-                per row: the series _uplink_totals(capture, 1.0,
-                population, ids) gives
+                per row: the series _uplink_totals(capture, population,
+                ids) gives
 
     Entry row * population + k of the arrays below describes the frames
     of that row's device the summary counts in slot k: unflagged, with a
@@ -1031,8 +988,7 @@ class SlotTable:
             raise ValueError("slot table arrays of the wrong length")
 
     def series(self) -> dict:
-        """Device id -> its 1-second window rates, as throughput_series
-        gives them."""
+        """Device id -> its 1-second window rates: throughput_series."""
         windows = max(1, self.population)
         return {dev: self.rates[k * windows:(k + 1) * windows].tolist() for k, dev in enumerate(self.devices)}
 
@@ -1057,7 +1013,7 @@ def _build_table(capture: Capture, population: int, ids: list) -> SlotTable:
     """The SlotTable of ``capture`` over ``population`` slots at the
     header's t_fdr_ms: one pass over the records, then one over the
     frames."""
-    series, by_class = _uplink_totals(capture, 1.0, population, ids)
+    series, by_class = _uplink_totals(capture, population, ids)
     devices = list(series)
     return SlotTable(
         population=population,
@@ -1171,11 +1127,12 @@ def write_delay_series_csv(delays, path) -> None:
         fh.writelines(_DELAY_ROW % row for row in rows)
 
 
-def write_throughput_series_csv(series: dict, window_s: float, path) -> None:
+def write_throughput_series_csv(series: dict, path) -> None:
+    """One row per device and 1-second window; window k starts k seconds
+    after the epoch."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["device", "window_start_s", "kbit_per_s"])
         for dev in sorted(series):
             for k, value in enumerate(series[dev]):
-                # every digit: ":g" keeps 6, merging windows of long captures
-                writer.writerow([dev, f"{k * window_s:.15g}", f"{value:.3f}"])
+                writer.writerow([dev, k, f"{value:.3f}"])

@@ -102,11 +102,9 @@ def cmd_analyze(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.capture).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     indices = _sample_indices(capture, args.sample_size, args.sample_seed)
-    summary, delays, series = analyzer.analyze(
-        capture, indices, t_fdr_ms=args.t_fdr_ms, t_dcs_ms=args.t_dcs_ms, window_s=args.window
-    )
+    summary, delays, series = analyzer.analyze(capture, indices, t_fdr_ms=args.t_fdr_ms, t_dcs_ms=args.t_dcs_ms)
     analyzer.write_summary_csv(summary, out_dir / "summary.csv")
-    analyzer.write_throughput_series_csv(series, args.window, out_dir / "throughput_series.csv")
+    analyzer.write_throughput_series_csv(series, out_dir / "throughput_series.csv")
     del series  # freed before the delay series reads the frames
     analyzer.write_delay_series_csv(delays, out_dir / "delay_series.csv")
     if indices is not None:
@@ -158,6 +156,8 @@ def cmd_samplesize(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    if not 0 <= args.port <= 65535:
+        raise ValueError(f"--port must be in 0..65535, got {args.port}")
     if args.duration_s is not None and args.duration_s < 1:
         raise ValueError(f"--duration-s must be at least 1, got {args.duration_s}")
     server = LiveDcsServer(
@@ -191,6 +191,8 @@ def cmd_serve(args) -> int:
 
 
 def cmd_emulate(args) -> int:
+    if not 1 <= args.port <= 65535:
+        raise ValueError(f"--port must be in 1..65535, got {args.port}")
     if args.devices < 1:
         raise ValueError(f"--devices must be at least 1, got {args.devices}")
     if args.connect_attempts < 1:
@@ -282,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-dcs-ms", type=_finite_float, help="concentrator processing time (default: log header)")
     p.add_argument("--sample-size", type=int, help="analyze a random subset of 1 s slots")
     p.add_argument("--sample-seed", default="sample", help="seed for slot selection")
-    p.add_argument("--window", type=float, default=1.0, help="throughput window seconds")
     p.add_argument("--allow-incomplete", action="store_true", help=ALLOW_INCOMPLETE_HELP)
     p.set_defaults(handler=cmd_analyze)
 

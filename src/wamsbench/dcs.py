@@ -410,14 +410,20 @@ class LiveDcsServer:
         self._rows = None
 
     def start(self) -> None:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        epoch = round(time.time() * 1000)
-        args = ("live", None, epoch, self.duration_s, self.skew_bound_ms)
-        self._capture = LogWriter(self.out_dir / "capture.jsonl", log_header("capture", *args))
-        self._rows = LogWriter(
-            self.out_dir / "measurements.jsonl", log_header("measurements", *args)
-        )
+        """Bind, then open both logs, so a port that cannot be bound
+        leaves an earlier run's logs as they were."""
         self._listener = socket.create_server((self.host, self.port))
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            epoch = round(time.time() * 1000)
+            args = ("live", None, epoch, self.duration_s, self.skew_bound_ms)
+            self._capture = LogWriter(self.out_dir / "capture.jsonl", log_header("capture", *args))
+            self._rows = LogWriter(self.out_dir / "measurements.jsonl", log_header("measurements", *args))
+        except BaseException:
+            if self._capture is not None:
+                self._capture.close()
+            self._listener.close()
+            raise
         self.port = self._listener.getsockname()[1]
         # a peer that gives up between select and accept must not block the loop
         self._listener.setblocking(False)

@@ -157,7 +157,7 @@ def _device_fields(sec: _Section, defaults: dict, epoch_utc_ms: int) -> dict:
     return fields
 
 
-def _parse_outages(sec: _Section, duration_s: int) -> tuple:
+def _parse_outages(sec: _Section) -> tuple:
     raw = sec.take_str("dcs_outages", "")
     windows = []
     for item in filter(None, (part.strip() for part in raw.split(","))):
@@ -190,7 +190,7 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
     n_devices = sc.take_int("devices", 1)
     t_dcs_ms = sc.take_float("t_dcs_ms", 0.0)
     skew_bound_ms = sc.take_float("skew_bound_ms", 0.0)
-    outages = _parse_outages(sc, duration_s)
+    outages = _parse_outages(sc)
     sc.finish()
     if duration_s <= 0:
         raise ScenarioError("[scenario] duration_s: must be positive")
@@ -210,16 +210,8 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
 
     dev_sec = section("device")
     t_fdr_ms = dev_sec.take_float("t_fdr_ms", 0.0)
-    base_fields = {
-        "p_seg": 0.15,
-        "f_nominal": 50.0,
-        "f_wander_amp": 0.0,
-        "f_wander_period_s": 60.0,
-        "noise_sigma": 0.0,
-        "v_nominal": 1.0,
-        "disturbances": (),
-    }
-    base_fields = _device_fields(dev_sec, base_fields, epoch_utc_ms)
+    # the defaults are FdrConfig's p_seg and SignalModel's fields
+    base_fields = _device_fields(dev_sec, dict(vars(SignalModel()), p_seg=FdrConfig.p_seg), epoch_utc_ms)
     dev_sec.finish()
 
     known = {"scenario", "uplink", "downlink", "device"}
@@ -244,20 +236,9 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
         dev_up = _parse_channel(sec, uplink, prefix="uplink_")
         dev_down = _parse_channel(sec, downlink, prefix="downlink_")
         sec.finish()
+        p_seg = fields.pop("p_seg")
         try:
-            config = FdrConfig(
-                device_id=dev_id,
-                t_fdr_ms=t_fdr_ms,
-                p_seg=fields["p_seg"],
-                signal=SignalModel(
-                    f_nominal=fields["f_nominal"],
-                    f_wander_amp=fields["f_wander_amp"],
-                    f_wander_period_s=fields["f_wander_period_s"],
-                    noise_sigma=fields["noise_sigma"],
-                    v_nominal=fields["v_nominal"],
-                    disturbances=fields["disturbances"],
-                ),
-            )
+            config = FdrConfig(device_id=dev_id, t_fdr_ms=t_fdr_ms, p_seg=p_seg, signal=SignalModel(**fields))
         except ValueError as err:
             raise ScenarioError(f"[device {dev_id}]: {err}") from None
         devices.append(DeviceSpec(config=config, uplink=dev_up, downlink=dev_down))

@@ -77,18 +77,11 @@ class TestThroughputFigures:
 
     def test_whole_frames_give_7_6_kbps(self, tmp_path):
         cap = self._steady_log(tmp_path / "whole.jsonl", 55, split=False)
-        (value,) = throughput_series(cap, window_s=10.0)[1]
-        assert value == pytest.approx(7.6, abs=1e-9)
+        assert throughput_series(cap)[1] == pytest.approx([7.6] * 10, abs=1e-9)
 
     def test_split_frames_give_10_8_kbps(self, tmp_path):
         cap = self._steady_log(tmp_path / "split.jsonl", 55, split=True)
-        (value,) = throughput_series(cap, window_s=10.0)[1]
-        assert value == pytest.approx(10.8, abs=1e-9)
-
-    def test_window_must_be_positive(self, tmp_path):
-        cap = self._steady_log(tmp_path / "w.jsonl", 55, split=False)
-        with pytest.raises(ValueError):
-            throughput_series(cap, window_s=0)
+        assert throughput_series(cap)[1] == pytest.approx([10.8] * 10, abs=1e-9)
 
 
 class TestLoader:
@@ -129,13 +122,13 @@ class TestLoader:
             ),
         ]
         cap = load_capture(oracle_logs.write_log(tmp_path / "t.jsonl", header, records))
-        assert cap.records == [
+        assert list(cap.records) == [
             (250.5, 2, "UPLINK", 55, 40, "FIRST"),
             (None, 1, "UPLINK", 55, 40, "RTO_RETX"),
             (260.0, 1, "ACK", 0, 52, "FIRST"),
             (150.25, 1, "UPLINK", 110, 40, "FIRST"),
         ]
-        assert cap.frames == [(1, 3, 0, 150.25), (1, 4, 100, 150.25), (2, 7, 200, 250.5)]
+        assert list(cap.frames) == [(1, 3, 0, 150.25), (1, 4, 100, 150.25), (2, 7, 200, 250.5)]
         assert cap.counts == {"records": 4, "uplink_copies": 3, "ack_copies": 1, "dropped_copies": 1}
 
     @pytest.mark.parametrize(
@@ -178,7 +171,7 @@ class TestLoader:
         assert cap.counts["records"] == len(cap.records) == 5
         # nothing of the corrupt line is left in any column
         assert {len(column) for column in _record_columns(cap.records)} == {5}
-        assert cap.frames == [(1, 1, 100, 110.5), (1, 2, 200, 220.5), (1, 3, 300, 330.5)]
+        assert list(cap.frames) == [(1, 1, 100, 110.5), (1, 2, 200, 220.5), (1, 3, 300, 330.5)]
         assert cap.devices() == [1]
         assert [d.t_ci_ms for d in one_way_delays(cap)] == [10.5, 20.5, 30.5]
         assert [m.device for m in summarize(cap).devices] == [1]
@@ -194,9 +187,9 @@ class TestLoader:
         ]
         cap = load_capture(oracle_logs.write_log(tmp_path / "t.jsonl", oracle_logs._header(duration_s=1), records))
         assert cap.skipped_lines == 1
-        assert cap.records == [(110.5, 1, "UPLINK", 85, 40, "FIRST"), (None, 8, "ACK", 85, 40, "RTO_RETX")]
+        assert list(cap.records) == [(110.5, 1, "UPLINK", 85, 40, "FIRST"), (None, 8, "ACK", 85, 40, "RTO_RETX")]
         assert cap.devices() == [1, 8]
-        assert analyzer._uplink_totals(cap, 1.0, 1, [1, 8])[1] == {1: {"FIRST": 125}, 8: {}}
+        assert analyzer._uplink_totals(cap, 1, [1, 8])[1] == {1: {"FIRST": 125}, 8: {}}
 
     def test_every_wire_device_id_loads(self, tmp_path):
         # the 65536 ids a 16-bit wire field holds, plus a live capture's None
@@ -445,7 +438,7 @@ class TestCompactLines:
         path = tmp_path / "cut.jsonl"
         path.write_text("\n".join([HEADER_LINE, *lines]))
         cap = load_capture(path)
-        assert cap.frames == [(1, 1, 0, 1.5), (1, 2, 100, 2.5)]
+        assert list(cap.frames) == [(1, 1, 0, 1.5), (1, 2, 100, 2.5)]
         assert cap.integrity is None
 
     @settings(max_examples=200, deadline=None)
@@ -528,9 +521,9 @@ def test_live_capture_loads_its_records_and_frames(tmp_path):
     path = tmp_path / "live.jsonl"
     path.write_text("".join(dcs.dumps(line) + "\n" for line in lines))
     cap = load_capture(path)
-    assert cap.records == [(1000.0, None, "UPLINK", 20, 0, "FIRST"), (1000.25, 3, "UPLINK", 35, 0, "FIRST"),
-                           (3000.25, 3, "UPLINK", 110, 0, "FIRST")]
-    assert cap.frames == [(3, 1, 1000, 1000.25), (3, 2, 2000, 2000.25), (3, 3, 3000, 3000.25)]
+    assert list(cap.records) == [(1000.0, None, "UPLINK", 20, 0, "FIRST"), (1000.25, 3, "UPLINK", 35, 0, "FIRST"),
+                                 (3000.25, 3, "UPLINK", 110, 0, "FIRST")]
+    assert list(cap.frames) == [(3, 1, 1000, 1000.25), (3, 2, 2000, 2000.25), (3, 3, 3000, 3000.25)]
     assert cap.devices() == [3]
 
 
@@ -575,29 +568,13 @@ class TestOutputs:
         write_delay_series_csv(one_way_delays(cap), delay_csv)
         assert len(delay_csv.read_text().splitlines()) == 4
         tp_csv = tmp_path / "tp.csv"
-        write_throughput_series_csv(throughput_series(cap), 1.0, tp_csv)
+        write_throughput_series_csv(throughput_series(cap), tp_csv)
         assert tp_csv.read_text().splitlines() == [
             "device,window_start_s,kbit_per_s",
             "1,0,3.000",
             "1,1,0.000",
             "1,2,0.000",
         ]
-
-    @pytest.mark.parametrize(
-        "window_s,k,label",
-        [
-            (0.25, 49_381, "12345.25"),
-            (2.5, 40_001, "100002.5"),
-            (250.0, 4_000, "1000000"),
-            (0.1, 3, "0.3"),  # 3 * 0.1 is 0.30000000000000004
-        ],
-    )
-    def test_throughput_window_labels_keep_every_digit(self, window_s, k, label, tmp_path):
-        out = tmp_path / "tp.csv"
-        write_throughput_series_csv({1: [0.0] * (k + 1)}, window_s, out)
-        labels = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
-        assert labels[k] == label
-        assert len(set(labels)) == k + 1  # no two windows share a label
 
     @pytest.mark.parametrize("dev,seq", [(1, 2), (0, 0), (65535, 2**63 - 1)])
     def test_delay_csv_is_what_the_csv_module_writes(self, dev, seq, tmp_path):
@@ -632,12 +609,11 @@ class TestOutputs:
             ["0", "1"], ["0", "2"], ["65535", "1"]
         ]
 
-    @pytest.mark.parametrize("window_s", [1.0, 2.5])
-    def test_analyze_equals_the_separate_analyses(self, cap, window_s):
-        summary, delays, series = analyzer.analyze(cap, [0, 2], t_fdr_ms=0.5, window_s=window_s)
+    def test_analyze_equals_the_separate_analyses(self, cap):
+        summary, delays, series = analyzer.analyze(cap, [0, 2], t_fdr_ms=0.5)
         assert summary == summarize(cap, [0, 2], t_fdr_ms=0.5)
-        assert delays == one_way_delays(cap, t_fdr_ms=0.5)
-        assert series == throughput_series(cap, window_s)
+        assert list(delays) == one_way_delays(cap, t_fdr_ms=0.5)
+        assert series == throughput_series(cap)
 
     def test_reanalysis_is_byte_identical(self, cap, tmp_path):
         first, second = tmp_path / "one.csv", tmp_path / "two.csv"
@@ -683,7 +659,7 @@ def _fold_over_frames(cap, sample_indices=None, t_fdr_ms=None) -> tuple:
     summarize computed it before the slot table: the reference the table
     is held to."""
     population = cap.population_slots()
-    series, by_class = analyzer._uplink_totals(cap, 1.0, population, sorted(set(cap.records.device)))
+    series, by_class = analyzer._uplink_totals(cap, population, sorted(set(cap.records.device)))
     slots = range(population) if sample_indices is None else set(sample_indices)
     t_fdr = cap.t_fdr_ms if t_fdr_ms is None else t_fdr_ms
     flag_below = -cap.skew_bound_ms
@@ -874,7 +850,7 @@ def test_arrivals_whose_delays_summed_past_the_largest_float_are_skipped(arrival
     frames = [(1, seq, 100 * seq, arrival) for seq, arrival in enumerate(arrivals, 1)]
     cap = load_capture(_frames_capture(tmp_path / "c.jsonl", [*frames, (1, 9, 500, 512.5)]))
     assert cap.skipped_lines == len(arrivals)
-    assert cap.frames == [(1, 9, 500, 512.5)]
+    assert list(cap.frames) == [(1, 9, 500, 512.5)]
     (m,) = summarize(cap).devices
     assert m.avg_delay_ms == m.max_delay_ms == 12.5
 
@@ -1185,13 +1161,13 @@ def test_warm_uplink_figures_are_the_record_fold_read_from_the_table(analyzer_ca
     shutil.copyfile(analyzer_captures["lossy_0p3"][0], path)
     cold = load_capture(path)  # leaves the cache
     ids = sorted(set(cold.records.device))
-    series, by_class = analyzer._uplink_totals(cold, 1.0, cold.population_slots(), ids)
+    series, by_class = analyzer._uplink_totals(cold, cold.population_slots(), ids)
     retx = analyzer._retx_pcts(analyzer._uplink_wire_bytes(by_class))
     assert min(retx) > 0
     monkeypatch.setattr(analyzer, "_Parser", _no_parse)
     monkeypatch.setattr(analyzer, "_read_cached_section", _no_parse)
     cap = load_capture(path)
-    assert throughput_series(cap) == throughput_series(cap, 1.0) == series
+    assert throughput_series(cap) == series
     assert analyzer.retransmission_stats(cap) == retx
     assert analyzer.wasted_bandwidth_pct(cap) == retx[0] + retx[1]
 
@@ -1211,7 +1187,7 @@ def test_report_at_the_header_t_fdr_reads_no_column(analyzer_captures, tmp_path,
     for argv, key, sections in [(report, None, []), ([*report, "--t-fdr-ms", "1.5"], "1.5", [1])]:
         assert cli.main(argv) == 0
         got = test_golden._sha(capsys.readouterr().out.encode())
-        assert got == golden[("lossy_0p3", key and "2.5", key)][3]
+        assert got == golden[("lossy_0p3", key)][3]
         # the parse that replaced the failed section serves the other devices
         assert reads.sections == sections
         assert (_cache_of(path).read_bytes() == good) == bool(sections)
@@ -1233,7 +1209,25 @@ def test_warm_analyze_reads_each_device_section_once_and_no_record(analyzer_capt
     assert cli.main(["analyze", str(path), "--out-dir", str(tmp_path)]) == 0
     assert reads.sections == list(range(1, devices + 1))
     got = tuple(test_golden._sha((tmp_path / file).read_bytes()) for file in test_golden.ANALYZE_FILES)
-    assert got == test_golden.ANALYZER_GOLDEN[("lossy_0p3", None, None)][:3]
+    assert got == test_golden.ANALYZER_GOLDEN[("lossy_0p3", None)][:3]
+
+
+def test_warm_analyze_hands_over_to_a_parse_at_a_bad_device_section(analyzer_captures, tmp_path, monkeypatch):
+    source, _ = analyzer_captures["lossy_0p3"]
+    path = tmp_path / "capture.jsonl"
+    shutil.copyfile(source, path)
+    load_capture(path)  # leaves the cache
+    good = _cache_of(path).read_bytes()
+    # section 8 is the sixth device's frames: sections 1 the table, 2 the
+    # records, 3 the first device's frames
+    _cache_of(path).write_bytes(_flip_byte(8)(good))
+    reads = _CountingReads(monkeypatch)
+    assert cli.main(["analyze", str(path), "--out-dir", str(tmp_path)]) == 0
+    # the sixth read fails its digest; the parse serves the other devices
+    assert reads.sections == [1, 2, 3, 4, 5, 6]
+    got = tuple(test_golden._sha((tmp_path / file).read_bytes()) for file in test_golden.ANALYZE_FILES)
+    assert got == test_golden.ANALYZER_GOLDEN[("lossy_0p3", None)][:3]
+    assert _cache_of(path).read_bytes() == good
 
 
 def test_delay_series_reads_no_column_until_iterated(tmp_path, monkeypatch):
@@ -1253,7 +1247,7 @@ def test_warm_summary_at_another_t_fdr_equals_cold(analyzer_captures, tmp_path):
     shutil.copyfile(source, path)
     cold = load_capture(path)  # leaves the cache
     warm = load_capture(path)
-    assert warm._frames is None
+    assert all(section is None for section in warm._sections)
     slots = stats.random_sample(cold.population_slots(), sample, seed="t-fdr")
     for t_fdr_ms in (0.5, -2.0):
         for indices in (None, slots):
@@ -1262,7 +1256,7 @@ def test_warm_summary_at_another_t_fdr_equals_cold(analyzer_captures, tmp_path):
         assert [_typed(getattr(warm_table, name)) for name in analyzer._TABLE_ARRAYS] == [
             _typed(getattr(cold_table, name)) for name in analyzer._TABLE_ARRAYS
         ]
-    assert warm._frames is None
+    assert all(section is None for section in warm._sections)
 
 
 def test_deferred_read_without_its_cache_parses_and_recaches(tmp_path):
@@ -1336,7 +1330,7 @@ def test_golden_outputs_from_cold_and_warm_loads(name, warm, analyzer_captures, 
     capsys.readouterr()
     run(["report", str(path), "--sample-size", str(sample), "--sample-seed", test_golden.REPORT_SEED])
     got.append(test_golden._sha(capsys.readouterr().out.encode()))
-    assert tuple(got) == test_golden.ANALYZER_GOLDEN[(name, None, None)]
+    assert tuple(got) == test_golden.ANALYZER_GOLDEN[(name, None)]
     if not warm:
         _cache_of(path).unlink()
     figures = test_golden.full_precision_figures(load_capture(path))

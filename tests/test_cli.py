@@ -8,7 +8,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 from collections import defaultdict
 
 import pytest
@@ -84,6 +83,15 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {key} must be a finite number of magnitude below 2**63, got {float(value)!r}\n"
         assert not out.exists() or list(out.iterdir()) == []
 
+    def test_negative_skew_bound_is_a_usage_error(self, tmp_path, capsys):
+        # a negative bound would flag every delay at or above it
+        scenario = tmp_path / "bad.scenario"
+        scenario.write_text(MINI.replace("devices = 2\n", "devices = 2\nskew_bound_ms = -500\n"))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", str(scenario), str(out)]) == 2
+        assert capsys.readouterr().err == "error: skew_bound_ms must be null or at least 0, got -500.0\n"
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_per_device_t_fdr_ms_is_a_usage_error(self, tmp_path, capsys):
         # the capture header carries one t_fdr_ms, the [device] default
         scenario = tmp_path / "bad.scenario"
@@ -155,37 +163,14 @@ class TestAnalyze:
     def test_missing_file_is_a_runtime_error(self, tmp_path):
         assert cli.main(["analyze", str(tmp_path / "gone.jsonl")]) == 1
 
-    @pytest.mark.parametrize("window", ["inf", "nan", "0"])
-    def test_window_that_is_not_finite_and_positive_is_a_usage_error(self, mini_run, tmp_path, capsys, window):
+    def test_window_is_not_an_option(self, mini_run, tmp_path, capsys):
+        # throughput is per 1-second window only
         out = tmp_path / "an"
-        code = cli.main(["analyze", str(mini_run / "capture.jsonl"), "--out-dir", str(out), "--window", window])
-        assert code == 2
-        assert "window_s must be finite and positive" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
-
-    @pytest.mark.parametrize("window", ["1e-9", "5e-324"])
-    def test_window_count_past_the_cap_is_a_usage_error(self, mini_run, tmp_path, capsys, window):
-        out = tmp_path / "an"
-        tracemalloc.start()
-        try:
-            code = cli.main(["analyze", str(mini_run / "capture.jsonl"), "--out-dir", str(out), "--window", window])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"is more than {analyzer.MAX_SERIES_VALUES} throughput values; use a longer window" in err
-        assert list(out.iterdir()) == []
-        # refused before the series are allocated: 1e-9 s windows would
-        # take 4e9 values per device
-        assert peak < 8 * 2**20
-
-    def test_window_count_at_the_cap_is_analyzed(self, mini_run, tmp_path, monkeypatch):
-        # mini: 4 slots and 2 device ids, so 0.5 s windows make 16 values
-        monkeypatch.setattr(analyzer, "MAX_SERIES_VALUES", 16)
-        argv = ["analyze", str(mini_run / "capture.jsonl"), "--out-dir", str(tmp_path)]
-        assert cli.main([*argv, "--window", "0.5"]) == 0
-        assert cli.main([*argv, "--window", "0.4"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", str(mini_run / "capture.jsonl"), "--out-dir", str(out), "--window", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --window 2" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("size", ["0", "-3"])
     @pytest.mark.parametrize("command", ["analyze", "report"])
@@ -281,7 +266,7 @@ def _refused(command, path, tmp_path, capsys, *options) -> str:
         ("duration_s", math.inf), ("duration_s", -1), ("duration_s", 2.5), ("duration_s", "2"),
         ("epoch_utc_ms", "0"), ("epoch_utc_ms", 1.5), ("epoch_utc_ms", 2**63),
         ("t_fdr_ms", "x"), ("t_fdr_ms", math.nan),
-        ("skew_bound_ms", math.nan), ("skew_bound_ms", 1e305),
+        ("skew_bound_ms", math.nan), ("skew_bound_ms", 1e305), ("skew_bound_ms", -500.0),
     ],
 )
 @pytest.mark.parametrize("command", ["analyze", "report"])
@@ -293,6 +278,19 @@ def test_header_value_the_analyzer_cannot_use_is_a_usage_error(command, key, val
     assert line.startswith(f"error: {path}: header {key} must be ")
     assert line.endswith(f"got {value!r}")
     assert not (tmp_path / "c.jsonl.columns").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_negative_skew_bound_in_a_stale_cache_is_a_usage_error(command, tmp_path, capsys, monkeypatch):
+    header = dict(oracle_logs._header(duration_s=1), skew_bound_ms=-500.0)
+    records = [oracle_logs._rec(110.5, 1, 85, complete=oracle_logs._done(1, 100, 110.5))]
+    path = oracle_logs.write_log(tmp_path / "c.jsonl", header, records)
+    with monkeypatch.context() as build_without_the_rule:
+        build_without_the_rule.setattr(analyzer, "check_header", lambda header: None)
+        load_capture(path)  # leaves a cache of the refused header
+    assert (tmp_path / "c.jsonl.columns").exists()
+    line = _refused(command, path, tmp_path, capsys)
+    assert line == f"error: {path}: header skew_bound_ms must be null or at least 0, got -500.0"
 
 
 @pytest.mark.parametrize(
@@ -517,6 +515,17 @@ class TestEmulate:
         assert message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("port", ["0", "-1", "65536", "70000"])
+    def test_port_outside_1_to_65535_is_a_usage_error(self, capsys, monkeypatch, port):
+        def no_emulate(emulators):
+            raise AssertionError("emulate started")
+
+        monkeypatch.setattr(cli, "emulate", no_emulate)
+        assert cli.main(["emulate", "--port", port]) == 2
+        captured = capsys.readouterr()
+        assert f"--port must be in 1..65535, got {port}" in captured.err
+        assert captured.out == ""
+
     def test_device_ids_up_to_65535_are_emulated(self, capsys, monkeypatch):
         started = []
 
@@ -590,7 +599,8 @@ class TestEmulate:
 
 class TestServe:
     @pytest.mark.parametrize("argv", [["--skew-bound-ms", "nan"], ["--skew-bound-ms", "inf"],
-                                      ["--skew-bound-ms", "1e305"], ["--duration-s", "0"], ["--duration-s", "-1"]])
+                                      ["--skew-bound-ms", "1e305"], ["--skew-bound-ms", "-5"],
+                                      ["--duration-s", "0"], ["--duration-s", "-1"]])
     def test_header_value_a_log_cannot_hold_is_a_usage_error(self, argv, tmp_path, capsys):
         try:
             code = cli.main(["serve", "--port", "0", "--out-dir", str(tmp_path), *argv])
@@ -599,6 +609,29 @@ class TestServe:
         assert code == 2
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("port", ["-1", "65536", "70000"])
+    def test_port_outside_0_to_65535_is_a_usage_error(self, capsys, monkeypatch, tmp_path, port):
+        def no_server(*args, **kwargs):
+            raise AssertionError("server created")
+
+        monkeypatch.setattr(cli, "LiveDcsServer", no_server)
+        assert cli.main(["serve", "--port", port, "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert f"--port must be in 0..65535, got {port}" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_busy_port_leaves_earlier_logs_as_they_were(self, tmp_path, capsys):
+        earlier = tmp_path / "capture.jsonl"
+        earlier.write_bytes(b'{"header": {"log": "capture"}}\n{"integrity": {"records": 0}}\n')
+        before = earlier.read_bytes()
+        with socket.create_server(("127.0.0.1", 0)) as busy:
+            port = busy.getsockname()[1]
+            assert cli.main(["serve", "--port", str(port), "--out-dir", str(tmp_path)]) == 1
+        assert f"cannot listen on 127.0.0.1:{port}" in capsys.readouterr().err
+        assert earlier.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [earlier]
 
     def test_sigterm_stops_cleanly_with_sigint_ignored(self, tmp_path):
         # a background job of a non-interactive shell starts with SIGINT

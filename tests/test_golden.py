@@ -107,22 +107,23 @@ def test_exponential_jitter_logs_match_golden_bytes(tmp_path):
 ANALYZE_FILES = ("summary.csv", "delay_series.csv", "throughput_series.csv")
 REPORT_SEED = "audit"
 
-# (scenario, --window, --t-fdr-ms; None keeps the default) -> (summary,
+# (scenario, --t-fdr-ms; None keeps the default) -> (summary,
 # delay series, throughput series, sampled report table)
 ANALYZER_GOLDEN = {
-    ("lossy_0p3", None, None): (
+    ("lossy_0p3", None): (
         "975267965381fa268e0a0151771e20872e267f1481f227036a784bc3e1f1ad61",
         "56f8926faa4bbf4aae463e64aab3f7e6573cf9ac510b01d2574acde1f7bc62a8",
         "ba120f4945b06f1af5c3d555d3de60f67970dc384e7a25fe183d10356745ebc2",
         "971a35c7d7bbbec39b43397fbe3b39468c905c7b32de43f05d88ab7044a9fe27",
     ),
-    ("lossy_0p3", "2.5", "1.5"): (
+    ("lossy_0p3", "1.5"): (
         "6ee5175dfd865b8bbb2b43eb2b6c5ffa69d95f9978f45a6d2776c871085a18a7",
         "db400d11a5b6a37d1270088315ba784a9b39d1f50eb59a72f10b1ee41a3d1d5c",
-        "bd7c625140d8f4db2d56516b438075e7bfc17884e3e3217f77720a45d3cd88ed",
+        # the throughput series does not depend on --t-fdr-ms
+        "ba120f4945b06f1af5c3d555d3de60f67970dc384e7a25fe183d10356745ebc2",
         "b4021332cd7a2dff4c11c04f3bf4728aa08983afade3da0649d2aee75c9acdad",
     ),
-    ("outage", None, None): (
+    ("outage", None): (
         "fe00badd3a70f7950e085c756bbac62a7b71206e6953972bc7082f5b96951c27",
         "f2a15d8b57eca38ca1f21a9e225b50650531b06e8c988aaf198b7581909ab399",
         "9e7f1976a8121aa4e2ad5d6565b6eaf91135ceadf93fb050241cc0363c0b7246",
@@ -150,11 +151,10 @@ def _sha(data: bytes) -> str:
 
 @pytest.mark.parametrize("key", sorted(ANALYZER_GOLDEN, key=str), ids=lambda k: "-".join(map(str, k)))
 def test_analyzer_outputs_match_golden_bytes(key, analyzer_captures, tmp_path, capsys):
-    name, window, t_fdr = key
+    name, t_fdr = key
     capture, sample = analyzer_captures[name]
     delay_opts = ["--t-fdr-ms", t_fdr] if t_fdr else []
-    window_opts = ["--window", window] if window else []
-    analyze = ["analyze", str(capture), "--out-dir", str(tmp_path), *window_opts, *delay_opts]
+    analyze = ["analyze", str(capture), "--out-dir", str(tmp_path), *delay_opts]
     assert cli.main(analyze) == 0
     got = [_sha((tmp_path / f).read_bytes()) for f in ANALYZE_FILES]
     capsys.readouterr()
@@ -166,8 +166,8 @@ def test_analyzer_outputs_match_golden_bytes(key, analyzer_captures, tmp_path, c
 
 # scenario -> SHA-256 of full_precision_figures()
 FULL_PRECISION_GOLDEN = {
-    "lossy_0p3": "4ca9c6be92361b7745dad030a38484f50290d4b3cc4113d0c812fdad968454d3",
-    "outage": "661db09ed3ee1871401dd40d85f0d02a64a85467d3f84104f33ad2a97b57c5e4",
+    "lossy_0p3": "d0bc6e6e717ea146509b88950251f34abd71c6954964cf607d6dd55a5e60b759",
+    "outage": "0bd52a1508c80cf05400090d45d98b780716468ebec009e0018758b099464c46",
 }
 
 
@@ -179,7 +179,6 @@ def full_precision_figures(capture) -> str:
         [dataclasses.astuple(m) for m in analyzer.summarize(capture).devices],
         [dataclasses.astuple(m) for m in analyzer.summarize(capture, sample, t_fdr_ms=1.5).devices],
         sorted(analyzer.throughput_series(capture).items()),
-        sorted(analyzer.throughput_series(capture, window_s=2.5).items()),
         [(d.t_ci_ms, d.t_ete_ms) for d in analyzer.one_way_delays(capture, t_fdr_ms=1.5, t_dcs_ms=0.25)],
     ]
     return repr(figures)
