@@ -32,7 +32,11 @@ arguments, is a finite number of magnitude below 2**63 (MS_LIMIT), the
 range of the int64 frame_timestamp column.  So every delay is finite
 and below 2**65 in magnitude, and no sum of them can overflow a double.
 An arrival of -0.0 reads as 0.0, so no delay is -0.0 and equal delays
-are the same double.
+are the same double.  The rule also bounds the integers a record holds
+by what the wire carries: payload_bytes and header_bytes are ints in
+[0, 65535], since one wire copy fits one IP datagram (and a live record
+is one recv(4096)), and a frame_seq is an int in [0, 2**32), the frame's
+uint32 field; their columns are uint16 and uint32.
 
 Identifier rule: a record's device_id is null or an int in [0, 65535],
 the 16-bit id its frames carry; its direction is one of DIRECTIONS and
@@ -150,7 +154,8 @@ class Records:
                                  non-finite wall time, so NaN is free)
     device                       'i', the device id; -1 for null
     direction, retx_class        'B', places in DIRECTIONS and CLASSES
-    payload_bytes, header_bytes  'q'
+    payload_bytes, header_bytes  'H', each in [0, 65535] by the value
+                                 rule
 
     Iterating yields the tuples (wall_time, device_id, direction,
     payload_bytes, header_bytes, retransmission_class), with None for a
@@ -179,8 +184,9 @@ class Records:
 class Frames:
     """A capture's frame_complete entries in typed columns, per device.
 
-    by_device holds (device_id, frame_seq 'q', frame_timestamp 'q',
-    arrival 'd') per device that completed a frame, sorted by device id
+    by_device holds (device_id, frame_seq 'I' (in [0, 2**32) by the
+    value rule), frame_timestamp 'q', arrival 'd') per device that
+    completed a frame, sorted by device id
     (an int: a record with frames names its device),
     each device's columns sorted by frame_seq.  Iterating yields the
     tuples (device_id, frame_seq, frame_timestamp, arrival_time).
@@ -359,9 +365,10 @@ def load_capture(path) -> Capture:
 
     A record line counts as corrupt when a field does not fit its
     column: a wall time that is neither null nor a finite number, byte
-    counts or frame numbers that are not 64-bit integers, an arrival
-    that breaks the value rule, an id, direction or class that breaks
-    the identifier rule, or a missing key.
+    counts outside [0, 65535], frame numbers outside [0, 2**32) or
+    timestamps that are not 64-bit integers, an arrival that breaks the
+    value rule, an id, direction or class that breaks the identifier
+    rule, or a missing key.
 
     The file is read in blocks of whole lines, as UTF-8 text with
     universal newlines, and each line is decoded as JSON on its own.
@@ -414,11 +421,11 @@ class _Parser:
     def __init__(self):
         self.header = self.integrity = None
         self.skipped = self.dropped = 0
-        self.walls, self.payloads, self.headers = array("d"), array("q"), array("q")
+        self.walls, self.payloads, self.headers = array("d"), array("H"), array("H")
         self.devices, self.directions, self.classes = array("i"), array("B"), array("B")
         self.record_columns = (self.walls, self.payloads, self.headers, self.devices, self.directions, self.classes)
         # device id -> (frame_seq, frame_timestamp, arrival)
-        self.frame_columns = defaultdict(lambda: (array("q"), array("q"), array("d")))
+        self.frame_columns = defaultdict(lambda: (array("I"), array("q"), array("d")))
 
     def feed(self, block: str) -> None:
         """Parse a block of whole lines, one at a time as JSON: the
@@ -575,8 +582,8 @@ def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
 # a summary reads no column and a delay series one device's frames at a
 # time.
 
-CACHE_VERSION = 6
-_RECORD_TYPECODES, _FRAME_TYPECODES = "diBBqq", "qqd"
+CACHE_VERSION = 7
+_RECORD_TYPECODES, _FRAME_TYPECODES = "diBBHH", "Iqd"
 # what reading a cache that is missing, cut short, garbage or of another
 # layout can raise; any of them means the capture is parsed instead
 _BAD_CACHE = (OSError, EOFError, ValueError, LookupError, TypeError, RecursionError)
@@ -792,13 +799,13 @@ MAX_SERIES_VALUES = 1 << 25
 
 def _uplink_totals(capture: Capture, population: int, ids: list) -> tuple:
     """One pass over the records: per-device delivered kbit/s per
-    1-second window of the ``population`` seconds, and uplink wire bytes
-    by retransmission class per device id, records without a device
-    under None.  ``ids`` are the sorted ids of the device column, -1
-    (null) included."""
+    1-second window of the ``population`` seconds, an array('d') row per
+    device, and uplink wire bytes by retransmission class per device id,
+    records without a device under None.  ``ids`` are the sorted ids of
+    the device column, -1 (null) included."""
     records = capture.records
     windows = max(1, population)
-    rates = {dev: [0.0] * windows for dev in ids}
+    rates = {dev: array("d", bytes(8 * windows)) for dev in ids}
     wire_bytes = {dev: [0] * len(CLASSES) for dev in ids}
     uplink = _DIRECTION_INDEX["UPLINK"]
     epoch = capture.epoch_utc_ms
@@ -823,9 +830,9 @@ def _uplink_totals(capture: Capture, population: int, ids: list) -> tuple:
 
 
 def throughput_series(capture: Capture) -> dict:
-    """Per-device delivered-byte rate in kbit/s, one value per 1-second
-    window, read from the SlotTable."""
-    return capture.slot_table().series()
+    """Per-device delivered-byte rate in kbit/s, one list of values per
+    device with one value per 1-second window, read from the SlotTable."""
+    return {dev: row.tolist() for dev, row in capture.slot_table().series().items()}
 
 
 def _uplink_wire_bytes(by_class: dict) -> Counter:
@@ -915,13 +922,15 @@ def analyze(
     t_dcs_ms: Optional[float] = None,
 ) -> tuple:
     """Everything the analyze command writes: (summarize(...), the
-    DelaySeries of one_way_delays(...), throughput_series(capture)).
+    DelaySeries of one_way_delays(...), the SlotTable's series()).
 
     The delay series is computed as it is read, so no list of FrameDelay
-    is built.
+    is built, and the throughput series is a memoryview of the table's
+    rates per device, so no list of floats is either; throughput_series
+    gives the same values as lists.
     """
     delays = DelaySeries(capture, t_fdr_ms, t_dcs_ms)
-    return summarize(capture, sample_indices, t_fdr_ms), delays, throughput_series(capture)
+    return summarize(capture, sample_indices, t_fdr_ms), delays, capture.slot_table().series()
 
 
 # -- slot table ------------------------------------------------------------------
@@ -988,9 +997,10 @@ class SlotTable:
             raise ValueError("slot table arrays of the wrong length")
 
     def series(self) -> dict:
-        """Device id -> its 1-second window rates: throughput_series."""
-        windows = max(1, self.population)
-        return {dev: self.rates[k * windows:(k + 1) * windows].tolist() for k, dev in enumerate(self.devices)}
+        """Device id -> its 1-second window rates, a memoryview of its
+        row of ``rates``, so no value is copied."""
+        windows, rates = max(1, self.population), memoryview(self.rates)
+        return {dev: rates[k * windows:(k + 1) * windows] for k, dev in enumerate(self.devices)}
 
     def frames_counted(self, slots) -> int:
         counts, population = self.counts, self.population
@@ -1014,11 +1024,13 @@ def _build_table(capture: Capture, population: int, ids: list) -> SlotTable:
     header's t_fdr_ms: one pass over the records, then one over the
     frames."""
     series, by_class = _uplink_totals(capture, population, ids)
-    devices = list(series)
+    devices, rates = list(series), array("d")
+    for row in series.values():
+        rates += row
     return SlotTable(
         population=population,
         devices=devices,
-        rates=array("d", chain.from_iterable(series.values())),
+        rates=rates,
         wire_bytes=by_class,
         **_fold_delays(capture, population, devices, capture.t_fdr_ms),
     )

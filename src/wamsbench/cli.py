@@ -105,7 +105,6 @@ def cmd_analyze(args) -> int:
     summary, delays, series = analyzer.analyze(capture, indices, t_fdr_ms=args.t_fdr_ms, t_dcs_ms=args.t_dcs_ms)
     analyzer.write_summary_csv(summary, out_dir / "summary.csv")
     analyzer.write_throughput_series_csv(series, out_dir / "throughput_series.csv")
-    del series  # freed before the delay series reads the frames
     analyzer.write_delay_series_csv(delays, out_dir / "delay_series.csv")
     if indices is not None:
         print(f"sampled {summary.selected_slots} of {summary.population_slots} slots")
@@ -171,6 +170,10 @@ def cmd_serve(args) -> int:
     try:
         server.start()
     except OSError as err:
+        # the bind fails with a socket error; creating the out dir or
+        # opening a log after it fails with the file's name attached
+        if err.filename is not None:
+            return _fail(RUNTIME_ERROR, f"cannot open the logs in {args.out_dir}: {err}")
         return _fail(RUNTIME_ERROR, f"cannot listen on {args.host}:{args.port}: {err}")
     # SIGTERM stops the server like Ctrl-C, so both logs get their
     # trailer; it is the only stop signal a background job (SIGINT

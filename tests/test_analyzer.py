@@ -20,6 +20,7 @@ import shutil
 import statistics
 import struct
 import sys
+from array import array
 from functools import partial
 from itertools import accumulate
 
@@ -143,6 +144,8 @@ class TestLoader:
             ("payload_bytes", "85"),
             ("header_bytes", None),
             ("header_bytes", 2**64),
+            # byte counts outside the uint16 column (the value rule)
+            *((field, count) for field in ("payload_bytes", "header_bytes") for count in (65536, -1)),
             ("device_id", [7]),
             ("direction", {"UPLINK": 1}),
             ("retransmission_class", ["FIRST"]),
@@ -157,6 +160,8 @@ class TestLoader:
             # arrivals that break the value rule
             *(("frame_complete", oracle_logs._done(9, 290, arrival))
               for arrival in (math.nan, math.inf, -math.inf, 1e308, 2**63, -2**63, "300.0")),
+            # frame numbers outside the uint32 column (the value rule)
+            *(("frame_complete", oracle_logs._done(seq, 290, 300.0)) for seq in (2**32, -1)),
         ],
     )
     def test_field_that_does_not_fit_its_column_is_corrupt(self, field, value, tmp_path):
@@ -175,6 +180,20 @@ class TestLoader:
         assert cap.devices() == [1]
         assert [d.t_ci_ms for d in one_way_delays(cap)] == [10.5, 20.5, 30.5]
         assert [m.device for m in summarize(cap).devices] == [1]
+
+    def test_widest_byte_counts_and_frame_number_load(self, tmp_path):
+        # the largest values the uint16 and uint32 columns hold, and 0
+        records = [
+            oracle_logs._rec(110.5, 1, 65535, header=65535, complete=oracle_logs._done(2**32 - 1, 100, 110.5)),
+            oracle_logs._rec(120.5, 1, 0, header=0, complete=oracle_logs._done(0, 200, 120.5)),
+        ]
+        path = oracle_logs.write_log(tmp_path / "t.jsonl", oracle_logs._header(duration_s=1), records)
+        cap = load_capture(path)
+        assert cap.skipped_lines == 0
+        assert list(cap.records) == [(110.5, 1, "UPLINK", 65535, 65535, "FIRST"), (120.5, 1, "UPLINK", 0, 0, "FIRST")]
+        assert list(cap.frames) == [(1, 0, 200, 120.5), (1, 2**32 - 1, 100, 110.5)]
+        assert throughput_series(cap) == {1: [2 * 65535 * 8 / 1000]}
+        assert _warm(path) == _state(cap)
 
     def test_corrupt_line_of_a_new_device_leaves_no_device(self, tmp_path):
         # a new device whose frame entry does not fit: the line goes, and
@@ -232,6 +251,24 @@ class TestIntegrity:
         lines[-1] = json.dumps({"integrity": {"records": 6, "ack_copies": 2, "rows": 99}})
         path.write_text("\n".join(lines) + "\n")
         assert load_capture(path).integrity_problems() == ["trailer counts records=6, parsed 5"]
+
+    def test_negative_payload_is_a_corrupt_line_report_refuses(self, tmp_path, capsys):
+        # a hand-built capture whose first copy claims -5000 bytes: the
+        # line is skipped, so the trailer disagrees and report exits 1
+        records = [
+            oracle_logs._rec(110.5, 1, -5000, complete=oracle_logs._done(1, 100, 110.5)),
+            oracle_logs._rec(None, 1, 5000, cls="RTO_RETX"),
+            oracle_logs._rec(220.5, 1, 85, complete=oracle_logs._done(2, 200, 220.5)),
+        ]
+        path = oracle_logs.write_log(tmp_path / "neg.jsonl", oracle_logs._header(duration_s=1), records)
+        assert cli.main(["report", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "trailer counts records=3, parsed 2" in err
+        assert cli.main(["report", str(path), "--allow-incomplete"]) == 0
+        out = capsys.readouterr().out
+        assert "INCOMPLETE CAPTURE" in out
+        assert [cell for cell in out.split() if cell.startswith("-")] == []
 
     def test_missing_trailer_is_a_problem(self, tmp_path):
         path, _ = oracle_logs.simple_delays(tmp_path / "a.jsonl")
@@ -331,11 +368,13 @@ DIFFERENTIAL_CASES = [
     ("minus-zero-float-wall", _replace(BASE, "1250.5,", "-0.0,"), True),
     ("minus-zero-arrival", _replace(BASE, ":1250.5}", ":-0.0}"), True),
     ("int-wall", _replace(BASE, "1250.5,", "1250,"), True),
-    ("18-digit-int", _replace(BASE, ':55,', ':999999999999999999,'), True),
-    ("19-digit-int", _replace(BASE, ':55,', ':1000000000000000000,'), True),
+    # the payload column is uint16 (the value rule), so these three no
+    # longer fit it
+    ("18-digit-int", _replace(BASE, ':55,', ':999999999999999999,'), False),
+    ("19-digit-int", _replace(BASE, ':55,', ':1000000000000000000,'), False),
     ("20-digit-int", _replace(BASE, ':55,', ':10000000000000000000,'), False),
     ("2**63", _replace(BASE, ':55,', f':{2**63},'), False),
-    ("2**63-1", _replace(BASE, ':55,', f':{2**63 - 1},'), True),
+    ("2**63-1", _replace(BASE, ':55,', f':{2**63 - 1},'), False),
     ("18-digit-int-wall", _replace(BASE, "1250.5,", "123456789012345678,"), True),
     ("19-digit-int-wall", _replace(BASE, "1250.5,", "1234567890123456789,"), True),
     ("301-digit-float", _replace(BASE, "1250.5,", "9" * 301 + ".5,"), True),
@@ -613,7 +652,7 @@ class TestOutputs:
         summary, delays, series = analyzer.analyze(cap, [0, 2], t_fdr_ms=0.5)
         assert summary == summarize(cap, [0, 2], t_fdr_ms=0.5)
         assert list(delays) == one_way_delays(cap, t_fdr_ms=0.5)
-        assert series == throughput_series(cap)
+        assert {dev: row.tolist() for dev, row in series.items()} == throughput_series(cap)
 
     def test_reanalysis_is_byte_identical(self, cap, tmp_path):
         first, second = tmp_path / "one.csv", tmp_path / "two.csv"
@@ -1042,9 +1081,10 @@ def _set_length(column: int, change: int):
 
 
 def _shift_lengths(meta):
-    # one frame_seq more, one arrival fewer: the same bytes, cut elsewhere
-    _set_length(6, 1)(meta)
-    _set_length(8, -1)(meta)
+    # two 4-byte frame_seqs more, one 8-byte timestamp fewer: the same
+    # bytes, cut elsewhere
+    _set_length(6, 2)(meta)
+    _set_length(7, -1)(meta)
 
 
 def _grow_records(meta):
@@ -1054,12 +1094,13 @@ def _grow_records(meta):
 
 
 def _trade_lengths(meta):
-    # 2**40 more of each record column, and as many bytes fewer in the
-    # last device's columns: the same total size, one length negative
+    # 10 * 2**37 more of each record column (18 B a row), and as many
+    # bytes fewer in the last device's columns (20 B a row): the same
+    # total size, one length negative
     for column in range(6):
-        _set_length(column, 2**40)(meta)
+        _set_length(column, 10 * 2**37)(meta)
     for column in range(len(meta["columns"]) - 3, len(meta["columns"])):
-        _set_length(column, -5 * 2**38)(meta)
+        _set_length(column, -9 * 2**37)(meta)
 
 
 BAD_CACHES = {
@@ -1111,10 +1152,42 @@ def test_negative_cache_length_is_refused_before_any_column_is_read(tmp_path):
     bad = _edit_meta(_trade_lengths)(good)
     assert len(bad) - len(bad.split(b"\n", 1)[0]) == len(good) - len(good.split(b"\n", 1)[0])
     _cache_of(path).write_bytes(bad)
-    # read with that length, the record section would ask for 8 TiB
+    # read with that length, the record section would ask for 10 TiB
     records = load_capture(path).records
     assert list(map(_typed, _record_columns(records))) == list(map(_typed, _record_columns(cold.records)))
     assert _cache_of(path).read_bytes() == good
+
+
+def test_version_6_cache_is_ignored_and_rewritten_as_version_7(tmp_path, monkeypatch):
+    # as version 6 wrote it: byte counts and frame numbers as int64
+    path = _two_device_capture(tmp_path / "c.jsonl")
+    _cache_of(path).unlink(missing_ok=True)
+    cap = load_capture(path)
+    state, current = _state(cap), _cache_of(path).read_bytes()
+    cap._sections = [[array("q", column) if column.typecode in "HI" else column for column in section]
+                     for section in cap._sections]
+    with monkeypatch.context() as old:
+        old.setattr(analyzer, "CACHE_VERSION", 6)
+        analyzer._write_cache(_cache_of(path), cap, hashlib.sha256(path.read_bytes()).hexdigest())
+    version_6 = _cache_of(path).read_bytes()
+    meta = json.loads(version_6.split(b"\n", 1)[0])
+    assert meta["version"] == 6
+    assert [column[:2] for column in meta["columns"][4:7]] == [["q", 8]] * 3
+    assert _state(load_capture(path)) == state
+    assert _cache_of(path).read_bytes() == current
+    assert json.loads(current.split(b"\n", 1)[0])["version"] == 7
+
+
+def test_cache_holds_18_bytes_per_record_and_20_per_frame(analyzer_captures, tmp_path):
+    path = tmp_path / "capture.jsonl"
+    shutil.copyfile(analyzer_captures["lossy_0p3"][0], path)
+    cap = load_capture(path)
+    data = _cache_of(path).read_bytes()
+    meta_line = data.split(b"\n", 1)[0] + b"\n"
+    table = sum(itemsize * length for _, itemsize, length in json.loads(meta_line)["table"]["columns"])
+    # one digest each for the table, the records and every device's frames
+    digests = 32 * (2 + len(cap.frames.by_device))
+    assert len(data) == len(meta_line) + table + 18 * len(cap.records) + 20 * len(cap.frames) + digests
 
 
 class _CountingReads:
@@ -1167,7 +1240,7 @@ def test_warm_uplink_figures_are_the_record_fold_read_from_the_table(analyzer_ca
     monkeypatch.setattr(analyzer, "_Parser", _no_parse)
     monkeypatch.setattr(analyzer, "_read_cached_section", _no_parse)
     cap = load_capture(path)
-    assert throughput_series(cap) == series
+    assert throughput_series(cap) == {dev: row.tolist() for dev, row in series.items()}
     assert analyzer.retransmission_stats(cap) == retx
     assert analyzer.wasted_bandwidth_pct(cap) == retx[0] + retx[1]
 

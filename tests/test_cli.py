@@ -633,6 +633,16 @@ class TestServe:
         assert earlier.read_bytes() == before
         assert list(tmp_path.iterdir()) == [earlier]
 
+    def test_out_dir_that_cannot_be_made_is_named_not_the_port(self, tmp_path, capsys):
+        # the bind works; creating the out dir, a regular file, does not
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("x")
+        assert cli.main(["serve", "--port", "0", "--out-dir", str(not_a_dir), "--duration-s", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "cannot listen" not in err
+        assert f"cannot open the logs in {not_a_dir}" in err
+        assert not_a_dir.read_text() == "x"
+
     def test_sigterm_stops_cleanly_with_sigint_ignored(self, tmp_path):
         # a background job of a non-interactive shell starts with SIGINT
         # ignored, so SIGTERM is what stops it

@@ -30,9 +30,32 @@ def test_child_steps_run_on_a_short_capture(tools, tmp_path):
     analyze = rss_slope.run_child(str(ROOT), "analyze", 5, str(tmp_path))
     assert analyze["maxrss_kib"] > 0
     assert (tmp_path / "d5" / "summary.csv").is_file()
-    assert (tmp_path / "d5" / "capture.jsonl.columns").is_file()
+    cache = tmp_path / "d5" / "capture.jsonl.columns"
+    sections = rss_slope.cache_sections(str(cache))
+    meta_line = cache.read_bytes().split(b"\n", 1)[0] + b"\n"
+    assert len(meta_line) + sum(sections.values()) == cache.stat().st_size
+    assert sections["records"] == 18 * sim["records"] + 32
+    assert rss_slope.cache_sections(str(tmp_path / "none.columns")) == {"table": 0, "records": 0, "frames": 0}
     report = rss_slope.run_child(str(ROOT), "report", 5, str(tmp_path))
     assert report["maxrss_kib"] > 0
+
+
+def test_report_splits_the_cache_slope_by_section(tools):
+    rss_slope, _ = tools
+    rows = [
+        {"records": records, "frames": frames, **{step: 0 for step in rss_slope.STEPS},
+         "cache": table + 18 * records + 20 * frames, "cache table": table,
+         "cache records": 18 * records, "cache frames": 20 * frames}
+        for records, frames, table in [(100, 50, 1000), (500, 250, 3000)]
+    ]
+    for row, duration in zip(rows, rss_slope.DURATIONS_S):
+        row["duration_s"] = duration
+    assert rss_slope.report(rows).splitlines()[-4:] == [
+        "| cache | 33.0 | 66.0 |",
+        "| cache table | 5.0 | 10.0 |",
+        "| cache records | 18.0 | 36.0 |",
+        "| cache frames | 10.0 | 20.0 |",
+    ]
 
 
 def test_cold_load_report_gives_median_and_quartiles(tools):

@@ -15,7 +15,10 @@ records ``ru_maxrss`` of four fresh child processes per duration:
 then prints each process's peak, the cache size, and the slope between
 the two durations, per capture record and per frame.  A fixed cost
 (interpreter, imports, buffers) cancels out of the slope; what is left
-is what the program keeps per record or per frame.
+is what the program keeps per record or per frame.  The cache's slope
+is also split by section (the slot table, the records, every device's
+frames, each with its digest), read from the cache's JSON line, so a
+layout change shows where it landed.
 
     python tools/rss_slope.py [--root DIR]
 
@@ -40,6 +43,7 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 DURATIONS_S = (1000, 4000)
 STEPS = ("simulate", "analyze", "analyze, cached", "report, cached")
+SECTIONS = ("table", "records", "frames")
 
 # what a child runs: argv[1] is the checkout root, argv[2] a JSON spec;
 # the last line of its stdout is a JSON object with ru_maxrss in KiB
@@ -88,6 +92,26 @@ def run_child(root: str, step: str, duration_s: int, work: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def cache_sections(path: str) -> dict:
+    """Bytes of each section of the column cache at ``path``, its 32-byte
+    digests included, from the typecode, itemsize and length of each
+    column its JSON line lists; zeros when there is no cache."""
+    sizes = dict.fromkeys(SECTIONS, 0)
+    if not os.path.exists(path):
+        return sizes
+    with open(path, "rb") as fh:
+        meta = json.loads(fh.readline())
+
+    def size(columns):
+        return sum(itemsize * length for _, itemsize, length in columns) + 32
+
+    columns = meta["columns"]  # the six record columns, then three per device
+    sizes["table"] = size(meta["table"]["columns"])
+    sizes["records"] = size(columns[:6])
+    sizes["frames"] = sum(size(columns[k:k + 3]) for k in range(6, len(columns), 3))
+    return sizes
+
+
 def measure(root: str, work: str) -> list:
     """One row per duration: records, frames, each step's peak RSS and
     the cache size, in bytes."""
@@ -109,6 +133,7 @@ def measure(root: str, work: str) -> list:
                 "report, cached": table["maxrss_kib"] * 1024,
                 # a checkout without the cache leaves none
                 "cache": os.path.getsize(cache) if os.path.exists(cache) else 0,
+                **{f"cache {name}": size for name, size in cache_sections(cache).items()},
             }
         )
         shutil.rmtree(os.path.join(work, f"d{duration}"))
@@ -130,7 +155,7 @@ def report(rows: list) -> str:
     d_records = last["records"] - first["records"]
     d_frames = last["frames"] - first["frames"]
     lines += ["", "| step | B per record | B per frame |", "| --- | ---: | ---: |"]
-    for step in (*STEPS, "cache"):
+    for step in (*STEPS, "cache", *(f"cache {name}" for name in SECTIONS)):
         d_rss = last[step] - first[step]
         lines.append(f"| {step} | {d_rss / d_records:.1f} | {d_rss / d_frames:.1f} |")
     return "\n".join(lines)
