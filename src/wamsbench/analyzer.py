@@ -53,6 +53,11 @@ over 1-second slots, so a parse ends by folding the columns into a
 SlotTable, per device and slot, and summaries of any set of slots and
 the series read that table alone.
 
+Outputs: the analyze command writes summarize() as summary.csv,
+SlotTable.series() as throughput_series.csv and delay_rows() as
+delay_series.csv; one_way_delays, throughput_series and
+retransmission_stats give the same figures as Python values.
+
 Column cache: load_capture keeps the slot table and the columns of a
 finished capture in ``<capture>.columns`` beside it, keyed by the
 SHA-256 of the capture's bytes, so a capture is parsed once however
@@ -81,7 +86,7 @@ import sys
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain, islice, repeat, starmap
+from itertools import accumulate, chain, islice, starmap
 from operator import le
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -156,10 +161,6 @@ class Records:
     direction, retx_class        'B', places in DIRECTIONS and CLASSES
     payload_bytes, header_bytes  'H', each in [0, 65535] by the value
                                  rule
-
-    Iterating yields the tuples (wall_time, device_id, direction,
-    payload_bytes, header_bytes, retransmission_class), with None for a
-    dropped copy's wall time and for a null device id.
     """
 
     wall_time: array
@@ -172,43 +173,14 @@ class Records:
     def __len__(self) -> int:
         return len(self.wall_time)
 
-    def __iter__(self):
-        columns = (self.wall_time, self.device, self.direction, self.payload_bytes,
-                   self.header_bytes, self.retx_class)
-        for wall, dev, direction, payload, header, cls in zip(*columns):
-            yield (None if wall != wall else wall, None if dev < 0 else dev, DIRECTIONS[direction],
-                   payload, header, CLASSES[cls])
-
-
-@dataclass(frozen=True, eq=False)
-class Frames:
-    """A capture's frame_complete entries in typed columns, per device.
-
-    by_device holds (device_id, frame_seq 'I' (in [0, 2**32) by the
-    value rule), frame_timestamp 'q', arrival 'd') per device that
-    completed a frame, sorted by device id
-    (an int: a record with frames names its device),
-    each device's columns sorted by frame_seq.  Iterating yields the
-    tuples (device_id, frame_seq, frame_timestamp, arrival_time).
-    """
-
-    by_device: list
-
-    def __len__(self) -> int:
-        return sum(len(seqs) for _, seqs, _, _ in self.by_device)
-
-    def __iter__(self):
-        for dev, seqs, stamps, arrivals in self.by_device:
-            yield from zip(repeat(dev), seqs, stamps, arrivals)
-
 
 class Capture:
     """A parsed capture log, kept in typed columns.
 
-    records   Records: one row per record line, in file order
-    frames    Frames: one row per frame_complete entry, sorted by
-              (device_id, frame_seq)
-    counts    what the parse found, under the TRAILER_KEYS names
+    records          Records: one row per record line, in file order
+    device_frames()  the frame_complete entries, one device's columns
+                     per step
+    counts           what the parse found, under the TRAILER_KEYS names
 
     The columns are kept as a list of sections, in the column cache's
     order: section 0 the records' columns, section 1 + k the frame
@@ -230,24 +202,14 @@ class Capture:
     def records(self) -> Records:
         return Records(*self._section(0))
 
-    @property
-    def frames(self) -> Frames:
-        return Frames(list(self.device_frames()))
-
     def device_frames(self):
-        """Yield (device_id, frame_seq, frame_timestamp, arrival) per
-        device, as Frames.by_device holds them, reading one device's
-        section per step."""
+        """Yield (device_id, frame_seq 'I', frame_timestamp 'q', arrival
+        'd') per device that completed a frame, sorted by device id (an
+        int: a record with frames names its device), each device's
+        columns sorted by frame_seq; reads one device's section per
+        step."""
         for k, dev in enumerate(self._frame_devices):
             yield (dev, *self._section(1 + k))
-
-    def _frame_count(self) -> int:
-        """The frames of every device, a section left in the cache
-        counted from its recorded length, so none is read."""
-        return sum(
-            self._cache.sections[index][2][0] if section is None else len(section[0])
-            for index, section in enumerate(self._sections[1:], 1)
-        )
 
     def _section(self, index: int) -> list:
         """The arrays of column section ``index``.  A section left in the
@@ -284,11 +246,6 @@ class Capture:
     @property
     def t_dcs_ms(self) -> float:
         return self.header.get("t_dcs_ms") or 0.0
-
-    def devices(self) -> list:
-        """The device ids of the records, sorted, null left out; read
-        from the SlotTable, so no column is read."""
-        return list(self._table.devices)
 
     def population_slots(self) -> int:
         """Number of 1-second population slots this capture covers.
@@ -573,9 +530,9 @@ def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
 #            under "table", the SlotTable's fields that are not arrays
 #   table    the raw bytes of the SlotTable's arrays, in _TABLE_ARRAYS order
 #   records  the raw bytes of the six columns of Records in field order
-#   frames   one section per device of Frames.by_device, in the order of
-#            the ids listed in "frame_devices": its frame_seq,
-#            frame_timestamp and arrival columns
+#   frames   one section per device with frames, in the order of the ids
+#            listed in "frame_devices": its frame_seq, frame_timestamp
+#            and arrival columns
 #
 # A load reads the JSON line and the table, and leaves the column
 # sections to Capture._section, which reads one each time it is used, so
@@ -741,40 +698,25 @@ def _write_cache(cache_path: Path, capture: Capture, capture_sha256: str) -> Non
             os.unlink(tmp)
 
 
-class DelaySeries:
-    """The per-frame delay series of a capture, computed from its frame
-    columns each time it is read, one device at a time
-    (Capture.device_frames); iterating yields FrameDelay tuples in
-    (device, frame_seq) order."""
+def delay_rows(capture: Capture, t_fdr_ms: Optional[float] = None, t_dcs_ms: Optional[float] = None):
+    """An iterator, read once, of the per-frame delay series as plain
+    tuples in FrameDelay field order, sorted by (device, frame_seq),
+    computed as it is read: starmap and chain let go of a device's
+    columns (Capture.device_frames) before the next device's are read.
+    ValueError at the call, before any row, when t_fdr_ms or t_dcs_ms
+    breaks the value rule."""
+    _check_ms("t_fdr_ms", t_fdr_ms)
+    _check_ms("t_dcs_ms", t_dcs_ms)
+    t_fdr = capture.t_fdr_ms if t_fdr_ms is None else t_fdr_ms
+    t_dcs = capture.t_dcs_ms if t_dcs_ms is None else t_dcs_ms
+    flag_below = -capture.skew_bound_ms
 
-    __slots__ = ("capture", "t_fdr_ms", "t_dcs_ms", "flag_below")
-
-    def __init__(self, capture: Capture, t_fdr_ms: Optional[float] = None, t_dcs_ms: Optional[float] = None):
-        _check_ms("t_fdr_ms", t_fdr_ms)
-        _check_ms("t_dcs_ms", t_dcs_ms)
-        self.capture = capture
-        self.t_fdr_ms = capture.t_fdr_ms if t_fdr_ms is None else t_fdr_ms
-        self.t_dcs_ms = capture.t_dcs_ms if t_dcs_ms is None else t_dcs_ms
-        self.flag_below = -capture.skew_bound_ms
-
-    def __len__(self) -> int:
-        return self.capture._frame_count()
-
-    def __iter__(self):
-        return map(FrameDelay._make, self._plain_rows())
-
-    def _plain_rows(self):
-        """Every delay row as a plain tuple; starmap and chain let go of
-        a device's columns before the next device's are read."""
-        return chain.from_iterable(starmap(self._rows, self.capture.device_frames()))
-
-    def _rows(self, dev, seqs, stamps, arrivals):
-        """One device's delay rows as plain tuples in FrameDelay field
-        order."""
-        t_fdr, t_dcs, flag_below = self.t_fdr_ms, self.t_dcs_ms, self.flag_below
+    def rows(dev, seqs, stamps, arrivals):
         for seq, ts, arrival in zip(seqs, stamps, arrivals):
             t_ci = arrival - (ts + t_fdr)
             yield dev, seq, ts, arrival, t_ci, t_ci + t_fdr + t_dcs, t_ci < flag_below
+
+    return chain.from_iterable(starmap(rows, capture.device_frames()))
 
 
 def one_way_delays(
@@ -789,7 +731,7 @@ def one_way_delays(
     of its last byte.  The end-to-end figure adds the processing times
     on both sides back on top.
     """
-    return list(DelaySeries(capture, t_fdr_ms, t_dcs_ms))
+    return list(map(FrameDelay._make, delay_rows(capture, t_fdr_ms, t_dcs_ms)))
 
 
 # population slots x device ids one slot table may hold, about 268 MB of
@@ -915,24 +857,6 @@ def summarize(capture: Capture, sample_indices=None, t_fdr_ms: Optional[float] =
     )
 
 
-def analyze(
-    capture: Capture,
-    sample_indices=None,
-    t_fdr_ms: Optional[float] = None,
-    t_dcs_ms: Optional[float] = None,
-) -> tuple:
-    """Everything the analyze command writes: (summarize(...), the
-    DelaySeries of one_way_delays(...), the SlotTable's series()).
-
-    The delay series is computed as it is read, so no list of FrameDelay
-    is built, and the throughput series is a memoryview of the table's
-    rates per device, so no list of floats is either; throughput_series
-    gives the same values as lists.
-    """
-    delays = DelaySeries(capture, t_fdr_ms, t_dcs_ms)
-    return summarize(capture, sample_indices, t_fdr_ms), delays, capture.slot_table().series()
-
-
 # -- slot table ------------------------------------------------------------------
 
 # the SlotTable fields kept in arrays, and their typecodes
@@ -1039,7 +963,7 @@ def _build_table(capture: Capture, population: int, ids: list) -> SlotTable:
 def _fold_delays(capture: Capture, population: int, devices: list, t_fdr_ms) -> dict:
     """The SlotTable fields that depend on t_fdr_ms, from the frame
     columns read one device at a time, with a row per id of ``devices``,
-    which holds the ids of Frames.by_device in the same order."""
+    which holds the ids of Capture.device_frames() in the same order."""
     flag_below = -capture.skew_bound_ms
     epoch = capture.epoch_utc_ms
     row_of = {dev: row for row, dev in enumerate(devices)}
@@ -1130,12 +1054,11 @@ DELAY_COLUMNS = ["device", "frame_seq", "frame_timestamp", "arrival_time", "t_ci
 _DELAY_ROW = "%s,%s,%s,%.3f,%.3f,%.3f,%d\n"
 
 
-def write_delay_series_csv(delays, path) -> None:
-    """Write FrameDelay tuples, or a DelaySeries streamed from its
-    capture's columns as plain tuples, one device at a time."""
+def write_delay_series_csv(rows, path) -> None:
+    """Write delay rows in FrameDelay field order: FrameDelay tuples, or
+    the plain tuples of delay_rows as they are computed."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(DELAY_COLUMNS) + "\n")
-        rows = delays._plain_rows() if isinstance(delays, DelaySeries) else delays
         fh.writelines(_DELAY_ROW % row for row in rows)
 
 

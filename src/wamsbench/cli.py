@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import analyzer, stats
 from .dcs import LiveDcsServer
-from .fdr import FdrConfig, LiveEmulator, emulate
+from .fdr import GRID_MS, FdrConfig, LiveEmulator, emulate
 from .scenario import ScenarioError, builtin_scenarios, load_scenario
 from .sim import run_simulation
 
@@ -99,15 +99,14 @@ def cmd_analyze(args) -> int:
     capture = _load_checked(args)
     if capture is None:
         return RUNTIME_ERROR
+    # both processing times are checked here, before any file is written
+    delays = analyzer.delay_rows(capture, args.t_fdr_ms, args.t_dcs_ms)
+    summary = analyzer.summarize(capture, t_fdr_ms=args.t_fdr_ms)
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.capture).parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    indices = _sample_indices(capture, args.sample_size, args.sample_seed)
-    summary, delays, series = analyzer.analyze(capture, indices, t_fdr_ms=args.t_fdr_ms, t_dcs_ms=args.t_dcs_ms)
     analyzer.write_summary_csv(summary, out_dir / "summary.csv")
-    analyzer.write_throughput_series_csv(series, out_dir / "throughput_series.csv")
+    analyzer.write_throughput_series_csv(capture.slot_table().series(), out_dir / "throughput_series.csv")
     analyzer.write_delay_series_csv(delays, out_dir / "delay_series.csv")
-    if indices is not None:
-        print(f"sampled {summary.selected_slots} of {summary.population_slots} slots")
     _print_table(capture, summary)
     return 0
 
@@ -159,6 +158,8 @@ def cmd_serve(args) -> int:
         raise ValueError(f"--port must be in 0..65535, got {args.port}")
     if args.duration_s is not None and args.duration_s < 1:
         raise ValueError(f"--duration-s must be at least 1, got {args.duration_s}")
+    if args.max_conns < 1:
+        raise ValueError(f"--max-conns must be at least 1, got {args.max_conns}")
     server = LiveDcsServer(
         host=args.host,
         port=args.port,
@@ -202,6 +203,10 @@ def cmd_emulate(args) -> int:
         raise ValueError(f"--connect-attempts must be at least 1, got {args.connect_attempts}")
     if args.duration_s < 1:
         raise ValueError(f"--duration-s must be at least 1, got {args.duration_s}")
+    # a live device waits out t_fdr before it measures the next frame, so
+    # t_fdr of a grid interval or more puts each frame further behind
+    if not 0 <= args.t_fdr_ms < GRID_MS:
+        raise ValueError(f"--t-fdr-ms must be in [0, {GRID_MS}), got {args.t_fdr_ms}")
     if args.first_device < 0:
         raise ValueError(f"--first-device must be at least 0, got {args.first_device}")
     last_device = args.first_device + args.devices - 1
@@ -285,16 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", help="output directory (default: alongside the capture)")
     p.add_argument("--t-fdr-ms", type=_finite_float, help="device processing time (default: log header)")
     p.add_argument("--t-dcs-ms", type=_finite_float, help="concentrator processing time (default: log header)")
-    p.add_argument("--sample-size", type=int, help="analyze a random subset of 1 s slots")
-    p.add_argument("--sample-seed", default="sample", help="seed for slot selection")
     p.add_argument("--allow-incomplete", action="store_true", help=ALLOW_INCOMPLETE_HELP)
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("report", help="print the metrics table for a capture")
     p.add_argument("capture", help="path to capture.jsonl")
     p.add_argument("--t-fdr-ms", type=_finite_float)
-    p.add_argument("--sample-size", type=int)
-    p.add_argument("--sample-seed", default="sample")
+    p.add_argument("--sample-size", type=int, help="summarize a random subset of 1 s slots")
+    p.add_argument("--sample-seed", default="sample", help="seed for slot selection")
     p.add_argument("--allow-incomplete", action="store_true", help=ALLOW_INCOMPLETE_HELP)
     p.set_defaults(handler=cmd_report)
 

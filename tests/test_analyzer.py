@@ -123,13 +123,13 @@ class TestLoader:
             ),
         ]
         cap = load_capture(oracle_logs.write_log(tmp_path / "t.jsonl", header, records))
-        assert list(cap.records) == [
+        assert _record_rows(cap) == [
             (250.5, 2, "UPLINK", 55, 40, "FIRST"),
             (None, 1, "UPLINK", 55, 40, "RTO_RETX"),
             (260.0, 1, "ACK", 0, 52, "FIRST"),
             (150.25, 1, "UPLINK", 110, 40, "FIRST"),
         ]
-        assert list(cap.frames) == [(1, 3, 0, 150.25), (1, 4, 100, 150.25), (2, 7, 200, 250.5)]
+        assert _frame_rows(cap) == [(1, 3, 0, 150.25), (1, 4, 100, 150.25), (2, 7, 200, 250.5)]
         assert cap.counts == {"records": 4, "uplink_copies": 3, "ack_copies": 1, "dropped_copies": 1}
 
     @pytest.mark.parametrize(
@@ -176,8 +176,8 @@ class TestLoader:
         assert cap.counts["records"] == len(cap.records) == 5
         # nothing of the corrupt line is left in any column
         assert {len(column) for column in _record_columns(cap.records)} == {5}
-        assert list(cap.frames) == [(1, 1, 100, 110.5), (1, 2, 200, 220.5), (1, 3, 300, 330.5)]
-        assert cap.devices() == [1]
+        assert _frame_rows(cap) == [(1, 1, 100, 110.5), (1, 2, 200, 220.5), (1, 3, 300, 330.5)]
+        assert cap.slot_table().devices == [1]
         assert [d.t_ci_ms for d in one_way_delays(cap)] == [10.5, 20.5, 30.5]
         assert [m.device for m in summarize(cap).devices] == [1]
 
@@ -190,8 +190,8 @@ class TestLoader:
         path = oracle_logs.write_log(tmp_path / "t.jsonl", oracle_logs._header(duration_s=1), records)
         cap = load_capture(path)
         assert cap.skipped_lines == 0
-        assert list(cap.records) == [(110.5, 1, "UPLINK", 65535, 65535, "FIRST"), (120.5, 1, "UPLINK", 0, 0, "FIRST")]
-        assert list(cap.frames) == [(1, 0, 200, 120.5), (1, 2**32 - 1, 100, 110.5)]
+        assert _record_rows(cap) == [(110.5, 1, "UPLINK", 65535, 65535, "FIRST"), (120.5, 1, "UPLINK", 0, 0, "FIRST")]
+        assert _frame_rows(cap) == [(1, 0, 200, 120.5), (1, 2**32 - 1, 100, 110.5)]
         assert throughput_series(cap) == {1: [2 * 65535 * 8 / 1000]}
         assert _warm(path) == _state(cap)
 
@@ -206,8 +206,8 @@ class TestLoader:
         ]
         cap = load_capture(oracle_logs.write_log(tmp_path / "t.jsonl", oracle_logs._header(duration_s=1), records))
         assert cap.skipped_lines == 1
-        assert list(cap.records) == [(110.5, 1, "UPLINK", 85, 40, "FIRST"), (None, 8, "ACK", 85, 40, "RTO_RETX")]
-        assert cap.devices() == [1, 8]
+        assert _record_rows(cap) == [(110.5, 1, "UPLINK", 85, 40, "FIRST"), (None, 8, "ACK", 85, 40, "RTO_RETX")]
+        assert cap.slot_table().devices == [1, 8]
         assert analyzer._uplink_totals(cap, 1, [1, 8])[1] == {1: {"FIRST": 125}, 8: {}}
 
     def test_every_wire_device_id_loads(self, tmp_path):
@@ -217,8 +217,8 @@ class TestLoader:
         cap = load_capture(oracle_logs.write_log(tmp_path / "t.jsonl", oracle_logs._header(duration_s=1), records))
         assert cap.skipped_lines == 0
         assert cap.records.device.tolist() == [*range(2**16), -1]
-        assert [record[1] for record in cap.records] == ids
-        assert cap.devices() == ids[:-1]
+        assert [record[1] for record in _record_rows(cap)] == ids
+        assert cap.slot_table().devices == ids[:-1]
 
     def test_line_order_never_matters(self, tmp_path):
         path, _ = oracle_logs.sampling_and_skew(tmp_path / "fwd.jsonl")
@@ -282,6 +282,23 @@ def _typed(column) -> tuple:
     return column.typecode, bytes(column)
 
 
+def _record_rows(cap) -> list:
+    """The records of ``cap`` as tuples (wall_time, device_id,
+    direction, payload_bytes, header_bytes, retransmission_class), with
+    None for a dropped copy's wall time and for a null device id."""
+    records = cap.records
+    columns = (records.wall_time, records.device, records.direction, records.payload_bytes,
+               records.header_bytes, records.retx_class)
+    return [(None if wall != wall else wall, None if dev < 0 else dev, analyzer.DIRECTIONS[direction],
+             payload, header, analyzer.CLASSES[cls]) for wall, dev, direction, payload, header, cls in zip(*columns)]
+
+
+def _frame_rows(cap) -> list:
+    """The frames of ``cap`` as tuples (device_id, frame_seq,
+    frame_timestamp, arrival_time), sorted by (device_id, frame_seq)."""
+    return [(dev, *row) for dev, *columns in cap.device_frames() for row in zip(*columns)]
+
+
 def _record_columns(records) -> tuple:
     return (records.wall_time, records.device, records.direction, records.retx_class,
             records.payload_bytes, records.header_bytes)
@@ -291,7 +308,7 @@ def _state(cap) -> tuple:
     """Everything a load gives, typed: the record and frame columns and
     the slot table's arrays as their typecodes and bytes (so -0.0 and
     NaN bits count), the rest as repr (so the int 1 and True differ)."""
-    frames = [(repr(dev), *map(_typed, cols)) for dev, *cols in cap.frames.by_device]
+    frames = [(repr(dev), *map(_typed, cols)) for dev, *cols in cap.device_frames()]
     table = cap.slot_table()
     values = (cap.header, cap.integrity, cap.skipped_lines, cap.counts, table.population, table.devices,
               table.wire_bytes, table.flagged)
@@ -477,7 +494,7 @@ class TestCompactLines:
         path = tmp_path / "cut.jsonl"
         path.write_text("\n".join([HEADER_LINE, *lines]))
         cap = load_capture(path)
-        assert list(cap.frames) == [(1, 1, 0, 1.5), (1, 2, 100, 2.5)]
+        assert _frame_rows(cap) == [(1, 1, 0, 1.5), (1, 2, 100, 2.5)]
         assert cap.integrity is None
 
     @settings(max_examples=200, deadline=None)
@@ -538,7 +555,7 @@ def test_simulated_capture_loads_every_line(name, tmp_path):
         # dropped copies (null wall times), both retransmission classes
         # and frame_complete lists of several entries
         assert cap.counts["dropped_copies"] > 0
-        assert {record[5] for record in cap.records} == set(analyzer.CLASSES)
+        assert {record[5] for record in _record_rows(cap)} == set(analyzer.CLASSES)
         assert "},{" in result.capture_path.read_text()
 
 
@@ -560,10 +577,10 @@ def test_live_capture_loads_its_records_and_frames(tmp_path):
     path = tmp_path / "live.jsonl"
     path.write_text("".join(dcs.dumps(line) + "\n" for line in lines))
     cap = load_capture(path)
-    assert list(cap.records) == [(1000.0, None, "UPLINK", 20, 0, "FIRST"), (1000.25, 3, "UPLINK", 35, 0, "FIRST"),
+    assert _record_rows(cap) == [(1000.0, None, "UPLINK", 20, 0, "FIRST"), (1000.25, 3, "UPLINK", 35, 0, "FIRST"),
                                  (3000.25, 3, "UPLINK", 110, 0, "FIRST")]
-    assert list(cap.frames) == [(3, 1, 1000, 1000.25), (3, 2, 2000, 2000.25), (3, 3, 3000, 3000.25)]
-    assert cap.devices() == [3]
+    assert _frame_rows(cap) == [(3, 1, 1000, 1000.25), (3, 2, 2000, 2000.25), (3, 3, 3000, 3000.25)]
+    assert cap.slot_table().devices == [3]
 
 
 class TestSampling:
@@ -641,18 +658,12 @@ class TestOutputs:
         ]
         cap = load_capture(oracle_logs.write_log(tmp_path / "ids.jsonl", oracle_logs._header(duration_s=1), records))
         streamed, listed = tmp_path / "streamed.csv", tmp_path / "listed.csv"
-        write_delay_series_csv(analyzer.analyze(cap)[1], streamed)
+        write_delay_series_csv(analyzer.delay_rows(cap), streamed)
         write_delay_series_csv(one_way_delays(cap), listed)
         assert streamed.read_bytes() == listed.read_bytes()
         assert [line.split(",")[:2] for line in streamed.read_text().splitlines()[1:]] == [
             ["0", "1"], ["0", "2"], ["65535", "1"]
         ]
-
-    def test_analyze_equals_the_separate_analyses(self, cap):
-        summary, delays, series = analyzer.analyze(cap, [0, 2], t_fdr_ms=0.5)
-        assert summary == summarize(cap, [0, 2], t_fdr_ms=0.5)
-        assert list(delays) == one_way_delays(cap, t_fdr_ms=0.5)
-        assert {dev: row.tolist() for dev, row in series.items()} == throughput_series(cap)
 
     def test_reanalysis_is_byte_identical(self, cap, tmp_path):
         first, second = tmp_path / "one.csv", tmp_path / "two.csv"
@@ -703,7 +714,7 @@ def _fold_over_frames(cap, sample_indices=None, t_fdr_ms=None) -> tuple:
     t_fdr = cap.t_fdr_ms if t_fdr_ms is None else t_fdr_ms
     flag_below = -cap.skew_bound_ms
     delays, flagged = {}, 0
-    for dev, _, stamps, arrivals in cap.frames.by_device:
+    for dev, _, stamps, arrivals in cap.device_frames():
         kept = []
         for ts, arrival in zip(stamps, arrivals):
             t_ci = arrival - (ts + t_fdr)
@@ -813,11 +824,11 @@ class TestSlotTable:
         _assert_table_is_the_fold(path)
         _cache_of(path).unlink()
         for cap in (load_capture(path), load_capture(path)):  # cold, then warm
-            assert _packed([arrival for *_, arrival in cap.frames]) == _packed([1000.0, 0.0, 0.0])
+            assert _packed([arrival for *_, arrival in _frame_rows(cap)]) == _packed([1000.0, 0.0, 0.0])
             maxima = [m.max_delay_ms for m in summarize(cap).devices]
             assert _packed(maxima) == _packed([0.0, 0.0])
             out = tmp_path / "delay_series.csv"
-            write_delay_series_csv(analyzer.DelaySeries(cap), out)
+            write_delay_series_csv(analyzer.delay_rows(cap), out)
             assert out.read_text().splitlines()[2:] == ["1,2,0,0.000,0.000,0.000,0", "2,1,0,0.000,0.000,0.000,0"]
 
     def test_device_with_records_but_no_frames(self, tmp_path):
@@ -875,8 +886,8 @@ class TestSlotTable:
         path = _frames_capture(tmp_path_factory.mktemp("drawn") / "c.jsonl", entries, duration_s=5, skew=skew)
         for cap in (load_capture(path), load_capture(path)):
             # NaN, infinite and 1e300-sized arrivals are skipped lines, and -0.0 reads as 0.0
-            assert all(math.isfinite(arrival) for *_, arrival in cap.frames)
-            assert _packed(-0.0) not in {_packed(arrival) for *_, arrival in cap.frames}
+            assert all(math.isfinite(arrival) for *_, arrival in _frame_rows(cap))
+            assert _packed(-0.0) not in {_packed(arrival) for *_, arrival in _frame_rows(cap)}
             for slots in [None, *map(sorted, draws)]:
                 assert _from_table(cap, slots, t_fdr) == _fold_over_frames(cap, slots, t_fdr)
 
@@ -889,7 +900,7 @@ def test_arrivals_whose_delays_summed_past_the_largest_float_are_skipped(arrival
     frames = [(1, seq, 100 * seq, arrival) for seq, arrival in enumerate(arrivals, 1)]
     cap = load_capture(_frames_capture(tmp_path / "c.jsonl", [*frames, (1, 9, 500, 512.5)]))
     assert cap.skipped_lines == len(arrivals)
-    assert list(cap.frames) == [(1, 9, 500, 512.5)]
+    assert _frame_rows(cap) == [(1, 9, 500, 512.5)]
     (m,) = summarize(cap).devices
     assert m.avg_delay_ms == m.max_delay_ms == 12.5
 
@@ -898,9 +909,10 @@ def test_arrivals_whose_delays_summed_past_the_largest_float_are_skipped(arrival
 def test_processing_time_that_breaks_the_value_rule_is_a_value_error(value, tmp_path):
     path, _ = oracle_logs.simple_delays(tmp_path / "c.jsonl")
     cap = load_capture(path)
+    # delay_rows returns an iterator: it raises at the call, before any row
     calls = [
-        *(partial(f, cap, t_fdr_ms=value) for f in (summarize, analyzer.analyze, one_way_delays, analyzer.DelaySeries)),
-        *(partial(f, cap, t_dcs_ms=value) for f in (analyzer.analyze, one_way_delays, analyzer.DelaySeries)),
+        *(partial(f, cap, t_fdr_ms=value) for f in (summarize, one_way_delays, analyzer.delay_rows)),
+        *(partial(f, cap, t_dcs_ms=value) for f in (one_way_delays, analyzer.delay_rows)),
         partial(cap.slot_table, value),
     ]
     for call in calls:
@@ -1186,8 +1198,8 @@ def test_cache_holds_18_bytes_per_record_and_20_per_frame(analyzer_captures, tmp
     meta_line = data.split(b"\n", 1)[0] + b"\n"
     table = sum(itemsize * length for _, itemsize, length in json.loads(meta_line)["table"]["columns"])
     # one digest each for the table, the records and every device's frames
-    digests = 32 * (2 + len(cap.frames.by_device))
-    assert len(data) == len(meta_line) + table + 18 * len(cap.records) + 20 * len(cap.frames) + digests
+    digests = 32 * (2 + len(list(cap.device_frames())))
+    assert len(data) == len(meta_line) + table + 18 * len(cap.records) + 20 * len(_frame_rows(cap)) + digests
 
 
 class _CountingReads:
@@ -1223,10 +1235,10 @@ def test_warm_summary_reads_no_column(tmp_path, monkeypatch):
 
 def test_warm_devices_read_no_column(tmp_path, monkeypatch):
     path = _null_device_capture(tmp_path / "c.jsonl")
-    assert load_capture(path).devices() == [3]  # leaves the cache
+    assert load_capture(path).slot_table().devices == [3]  # leaves the cache
     monkeypatch.setattr(analyzer, "_Parser", _no_parse)
     monkeypatch.setattr(analyzer, "_read_cached_section", _no_parse)
-    assert load_capture(path).devices() == [3]
+    assert load_capture(path).slot_table().devices == [3]
 
 
 def test_warm_uplink_figures_are_the_record_fold_read_from_the_table(analyzer_captures, tmp_path, monkeypatch):
@@ -1266,18 +1278,13 @@ def test_report_at_the_header_t_fdr_reads_no_column(analyzer_captures, tmp_path,
         assert (_cache_of(path).read_bytes() == good) == bool(sections)
 
 
-def _frames_never_built(self):
-    raise AssertionError("built capture.frames")
-
-
 def test_warm_analyze_reads_each_device_section_once_and_no_record(analyzer_captures, tmp_path, monkeypatch):
     source, _ = analyzer_captures["lossy_0p3"]
     path = tmp_path / "capture.jsonl"
     shutil.copyfile(source, path)
-    devices = len(load_capture(path).frames.by_device)  # leaves the cache
+    devices = len(list(load_capture(path).device_frames()))  # leaves the cache
     assert devices == 10
     monkeypatch.setattr(analyzer, "_Parser", _no_parse)
-    monkeypatch.setattr(analyzer.Capture, "frames", property(_frames_never_built))
     reads = _CountingReads(monkeypatch)
     assert cli.main(["analyze", str(path), "--out-dir", str(tmp_path)]) == 0
     assert reads.sections == list(range(1, devices + 1))
@@ -1307,11 +1314,10 @@ def test_delay_series_reads_no_column_until_iterated(tmp_path, monkeypatch):
     path = _two_device_capture(tmp_path / "c.jsonl")
     cold = one_way_delays(load_capture(path))  # leaves the cache
     reads = _CountingReads(monkeypatch)
-    series = analyzer.DelaySeries(load_capture(path))
-    assert len(series) == 2
+    rows = analyzer.delay_rows(load_capture(path))
     assert reads.sections == []
-    assert list(series) == list(series) == cold
-    assert reads.sections == [1, 2, 1, 2]
+    assert list(map(FrameDelay._make, rows)) == cold
+    assert reads.sections == [1, 2]
 
 
 def test_warm_summary_at_another_t_fdr_equals_cold(analyzer_captures, tmp_path):
@@ -1351,7 +1357,7 @@ def test_deferred_read_after_the_capture_changed(tmp_path):
     assert _state(kept) == cold
     _cache_of(path).unlink()
     with pytest.raises(CaptureError, match="changed after it was loaded"):
-        gone.frames
+        list(gone.device_frames())
     assert not _cache_of(path).exists()
 
 

@@ -122,36 +122,6 @@ class TestAnalyze:
         assert tp[0] == "device,window_start_s,kbit_per_s"
         assert len(tp) == 1 + 2 * 4
 
-    def test_full_sample_equals_unsampled(self, mini_run, tmp_path):
-        full = tmp_path / "full"
-        sampled = tmp_path / "sampled"
-        cli.main(["analyze", str(mini_run / "capture.jsonl"), "--out-dir", str(full)])
-        cli.main(
-            [
-                "analyze",
-                str(mini_run / "capture.jsonl"),
-                "--out-dir",
-                str(sampled),
-                "--sample-size",
-                "4",
-            ]
-        )
-        assert (full / "summary.csv").read_bytes() == (sampled / "summary.csv").read_bytes()
-
-    def test_oversized_sample_is_a_usage_error(self, mini_run, tmp_path, capsys):
-        code = cli.main(
-            [
-                "analyze",
-                str(mini_run / "capture.jsonl"),
-                "--out-dir",
-                str(tmp_path),
-                "--sample-size",
-                "5",
-            ]
-        )
-        assert code == 2
-        assert "population" in capsys.readouterr().err
-
     def test_corrupt_line_warns_and_completes(self, mini_run, tmp_path, caplog):
         lines = (mini_run / "capture.jsonl").read_text().splitlines()
         mangled = tmp_path / "mangled.jsonl"
@@ -172,14 +142,16 @@ class TestAnalyze:
         assert "unrecognized arguments: --window 2" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("size", ["0", "-3"])
-    @pytest.mark.parametrize("command", ["analyze", "report"])
-    def test_sample_size_below_one_is_a_usage_error(self, mini_run, tmp_path, capsys, command, size):
-        argv = [command, str(mini_run / "capture.jsonl"), "--sample-size", size]
-        if command == "analyze":
-            argv += ["--out-dir", str(tmp_path)]
-        assert cli.main(argv) == 2
-        assert f"--sample-size must be at least 1, got {size}" in capsys.readouterr().err
+    @pytest.mark.parametrize("option", [["--sample-size", "4"], ["--sample-seed", "audit"]])
+    def test_sampling_is_not_an_option(self, mini_run, tmp_path, capsys, option):
+        # a sampled summary is report --sample-size; analyze never sampled
+        # its series
+        out = tmp_path / "an"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", str(mini_run / "capture.jsonl"), "--out-dir", str(out), *option])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
     @pytest.mark.parametrize(
@@ -211,6 +183,23 @@ class TestReport:
             "wasted_bw_pct",
         ]
         assert list(tmp_path.iterdir()) == []
+
+    def test_full_sample_equals_unsampled(self, mini_run, capsys):
+        assert cli.main(["report", str(mini_run / "capture.jsonl")]) == 0
+        full = capsys.readouterr().out
+        assert cli.main(["report", str(mini_run / "capture.jsonl"), "--sample-size", "4"]) == 0
+        assert capsys.readouterr().out == full
+
+    def test_oversized_sample_is_a_usage_error(self, mini_run, capsys):
+        assert cli.main(["report", str(mini_run / "capture.jsonl"), "--sample-size", "5"]) == 2
+        captured = capsys.readouterr()
+        assert "exceeds population of 4 slots" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_sample_size_below_one_is_a_usage_error(self, mini_run, capsys, size):
+        assert cli.main(["report", str(mini_run / "capture.jsonl"), "--sample-size", size]) == 2
+        assert f"--sample-size must be at least 1, got {size}" in capsys.readouterr().err
 
     def test_concentrator_processing_time_is_not_an_option(self, mini_run, capsys):
         # no summary figure reads t_dcs_ms; only analyze's delay series does
@@ -556,6 +545,31 @@ class TestEmulate:
         assert exc.value.code == 2
         assert f"not a finite number: {value!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["100", "250", "1e300", "-0.5"])
+    def test_processing_time_outside_one_grid_interval_is_a_usage_error(self, capsys, monkeypatch, value):
+        # 100 ms is fdr.GRID_MS: a device that waits that long before each
+        # measurement falls further behind with every frame
+        def no_emulate(emulators):
+            raise AssertionError("emulate started")
+
+        monkeypatch.setattr(cli, "emulate", no_emulate)
+        assert cli.main(["emulate", "--port", "9", "--t-fdr-ms", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --t-fdr-ms must be in [0, 100), got {float(value)!r}\n"
+        assert captured.out == ""
+
+    def test_processing_time_below_one_grid_interval_is_emulated(self, capsys, monkeypatch):
+        started = []
+
+        def record(emulators):
+            started.extend(emulators)
+            return [True] * len(emulators)
+
+        monkeypatch.setattr(cli, "emulate", record)
+        assert cli.main(["emulate", "--port", "9", "--t-fdr-ms", "99.9"]) == 0
+        assert [emu.config.t_fdr_ms for emu in started] == [99.9]
+        capsys.readouterr()
+
     @pytest.mark.parametrize("attempts", ["0", "-1"])
     def test_connect_attempts_below_one_is_a_usage_error(self, capsys, monkeypatch, attempts):
         def no_emulate(emulators):
@@ -586,7 +600,7 @@ class TestEmulate:
             server.stop()
         assert code == 0
         assert server.ingest.counters["rows"] == 400
-        assert load_capture(tmp_path / "capture.jsonl").devices() == list(range(1, 21))
+        assert load_capture(tmp_path / "capture.jsonl").slot_table().devices == list(range(1, 21))
         stamps = defaultdict(list)
         for line in (tmp_path / "measurements.jsonl").read_text().splitlines()[1:-1]:
             row = json.loads(line)
@@ -619,6 +633,20 @@ class TestServe:
         assert cli.main(["serve", "--port", port, "--out-dir", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert f"--port must be in 0..65535, got {port}" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("conns", ["0", "-5"])
+    def test_max_conns_below_one_is_a_usage_error(self, capsys, monkeypatch, tmp_path, conns):
+        # such a server would refuse every connection
+        def no_server(*args, **kwargs):
+            raise AssertionError("server created")
+
+        monkeypatch.setattr(cli, "LiveDcsServer", no_server)
+        argv = ["serve", "--port", "0", "--out-dir", str(tmp_path), "--max-conns", conns, "--duration-s", "1"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --max-conns must be at least 1, got {conns}\n"
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 

@@ -394,7 +394,7 @@ class TestLiveDcsServer:
         assert capture.skipped_lines == 0
         assert capture.integrity_problems() == []
         assert capture.records.device.tolist() == [-1, 4]
-        assert capture.devices() == [4]
+        assert capture.slot_table().devices == [4]
 
     def test_connections_start_no_thread(self, tmp_path, monkeypatch):
         server = LiveDcsServer(out_dir=tmp_path)
