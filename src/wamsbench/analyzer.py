@@ -60,12 +60,12 @@ retransmission_stats give the same figures as Python values.
 
 Column cache: load_capture keeps the slot table and the columns of a
 finished capture in ``<capture>.columns`` beside it, keyed by the
-SHA-256 of the capture's bytes, so a capture is parsed once however
+capture's file identity and SHA-256, so a capture is parsed once however
 often it is analyzed.  The records and each device's frames have a
 section of their own, so a summary or a throughput series reads no
 column and the delay series holds one device's frames at a time.  The
-cache only saves time: a load whose digest does not match parses the
-file, and deleting the cache is always safe.
+cache only saves time: a load that cannot trust it parses the file, and
+deleting the cache is always safe.
 
 Reporting slots: the sampling workflow treats the run as one population
 slot per configured second.  A frame belongs to the slot its timestamp
@@ -83,6 +83,7 @@ import math
 import os
 import statistics
 import sys
+import zlib
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
@@ -213,7 +214,7 @@ class Capture:
 
     def _section(self, index: int) -> list:
         """The arrays of column section ``index``.  A section left in the
-        cache is read from it; when it cannot be read or fails its digest,
+        cache is read from it; when it cannot be read or fails its check,
         the capture is parsed again, the cache rewritten, and every
         section replaced by the parse's; CaptureError when the capture's
         bytes changed since the load."""
@@ -224,10 +225,11 @@ class Capture:
             except _BAD_CACHE:
                 pass
             with open(cache.path, "rb") as fh:
+                identity = _identity(fh)
                 parsed, capture_sha256 = _parse(cache.path, fh)
-            if capture_sha256 != cache.capture_sha256:
-                raise CaptureError(f"{cache.path}: the capture changed after it was loaded")
-            _write_cache(cache.cache_path, parsed, capture_sha256)
+                if capture_sha256 != cache.capture_sha256:
+                    raise CaptureError(f"{cache.path}: the capture changed after it was loaded")
+                _write_cache(cache.cache_path, parsed, capture_sha256, identity, fh)
             self._sections = parsed._sections
         return self._sections[index]
 
@@ -332,25 +334,46 @@ def load_capture(path) -> Capture:
     The parse ends by building the capture's SlotTable from the columns.
 
     A capture with a trailer is cached beside it, at
-    ``<capture>.columns``, keyed by the SHA-256 of the capture's bytes:
-    its SlotTable, then its columns.  Every load hashes the capture:
-    when the digest matches the cache's, the table is read from the
-    cache instead of parsed, and the columns when records or frames are
-    first used; either way the Capture is the same.  A parse hashes the
-    blocks it parses, so it reads the file once, and the digest it
-    caches is that of the bytes it parsed.
+    ``<capture>.columns``: its SlotTable, then its columns, keyed by the
+    capture's file identity (_identity) and the SHA-256 of its bytes.
+    When the cache is for this capture (_read_cache), the table is read
+    from the cache instead of parsed, and the columns when records or
+    frames are first used; either way the Capture is the same.  A parse
+    hashes the blocks it parses, so it reads the file once, and the
+    digest it caches is that of the bytes it parsed.
     """
     path = Path(path)
     cache_path = path.with_name(path.name + ".columns")
     with open(path, "rb") as fh:
-        capture = _read_cache(path, cache_path, fh)
+        identity = _identity(fh)
+        capture = _read_cache(path, cache_path, fh, identity)
         if capture is None:
             fh.seek(0)
             capture, digest = _parse(path, fh)
-            _write_cache(cache_path, capture, digest)
+            _write_cache(cache_path, capture, digest, identity, fh)
     if capture.skipped_lines:
         log.warning("%s: skipped %d corrupt lines", path, capture.skipped_lines)
     return capture
+
+
+def _identity(capture_file) -> list:
+    """The identity of the open capture file the column cache is keyed
+    on: [st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns].  No user
+    process can set a ctime: every write, truncate, rename or utime
+    moves it to the current time."""
+    st = os.fstat(capture_file.fileno())
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+def _sha256(capture_file) -> str:
+    """The SHA-256 hex digest of the bytes of ``capture_file``, read from
+    where it stands."""
+    import hashlib  # here, not at module import: a warm load needs none
+
+    digest = hashlib.sha256()
+    while block := capture_file.read(_BLOCK_BYTES):
+        digest.update(block)
+    return digest.hexdigest()
 
 
 def _parse(path: Path, capture_file) -> tuple:
@@ -522,12 +545,13 @@ def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
 # -- column cache --------------------------------------------------------------
 #
 # A cache file is one line of ASCII JSON, then sections, each ending with
-# its own SHA-256 of the JSON line and the section's bytes:
+# the CRC-32 of the JSON line and the section's bytes, 4 bytes little-endian:
 #
-#   JSON     CACHE_VERSION, the byte order, the capture's SHA-256, the
-#            Capture's fields other than its columns, and the typecode,
-#            itemsize and length of each column of the column sections;
-#            under "table", the SlotTable's fields that are not arrays
+#   JSON     CACHE_VERSION, the byte order, the capture's identity and
+#            SHA-256, the Capture's fields other than its columns, and
+#            the typecode, itemsize and length of each column of the
+#            column sections; under "table", the SlotTable's fields that
+#            are not arrays
 #   table    the raw bytes of the SlotTable's arrays, in _TABLE_ARRAYS order
 #   records  the raw bytes of the six columns of Records in field order
 #   frames   one section per device with frames, in the order of the ids
@@ -538,8 +562,17 @@ def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
 # sections to Capture._section, which reads one each time it is used, so
 # a summary reads no column and a delay series one device's frames at a
 # time.
+#
+# The CRC guards against accidental damage to a derived local file; the
+# identity and SHA-256 say which capture the cache is for.  A load trusts
+# the identity as git trusts the stat data of its index ("racy git"): only
+# when it equals the open capture's and the capture's mtime and ctime are
+# both older than the cache file's own mtime.  A change within one
+# timestamp tick of the cache's writing leaves the times equal, so such a
+# cache is racy, and the load hashes the capture and compares digests.
 
-CACHE_VERSION = 7
+CACHE_VERSION = 8
+_CHECK_BYTES = 4  # the CRC-32 that ends each section
 _RECORD_TYPECODES, _FRAME_TYPECODES = "diBBHH", "Iqd"
 # what reading a cache that is missing, cut short, garbage or of another
 # layout can raise; any of them means the capture is parsed instead
@@ -576,30 +609,28 @@ def _read_section(fh, typecodes: str, lengths: list, meta_line: bytes) -> list:
     """The arrays of the cache section that starts where ``fh`` stands,
     ``lengths[i]`` items of ``typecodes[i]`` each, read straight into
     arrays of their size; EOFError when the file ends first, ValueError
-    unless the SHA-256 that ends the section is that of ``meta_line`` and
+    unless the CRC-32 that ends the section is that of ``meta_line`` and
     the arrays' bytes."""
-    import hashlib
-
-    digest, arrays = hashlib.sha256(meta_line), []
+    crc, arrays = zlib.crc32(meta_line), []
     for code, length in zip(typecodes, lengths):
         column = array(code, [0]) * length
         with memoryview(column) as view, view.cast("B") as raw:
             if fh.readinto(raw) != len(raw):
                 raise EOFError("a cache section is cut short")
-        digest.update(column)
+        crc = zlib.crc32(column, crc)
         arrays.append(column)
-    if fh.read(32) != digest.digest():
-        raise ValueError("a cache section fails its digest")
+    if fh.read(_CHECK_BYTES) != crc.to_bytes(_CHECK_BYTES, "little"):
+        raise ValueError("a cache section fails its check")
     return arrays
 
 
-def _read_cache(path: Path, cache_path: Path, capture_file) -> Optional[Capture]:
-    """The Capture cached at ``cache_path`` for the bytes of
-    ``capture_file``, read from its start, with its columns left in the
-    cache; None when no whole cache of this version and layout is there
-    for those bytes."""
-    import hashlib
-
+def _read_cache(path: Path, cache_path: Path, capture_file, identity: list) -> Optional[Capture]:
+    """The Capture cached at ``cache_path`` for ``capture_file``, whose
+    _identity is ``identity``, with its columns left in the cache; None
+    when no whole cache of this version and layout is there for it.  The
+    capture is read, and hashed from its start, only when the identity
+    cannot be trusted: it differs from the cache's, or the cache is
+    racy."""
     try:
         with open(cache_path, "rb") as fh:
             meta_line = fh.readline()
@@ -609,7 +640,7 @@ def _read_cache(path: Path, cache_path: Path, capture_file) -> Optional[Capture]
             devices = meta["frame_devices"]
             lengths = _layout(meta["columns"], _RECORD_TYPECODES + _FRAME_TYPECODES * len(devices))
             table_lengths = _layout(meta["table"]["columns"], _TABLE_TYPECODES)
-            offset = len(meta_line) + _section_bytes(_TABLE_TYPECODES, table_lengths) + 32
+            offset = len(meta_line) + _section_bytes(_TABLE_TYPECODES, table_lengths) + _CHECK_BYTES
             sections = []
             groups = [(_RECORD_TYPECODES, lengths[:6])]
             groups += [(_FRAME_TYPECODES, lengths[k:k + 3]) for k in range(6, len(lengths), 3)]
@@ -617,13 +648,12 @@ def _read_cache(path: Path, cache_path: Path, capture_file) -> Optional[Capture]
                 if len(set(group)) != 1:  # a section's columns have one length
                     return None
                 sections.append((offset, codes, group))
-                offset += _section_bytes(codes, group) + 32
-            if os.fstat(fh.fileno()).st_size != offset:
+                offset += _section_bytes(codes, group) + _CHECK_BYTES
+            cache_stat = os.fstat(fh.fileno())
+            if cache_stat.st_size != offset:
                 return None
-            digest = hashlib.sha256()
-            while block := capture_file.read(_BLOCK_BYTES):
-                digest.update(block)
-            if digest.hexdigest() != meta["capture_sha256"]:
+            racy = max(identity[3:]) >= cache_stat.st_mtime_ns  # the capture's mtime or ctime is not older
+            if (meta["identity"] != identity or racy) and _sha256(capture_file) != meta["capture_sha256"]:
                 return None
             arrays = _read_section(fh, _TABLE_TYPECODES, table_lengths, meta_line)
         check_header(meta["header"])  # a cache written before a rule the header breaks
@@ -656,15 +686,15 @@ def _table_from_cache(meta: dict, arrays: list) -> "SlotTable":
     return table
 
 
-def _write_cache(cache_path: Path, capture: Capture, capture_sha256: str) -> None:
+def _write_cache(cache_path: Path, capture: Capture, capture_sha256: str, identity: list, capture_file) -> None:
     """Cache a parsed ``capture``'s table and column sections, as it
     holds them, at ``cache_path``, through a temporary file renamed into
-    place.  Nothing is cached for a capture without a trailer, which may
-    still be growing; a cache that cannot be written is left out."""
-    import hashlib
-
+    place, keyed on ``identity``, the _identity of ``capture_file`` taken
+    before the parse.  Nothing is cached for a capture without a trailer,
+    which may still be growing, nor when the capture's identity changed
+    during the parse; a cache that cannot be written is left out."""
     table = capture._table
-    if capture.integrity is None:
+    if capture.integrity is None or _identity(capture_file) != identity:
         return
     arrays = [getattr(table, name) for name in _TABLE_ARRAYS]
     table_fields = dict(
@@ -675,7 +705,7 @@ def _write_cache(cache_path: Path, capture: Capture, capture_sha256: str) -> Non
         columns=[[column.typecode, column.itemsize, len(column)] for column in arrays],
     )
     meta = dict(
-        version=CACHE_VERSION, byteorder=sys.byteorder, capture_sha256=capture_sha256,
+        version=CACHE_VERSION, byteorder=sys.byteorder, identity=identity, capture_sha256=capture_sha256,
         header=capture.header, integrity=capture.integrity, skipped_lines=capture.skipped_lines,
         counts=capture.counts, frame_devices=capture._frame_devices,
         columns=[[column.typecode, column.itemsize, len(column)] for section in capture._sections for column in section],
@@ -687,11 +717,11 @@ def _write_cache(cache_path: Path, capture: Capture, capture_sha256: str) -> Non
         with open(tmp, "xb") as fh:
             fh.write(meta_line)
             for section in (arrays, *capture._sections):
-                digest = hashlib.sha256(meta_line)
+                crc = zlib.crc32(meta_line)
                 for column in section:
                     column.tofile(fh)
-                    digest.update(column)
-                fh.write(digest.digest())
+                    crc = zlib.crc32(column, crc)
+                fh.write(crc.to_bytes(_CHECK_BYTES, "little"))
         os.replace(tmp, cache_path)
     except OSError:
         with contextlib.suppress(OSError):

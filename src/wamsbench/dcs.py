@@ -412,7 +412,10 @@ class LiveDcsServer:
     def start(self) -> None:
         """Bind, then open both logs, so a port that cannot be bound
         leaves an earlier run's logs as they were."""
-        self._listener = socket.create_server((self.host, self.port))
+        # a burst of dials waits in the kernel's queue until the loop
+        # drains it; a full queue drops a SYN, and that dial waits out a
+        # 1 s retransmission timeout
+        self._listener = socket.create_server((self.host, self.port), backlog=socket.SOMAXCONN)
         try:
             self.out_dir.mkdir(parents=True, exist_ok=True)
             epoch = round(time.time() * 1000)
@@ -455,18 +458,21 @@ class LiveDcsServer:
             self._selector.close()
 
     def _accept(self) -> None:
-        try:
-            sock, addr = self._listener.accept()
-        except OSError:
-            return
-        if len(self._offsets) >= self.max_conns:
-            log.warning("refusing connection from %s: at max_conns", addr)
-            self.ingest.counters["refused_connections"] += 1
-            sock.close()
-            return
-        self._next_id += 1
-        self._offsets[self._next_id] = 0
-        self._selector.register(sock, selectors.EVENT_READ, self._next_id)
+        """Take every connection waiting in the listen queue, refusing
+        each one past max_conns."""
+        while True:
+            try:
+                sock, addr = self._listener.accept()
+            except OSError:  # the queue is empty (BlockingIOError), or a peer gave up
+                return
+            if len(self._offsets) >= self.max_conns:
+                log.warning("refusing connection from %s: at max_conns", addr)
+                self.ingest.counters["refused_connections"] += 1
+                sock.close()
+                continue
+            self._next_id += 1
+            self._offsets[self._next_id] = 0
+            self._selector.register(sock, selectors.EVENT_READ, self._next_id)
 
     def _close(self, sock: socket.socket, conn_id: int) -> None:
         self._selector.unregister(sock)

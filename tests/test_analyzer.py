@@ -19,10 +19,13 @@ import random
 import shutil
 import statistics
 import struct
+import subprocess
 import sys
-from array import array
+import time
+import zlib
 from functools import partial
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +52,8 @@ from wamsbench.analyzer import (
 )
 from wamsbench.scenario import load_scenario, parse_scenario
 from wamsbench.sim import run_simulation
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.mark.parametrize("builder", oracle_logs.ALL_ORACLES, ids=lambda b: b.__name__)
@@ -1018,13 +1023,43 @@ def _two_device_capture(path):
     return _write(path, [_compact(1.5, 1, 55, frames=[(1, 0, 1.5)]), _compact(2.5, 2, 55, frames=[(1, 0, 2.5)])])
 
 
+def _wait_past_ctime(*paths):
+    """Return once a file touched now gets an mtime past the ctime of
+    every one of ``paths``, so a cache written next is not racy."""
+    probe = paths[0].with_name("probe")
+    probe.touch()
+    ctime = max(path.stat().st_ctime_ns for path in paths)
+    deadline = time.monotonic() + 10.0
+    while probe.stat().st_mtime_ns <= ctime:
+        assert time.monotonic() < deadline, "the file clock did not advance"
+        time.sleep(0.001)
+        os.utime(probe)
+    probe.unlink()
+
+
+def _cached(path) -> tuple:
+    """_cold, with a cache that is not racy: a warm load of the same
+    capture trusts its identity and hashes nothing."""
+    _wait_past_ctime(path)
+    state = _cold(path)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(analyzer, "_sha256", _no_parse)
+        assert _warm(path) == state
+    return state
+
+
+def _edit(path):
+    """Rewrite the capture at ``path`` in place, at the same size."""
+    path.write_text(_replace(path.read_text(), '"wall_time":2.5', '"wall_time":3.5'))
+
+
 def test_capture_edited_in_place_is_reparsed_and_recached(tmp_path):
     path = _two_device_capture(tmp_path / "c.jsonl")
-    before = _cold(path)
+    before = _cached(path)
     cached = _cache_of(path).read_bytes()
     stat = path.stat()
-    path.write_text(_replace(path.read_text(), '"wall_time":2.5', '"wall_time":3.5'))
-    # same size and modification time: only the digest tells
+    _edit(path)
+    # same size and modification time: the ctime tells, and the digest
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
     assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
     after = _state(load_capture(path))
@@ -1033,9 +1068,125 @@ def test_capture_edited_in_place_is_reparsed_and_recached(tmp_path):
     assert _warm(path) == after == _cold(path)
 
 
+def _identity_of(path) -> list:
+    st = path.stat()
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+def _same_size_edit(tmp_path):
+    path = _two_device_capture(tmp_path / "c.jsonl")
+    _cached(path)
+    _edit(path)
+    return path
+
+
+def _rename_over(tmp_path):
+    # a file of the same size and mtime renamed over the capture
+    path, other = _two_device_capture(tmp_path / "c.jsonl"), _two_device_capture(tmp_path / "other")
+    _edit(other)
+    os.utime(other, ns=(path.stat().st_atime_ns, path.stat().st_mtime_ns))
+    _wait_past_ctime(other)
+    _cached(path)
+    os.replace(other, path)
+    return path
+
+
+def _copy_with_its_cache(tmp_path):
+    # a new inode, the timestamps kept, and the cache copied along: the
+    # digest matches, so the cache serves
+    source = _two_device_capture(tmp_path / "c.jsonl")
+    _cached(source)
+    path = tmp_path / "copy.jsonl"
+    shutil.copy2(source, path)
+    shutil.copy2(_cache_of(source), _cache_of(path))
+    return path
+
+
+def _another_captures_cache(tmp_path):
+    # two captures of one size and mtime: the inode and ctime tell them
+    # apart, and the cache copied over is newer than both
+    source, path = _two_device_capture(tmp_path / "c.jsonl"), _two_device_capture(tmp_path / "d.jsonl")
+    _edit(path)
+    os.utime(path, ns=(source.stat().st_atime_ns, source.stat().st_mtime_ns))
+    _wait_past_ctime(source, path)
+    _cold(source)
+    shutil.copyfile(_cache_of(source), _cache_of(path))
+    return path
+
+
+def _racy_cache(tmp_path):
+    # a same-size rewrite within the timestamp tick of the cache's
+    # writing: the identity recorded is the rewritten capture's, and the
+    # cache's mtime is not after the capture's ctime
+    path = _two_device_capture(tmp_path / "c.jsonl")
+    _cold(path)
+    _edit(path)
+    identity = _identity_of(path)
+    _cache_of(path).write_bytes(_edit_meta(lambda meta: meta.update(identity=identity))(_cache_of(path).read_bytes()))
+    os.utime(_cache_of(path), ns=(identity[4], identity[4]))
+    return path
+
+
+STALE_CACHES = {
+    "same-size-edit": _same_size_edit,
+    "rename-over": _rename_over,
+    "copy-with-its-cache": _copy_with_its_cache,
+    "another-captures-cache": _another_captures_cache,
+    "racy": _racy_cache,
+}
+
+
+@pytest.mark.parametrize("case", sorted(STALE_CACHES))
+def test_cache_whose_identity_cannot_be_trusted_is_hashed_or_reparsed(case, tmp_path, monkeypatch):
+    path = STALE_CACHES[case](tmp_path)
+    checks = []
+
+    def listed(name, real):
+        def call(*args):
+            checks.append(name)
+            return real(*args)
+
+        return call
+
+    for name in ("_sha256", "_parse"):
+        monkeypatch.setattr(analyzer, name, listed(name, getattr(analyzer, name)))
+    state = _state(load_capture(path))
+    assert checks in (["_sha256"], ["_parse"], ["_sha256", "_parse"])
+    monkeypatch.undo()
+    assert state == _cold(path)
+
+
+def test_capture_that_changes_during_the_parse_is_not_cached(tmp_path, monkeypatch):
+    path = _two_device_capture(tmp_path / "c.jsonl")
+    parse = analyzer._parse
+
+    def growing(*args):
+        with open(path, "a") as fh:
+            fh.write(_compact(4.5, 1, 55) + "\n")
+        return parse(*args)
+
+    monkeypatch.setattr(analyzer, "_parse", growing)
+    state = _state(load_capture(path))
+    assert not _cache_of(path).exists()
+    monkeypatch.undo()
+    assert state == _cold(path)
+
+
+# the CRC-32 that ends each cache section
+_CHECK = 4
+
+
+def _crc32(data: bytes) -> bytes:
+    return zlib.crc32(data).to_bytes(_CHECK, "little")
+
+
+def _sha256(data: bytes) -> bytes:
+    return hashlib.sha256(data).digest()
+
+
 def _sections(data: bytes) -> list:
     """A cache's JSON line, then its table, records and device sections,
-    each section without the digest that ends it."""
+    each section without the check that ends it."""
     line, rest = data.split(b"\n", 1)
     meta = json.loads(line)
     columns = meta["table"]["columns"], meta["columns"][:6], *(
@@ -1045,23 +1196,24 @@ def _sections(data: bytes) -> list:
     for section in columns:
         size = sum(length * itemsize for _, itemsize, length in section)
         parts.append(rest[:size])
-        rest = rest[size + 32:]
+        rest = rest[size + _CHECK:]
     return parts
 
 
-def _edit_meta(edit, sign=True):
-    """A mangler that applies ``edit`` to a cache's JSON line and, with
-    ``sign``, ends each section with the digest of its new contents, as
-    a writer of that JSON would have."""
+def _edit_meta(edit, sign=_crc32):
+    """A mangler that applies ``edit`` to a cache's JSON line and, with a
+    ``sign`` function, ends each section with ``sign`` of the new JSON
+    line and the section, as a writer of that JSON would have; with None
+    the sections keep their checks."""
 
     def mangle(data: bytes) -> bytes:
         line, *sections = _sections(data)
         meta = json.loads(line)
         edit(meta)
         head = json.dumps(meta).encode() + b"\n"
-        if not sign:
+        if sign is None:
             return head + data[len(line):]
-        return head + b"".join(section + hashlib.sha256(head + section).digest() for section in sections)
+        return head + b"".join(section + sign(head + section) for section in sections)
 
     return mangle
 
@@ -1071,7 +1223,7 @@ def _section_start(data: bytes, section: int) -> int:
     records, 3 the first device's frames, -1 the last device's."""
     parts = _sections(data)
     section %= len(parts)
-    return len(parts[0]) + sum(len(part) + 32 for part in parts[1:section])
+    return len(parts[0]) + sum(len(part) + _CHECK for part in parts[1:section])
 
 
 def _flip_byte(section: int):
@@ -1128,8 +1280,8 @@ BAD_CACHES = {
     "flipped-table-byte": _flip_byte(1),
     "flipped-last-device-byte": _flip_byte(-1),
     "cut-in-a-device-section": lambda data: data[:_section_start(data, -1) + 1],
-    "edited-header": _edit_meta(lambda meta: meta["header"].update(t_fdr_ms=1.0), sign=False),
-    # caches whose digest holds: only their layout tells
+    "edited-header": _edit_meta(lambda meta: meta["header"].update(t_fdr_ms=1.0), sign=None),
+    # caches whose checks hold: only their layout tells
     "other-version": _edit_meta(lambda meta: meta.update(version=analyzer.CACHE_VERSION + 1)),
     "version-3": _edit_meta(lambda meta: meta.update(version=3)),
     "version-4": _edit_meta(lambda meta: meta.update(version=4)),
@@ -1170,24 +1322,25 @@ def test_negative_cache_length_is_refused_before_any_column_is_read(tmp_path):
     assert _cache_of(path).read_bytes() == good
 
 
-def test_version_6_cache_is_ignored_and_rewritten_as_version_7(tmp_path, monkeypatch):
-    # as version 6 wrote it: byte counts and frame numbers as int64
+def _as_version_7(meta):
+    # version 7 keyed the cache on the capture's SHA-256 alone
+    meta.update(version=7)
+    del meta["identity"]
+
+
+def test_version_7_cache_is_ignored_and_rewritten_as_the_current_version(tmp_path):
+    # as version 7 wrote it: no identity, a SHA-256 after each section
     path = _two_device_capture(tmp_path / "c.jsonl")
-    _cache_of(path).unlink(missing_ok=True)
-    cap = load_capture(path)
-    state, current = _state(cap), _cache_of(path).read_bytes()
-    cap._sections = [[array("q", column) if column.typecode in "HI" else column for column in section]
-                     for section in cap._sections]
-    with monkeypatch.context() as old:
-        old.setattr(analyzer, "CACHE_VERSION", 6)
-        analyzer._write_cache(_cache_of(path), cap, hashlib.sha256(path.read_bytes()).hexdigest())
-    version_6 = _cache_of(path).read_bytes()
-    meta = json.loads(version_6.split(b"\n", 1)[0])
-    assert meta["version"] == 6
-    assert [column[:2] for column in meta["columns"][4:7]] == [["q", 8]] * 3
+    state = _cold(path)
+    current = _cache_of(path).read_bytes()
+    version_7 = _edit_meta(_as_version_7, sign=_sha256)(current)
+    assert len(version_7) - len(version_7.split(b"\n", 1)[0]) == (
+        len(current) - len(current.split(b"\n", 1)[0]) + (32 - _CHECK) * (len(_sections(current)) - 1)
+    )
+    _cache_of(path).write_bytes(version_7)
     assert _state(load_capture(path)) == state
     assert _cache_of(path).read_bytes() == current
-    assert json.loads(current.split(b"\n", 1)[0])["version"] == 7
+    assert json.loads(current.split(b"\n", 1)[0])["version"] == analyzer.CACHE_VERSION
 
 
 def test_cache_holds_18_bytes_per_record_and_20_per_frame(analyzer_captures, tmp_path):
@@ -1197,9 +1350,9 @@ def test_cache_holds_18_bytes_per_record_and_20_per_frame(analyzer_captures, tmp
     data = _cache_of(path).read_bytes()
     meta_line = data.split(b"\n", 1)[0] + b"\n"
     table = sum(itemsize * length for _, itemsize, length in json.loads(meta_line)["table"]["columns"])
-    # one digest each for the table, the records and every device's frames
-    digests = 32 * (2 + len(list(cap.device_frames())))
-    assert len(data) == len(meta_line) + table + 18 * len(cap.records) + 20 * len(_frame_rows(cap)) + digests
+    # one check each for the table, the records and every device's frames
+    checks = _CHECK * (2 + len(list(cap.device_frames())))
+    assert len(data) == len(meta_line) + table + 18 * len(cap.records) + 20 * len(_frame_rows(cap)) + checks
 
 
 class _CountingReads:
@@ -1414,3 +1567,53 @@ def test_golden_outputs_from_cold_and_warm_loads(name, warm, analyzer_captures, 
         _cache_of(path).unlink()
     figures = test_golden.full_precision_figures(load_capture(path))
     assert test_golden._sha(figures.encode()) == test_golden.FULL_PRECISION_GOLDEN[name]
+
+
+# a CLI command in a fresh interpreter: argv[1] the src directory, argv[2]
+# the command's argv as JSON; prints its exit code, what it printed and
+# whether it imported hashlib
+COMMAND_CHILD = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from wamsbench import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(json.loads(sys.argv[2]))
+print(json.dumps({"code": code, "stdout": out.getvalue(), "hashlib": "hashlib" in sys.modules}))
+"""
+
+
+@pytest.fixture(scope="module")
+def sampled_capture(tmp_path_factory):
+    """A 400 s lossless capture, so a sampled report can draw 300 slots."""
+    scenario = dataclasses.replace(load_scenario("lossless"), duration_s=400)
+    return run_simulation(scenario, tmp_path_factory.mktemp("sampled")).capture_path
+
+
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_warm_command_imports_no_hashlib(command, sampled_capture, tmp_path):
+    # OpenSSL's pages are most of a warm command's peak RSS above the
+    # import of the package: a warm load that trusts the cache's identity
+    # hashes nothing, and only the parse and a racy cache import hashlib
+    path = sampled_capture
+
+    def run(name) -> tuple:
+        out = tmp_path / name
+        argv = {"analyze": ["analyze", str(path), "--out-dir", str(out)],
+                "report": ["report", str(path), "--sample-size", "300"]}[command]
+        proc = subprocess.run([sys.executable, "-c", COMMAND_CHILD, str(SRC), json.dumps(argv)],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["code"] == 0
+        written = sorted((file.name, file.read_bytes()) for file in out.iterdir()) if out.exists() else []
+        return result["hashlib"], (result["stdout"], written)
+
+    _cache_of(path).unlink(missing_ok=True)
+    _wait_past_ctime(path)
+    imported, cold = run("cold")
+    assert imported and _cache_of(path).exists()
+    assert run("warm") == (False, cold)
+    ctime = path.stat().st_ctime_ns
+    os.utime(_cache_of(path), ns=(ctime, ctime))
+    assert run("racy") == (True, cold)

@@ -418,6 +418,36 @@ class TestLiveDcsServer:
         assert sorted(r["device_id"] for r in lines[1:-1]) == list(range(1, 51))
         assert lines[-1]["integrity"]["rows"] == 50
 
+    def test_one_accept_drains_the_listen_queue(self, tmp_path, monkeypatch):
+        # a burst of dials, taken one per select wake-up, overflowed
+        # Python's default backlog of 128: the kernel dropped a SYN and
+        # that dial waited out the 1 s retransmission timeout
+        backlogs, create_server = [], socket.create_server
+
+        def recorded(*args, backlog=None, **kwargs):
+            backlogs.append(backlog)
+            return create_server(*args, backlog=backlog, **kwargs)
+
+        monkeypatch.setattr(socket, "create_server", recorded)
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: None)  # the loop stays still
+        server = LiveDcsServer(out_dir=tmp_path, max_conns=32)
+        server.start()
+        socks = []
+        try:
+            for _ in range(40):  # all queued in the kernel, none accepted yet
+                socks.append(socket.create_connection(("127.0.0.1", server.port), timeout=5.0))
+            server._accept()
+            assert len(server._offsets) == 32
+            assert server.ingest.counters["refused_connections"] == 8
+            assert backlogs == [socket.SOMAXCONN]
+        finally:
+            for sock in socks:
+                sock.close()
+            server._stop.set()
+            server._run()  # stopped: closes the listener and every connection
+            server._capture.close(server.ingest.counters)
+            server._rows.close(server.ingest.counters)
+
     def test_max_conns_refuses_extra_connection(self, tmp_path):
         server = LiveDcsServer(out_dir=tmp_path, max_conns=1)
         server.start()

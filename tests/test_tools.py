@@ -7,6 +7,7 @@ Every step runs here on a 5 s capture; ``report`` then draws 5 slots.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -34,10 +35,28 @@ def test_child_steps_run_on_a_short_capture(tools, tmp_path):
     sections = rss_slope.cache_sections(str(cache))
     meta_line = cache.read_bytes().split(b"\n", 1)[0] + b"\n"
     assert len(meta_line) + sum(sections.values()) == cache.stat().st_size
-    assert sections["records"] == 18 * sim["records"] + 32
+    assert sections["records"] == 18 * sim["records"] + 4  # and the section's CRC-32
     assert rss_slope.cache_sections(str(tmp_path / "none.columns")) == {"table": 0, "records": 0, "frames": 0}
     report = rss_slope.run_child(str(ROOT), "report", 5, str(tmp_path))
     assert report["maxrss_kib"] > 0
+
+
+@pytest.mark.parametrize("width", [32, 4], ids=["sha256", "crc32"])
+def test_cache_sections_derive_the_check_width_from_the_file_size(width, tools, tmp_path):
+    rss_slope, _ = tools
+    # a table of 3 doubles, 2 records (18 B each) and two devices' frames
+    # (20 B each): 1 and 4 frames
+    record_columns = [["d", 8, 2], ["i", 4, 2], ["B", 1, 2], ["B", 1, 2], ["H", 2, 2], ["H", 2, 2]]
+    frame_columns = [column for n in (1, 4) for column in (["I", 4, n], ["q", 8, n], ["d", 8, n])]
+    meta = {"table": {"columns": [["d", 8, 3]]}, "columns": record_columns + frame_columns}
+    line = json.dumps(meta).encode() + b"\n"
+    path = tmp_path / "c.columns"
+    path.write_bytes(line + bytes(24 + 36 + 20 + 80 + 4 * width))
+    assert rss_slope.cache_sections(str(path)) == {"table": 24 + width, "records": 36 + width,
+                                                   "frames": 100 + 2 * width}
+    path.write_bytes(line + bytes(24 + 36 + 20 + 80 + 4 * width + 1))
+    with pytest.raises(ValueError, match="do not add up"):
+        rss_slope.cache_sections(str(path))
 
 
 def test_report_splits_the_cache_slope_by_section(tools):

@@ -17,19 +17,20 @@ the two durations, per capture record and per frame.  A fixed cost
 (interpreter, imports, buffers) cancels out of the slope; what is left
 is what the program keeps per record or per frame.  The cache's slope
 is also split by section (the slot table, the records, every device's
-frames, each with its digest), read from the cache's JSON line, so a
-layout change shows where it landed.
+frames, each with the check that ends it), read from the cache's JSON
+line, so a layout change shows where it landed.
 
-    python tools/rss_slope.py [--root DIR]
+    python tools/rss_slope.py [--root DIR]...
 
-``--root`` selects the checkout whose ``src/`` is measured (default:
-the one holding this script), so two checkouts can be compared with the
-same script.  ``tools/cold_load.py`` runs its children through
-``run_child`` too, with one more step, ``load``: the time of one
-in-process ``load_capture`` after the column cache is deleted.  Stdlib
-only; the captures go to a temporary directory that is deleted
-afterwards.  The 4000 s simulation writes a capture of about 200 MB and
-takes a few minutes.
+``--root`` (repeatable) selects a checkout whose ``src/`` is measured
+(default: the one holding this script), so two checkouts can be
+compared with the same script in one run; each gets its own tables.
+``tools/cold_load.py`` runs its children through ``run_child`` too,
+with one more step, ``load``: the time of one in-process
+``load_capture`` after the column cache is deleted.  Stdlib only; the
+captures go to a temporary directory that is deleted afterwards.  The
+4000 s simulation writes a capture of about 200 MB and takes a few
+minutes.
 """
 
 import argparse
@@ -93,23 +94,34 @@ def run_child(root: str, step: str, duration_s: int, work: str) -> dict:
 
 
 def cache_sections(path: str) -> dict:
-    """Bytes of each section of the column cache at ``path``, its 32-byte
-    digests included, from the typecode, itemsize and length of each
-    column its JSON line lists; zeros when there is no cache."""
-    sizes = dict.fromkeys(SECTIONS, 0)
+    """Bytes of each section of the column cache at ``path``, the check
+    that ends it included, from the typecode, itemsize and length of each
+    column its JSON line lists; zeros when there is no cache.
+
+    The width of a section's check is not read from a version number:
+    the JSON line, the columns and one check per section make up the
+    whole file, so the width is what is left over per section.  A cache
+    with 32-byte digests and one with 4-byte CRCs read alike."""
     if not os.path.exists(path):
-        return sizes
+        return dict.fromkeys(SECTIONS, 0)
     with open(path, "rb") as fh:
-        meta = json.loads(fh.readline())
+        meta_line = fh.readline()
+    meta = json.loads(meta_line)
 
     def size(columns):
-        return sum(itemsize * length for _, itemsize, length in columns) + 32
+        return sum(itemsize * length for _, itemsize, length in columns)
 
     columns = meta["columns"]  # the six record columns, then three per device
-    sizes["table"] = size(meta["table"]["columns"])
-    sizes["records"] = size(columns[:6])
-    sizes["frames"] = sum(size(columns[k:k + 3]) for k in range(6, len(columns), 3))
-    return sizes
+    sections = {
+        "table": [size(meta["table"]["columns"])],
+        "records": [size(columns[:6])],
+        "frames": [size(columns[k:k + 3]) for k in range(6, len(columns), 3)],
+    }
+    count = sum(map(len, sections.values()))
+    width, rest = divmod(os.path.getsize(path) - len(meta_line) - sum(map(sum, sections.values())), count)
+    if rest or width < 0:
+        raise ValueError(f"{path}: its sizes do not add up to a column cache")
+    return {name: sum(sizes) + width * len(sizes) for name, sizes in sections.items()}
 
 
 def measure(root: str, work: str) -> list:
@@ -163,11 +175,13 @@ def report(rows: list) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", default=os.path.dirname(HERE), help="checkout whose src/ is measured")
+    parser.add_argument("--root", action="append", help="checkout whose src/ is measured (repeatable)")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="rss_slope-") as work:
-        rows = measure(os.path.abspath(args.root), work)
-    print(report(rows))
+    roots = [os.path.abspath(root) for root in args.root or [os.path.dirname(HERE)]]
+    for root in roots:
+        with tempfile.TemporaryDirectory(prefix="rss_slope-") as work:
+            rows = measure(root, work)
+        print(f"{root}\n\n{report(rows)}\n")
     return 0
 
 
