@@ -570,6 +570,8 @@ def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
 # both older than the cache file's own mtime.  A change within one
 # timestamp tick of the cache's writing leaves the times equal, so such a
 # cache is racy, and the load hashes the capture and compares digests.
+# When the digests match, the load keys the cache on the capture's
+# identity now (_rekey_cache), so the next load trusts it without a hash.
 
 CACHE_VERSION = 8
 _CHECK_BYTES = 4  # the CRC-32 that ends each section
@@ -581,7 +583,8 @@ _BAD_CACHE = (OSError, EOFError, ValueError, LookupError, TypeError, RecursionEr
 
 class _CacheSections(NamedTuple):
     """Where a cached load finds its column sections, in Capture's
-    section order, each as (offset, typecodes, lengths)."""
+    section order, each as (offset past the JSON line, typecodes,
+    lengths)."""
 
     path: Path
     cache_path: Path
@@ -630,7 +633,8 @@ def _read_cache(path: Path, cache_path: Path, capture_file, identity: list) -> O
     when no whole cache of this version and layout is there for it.  The
     capture is read, and hashed from its start, only when the identity
     cannot be trusted: it differs from the cache's, or the cache is
-    racy."""
+    racy.  After a hash that matches, the cache is keyed on ``identity``
+    (_rekey_cache)."""
     try:
         with open(cache_path, "rb") as fh:
             meta_line = fh.readline()
@@ -640,7 +644,8 @@ def _read_cache(path: Path, cache_path: Path, capture_file, identity: list) -> O
             devices = meta["frame_devices"]
             lengths = _layout(meta["columns"], _RECORD_TYPECODES + _FRAME_TYPECODES * len(devices))
             table_lengths = _layout(meta["table"]["columns"], _TABLE_TYPECODES)
-            offset = len(meta_line) + _section_bytes(_TABLE_TYPECODES, table_lengths) + _CHECK_BYTES
+            sizes = [_section_bytes(_TABLE_TYPECODES, table_lengths)]  # of each section, without its check
+            offset = sizes[0] + _CHECK_BYTES  # past the JSON line
             sections = []
             groups = [(_RECORD_TYPECODES, lengths[:6])]
             groups += [(_FRAME_TYPECODES, lengths[k:k + 3]) for k in range(6, len(lengths), 3)]
@@ -648,14 +653,18 @@ def _read_cache(path: Path, cache_path: Path, capture_file, identity: list) -> O
                 if len(set(group)) != 1:  # a section's columns have one length
                     return None
                 sections.append((offset, codes, group))
-                offset += _section_bytes(codes, group) + _CHECK_BYTES
+                sizes.append(_section_bytes(codes, group))
+                offset += sizes[-1] + _CHECK_BYTES
             cache_stat = os.fstat(fh.fileno())
-            if cache_stat.st_size != offset:
+            if cache_stat.st_size != len(meta_line) + offset:
                 return None
             racy = max(identity[3:]) >= cache_stat.st_mtime_ns  # the capture's mtime or ctime is not older
-            if (meta["identity"] != identity or racy) and _sha256(capture_file) != meta["capture_sha256"]:
+            trusted = meta["identity"] == identity and not racy
+            if not trusted and _sha256(capture_file) != meta["capture_sha256"]:
                 return None
             arrays = _read_section(fh, _TABLE_TYPECODES, table_lengths, meta_line)
+            if not trusted:
+                meta_line = _rekey_cache(cache_path, fh, meta, meta_line, sizes, identity, capture_file)
         check_header(meta["header"])  # a cache written before a rule the header breaks
         table = _table_from_cache(meta, arrays)
         cache = _CacheSections(path, cache_path, meta_line, meta["capture_sha256"], sections)
@@ -669,8 +678,59 @@ def _read_cached_section(cache: _CacheSections, index: int) -> list:
     """The arrays of column section ``index`` of ``cache``."""
     offset, typecodes, lengths = cache.sections[index]
     with open(cache.cache_path, "rb") as fh:
-        fh.seek(offset)
+        fh.seek(len(cache.meta_line) + offset)
         return _read_section(fh, typecodes, lengths, cache.meta_line)
+
+
+def _rekey_cache(cache_path: Path, cache_file, meta: dict, meta_line: bytes, sizes: list, identity: list,
+                 capture_file) -> bytes:
+    """Key the cache open at ``cache_file``, whose capture just hashed to
+    the digest it records, on the capture's ``identity``: copy it to a
+    temporary file under a JSON line that records ``identity``, each
+    section re-signed, and rename that into place.  Returns the JSON
+    line of the cache now at ``cache_path``.
+
+    ``sizes`` are the sections' byte counts, without their checks.  Each
+    section is checked against its old CRC-32 as it is copied, so a
+    damaged section is never signed anew.  The cache is left as it is
+    when a check fails, when the capture's identity moved during the
+    hash, when the new cache would be racy too, or when it cannot be
+    written."""
+    if _identity(capture_file) != identity:
+        return meta_line
+    new_line = json.dumps(dict(meta, identity=identity)).encode() + b"\n"
+    tmp = _temporary_path(cache_path)
+    try:
+        with open(tmp, "xb") as out:
+            out.write(new_line)
+            cache_file.seek(len(meta_line))
+            for size in sizes:
+                old_crc, new_crc = zlib.crc32(meta_line), zlib.crc32(new_line)
+                while size:
+                    block = cache_file.read(min(size, _BLOCK_BYTES))
+                    if not block:
+                        raise EOFError("a cache section is cut short")
+                    old_crc, new_crc = zlib.crc32(block, old_crc), zlib.crc32(block, new_crc)
+                    out.write(block)
+                    size -= len(block)
+                if cache_file.read(_CHECK_BYTES) != old_crc.to_bytes(_CHECK_BYTES, "little"):
+                    raise ValueError("a cache section fails its check")
+                out.write(new_crc.to_bytes(_CHECK_BYTES, "little"))
+            out.flush()
+            if os.fstat(out.fileno()).st_mtime_ns <= max(identity[3:]):
+                raise ValueError("the new cache would be racy")
+        os.replace(tmp, cache_path)
+    except _BAD_CACHE:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        return meta_line
+    return new_line
+
+
+def _temporary_path(cache_path: Path) -> Path:
+    """A fresh name beside ``cache_path`` to write a cache under before it
+    is renamed into place."""
+    return cache_path.with_name(f"{cache_path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
 
 
 def _table_from_cache(meta: dict, arrays: list) -> "SlotTable":
@@ -712,7 +772,7 @@ def _write_cache(cache_path: Path, capture: Capture, capture_sha256: str, identi
         table=table_fields,
     )
     meta_line = json.dumps(meta).encode() + b"\n"
-    tmp = cache_path.with_name(f"{cache_path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    tmp = _temporary_path(cache_path)
     try:
         with open(tmp, "xb") as fh:
             fh.write(meta_line)

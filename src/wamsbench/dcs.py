@@ -125,26 +125,31 @@ class CaptureRecord:
 
 # the lines of MeasurementRow.to_json and CaptureRecord.to_json, spelled
 # out for the writers' hot paths; %r or %s of an int or a finite float
-# is exactly what dumps writes for it
+# is exactly what dumps writes for it.  An arrival instant comes in as
+# its repr, formatted once for every line that carries it.
 _MEASUREMENT_LINE = (
-    '{"device_id":%r,"frame_seq":%r,"frame_timestamp":%r,"arrival_time":%r,'
+    '{"device_id":%r,"frame_seq":%r,"frame_timestamp":%r,"arrival_time":%s,'
     '"frequency":%r,"voltage_mag":%r,"voltage_angle":%r,"status":%r}'
 )
 _CAPTURE_LINE = (
     '{"wall_time":%s,"device_id":%s,"direction":"%s","seq_range":[%r,%r],'
     '"payload_bytes":%r,"header_bytes":%r,"retransmission_class":"%s","frame_complete":%s}'
 )
-_FRAME_COMPLETE = '{"frame_seq":%r,"frame_timestamp":%r,"arrival_time_of_last_byte":%r}'
+_FRAME_COMPLETE = '{"frame_seq":%r,"frame_timestamp":%r,"arrival_time_of_last_byte":%s}'
 
 
-def measurement_line(row: MeasurementRow) -> str:
+def measurement_line(row: MeasurementRow, arrival_time: str) -> str:
     """``dumps(row.to_json())`` for a row whose floats are finite, as
-    every row decoded from an encoded frame is."""
-    return _MEASUREMENT_LINE % row  # the line's fields are the row's, in order
+    every row decoded from an encoded frame is; ``arrival_time`` is
+    ``repr(row.arrival_time)``."""
+    device_id, frame_seq, frame_timestamp, _, frequency, voltage_mag, voltage_angle, status = row
+    return _MEASUREMENT_LINE % (
+        device_id, frame_seq, frame_timestamp, arrival_time, frequency, voltage_mag, voltage_angle, status
+    )
 
 
 def capture_line(
-    wall_time: Optional[float],
+    wall_time: str,
     device_id: Optional[int],
     direction: str,
     seq_start: int,
@@ -155,18 +160,21 @@ def capture_line(
     rows: Optional[list] = None,
 ) -> str:
     """The encoded JSON line of the CaptureRecord with these fields,
-    without building the record; ``rows`` are the MeasurementRows that
-    make up its frame_complete list."""
+    without building the record.
+
+    ``wall_time`` is the record's wall time as JSON text: the repr of
+    the arrival instant, or "null" for a copy the channel dropped.
+    ``rows`` are the MeasurementRows that make up its frame_complete
+    list; they were completed by this copy's arrival, so each one's
+    arrival_time is that same instant.
+    """
     if rows:
-        entries = ",".join(
-            # r[1:4] is (frame_seq, frame_timestamp, arrival_time)
-            [_FRAME_COMPLETE % r[1:4] for r in rows]
-        )
+        entries = ",".join([_FRAME_COMPLETE % (r[1], r[2], wall_time) for r in rows])
         frame_complete = f"[{entries}]"
     else:
         frame_complete = "null"
     return _CAPTURE_LINE % (
-        "null" if wall_time is None else repr(wall_time),
+        wall_time,
         "null" if device_id is None else device_id,
         direction,
         seq_start,
@@ -221,14 +229,18 @@ class LogWriter:
             raise
 
     def write(self, obj) -> None:
-        """Append one line: ``obj`` JSON-encoded, or as is when it is a
-        str that already holds one encoded JSON value."""
+        """Append ``obj`` JSON-encoded as one line, or, when it is a str,
+        as is: one encoded JSON value, or a block of them joined by
+        newlines.  A newline ends what it appends, so every byte either
+        log holds passes through here."""
         self._fh.write((obj if obj.__class__ is str else dumps(obj)) + "\n")
 
     def close(self, integrity: Optional[dict] = None) -> None:
-        if integrity is not None:
-            self.write({"integrity": dict(integrity)})
-        self._fh.close()
+        try:
+            if integrity is not None:
+                self.write({"integrity": dict(integrity)})
+        finally:
+            self._fh.close()
 
 
 class FrameAssembler:
@@ -339,17 +351,13 @@ class IngestState:
         self.seen: dict = {}  # device_id -> SeqRuns of frame_seq
         self.counters: Counter = Counter()
 
-    def assembler(self, conn_key) -> FrameAssembler:
-        asm = self.assemblers.get(conn_key)
-        if asm is None:
-            asm = self.assemblers[conn_key] = FrameAssembler()
-        return asm
-
     def deliver(self, conn_key, data: bytes, arrival_ms: float) -> list:
         """Feed bytes delivered in order on one connection at
         ``arrival_ms``, a time at microsecond precision; returns the
         MeasurementRows completed by this delivery."""
-        asm = self.assembler(conn_key)
+        asm = self.assemblers.get(conn_key)
+        if asm is None:
+            asm = self.assemblers[conn_key] = FrameAssembler()
         frames, events = asm.feed(data)
         if events:
             self.counters.update(events)
@@ -489,6 +497,7 @@ class LiveDcsServer:
             self._close(sock, conn_id)
             return
         arrival = ms(time.time() * 1000.0)
+        arrival_time = repr(arrival)
         rows = self.ingest.deliver(conn_id, data, arrival)
         finite = [r for r in rows if _finite_row(r)]
         if len(finite) < len(rows):
@@ -506,11 +515,11 @@ class LiveDcsServer:
         # no sniffer in live mode: payload bytes only, every copy an
         # UPLINK one of class FIRST
         self._capture.write(
-            capture_line(arrival, asm.device_id, DIRECTIONS[0], start, end, len(data), 0, CLASSES[0], rows)
+            capture_line(arrival_time, asm.device_id, DIRECTIONS[0], start, end, len(data), 0, CLASSES[0], rows)
         )
         self.ingest.counters["records"] += 1
         for row in rows:
-            self._rows.write(measurement_line(row))
+            self._rows.write(measurement_line(row, arrival_time))
         if asm.junk_since_frame > JUNK_DROP_BYTES:
             log.warning("conn %d: dropping malformed stream", conn_id)
             self.ingest.counters["dropped_connections"] += 1

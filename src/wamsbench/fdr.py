@@ -177,9 +177,7 @@ class DeviceNode:
             self._ticking = True
             now_utc = self.epoch_utc_ms + self.sim.now_us / 1000.0
             first = next_grid_ms(now_utc)
-            self.sim.schedule(
-                round((first - self.epoch_utc_ms) * 1000), lambda: self._tick(first)
-            )
+            self.sim.schedule(round((first - self.epoch_utc_ms) * 1000), self._tick, first)
 
     def _on_failed(self, reason: str) -> None:
         self.reconnects += 1
@@ -194,13 +192,11 @@ class DeviceNode:
         payload = encode_frame(frame)
         split = self._split_rng.random() < self.config.p_seg
         if self.config.t_fdr_ms:
-            self.sim.schedule_in(
-                round(self.config.t_fdr_ms * 1000), lambda: self._send(payload, split)
-            )
+            self.sim.schedule_in(round(self.config.t_fdr_ms * 1000), self._send, payload, split)
         else:
             self._send(payload, split)
         if self.frames_generated < self.frames_total:
-            self.sim.schedule_in(GRID_MS * 1000, lambda: self._tick(t_utc_ms + GRID_MS))
+            self.sim.schedule_in(GRID_MS * 1000, self._tick, t_utc_ms + GRID_MS)
 
     def _send(self, payload: bytes, split: bool) -> None:
         if self.conn is not None and self.conn.established:

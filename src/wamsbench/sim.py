@@ -22,7 +22,6 @@ connection and starts its redial loop.
 
 import logging
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -41,10 +40,12 @@ log = logging.getLogger(__name__)
 # and redial loops settle before the run stops
 DRAIN_GRACE_S = 30
 
-# the record directions, as analyzer.DIRECTIONS names them, and the
-# capture trailer counter of each
+# the most lines a log's writer holds before it hands them on as one
+# block
+BLOCK_LINES = 256
+
+# the record directions, as analyzer.DIRECTIONS names them
 _UPLINK, _ACK = DIRECTIONS
-_COPIES_KEY = {_UPLINK: "uplink_copies", _ACK: "ack_copies"}
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,8 @@ class _DcsEndpoint(Connection):
     Every segment from the device arrives here before the transport
     sees it.  During an outage nothing reaches the transport at all:
     the host refuses the port and answers RST.  A data copy is logged
-    at its arrival instant, together with the frames it completed.
+    at its arrival instant, together with the frames it completed (a
+    segment makes at most one in-order delivery).
     """
 
     def __init__(self, harness: "_DeviceHarness", conn_key: str, sim, link, role):
@@ -91,27 +93,25 @@ class _DcsEndpoint(Connection):
         )
         self.harness = harness
         self.conn_key = conn_key
-        self._rows: list = []  # rows completed by the segment being delivered
+        self._rows: Optional[list] = None  # rows completed by the segment being delivered
 
     def _ingest(self, data: bytes) -> None:
         run = self.harness.run
-        self._rows.extend(run.ingest.deliver(self.conn_key, data, run.wall_ms(run.sim.now_us)))
+        self._rows = run.ingest.deliver(self.conn_key, data, run.wall_ms(run.sim.now_us))
 
     def deliver_segment(self, seg: Segment) -> None:
         harness = self.harness
         run = harness.run
         now_us = run.sim.now_us
-        if run.in_outage(now_us):
+        if run.outages and run.in_outage(now_us):
             if seg.payload:
                 run.write_record(harness.device_id, _UPLINK, seg, now_us)
             self._refuse()
             return
         super().deliver_segment(seg)
         if seg.payload:
-            rows, self._rows = self._rows, []
-            run.write_record(harness.device_id, _UPLINK, seg, now_us, rows)
-            for row in rows:
-                run.rows_log.write(measurement_line(row))
+            run.write_record(harness.device_id, _UPLINK, seg, now_us, self._rows)
+            self._rows = None
 
     def detach(self) -> None:
         super().detach()
@@ -119,13 +119,12 @@ class _DcsEndpoint(Connection):
 
     def _refuse(self) -> None:
         run = self.harness.run
-        run.capture_counters["outage_rsts"] += 1
+        run.outage_rsts += 1
         rst = Segment(0, 0, frozenset({RST}))
         arrival_us = self.link.transmit(HEADER_BYTES)
         run.write_record(self.harness.device_id, _ACK, rst, arrival_us)
-        client = self.peer
-        if arrival_us is not None and client is not None:
-            run.sim.schedule(arrival_us, lambda: client.deliver_segment(rst))
+        if arrival_us is not None and self.peer is not None:
+            run.sim.schedule(arrival_us, self.peer.deliver_segment, rst)
 
 
 class _DeviceHarness:
@@ -206,15 +205,17 @@ class _SimulationRun:
         self.scenario = scenario
         self.epoch_us = scenario.epoch_utc_ms * 1000
         self.out_dir = Path(out_dir)
+        self.outages = scenario.outages
         self.sim = Simulator()
         self.ingest = IngestState()
-        self.capture_counters: Counter = Counter()
-        # pre-seed so the integrity trailer has a stable schema even
-        # when a scenario never exercises a counter
-        for key in ("records", "uplink_copies", "ack_copies", "dropped_copies", "outage_rsts"):
-            self.capture_counters[key] = 0
+        # the capture trailer's counters, but records: uplink_copies + ack_copies
+        self.uplink_copies = self.ack_copies = self.dropped_copies = self.outage_rsts = 0
         self.capture_log: Optional[LogWriter] = None
         self.rows_log: Optional[LogWriter] = None
+        # lines written but not yet handed to their log, at most
+        # BLOCK_LINES each
+        self._capture_lines: list = []
+        self._row_lines: list = []
 
     def wall_ms(self, t_us: int) -> float:
         """UTC milliseconds of simulation instant ``t_us``, at
@@ -228,10 +229,8 @@ class _SimulationRun:
         return (self.epoch_us + t_us) / 1000.0
 
     def in_outage(self, t_us: int) -> bool:
-        if not self.scenario.outages:
-            return False
         t_s = t_us / 1_000_000.0
-        return any(start <= t_s < end for start, end in self.scenario.outages)
+        return any(start <= t_s < end for start, end in self.outages)
 
     def write_record(
         self,
@@ -241,13 +240,30 @@ class _SimulationRun:
         arrival_us: Optional[int],
         rows: Optional[list] = None,
     ) -> None:
-        """Log one wire copy as a CaptureRecord line, encoded straight
-        from the segment."""
+        """Log one wire copy: its capture line, encoded straight from the
+        segment, and the measurement lines of the ``rows`` it completed.
+
+        The arrival instant is formatted once for all of them: a row's
+        arrival_time is the double ``wall_ms(arrival_us)`` by
+        construction (see ``_DcsEndpoint._ingest``).  Lines gather into
+        blocks of up to BLOCK_LINES, each handed to its log in one
+        write.
+        """
         seq, _, flags, payload, retx_class = seg
         payload_bytes = len(payload)
-        self.capture_log.write(
+        if arrival_us is None:
+            wall_time = "null"
+            self.dropped_copies += 1
+        else:
+            wall_time = repr((self.epoch_us + arrival_us) / 1000.0)  # wall_ms, inlined
+        if direction == _UPLINK:
+            self.uplink_copies += 1
+        else:
+            self.ack_copies += 1
+        lines = self._capture_lines
+        lines.append(
             capture_line(
-                None if arrival_us is None else self.wall_ms(arrival_us),
+                wall_time,
                 device_id,
                 direction,
                 seq,
@@ -259,11 +275,30 @@ class _SimulationRun:
                 rows,
             )
         )
-        counters = self.capture_counters
-        counters["records"] += 1
-        counters[_COPIES_KEY[direction]] += 1
-        if arrival_us is None:
-            counters["dropped_copies"] += 1
+        if rows:
+            row_lines = self._row_lines
+            for row in rows:
+                row_lines.append(measurement_line(row, wall_time))
+            if len(row_lines) >= BLOCK_LINES:
+                self._flush(self.rows_log, row_lines)
+        if len(lines) >= BLOCK_LINES:
+            self._flush(self.capture_log, lines)
+
+    @staticmethod
+    def _flush(writer: LogWriter, lines: list) -> None:
+        if lines:
+            writer.write("\n".join(lines))
+            lines.clear()
+
+    def _capture_counters(self) -> dict:
+        """The capture trailer's counters, in key order."""
+        return {
+            "ack_copies": self.ack_copies,
+            "dropped_copies": self.dropped_copies,
+            "outage_rsts": self.outage_rsts,
+            "records": self.uplink_copies + self.ack_copies,
+            "uplink_copies": self.uplink_copies,
+        }
 
     def _header(self, kind: str) -> dict:
         sc = self.scenario
@@ -278,34 +313,43 @@ class _SimulationRun:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         capture_path = self.out_dir / "capture.jsonl"
         rows_path = self.out_dir / "measurements.jsonl"
-        self.capture_log = LogWriter(capture_path, self._header("capture"))
-        self.rows_log = LogWriter(rows_path, self._header("measurements"))
-        harnesses = [_DeviceHarness(self, spec) for spec in sc.devices]
+        harnesses = []
         try:
+            self.capture_log = LogWriter(capture_path, self._header("capture"))
+            self.rows_log = LogWriter(rows_path, self._header("measurements"))
+            harnesses = [_DeviceHarness(self, spec) for spec in sc.devices]
             for h in harnesses:
                 h.node.start()
             processed = self.sim.run_until((sc.duration_s + DRAIN_GRACE_S) * 1_000_000)
         finally:
-            self.capture_log.close(dict(sorted(self.capture_counters.items())))
-            self.rows_log.close(dict(sorted(self.ingest.counters.items())))
+            for writer, lines, counters in (
+                (self.capture_log, self._capture_lines, self._capture_counters()),
+                (self.rows_log, self._row_lines, dict(sorted(self.ingest.counters.items()))),
+            ):
+                if writer is not None:
+                    try:
+                        self._flush(writer, lines)
+                    finally:
+                        writer.close(counters)
             # a finished run is freed by reference counting alone, so the
             # process's peak memory does not depend on when the cyclic
             # collector happens to run
             self.sim.clear()
             for h in harnesses:
                 h.close()
+        capture_counters = self._capture_counters()
         log.info(
             "scenario %s: %d events, %d rows, %d capture records",
             sc.name,
             processed,
             self.ingest.counters["rows"],
-            self.capture_counters["records"],
+            capture_counters["records"],
         )
         return RunResult(
             capture_path=capture_path,
             measurements_path=rows_path,
             devices=tuple(h.report() for h in harnesses),
-            capture_counters=dict(self.capture_counters),
+            capture_counters=capture_counters,
             ingest_counters=dict(self.ingest.counters),
             events_processed=processed,
         )

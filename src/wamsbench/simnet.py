@@ -27,42 +27,41 @@ class SchedulingError(Exception):
 class Simulator:
     """Event queue plus the simulation clock it drives.
 
-    The clock only moves while events are processed; ties break in
-    insertion order.  The heap holds plain ``[fire_us, seq, action]``
-    lists, so ordering is a C-level list comparison that never reaches
-    ``action`` because ``seq`` is unique.  ``schedule`` hands the entry
+    ``now_us`` is the clock, a plain attribute that only moves while
+    events are processed; ties break in insertion order.  The heap holds
+    plain ``[fire_us, seq, action, args]`` lists, so ordering is a
+    C-level list comparison that never reaches ``action`` because
+    ``seq`` is unique, and an event fires as ``action(*args)``, so no
+    caller builds a closure per event.  ``schedule`` hands the entry
     back as the cancel handle; canceling (and firing) sets its action
     to None, so a canceled entry stays in the heap as a tombstone and
     is skipped when it surfaces.
     """
 
     def __init__(self) -> None:
-        self._now_us = 0
+        self.now_us = 0
         self._heap: list = []
         self._seq = 0
         self._tombstones = 0  # canceled entries still in the heap
 
-    @property
-    def now_us(self) -> int:
-        return self._now_us
-
-    def schedule(self, fire_us: int, action: Callable[[], None]) -> list:
-        """Queue ``action`` to run at ``fire_us``; returns a cancel handle."""
-        if fire_us < self._now_us:
-            raise SchedulingError(f"fire_us={fire_us} is before now={self._now_us}")
-        entry = [fire_us, self._seq, action]
+    def schedule(self, fire_us: int, action: Callable[..., None], *args) -> list:
+        """Queue ``action(*args)`` to run at ``fire_us``; returns a cancel
+        handle."""
+        if fire_us < self.now_us:
+            raise SchedulingError(f"fire_us={fire_us} is before now={self.now_us}")
+        entry = [fire_us, self._seq, action, args]
         self._seq += 1
         heappush(self._heap, entry)
         return entry
 
-    def schedule_in(self, delay_us: int, action: Callable[[], None]) -> list:
-        return self.schedule(self._now_us + delay_us, action)
+    def schedule_in(self, delay_us: int, action: Callable[..., None], *args) -> list:
+        return self.schedule(self.now_us + delay_us, action, *args)
 
     def cancel(self, handle: list) -> None:
-        """Stop a queued event from firing; a no-op once it has fired or
-        been canceled."""
+        """Stop a queued event from firing, and let go of its arguments;
+        a no-op once it has fired or been canceled."""
         if handle[2] is not None:
-            handle[2] = None
+            handle[2] = handle[3] = None
             self._tombstones += 1
 
     def run_until(self, t_end_us: int) -> int:
@@ -71,8 +70,8 @@ class Simulator:
         The clock ends at exactly ``t_end_us`` even if the queue drains
         early.  Returns the number of events dispatched.
         """
-        if t_end_us < self._now_us:
-            raise SchedulingError(f"t_end_us={t_end_us} is before now={self._now_us}")
+        if t_end_us < self.now_us:
+            raise SchedulingError(f"t_end_us={t_end_us} is before now={self.now_us}")
         heap = self._heap
         processed = 0
         while heap and heap[0][0] <= t_end_us:
@@ -82,10 +81,10 @@ class Simulator:
                 self._tombstones -= 1
                 continue
             entry[2] = None  # fired: a later cancel of this handle is a no-op
-            self._now_us = entry[0]
-            action()
+            self.now_us = entry[0]
+            action(*entry[3])
             processed += 1
-        self._now_us = t_end_us
+        self.now_us = t_end_us
         return processed
 
     def pending(self) -> int:
@@ -245,7 +244,7 @@ class Link:
         # serialization_ms, should_drop and transit_delay, inlined on
         # the per-segment path
         params = self._params
-        now_us = self.sim._now_us
+        now_us = self.sim.now_us
         entry_us = now_us if now_us > self._free_at_us else self._free_at_us
         ser_us = self._ser_us.get(serialized_bytes)
         if ser_us is None:

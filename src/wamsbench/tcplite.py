@@ -67,6 +67,11 @@ class ConnState(enum.Enum):
     ESTABLISHED = "ESTABLISHED"
 
 
+# the states each segment is tested against, resolved once: reading an
+# Enum member off its class runs a Python-level descriptor
+_CLOSED, _SYN_SENT, _SYN_RCVD, _ESTABLISHED = ConnState
+
+
 class TransportError(Exception):
     """Operation not valid in the connection's current state."""
 
@@ -186,7 +191,7 @@ class Connection:
         true the payload goes out as two segments cut after byte
         SPLIT_AT.
         """
-        if self.state is not ConnState.ESTABLISHED:
+        if self.state is not _ESTABLISHED:
             raise TransportError(f"send in state {self.state.value}")
         if not payload:
             raise TransportError("empty payload")
@@ -217,7 +222,7 @@ class Connection:
 
     @property
     def established(self) -> bool:
-        return self.state is ConnState.ESTABLISHED
+        return self.state is _ESTABLISHED
 
     # -- segment arrival ---------------------------------------------------
 
@@ -225,9 +230,10 @@ class Connection:
         if RST in seg.flags:
             self._fail("reset by peer")
             return
-        if self.state is ConnState.CLOSED:
+        state = self.state
+        if state is _CLOSED:
             return
-        if self.state is ConnState.SYN_SENT:
+        if state is _SYN_SENT:
             if SYN in seg.flags and ACK in seg.flags and seg.ack == self.snd_next:
                 self._process_ack(seg)
                 self.rcv_next = seg.seq + 1
@@ -236,7 +242,7 @@ class Connection:
                 if self.on_established:
                     self.on_established()
             return
-        if self.state is ConnState.SYN_RCVD:
+        if state is _SYN_RCVD:
             if SYN in seg.flags and ACK not in seg.flags:
                 return  # duplicate SYN; our timer re-sends the SYN+ACK
             if ACK in seg.flags and seg.ack >= 1:
@@ -282,22 +288,27 @@ class Connection:
         if ack > self.snd_una:
             self.snd_una = ack
             self.dup_ack_count = 0
-            acked, remaining = [], []
-            for entry in self.unacked:
-                (acked if entry.end <= ack else remaining).append(entry)
-            self.unacked = remaining
+            # unacked is in sequence order, so what the ack covers is a
+            # prefix of it, deleted in place
+            unacked = self.unacked
+            covered = 0
+            for entry in unacked:
+                if entry.end > ack:
+                    break
+                covered += 1
             # An ack covering several segments marks a loss-recovery
             # epoch: the covered segments sat behind a receiver-side
             # hole, so their age measures the recovery, not the path.
             # Only the unambiguous single-segment case is sampled, and
             # never a retransmit (Karn's rule).
-            if len(acked) == 1 and acked[0].retx_count == 0:
-                self.rto_update((self.sim.now_us - acked[0].send_time_us) / 1000.0)
+            if covered == 1 and unacked[0].retx_count == 0:
+                self.rto_update((self.sim.now_us - unacked[0].send_time_us) / 1000.0)
             elif self.srtt is not None:
                 # forward progress ends the timeout episode: drop the
                 # exponential backoff back to the estimator's figure
                 self.rto = min(max(MIN_RTO_MS, self.srtt + 4.0 * self.rttvar), MAX_RTO_MS)
-            if self.unacked:
+            del unacked[:covered]
+            if unacked:
                 self._arm_timer()
             else:
                 self._disarm_timer()
@@ -402,14 +413,13 @@ class Connection:
         if self.on_wire:
             self.on_wire(seg, arrival_us)
         if arrival_us is not None and self.peer is not None:
-            peer = self.peer
-            self.sim.schedule(arrival_us, lambda: peer.deliver_segment(seg))
+            self.sim.schedule(arrival_us, self.peer.deliver_segment, seg)
 
     def deliver_segment(self, seg: Segment) -> None:
         """Entry point for segments arriving from the peer's channel."""
         if self._dead:
             return  # stale in-flight segment for a retired connection
-        if self.role == "server" and self.state is ConnState.CLOSED and SYN in seg.flags:
+        if self.state is _CLOSED and self.role == "server" and SYN in seg.flags:
             self.accept_syn(seg)
         else:
             self.on_segment(seg)

@@ -348,9 +348,15 @@ HEADER_LINE = dcs.dumps({"header": oracle_logs._header(duration_s=1)})
 
 def _compact(wall, dev, payload, direction="UPLINK", cls="FIRST", header=40, frames=()):
     """A record line as the simulator writes it; ``frames`` holds
-    (frame_seq, frame_timestamp, arrival) triples."""
+    (frame_seq, frame_timestamp, arrival) triples, each arriving at
+    ``wall`` as every completed frame does."""
+    assert all(arrival == wall for _, _, arrival in frames)
     rows = [dcs.MeasurementRow(dev, seq, ts, arrival, 50.0, 1.0, 0.0, 0) for seq, ts, arrival in frames]
-    return dcs.capture_line(wall, dev, direction, 0, payload, payload, header, cls, rows)
+    return dcs.capture_line(_json_number(wall), dev, direction, 0, payload, payload, header, cls, rows)
+
+
+def _json_number(value) -> str:
+    return "null" if value is None else repr(value)
 
 
 def _write(path, lines, end="\n"):
@@ -528,8 +534,10 @@ class TestCompactLines:
         lines = []
         for form, wall, dev, direction, payload, cls, entries in records:
             if form == "capture_line":
-                rows = [dcs.MeasurementRow(dev, *entry, 50.0, 1.0, 0.0, 0) for entry in entries]
-                lines.append(dcs.capture_line(wall, dev, direction, 0, 1, payload, 40, cls, rows))
+                # frames a copy completes arrive at its wall time; a dropped copy completes none
+                rows = [dcs.MeasurementRow(dev, seq, ts, wall, 50.0, 1.0, 0.0, 0) for seq, ts, _ in entries]
+                lines.append(dcs.capture_line(_json_number(wall), dev, direction, 0, 1, payload, 40, cls,
+                                              rows if wall is not None else None))
                 continue
             complete = [dcs.frame_complete_entry(dcs.MeasurementRow(dev, *e, 50.0, 1.0, 0.0, 0)) for e in entries]
             record = dcs.CaptureRecord(wall, dev, direction, (0, 1), payload, 0, cls, complete or None)
@@ -1154,6 +1162,45 @@ def test_cache_whose_identity_cannot_be_trusted_is_hashed_or_reparsed(case, tmp_
     assert checks in (["_sha256"], ["_parse"], ["_sha256", "_parse"])
     monkeypatch.undo()
     assert state == _cold(path)
+
+
+def _counting(monkeypatch, name) -> list:
+    """Count the calls of analyzer.``name``; returns the list each call
+    appends to."""
+    calls, real = [], getattr(analyzer, name)
+
+    def call(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(analyzer, name, call)
+    return calls
+
+
+def test_cache_copied_with_its_capture_is_hashed_once_then_rekeyed(tmp_path, monkeypatch):
+    path = _copy_with_its_cache(tmp_path)
+    _wait_past_ctime(path)
+    hashes = _counting(monkeypatch, "_sha256")
+    states = [_state(load_capture(path)) for _ in range(3)]
+    assert hashes == ["_sha256"]
+    assert json.loads(_cache_of(path).read_bytes().split(b"\n", 1)[0])["identity"] == _identity_of(path)
+    monkeypatch.undo()
+    assert states == [_cold(path)] * 3
+
+
+def test_damaged_section_is_not_resigned_by_a_rekey(tmp_path, monkeypatch):
+    path = _copy_with_its_cache(tmp_path)
+    _wait_past_ctime(path)
+    damaged = _flip_byte(-1)(_cache_of(path).read_bytes())
+    _cache_of(path).write_bytes(damaged)
+    hashes = _counting(monkeypatch, "_sha256")
+    capture = load_capture(path)
+    assert hashes == ["_sha256"]
+    assert _cache_of(path).read_bytes() == damaged
+    monkeypatch.undo()
+    # the damaged section fails its check where it is read, and the
+    # capture is parsed and cached anew
+    assert _state(capture) == _cold(path)
 
 
 def test_capture_that_changes_during_the_parse_is_not_cached(tmp_path, monkeypatch):

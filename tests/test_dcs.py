@@ -247,12 +247,13 @@ class TestLogWriter:
         assert len(lines) == 2
         assert "header" in json.loads(lines[0])
 
-    @pytest.mark.parametrize("wall_time", [None, 1_700_000_000_101.146, 0.5])
+    @pytest.mark.parametrize("wall_time", [1000.125, 1_700_000_000_101.146, 0.5])
     @pytest.mark.parametrize("device_id", [7, None])
     @pytest.mark.parametrize("n_rows", [0, 1, 2])
     def test_capture_line_is_the_encoded_record(self, wall_time, device_id, n_rows):
+        # the rows a copy completes arrive with it, at its wall time
         rows = IngestState().deliver(
-            "c1", b"".join(wire(frame_seq=k) for k in range(1, n_rows + 1)), 1000.125
+            "c1", b"".join(wire(frame_seq=k) for k in range(1, n_rows + 1)), wall_time
         )
         record = CaptureRecord(
             wall_time=wall_time,
@@ -264,20 +265,26 @@ class TestLogWriter:
             retransmission_class="RTO_RETX",
             frame_complete=[frame_complete_entry(r) for r in rows] or None,
         )
-        line = capture_line(wall_time, device_id, "ACK", 1, 1 + 55 * n_rows, 55 * n_rows, 40, "RTO_RETX", rows)
+        line = capture_line(repr(wall_time), device_id, "ACK", 1, 1 + 55 * n_rows, 55 * n_rows, 40, "RTO_RETX", rows)
         assert line == dumps(record.to_json())
+
+    @pytest.mark.parametrize("device_id", [7, None])
+    def test_capture_line_of_a_dropped_copy_is_the_encoded_record(self, device_id):
+        record = CaptureRecord(None, device_id, "UPLINK", (1, 56), 55, 40, "FIRST", None)
+        assert capture_line("null", device_id, "UPLINK", 1, 56, 55, 40, "FIRST") == dumps(record.to_json())
 
     def test_measurement_line_is_the_encoded_row(self):
         row = MeasurementRow(3, 9, 1_700_000_000_900, 1_700_000_001_012.345, 49.98765432101, 1.0, -179.5, 2)
-        assert measurement_line(row) == dumps(row.to_json())
+        assert measurement_line(row, repr(row.arrival_time)) == dumps(row.to_json())
 
     def test_write_takes_an_encoded_line_as_is(self, tmp_path):
         path = tmp_path / "log.jsonl"
         writer = LogWriter(path, {"k": 1})
         writer.write('{"already":"encoded"}')
         writer.write({"already": "encoded"})
+        writer.write('{"already":"encoded"}\n{"already":"encoded"}')  # a block of lines
         writer.close()
-        assert path.read_text().splitlines()[1:] == ['{"already":"encoded"}'] * 2
+        assert path.read_text().splitlines()[1:] == ['{"already":"encoded"}'] * 4
 
     def test_header_that_cannot_be_written_closes_the_file(self, tmp_path):
         with warnings.catch_warnings(record=True) as caught:

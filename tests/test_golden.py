@@ -72,6 +72,40 @@ EXPONENTIAL_GOLDEN = (
 )
 
 
+# a send delay (t_fdr_ms > 0), so every frame leaves through a scheduled
+# send rather than from inside its grid tick; lognormal jitter both
+# ways, uplink loss and split frames.  Digests taken from the build
+# before the event core passed arguments with each queued action.
+DELAYED_SEND = """
+[scenario]
+name = lab-delayed-send
+seed = delayed-1
+duration_s = 60
+devices = 3
+[uplink]
+t_p_ms = 60.0
+p_loss = 0.01
+jitter = lognormal
+jitter_median_ms = 8.0
+jitter_sigma = 0.4
+jitter_cap_ms = 30.0
+[downlink]
+t_p_ms = 60.0
+jitter = lognormal
+jitter_median_ms = 3.0
+jitter_sigma = 0.3
+jitter_cap_ms = 12.0
+[device]
+t_fdr_ms = 1.5
+p_seg = 0.3
+noise_sigma = 0.003
+"""
+DELAYED_SEND_GOLDEN = (
+    "ddfd132519fa191daba137e690e9c648ba8aadf4bdaccaa56cb1606d59929db8",
+    "2785f5e63596710f8fed9ddfad0d81e1299f433c83f15577d621f67ea920dc52",
+)
+
+
 def digests(scenario, out_dir) -> tuple:
     result = run_simulation(scenario, out_dir)
     return tuple(
@@ -92,6 +126,10 @@ def test_outage_logs_match_golden_bytes(tmp_path):
 
 def test_exponential_jitter_logs_match_golden_bytes(tmp_path):
     assert digests(parse_scenario(EXPONENTIAL), tmp_path) == EXPONENTIAL_GOLDEN
+
+
+def test_delayed_send_logs_match_golden_bytes(tmp_path):
+    assert digests(parse_scenario(DELAYED_SEND), tmp_path) == DELAYED_SEND_GOLDEN
 
 
 # -- analyzer outputs ---------------------------------------------------------

@@ -11,6 +11,7 @@ conservation laws and byte-exact determinism.
 import dataclasses
 import gc
 import json
+import warnings
 import weakref
 
 import pytest
@@ -269,6 +270,18 @@ class TestRunLifetime:
         copies = sum(sum(conn.wire_copies.values()) for pair in pairs for conn in pair)
         assert copies + counters["outage_rsts"] == counters["records"]
         assert all(conn.protocol_errors == 0 for pair in pairs for conn in pair)
+
+
+    def test_log_that_cannot_be_opened_leaves_no_log_open(self, tmp_path):
+        (tmp_path / "measurements.jsonl").mkdir()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(IsADirectoryError):
+                run_simulation(parse_scenario(LOSSLESS), tmp_path)
+            gc.collect()
+        assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+        # the capture log was opened first, and closed with its trailer
+        assert json.loads((tmp_path / "capture.jsonl").read_text().splitlines()[-1])["integrity"]["records"] == 0
 
 
 class TestWallClock:

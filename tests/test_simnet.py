@@ -158,13 +158,18 @@ class TestSimulator:
         sim = Simulator()
         fired = []
         handles = {tag: sim.schedule(500, lambda t=tag: fired.append(t)) for tag in "abcde"}
+        # an action given its arguments fires as action(*args)
+        handles["f"] = sim.schedule(500, fired.append, "f")
+        handles["g"] = sim.schedule(500, fired.append, "g")
         sim.cancel(handles["b"])
         sim.cancel(handles["d"])
+        sim.cancel(handles["g"])  # a canceled entry with arguments never fires
+        assert handles["g"][3] is None  # nor keeps its arguments alive
         sim.schedule(500, lambda: fired.append("b2"))  # re-scheduled: joins the back
-        sim.schedule(400, lambda: fired.append("early"))
-        assert sim.pending() == 5
+        sim.schedule_in(400, fired.append, "early")
+        assert sim.pending() == 6
         sim.run_until(500)
-        assert fired == ["early", "a", "c", "e", "b2"]
+        assert fired == ["early", "a", "c", "e", "f", "b2"]
         assert sim.pending() == 0
 
 

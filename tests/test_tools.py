@@ -1,13 +1,17 @@
 """The measurement scripts under tools/ still run against this checkout.
 
 ``tools/rss_slope.py`` and ``tools/cold_load.py`` back the cold-load and
-peak-RSS figures quoted in CHANGES.md and README; nothing else imports
-them, so a signature change in the package could break them silently.
-Every step runs here on a 5 s capture; ``report`` then draws 5 slots.
+peak-RSS figures quoted in CHANGES.md and README, and
+``tools/slice_ab.py`` the per-second simulator comparisons; nothing else
+imports them, so a signature change in the package could break them
+silently.  Every step runs here on a 5 s capture; ``report`` then draws
+5 slots.
 """
 
 import importlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,3 +89,16 @@ def test_cold_load_report_gives_median_and_quartiles(tools):
         "| /a | 5 | 3.000 | 2.000 | 4.000 | 2.000 |",
         "| /b | 2 | 0.500 | 0.500 | 0.500 | 0.000 |",
     ]
+
+
+def test_slice_ab_compares_a_checkout_with_itself():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "slice_ab.py"), "--root", str(ROOT), "--root", str(ROOT),
+         "--scenario", "lossy_0p3", "--duration-s", "5"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "seconds: 5"
+    assert lines[1].startswith("A/B time ratio: median ")
+    assert lines[-1] == "logs byte-identical: yes"
