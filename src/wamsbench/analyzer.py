@@ -60,12 +60,12 @@ retransmission_stats give the same figures as Python values.
 
 Column cache: load_capture keeps the slot table and the columns of a
 finished capture in ``<capture>.columns`` beside it, keyed by the
-capture's file identity and SHA-256, so a capture is parsed once however
-often it is analyzed.  The records and each device's frames have a
-section of their own, so a summary or a throughput series reads no
-column and the delay series holds one device's frames at a time.  The
-cache only saves time: a load that cannot trust it parses the file, and
-deleting the cache is always safe.
+capture's file identity, so a capture is parsed once however often it
+is analyzed.  The records and each device's frames have a section of
+their own, so a summary or a throughput series reads no column and the
+delay series holds one device's frames at a time.  The cache only saves
+time: a load that cannot trust it parses the file and caches it anew,
+and deleting the cache is always safe.
 
 Reporting slots: the sampling workflow treats the run as one population
 slot per configured second.  A frame belongs to the slot its timestamp
@@ -216,8 +216,10 @@ class Capture:
         """The arrays of column section ``index``.  A section left in the
         cache is read from it; when it cannot be read or fails its check,
         the capture is parsed again, the cache rewritten, and every
-        section replaced by the parse's; CaptureError when the capture's
-        bytes changed since the load."""
+        section replaced by the parse's.  CaptureError when the capture's
+        identity is not the one the cache was trusted under, checked
+        before the parse reads a byte and again after it: every change to
+        the file since the load moved its ctime past that identity's."""
         if self._sections[index] is None:
             cache = self._cache
             try:
@@ -225,11 +227,10 @@ class Capture:
             except _BAD_CACHE:
                 pass
             with open(cache.path, "rb") as fh:
-                identity = _identity(fh)
-                parsed, capture_sha256 = _parse(cache.path, fh)
-                if capture_sha256 != cache.capture_sha256:
+                parsed = _parse(cache.path, fh) if _identity(fh) == cache.identity else None
+                if parsed is None or _identity(fh) != cache.identity:
                     raise CaptureError(f"{cache.path}: the capture changed after it was loaded")
-                _write_cache(cache.cache_path, parsed, capture_sha256, identity, fh)
+                _write_cache(cache.cache_path, parsed, cache.identity, fh)
             self._sections = parsed._sections
         return self._sections[index]
 
@@ -335,22 +336,21 @@ def load_capture(path) -> Capture:
 
     A capture with a trailer is cached beside it, at
     ``<capture>.columns``: its SlotTable, then its columns, keyed by the
-    capture's file identity (_identity) and the SHA-256 of its bytes.
-    When the cache is for this capture (_read_cache), the table is read
-    from the cache instead of parsed, and the columns when records or
-    frames are first used; either way the Capture is the same.  A parse
-    hashes the blocks it parses, so it reads the file once, and the
-    digest it caches is that of the bytes it parsed.
+    capture's file identity (_identity).  When the cache can be trusted
+    for this capture (_read_cache), the table is read from the cache
+    instead of parsed, and the columns when records or frames are first
+    used; either way the Capture is the same.  Otherwise the capture is
+    parsed and cached anew under its identity now, so a capture copied
+    along with its cache is parsed once, and later loads are warm.
     """
     path = Path(path)
     cache_path = path.with_name(path.name + ".columns")
     with open(path, "rb") as fh:
         identity = _identity(fh)
-        capture = _read_cache(path, cache_path, fh, identity)
+        capture = _read_cache(path, cache_path, identity)
         if capture is None:
-            fh.seek(0)
-            capture, digest = _parse(path, fh)
-            _write_cache(cache_path, capture, digest, identity, fh)
+            capture = _parse(path, fh)
+            _write_cache(cache_path, capture, identity, fh)
     if capture.skipped_lines:
         log.warning("%s: skipped %d corrupt lines", path, capture.skipped_lines)
     return capture
@@ -365,32 +365,18 @@ def _identity(capture_file) -> list:
     return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
 
 
-def _sha256(capture_file) -> str:
-    """The SHA-256 hex digest of the bytes of ``capture_file``, read from
-    where it stands."""
-    import hashlib  # here, not at module import: a warm load needs none
-
-    digest = hashlib.sha256()
-    while block := capture_file.read(_BLOCK_BYTES):
-        digest.update(block)
-    return digest.hexdigest()
-
-
-def _parse(path: Path, capture_file) -> tuple:
-    """(the Capture, the SHA-256 hex digest) of the bytes of
-    ``capture_file``, read from where it stands."""
-    import hashlib  # here, not at module import: every CLI command imports this module
-
-    digest, parser = hashlib.sha256(), _Parser()
+def _parse(path: Path, capture_file) -> Capture:
+    """The Capture of the bytes of ``capture_file``, read from where it
+    stands."""
+    parser = _Parser()
     while block := capture_file.read(_BLOCK_BYTES):
         if not block.endswith(b"\n"):
             block += capture_file.readline()  # a block holds whole lines only
-        digest.update(block)
         text = block.decode("utf-8")
         if "\r" in text:  # universal newlines, as text-mode open() reads
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         parser.feed(text)
-    return parser.capture(path), digest.hexdigest()
+    return parser.capture(path)
 
 
 _BLOCK_BYTES = 1 << 16
@@ -489,6 +475,9 @@ class _Parser:
     def capture(self, path: Path) -> Capture:
         if self.header is None:
             raise CaptureError(f"{path}: no header line, not a capture log")
+        kind = self.header.get("log", "capture")  # a hand-built header may leave it out
+        if kind != "capture":
+            raise CaptureError(f"{path}: the header names a {kind!r} log, not a capture log")
         try:
             check_header(self.header)
         except ValueError as err:
@@ -547,11 +536,10 @@ def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
 # A cache file is one line of ASCII JSON, then sections, each ending with
 # the CRC-32 of the JSON line and the section's bytes, 4 bytes little-endian:
 #
-#   JSON     CACHE_VERSION, the byte order, the capture's identity and
-#            SHA-256, the Capture's fields other than its columns, and
-#            the typecode, itemsize and length of each column of the
-#            column sections; under "table", the SlotTable's fields that
-#            are not arrays
+#   JSON     CACHE_VERSION, the byte order, the capture's identity, the
+#            Capture's fields other than its columns, and the typecode,
+#            itemsize and length of each column of the column sections;
+#            under "table", the SlotTable's fields that are not arrays
 #   table    the raw bytes of the SlotTable's arrays, in _TABLE_ARRAYS order
 #   records  the raw bytes of the six columns of Records in field order
 #   frames   one section per device with frames, in the order of the ids
@@ -564,16 +552,15 @@ def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
 # time.
 #
 # The CRC guards against accidental damage to a derived local file; the
-# identity and SHA-256 say which capture the cache is for.  A load trusts
-# the identity as git trusts the stat data of its index ("racy git"): only
-# when it equals the open capture's and the capture's mtime and ctime are
-# both older than the cache file's own mtime.  A change within one
-# timestamp tick of the cache's writing leaves the times equal, so such a
-# cache is racy, and the load hashes the capture and compares digests.
-# When the digests match, the load keys the cache on the capture's
-# identity now (_rekey_cache), so the next load trusts it without a hash.
+# identity says which capture the cache is for.  A load trusts it as git
+# trusts the stat data of its index ("racy git"): only when it equals the
+# open capture's and the capture's mtime and ctime are both older than
+# the cache file's own mtime.  A change within one timestamp tick of the
+# cache's writing leaves the times equal, so such a cache is racy.  A
+# cache that fails either test is not read: the capture is parsed and
+# cached anew under its identity now.
 
-CACHE_VERSION = 8
+CACHE_VERSION = 9
 _CHECK_BYTES = 4  # the CRC-32 that ends each section
 _RECORD_TYPECODES, _FRAME_TYPECODES = "diBBHH", "Iqd"
 # what reading a cache that is missing, cut short, garbage or of another
@@ -584,12 +571,12 @@ _BAD_CACHE = (OSError, EOFError, ValueError, LookupError, TypeError, RecursionEr
 class _CacheSections(NamedTuple):
     """Where a cached load finds its column sections, in Capture's
     section order, each as (offset past the JSON line, typecodes,
-    lengths)."""
+    lengths), and the capture's identity the cache was trusted under."""
 
     path: Path
     cache_path: Path
     meta_line: bytes
-    capture_sha256: str
+    identity: list
     sections: list
 
 
@@ -627,14 +614,12 @@ def _read_section(fh, typecodes: str, lengths: list, meta_line: bytes) -> list:
     return arrays
 
 
-def _read_cache(path: Path, cache_path: Path, capture_file, identity: list) -> Optional[Capture]:
-    """The Capture cached at ``cache_path`` for ``capture_file``, whose
-    _identity is ``identity``, with its columns left in the cache; None
-    when no whole cache of this version and layout is there for it.  The
-    capture is read, and hashed from its start, only when the identity
-    cannot be trusted: it differs from the cache's, or the cache is
-    racy.  After a hash that matches, the cache is keyed on ``identity``
-    (_rekey_cache)."""
+def _read_cache(path: Path, cache_path: Path, identity: list) -> Optional[Capture]:
+    """The Capture cached at ``cache_path`` for the capture at ``path``,
+    whose _identity is ``identity``, with its columns left in the cache;
+    None when no whole cache of this version and layout is there, when
+    its identity is not ``identity``, or when it is racy.  The capture
+    itself is never read."""
     try:
         with open(cache_path, "rb") as fh:
             meta_line = fh.readline()
@@ -644,8 +629,7 @@ def _read_cache(path: Path, cache_path: Path, capture_file, identity: list) -> O
             devices = meta["frame_devices"]
             lengths = _layout(meta["columns"], _RECORD_TYPECODES + _FRAME_TYPECODES * len(devices))
             table_lengths = _layout(meta["table"]["columns"], _TABLE_TYPECODES)
-            sizes = [_section_bytes(_TABLE_TYPECODES, table_lengths)]  # of each section, without its check
-            offset = sizes[0] + _CHECK_BYTES  # past the JSON line
+            offset = _section_bytes(_TABLE_TYPECODES, table_lengths) + _CHECK_BYTES  # past the JSON line
             sections = []
             groups = [(_RECORD_TYPECODES, lengths[:6])]
             groups += [(_FRAME_TYPECODES, lengths[k:k + 3]) for k in range(6, len(lengths), 3)]
@@ -653,21 +637,17 @@ def _read_cache(path: Path, cache_path: Path, capture_file, identity: list) -> O
                 if len(set(group)) != 1:  # a section's columns have one length
                     return None
                 sections.append((offset, codes, group))
-                sizes.append(_section_bytes(codes, group))
-                offset += sizes[-1] + _CHECK_BYTES
+                offset += _section_bytes(codes, group) + _CHECK_BYTES
             cache_stat = os.fstat(fh.fileno())
             if cache_stat.st_size != len(meta_line) + offset:
                 return None
             racy = max(identity[3:]) >= cache_stat.st_mtime_ns  # the capture's mtime or ctime is not older
-            trusted = meta["identity"] == identity and not racy
-            if not trusted and _sha256(capture_file) != meta["capture_sha256"]:
+            if meta["identity"] != identity or racy:
                 return None
             arrays = _read_section(fh, _TABLE_TYPECODES, table_lengths, meta_line)
-            if not trusted:
-                meta_line = _rekey_cache(cache_path, fh, meta, meta_line, sizes, identity, capture_file)
         check_header(meta["header"])  # a cache written before a rule the header breaks
         table = _table_from_cache(meta, arrays)
-        cache = _CacheSections(path, cache_path, meta_line, meta["capture_sha256"], sections)
+        cache = _CacheSections(path, cache_path, meta_line, identity, sections)
         return Capture(meta["header"], meta["integrity"], meta["skipped_lines"], meta["counts"], table,
                        devices, [None] * len(sections), cache)
     except _BAD_CACHE:
@@ -680,57 +660,6 @@ def _read_cached_section(cache: _CacheSections, index: int) -> list:
     with open(cache.cache_path, "rb") as fh:
         fh.seek(len(cache.meta_line) + offset)
         return _read_section(fh, typecodes, lengths, cache.meta_line)
-
-
-def _rekey_cache(cache_path: Path, cache_file, meta: dict, meta_line: bytes, sizes: list, identity: list,
-                 capture_file) -> bytes:
-    """Key the cache open at ``cache_file``, whose capture just hashed to
-    the digest it records, on the capture's ``identity``: copy it to a
-    temporary file under a JSON line that records ``identity``, each
-    section re-signed, and rename that into place.  Returns the JSON
-    line of the cache now at ``cache_path``.
-
-    ``sizes`` are the sections' byte counts, without their checks.  Each
-    section is checked against its old CRC-32 as it is copied, so a
-    damaged section is never signed anew.  The cache is left as it is
-    when a check fails, when the capture's identity moved during the
-    hash, when the new cache would be racy too, or when it cannot be
-    written."""
-    if _identity(capture_file) != identity:
-        return meta_line
-    new_line = json.dumps(dict(meta, identity=identity)).encode() + b"\n"
-    tmp = _temporary_path(cache_path)
-    try:
-        with open(tmp, "xb") as out:
-            out.write(new_line)
-            cache_file.seek(len(meta_line))
-            for size in sizes:
-                old_crc, new_crc = zlib.crc32(meta_line), zlib.crc32(new_line)
-                while size:
-                    block = cache_file.read(min(size, _BLOCK_BYTES))
-                    if not block:
-                        raise EOFError("a cache section is cut short")
-                    old_crc, new_crc = zlib.crc32(block, old_crc), zlib.crc32(block, new_crc)
-                    out.write(block)
-                    size -= len(block)
-                if cache_file.read(_CHECK_BYTES) != old_crc.to_bytes(_CHECK_BYTES, "little"):
-                    raise ValueError("a cache section fails its check")
-                out.write(new_crc.to_bytes(_CHECK_BYTES, "little"))
-            out.flush()
-            if os.fstat(out.fileno()).st_mtime_ns <= max(identity[3:]):
-                raise ValueError("the new cache would be racy")
-        os.replace(tmp, cache_path)
-    except _BAD_CACHE:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        return meta_line
-    return new_line
-
-
-def _temporary_path(cache_path: Path) -> Path:
-    """A fresh name beside ``cache_path`` to write a cache under before it
-    is renamed into place."""
-    return cache_path.with_name(f"{cache_path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
 
 
 def _table_from_cache(meta: dict, arrays: list) -> "SlotTable":
@@ -746,7 +675,7 @@ def _table_from_cache(meta: dict, arrays: list) -> "SlotTable":
     return table
 
 
-def _write_cache(cache_path: Path, capture: Capture, capture_sha256: str, identity: list, capture_file) -> None:
+def _write_cache(cache_path: Path, capture: Capture, identity: list, capture_file) -> None:
     """Cache a parsed ``capture``'s table and column sections, as it
     holds them, at ``cache_path``, through a temporary file renamed into
     place, keyed on ``identity``, the _identity of ``capture_file`` taken
@@ -765,14 +694,14 @@ def _write_cache(cache_path: Path, capture: Capture, capture_sha256: str, identi
         columns=[[column.typecode, column.itemsize, len(column)] for column in arrays],
     )
     meta = dict(
-        version=CACHE_VERSION, byteorder=sys.byteorder, identity=identity, capture_sha256=capture_sha256,
+        version=CACHE_VERSION, byteorder=sys.byteorder, identity=identity,
         header=capture.header, integrity=capture.integrity, skipped_lines=capture.skipped_lines,
         counts=capture.counts, frame_devices=capture._frame_devices,
         columns=[[column.typecode, column.itemsize, len(column)] for section in capture._sections for column in section],
         table=table_fields,
     )
     meta_line = json.dumps(meta).encode() + b"\n"
-    tmp = _temporary_path(cache_path)
+    tmp = cache_path.with_name(f"{cache_path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
             fh.write(meta_line)

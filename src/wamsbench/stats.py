@@ -44,6 +44,8 @@ class SampleSizeInputs:
             raise ValueError("e must be positive")
         if self.n_t < 1:
             raise ValueError("n_t must be at least 1")
+        if not math.isfinite(self.z * self.z * self.s * self.s):  # min_sample_size's numerator
+            raise ValueError(f"s={self.s:g} is too large: z^2 s^2 overflows a double")
 
 
 def z_for_confidence(level: float) -> float:

@@ -1047,11 +1047,11 @@ def _wait_past_ctime(*paths):
 
 def _cached(path) -> tuple:
     """_cold, with a cache that is not racy: a warm load of the same
-    capture trusts its identity and hashes nothing."""
+    capture trusts its identity and parses nothing."""
     _wait_past_ctime(path)
     state = _cold(path)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(analyzer, "_sha256", _no_parse)
+        monkeypatch.setattr(analyzer, "_parse", _no_parse)
         assert _warm(path) == state
     return state
 
@@ -1067,7 +1067,7 @@ def test_capture_edited_in_place_is_reparsed_and_recached(tmp_path):
     cached = _cache_of(path).read_bytes()
     stat = path.stat()
     _edit(path)
-    # same size and modification time: the ctime tells, and the digest
+    # same size and modification time: the ctime tells
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
     assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
     after = _state(load_capture(path))
@@ -1101,7 +1101,7 @@ def _rename_over(tmp_path):
 
 def _copy_with_its_cache(tmp_path):
     # a new inode, the timestamps kept, and the cache copied along: the
-    # digest matches, so the cache serves
+    # identity differs, so the copy is parsed and cached anew
     source = _two_device_capture(tmp_path / "c.jsonl")
     _cached(source)
     path = tmp_path / "copy.jsonl"
@@ -1145,21 +1145,11 @@ STALE_CACHES = {
 
 
 @pytest.mark.parametrize("case", sorted(STALE_CACHES))
-def test_cache_whose_identity_cannot_be_trusted_is_hashed_or_reparsed(case, tmp_path, monkeypatch):
+def test_cache_whose_identity_cannot_be_trusted_is_reparsed(case, tmp_path, monkeypatch):
     path = STALE_CACHES[case](tmp_path)
-    checks = []
-
-    def listed(name, real):
-        def call(*args):
-            checks.append(name)
-            return real(*args)
-
-        return call
-
-    for name in ("_sha256", "_parse"):
-        monkeypatch.setattr(analyzer, name, listed(name, getattr(analyzer, name)))
+    parses = _counting(monkeypatch, "_parse")
     state = _state(load_capture(path))
-    assert checks in (["_sha256"], ["_parse"], ["_sha256", "_parse"])
+    assert parses == ["_parse"]
     monkeypatch.undo()
     assert state == _cold(path)
 
@@ -1177,30 +1167,15 @@ def _counting(monkeypatch, name) -> list:
     return calls
 
 
-def test_cache_copied_with_its_capture_is_hashed_once_then_rekeyed(tmp_path, monkeypatch):
+def test_capture_copied_with_its_cache_is_parsed_once_then_warm(tmp_path, monkeypatch):
     path = _copy_with_its_cache(tmp_path)
     _wait_past_ctime(path)
-    hashes = _counting(monkeypatch, "_sha256")
+    parses = _counting(monkeypatch, "_parse")
     states = [_state(load_capture(path)) for _ in range(3)]
-    assert hashes == ["_sha256"]
+    assert parses == ["_parse"]
     assert json.loads(_cache_of(path).read_bytes().split(b"\n", 1)[0])["identity"] == _identity_of(path)
     monkeypatch.undo()
     assert states == [_cold(path)] * 3
-
-
-def test_damaged_section_is_not_resigned_by_a_rekey(tmp_path, monkeypatch):
-    path = _copy_with_its_cache(tmp_path)
-    _wait_past_ctime(path)
-    damaged = _flip_byte(-1)(_cache_of(path).read_bytes())
-    _cache_of(path).write_bytes(damaged)
-    hashes = _counting(monkeypatch, "_sha256")
-    capture = load_capture(path)
-    assert hashes == ["_sha256"]
-    assert _cache_of(path).read_bytes() == damaged
-    monkeypatch.undo()
-    # the damaged section fails its check where it is read, and the
-    # capture is parsed and cached anew
-    assert _state(capture) == _cold(path)
 
 
 def test_capture_that_changes_during_the_parse_is_not_cached(tmp_path, monkeypatch):
@@ -1375,19 +1350,32 @@ def _as_version_7(meta):
     del meta["identity"]
 
 
-def test_version_7_cache_is_ignored_and_rewritten_as_the_current_version(tmp_path):
-    # as version 7 wrote it: no identity, a SHA-256 after each section
+def _older_cache(version: int, path, current: bytes) -> bytes:
+    """The cache ``current`` of the capture at ``path`` as cache
+    ``version`` wrote it: version 7 with no identity and a SHA-256 after
+    each section, version 8 with the capture's SHA-256 beside its
+    identity, to trust a copied or racy cache by."""
+    if version == 7:
+        older = _edit_meta(_as_version_7, sign=_sha256)(current)
+        assert len(older) - len(older.split(b"\n", 1)[0]) == (
+            len(current) - len(current.split(b"\n", 1)[0]) + (32 - _CHECK) * (len(_sections(current)) - 1)
+        )
+        return older
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    return _edit_meta(lambda meta: meta.update(version=8, capture_sha256=digest))(current)
+
+
+@pytest.mark.parametrize("version", [7, 8])
+def test_older_cache_is_ignored_and_rewritten_as_the_current_version(version, tmp_path):
     path = _two_device_capture(tmp_path / "c.jsonl")
-    state = _cold(path)
+    state = _cached(path)
     current = _cache_of(path).read_bytes()
-    version_7 = _edit_meta(_as_version_7, sign=_sha256)(current)
-    assert len(version_7) - len(version_7.split(b"\n", 1)[0]) == (
-        len(current) - len(current.split(b"\n", 1)[0]) + (32 - _CHECK) * (len(_sections(current)) - 1)
-    )
-    _cache_of(path).write_bytes(version_7)
+    # written after the capture's ctime, with its identity: only the
+    # version tells the older cache apart
+    _cache_of(path).write_bytes(_older_cache(version, path, current))
     assert _state(load_capture(path)) == state
     assert _cache_of(path).read_bytes() == current
-    assert json.loads(current.split(b"\n", 1)[0])["version"] == analyzer.CACHE_VERSION
+    assert json.loads(current.split(b"\n", 1)[0])["version"] == analyzer.CACHE_VERSION == 9
 
 
 def test_cache_holds_18_bytes_per_record_and_20_per_frame(analyzer_captures, tmp_path):
@@ -1548,14 +1536,17 @@ def test_deferred_read_without_its_cache_parses_and_recaches(tmp_path):
     assert _cache_of(path).read_bytes() == good
 
 
-def test_deferred_read_after_the_capture_changed(tmp_path):
+def test_deferred_read_after_the_capture_changed(tmp_path, monkeypatch):
     path = _two_device_capture(tmp_path / "c.jsonl")
-    cold = _cold(path)
+    cold = _cached(path)
+    # both loads trust the cache, and nothing below may parse
+    monkeypatch.setattr(analyzer, "_Parser", _no_parse)
     kept, gone = load_capture(path), load_capture(path)
     path.write_text(_replace(path.read_text(), '"wall_time":2.5', '"wall_time":3.5'))
     # the cache still holds the columns of the bytes that were loaded
     assert _state(kept) == cold
     _cache_of(path).unlink()
+    # the capture's identity moved: refused before a byte of it is parsed
     with pytest.raises(CaptureError, match="changed after it was loaded"):
         list(gone.device_frames())
     assert not _cache_of(path).exists()
@@ -1638,10 +1629,10 @@ def sampled_capture(tmp_path_factory):
 
 
 @pytest.mark.parametrize("command", ["analyze", "report"])
-def test_warm_command_imports_no_hashlib(command, sampled_capture, tmp_path):
-    # OpenSSL's pages are most of a warm command's peak RSS above the
-    # import of the package: a warm load that trusts the cache's identity
-    # hashes nothing, and only the parse and a racy cache import hashlib
+def test_cold_warm_and_racy_commands_import_no_hashlib(command, sampled_capture, tmp_path):
+    # OpenSSL's pages are most of a command's peak RSS above the import of
+    # the package: no load hashes the capture, whether it parses (cold,
+    # racy) or trusts the cache's identity (warm)
     path = sampled_capture
 
     def run(name) -> tuple:
@@ -1652,15 +1643,22 @@ def test_warm_command_imports_no_hashlib(command, sampled_capture, tmp_path):
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert result["code"] == 0
+        assert (result["code"], result["hashlib"]) == (0, False)
         written = sorted((file.name, file.read_bytes()) for file in out.iterdir()) if out.exists() else []
-        return result["hashlib"], (result["stdout"], written)
+        return result["stdout"], written
+
+    def cache_file() -> tuple:
+        stat = _cache_of(path).stat()
+        return stat.st_ino, stat.st_mtime_ns
 
     _cache_of(path).unlink(missing_ok=True)
     _wait_past_ctime(path)
-    imported, cold = run("cold")
-    assert imported and _cache_of(path).exists()
-    assert run("warm") == (False, cold)
+    cold = run("cold")
+    written = cache_file()
+    assert run("warm") == cold
+    assert cache_file() == written  # read, not rewritten
     ctime = path.stat().st_ctime_ns
     os.utime(_cache_of(path), ns=(ctime, ctime))
-    assert run("racy") == (True, cold)
+    racy = cache_file()
+    assert run("racy") == cold
+    assert cache_file() != racy  # parsed and cached anew

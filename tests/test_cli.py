@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 import signal
 import socket
 import subprocess
@@ -270,6 +271,30 @@ def test_header_value_the_analyzer_cannot_use_is_a_usage_error(command, key, val
 
 
 @pytest.mark.parametrize("command", ["analyze", "report"])
+def test_measurement_log_is_refused_before_any_file_is_written(command, mini_run, tmp_path, capsys):
+    # analyze without --out-dir writes beside its input: the run's own
+    # summary.csv, which a refused load must leave as it is
+    run = tmp_path / "run"
+    shutil.copytree(mini_run, run)
+    files = {path.name: path.read_bytes() for path in run.iterdir()}
+    measurements = run / "measurements.jsonl"
+    assert cli.main([command, str(measurements)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {measurements}: the header names a 'measurements' log, not a capture log\n"
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == files
+    assert not (run / "measurements.jsonl.columns").exists()
+
+
+def test_header_without_a_log_kind_still_loads(tmp_path):
+    header = oracle_logs._header(duration_s=1)
+    del header["log"]
+    records = [oracle_logs._rec(110.5, 1, 85, complete=oracle_logs._done(1, 100, 110.5))]
+    path = oracle_logs.write_log(tmp_path / "c.jsonl", header, records)
+    assert load_capture(path).integrity_problems() == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "report"])
 def test_negative_skew_bound_in_a_stale_cache_is_a_usage_error(command, tmp_path, capsys, monkeypatch):
     header = dict(oracle_logs._header(duration_s=1), skew_bound_ms=-500.0)
     records = [oracle_logs._rec(110.5, 1, 85, complete=oracle_logs._done(1, 100, 110.5))]
@@ -399,6 +424,12 @@ class TestSampleSize:
     def test_no_inputs_is_a_usage_error(self, capsys):
         assert cli.main(["samplesize"]) == 2
         assert "--s" in capsys.readouterr().err
+
+    def test_spread_whose_square_overflows_is_a_usage_error(self, capsys):
+        assert cli.main(["samplesize", "--s", "1e200"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: s=1e+200 is too large: z^2 s^2 overflows a double\n"
+        assert captured.out == ""
 
     def test_untabulated_confidence_is_a_usage_error(self):
         assert cli.main(["samplesize", "--s", "1.0", "--confidence", "0.80"]) == 2

@@ -72,6 +72,13 @@ class TestMinSampleSize:
         with pytest.raises(ValueError):
             SampleSizeInputs(**kwargs)
 
+    def test_spread_whose_square_overflows_is_refused(self):
+        # z^2 s^2 is inf, and inf / inf would make the minimum NaN
+        with pytest.raises(ValueError, match="^s=1e\\+200 is too large"):
+            SampleSizeInputs(s=1e200, z=1.959, e=0.02, n_t=86400)
+        # a spread whose z^2 s^2 stays finite is still taken
+        assert required_samples(SampleSizeInputs(s=1e150, z=1.959, e=0.02, n_t=86400)) == 86400
+
     @given(
         s=st.floats(0.001, 100.0),
         bigger=st.floats(1.001, 4.0),

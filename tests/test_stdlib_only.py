@@ -3,7 +3,9 @@
 A child interpreter started with ``-I -S`` sees neither site-packages nor
 PYTHONPATH, so any third-party import, one made lazily inside a function
 included, fails it.  ``-B`` keeps it from writing bytecode into ``src``:
-under ``-I`` the PYTHONDONTWRITEBYTECODE variable is ignored.
+under ``-I`` the PYTHONDONTWRITEBYTECODE variable is ignored.  No
+command imports ``hashlib``: the column cache is keyed on the capture's
+file identity, and no load hashes the capture.
 """
 
 import json
@@ -27,6 +29,8 @@ for argv in (["simulate", scenario, out], ["analyze", capture], ["report", captu
     code = cli.main(argv)
     if code != 0:
         sys.exit(f"{argv[0]} exited {code}")
+if "hashlib" in sys.modules:
+    sys.exit("a command imported hashlib")
 print(json.dumps(sorted(name for name in sys.modules if name.startswith("wamsbench."))))
 """
 

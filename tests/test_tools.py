@@ -31,7 +31,7 @@ def test_child_steps_run_on_a_short_capture(tools, tmp_path):
     assert sim["records"] > 0 and sim["frames"] > 0
     load = rss_slope.run_child(str(ROOT), "load", 5, str(tmp_path))
     assert load["records"] == sim["records"]
-    assert load["seconds"] > 0
+    assert load["seconds"] > 0 and load["maxrss_kib"] > 0
     analyze = rss_slope.run_child(str(ROOT), "analyze", 5, str(tmp_path))
     assert analyze["maxrss_kib"] > 0
     assert (tmp_path / "d5" / "summary.csv").is_file()
@@ -81,13 +81,17 @@ def test_report_splits_the_cache_slope_by_section(tools):
     ]
 
 
-def test_cold_load_report_gives_median_and_quartiles(tools):
+def test_cold_load_report_gives_median_and_quartiles_and_median_peak_rss(tools):
     _, cold_load = tools
-    assert cold_load.report({"/a": [5.0, 1.0, 3.0, 2.0, 4.0], "/b": [0.5, 0.5]}).splitlines() == [
-        "| checkout | runs | median s | q1 s | q3 s | q3 - q1 s |",
-        "| --- | ---: | ---: | ---: | ---: | ---: |",
-        "| /a | 5 | 3.000 | 2.000 | 4.000 | 2.000 |",
-        "| /b | 2 | 0.500 | 0.500 | 0.500 | 0.000 |",
+    # (seconds, peak RSS in KiB) per run; the peaks' median is not the
+    # peak of the median time's run
+    loads = {"/a": [(5.0, 20480), (1.0, 10240), (3.0, 30720), (2.0, 20480), (4.0, 0)],
+             "/b": [(0.5, 1024), (0.5, 2048)]}
+    assert cold_load.report(loads).splitlines() == [
+        "| checkout | runs | median s | q1 s | q3 s | q3 - q1 s | median peak RSS MiB |",
+        "| --- | ---: | ---: | ---: | ---: | ---: | ---: |",
+        "| /a | 5 | 3.000 | 2.000 | 4.000 | 2.000 | 20.0 |",
+        "| /b | 2 | 0.500 | 0.500 | 0.500 | 0.000 | 1.5 |",
     ]
 
 
