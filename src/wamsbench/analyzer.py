@@ -76,12 +76,10 @@ windows are wall-clock aligned: window k covers arrivals in [k, k+1).
 """
 
 import contextlib
-import csv
 import json
 import logging
 import math
 import os
-import statistics
 import sys
 import zlib
 from array import array
@@ -368,7 +366,7 @@ def _identity(capture_file) -> list:
 def _parse(path: Path, capture_file) -> Capture:
     """The Capture of the bytes of ``capture_file``, read from where it
     stands."""
-    parser = _Parser()
+    parser = _Parser(path)
     while block := capture_file.read(_BLOCK_BYTES):
         if not block.endswith(b"\n"):
             block += capture_file.readline()  # a block holds whole lines only
@@ -376,15 +374,16 @@ def _parse(path: Path, capture_file) -> Capture:
         if "\r" in text:  # universal newlines, as text-mode open() reads
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         parser.feed(text)
-    return parser.capture(path)
+    return parser.capture()
 
 
 _BLOCK_BYTES = 1 << 16
 
 class _Parser:
-    """The state of one load_capture pass."""
+    """The state of one load_capture pass over the capture at ``path``."""
 
-    def __init__(self):
+    def __init__(self, path: Path):
+        self.path = path
         self.header = self.integrity = None
         self.skipped = self.dropped = 0
         self.walls, self.payloads, self.headers = array("d"), array("H"), array("H")
@@ -395,7 +394,8 @@ class _Parser:
 
     def feed(self, block: str) -> None:
         """Parse a block of whole lines, one at a time as JSON: the
-        header, the trailer and the record lines."""
+        header, the trailer and the record lines.  CaptureError as soon
+        as the header names another kind of log."""
         nan, limit, max_id = math.nan, MS_LIMIT, MAX_DEVICE_ID
         direction_index, class_index = _DIRECTION_INDEX, _CLASS_INDEX
         walls, frame_columns = self.walls, self.frame_columns
@@ -418,6 +418,10 @@ class _Parser:
             if "header" in obj:
                 if self.header is None and isinstance(obj["header"], dict):
                     self.header = obj["header"]
+                    # refused here, so another log is not parsed to its end
+                    kind = self.header.get("log", "capture")  # a hand-built header may leave it out
+                    if kind != "capture":
+                        raise CaptureError(f"{self.path}: the header names a {kind!r} log, not a capture log")
                 else:
                     self.skipped += 1
                 continue
@@ -472,12 +476,10 @@ class _Parser:
             if wall is nan:
                 self.dropped += 1
 
-    def capture(self, path: Path) -> Capture:
+    def capture(self) -> Capture:
+        path = self.path
         if self.header is None:
             raise CaptureError(f"{path}: no header line, not a capture log")
-        kind = self.header.get("log", "capture")  # a hand-built header may leave it out
-        if kind != "capture":
-            raise CaptureError(f"{path}: the header names a {kind!r} log, not a capture log")
         try:
             check_header(self.header)
         except ValueError as err:
@@ -834,11 +836,12 @@ def summarize(capture: Capture, sample_indices=None, t_fdr_ms: Optional[float] =
     ratios over the whole capture either way; sampling a ratio of
     totals is not meaningful.  Passing every index equals not sampling.
 
-    The averages are statistics.fmean, an exactly rounded sum, so they
-    do not depend on the order frames and slots are visited in.  The
-    summary reads only the capture's SlotTable: at the header's t_fdr_ms
-    no record or frame is touched.  ValueError when t_fdr_ms breaks the
-    value rule.
+    Each average is an exactly rounded sum (math.fsum) over its count,
+    so it does not depend on the order frames and slots are visited in.
+    The summary reads only the capture's SlotTable: at the header's
+    t_fdr_ms no record or frame is touched.  ValueError when t_fdr_ms
+    breaks the value rule, or for an empty sample of a run that has
+    slots, which has no average.
     """
     table = capture.slot_table(t_fdr_ms)
     population = table.population
@@ -848,12 +851,14 @@ def summarize(capture: Capture, sample_indices=None, t_fdr_ms: Optional[float] =
         bad = sorted(i for i in slots if not 0 <= i < population)
         if bad:
             raise ValueError(f"sample indices out of range [0, {population}): {bad}")
+        if population and not slots:
+            raise ValueError(f"an empty sample of the {population} slots has no average")
 
     rates, windows = table.rates, max(1, population)
     rows = []
     for k, dev in enumerate(table.devices):
         base = k * windows
-        throughput = statistics.fmean(rates[base + i] for i in slots) if population else 0.0
+        throughput = math.fsum([rates[base + i] for i in slots]) / len(slots) if population else 0.0
         avg_delay, max_delay = table.delay_figures(k, slots)
         retx, fast = _retx_pcts(table.wire_bytes[dev])
         rows.append(
@@ -950,9 +955,9 @@ class SlotTable:
         return sum(counts[row * population + s] for row in range(len(self.devices)) for s in slots)
 
     def delay_figures(self, row: int, slots) -> tuple:
-        """(statistics.fmean, max()) of the counted delays of the device
-        in row ``row`` in ``slots``, bit for bit; (NaN, NaN) when it has
-        none there."""
+        """(exactly rounded mean, max()) of the counted delays of the
+        device in row ``row`` in ``slots``, bit for bit; (NaN, NaN) when
+        it has none there."""
         counts, ends, partials = self.counts, self.part_ends, self.partials
         base = row * self.population
         drawn = [base + s for s in slots if counts[base + s]]
@@ -1033,6 +1038,17 @@ def _exact_parts(values: list) -> list:
 
 # -- output ----------------------------------------------------------------
 
+# The CSV rule: no cell ever needs quoting (ids and counts are ints,
+# figures have a fixed number of decimals, column names are plain
+# words), so a row is its cells joined by commas, and every line ends
+# in "\n".
+
+
+def _write_csv(path, columns, lines) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(lines)
+
 
 def _summary_cells(metrics: DeviceMetrics) -> list:
     return [
@@ -1047,11 +1063,7 @@ def _summary_cells(metrics: DeviceMetrics) -> list:
 
 
 def write_summary_csv(summary: MetricsSummary, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for metrics in summary.devices:
-            writer.writerow(_summary_cells(metrics))
+    _write_csv(path, SUMMARY_COLUMNS, (",".join(_summary_cells(m)) + "\n" for m in summary.devices))
 
 
 def format_table(summary: MetricsSummary) -> str:
@@ -1067,26 +1079,23 @@ def format_table(summary: MetricsSummary) -> str:
 
 DELAY_COLUMNS = ["device", "frame_seq", "frame_timestamp", "arrival_time", "t_ci_ms", "t_ete_ms", "flagged"]
 
-# one delay_series.csv row, as csv.writer writes a FrameDelay: its
-# device_id, frame_seq and frame_timestamp are ints, which need no
-# quoting, and its times get three decimals
+# one delay_series.csv row of a FrameDelay, by the CSV rule: its
+# device_id, frame_seq and frame_timestamp are ints, and its times get
+# three decimals
 _DELAY_ROW = "%s,%s,%s,%.3f,%.3f,%.3f,%d\n"
 
 
 def write_delay_series_csv(rows, path) -> None:
     """Write delay rows in FrameDelay field order: FrameDelay tuples, or
     the plain tuples of delay_rows as they are computed."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(DELAY_COLUMNS) + "\n")
-        fh.writelines(_DELAY_ROW % row for row in rows)
+    _write_csv(path, DELAY_COLUMNS, (_DELAY_ROW % row for row in rows))
 
 
 def write_throughput_series_csv(series: dict, path) -> None:
     """One row per device and 1-second window; window k starts k seconds
     after the epoch."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["device", "window_start_s", "kbit_per_s"])
-        for dev in sorted(series):
-            for k, value in enumerate(series[dev]):
-                writer.writerow([dev, k, f"{value:.3f}"])
+    _write_csv(
+        path,
+        ["device", "window_start_s", "kbit_per_s"],
+        ("%s,%d,%.3f\n" % (dev, k, value) for dev in sorted(series) for k, value in enumerate(series[dev])),
+    )

@@ -23,8 +23,6 @@ it skipped.
 import json
 import logging
 import math
-import selectors
-import socket
 import threading
 import time
 from bisect import bisect_right
@@ -420,6 +418,10 @@ class LiveDcsServer:
     def start(self) -> None:
         """Bind, then open both logs, so a port that cannot be bound
         leaves an earlier run's logs as they were."""
+        # live commands only: an offline one never loads the socket stack
+        import selectors
+        import socket
+
         # a burst of dials waits in the kernel's queue until the loop
         # drains it; a full queue drops a SYN, and that dial waits out a
         # 1 s retransmission timeout
@@ -468,6 +470,8 @@ class LiveDcsServer:
     def _accept(self) -> None:
         """Take every connection waiting in the listen queue, refusing
         each one past max_conns."""
+        from selectors import EVENT_READ
+
         while True:
             try:
                 sock, addr = self._listener.accept()
@@ -480,15 +484,15 @@ class LiveDcsServer:
                 continue
             self._next_id += 1
             self._offsets[self._next_id] = 0
-            self._selector.register(sock, selectors.EVENT_READ, self._next_id)
+            self._selector.register(sock, EVENT_READ, self._next_id)
 
-    def _close(self, sock: socket.socket, conn_id: int) -> None:
+    def _close(self, sock, conn_id: int) -> None:
         self._selector.unregister(sock)
         sock.close()
         self.ingest.assemblers.pop(conn_id, None)
         del self._offsets[conn_id]
 
-    def _read(self, sock: socket.socket, conn_id: int) -> None:
+    def _read(self, sock, conn_id: int) -> None:
         try:
             data = sock.recv(4096)  # selected as readable: returns at once
         except OSError:

@@ -17,7 +17,6 @@ import heapq
 import logging
 import math
 import random
-import socket
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -233,6 +232,8 @@ class LiveEmulator:
     def _connect(self):
         """Dial, waiting between attempts; a generator like ``steps``
         that returns the socket, or None once every attempt failed."""
+        import socket  # live commands only: an offline one never loads it
+
         last_err = None
         for attempt in range(self.connect_attempts):
             if attempt:

@@ -16,7 +16,6 @@ figures, are worth calling out:
 
 import math
 import random
-import statistics
 from dataclasses import dataclass
 
 Z_TABLE = {0.90: 1.645, 0.95: 1.959, 0.99: 2.576}
@@ -46,6 +45,8 @@ class SampleSizeInputs:
             raise ValueError("n_t must be at least 1")
         if not math.isfinite(self.z * self.z * self.s * self.s):  # min_sample_size's numerator
             raise ValueError(f"s={self.s:g} is too large: z^2 s^2 overflows a double")
+        if self.e * self.e == 0:  # else s=0 makes min_sample_size 0 / 0
+            raise ValueError(f"e={self.e:g} is too small: e^2 underflows to 0")
 
 
 def z_for_confidence(level: float) -> float:
@@ -59,6 +60,8 @@ def z_for_confidence(level: float) -> float:
 
 def presample_std(samples) -> float:
     """Standard deviation of the pre-sample, population divisor N."""
+    import statistics  # only samplesize --presample-file needs it
+
     values = list(samples)
     if not values:
         raise ValueError("pre-sample is empty")

@@ -794,7 +794,7 @@ def _assert_table_is_the_fold(path, t_fdr_values=(None,), slot_sets=None):
         for t_fdr_ms in t_fdr_values:
             for slots in slot_sets or _all_slot_sets(population):
                 if slots == [] and population:
-                    with pytest.raises(statistics.StatisticsError):
+                    with pytest.raises(ValueError, match=f"^an empty sample of the {population} slots has no average$"):
                         summarize(cap, slots, t_fdr_ms)
                     continue
                 assert _from_table(cap, slots, t_fdr_ms) == _fold_over_frames(cap, slots, t_fdr_ms)

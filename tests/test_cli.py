@@ -271,17 +271,26 @@ def test_header_value_the_analyzer_cannot_use_is_a_usage_error(command, key, val
 
 
 @pytest.mark.parametrize("command", ["analyze", "report"])
-def test_measurement_log_is_refused_before_any_file_is_written(command, mini_run, tmp_path, capsys):
+def test_measurement_log_is_refused_before_any_file_is_written(command, mini_run, tmp_path, capsys, monkeypatch):
     # analyze without --out-dir writes beside its input: the run's own
     # summary.csv, which a refused load must leave as it is
     run = tmp_path / "run"
     shutil.copytree(mini_run, run)
-    files = {path.name: path.read_bytes() for path in run.iterdir()}
+    # rows repeated past the parser's block size: the header line refuses
+    # the log, so the load stops after its first block
     measurements = run / "measurements.jsonl"
+    header, rows = measurements.read_text().split("\n", 1)
+    measurements.write_text(header + "\n" + rows * (2 * analyzer._BLOCK_BYTES // len(rows) + 1))
+    assert measurements.stat().st_size > 2 * analyzer._BLOCK_BYTES
+    files = {path.name: path.read_bytes() for path in run.iterdir()}
+    blocks = []
+    feed = analyzer._Parser.feed
+    monkeypatch.setattr(analyzer._Parser, "feed", lambda parser, block: (blocks.append(block), feed(parser, block)))
     assert cli.main([command, str(measurements)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {measurements}: the header names a 'measurements' log, not a capture log\n"
+    assert len(blocks) == 1
     assert {path.name: path.read_bytes() for path in run.iterdir()} == files
     assert not (run / "measurements.jsonl.columns").exists()
 
@@ -429,6 +438,12 @@ class TestSampleSize:
         assert cli.main(["samplesize", "--s", "1e200"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: s=1e+200 is too large: z^2 s^2 overflows a double\n"
+        assert captured.out == ""
+
+    def test_error_whose_square_underflows_is_a_usage_error(self, capsys):
+        assert cli.main(["samplesize", "--s", "0", "--e", "1e-200"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: e=1e-200 is too small: e^2 underflows to 0\n"
         assert captured.out == ""
 
     def test_untabulated_confidence_is_a_usage_error(self):

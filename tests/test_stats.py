@@ -79,6 +79,15 @@ class TestMinSampleSize:
         # a spread whose z^2 s^2 stays finite is still taken
         assert required_samples(SampleSizeInputs(s=1e150, z=1.959, e=0.02, n_t=86400)) == 86400
 
+    def test_error_whose_square_underflows_is_refused(self):
+        # e^2 is 0, and with s=0 the minimum would be 0 / 0
+        assert 1e-200 * 1e-200 == 0.0
+        for s in (0.0, 1.0):
+            with pytest.raises(ValueError, match="^e=1e-200 is too small: e\\^2 underflows to 0$"):
+                SampleSizeInputs(s=s, z=1.959, e=1e-200, n_t=86400)
+        # an error whose square is a subnormal is still taken
+        assert min_sample_size(SampleSizeInputs(s=0.0, z=1.959, e=1e-160, n_t=86400)) == 0.0
+
     @given(
         s=st.floats(0.001, 100.0),
         bigger=st.floats(1.001, 4.0),

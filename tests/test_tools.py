@@ -27,6 +27,8 @@ def tools(monkeypatch):
 
 def test_child_steps_run_on_a_short_capture(tools, tmp_path):
     rss_slope, _ = tools
+    imported = rss_slope.run_child(str(ROOT), "import", 5, str(tmp_path))
+    assert set(imported) == {"maxrss_kib"} and imported["maxrss_kib"] > 0
     sim = rss_slope.run_child(str(ROOT), "simulate", 5, str(tmp_path))
     assert sim["records"] > 0 and sim["frames"] > 0
     load = rss_slope.run_child(str(ROOT), "load", 5, str(tmp_path))

@@ -1,8 +1,11 @@
 """Peak RSS of the simulator and of the analyzer against capture size.
 
 Runs the bundled ``lossy_0p3`` scenario cut to 1000 s and to 4000 s and
-records ``ru_maxrss`` of four fresh child processes per duration:
+records ``ru_maxrss`` of five fresh child processes per duration:
 
+  import           ``import wamsbench.cli``, as the ``wamsbench`` script
+                   starts, and nothing else: the fixed cost of every
+                   command
   simulate         ``run_simulation`` alone, which writes the capture
   analyze          ``wamsbench analyze`` on that capture, which parses it
                    and leaves its column cache (``capture.jsonl.columns``)
@@ -15,10 +18,12 @@ records ``ru_maxrss`` of four fresh child processes per duration:
 then prints each process's peak, the cache size, and the slope between
 the two durations, per capture record and per frame.  A fixed cost
 (interpreter, imports, buffers) cancels out of the slope; what is left
-is what the program keeps per record or per frame.  The cache's slope
-is also split by section (the slot table, the records, every device's
-frames, each with the check that ends it), read from the cache's JSON
-line, so a layout change shows where it landed.
+is what the program keeps per record or per frame.  The ``import`` peak
+measures the interpreter and import part of that cost for each
+checkout, and its slope is about zero.  The cache's slope is also split
+by section (the slot table, the records, every device's frames, each
+with the check that ends it), read from the cache's JSON line, so a
+layout change shows where it landed.
 
     python tools/rss_slope.py [--root DIR]...
 
@@ -43,7 +48,7 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DURATIONS_S = (1000, 4000)
-STEPS = ("simulate", "analyze", "analyze, cached", "report, cached")
+STEPS = ("import", "simulate", "analyze", "analyze, cached", "report, cached")
 SECTIONS = ("table", "records", "frames")
 
 # what a child runs: argv[1] is the checkout root, argv[2] a JSON spec;
@@ -53,7 +58,9 @@ import contextlib, dataclasses, io, json, os, resource, sys, time
 sys.path.insert(0, sys.argv[1] + "/src")
 spec = json.loads(sys.argv[2])
 out = {}
-if spec["step"] == "simulate":
+if spec["step"] == "import":
+    import wamsbench.cli
+elif spec["step"] == "simulate":
     from wamsbench.scenario import load_scenario
     from wamsbench.sim import run_simulation
     scenario = dataclasses.replace(load_scenario("lossy_0p3"), duration_s=spec["duration_s"])
@@ -129,6 +136,7 @@ def measure(root: str, work: str) -> list:
     the cache size, in bytes."""
     rows = []
     for duration in DURATIONS_S:
+        imported = run_child(root, "import", duration, work)
         sim = run_child(root, "simulate", duration, work)
         cold = run_child(root, "analyze", duration, work)
         warm = run_child(root, "analyze", duration, work)
@@ -139,6 +147,7 @@ def measure(root: str, work: str) -> list:
                 "duration_s": duration,
                 "records": sim["records"],
                 "frames": sim["frames"],
+                "import": imported["maxrss_kib"] * 1024,
                 "simulate": sim["maxrss_kib"] * 1024,
                 "analyze": cold["maxrss_kib"] * 1024,
                 "analyze, cached": warm["maxrss_kib"] * 1024,
@@ -154,9 +163,9 @@ def measure(root: str, work: str) -> list:
 
 def report(rows: list) -> str:
     lines = [
-        "| duration_s | records | frames | simulate peak MB | analyze peak MB "
+        "| duration_s | records | frames | import peak MB | simulate peak MB | analyze peak MB "
         "| analyze, cached peak MB | report, cached peak MB | cache MB |",
-        "| ---: | ---: | ---: | ---: | ---: | ---: | ---: | ---: |",
+        "| ---: | ---: | ---: | ---: | ---: | ---: | ---: | ---: | ---: |",
     ]
     for r in rows:
         peaks = " | ".join(f"{r[step] / 2**20:.1f}" for step in STEPS)
