@@ -4,8 +4,8 @@ The capture log is the single input: every wire copy is one record,
 delivered data copies list the frames they completed, and the header
 says when the run started and how long it was configured to last.
 Everything in this module is a pure function of that file, so re-running
-an analysis always reproduces the same bytes, and the log's line order
-never matters.
+an analysis always reproduces the same bytes, and the order of the lines
+after the header never matters.
 
 Metric definitions, chosen once and used everywhere:
 
@@ -49,9 +49,11 @@ it parses, and Capture.integrity_problems() compares them with the
 trailer the writer appended; a capture without a trailer was cut short.
 
 Slot table: every summary figure and the throughput series are folds
-over 1-second slots, so a parse ends by folding the columns into a
-SlotTable, per device and slot, and summaries of any set of slots and
-the series read that table alone.
+over 1-second slots, kept in a SlotTable per device and slot, and
+summaries of any set of slots and the series read that table alone.  The
+parse folds each record line into the table's uplink half as it reads
+it, so no record is kept, and ends by folding the frame columns into its
+delay half.
 
 Outputs: the analyze command writes summarize() as summary.csv,
 SlotTable.series() as throughput_series.csv and delay_rows() as
@@ -61,9 +63,9 @@ retransmission_stats give the same figures as Python values.
 Column cache: load_capture keeps the slot table and the columns of a
 finished capture in ``<capture>.columns`` beside it, keyed by the
 capture's file identity, so a capture is parsed once however often it
-is analyzed.  The records and each device's frames have a section of
-their own, so a summary or a throughput series reads no column and the
-delay series holds one device's frames at a time.  The cache only saves
+is analyzed.  Each device's frames have a section of their own, so a
+summary or a throughput series reads no column and the delay series
+holds one device's frames at a time.  The cache only saves
 time: a load that cannot trust it parses the file and caches it anew,
 and deleting the cache is always safe.
 
@@ -148,45 +150,21 @@ def check_header(header: dict) -> None:
         raise ValueError(f"duration_s must be null, 0 or a positive int, got {duration!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class Records:
-    """A capture's records in typed columns, one row per record line in
-    file order.
-
-    wall_time                    'd'; NaN for a dropped copy (null in
-                                 the log: the loader rejects every
-                                 non-finite wall time, so NaN is free)
-    device                       'i', the device id; -1 for null
-    direction, retx_class        'B', places in DIRECTIONS and CLASSES
-    payload_bytes, header_bytes  'H', each in [0, 65535] by the value
-                                 rule
-    """
-
-    wall_time: array
-    device: array
-    direction: array
-    retx_class: array
-    payload_bytes: array
-    header_bytes: array
-
-    def __len__(self) -> int:
-        return len(self.wall_time)
-
-
 class Capture:
-    """A parsed capture log, kept in typed columns.
+    """A parsed capture log: its SlotTable, and its frames in typed
+    columns.
 
-    records          Records: one row per record line, in file order
     device_frames()  the frame_complete entries, one device's columns
                      per step
     counts           what the parse found, under the TRAILER_KEYS names
 
-    The columns are kept as a list of sections, in the column cache's
-    order: section 0 the records' columns, section 1 + k the frame
-    columns of the k-th frame device id.  A parse holds every section;
-    a Capture read from the column cache holds its header, counts and
-    SlotTable, and reads a section from the cache each time it is used,
-    so device_frames() holds one device's frames at a time.
+    The frame columns are kept as a list of sections, in the column
+    cache's order: section k the frame columns of the k-th frame device
+    id.  A parse holds every section; a Capture read from the column
+    cache holds its header, counts and SlotTable, and reads a section
+    from the cache each time it is used, so device_frames() holds one
+    device's frames at a time.  No record is kept: the parse folds each
+    record line into the SlotTable as it reads it.
     """
 
     def __init__(self, header, integrity, skipped_lines, counts, table, frame_devices, sections, cache=None):
@@ -198,8 +176,12 @@ class Capture:
         self._cache = cache  # the _CacheSections a cached load reads its sections from
 
     @property
-    def records(self) -> Records:
-        return Records(*self._section(0))
+    def records(self) -> range:
+        """A range as long as the capture's record count.  It only serves
+        the benchmark's child process (bench/child.py), which counts
+        loaded records with len(capture.records); it goes once the
+        benchmark reads counts["records"] instead."""
+        return range(self.counts["records"])
 
     def device_frames(self):
         """Yield (device_id, frame_seq 'I', frame_timestamp 'q', arrival
@@ -208,10 +190,10 @@ class Capture:
         columns sorted by frame_seq; reads one device's section per
         step."""
         for k, dev in enumerate(self._frame_devices):
-            yield (dev, *self._section(1 + k))
+            yield (dev, *self._section(k))
 
     def _section(self, index: int) -> list:
-        """The arrays of column section ``index``.  A section left in the
+        """The arrays of frame section ``index``.  A section left in the
         cache is read from it; when it cannot be read or fails its check,
         the capture is parsed again, the cache rewritten, and every
         section replaced by the parse's.  CaptureError when the capture's
@@ -323,21 +305,24 @@ def load_capture(path) -> Capture:
 
     A record line counts as corrupt when a field does not fit its
     column: a wall time that is neither null nor a finite number, byte
-    counts outside [0, 65535], frame numbers outside [0, 2**32) or
-    timestamps that are not 64-bit integers, an arrival that breaks the
-    value rule, an id, direction or class that breaks the identifier
-    rule, or a missing key.
+    counts that are not ints in [0, 65535], frame numbers outside
+    [0, 2**32) or timestamps that are not 64-bit integers, an arrival
+    that breaks the value rule, an id, direction or class that breaks
+    the identifier rule, or a missing key.  The header-first rule: a
+    record line before the header is corrupt too, since its fold needs
+    the header's epoch (every writer puts the header first).
 
     The file is read in blocks of whole lines, as UTF-8 text with
     universal newlines, and each line is decoded as JSON on its own.
-    The parse ends by building the capture's SlotTable from the columns.
+    Each record line is folded into the capture's SlotTable as it is
+    read, and the parse ends by folding the frame columns into it.
 
     A capture with a trailer is cached beside it, at
-    ``<capture>.columns``: its SlotTable, then its columns, keyed by the
-    capture's file identity (_identity).  When the cache can be trusted
-    for this capture (_read_cache), the table is read from the cache
-    instead of parsed, and the columns when records or frames are first
-    used; either way the Capture is the same.  Otherwise the capture is
+    ``<capture>.columns``: its SlotTable, then its frame columns, keyed
+    by the capture's file identity (_identity).  When the cache can be
+    trusted for this capture (_read_cache), the table is read from the
+    cache instead of parsed, and a device's frame columns when they are
+    first used; either way the Capture is the same.  Otherwise the capture is
     parsed and cached anew under its identity now, so a capture copied
     along with its cache is parsed once, and later loads are warm.
     """
@@ -380,27 +365,37 @@ def _parse(path: Path, capture_file) -> Capture:
 _BLOCK_BYTES = 1 << 16
 
 class _Parser:
-    """The state of one load_capture pass over the capture at ``path``."""
+    """The state of one load_capture pass over the capture at ``path``:
+    the header and the trailer, the frame columns, and the fold of the
+    record lines into the SlotTable's uplink half."""
 
     def __init__(self, path: Path):
         self.path = path
         self.header = self.integrity = None
+        # from the header: its epoch, and how many windows a row may hold
+        self.epoch = self.windows = None
         self.skipped = self.dropped = 0
-        self.walls, self.payloads, self.headers = array("d"), array("H"), array("H")
-        self.devices, self.directions, self.classes = array("i"), array("B"), array("B")
-        self.record_columns = (self.walls, self.payloads, self.headers, self.devices, self.directions, self.classes)
+        self.copies = [0] * len(DIRECTIONS)  # the records kept, per direction
+        self.last_wall = -math.inf  # the largest finite wall time
+        # device id, None for null -> uplink wire bytes per class
+        self.wire_bytes = {}
+        # device id -> its 1-second window rates in kbit/s, grown as
+        # windows appear; a null id's row stays empty
+        self.rates = {}
         # device id -> (frame_seq, frame_timestamp, arrival)
         self.frame_columns = defaultdict(lambda: (array("I"), array("q"), array("d")))
 
     def feed(self, block: str) -> None:
         """Parse a block of whole lines, one at a time as JSON: the
-        header, the trailer and the record lines.  CaptureError as soon
-        as the header names another kind of log."""
-        nan, limit, max_id = math.nan, MS_LIMIT, MAX_DEVICE_ID
-        direction_index, class_index = _DIRECTION_INDEX, _CLASS_INDEX
-        walls, frame_columns = self.walls, self.frame_columns
-        add_wall, add_payload, add_header = walls.append, self.payloads.append, self.headers.append
-        add_device, add_direction, add_class = self.devices.append, self.directions.append, self.classes.append
+        header, the trailer and the record lines, each record line
+        folded as soon as it passes its checks.  CaptureError as soon as
+        the header names another kind of log or holds a value the
+        analyzer cannot use."""
+        limit, max_id, max_values, floor = MS_LIMIT, MAX_DEVICE_ID, MAX_SERIES_VALUES, math.floor
+        direction_index, class_index, uplink = _DIRECTION_INDEX, _CLASS_INDEX, _DIRECTION_INDEX["UPLINK"]
+        count_types = (int, bool)
+        frame_columns, copies, wire_bytes, rates = self.frame_columns, self.copies, self.wire_bytes, self.rates
+        epoch, windows, last_wall = self.epoch, self.windows, self.last_wall
         # "\n" only: str.splitlines() would also split at characters
         # such as U+2028 that JSON allows raw inside a string
         for line in block.split("\n"):
@@ -417,11 +412,20 @@ class _Parser:
                 continue
             if "header" in obj:
                 if self.header is None and isinstance(obj["header"], dict):
-                    self.header = obj["header"]
                     # refused here, so another log is not parsed to its end
-                    kind = self.header.get("log", "capture")  # a hand-built header may leave it out
+                    header = obj["header"]
+                    kind = header.get("log", "capture")  # a hand-built header may leave it out
                     if kind != "capture":
                         raise CaptureError(f"{self.path}: the header names a {kind!r} log, not a capture log")
+                    try:
+                        check_header(header)
+                    except ValueError as err:
+                        raise CaptureError(f"{self.path}: header {err}") from None
+                    self.header, self.epoch = header, header.get("epoch_utc_ms") or 0
+                    # a live capture, without a duration, grows its rows as
+                    # far as MAX_SERIES_VALUES lets them
+                    self.windows = header.get("duration_s") or math.inf
+                    epoch, windows = self.epoch, self.windows
                 else:
                     self.skipped += 1
                 continue
@@ -431,26 +435,29 @@ class _Parser:
                 else:
                     self.skipped += 1
                 continue
+            if epoch is None:  # the header-first rule
+                self.skipped += 1
+                continue
             frame_cols = None
             try:
                 wall = obj["wall_time"]
-                if wall is None:
-                    wall = nan
-                elif wall * 0.0 != 0.0:  # NaN or infinite; a str raises TypeError
-                    raise ValueError(wall)
-                add_payload(obj["payload_bytes"])
-                add_header(obj["header_bytes"])
+                if wall is not None:
+                    if wall * 0.0 != 0.0:  # NaN or infinite; a str raises TypeError
+                        raise ValueError(wall)
+                    wall = float(wall)
+                payload, head = obj["payload_bytes"], obj["header_bytes"]
+                # the value rule: ints (a bool is one) in [0, 65535]
+                if not (payload.__class__ in count_types and head.__class__ in count_types
+                        and 0 <= payload <= 0xFFFF and 0 <= head <= 0xFFFF):
+                    raise ValueError((payload, head))
                 dev = obj["device_id"]
-                if dev is None:
-                    dev = -1
-                elif dev.__class__ is not int or not 0 <= dev <= max_id:  # the identifier rule
+                if dev is not None and (dev.__class__ is not int or not 0 <= dev <= max_id):  # the identifier rule
                     raise ValueError(dev)
-                add_device(dev)
-                add_direction(direction_index[obj["direction"]])
-                add_class(class_index[obj["retransmission_class"]])
+                direction = direction_index[obj["direction"]]
+                cls = class_index[obj["retransmission_class"]]
                 complete = obj.get("frame_complete")
                 if complete:
-                    if dev < 0:
+                    if dev is None:
                         raise ValueError("frames under a null device id")
                     frame_cols = seqs, stamps, arrivals = frame_columns[dev]
                     kept = len(seqs)
@@ -462,65 +469,74 @@ class _Parser:
                             raise ValueError(arrival)
                         arrivals.append(arrival + 0.0)  # -0.0 + 0.0 is 0.0
             except (KeyError, TypeError, ValueError, OverflowError):
-                # undo this line's appends; the wall column is appended
-                # last, so it holds the count of the lines kept
-                kept_records = len(walls)
-                for column in self.record_columns:
-                    del column[kept_records:]
-                if frame_cols is not None:
+                if frame_cols is not None:  # undo this line's frames
                     for column in frame_cols:
                         del column[kept:]
                 self.skipped += 1
                 continue
-            add_wall(wall)
-            if wall is nan:
+            copies[direction] += 1
+            totals = wire_bytes.get(dev)
+            if totals is None:
+                totals = wire_bytes[dev] = [0] * len(CLASSES)
+                rates[dev] = array("d")
+            if wall is None:
                 self.dropped += 1
+            elif wall > last_wall:
+                last_wall = wall
+            if direction != uplink:
+                continue
+            wire = payload + head
+            totals[cls] += wire
+            if payload and wall is not None and dev is not None:
+                w = floor((wall - epoch) / 1000.0)
+                row = rates[dev]
+                if len(row) <= w < windows and (w + 1) * len(wire_bytes) <= max_values:
+                    row.frombytes(bytes(8 * (w + 1 - len(row))))  # zero rates up to window w
+                if 0 <= w < len(row):
+                    row[w] += wire * 8 / 1000.0
+        self.last_wall = last_wall
 
     def capture(self) -> Capture:
-        path = self.path
-        if self.header is None:
+        path, header, ids = self.path, self.header, self.wire_bytes
+        if header is None:
             raise CaptureError(f"{path}: no header line, not a capture log")
-        try:
-            check_header(self.header)
-        except ValueError as err:
-            raise CaptureError(f"{path}: header {err}") from None
-        counts = dict(
-            records=len(self.walls),
-            uplink_copies=self.directions.count(_DIRECTION_INDEX["UPLINK"]),
-            ack_copies=self.directions.count(_DIRECTION_INDEX["ACK"]),
-            dropped_copies=self.dropped,
-        )
+        uplink, ack = self.copies
+        counts = dict(records=uplink + ack, uplink_copies=uplink, ack_copies=ack, dropped_copies=self.dropped)
         frame_devices = sorted(dev for dev, (seqs, _, _) in self.frame_columns.items() if seqs)
-        sections = [
-            [self.walls, self.devices, self.directions, self.classes, self.payloads, self.headers],
-            *(list(_sorted_by_seq(*self.frame_columns[dev])) for dev in frame_devices),
-        ]
-        # the table is folded from the capture's own columns, below
-        capture = Capture(self.header, self.integrity, self.skipped, counts, None, frame_devices, sections)
-        population = self.header.get("duration_s") or _covered_slots(capture)
-        ids = sorted(set(self.devices))  # -1, a null id, first
+        sections = [list(_sorted_by_seq(*self.frame_columns[dev])) for dev in frame_devices]
+        population = header.get("duration_s") or _covered_slots(self.epoch, sections, self.last_wall)
         if population * max(1, len(ids)) > MAX_SERIES_VALUES:
             raise CaptureError(
                 f"{path}: {population} 1-second slots for {len(ids)} device ids is more than "
                 f"{MAX_SERIES_VALUES} slot table values"
             )
-        capture._table = _build_table(capture, population, ids)
+        windows = max(1, population)
+        devices = sorted(dev for dev in ids if dev is not None)
+        rates = array("d")
+        for dev in devices:
+            row = self.rates.pop(dev)
+            del row[windows:]
+            rates += row
+            rates.frombytes(bytes(8 * (windows - len(row))))
+        wire_bytes = {
+            dev: {cls: total for cls, total in zip(CLASSES, ids[dev]) if total}
+            for dev in ([None] if None in ids else []) + devices
+        }
+        capture = Capture(header, self.integrity, self.skipped, counts, None, frame_devices, sections)
+        capture._table = SlotTable(population=population, devices=devices, rates=rates, wire_bytes=wire_bytes,
+                                   **_fold_delays(capture, population, devices, capture.t_fdr_ms))
         return capture
 
 
-def _covered_slots(capture: Capture) -> int:
-    """The smallest population slot count covering every frame and
-    arrival of ``capture``: the population of a live capture, which
-    configures no duration."""
-    epoch = capture.epoch_utc_ms
+def _covered_slots(epoch: int, frame_sections: list, last_wall: float) -> int:
+    """The smallest population slot count covering every frame of
+    ``frame_sections`` and every arrival up to ``last_wall``, the largest
+    finite wall time (-inf when there is none): the population of a live
+    capture, which configures no duration."""
     # both slot numbers grow with their time, so the latest time gives
     # the last slot
-    last_frame = max(
-        (_slot_of_timestamp(max(stamps), epoch) + 1 for _, _, stamps, _ in capture.device_frames()),
-        default=0,
-    )
-    last_wall = max((wall for wall in capture.records.wall_time if wall == wall), default=None)
-    last_arrival = 0 if last_wall is None else int((last_wall - epoch) // 1000) + 1
+    last_frame = max((_slot_of_timestamp(max(stamps), epoch) + 1 for _, stamps, _ in frame_sections), default=0)
+    last_arrival = 0 if last_wall == -math.inf else int((last_wall - epoch) // 1000) + 1
     return max(last_frame, last_arrival)
 
 
@@ -543,15 +559,15 @@ def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
 #            itemsize and length of each column of the column sections;
 #            under "table", the SlotTable's fields that are not arrays
 #   table    the raw bytes of the SlotTable's arrays, in _TABLE_ARRAYS order
-#   records  the raw bytes of the six columns of Records in field order
 #   frames   one section per device with frames, in the order of the ids
 #            listed in "frame_devices": its frame_seq, frame_timestamp
 #            and arrival columns
 #
-# A load reads the JSON line and the table, and leaves the column
+# A load reads the JSON line and the table, and leaves the frame
 # sections to Capture._section, which reads one each time it is used, so
 # a summary reads no column and a delay series one device's frames at a
-# time.
+# time.  No record has a section: the parse folds the records into the
+# table.
 #
 # The CRC guards against accidental damage to a derived local file; the
 # identity says which capture the cache is for.  A load trusts it as git
@@ -562,18 +578,18 @@ def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
 # cache that fails either test is not read: the capture is parsed and
 # cached anew under its identity now.
 
-CACHE_VERSION = 9
+CACHE_VERSION = 10
 _CHECK_BYTES = 4  # the CRC-32 that ends each section
-_RECORD_TYPECODES, _FRAME_TYPECODES = "diBBHH", "Iqd"
+_FRAME_TYPECODES = "Iqd"
 # what reading a cache that is missing, cut short, garbage or of another
 # layout can raise; any of them means the capture is parsed instead
 _BAD_CACHE = (OSError, EOFError, ValueError, LookupError, TypeError, RecursionError)
 
 
 class _CacheSections(NamedTuple):
-    """Where a cached load finds its column sections, in Capture's
-    section order, each as (offset past the JSON line, typecodes,
-    lengths), and the capture's identity the cache was trusted under."""
+    """Where a cached load finds its frame sections, in Capture's
+    section order, each as (offset past the JSON line, lengths), and the
+    capture's identity the cache was trusted under."""
 
     path: Path
     cache_path: Path
@@ -629,17 +645,15 @@ def _read_cache(path: Path, cache_path: Path, identity: list) -> Optional[Captur
             if meta["version"] != CACHE_VERSION or meta["byteorder"] != sys.byteorder:
                 return None
             devices = meta["frame_devices"]
-            lengths = _layout(meta["columns"], _RECORD_TYPECODES + _FRAME_TYPECODES * len(devices))
+            lengths = _layout(meta["columns"], _FRAME_TYPECODES * len(devices))
             table_lengths = _layout(meta["table"]["columns"], _TABLE_TYPECODES)
             offset = _section_bytes(_TABLE_TYPECODES, table_lengths) + _CHECK_BYTES  # past the JSON line
             sections = []
-            groups = [(_RECORD_TYPECODES, lengths[:6])]
-            groups += [(_FRAME_TYPECODES, lengths[k:k + 3]) for k in range(6, len(lengths), 3)]
-            for codes, group in groups:
+            for group in (lengths[k:k + 3] for k in range(0, len(lengths), 3)):
                 if len(set(group)) != 1:  # a section's columns have one length
                     return None
-                sections.append((offset, codes, group))
-                offset += _section_bytes(codes, group) + _CHECK_BYTES
+                sections.append((offset, group))
+                offset += _section_bytes(_FRAME_TYPECODES, group) + _CHECK_BYTES
             cache_stat = os.fstat(fh.fileno())
             if cache_stat.st_size != len(meta_line) + offset:
                 return None
@@ -657,11 +671,11 @@ def _read_cache(path: Path, cache_path: Path, identity: list) -> Optional[Captur
 
 
 def _read_cached_section(cache: _CacheSections, index: int) -> list:
-    """The arrays of column section ``index`` of ``cache``."""
-    offset, typecodes, lengths = cache.sections[index]
+    """The arrays of frame section ``index`` of ``cache``."""
+    offset, lengths = cache.sections[index]
     with open(cache.cache_path, "rb") as fh:
         fh.seek(len(cache.meta_line) + offset)
-        return _read_section(fh, typecodes, lengths, cache.meta_line)
+        return _read_section(fh, _FRAME_TYPECODES, lengths, cache.meta_line)
 
 
 def _table_from_cache(meta: dict, arrays: list) -> "SlotTable":
@@ -758,38 +772,6 @@ def one_way_delays(
 # population slots x device ids one slot table may hold, about 268 MB of
 # list slots while it is built: a day of slots for 388 device ids
 MAX_SERIES_VALUES = 1 << 25
-
-
-def _uplink_totals(capture: Capture, population: int, ids: list) -> tuple:
-    """One pass over the records: per-device delivered kbit/s per
-    1-second window of the ``population`` seconds, an array('d') row per
-    device, and uplink wire bytes by retransmission class per device id,
-    records without a device under None.  ``ids`` are the sorted ids of
-    the device column, -1 (null) included."""
-    records = capture.records
-    windows = max(1, population)
-    rates = {dev: array("d", bytes(8 * windows)) for dev in ids}
-    wire_bytes = {dev: [0] * len(CLASSES) for dev in ids}
-    uplink = _DIRECTION_INDEX["UPLINK"]
-    epoch = capture.epoch_utc_ms
-    floor = math.floor
-    columns = (records.wall_time, records.device, records.direction, records.payload_bytes,
-               records.header_bytes, records.retx_class)
-    for wall, dev, direction, payload, header, cls in zip(*columns):
-        if direction != uplink:
-            continue
-        wire = payload + header
-        wire_bytes[dev][cls] += wire
-        if payload and wall == wall:
-            w = floor((wall - epoch) / 1000.0)
-            if 0 <= w < windows:
-                rates[dev][w] += wire * 8 / 1000.0
-    series = {dev: rates[dev] for dev in ids if dev >= 0}
-    by_class = {
-        None if dev < 0 else dev: {cls: total for cls, total in zip(CLASSES, totals) if total}
-        for dev, totals in wire_bytes.items()
-    }
-    return series, by_class
 
 
 def throughput_series(capture: Capture) -> dict:
@@ -892,8 +874,8 @@ _TABLE_TYPECODES = "dqdqd"
 class SlotTable:
     """Every figure a summary and the throughput series read, per device
     and 1-second slot, so a summary of any set of slots costs
-    O(devices x slots) and touches no record or frame.  Built once from
-    the columns (_build_table) and kept in the column cache.
+    O(devices x slots) and touches no record or frame.  Built once by
+    the parse (_Parser) and kept in the column cache.
 
     population  Capture.population_slots()
     devices     the ids with a summary row: every id of a record, null
@@ -905,8 +887,8 @@ class SlotTable:
 
     The arrays hold one row per id of ``devices``, in that order.
     rates       'd', max(1, population) 1-second window rates in kbit/s
-                per row: the series _uplink_totals(capture, population,
-                ids) gives
+                per row: the delivered uplink bits of the window's
+                arrivals, added up in file order
 
     Entry row * population + k of the arrays below describes the frames
     of that row's device the summary counts in slot k: unflagged, with a
@@ -965,23 +947,6 @@ class SlotTable:
             return math.nan, math.nan
         parts = chain.from_iterable(partials[ends[k - 1] if k else 0:ends[k]] for k in drawn)
         return math.fsum(parts) / sum(counts[k] for k in drawn), max(self.tops[k] for k in drawn)
-
-
-def _build_table(capture: Capture, population: int, ids: list) -> SlotTable:
-    """The SlotTable of ``capture`` over ``population`` slots at the
-    header's t_fdr_ms: one pass over the records, then one over the
-    frames."""
-    series, by_class = _uplink_totals(capture, population, ids)
-    devices, rates = list(series), array("d")
-    for row in series.values():
-        rates += row
-    return SlotTable(
-        population=population,
-        devices=devices,
-        rates=rates,
-        wire_bytes=by_class,
-        **_fold_delays(capture, population, devices, capture.t_fdr_ms),
-    )
 
 
 def _fold_delays(capture: Capture, population: int, devices: list, t_fdr_ms) -> dict:

@@ -43,6 +43,10 @@ class SampleSizeInputs:
             raise ValueError("e must be positive")
         if self.n_t < 1:
             raise ValueError("n_t must be at least 1")
+        try:
+            float(self.n_t)  # min_sample_size divides by it
+        except OverflowError:
+            raise ValueError(f"n_t={self.n_t} is too large: n_t overflows a double") from None
         if not math.isfinite(self.z * self.z * self.s * self.s):  # min_sample_size's numerator
             raise ValueError(f"s={self.s:g} is too large: z^2 s^2 overflows a double")
         if self.e * self.e == 0:  # else s=0 makes min_sample_size 0 / 0

@@ -22,7 +22,9 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 import zlib
+from array import array
 from functools import partial
 from itertools import accumulate
 from pathlib import Path
@@ -32,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_logs
+import oracle_records
 import test_golden
 from test_golden import analyzer_captures  # noqa: F401  a fixture, shared
 from test_sim import JITTERY, OUTAGE
@@ -50,7 +53,7 @@ from wamsbench.analyzer import (
     write_summary_csv,
     write_throughput_series_csv,
 )
-from wamsbench.scenario import load_scenario, parse_scenario
+from wamsbench.scenario import builtin_scenarios, load_scenario, parse_scenario
 from wamsbench.sim import run_simulation
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -104,7 +107,8 @@ class TestLoader:
         path.write_text("\n".join(lines) + "\n")
         cap = load_capture(path)
         assert cap.skipped_lines == 3
-        assert len(cap.records) == 5
+        assert cap.counts["records"] == 5
+        _assert_records_are_the_oracle_s(cap, path)
         assert [d.t_ci_ms for d in one_way_delays(cap)] == [10.5, 20.5, 30.5]
 
     def test_trailing_data_and_bad_frame_entries_are_corrupt(self, tmp_path):
@@ -115,7 +119,8 @@ class TestLoader:
         path.write_text("\n".join(lines) + "\n")
         cap = load_capture(path)
         assert cap.skipped_lines == 3
-        assert len(cap.records) == 5
+        assert cap.counts["records"] == 5
+        _assert_records_are_the_oracle_s(cap, path)
 
     def test_records_and_frames_are_compact_tuples(self, tmp_path):
         header = oracle_logs._header(duration_s=2)
@@ -127,15 +132,20 @@ class TestLoader:
                 150.25, 1, 110, complete=oracle_logs._done(4, 100, 150.25) + oracle_logs._done(3, 0, 150.25)
             ),
         ]
-        cap = load_capture(oracle_logs.write_log(tmp_path / "t.jsonl", header, records))
-        assert _record_rows(cap) == [
+        path = oracle_logs.write_log(tmp_path / "t.jsonl", header, records)
+        cap = load_capture(path)
+        assert _record_rows(path) == [
             (250.5, 2, "UPLINK", 55, 40, "FIRST"),
             (None, 1, "UPLINK", 55, 40, "RTO_RETX"),
             (260.0, 1, "ACK", 0, 52, "FIRST"),
             (150.25, 1, "UPLINK", 110, 40, "FIRST"),
         ]
+        _assert_records_are_the_oracle_s(cap, path)
         assert _frame_rows(cap) == [(1, 3, 0, 150.25), (1, 4, 100, 150.25), (2, 7, 200, 250.5)]
         assert cap.counts == {"records": 4, "uplink_copies": 3, "ack_copies": 1, "dropped_copies": 1}
+        assert _uplink_half(cap) == (
+            {1: [1.2, 0.0], 2: [0.76, 0.0]}, {1: {"FIRST": 150, "RTO_RETX": 95}, 2: {"FIRST": 95}}
+        )
 
     @pytest.mark.parametrize(
         "field,value",
@@ -178,9 +188,14 @@ class TestLoader:
         path.write_text("\n".join(lines) + "\n")
         cap = load_capture(path)
         assert cap.skipped_lines == 1
-        assert cap.counts["records"] == len(cap.records) == 5
-        # nothing of the corrupt line is left in any column
-        assert {len(column) for column in _record_columns(cap.records)} == {5}
+        assert cap.counts["records"] == 5
+        # nothing of the corrupt line is left: the state is that of the
+        # clean capture with a line that is not JSON in its place
+        lines[2] = "{not json"
+        clean = tmp_path / "clean.jsonl"
+        clean.write_text("\n".join(lines) + "\n")
+        assert _state(cap) == _state(load_capture(clean))
+        _assert_records_are_the_oracle_s(cap, path)
         assert _frame_rows(cap) == [(1, 1, 100, 110.5), (1, 2, 200, 220.5), (1, 3, 300, 330.5)]
         assert cap.slot_table().devices == [1]
         assert [d.t_ci_ms for d in one_way_delays(cap)] == [10.5, 20.5, 30.5]
@@ -195,7 +210,8 @@ class TestLoader:
         path = oracle_logs.write_log(tmp_path / "t.jsonl", oracle_logs._header(duration_s=1), records)
         cap = load_capture(path)
         assert cap.skipped_lines == 0
-        assert _record_rows(cap) == [(110.5, 1, "UPLINK", 65535, 65535, "FIRST"), (120.5, 1, "UPLINK", 0, 0, "FIRST")]
+        assert _record_rows(path) == [(110.5, 1, "UPLINK", 65535, 65535, "FIRST"), (120.5, 1, "UPLINK", 0, 0, "FIRST")]
+        _assert_records_are_the_oracle_s(cap, path)
         assert _frame_rows(cap) == [(1, 0, 200, 120.5), (1, 2**32 - 1, 100, 110.5)]
         assert throughput_series(cap) == {1: [2 * 65535 * 8 / 1000]}
         assert _warm(path) == _state(cap)
@@ -209,21 +225,41 @@ class TestLoader:
             bad,
             oracle_logs._rec(None, 8, 85, cls="RTO_RETX", direction="ACK"),
         ]
-        cap = load_capture(oracle_logs.write_log(tmp_path / "t.jsonl", oracle_logs._header(duration_s=1), records))
+        path = oracle_logs.write_log(tmp_path / "t.jsonl", oracle_logs._header(duration_s=1), records)
+        cap = load_capture(path)
         assert cap.skipped_lines == 1
-        assert _record_rows(cap) == [(110.5, 1, "UPLINK", 85, 40, "FIRST"), (None, 8, "ACK", 85, 40, "RTO_RETX")]
+        assert _record_rows(path) == [(110.5, 1, "UPLINK", 85, 40, "FIRST"), (None, 8, "ACK", 85, 40, "RTO_RETX")]
+        _assert_records_are_the_oracle_s(cap, path)
         assert cap.slot_table().devices == [1, 8]
-        assert analyzer._uplink_totals(cap, 1, [1, 8])[1] == {1: {"FIRST": 125}, 8: {}}
+        assert cap.slot_table().wire_bytes == {1: {"FIRST": 125}, 8: {}}
 
     def test_every_wire_device_id_loads(self, tmp_path):
         # the 65536 ids a 16-bit wire field holds, plus a live capture's None
         ids = [*range(2**16), None]
         records = [oracle_logs._rec(None, dev, 0) for dev in ids]
-        cap = load_capture(oracle_logs.write_log(tmp_path / "t.jsonl", oracle_logs._header(duration_s=1), records))
+        path = oracle_logs.write_log(tmp_path / "t.jsonl", oracle_logs._header(duration_s=1), records)
+        cap = load_capture(path)
         assert cap.skipped_lines == 0
-        assert cap.records.device.tolist() == [*range(2**16), -1]
-        assert [record[1] for record in _record_rows(cap)] == ids
+        assert cap.counts["records"] == len(ids)
+        assert [record[1] for record in _record_rows(path)] == ids
+        assert list(cap.slot_table().wire_bytes) == [None, *range(2**16)]
         assert cap.slot_table().devices == ids[:-1]
+
+    def test_record_before_the_header_is_skipped_and_counted(self, tmp_path):
+        # the header-first rule: the fold of a record needs the header's
+        # epoch, and every writer puts the header first
+        path, _ = oracle_logs.simple_delays(tmp_path / "base.jsonl")
+        lines = path.read_text().splitlines()
+        early = json.dumps(oracle_logs._rec(150.5, 2, 85, complete=oracle_logs._done(1, 100, 150.5)))
+        path.write_text("\n".join([early, *lines]) + "\n")
+        cap = load_capture(path)
+        assert cap.skipped_lines == 1
+        assert cap.counts["records"] == 5
+        assert cap.integrity_problems() == []
+        clean = tmp_path / "clean.jsonl"
+        clean.write_text("\n".join(["{not json", *lines]) + "\n")
+        assert _state(cap) == _state(load_capture(clean))
+        _assert_records_are_the_oracle_s(cap, path)
 
     def test_line_order_never_matters(self, tmp_path):
         path, _ = oracle_logs.sampling_and_skew(tmp_path / "fwd.jsonl")
@@ -287,15 +323,31 @@ def _typed(column) -> tuple:
     return column.typecode, bytes(column)
 
 
-def _record_rows(cap) -> list:
-    """The records of ``cap`` as tuples (wall_time, device_id,
-    direction, payload_bytes, header_bytes, retransmission_class), with
-    None for a dropped copy's wall time and for a null device id."""
-    records = cap.records
-    columns = (records.wall_time, records.device, records.direction, records.payload_bytes,
-               records.header_bytes, records.retx_class)
-    return [(None if wall != wall else wall, None if dev < 0 else dev, analyzer.DIRECTIONS[direction],
-             payload, header, analyzer.CLASSES[cls]) for wall, dev, direction, payload, header, cls in zip(*columns)]
+def _record_rows(path) -> list:
+    """The records of the capture at ``path``, as the oracle reads them:
+    tuples (wall_time, device_id, direction, payload_bytes,
+    header_bytes, retransmission_class), with None for a dropped copy's
+    wall time and for a null device id."""
+    return [tuple(record) for record in oracle_records.read(path).records]
+
+
+def _uplink_half(cap) -> tuple:
+    """(series, wire_bytes) of ``cap``'s slot table, as plain values, in
+    the form of oracle_records.uplink_half."""
+    table = cap.slot_table()
+    return {dev: row.tolist() for dev, row in table.series().items()}, table.wire_bytes
+
+
+def _assert_records_are_the_oracle_s(cap, path) -> None:
+    """The loader's counts, skipped lines, table ids and uplink half and
+    frames for the capture at ``path`` are those of the oracle's
+    reading of it."""
+    oracle = oracle_records.read(path)
+    assert (cap.counts, cap.skipped_lines) == (oracle.counts(), oracle.skipped_lines)
+    series, wire_bytes = oracle_records.uplink_half(oracle, cap.population_slots())
+    assert _uplink_half(cap) == (series, wire_bytes)
+    assert list(cap.slot_table().wire_bytes) == list(wire_bytes)  # in the same order
+    assert _frame_rows(cap) == sorted(oracle.frames, key=lambda frame: frame[:2])
 
 
 def _frame_rows(cap) -> list:
@@ -304,21 +356,16 @@ def _frame_rows(cap) -> list:
     return [(dev, *row) for dev, *columns in cap.device_frames() for row in zip(*columns)]
 
 
-def _record_columns(records) -> tuple:
-    return (records.wall_time, records.device, records.direction, records.retx_class,
-            records.payload_bytes, records.header_bytes)
-
-
 def _state(cap) -> tuple:
-    """Everything a load gives, typed: the record and frame columns and
-    the slot table's arrays as their typecodes and bytes (so -0.0 and
-    NaN bits count), the rest as repr (so the int 1 and True differ)."""
+    """Everything a load gives, typed: the frame columns and the slot
+    table's arrays as their typecodes and bytes (so -0.0 and NaN bits
+    count), the rest as repr (so the int 1 and True differ)."""
     frames = [(repr(dev), *map(_typed, cols)) for dev, *cols in cap.device_frames()]
     table = cap.slot_table()
     values = (cap.header, cap.integrity, cap.skipped_lines, cap.counts, table.population, table.devices,
               table.wire_bytes, table.flagged)
     arrays = [_typed(getattr(table, name)) for name in analyzer._TABLE_ARRAYS]
-    return tuple(map(_typed, _record_columns(cap.records))), frames, arrays, repr(values)
+    return frames, arrays, repr(values)
 
 
 def _spaced(line: str) -> str:
@@ -376,10 +423,13 @@ def _outcome(path) -> tuple:
 
 def _differential(tmp_path, lines):
     """Load ``lines`` as they are and re-encoded by json: the two loads
-    must agree.  Returns the first capture, None when its load raised."""
+    must agree, and with the oracle's reading of the records.  Returns
+    the first capture, None when its load raised."""
     spaced, _ = _outcome(_write(tmp_path / "spaced.jsonl", [_spaced(line) for line in lines]))
     as_is, cap = _outcome(_write(tmp_path / "as_is.jsonl", lines))
     assert as_is == spaced
+    if cap is not None:
+        _assert_records_are_the_oracle_s(cap, tmp_path / "as_is.jsonl")
     return cap
 
 
@@ -463,14 +513,15 @@ class TestCompactLines:
         json.loads(line)  # every case is valid JSON
         cap = _differential(tmp_path, [*before, line, *after])
         assert cap.skipped_lines == (0 if kept else 1)
-        assert len(cap.records) == 4 + kept
+        assert cap.counts["records"] == 4 + kept
 
     @pytest.mark.parametrize("line", NOT_JSON)
     def test_line_that_is_not_a_record_is_skipped_and_counted(self, line, tmp_path):
         lines = [_compact(1.5, 1, 55, frames=[(1, 0, 1.5)]), line, _compact(2.5, 2, 55)]
         cap = _differential(tmp_path, lines)
         assert cap.skipped_lines == 1
-        assert cap.records.device.tolist() == [1, 2]
+        assert cap.counts["records"] == 2
+        assert cap.slot_table().devices == [1, 2]
 
     @pytest.mark.parametrize("other", ["true", "1.0"])
     def test_report_does_not_depend_on_where_an_id_outside_the_rule_sits(self, other, tmp_path, capsys, caplog):
@@ -550,7 +601,7 @@ class TestCompactLines:
         lines = result.capture_path.read_text().splitlines()[1:-1]
         assert sum(map(len, lines)) > 4 * analyzer._BLOCK_BYTES
         cap = _differential(tmp_path, lines)
-        assert len(cap.records) == len(lines)
+        assert cap.counts["records"] == len(lines)
 
 
 # OUTAGE: a concentrator outage, RSTs and redials
@@ -568,8 +619,45 @@ def test_simulated_capture_loads_every_line(name, tmp_path):
         # dropped copies (null wall times), both retransmission classes
         # and frame_complete lists of several entries
         assert cap.counts["dropped_copies"] > 0
-        assert {record[5] for record in _record_rows(cap)} == set(analyzer.CLASSES)
+        assert {record[5] for record in _record_rows(result.capture_path)} == set(analyzer.CLASSES)
+        assert set(analyzer._uplink_wire_bytes(cap.slot_table().wire_bytes)) == set(analyzer.CLASSES)
         assert "},{" in result.capture_path.read_text()
+
+
+@pytest.mark.parametrize("name", [*builtin_scenarios(), "outage", "jittery"])
+def test_uplink_half_of_the_table_is_the_oracle_s_fold(name, tmp_path):
+    # every bundled scenario cut to 30 s, a concentrator outage, and
+    # uplink loss with jitter and split frames
+    if name in ("outage", "jittery"):
+        scenario = parse_scenario({"outage": OUTAGE, "jittery": JITTERY}[name])
+    else:
+        scenario = dataclasses.replace(load_scenario(name), duration_s=30)
+    path = run_simulation(scenario, tmp_path).capture_path
+    for cap in (load_capture(path), load_capture(path)):  # cold, then warm
+        _assert_records_are_the_oracle_s(cap, path)
+        series, wire_bytes = _uplink_half(cap)
+        assert all(any(row) for row in series.values()) and wire_bytes
+
+
+def test_live_capture_with_a_far_future_wall_time_is_refused_in_little_memory(tmp_path):
+    # without a duration a row grows as windows appear, but not to a
+    # window 10**12 s past the epoch: the capture is refused as the slot
+    # table it would need is too large
+    records = [oracle_logs._rec(110.5, 1, 55, complete=oracle_logs._done(1, 100, 110.5)),
+               oracle_logs._rec(1e15, 2, 55)]
+    path = oracle_logs.write_log(tmp_path / "live.jsonl", oracle_logs._header(duration_s=None), records)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CaptureError) as err:
+            load_capture(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        f"{path}: {10**12 + 1} 1-second slots for 2 device ids is more than "
+        f"{analyzer.MAX_SERIES_VALUES} slot table values"
+    )
+    assert peak < 1 << 20
 
 
 def test_live_capture_loads_its_records_and_frames(tmp_path):
@@ -590,8 +678,9 @@ def test_live_capture_loads_its_records_and_frames(tmp_path):
     path = tmp_path / "live.jsonl"
     path.write_text("".join(dcs.dumps(line) + "\n" for line in lines))
     cap = load_capture(path)
-    assert _record_rows(cap) == [(1000.0, None, "UPLINK", 20, 0, "FIRST"), (1000.25, 3, "UPLINK", 35, 0, "FIRST"),
-                                 (3000.25, 3, "UPLINK", 110, 0, "FIRST")]
+    assert _record_rows(path) == [(1000.0, None, "UPLINK", 20, 0, "FIRST"), (1000.25, 3, "UPLINK", 35, 0, "FIRST"),
+                                  (3000.25, 3, "UPLINK", 110, 0, "FIRST")]
+    _assert_records_are_the_oracle_s(cap, path)
     assert _frame_rows(cap) == [(3, 1, 1000, 1000.25), (3, 2, 2000, 2000.25), (3, 3, 3000, 3000.25)]
     assert cap.slot_table().devices == [3]
 
@@ -717,12 +806,12 @@ def test_disjoint_sample_sets_agree(tmp_path):
 # -- slot table -----------------------------------------------------------------
 
 
-def _fold_over_frames(cap, sample_indices=None, t_fdr_ms=None) -> tuple:
-    """The summary as a fold over the frame and record columns, the way
-    summarize computed it before the slot table: the reference the table
-    is held to."""
+def _fold_over_frames(cap, path, sample_indices=None, t_fdr_ms=None) -> tuple:
+    """The summary of ``cap``, loaded from ``path``, as a fold over its
+    frame columns and the oracle's records, the way summarize computed it
+    before the slot table: the reference the table is held to."""
     population = cap.population_slots()
-    series, by_class = analyzer._uplink_totals(cap, population, sorted(set(cap.records.device)))
+    series, by_class = oracle_records.uplink_half(oracle_records.read(path), population)
     slots = range(population) if sample_indices is None else set(sample_indices)
     t_fdr = cap.t_fdr_ms if t_fdr_ms is None else t_fdr_ms
     flag_below = -cap.skew_bound_ms
@@ -790,14 +879,14 @@ def _assert_table_is_the_fold(path, t_fdr_values=(None,), slot_sets=None):
     fold over its frames does, bit for bit."""
     _cache_of(path).unlink(missing_ok=True)
     for cap in (load_capture(path), load_capture(path)):
-        population = _fold_over_frames(cap)[1]
+        population = cap.population_slots()
         for t_fdr_ms in t_fdr_values:
             for slots in slot_sets or _all_slot_sets(population):
                 if slots == [] and population:
                     with pytest.raises(ValueError, match=f"^an empty sample of the {population} slots has no average$"):
                         summarize(cap, slots, t_fdr_ms)
                     continue
-                assert _from_table(cap, slots, t_fdr_ms) == _fold_over_frames(cap, slots, t_fdr_ms)
+                assert _from_table(cap, slots, t_fdr_ms) == _fold_over_frames(cap, path, slots, t_fdr_ms)
     assert cap.slot_table() is not None
 
 
@@ -809,7 +898,7 @@ class TestSlotTable:
             draws = [random.Random(k).sample(range(population), population // (k + 2)) for k in range(4)]
             for t_fdr_ms in (None, 1.5):
                 for slots in [None, *draws]:
-                    assert _from_table(cap, slots, t_fdr_ms) == _fold_over_frames(cap, slots, t_fdr_ms)
+                    assert _from_table(cap, slots, t_fdr_ms) == _fold_over_frames(cap, path, slots, t_fdr_ms)
 
     def test_slots_without_frames_or_with_only_flagged_ones(self, tmp_path):
         # slot 0: none; slot 1: two flagged; slot 2: one flagged, one kept
@@ -902,7 +991,7 @@ class TestSlotTable:
             assert all(math.isfinite(arrival) for *_, arrival in _frame_rows(cap))
             assert _packed(-0.0) not in {_packed(arrival) for *_, arrival in _frame_rows(cap)}
             for slots in [None, *map(sorted, draws)]:
-                assert _from_table(cap, slots, t_fdr) == _fold_over_frames(cap, slots, t_fdr)
+                assert _from_table(cap, slots, t_fdr) == _fold_over_frames(cap, path, slots, t_fdr)
 
 
 @pytest.mark.parametrize(
@@ -1057,8 +1146,9 @@ def _cached(path) -> tuple:
 
 
 def _edit(path):
-    """Rewrite the capture at ``path`` in place, at the same size."""
-    path.write_text(_replace(path.read_text(), '"wall_time":2.5', '"wall_time":3.5'))
+    """Rewrite the capture at ``path`` in place, at the same size: device
+    2's copy moves past the run's one window, so its rate changes."""
+    path.write_text(_replace(path.read_text(), '"wall_time":2.5', '"wall_time":2e3'))
 
 
 def test_capture_edited_in_place_is_reparsed_and_recached(tmp_path):
@@ -1207,13 +1297,11 @@ def _sha256(data: bytes) -> bytes:
 
 
 def _sections(data: bytes) -> list:
-    """A cache's JSON line, then its table, records and device sections,
-    each section without the check that ends it."""
+    """A cache's JSON line, then its table and device sections, each
+    section without the check that ends it."""
     line, rest = data.split(b"\n", 1)
     meta = json.loads(line)
-    columns = meta["table"]["columns"], meta["columns"][:6], *(
-        meta["columns"][k:k + 3] for k in range(6, len(meta["columns"]), 3)
-    )
+    columns = meta["table"]["columns"], *(meta["columns"][k:k + 3] for k in range(0, len(meta["columns"]), 3))
     parts = [line + b"\n"]
     for section in columns:
         size = sum(length * itemsize for _, itemsize, length in section)
@@ -1242,7 +1330,7 @@ def _edit_meta(edit, sign=_crc32):
 
 def _section_start(data: bytes, section: int) -> int:
     """Where section ``section`` of a cache starts: 1 the table, 2 the
-    records, 3 the first device's frames, -1 the last device's."""
+    first device's frames, -1 the last device's."""
     parts = _sections(data)
     section %= len(parts)
     return len(parts[0]) + sum(len(part) + _CHECK for part in parts[1:section])
@@ -1269,24 +1357,24 @@ def _set_length(column: int, change: int):
 def _shift_lengths(meta):
     # two 4-byte frame_seqs more, one 8-byte timestamp fewer: the same
     # bytes, cut elsewhere
-    _set_length(6, 2)(meta)
-    _set_length(7, -1)(meta)
+    _set_length(0, 2)(meta)
+    _set_length(1, -1)(meta)
 
 
-def _grow_records(meta):
-    # far past the file: read without a size check, this asks for 8 TiB
-    for column in range(6):
+def _grow_frames(meta):
+    # far past the file: read without a size check, this asks for 20 TiB
+    for column in range(3):
         _set_length(column, 2**40)(meta)
 
 
 def _trade_lengths(meta):
-    # 10 * 2**37 more of each record column (18 B a row), and as many
-    # bytes fewer in the last device's columns (20 B a row): the same
-    # total size, one length negative
-    for column in range(6):
-        _set_length(column, 10 * 2**37)(meta)
+    # 2**40 more of each of the first device's columns, and as many fewer
+    # of the last device's (20 B a row each): the same total size, one
+    # length negative
+    for column in range(3):
+        _set_length(column, 2**40)(meta)
     for column in range(len(meta["columns"]) - 3, len(meta["columns"])):
-        _set_length(column, -9 * 2**37)(meta)
+        _set_length(column, -2**40)(meta)
 
 
 BAD_CACHES = {
@@ -1298,7 +1386,7 @@ BAD_CACHES = {
     "not-json": lambda data: b"{not json\n" + data.split(b"\n", 1)[1],
     "json-list": lambda data: b"[1, 2]\n" + data.split(b"\n", 1)[1],
     "json-too-deep": lambda data: b"[" * 100_000 + b"\n",
-    "flipped-records-byte": _flip_byte(2),
+    "flipped-first-device-byte": _flip_byte(2),
     "flipped-table-byte": _flip_byte(1),
     "flipped-last-device-byte": _flip_byte(-1),
     "cut-in-a-device-section": lambda data: data[:_section_start(data, -1) + 1],
@@ -1310,9 +1398,9 @@ BAD_CACHES = {
     "version-5": _edit_meta(lambda meta: meta.update(version=5)),
     "other-byte-order": _edit_meta(lambda meta: meta.update(byteorder={"little": "big"}.get(sys.byteorder, "little"))),
     "other-typecode": _edit_meta(lambda meta: meta["columns"][0].__setitem__(0, "f")),
-    "other-itemsize": _edit_meta(lambda meta: meta["columns"][1].__setitem__(1, 8)),
+    "other-itemsize": _edit_meta(lambda meta: meta["columns"][1].__setitem__(1, 4)),
     "unequal-lengths": _edit_meta(_shift_lengths),
-    "lengths-past-the-file": _edit_meta(_grow_records),
+    "lengths-past-the-file": _edit_meta(_grow_frames),
     "missing-key": _edit_meta(lambda meta: meta.pop("counts")),
     "other-table-typecode": _edit_meta(lambda meta: meta["table"]["columns"][1].__setitem__(0, "d")),
     "table-of-another-population": _edit_meta(lambda meta: meta["table"].update(population=3)),
@@ -1338,9 +1426,8 @@ def test_negative_cache_length_is_refused_before_any_column_is_read(tmp_path):
     bad = _edit_meta(_trade_lengths)(good)
     assert len(bad) - len(bad.split(b"\n", 1)[0]) == len(good) - len(good.split(b"\n", 1)[0])
     _cache_of(path).write_bytes(bad)
-    # read with that length, the record section would ask for 10 TiB
-    records = load_capture(path).records
-    assert list(map(_typed, _record_columns(records))) == list(map(_typed, _record_columns(cold.records)))
+    # read with that length, the first device's section would ask for 20 TiB
+    assert _frame_rows(load_capture(path)) == _frame_rows(cold)
     assert _cache_of(path).read_bytes() == good
 
 
@@ -1350,22 +1437,46 @@ def _as_version_7(meta):
     del meta["identity"]
 
 
+def _as_version_9(path, current: bytes) -> bytes:
+    # version 9 kept the records, after the table, in a section of six
+    # columns: wall time (NaN for null), device (-1 for null), direction
+    # and class as places in their tuples, payload and header bytes
+    records = oracle_records.read(path).records
+    columns = [
+        array("d", [math.nan if r.wall_time is None else r.wall_time for r in records]),
+        array("i", [-1 if r.device_id is None else r.device_id for r in records]),
+        array("B", [analyzer.DIRECTIONS.index(r.direction) for r in records]),
+        array("B", [analyzer.CLASSES.index(r.retransmission_class) for r in records]),
+        array("H", [r.payload_bytes for r in records]),
+        array("H", [r.header_bytes for r in records]),
+    ]
+    line, table, *frames = _sections(current)
+    meta = json.loads(line)
+    meta.update(version=9, columns=[[c.typecode, c.itemsize, len(c)] for c in columns] + meta["columns"])
+    head = json.dumps(meta).encode() + b"\n"
+    sections = [table, b"".join(map(bytes, columns)), *frames]
+    return head + b"".join(section + _crc32(head + section) for section in sections)
+
+
 def _older_cache(version: int, path, current: bytes) -> bytes:
     """The cache ``current`` of the capture at ``path`` as cache
     ``version`` wrote it: version 7 with no identity and a SHA-256 after
     each section, version 8 with the capture's SHA-256 beside its
-    identity, to trust a copied or racy cache by."""
+    identity, to trust a copied or racy cache by, version 9 with a
+    section of records."""
     if version == 7:
         older = _edit_meta(_as_version_7, sign=_sha256)(current)
         assert len(older) - len(older.split(b"\n", 1)[0]) == (
             len(current) - len(current.split(b"\n", 1)[0]) + (32 - _CHECK) * (len(_sections(current)) - 1)
         )
         return older
+    if version == 9:
+        return _as_version_9(path, current)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     return _edit_meta(lambda meta: meta.update(version=8, capture_sha256=digest))(current)
 
 
-@pytest.mark.parametrize("version", [7, 8])
+@pytest.mark.parametrize("version", [7, 8, 9])
 def test_older_cache_is_ignored_and_rewritten_as_the_current_version(version, tmp_path):
     path = _two_device_capture(tmp_path / "c.jsonl")
     state = _cached(path)
@@ -1375,24 +1486,26 @@ def test_older_cache_is_ignored_and_rewritten_as_the_current_version(version, tm
     _cache_of(path).write_bytes(_older_cache(version, path, current))
     assert _state(load_capture(path)) == state
     assert _cache_of(path).read_bytes() == current
-    assert json.loads(current.split(b"\n", 1)[0])["version"] == analyzer.CACHE_VERSION == 9
+    assert json.loads(current.split(b"\n", 1)[0])["version"] == analyzer.CACHE_VERSION == 10
 
 
-def test_cache_holds_18_bytes_per_record_and_20_per_frame(analyzer_captures, tmp_path):
+def test_cache_holds_0_bytes_per_record_and_20_per_frame(analyzer_captures, tmp_path):
     path = tmp_path / "capture.jsonl"
     shutil.copyfile(analyzer_captures["lossy_0p3"][0], path)
     cap = load_capture(path)
     data = _cache_of(path).read_bytes()
     meta_line = data.split(b"\n", 1)[0] + b"\n"
     table = sum(itemsize * length for _, itemsize, length in json.loads(meta_line)["table"]["columns"])
-    # one check each for the table, the records and every device's frames
-    checks = _CHECK * (2 + len(list(cap.device_frames())))
-    assert len(data) == len(meta_line) + table + 18 * len(cap.records) + 20 * len(_frame_rows(cap)) + checks
+    # one check each for the table and every device's frames; the
+    # records are folded into the table, whose size does not grow with them
+    checks = _CHECK * (1 + len(list(cap.device_frames())))
+    assert cap.counts["records"] > len(_frame_rows(cap)) > 0
+    assert len(data) == len(meta_line) + table + 20 * len(_frame_rows(cap)) + checks
 
 
 class _CountingReads:
-    """Stands in for analyzer._read_cached_section and lists the column
-    sections a warm load reads: 0 the records, 1 + k device k's frames."""
+    """Stands in for analyzer._read_cached_section and lists the frame
+    sections a warm load reads: k device k's frames."""
 
     def __init__(self, monkeypatch):
         self.sections = []
@@ -1412,13 +1525,12 @@ def test_warm_summary_reads_no_column(tmp_path, monkeypatch):
     assert (cap.population_slots(), cap.integrity_problems(), cap.skipped_lines) == (3, [], 0)
     summaries = [summarize(cap), summarize(cap, [0, 2]), summarize(cap, t_fdr_ms=0.0)]
     assert reads.sections == []
-    # another t_fdr_ms folds the frames again: the one device's section,
-    # and no record
+    # another t_fdr_ms folds the frames again: the one device's section
     assert summarize(cap, t_fdr_ms=0.5) != summaries[0]
-    assert reads.sections == [1]
-    # frames reads the device's section again, records the record section
+    assert reads.sections == [0]
+    # frames reads the device's section again
     assert _state(cap) == cold
-    assert reads.sections == [1, 1, 0]
+    assert reads.sections == [0, 0]
 
 
 def test_warm_devices_read_no_column(tmp_path, monkeypatch):
@@ -1433,14 +1545,13 @@ def test_warm_uplink_figures_are_the_record_fold_read_from_the_table(analyzer_ca
     path = tmp_path / "capture.jsonl"
     shutil.copyfile(analyzer_captures["lossy_0p3"][0], path)
     cold = load_capture(path)  # leaves the cache
-    ids = sorted(set(cold.records.device))
-    series, by_class = analyzer._uplink_totals(cold, cold.population_slots(), ids)
+    series, by_class = oracle_records.uplink_half(oracle_records.read(path), cold.population_slots())
     retx = analyzer._retx_pcts(analyzer._uplink_wire_bytes(by_class))
     assert min(retx) > 0
     monkeypatch.setattr(analyzer, "_Parser", _no_parse)
     monkeypatch.setattr(analyzer, "_read_cached_section", _no_parse)
     cap = load_capture(path)
-    assert throughput_series(cap) == {dev: row.tolist() for dev, row in series.items()}
+    assert throughput_series(cap) == series
     assert analyzer.retransmission_stats(cap) == retx
     assert analyzer.wasted_bandwidth_pct(cap) == retx[0] + retx[1]
 
@@ -1453,11 +1564,11 @@ def test_report_at_the_header_t_fdr_reads_no_column(analyzer_captures, tmp_path,
     good = _cache_of(path).read_bytes()
     # a read of the first device's frames would find this bit flipped,
     # parse and rewrite the cache
-    _cache_of(path).write_bytes(_flip_byte(3)(good))
+    _cache_of(path).write_bytes(_flip_byte(2)(good))
     reads = _CountingReads(monkeypatch)
     report = ["report", str(path), "--sample-size", str(sample), "--sample-seed", test_golden.REPORT_SEED]
     golden = test_golden.ANALYZER_GOLDEN
-    for argv, key, sections in [(report, None, []), ([*report, "--t-fdr-ms", "1.5"], "1.5", [1])]:
+    for argv, key, sections in [(report, None, []), ([*report, "--t-fdr-ms", "1.5"], "1.5", [0])]:
         assert cli.main(argv) == 0
         got = test_golden._sha(capsys.readouterr().out.encode())
         assert got == golden[("lossy_0p3", key)][3]
@@ -1475,7 +1586,7 @@ def test_warm_analyze_reads_each_device_section_once_and_no_record(analyzer_capt
     monkeypatch.setattr(analyzer, "_Parser", _no_parse)
     reads = _CountingReads(monkeypatch)
     assert cli.main(["analyze", str(path), "--out-dir", str(tmp_path)]) == 0
-    assert reads.sections == list(range(1, devices + 1))
+    assert reads.sections == list(range(devices))
     got = tuple(test_golden._sha((tmp_path / file).read_bytes()) for file in test_golden.ANALYZE_FILES)
     assert got == test_golden.ANALYZER_GOLDEN[("lossy_0p3", None)][:3]
 
@@ -1486,13 +1597,13 @@ def test_warm_analyze_hands_over_to_a_parse_at_a_bad_device_section(analyzer_cap
     shutil.copyfile(source, path)
     load_capture(path)  # leaves the cache
     good = _cache_of(path).read_bytes()
-    # section 8 is the sixth device's frames: sections 1 the table, 2 the
-    # records, 3 the first device's frames
-    _cache_of(path).write_bytes(_flip_byte(8)(good))
+    # section 7 is the sixth device's frames: sections 1 the table, 2 the
+    # first device's frames
+    _cache_of(path).write_bytes(_flip_byte(7)(good))
     reads = _CountingReads(monkeypatch)
     assert cli.main(["analyze", str(path), "--out-dir", str(tmp_path)]) == 0
-    # the sixth read fails its digest; the parse serves the other devices
-    assert reads.sections == [1, 2, 3, 4, 5, 6]
+    # the sixth read fails its check; the parse serves the other devices
+    assert reads.sections == [0, 1, 2, 3, 4, 5]
     got = tuple(test_golden._sha((tmp_path / file).read_bytes()) for file in test_golden.ANALYZE_FILES)
     assert got == test_golden.ANALYZER_GOLDEN[("lossy_0p3", None)][:3]
     assert _cache_of(path).read_bytes() == good
@@ -1505,7 +1616,7 @@ def test_delay_series_reads_no_column_until_iterated(tmp_path, monkeypatch):
     rows = analyzer.delay_rows(load_capture(path))
     assert reads.sections == []
     assert list(map(FrameDelay._make, rows)) == cold
-    assert reads.sections == [1, 2]
+    assert reads.sections == [0, 1]
 
 
 def test_warm_summary_at_another_t_fdr_equals_cold(analyzer_captures, tmp_path):
@@ -1542,7 +1653,7 @@ def test_deferred_read_after_the_capture_changed(tmp_path, monkeypatch):
     # both loads trust the cache, and nothing below may parse
     monkeypatch.setattr(analyzer, "_Parser", _no_parse)
     kept, gone = load_capture(path), load_capture(path)
-    path.write_text(_replace(path.read_text(), '"wall_time":2.5', '"wall_time":3.5'))
+    _edit(path)
     # the cache still holds the columns of the bytes that were loaded
     assert _state(kept) == cold
     _cache_of(path).unlink()

@@ -446,6 +446,12 @@ class TestSampleSize:
         assert captured.err == "error: e=1e-200 is too small: e^2 underflows to 0\n"
         assert captured.out == ""
 
+    def test_population_that_overflows_a_double_is_a_usage_error(self, capsys):
+        assert cli.main(["samplesize", "--s", "1.0", "--population", str(10**309)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: n_t={10**309} is too large: n_t overflows a double\n"
+        assert captured.out == ""
+
     def test_untabulated_confidence_is_a_usage_error(self):
         assert cli.main(["samplesize", "--s", "1.0", "--confidence", "0.80"]) == 2
 

@@ -2,6 +2,7 @@
 
 import math
 import statistics
+import sys
 
 import pytest
 import scipy.stats
@@ -87,6 +88,15 @@ class TestMinSampleSize:
                 SampleSizeInputs(s=s, z=1.959, e=1e-200, n_t=86400)
         # an error whose square is a subnormal is still taken
         assert min_sample_size(SampleSizeInputs(s=0.0, z=1.959, e=1e-160, n_t=86400)) == 0.0
+
+    def test_population_that_overflows_a_double_is_refused(self):
+        # min_sample_size divides by n_t, which would raise OverflowError
+        for s in (0.0, 1.0):
+            with pytest.raises(ValueError, match=f"^n_t={10**309} is too large: n_t overflows a double$"):
+                SampleSizeInputs(s=s, z=1.959, e=0.02, n_t=10**309)
+        # the largest population that converts is still taken
+        largest = int(sys.float_info.max)
+        assert required_samples(SampleSizeInputs(s=1.0, z=1.959, e=0.02, n_t=largest)) == 9595
 
     @given(
         s=st.floats(0.001, 100.0),

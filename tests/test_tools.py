@@ -41,46 +41,51 @@ def test_child_steps_run_on_a_short_capture(tools, tmp_path):
     sections = rss_slope.cache_sections(str(cache))
     meta_line = cache.read_bytes().split(b"\n", 1)[0] + b"\n"
     assert len(meta_line) + sum(sections.values()) == cache.stat().st_size
-    assert sections["records"] == 18 * sim["records"] + 4  # and the section's CRC-32
-    assert rss_slope.cache_sections(str(tmp_path / "none.columns")) == {"table": 0, "records": 0, "frames": 0}
+    assert list(sections) == ["table", "frames"]  # no record section
+    assert rss_slope.cache_sections(str(tmp_path / "none.columns")) == {"table": 0, "frames": 0}
     report = rss_slope.run_child(str(ROOT), "report", 5, str(tmp_path))
     assert report["maxrss_kib"] > 0
 
 
-@pytest.mark.parametrize("width", [32, 4], ids=["sha256", "crc32"])
-def test_cache_sections_derive_the_check_width_from_the_file_size(width, tools, tmp_path):
+@pytest.mark.parametrize("width,records", [(32, True), (4, True), (4, False)], ids=["sha256", "crc32", "no-records"])
+def test_cache_sections_derive_the_check_width_from_the_file_size(width, records, tools, tmp_path):
     rss_slope, _ = tools
-    # a table of 3 doubles, 2 records (18 B each) and two devices' frames
-    # (20 B each): 1 and 4 frames
-    record_columns = [["d", 8, 2], ["i", 4, 2], ["B", 1, 2], ["B", 1, 2], ["H", 2, 2], ["H", 2, 2]]
+    # a table of 3 doubles, two devices' frames (20 B each): 1 and 4
+    # frames, and in a cache before version 10, 2 records (18 B each)
+    record_columns = [["d", 8, 2], ["i", 4, 2], ["B", 1, 2], ["B", 1, 2], ["H", 2, 2], ["H", 2, 2]] if records else []
     frame_columns = [column for n in (1, 4) for column in (["I", 4, n], ["q", 8, n], ["d", 8, n])]
-    meta = {"table": {"columns": [["d", 8, 3]]}, "columns": record_columns + frame_columns}
+    meta = {"table": {"columns": [["d", 8, 3]]}, "columns": record_columns + frame_columns, "frame_devices": [1, 2]}
     line = json.dumps(meta).encode() + b"\n"
     path = tmp_path / "c.columns"
-    path.write_bytes(line + bytes(24 + 36 + 20 + 80 + 4 * width))
-    assert rss_slope.cache_sections(str(path)) == {"table": 24 + width, "records": 36 + width,
-                                                   "frames": 100 + 2 * width}
-    path.write_bytes(line + bytes(24 + 36 + 20 + 80 + 4 * width + 1))
+    expected = {"table": 24 + width, "records": 36 + width, "frames": 100 + 2 * width}
+    if not records:
+        del expected["records"]
+    size = sum(expected.values())
+    path.write_bytes(line + bytes(size))
+    assert rss_slope.cache_sections(str(path)) == expected
+    path.write_bytes(line + bytes(size + 1))
     with pytest.raises(ValueError, match="do not add up"):
         rss_slope.cache_sections(str(path))
 
 
-def test_report_splits_the_cache_slope_by_section(tools):
+@pytest.mark.parametrize("record_bytes", [18, 0], ids=["before-version-10", "no-records"])
+def test_report_splits_the_cache_slope_by_section(record_bytes, tools):
     rss_slope, _ = tools
     rows = [
         {"records": records, "frames": frames, **{step: 0 for step in rss_slope.STEPS},
-         "cache": table + 18 * records + 20 * frames, "cache table": table,
-         "cache records": 18 * records, "cache frames": 20 * frames}
+         "cache": table + record_bytes * records + 20 * frames, "cache table": table,
+         **({"cache records": 18 * records} if record_bytes else {}), "cache frames": 20 * frames}
         for records, frames, table in [(100, 50, 1000), (500, 250, 3000)]
     ]
     for row, duration in zip(rows, rss_slope.DURATIONS_S):
         row["duration_s"] = duration
-    assert rss_slope.report(rows).splitlines()[-4:] == [
-        "| cache | 33.0 | 66.0 |",
+    expected = [
+        "| cache | 33.0 | 66.0 |" if record_bytes else "| cache | 15.0 | 30.0 |",
         "| cache table | 5.0 | 10.0 |",
-        "| cache records | 18.0 | 36.0 |",
+        *(["| cache records | 18.0 | 36.0 |"] if record_bytes else []),
         "| cache frames | 10.0 | 20.0 |",
     ]
+    assert rss_slope.report(rows).splitlines()[-len(expected):] == expected
 
 
 def test_cold_load_report_gives_median_and_quartiles_and_median_peak_rss(tools):

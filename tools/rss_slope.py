@@ -21,9 +21,10 @@ the two durations, per capture record and per frame.  A fixed cost
 is what the program keeps per record or per frame.  The ``import`` peak
 measures the interpreter and import part of that cost for each
 checkout, and its slope is about zero.  The cache's slope is also split
-by section (the slot table, the records, every device's frames, each
-with the check that ends it), read from the cache's JSON line, so a
-layout change shows where it landed.
+by section (the slot table and every device's frames, each with the
+check that ends it, and the records of a cache written before version
+10), read from the cache's JSON line, so a layout change shows where it
+landed.
 
     python tools/rss_slope.py [--root DIR]...
 
@@ -49,7 +50,7 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 DURATIONS_S = (1000, 4000)
 STEPS = ("import", "simulate", "analyze", "analyze, cached", "report, cached")
-SECTIONS = ("table", "records", "frames")
+SECTIONS = ("table", "frames")
 
 # what a child runs: argv[1] is the checkout root, argv[2] a JSON spec;
 # the last line of its stdout is a JSON object with ru_maxrss in KiB
@@ -73,7 +74,7 @@ elif spec["step"] == "load":
         os.unlink(capture + ".columns")
     start = time.perf_counter()
     loaded = analyzer.load_capture(capture)
-    out = {"seconds": time.perf_counter() - start, "records": len(loaded.records)}
+    out = {"seconds": time.perf_counter() - start, "records": loaded.counts["records"]}
 else:
     from wamsbench import cli
     capture = spec["dir"] + "/capture.jsonl"
@@ -103,7 +104,9 @@ def run_child(root: str, step: str, duration_s: int, work: str) -> dict:
 def cache_sections(path: str) -> dict:
     """Bytes of each section of the column cache at ``path``, the check
     that ends it included, from the typecode, itemsize and length of each
-    column its JSON line lists; zeros when there is no cache.
+    column its JSON line lists; zeros when there is no cache.  A cache
+    written before version 10 led its frame sections with a section of
+    six record columns, reported as "records".
 
     The width of a section's check is not read from a version number:
     the JSON line, the columns and one check per section make up the
@@ -118,12 +121,12 @@ def cache_sections(path: str) -> dict:
     def size(columns):
         return sum(itemsize * length for _, itemsize, length in columns)
 
-    columns = meta["columns"]  # the six record columns, then three per device
-    sections = {
-        "table": [size(meta["table"]["columns"])],
-        "records": [size(columns[:6])],
-        "frames": [size(columns[k:k + 3]) for k in range(6, len(columns), 3)],
-    }
+    columns = meta["columns"]  # three per device with frames, after any record columns
+    first_frame = len(columns) - 3 * len(meta["frame_devices"])
+    sections = {"table": [size(meta["table"]["columns"])]}
+    if first_frame:
+        sections["records"] = [size(columns[:first_frame])]
+    sections["frames"] = [size(columns[k:k + 3]) for k in range(first_frame, len(columns), 3)]
     count = sum(map(len, sections.values()))
     width, rest = divmod(os.path.getsize(path) - len(meta_line) - sum(map(sum, sections.values())), count)
     if rest or width < 0:
@@ -176,7 +179,7 @@ def report(rows: list) -> str:
     d_records = last["records"] - first["records"]
     d_frames = last["frames"] - first["frames"]
     lines += ["", "| step | B per record | B per frame |", "| --- | ---: | ---: |"]
-    for step in (*STEPS, "cache", *(f"cache {name}" for name in SECTIONS)):
+    for step in (*STEPS, "cache", *(key for key in first if key.startswith("cache "))):
         d_rss = last[step] - first[step]
         lines.append(f"| {step} | {d_rss / d_records:.1f} | {d_rss / d_frames:.1f} |")
     return "\n".join(lines)
