@@ -4,8 +4,10 @@ The capture log is the single input: every wire copy is one record,
 delivered data copies list the frames they completed, and the header
 says when the run started and how long it was configured to last.
 Everything in this module is a pure function of that file, so re-running
-an analysis always reproduces the same bytes, and the order of the lines
-after the header never matters.
+an analysis always reproduces the same bytes, and the order of the record
+lines after the header never changes a figure, bit for bit: every sum is
+of integers or exactly rounded (math.fsum).  Only frames of one device
+that share a frame_seq keep their file order in the delay series.
 
 Metric definitions, chosen once and used everywhere:
 
@@ -16,9 +18,11 @@ Metric definitions, chosen once and used everywhere:
                excluded from averages.
   throughput   per device and per 1-second window, bits of
                successfully delivered uplink data copies (payload plus
-               that copy's headers) over that second; kbit/s.  Dropped
-               copies never count; a delivered retransmission does,
-               because the receiver genuinely got those bytes.
+               that copy's headers) over that second; kbit/s, the
+               window's integer wire bytes times 8 over 1000, one
+               correctly rounded division.  Dropped copies never count;
+               a delivered retransmission does, because the receiver
+               genuinely got those bytes.
   retx pct     bytes of timeout retransmissions over total uplink bytes
                placed on the wire, every copy counted, delivered or
                not.  Acknowledgement-direction traffic is excluded from
@@ -379,9 +383,9 @@ class _Parser:
         self.last_wall = -math.inf  # the largest finite wall time
         # device id, None for null -> uplink wire bytes per class
         self.wire_bytes = {}
-        # device id -> its 1-second window rates in kbit/s, grown as
-        # windows appear; a null id's row stays empty
-        self.rates = {}
+        # device id -> its uplink wire bytes per 1-second window, grown
+        # as windows appear; a null id's row stays empty
+        self.window_bytes = {}
         # device id -> (frame_seq, frame_timestamp, arrival)
         self.frame_columns = defaultdict(lambda: (array("I"), array("q"), array("d")))
 
@@ -394,7 +398,8 @@ class _Parser:
         limit, max_id, max_values, floor = MS_LIMIT, MAX_DEVICE_ID, MAX_SERIES_VALUES, math.floor
         direction_index, class_index, uplink = _DIRECTION_INDEX, _CLASS_INDEX, _DIRECTION_INDEX["UPLINK"]
         count_types = (int, bool)
-        frame_columns, copies, wire_bytes, rates = self.frame_columns, self.copies, self.wire_bytes, self.rates
+        frame_columns, copies, wire_bytes = self.frame_columns, self.copies, self.wire_bytes
+        window_bytes = self.window_bytes
         epoch, windows, last_wall = self.epoch, self.windows, self.last_wall
         # "\n" only: str.splitlines() would also split at characters
         # such as U+2028 that JSON allows raw inside a string
@@ -478,7 +483,7 @@ class _Parser:
             totals = wire_bytes.get(dev)
             if totals is None:
                 totals = wire_bytes[dev] = [0] * len(CLASSES)
-                rates[dev] = array("d")
+                window_bytes[dev] = array("q")
             if wall is None:
                 self.dropped += 1
             elif wall > last_wall:
@@ -489,11 +494,11 @@ class _Parser:
             totals[cls] += wire
             if payload and wall is not None and dev is not None:
                 w = floor((wall - epoch) / 1000.0)
-                row = rates[dev]
+                row = window_bytes[dev]
                 if len(row) <= w < windows and (w + 1) * len(wire_bytes) <= max_values:
-                    row.frombytes(bytes(8 * (w + 1 - len(row))))  # zero rates up to window w
+                    row.frombytes(bytes(8 * (w + 1 - len(row))))  # zero bytes up to window w
                 if 0 <= w < len(row):
-                    row[w] += wire * 8 / 1000.0
+                    row[w] += wire
         self.last_wall = last_wall
 
     def capture(self) -> Capture:
@@ -514,9 +519,9 @@ class _Parser:
         devices = sorted(dev for dev in ids if dev is not None)
         rates = array("d")
         for dev in devices:
-            row = self.rates.pop(dev)
+            row = self.window_bytes.pop(dev)
             del row[windows:]
-            rates += row
+            rates.extend([wire * 8 / 1000.0 for wire in row])
             rates.frombytes(bytes(8 * (windows - len(row))))
         wire_bytes = {
             dev: {cls: total for cls, total in zip(CLASSES, ids[dev]) if total}
@@ -554,20 +559,22 @@ def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
 # A cache file is one line of ASCII JSON, then sections, each ending with
 # the CRC-32 of the JSON line and the section's bytes, 4 bytes little-endian:
 #
-#   JSON     CACHE_VERSION, the byte order, the capture's identity, the
-#            Capture's fields other than its columns, and the typecode,
-#            itemsize and length of each column of the column sections;
-#            under "table", the SlotTable's fields that are not arrays
+#   JSON     CACHE_VERSION, the byte order, the itemsizes, the capture's
+#            identity, the Capture's fields other than its columns, and
+#            the frame count of each id of "frame_devices"; under
+#            "table", the SlotTable's fields that are not arrays and the
+#            length of its partials
 #   table    the raw bytes of the SlotTable's arrays, in _TABLE_ARRAYS order
 #   frames   one section per device with frames, in the order of the ids
 #            listed in "frame_devices": its frame_seq, frame_timestamp
 #            and arrival columns
 #
-# A load reads the JSON line and the table, and leaves the frame
-# sections to Capture._section, which reads one each time it is used, so
-# a summary reads no column and a delay series one device's frames at a
-# time.  No record has a section: the parse folds the records into the
-# table.
+# The version fixes every typecode, so a load derives every length from
+# the table's fields and the counts.  A load reads the JSON line and the
+# table, and leaves the frame sections to Capture._section, which reads
+# one each time it is used, so a summary reads no column and a delay
+# series one device's frames at a time.  No record has a section: the
+# parse folds the records into the table.
 #
 # The CRC guards against accidental damage to a derived local file; the
 # identity says which capture the cache is for.  A load trusts it as git
@@ -578,9 +585,11 @@ def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
 # cache that fails either test is not read: the capture is parsed and
 # cached anew under its identity now.
 
-CACHE_VERSION = 10
+CACHE_VERSION = 11
 _CHECK_BYTES = 4  # the CRC-32 that ends each section
 _FRAME_TYPECODES = "Iqd"
+# this platform's itemsizes of every typecode the cache holds
+_ITEMSIZES = {code: array(code).itemsize for code in _FRAME_TYPECODES}
 # what reading a cache that is missing, cut short, garbage or of another
 # layout can raise; any of them means the capture is parsed instead
 _BAD_CACHE = (OSError, EOFError, ValueError, LookupError, TypeError, RecursionError)
@@ -588,25 +597,14 @@ _BAD_CACHE = (OSError, EOFError, ValueError, LookupError, TypeError, RecursionEr
 
 class _CacheSections(NamedTuple):
     """Where a cached load finds its frame sections, in Capture's
-    section order, each as (offset past the JSON line, lengths), and the
-    capture's identity the cache was trusted under."""
+    section order, each as (offset past the JSON line, frame count), and
+    the capture's identity the cache was trusted under."""
 
     path: Path
     cache_path: Path
     meta_line: bytes
     identity: list
     sections: list
-
-
-def _layout(columns: list, typecodes: str) -> list:
-    """The lengths of a cache's ``columns``, checked against ``typecodes``
-    and this platform's itemsizes; ValueError when they differ or a
-    length is negative."""
-    if [column[:2] for column in columns] != [[code, array(code).itemsize] for code in typecodes]:
-        raise ValueError("another column layout")
-    if any(column[2] < 0 for column in columns):
-        raise ValueError("a negative column length")
-    return [column[2] for column in columns]
 
 
 def _section_bytes(typecodes: str, lengths: list) -> int:
@@ -635,25 +633,26 @@ def _read_section(fh, typecodes: str, lengths: list, meta_line: bytes) -> list:
 def _read_cache(path: Path, cache_path: Path, identity: list) -> Optional[Capture]:
     """The Capture cached at ``cache_path`` for the capture at ``path``,
     whose _identity is ``identity``, with its columns left in the cache;
-    None when no whole cache of this version and layout is there, when
+    None when no whole cache of this version and platform is there, when
     its identity is not ``identity``, or when it is racy.  The capture
     itself is never read."""
     try:
         with open(cache_path, "rb") as fh:
             meta_line = fh.readline()
             meta = json.loads(meta_line)
-            if meta["version"] != CACHE_VERSION or meta["byteorder"] != sys.byteorder:
+            if (meta["version"], meta["byteorder"], meta["itemsizes"]) != (CACHE_VERSION, sys.byteorder, _ITEMSIZES):
                 return None
-            devices = meta["frame_devices"]
-            lengths = _layout(meta["columns"], _FRAME_TYPECODES * len(devices))
-            table_lengths = _layout(meta["table"]["columns"], _TABLE_TYPECODES)
+            devices, frame_counts, fields = meta["frame_devices"], meta["frame_counts"], meta["table"]
+            population, ids = fields["population"], fields["devices"]
+            entries = len(ids) * population
+            table_lengths = [len(ids) * max(1, population), entries, entries, entries, fields["partials"]]
+            if len(frame_counts) != len(devices) or min(table_lengths + frame_counts) < 0:
+                return None
             offset = _section_bytes(_TABLE_TYPECODES, table_lengths) + _CHECK_BYTES  # past the JSON line
             sections = []
-            for group in (lengths[k:k + 3] for k in range(0, len(lengths), 3)):
-                if len(set(group)) != 1:  # a section's columns have one length
-                    return None
-                sections.append((offset, group))
-                offset += _section_bytes(_FRAME_TYPECODES, group) + _CHECK_BYTES
+            for count in frame_counts:
+                sections.append((offset, count))
+                offset += _section_bytes(_FRAME_TYPECODES, [count] * 3) + _CHECK_BYTES
             cache_stat = os.fstat(fh.fileno())
             if cache_stat.st_size != len(meta_line) + offset:
                 return None
@@ -662,7 +661,10 @@ def _read_cache(path: Path, cache_path: Path, identity: list) -> Optional[Captur
                 return None
             arrays = _read_section(fh, _TABLE_TYPECODES, table_lengths, meta_line)
         check_header(meta["header"])  # a cache written before a rule the header breaks
-        table = _table_from_cache(meta, arrays)
+        table = SlotTable(population=population, devices=ids, wire_bytes=dict(fields["wire_bytes"]),
+                          flagged=fields["flagged"], **dict(zip(_TABLE_ARRAYS, arrays)))
+        if (table.part_ends[-1] if entries else 0) != fields["partials"]:  # where the last entry's partials end
+            return None
         cache = _CacheSections(path, cache_path, meta_line, identity, sections)
         return Capture(meta["header"], meta["integrity"], meta["skipped_lines"], meta["counts"], table,
                        devices, [None] * len(sections), cache)
@@ -672,23 +674,10 @@ def _read_cache(path: Path, cache_path: Path, identity: list) -> Optional[Captur
 
 def _read_cached_section(cache: _CacheSections, index: int) -> list:
     """The arrays of frame section ``index`` of ``cache``."""
-    offset, lengths = cache.sections[index]
+    offset, count = cache.sections[index]
     with open(cache.cache_path, "rb") as fh:
         fh.seek(len(cache.meta_line) + offset)
-        return _read_section(fh, _FRAME_TYPECODES, lengths, cache.meta_line)
-
-
-def _table_from_cache(meta: dict, arrays: list) -> "SlotTable":
-    fields = meta["table"]
-    table = SlotTable(
-        population=fields["population"],
-        devices=fields["devices"],
-        wire_bytes=dict(fields["wire_bytes"]),
-        flagged=fields["flagged"],
-        **dict(zip(_TABLE_ARRAYS, arrays)),
-    )
-    table.check()
-    return table
+        return _read_section(fh, _FRAME_TYPECODES, [count] * 3, cache.meta_line)
 
 
 def _write_cache(cache_path: Path, capture: Capture, identity: list, capture_file) -> None:
@@ -706,14 +695,13 @@ def _write_cache(cache_path: Path, capture: Capture, identity: list, capture_fil
         population=table.population, devices=table.devices,
         # pairs, since a JSON object's keys are strings and an id may be null
         wire_bytes=list(table.wire_bytes.items()),
-        flagged=table.flagged,
-        columns=[[column.typecode, column.itemsize, len(column)] for column in arrays],
+        flagged=table.flagged, partials=len(table.partials),
     )
     meta = dict(
-        version=CACHE_VERSION, byteorder=sys.byteorder, identity=identity,
+        version=CACHE_VERSION, byteorder=sys.byteorder, itemsizes=_ITEMSIZES, identity=identity,
         header=capture.header, integrity=capture.integrity, skipped_lines=capture.skipped_lines,
         counts=capture.counts, frame_devices=capture._frame_devices,
-        columns=[[column.typecode, column.itemsize, len(column)] for section in capture._sections for column in section],
+        frame_counts=[len(seqs) for seqs, _, _ in capture._sections],
         table=table_fields,
     )
     meta_line = json.dumps(meta).encode() + b"\n"
@@ -887,8 +875,8 @@ class SlotTable:
 
     The arrays hold one row per id of ``devices``, in that order.
     rates       'd', max(1, population) 1-second window rates in kbit/s
-                per row: the delivered uplink bits of the window's
-                arrivals, added up in file order
+                per row: the window arrivals' delivered uplink wire
+                bytes, added up as integers, times 8 over 1000
 
     Entry row * population + k of the arrays below describes the frames
     of that row's device the summary counts in slot k: unflagged, with a
@@ -903,7 +891,9 @@ class SlotTable:
 
     The value rule keeps every delay finite and far below the largest
     float, so no sum overflows, and never -0.0, so equal delays are the
-    same double and a max needs no tie-break.
+    same double and a max needs no tie-break.  Every array's length
+    follows from population and devices, except that of partials: the
+    last entry's part_end.
     """
 
     population: int
@@ -915,16 +905,6 @@ class SlotTable:
     tops: array
     part_ends: array
     partials: array
-
-    def check(self) -> None:
-        """ValueError unless every array has the length its fields imply."""
-        entries = len(self.devices) * self.population
-        expected = dict(
-            rates=len(self.devices) * max(1, self.population), counts=entries, tops=entries, part_ends=entries,
-            partials=self.part_ends[-1] if entries else 0,
-        )
-        if any(len(getattr(self, name)) != length for name, length in expected.items()):
-            raise ValueError("slot table arrays of the wrong length")
 
     def series(self) -> dict:
         """Device id -> its 1-second window rates, a memoryview of its

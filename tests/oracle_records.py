@@ -160,16 +160,17 @@ def uplink_half(reading: Reading, population: int) -> tuple:
     ``population`` slots, by the analyzer's definitions.
 
     series      device id -> its max(1, population) 1-second window
-                rates in kbit/s: 8 bits per wire byte of each delivered
-                uplink copy that carries payload, added up in file order
-                in the window of its wall time; null ids left out
+                rates in kbit/s: the wire bytes of each delivered uplink
+                copy that carries payload, added up as integers in the
+                window of its wall time, then times 8 over 1000 once;
+                null ids left out
     wire_bytes  device id, None for null -> {class: uplink wire bytes}
                 with the classes that have any, for every id of a record
     """
     epoch = reading.header.get("epoch_utc_ms") or 0
     windows = max(1, population)
     ids = sorted({record.device_id for record in reading.records}, key=lambda dev: (dev is not None, dev or 0))
-    series = {dev: [0.0] * windows for dev in ids if dev is not None}
+    window_bytes = {dev: [0] * windows for dev in ids if dev is not None}
     wire_bytes = {dev: dict.fromkeys(CLASSES, 0) for dev in ids}
     for record in reading.records:
         if record.direction != "UPLINK":
@@ -179,5 +180,6 @@ def uplink_half(reading: Reading, population: int) -> tuple:
         if record.payload_bytes and record.wall_time is not None and record.device_id is not None:
             window = math.floor((record.wall_time - epoch) / 1000.0)
             if 0 <= window < windows:
-                series[record.device_id][window] += wire * 8 / 1000.0
+                window_bytes[record.device_id][window] += wire
+    series = {dev: [total * 8 / 1000.0 for total in row] for dev, row in window_bytes.items()}
     return series, {dev: {cls: n for cls, n in totals.items() if n} for dev, totals in wire_bytes.items()}

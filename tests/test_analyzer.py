@@ -639,6 +639,29 @@ def test_uplink_half_of_the_table_is_the_oracle_s_fold(name, tmp_path):
         assert all(any(row) for row in series.values()) and wire_bytes
 
 
+@pytest.mark.parametrize("name", [*builtin_scenarios(), "outage"])
+def test_record_line_order_never_changes_a_figure_bit_for_bit(name, tmp_path):
+    # every bundled scenario cut to 60 s, and a concentrator outage: the
+    # record lines between header and trailer, shuffled three ways, give
+    # every unrounded figure of the unshuffled capture
+    if name == "outage":
+        scenario = parse_scenario(OUTAGE)
+    else:
+        scenario = dataclasses.replace(load_scenario(name), duration_s=60)
+    path = run_simulation(scenario, tmp_path / "run").capture_path
+
+    def digest(capture_path):  # a digest, since a diff of two reprs this long takes minutes
+        return test_golden._sha(test_golden.full_precision_figures(load_capture(capture_path)).encode())
+
+    figures = digest(path)
+    header, *records, trailer = path.read_text().splitlines()
+    for seed in range(3):
+        random.Random(seed).shuffle(records)
+        shuffled = tmp_path / f"shuffled-{seed}.jsonl"
+        shuffled.write_text("\n".join([header, *records, trailer]) + "\n")
+        assert digest(shuffled) == figures
+
+
 def test_live_capture_with_a_far_future_wall_time_is_refused_in_little_memory(tmp_path):
     # without a duration a row grows as windows appear, but not to a
     # window 10**12 s past the epoch: the capture is refused as the slot
@@ -1296,18 +1319,42 @@ def _sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+# the typecodes of a cache's table arrays (rates, counts, tops,
+# part_ends, partials) and of each device's frame columns (frame_seq,
+# frame_timestamp, arrival)
+_TABLE_CODES, _FRAME_CODES = "dqdqd", "Iqd"
+
+
+def _table_lengths(fields: dict) -> list:
+    """The lengths of the table arrays a cache's "table" fields imply."""
+    rows, population = len(fields["devices"]), fields["population"]
+    entries = rows * population
+    return [rows * max(1, population), entries, entries, entries, fields["partials"]]
+
+
+def _section_size(codes: str, lengths: list) -> int:
+    return sum(length * array(code).itemsize for code, length in zip(codes, lengths))
+
+
 def _sections(data: bytes) -> list:
     """A cache's JSON line, then its table and device sections, each
     section without the check that ends it."""
     line, rest = data.split(b"\n", 1)
     meta = json.loads(line)
-    columns = meta["table"]["columns"], *(meta["columns"][k:k + 3] for k in range(0, len(meta["columns"]), 3))
+    sizes = [_section_size(_TABLE_CODES, _table_lengths(meta["table"]))]
+    sizes += [_section_size(_FRAME_CODES, [count] * 3) for count in meta["frame_counts"]]
     parts = [line + b"\n"]
-    for section in columns:
-        size = sum(length * itemsize for _, itemsize, length in section)
+    for size in sizes:
         parts.append(rest[:size])
         rest = rest[size + _CHECK:]
     return parts
+
+
+def _signed(meta: dict, sections: list, sign=_crc32) -> bytes:
+    """A cache of the JSON line of ``meta`` and ``sections``, each ended
+    with ``sign`` of that line and the section, as a writer would."""
+    head = json.dumps(meta).encode() + b"\n"
+    return head + b"".join(section + sign(head + section) for section in sections)
 
 
 def _edit_meta(edit, sign=_crc32):
@@ -1320,10 +1367,9 @@ def _edit_meta(edit, sign=_crc32):
         line, *sections = _sections(data)
         meta = json.loads(line)
         edit(meta)
-        head = json.dumps(meta).encode() + b"\n"
         if sign is None:
-            return head + data[len(line):]
-        return head + b"".join(section + sign(head + section) for section in sections)
+            return json.dumps(meta).encode() + b"\n" + data[len(line):]
+        return _signed(meta, sections, sign)
 
     return mangle
 
@@ -1347,34 +1393,51 @@ def _flip_byte(section: int):
     return mangle
 
 
-def _set_length(column: int, change: int):
+def _set_length(device: int, change: int):
     def edit(meta):
-        meta["columns"][column][2] += change
+        meta["frame_counts"][device] += change
 
     return edit
 
 
 def _shift_lengths(meta):
-    # two 4-byte frame_seqs more, one 8-byte timestamp fewer: the same
-    # bytes, cut elsewhere
-    _set_length(0, 2)(meta)
-    _set_length(1, -1)(meta)
+    # one frame more for the first device, one fewer for the last: the
+    # same bytes, cut elsewhere
+    _set_length(0, 1)(meta)
+    _set_length(-1, -1)(meta)
 
 
 def _grow_frames(meta):
     # far past the file: read without a size check, this asks for 20 TiB
-    for column in range(3):
-        _set_length(column, 2**40)(meta)
+    _set_length(0, 2**40)(meta)
 
 
 def _trade_lengths(meta):
-    # 2**40 more of each of the first device's columns, and as many fewer
-    # of the last device's (20 B a row each): the same total size, one
-    # length negative
-    for column in range(3):
-        _set_length(column, 2**40)(meta)
-    for column in range(len(meta["columns"]) - 3, len(meta["columns"])):
-        _set_length(column, -2**40)(meta)
+    # 2**40 more of the first device's frames, and as many fewer of the
+    # last device's (20 B a frame each): the same total size, one count
+    # negative
+    _set_length(0, 2**40)(meta)
+    _set_length(-1, -2**40)(meta)
+
+
+def _extra_frame_count(data: bytes) -> bytes:
+    # one frame count more than there are frame devices, and the empty
+    # section it describes: the size and every check hold
+    line, *sections = _sections(data)
+    meta = json.loads(line)
+    meta["frame_counts"].append(0)
+    return _signed(meta, [*sections, b""])
+
+
+def _partials_past_the_last_part_end(data: bytes) -> bytes:
+    # a re-signed table whose last part_ends entry falls one short of
+    # the partials the JSON line counts
+    line, table, *frames = _sections(data)
+    meta = json.loads(line)
+    at = _section_size(_TABLE_CODES, _table_lengths(meta["table"])[:4]) - 8
+    end = array("q", table[at:at + 8])
+    end[0] -= 1
+    return _signed(meta, [table[:at] + end.tobytes() + table[at + 8:], *frames])
 
 
 BAD_CACHES = {
@@ -1397,13 +1460,13 @@ BAD_CACHES = {
     "version-4": _edit_meta(lambda meta: meta.update(version=4)),
     "version-5": _edit_meta(lambda meta: meta.update(version=5)),
     "other-byte-order": _edit_meta(lambda meta: meta.update(byteorder={"little": "big"}.get(sys.byteorder, "little"))),
-    "other-typecode": _edit_meta(lambda meta: meta["columns"][0].__setitem__(0, "f")),
-    "other-itemsize": _edit_meta(lambda meta: meta["columns"][1].__setitem__(1, 4)),
-    "unequal-lengths": _edit_meta(_shift_lengths),
+    "other-itemsize": _edit_meta(lambda meta: meta["itemsizes"].update(q=4)),
+    "shifted-frame-counts": _edit_meta(_shift_lengths),
     "lengths-past-the-file": _edit_meta(_grow_frames),
     "missing-key": _edit_meta(lambda meta: meta.pop("counts")),
-    "other-table-typecode": _edit_meta(lambda meta: meta["table"]["columns"][1].__setitem__(0, "d")),
     "table-of-another-population": _edit_meta(lambda meta: meta["table"].update(population=3)),
+    "frame-count-of-no-device": _extra_frame_count,
+    "partials-past-the-last-part-end": _partials_past_the_last_part_end,
 }
 
 
@@ -1431,8 +1494,20 @@ def test_negative_cache_length_is_refused_before_any_column_is_read(tmp_path):
     assert _cache_of(path).read_bytes() == good
 
 
+def _as_version_10(meta):
+    # version 10 listed the typecode, itemsize and length of every
+    # column: the table's under "table", then three per frame device
+    table = meta["table"]
+    lengths = _table_lengths(table)
+    del table["partials"], meta["itemsizes"]
+    table["columns"] = [[code, array(code).itemsize, n] for code, n in zip(_TABLE_CODES, lengths)]
+    meta["columns"] = [[code, array(code).itemsize, n] for n in meta.pop("frame_counts") for code in _FRAME_CODES]
+    meta.update(version=10)
+
+
 def _as_version_7(meta):
     # version 7 keyed the cache on the capture's SHA-256 alone
+    _as_version_10(meta)
     meta.update(version=7)
     del meta["identity"]
 
@@ -1452,10 +1527,9 @@ def _as_version_9(path, current: bytes) -> bytes:
     ]
     line, table, *frames = _sections(current)
     meta = json.loads(line)
+    _as_version_10(meta)
     meta.update(version=9, columns=[[c.typecode, c.itemsize, len(c)] for c in columns] + meta["columns"])
-    head = json.dumps(meta).encode() + b"\n"
-    sections = [table, b"".join(map(bytes, columns)), *frames]
-    return head + b"".join(section + _crc32(head + section) for section in sections)
+    return _signed(meta, [table, b"".join(map(bytes, columns)), *frames])
 
 
 def _older_cache(version: int, path, current: bytes) -> bytes:
@@ -1463,7 +1537,8 @@ def _older_cache(version: int, path, current: bytes) -> bytes:
     ``version`` wrote it: version 7 with no identity and a SHA-256 after
     each section, version 8 with the capture's SHA-256 beside its
     identity, to trust a copied or racy cache by, version 9 with a
-    section of records."""
+    section of records, version 10 with a list of columns in place of
+    counts."""
     if version == 7:
         older = _edit_meta(_as_version_7, sign=_sha256)(current)
         assert len(older) - len(older.split(b"\n", 1)[0]) == (
@@ -1472,11 +1547,18 @@ def _older_cache(version: int, path, current: bytes) -> bytes:
         return older
     if version == 9:
         return _as_version_9(path, current)
+    if version == 10:
+        return _edit_meta(_as_version_10)(current)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    return _edit_meta(lambda meta: meta.update(version=8, capture_sha256=digest))(current)
+
+    def as_version_8(meta):
+        _as_version_10(meta)
+        meta.update(version=8, capture_sha256=digest)
+
+    return _edit_meta(as_version_8)(current)
 
 
-@pytest.mark.parametrize("version", [7, 8, 9])
+@pytest.mark.parametrize("version", [7, 8, 9, 10])
 def test_older_cache_is_ignored_and_rewritten_as_the_current_version(version, tmp_path):
     path = _two_device_capture(tmp_path / "c.jsonl")
     state = _cached(path)
@@ -1486,7 +1568,7 @@ def test_older_cache_is_ignored_and_rewritten_as_the_current_version(version, tm
     _cache_of(path).write_bytes(_older_cache(version, path, current))
     assert _state(load_capture(path)) == state
     assert _cache_of(path).read_bytes() == current
-    assert json.loads(current.split(b"\n", 1)[0])["version"] == analyzer.CACHE_VERSION == 10
+    assert json.loads(current.split(b"\n", 1)[0])["version"] == analyzer.CACHE_VERSION == 11
 
 
 def test_cache_holds_0_bytes_per_record_and_20_per_frame(analyzer_captures, tmp_path):
@@ -1495,7 +1577,7 @@ def test_cache_holds_0_bytes_per_record_and_20_per_frame(analyzer_captures, tmp_
     cap = load_capture(path)
     data = _cache_of(path).read_bytes()
     meta_line = data.split(b"\n", 1)[0] + b"\n"
-    table = sum(itemsize * length for _, itemsize, length in json.loads(meta_line)["table"]["columns"])
+    table = _section_size(_TABLE_CODES, _table_lengths(json.loads(meta_line)["table"]))
     # one check each for the table and every device's frames; the
     # records are folded into the table, whose size does not grow with them
     checks = _CHECK * (1 + len(list(cap.device_frames())))

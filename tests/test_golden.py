@@ -138,9 +138,10 @@ def test_delayed_send_logs_match_golden_bytes(tmp_path):
 # build whose loader kept each record line as a decoded dict, before the
 # loader moved to tuples, then typed columns and a column cache.  The
 # printed figures are rounded to 3-4 decimals, far above the last-bit
-# drift a change of summation order makes, so FULL_PRECISION_GOLDEN also
-# pins the unrounded figures: throughput windows add up in file order,
-# and a loader or summary that reorders the additions drifts there.
+# drift a change of how a figure is summed makes, so FULL_PRECISION_GOLDEN
+# also pins the unrounded figures: a throughput window's rate is its
+# integer wire bytes times 8 over 1000, one correctly rounded division,
+# and a loader or summary that sums the rates as floats drifts there.
 
 ANALYZE_FILES = ("summary.csv", "delay_series.csv", "throughput_series.csv")
 REPORT_SEED = "audit"
@@ -204,8 +205,8 @@ def test_analyzer_outputs_match_golden_bytes(key, analyzer_captures, tmp_path, c
 
 # scenario -> SHA-256 of full_precision_figures()
 FULL_PRECISION_GOLDEN = {
-    "lossy_0p3": "d0bc6e6e717ea146509b88950251f34abd71c6954964cf607d6dd55a5e60b759",
-    "outage": "0bd52a1508c80cf05400090d45d98b780716468ebec009e0018758b099464c46",
+    "lossy_0p3": "402badb8cdfdc361828aec7120772b2f1e6366ed27d55513f5b4c59a2abd7301",
+    "outage": "d40578ef163a48b9216f514a6c1e02d81920af8fdd5ba47ddae2e9a744aad0c5",
 }
 
 

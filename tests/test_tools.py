@@ -47,44 +47,44 @@ def test_child_steps_run_on_a_short_capture(tools, tmp_path):
     assert report["maxrss_kib"] > 0
 
 
-@pytest.mark.parametrize("width,records", [(32, True), (4, True), (4, False)], ids=["sha256", "crc32", "no-records"])
-def test_cache_sections_derive_the_check_width_from_the_file_size(width, records, tools, tmp_path):
+def test_cache_sections_size_the_frames_from_their_counts(tools, tmp_path):
     rss_slope, _ = tools
-    # a table of 3 doubles, two devices' frames (20 B each): 1 and 4
-    # frames, and in a cache before version 10, 2 records (18 B each)
-    record_columns = [["d", 8, 2], ["i", 4, 2], ["B", 1, 2], ["B", 1, 2], ["H", 2, 2], ["H", 2, 2]] if records else []
-    frame_columns = [column for n in (1, 4) for column in (["I", 4, n], ["q", 8, n], ["d", 8, n])]
-    meta = {"table": {"columns": [["d", 8, 3]]}, "columns": record_columns + frame_columns, "frame_devices": [1, 2]}
+    # two devices' frames (20 B each, and a 4-byte check): 1 and 4
+    # frames; the table is what is left, 3 doubles and its check here
+    meta = {"version": 11, "itemsizes": {"I": 4, "q": 8, "d": 8}, "frame_counts": [1, 4]}
     line = json.dumps(meta).encode() + b"\n"
     path = tmp_path / "c.columns"
-    expected = {"table": 24 + width, "records": 36 + width, "frames": 100 + 2 * width}
-    if not records:
-        del expected["records"]
-    size = sum(expected.values())
-    path.write_bytes(line + bytes(size))
-    assert rss_slope.cache_sections(str(path)) == expected
-    path.write_bytes(line + bytes(size + 1))
+    path.write_bytes(line + bytes(28 + 108))
+    assert rss_slope.cache_sections(str(path)) == {"table": 28, "frames": 108}
+    path.write_bytes(line + bytes(108 + 3))
     with pytest.raises(ValueError, match="do not add up"):
         rss_slope.cache_sections(str(path))
 
 
-@pytest.mark.parametrize("record_bytes", [18, 0], ids=["before-version-10", "no-records"])
-def test_report_splits_the_cache_slope_by_section(record_bytes, tools):
+def test_cache_of_another_version_is_one_section(tools, tmp_path):
+    rss_slope, _ = tools
+    # version 10 listed its columns instead of counts
+    meta = {"version": 10, "table": {"columns": [["d", 8, 3]]}, "columns": [["I", 4, 1], ["q", 8, 1], ["d", 8, 1]]}
+    line = json.dumps(meta).encode() + b"\n"
+    path = tmp_path / "c.columns"
+    path.write_bytes(line + bytes(52))
+    assert rss_slope.cache_sections(str(path)) == {"other": 52}
+
+
+@pytest.mark.parametrize("other", [False, True], ids=["version-11", "another-version"])
+def test_report_splits_the_cache_slope_by_section(other, tools):
     rss_slope, _ = tools
     rows = [
         {"records": records, "frames": frames, **{step: 0 for step in rss_slope.STEPS},
-         "cache": table + record_bytes * records + 20 * frames, "cache table": table,
-         **({"cache records": 18 * records} if record_bytes else {}), "cache frames": 20 * frames}
+         "cache": table + 20 * frames,
+         **({"cache other": table + 20 * frames} if other else {"cache table": table, "cache frames": 20 * frames})}
         for records, frames, table in [(100, 50, 1000), (500, 250, 3000)]
     ]
     for row, duration in zip(rows, rss_slope.DURATIONS_S):
         row["duration_s"] = duration
-    expected = [
-        "| cache | 33.0 | 66.0 |" if record_bytes else "| cache | 15.0 | 30.0 |",
-        "| cache table | 5.0 | 10.0 |",
-        *(["| cache records | 18.0 | 36.0 |"] if record_bytes else []),
-        "| cache frames | 10.0 | 20.0 |",
-    ]
+    expected = ["| cache | 15.0 | 30.0 |"] + (
+        ["| cache other | 15.0 | 30.0 |"] if other else ["| cache table | 5.0 | 10.0 |", "| cache frames | 10.0 | 20.0 |"]
+    )
     assert rss_slope.report(rows).splitlines()[-len(expected):] == expected
 
 

@@ -22,9 +22,9 @@ is what the program keeps per record or per frame.  The ``import`` peak
 measures the interpreter and import part of that cost for each
 checkout, and its slope is about zero.  The cache's slope is also split
 by section (the slot table and every device's frames, each with the
-check that ends it, and the records of a cache written before version
-10), read from the cache's JSON line, so a layout change shows where it
-landed.
+check that ends it), read from the cache's JSON line, so a layout change
+shows where it landed; a cache of another version than 11 is one
+section, "other".
 
     python tools/rss_slope.py [--root DIR]...
 
@@ -51,6 +51,10 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 DURATIONS_S = (1000, 4000)
 STEPS = ("import", "simulate", "analyze", "analyze, cached", "report, cached")
 SECTIONS = ("table", "frames")
+# the cache version cache_sections splits, and the CRC-32 that ends each
+# of its sections
+CACHE_VERSION = 11
+CHECK_BYTES = 4
 
 # what a child runs: argv[1] is the checkout root, argv[2] a JSON spec;
 # the last line of its stdout is a JSON object with ru_maxrss in KiB
@@ -102,36 +106,26 @@ def run_child(root: str, step: str, duration_s: int, work: str) -> dict:
 
 
 def cache_sections(path: str) -> dict:
-    """Bytes of each section of the column cache at ``path``, the check
-    that ends it included, from the typecode, itemsize and length of each
-    column its JSON line lists; zeros when there is no cache.  A cache
-    written before version 10 led its frame sections with a section of
-    six record columns, reported as "records".
-
-    The width of a section's check is not read from a version number:
-    the JSON line, the columns and one check per section make up the
-    whole file, so the width is what is left over per section.  A cache
-    with 32-byte digests and one with 4-byte CRCs read alike."""
+    """Bytes of each section of the column cache at ``path`` past its JSON
+    line, the check that ends it included; zeros when there is no cache.
+    In a version 11 cache each device's frames take its frame count times
+    the itemsizes of frame_seq, frame_timestamp and arrival ('I', 'q' and
+    'd'), and the table is what is left.  A cache of any other version is
+    reported whole, as "other", so checkouts on either side of a version
+    change can be measured in one run."""
     if not os.path.exists(path):
         return dict.fromkeys(SECTIONS, 0)
     with open(path, "rb") as fh:
         meta_line = fh.readline()
     meta = json.loads(meta_line)
-
-    def size(columns):
-        return sum(itemsize * length for _, itemsize, length in columns)
-
-    columns = meta["columns"]  # three per device with frames, after any record columns
-    first_frame = len(columns) - 3 * len(meta["frame_devices"])
-    sections = {"table": [size(meta["table"]["columns"])]}
-    if first_frame:
-        sections["records"] = [size(columns[:first_frame])]
-    sections["frames"] = [size(columns[k:k + 3]) for k in range(first_frame, len(columns), 3)]
-    count = sum(map(len, sections.values()))
-    width, rest = divmod(os.path.getsize(path) - len(meta_line) - sum(map(sum, sections.values())), count)
-    if rest or width < 0:
+    rest = os.path.getsize(path) - len(meta_line)
+    if meta.get("version") != CACHE_VERSION:
+        return {"other": rest}
+    frame = sum(meta["itemsizes"][code] for code in "Iqd")
+    frames = sum(count * frame + CHECK_BYTES for count in meta["frame_counts"])
+    if rest - frames < CHECK_BYTES:  # the table, at least its check
         raise ValueError(f"{path}: its sizes do not add up to a column cache")
-    return {name: sum(sizes) + width * len(sizes) for name, sizes in sections.items()}
+    return {"table": rest - frames, "frames": frames}
 
 
 def measure(root: str, work: str) -> list:
