@@ -6,8 +6,8 @@ says when the run started and how long it was configured to last.
 Everything in this module is a pure function of that file, so re-running
 an analysis always reproduces the same bytes, and the order of the record
 lines after the header never changes a figure, bit for bit: every sum is
-of integers or exactly rounded (math.fsum).  Only frames of one device
-that share a frame_seq keep their file order in the delay series.
+of integers or exactly rounded (math.fsum), and the delay series lists
+each device's frames by frame_seq, then timestamp, then arrival.
 
 Metric definitions, chosen once and used everywhere:
 
@@ -92,7 +92,7 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain, islice, starmap
-from operator import le
+from operator import lt
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -546,11 +546,12 @@ def _covered_slots(epoch: int, frame_sections: list, last_wall: float) -> int:
 
 
 def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
-    """One device's frame columns ordered by frame_seq; equal numbers
-    keep file order, and columns already in order are kept as they are."""
-    if all(map(le, seqs, islice(seqs, 1, None))):
+    """One device's frame columns ordered by (frame_seq, frame_timestamp,
+    arrival), whatever their file order; columns whose frame_seq already
+    rises strictly are kept as they are."""
+    if all(map(lt, seqs, islice(seqs, 1, None))):
         return seqs, stamps, arrivals
-    order = sorted(range(len(seqs)), key=seqs.__getitem__)
+    order = sorted(range(len(seqs)), key=lambda i: (seqs[i], stamps[i], arrivals[i]))
     return tuple(array(column.typecode, [column[i] for i in order]) for column in (seqs, stamps, arrivals))
 
 
@@ -585,7 +586,7 @@ def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
 # cache that fails either test is not read: the capture is parsed and
 # cached anew under its identity now.
 
-CACHE_VERSION = 11
+CACHE_VERSION = 12
 _CHECK_BYTES = 4  # the CRC-32 that ends each section
 _FRAME_TYPECODES = "Iqd"
 # this platform's itemsizes of every typecode the cache holds

@@ -336,7 +336,8 @@ class SeqRuns:
 
 
 class IngestState:
-    """Shared reassembly state for all connections of one run.
+    """What every connection of one run shares: deduplication and the
+    counters.  Each connection brings its own FrameAssembler.
 
     Deduplication is global on (device_id, frame_seq): the first
     arrival produces the row, later copies only bump a counter.  Each
@@ -345,17 +346,13 @@ class IngestState:
     """
 
     def __init__(self) -> None:
-        self.assemblers: dict = {}
         self.seen: dict = {}  # device_id -> SeqRuns of frame_seq
         self.counters: Counter = Counter()
 
-    def deliver(self, conn_key, data: bytes, arrival_ms: float) -> list:
-        """Feed bytes delivered in order on one connection at
-        ``arrival_ms``, a time at microsecond precision; returns the
-        MeasurementRows completed by this delivery."""
-        asm = self.assemblers.get(conn_key)
-        if asm is None:
-            asm = self.assemblers[conn_key] = FrameAssembler()
+    def deliver(self, asm: FrameAssembler, data: bytes, arrival_ms: float) -> list:
+        """Feed bytes delivered in order on the connection ``asm``
+        reassembles, at ``arrival_ms``, a time at microsecond precision;
+        returns the MeasurementRows completed by this delivery."""
         frames, events = asm.feed(data)
         if events:
             self.counters.update(events)
@@ -408,7 +405,8 @@ class LiveDcsServer:
         self.ingest = IngestState()
         self._stop = threading.Event()
         self._next_id = 0
-        self._offsets: dict = {}  # conn_id -> delivered byte count, per open connection
+        # conn_id -> [delivered byte count, FrameAssembler], per open connection
+        self._conns: dict = {}
         self._listener = None
         self._selector = None
         self._loop = None
@@ -477,20 +475,19 @@ class LiveDcsServer:
                 sock, addr = self._listener.accept()
             except OSError:  # the queue is empty (BlockingIOError), or a peer gave up
                 return
-            if len(self._offsets) >= self.max_conns:
+            if len(self._conns) >= self.max_conns:
                 log.warning("refusing connection from %s: at max_conns", addr)
                 self.ingest.counters["refused_connections"] += 1
                 sock.close()
                 continue
             self._next_id += 1
-            self._offsets[self._next_id] = 0
+            self._conns[self._next_id] = [0, FrameAssembler()]
             self._selector.register(sock, EVENT_READ, self._next_id)
 
     def _close(self, sock, conn_id: int) -> None:
         self._selector.unregister(sock)
         sock.close()
-        self.ingest.assemblers.pop(conn_id, None)
-        del self._offsets[conn_id]
+        del self._conns[conn_id]
 
     def _read(self, sock, conn_id: int) -> None:
         try:
@@ -502,7 +499,9 @@ class LiveDcsServer:
             return
         arrival = ms(time.time() * 1000.0)
         arrival_time = repr(arrival)
-        rows = self.ingest.deliver(conn_id, data, arrival)
+        conn = self._conns[conn_id]
+        start, asm = conn
+        rows = self.ingest.deliver(asm, data, arrival)
         finite = [r for r in rows if _finite_row(r)]
         if len(finite) < len(rows):
             # a CRC-valid frame can still carry NaN or inf, which no JSON
@@ -513,9 +512,7 @@ class LiveDcsServer:
             self.ingest.counters["nonfinite_rows"] += bad
             self.ingest.counters["rows"] -= bad
             rows = finite
-        asm = self.ingest.assemblers[conn_id]
-        start = self._offsets[conn_id]
-        end = self._offsets[conn_id] = start + len(data)
+        end = conn[0] = start + len(data)
         # no sniffer in live mode: payload bytes only, every copy an
         # UPLINK one of class FIRST
         self._capture.write(

@@ -1,16 +1,14 @@
-"""Emulated measurement device: signal synthesis plus the sending side.
+"""Emulated measurement device: signal synthesis and live mode.
 
 A device produces one frame per 100 ms grid point, stamped with the
-grid instant itself, and pushes it over a TCP-lite connection (in
-simulation) or a real socket (live mode).  The synthesized waveform is
-plumbing, not physics: nominal frequency plus a slow sine wander,
-Gaussian noise, and optional exponentially-decaying step disturbances,
-with the angle integrating the frequency deviation.  What matters
-downstream is the timing and framing behavior, which is exact.
+grid instant itself.  The synthesized waveform is plumbing, not
+physics: nominal frequency plus a slow sine wander, Gaussian noise, and
+optional exponentially-decaying step disturbances, with the angle
+integrating the frequency deviation.  What matters downstream is the
+timing and framing behavior, which is exact.
 
-Devices never buffer: a frame generated while the connection is down
-is counted and dropped, and the sequence number still advances, so
-gaps in the capture are honest evidence of the outage.
+``LiveEmulator`` streams those frames over a real socket; a simulated
+device, which sends them over TCP-lite, is ``sim._Device``.
 """
 
 import heapq
@@ -18,17 +16,14 @@ import logging
 import math
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .frame import FdrFrame, encode_frame
-from .simnet import Simulator
-from .tcplite import Connection
 
 log = logging.getLogger(__name__)
 
 GRID_MS = 100  # frame cadence: 10 samples per second
-RECONNECT_BACKOFF_MS = 1_000.0  # a simulated device's wait before it redials
 CONNECT_BACKOFF_S = 0.5  # a live device's wait after its first failed dial, growing linearly
 
 
@@ -125,84 +120,6 @@ class SignalGenerator:
 def next_grid_ms(t_utc_ms: float) -> int:
     """First 100 ms grid instant at or after ``t_utc_ms``."""
     return math.ceil(t_utc_ms / GRID_MS) * GRID_MS
-
-
-class DeviceNode:
-    """Simulation-mode device: grid-aligned generation over TCP-lite.
-
-    ``make_connection`` must return a fresh, fully wired client
-    Connection each time; the node opens it, re-dials after failures,
-    and starts its 10 Hz schedule at the first grid point at or after
-    the first successful handshake.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        config: FdrConfig,
-        epoch_utc_ms: int,
-        seed: str,
-        duration_s: int,
-        make_connection: Callable[["DeviceNode"], Connection],
-    ):
-        self.sim = sim
-        self.config = config
-        self.epoch_utc_ms = epoch_utc_ms
-        self.duration_s = duration_s
-        self.make_connection = make_connection
-        self.signal = SignalGenerator(
-            config.signal, epoch_utc_ms, random.Random(f"{seed}:dev{config.device_id}:signal")
-        )
-        self._split_rng = random.Random(f"{seed}:dev{config.device_id}:split")
-        self.conn: Optional[Connection] = None
-        self.frames_total = duration_s * 1000 // GRID_MS
-        self.frames_generated = 0
-        self.frames_sent = 0
-        self.frames_dropped_offline = 0
-        self.reconnects = 0
-        self._ticking = False
-
-    def start(self) -> None:
-        self._dial()
-
-    def _dial(self) -> None:
-        self.conn = self.make_connection(self)
-        self.conn.on_established = self._on_established
-        self.conn.on_failed = self._on_failed
-        self.conn.open()
-
-    def _on_established(self) -> None:
-        if not self._ticking:
-            self._ticking = True
-            now_utc = self.epoch_utc_ms + self.sim.now_us / 1000.0
-            first = next_grid_ms(now_utc)
-            self.sim.schedule(round((first - self.epoch_utc_ms) * 1000), self._tick, first)
-
-    def _on_failed(self, reason: str) -> None:
-        self.reconnects += 1
-        log.info("device %d: connection lost (%s), redialing", self.config.device_id, reason)
-        self.sim.schedule_in(round(RECONNECT_BACKOFF_MS * 1000), self._dial)
-
-    def _tick(self, t_utc_ms: int) -> None:
-        if self.frames_generated >= self.frames_total:
-            return
-        self.frames_generated += 1
-        frame = self.signal.measure(self.config.device_id, self.frames_generated, t_utc_ms)
-        payload = encode_frame(frame)
-        split = self._split_rng.random() < self.config.p_seg
-        if self.config.t_fdr_ms:
-            self.sim.schedule_in(round(self.config.t_fdr_ms * 1000), self._send, payload, split)
-        else:
-            self._send(payload, split)
-        if self.frames_generated < self.frames_total:
-            self.sim.schedule_in(GRID_MS * 1000, self._tick, t_utc_ms + GRID_MS)
-
-    def _send(self, payload: bytes, split: bool) -> None:
-        if self.conn is not None and self.conn.established:
-            self.conn.send(payload, split=split)
-            self.frames_sent += 1
-        else:
-            self.frames_dropped_offline += 1  # no buffering by design
 
 
 class LiveEmulator:

@@ -1,11 +1,17 @@
 """Batch simulation runs: devices, channels, transport, and ingest in
 one deterministic event loop.
 
-A run wires every configured device to its own uplink/downlink pair,
-re-dials a fresh transport connection whenever one fails, and feeds the
-concentrator-side reassembly exactly the byte stream the transport
-releases.  It writes the same two JSON-lines logs the live server
-produces, so the analyzer treats both modes identically.
+A run gives every configured device its own uplink/downlink pair.  The
+device dials over them, re-dials a fresh transport connection whenever
+one fails, and ticks at 10 Hz from the first grid point after its first
+handshake.  Each connection's concentrator end reassembles exactly the
+byte stream the transport releases.  The run writes the same two
+JSON-lines logs the live server produces, so the analyzer treats both
+modes identically.
+
+Devices never buffer: a frame generated while the connection is down
+is counted and dropped, and the sequence number still advances, so
+gaps in the capture are honest evidence of the outage.
 
 The capture log is an omniscient tap: every wire copy appears exactly
 once.  Copies the channel dropped are written at transmit time with a
@@ -27,9 +33,10 @@ from functools import partial
 from pathlib import Path
 from typing import Optional
 
+from . import fdr
 from .analyzer import DIRECTIONS
-from .dcs import IngestState, LogWriter, capture_line, log_header, measurement_line
-from .fdr import DeviceNode
+from .dcs import FrameAssembler, IngestState, LogWriter, capture_line, log_header, measurement_line
+from .fdr import GRID_MS, SignalGenerator, next_grid_ms
 from .scenario import MAX_EPOCH_UTC_MS, Scenario
 from .simnet import Link, Simulator
 from .tcplite import HEADER_BYTES, RST, SYN, Connection, Segment, connect_pair
@@ -39,6 +46,9 @@ log = logging.getLogger(__name__)
 # after the last frame leaves the grid, let in-flight retransmissions
 # and redial loops settle before the run stops
 DRAIN_GRACE_S = 30
+
+# a device's wait after a failed connection before it redials
+RECONNECT_BACKOFF_MS = 1_000.0
 
 # the most lines a log's writer holds before it hands them on as one
 # block
@@ -82,91 +92,131 @@ class _DcsEndpoint(Connection):
     segment makes at most one in-order delivery).
     """
 
-    def __init__(self, harness: "_DeviceHarness", conn_key: str, sim, link, role):
+    def __init__(self, device: "_Device", name: str, sim, link, role):
         super().__init__(
             sim,
             link,
             role,
-            name=f"{conn_key}.server",
+            name=f"{name}.server",
             on_deliver=self._ingest,
-            on_wire=harness._on_downlink_wire,
+            on_wire=device._on_downlink_wire,
         )
-        self.harness = harness
-        self.conn_key = conn_key
+        self.device = device
+        self.assembler = FrameAssembler()
         self._rows: Optional[list] = None  # rows completed by the segment being delivered
 
     def _ingest(self, data: bytes) -> None:
-        run = self.harness.run
-        self._rows = run.ingest.deliver(self.conn_key, data, run.wall_ms(run.sim.now_us))
+        run = self.device.run
+        self._rows = run.ingest.deliver(self.assembler, data, run.wall_ms(run.sim.now_us))
 
     def deliver_segment(self, seg: Segment) -> None:
-        harness = self.harness
-        run = harness.run
+        device = self.device
+        run = device.run
         now_us = run.sim.now_us
         if run.outages and run.in_outage(now_us):
             if seg.payload:
-                run.write_record(harness.device_id, _UPLINK, seg, now_us)
+                run.write_record(device.device_id, _UPLINK, seg, now_us)
             self._refuse()
             return
         super().deliver_segment(seg)
         if seg.payload:
-            run.write_record(harness.device_id, _UPLINK, seg, now_us, self._rows)
+            run.write_record(device.device_id, _UPLINK, seg, now_us, self._rows)
             self._rows = None
 
     def detach(self) -> None:
         super().detach()
-        self.harness = None
+        self.device = None
 
     def _refuse(self) -> None:
-        run = self.harness.run
+        run = self.device.run
         run.outage_rsts += 1
         rst = Segment(0, 0, frozenset({RST}))
         arrival_us = self.link.transmit(HEADER_BYTES)
-        run.write_record(self.harness.device_id, _ACK, rst, arrival_us)
+        run.write_record(self.device.device_id, _ACK, rst, arrival_us)
         if arrival_us is not None and self.peer is not None:
             run.sim.schedule(arrival_us, self.peer.deliver_segment, rst)
 
 
-class _DeviceHarness:
-    """Everything one device owns for the lifetime of a run.
+class _Device:
+    """One simulated device and everything it owns for the lifetime of
+    a run: its two channel links, its signal, its 10 Hz schedule, its
+    dial loop, its capture hooks and counters, and both ends of every
+    connection it dialed.
 
-    The two channel links persist across re-dials so their occupancy
-    and random streams carry over; only the transport pair is rebuilt.
+    The links persist across re-dials so their occupancy and random
+    streams carry over; only the transport pair is rebuilt.
     """
 
     def __init__(self, run: "_SimulationRun", spec):
+        sc = run.scenario
         self.run = run
-        self.spec = spec
-        self.device_id = spec.config.device_id
-        seed = run.scenario.seed
-        self.uplink = Link(run.sim, spec.uplink, random.Random(f"{seed}:dev{self.device_id}:up"))
-        self.downlink = Link(
-            run.sim, spec.downlink, random.Random(f"{seed}:dev{self.device_id}:down")
+        self.sim = run.sim
+        self.config = config = spec.config
+        self.device_id = device_id = config.device_id
+        self.uplink = Link(run.sim, spec.uplink, random.Random(f"{sc.seed}:dev{device_id}:up"))
+        self.downlink = Link(run.sim, spec.downlink, random.Random(f"{sc.seed}:dev{device_id}:down"))
+        self.epoch_utc_ms = sc.epoch_utc_ms
+        self.signal = SignalGenerator(
+            config.signal, sc.epoch_utc_ms, random.Random(f"{sc.seed}:dev{device_id}:signal")
         )
-        self.dials = 0
+        self._split_rng = random.Random(f"{sc.seed}:dev{device_id}:split")
+        self.conn: Optional[Connection] = None  # the client end of the latest dial
         self.connections: list = []  # both ends of every dial
-        self.node = DeviceNode(
-            run.sim,
-            spec.config,
-            run.scenario.epoch_utc_ms,
-            seed,
-            run.scenario.duration_s,
-            self._make_connection,
-        )
+        self.frames_total = sc.duration_s * 1000 // GRID_MS
+        self.frames_generated = self.frames_sent = self.frames_dropped_offline = 0
+        self.reconnects = self.dials = 0
+        self._ticking = False
 
-    def _make_connection(self, node: DeviceNode) -> Connection:
+    def dial(self) -> None:
         self.dials += 1
-        conn_key = f"dev{self.device_id}#{self.dials}"
-        client, server = connect_pair(
-            self.run.sim,
+        name = f"dev{self.device_id}#{self.dials}"
+        self.conn, server = connect_pair(
+            self.sim,
             self.uplink,
             self.downlink,
-            server_factory=partial(_DcsEndpoint, self, conn_key),
-            name=f"{conn_key}.client",
+            server_factory=partial(_DcsEndpoint, self, name),
+            name=f"{name}.client",
             on_wire=self._on_uplink_wire,
+            on_established=self._on_established,
+            on_failed=self._on_failed,
         )
-        self.connections += (client, server)
-        return client
+        self.connections += (self.conn, server)
+        self.conn.open()
+
+    def _on_established(self) -> None:
+        if not self._ticking:
+            self._ticking = True
+            now_utc = self.epoch_utc_ms + self.sim.now_us / 1000.0
+            first = next_grid_ms(now_utc)
+            self.sim.schedule(round((first - self.epoch_utc_ms) * 1000), self._tick, first)
+
+    def _on_failed(self, reason: str) -> None:
+        self.reconnects += 1
+        log.info("device %d: connection lost (%s), redialing", self.device_id, reason)
+        self.sim.schedule_in(round(RECONNECT_BACKOFF_MS * 1000), self.dial)
+
+    def _tick(self, t_utc_ms: int) -> None:
+        if self.frames_generated >= self.frames_total:
+            return
+        self.frames_generated += 1
+        frame = self.signal.measure(self.device_id, self.frames_generated, t_utc_ms)
+        # looked up on the module at each call, where a tracer that wraps
+        # fdr.encode_frame sees it
+        payload = fdr.encode_frame(frame)
+        split = self._split_rng.random() < self.config.p_seg
+        if self.config.t_fdr_ms:
+            self.sim.schedule_in(round(self.config.t_fdr_ms * 1000), self._send, payload, split)
+        else:
+            self._send(payload, split)
+        if self.frames_generated < self.frames_total:
+            self.sim.schedule_in(GRID_MS * 1000, self._tick, t_utc_ms + GRID_MS)
+
+    def _send(self, payload: bytes, split: bool) -> None:
+        if self.conn is not None and self.conn.established:
+            self.conn.send(payload, split=split)
+            self.frames_sent += 1
+        else:
+            self.frames_dropped_offline += 1  # no buffering by design
 
     # -- capture hooks -------------------------------------------------------
 
@@ -179,21 +229,19 @@ class _DeviceHarness:
         self.run.write_record(self.device_id, _ACK, seg, arrival_us)
 
     def close(self) -> None:
-        """Break the reference cycles between this device's node, its
-        connections and the run, once the run is over."""
-        self.node.make_connection = None
+        """Break the reference cycles between this device and its
+        connections, once the run is over."""
         for conn in self.connections:
             conn.detach()
         self.connections.clear()
 
     def report(self) -> DeviceReport:
-        n = self.node
         return DeviceReport(
             device_id=self.device_id,
-            frames_generated=n.frames_generated,
-            frames_sent=n.frames_sent,
-            frames_dropped_offline=n.frames_dropped_offline,
-            reconnects=n.reconnects,
+            frames_generated=self.frames_generated,
+            frames_sent=self.frames_sent,
+            frames_dropped_offline=self.frames_dropped_offline,
+            reconnects=self.reconnects,
             dials=self.dials,
         )
 
@@ -313,13 +361,13 @@ class _SimulationRun:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         capture_path = self.out_dir / "capture.jsonl"
         rows_path = self.out_dir / "measurements.jsonl"
-        harnesses = []
+        devices = []
         try:
             self.capture_log = LogWriter(capture_path, self._header("capture"))
             self.rows_log = LogWriter(rows_path, self._header("measurements"))
-            harnesses = [_DeviceHarness(self, spec) for spec in sc.devices]
-            for h in harnesses:
-                h.node.start()
+            devices = [_Device(self, spec) for spec in sc.devices]
+            for device in devices:
+                device.dial()
             processed = self.sim.run_until((sc.duration_s + DRAIN_GRACE_S) * 1_000_000)
         finally:
             for writer, lines, counters in (
@@ -335,8 +383,8 @@ class _SimulationRun:
             # process's peak memory does not depend on when the cyclic
             # collector happens to run
             self.sim.clear()
-            for h in harnesses:
-                h.close()
+            for device in devices:
+                device.close()
         capture_counters = self._capture_counters()
         log.info(
             "scenario %s: %d events, %d rows, %d capture records",
@@ -348,7 +396,7 @@ class _SimulationRun:
         return RunResult(
             capture_path=capture_path,
             measurements_path=rows_path,
-            devices=tuple(h.report() for h in harnesses),
+            devices=tuple(device.report() for device in devices),
             capture_counters=capture_counters,
             ingest_counters=dict(self.ingest.counters),
             events_processed=processed,

@@ -226,24 +226,16 @@ class Link:
         self.rng = rng
         self.params = params
         self._free_at_us = 0
-
-    @property
-    def params(self) -> ChannelParams:
-        return self._params
-
-    @params.setter
-    def params(self, params: ChannelParams) -> None:
-        # resolve the per-unit constants once, not on every transmit
-        self._params = params
+        # the per-unit constants, resolved once, not on every transmit
         self._ser_us: dict = {}  # unit bytes -> serialization us
-        self._jitter = params.jitter.sampler(self.rng)
+        self._jitter = params.jitter.sampler(rng)
 
     def transmit(self, serialized_bytes: int) -> Optional[int]:
         """Place one unit on the link; returns its arrival time in us,
         or None when the channel drops it."""
         # serialization_ms, should_drop and transit_delay, inlined on
         # the per-segment path
-        params = self._params
+        params = self.params
         now_us = self.sim.now_us
         entry_us = now_us if now_us > self._free_at_us else self._free_at_us
         ser_us = self._ser_us.get(serialized_bytes)

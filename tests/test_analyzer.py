@@ -270,6 +270,24 @@ class TestLoader:
         reversed_path.write_text("\n".join(shuffled) + "\n")
         assert summarize(load_capture(reversed_path)) == forward
 
+    def test_frames_sharing_a_seq_list_in_the_same_order_either_way(self, tmp_path):
+        # device 1 completes frame 7 twice; the delay series lists the two
+        # by arrival, whichever line comes first
+        records = [
+            oracle_logs._rec(150.0, 1, 55, complete=oracle_logs._done(7, 100, 150.0)),
+            oracle_logs._rec(180.0, 1, 55, complete=oracle_logs._done(7, 100, 180.0)),
+        ]
+        csvs = []
+        for name, ordered in (("fwd", records), ("rev", records[::-1])):
+            path = oracle_logs.write_log(tmp_path / f"{name}.jsonl", oracle_logs._header(duration_s=1), ordered)
+            out = tmp_path / f"{name}.csv"
+            write_delay_series_csv(analyzer.delay_rows(load_capture(path)), out)
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+        assert [line.split(",")[1:5] for line in csvs[0].decode().splitlines()[1:]] == [
+            ["7", "100", "150.000", "50.000"], ["7", "100", "180.000", "80.000"]
+        ]
+
     def test_population_derived_when_duration_unknown(self, tmp_path):
         header = oracle_logs._header(duration_s=None)
         records = [oracle_logs._rec(2500.5, 1, 55, complete=oracle_logs._done(1, 100, 2500.5))]
@@ -1538,7 +1556,10 @@ def _older_cache(version: int, path, current: bytes) -> bytes:
     each section, version 8 with the capture's SHA-256 beside its
     identity, to trust a copied or racy cache by, version 9 with a
     section of records, version 10 with a list of columns in place of
-    counts."""
+    counts, version 11 with the frames of one device that share a
+    frame_seq in file order."""
+    if version == 11:
+        return _edit_meta(lambda meta: meta.update(version=11))(current)
     if version == 7:
         older = _edit_meta(_as_version_7, sign=_sha256)(current)
         assert len(older) - len(older.split(b"\n", 1)[0]) == (
@@ -1558,7 +1579,7 @@ def _older_cache(version: int, path, current: bytes) -> bytes:
     return _edit_meta(as_version_8)(current)
 
 
-@pytest.mark.parametrize("version", [7, 8, 9, 10])
+@pytest.mark.parametrize("version", [7, 8, 9, 10, 11])
 def test_older_cache_is_ignored_and_rewritten_as_the_current_version(version, tmp_path):
     path = _two_device_capture(tmp_path / "c.jsonl")
     state = _cached(path)
@@ -1568,7 +1589,7 @@ def test_older_cache_is_ignored_and_rewritten_as_the_current_version(version, tm
     _cache_of(path).write_bytes(_older_cache(version, path, current))
     assert _state(load_capture(path)) == state
     assert _cache_of(path).read_bytes() == current
-    assert json.loads(current.split(b"\n", 1)[0])["version"] == analyzer.CACHE_VERSION == 11
+    assert json.loads(current.split(b"\n", 1)[0])["version"] == analyzer.CACHE_VERSION == 12
 
 
 def test_cache_holds_0_bytes_per_record_and_20_per_frame(analyzer_captures, tmp_path):

@@ -130,28 +130,26 @@ class TestFrameAssembler:
 
 class TestIngestState:
     def test_split_frame_arrival_is_second_segment_time(self):
-        ingest = IngestState()
+        ingest, asm = IngestState(), FrameAssembler()
         data = wire()
-        assert ingest.deliver("c1", data[:27], 1000.0) == []
-        rows = ingest.deliver("c1", data[27:], 1002.5)
+        assert ingest.deliver(asm, data[:27], 1000.0) == []
+        rows = ingest.deliver(asm, data[27:], 1002.5)
         assert len(rows) == 1
         assert rows[0].arrival_time == 1002.5
 
     def test_whole_frame_arrival_is_segment_time(self):
-        ingest = IngestState()
-        rows = ingest.deliver("c1", wire(), 1001.0)
+        rows = IngestState().deliver(FrameAssembler(), wire(), 1001.0)
         assert rows[0].arrival_time == 1001.0
 
     def test_two_frames_one_segment_share_arrival(self):
-        ingest = IngestState()
-        rows = ingest.deliver("c1", wire(frame_seq=1) + wire(frame_seq=2), 2000.0)
+        rows = IngestState().deliver(FrameAssembler(), wire(frame_seq=1) + wire(frame_seq=2), 2000.0)
         assert [r.frame_seq for r in rows] == [1, 2]
         assert [r.arrival_time for r in rows] == [2000.0, 2000.0]
 
     def test_duplicate_frame_keeps_first(self):
-        ingest = IngestState()
-        first = ingest.deliver("c1", wire(), 1000.0)
-        again = ingest.deliver("c1", wire(), 1500.0)
+        ingest, asm = IngestState(), FrameAssembler()
+        first = ingest.deliver(asm, wire(), 1000.0)
+        again = ingest.deliver(asm, wire(), 1500.0)
         assert len(first) == 1 and again == []
         assert ingest.counters["duplicate_frames"] == 1
         assert ingest.counters["rows"] == 1
@@ -159,8 +157,8 @@ class TestIngestState:
     def test_duplicate_detection_spans_connections(self):
         # same frame resent on a new connection after a reconnect
         ingest = IngestState()
-        ingest.deliver("c1", wire(), 1000.0)
-        again = ingest.deliver("c2", wire(), 1200.0)
+        ingest.deliver(FrameAssembler(), wire(), 1000.0)
+        again = ingest.deliver(FrameAssembler(), wire(), 1200.0)
         assert again == []
         assert ingest.counters["duplicate_frames"] == 1
 
@@ -175,9 +173,10 @@ class TestIngestState:
         if in_order:
             arrivals.sort()
         ingest = IngestState()
+        assemblers = (FrameAssembler(), FrameAssembler())  # two connections
         reference = set()
         for k, (dev, seq) in enumerate(arrivals):
-            rows = ingest.deliver(f"c{k % 2}", wire(device_id=dev, frame_seq=seq), float(k))
+            rows = ingest.deliver(assemblers[k % 2], wire(device_id=dev, frame_seq=seq), float(k))
             assert [(r.device_id, r.frame_seq, r.arrival_time) for r in rows] == (
                 [] if (dev, seq) in reference else [(dev, seq, float(k))]
             )
@@ -201,8 +200,7 @@ class TestIngestState:
         assert not runs.add(7)
 
     def test_row_carries_decoded_fields(self):
-        ingest = IngestState()
-        (row,) = ingest.deliver("c1", wire(device_id=7, frame_seq=3), 1000.0)
+        (row,) = IngestState().deliver(FrameAssembler(), wire(device_id=7, frame_seq=3), 1000.0)
         assert row.device_id == 7
         assert row.frame_seq == 3
         assert row.frame_timestamp == 1_700_000_000_000
@@ -210,7 +208,7 @@ class TestIngestState:
         assert row.status == 0
 
     def test_row_is_immutable(self):
-        (row,) = IngestState().deliver("c1", wire(), 1000.0)
+        (row,) = IngestState().deliver(FrameAssembler(), wire(), 1000.0)
         with pytest.raises(AttributeError):
             row.arrival_time = 0.0
 
@@ -253,7 +251,7 @@ class TestLogWriter:
     def test_capture_line_is_the_encoded_record(self, wall_time, device_id, n_rows):
         # the rows a copy completes arrive with it, at its wall time
         rows = IngestState().deliver(
-            "c1", b"".join(wire(frame_seq=k) for k in range(1, n_rows + 1)), wall_time
+            FrameAssembler(), b"".join(wire(frame_seq=k) for k in range(1, n_rows + 1)), wall_time
         )
         record = CaptureRecord(
             wall_time=wall_time,
@@ -302,8 +300,7 @@ class TestLogWriter:
         assert list(tmp_path.iterdir()) == []
 
     def test_frame_complete_entry_shape(self):
-        ingest = IngestState()
-        (row,) = ingest.deliver("c1", wire(), 1000.25)
+        (row,) = IngestState().deliver(FrameAssembler(), wire(), 1000.25)
         entry = frame_complete_entry(row)
         assert entry == {
             "frame_seq": 1,
@@ -369,11 +366,10 @@ class TestLiveDcsServer:
                     sock.sendall(wire(frame_seq=seq))
             deadline = time.monotonic() + 15.0
             while time.monotonic() < deadline and (
-                server.ingest.counters["rows"] < 50 or server.ingest.assemblers or server._offsets
+                server.ingest.counters["rows"] < 50 or server._conns
             ):
                 time.sleep(0.05)
-            assert server.ingest.assemblers == {}
-            assert server._offsets == {}
+            assert server._conns == {}
         finally:
             server.stop()
         lines = [json.loads(l) for l in (tmp_path / "measurements.jsonl").read_text().splitlines()]
@@ -417,7 +413,7 @@ class TestLiveDcsServer:
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline and server.ingest.counters["rows"] < 50:
                 time.sleep(0.05)
-            assert len(server._offsets) == 50
+            assert len(server._conns) == 50
         finally:
             for sock in socks:
                 sock.close()
@@ -445,7 +441,7 @@ class TestLiveDcsServer:
             for _ in range(40):  # all queued in the kernel, none accepted yet
                 socks.append(socket.create_connection(("127.0.0.1", server.port), timeout=5.0))
             server._accept()
-            assert len(server._offsets) == 32
+            assert len(server._conns) == 32
             assert server.ingest.counters["refused_connections"] == 8
             assert backlogs == [socket.SOMAXCONN]
         finally:

@@ -1,4 +1,4 @@
-"""Device emulation checks: waveform synthesis and the 10 Hz schedule.
+"""Device emulation checks: waveform synthesis and the 100 ms grid.
 
 The disturbance-decay and angle-integration assertions use closed-form
 values computed here, not the generator's own arithmetic.
@@ -11,16 +11,12 @@ import pytest
 
 from wamsbench.fdr import (
     GRID_MS,
-    DeviceNode,
     DisturbanceEvent,
     FdrConfig,
     SignalGenerator,
     SignalModel,
     next_grid_ms,
 )
-from wamsbench.frame import decode_frame
-from wamsbench.simnet import ChannelParams, Link, Simulator
-from wamsbench.tcplite import RST, Segment, connect_pair
 
 EPOCH = 1_700_000_000_000  # grid-aligned UTC ms
 
@@ -103,97 +99,3 @@ class TestSignalGenerator:
         assert next_grid_ms(EPOCH) == EPOCH
         assert next_grid_ms(EPOCH + 1) == EPOCH + GRID_MS
         assert next_grid_ms(EPOCH + 99.9) == EPOCH + GRID_MS
-
-
-class _Harness:
-    """Minimal lossless wiring for one DeviceNode."""
-
-    def __init__(self, sim, t_p_ms=10.0):
-        self.sim = sim
-        self.t_p_ms = t_p_ms
-        self.received = bytearray()
-        self.dials = 0
-
-    def make_connection(self, node):
-        self.dials += 1
-        up = Link(
-            self.sim,
-            ChannelParams(t_p_ms=self.t_p_ms, r_ul_bps=384_000.0),
-            random.Random(f"h{self.dials}:up"),
-        )
-        down = Link(
-            self.sim,
-            ChannelParams(t_p_ms=self.t_p_ms, r_ul_bps=7_200_000.0),
-            random.Random(f"h{self.dials}:down"),
-        )
-        client, server = connect_pair(self.sim, up, down)
-        server.on_deliver = self.received.extend
-        return client
-
-    def frames(self):
-        assert len(self.received) % 55 == 0
-        return [
-            decode_frame(self.received[i : i + 55]) for i in range(0, len(self.received), 55)
-        ]
-
-
-class TestDeviceNode:
-    def _node(self, sim, harness, duration_s, p_seg=0.0):
-        config = FdrConfig(device_id=3, p_seg=p_seg)
-        return DeviceNode(sim, config, EPOCH, "seed", duration_s, harness.make_connection)
-
-    def test_streams_exactly_ten_frames_per_second(self):
-        sim = Simulator()
-        harness = _Harness(sim)
-        node = self._node(sim, harness, duration_s=3)
-        node.start()
-        sim.run_until(10_000_000)
-        assert node.frames_generated == 30
-        assert node.frames_sent == 30
-        frames = harness.frames()
-        assert len(frames) == 30
-        assert [f.frame_seq for f in frames] == list(range(1, 31))
-        stamps = [f.utc_timestamp for f in frames]
-        assert all(b - a == GRID_MS for a, b in zip(stamps, stamps[1:]))
-        assert stamps[0] % GRID_MS == 0
-
-    def test_first_timestamp_is_grid_point_after_establishment(self):
-        sim = Simulator()
-        harness = _Harness(sim, t_p_ms=10.0)
-        node = self._node(sim, harness, duration_s=1)
-        node.start()
-        sim.run_until(5_000_000)
-        # handshake needs ~21 ms, so the schedule starts at the 100 ms point
-        assert harness.frames()[0].utc_timestamp == EPOCH + 100
-
-    def test_split_frames_still_deliver_whole(self):
-        sim = Simulator()
-        harness = _Harness(sim)
-        node = self._node(sim, harness, duration_s=2, p_seg=1.0)
-        node.start()
-        sim.run_until(10_000_000)
-        assert [f.frame_seq for f in harness.frames()] == list(range(1, 21))
-
-    def test_outage_drops_frames_without_buffering(self):
-        sim = Simulator()
-        harness = _Harness(sim)
-        node = self._node(sim, harness, duration_s=5)
-        node.start()
-        # kill the connection just before the 2.0 s tick; the redial at
-        # 2.95 s lands before the 3.0 s tick, so ticks 2.0..2.9 s drop
-        sim.schedule(1_950_000, lambda: node.conn.deliver_segment(
-            Segment(seq=0, ack=0, flags=frozenset({RST}))
-        ))
-        sim.run_until(20_000_000)
-        assert node.reconnects == 1
-        assert harness.dials == 2
-        assert node.frames_generated == 50
-        assert node.frames_dropped_offline == 10
-        assert node.frames_sent == 40
-        frames = harness.frames()
-        assert len(frames) == 40
-        # sequence numbers advanced across the gap
-        seqs = [f.frame_seq for f in frames]
-        assert seqs == list(range(1, 20)) + list(range(30, 51))
-        gaps = {b - a for a, b in zip(seqs, seqs[1:])}
-        assert gaps == {1, 11}

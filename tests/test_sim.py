@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wamsbench import sim
+from wamsbench import fdr, sim
 from wamsbench.dcs import ms
 from wamsbench.scenario import parse_scenario
 from wamsbench.sim import _SimulationRun, run_simulation
@@ -202,6 +202,70 @@ class TestOutage:
         ]
         assert len(refused) == 1
         assert refused[0]["seq_range"] == [1 + 39 * 55, 1 + 40 * 55]  # frame 40
+
+
+class TestDevice:
+    """A device's own behavior: the 10 Hz grid, its first tick, split
+    frames and its drops while offline."""
+
+    def test_streams_ten_frames_per_second_on_the_grid(self, lossless):
+        _, rows, _ = read_log(lossless.measurements_path)
+        for dev in lossless.devices:
+            assert dev.frames_generated == dev.frames_sent == 8 * 10
+            mine = [row for row in rows if row["device_id"] == dev.device_id]
+            assert [row["frame_seq"] for row in mine] == list(range(1, 81))
+            stamps = [row["frame_timestamp"] for row in mine]
+            assert stamps[0] % fdr.GRID_MS == 0
+            assert all(b - a == fdr.GRID_MS for a, b in zip(stamps, stamps[1:]))
+
+    @pytest.mark.parametrize("t_p_ms,first_ms", [(10.0, 100), (60.0, 200)])
+    def test_first_stamp_is_the_grid_point_after_the_handshake(self, t_p_ms, first_ms, tmp_path):
+        # the handshake takes two propagation delays plus the
+        # serialization of two 40-byte headers
+        text = f"""
+[scenario]
+name = lab-first-stamp
+duration_s = 1
+devices = 1
+[uplink]
+t_p_ms = {t_p_ms}
+[downlink]
+t_p_ms = {t_p_ms}
+"""
+        result = run(text, tmp_path)
+        header, rows, _ = read_log(result.measurements_path)
+        assert rows[0]["frame_timestamp"] == header["epoch_utc_ms"] + first_ms
+
+    def test_split_frames_arrive_whole(self, split_run):
+        _, rows, _ = read_log(split_run.measurements_path)
+        assert [row["frame_seq"] for row in rows] == list(range(1, 31))
+        assert split_run.ingest_counters.get("resync_bytes", 0) == 0
+
+    def test_frames_are_dropped_offline_and_the_seq_advances(self, outage):
+        (dev,) = outage.devices
+        _, rows, _ = read_log(outage.measurements_path)
+        seqs = [row["frame_seq"] for row in rows]
+        assert dev.frames_generated == dev.frames_sent + dev.frames_dropped_offline == seqs[-1]
+        # frame 40 was sent into the outage and refused; the frames
+        # generated while the device was offline left no bytes, only
+        # their numbers
+        (gap,) = [(a, b) for a, b in zip(seqs, seqs[1:]) if b - a != 1]
+        assert gap == (39, 40 + dev.frames_dropped_offline + 1)
+
+    def test_every_generated_frame_is_encoded_once_through_the_fdr_module(self, monkeypatch, tmp_path):
+        # a tracer wraps fdr.encode_frame where it stands; a device that
+        # held its own reference would bypass the wrapper
+        calls = []
+        encode_frame = fdr.encode_frame
+
+        def counting_encode_frame(frame):
+            calls.append(frame.frame_seq)
+            return encode_frame(frame)
+
+        monkeypatch.setattr(fdr, "encode_frame", counting_encode_frame)
+        result = run(OUTAGE, tmp_path)
+        (dev,) = result.devices
+        assert calls == list(range(1, dev.frames_generated + 1))
 
 
 class TestRandomizedRun:

@@ -377,9 +377,10 @@ class TestLink:
 
     def test_dropped_unit_still_occupies_link(self):
         sim = Simulator()
-        link = Link(sim, self._params(p_loss=1.0), random.Random(1))
+        # seed 1's first two draws are 0.134 and 0.847: the first unit is
+        # dropped, the second delivered
+        link = Link(sim, self._params(p_loss=0.5), random.Random(1))
         assert link.transmit(55) is None
-        link.params = self._params(p_loss=0.0)
         arrival = link.transmit(55)
         # second unit queued behind the dropped one's serialization slot
         assert arrival == 1146 + 1146 + 100_000

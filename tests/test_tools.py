@@ -51,7 +51,7 @@ def test_cache_sections_size_the_frames_from_their_counts(tools, tmp_path):
     rss_slope, _ = tools
     # two devices' frames (20 B each, and a 4-byte check): 1 and 4
     # frames; the table is what is left, 3 doubles and its check here
-    meta = {"version": 11, "itemsizes": {"I": 4, "q": 8, "d": 8}, "frame_counts": [1, 4]}
+    meta = {"version": 12, "itemsizes": {"I": 4, "q": 8, "d": 8}, "frame_counts": [1, 4]}
     line = json.dumps(meta).encode() + b"\n"
     path = tmp_path / "c.columns"
     path.write_bytes(line + bytes(28 + 108))
@@ -63,7 +63,7 @@ def test_cache_sections_size_the_frames_from_their_counts(tools, tmp_path):
 
 def test_cache_of_another_version_is_one_section(tools, tmp_path):
     rss_slope, _ = tools
-    # version 10 listed its columns instead of counts
+    # version 10 listed its columns instead of frame counts and itemsizes
     meta = {"version": 10, "table": {"columns": [["d", 8, 3]]}, "columns": [["I", 4, 1], ["q", 8, 1], ["d", 8, 1]]}
     line = json.dumps(meta).encode() + b"\n"
     path = tmp_path / "c.columns"
@@ -71,7 +71,7 @@ def test_cache_of_another_version_is_one_section(tools, tmp_path):
     assert rss_slope.cache_sections(str(path)) == {"other": 52}
 
 
-@pytest.mark.parametrize("other", [False, True], ids=["version-11", "another-version"])
+@pytest.mark.parametrize("other", [False, True], ids=["frame-counts", "another-layout"])
 def test_report_splits_the_cache_slope_by_section(other, tools):
     rss_slope, _ = tools
     rows = [

@@ -23,8 +23,8 @@ measures the interpreter and import part of that cost for each
 checkout, and its slope is about zero.  The cache's slope is also split
 by section (the slot table and every device's frames, each with the
 check that ends it), read from the cache's JSON line, so a layout change
-shows where it landed; a cache of another version than 11 is one
-section, "other".
+shows where it landed; a cache whose JSON line holds no frame counts
+and itemsizes (one written before version 11) is one section, "other".
 
     python tools/rss_slope.py [--root DIR]...
 
@@ -51,10 +51,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 DURATIONS_S = (1000, 4000)
 STEPS = ("import", "simulate", "analyze", "analyze, cached", "report, cached")
 SECTIONS = ("table", "frames")
-# the cache version cache_sections splits, and the CRC-32 that ends each
-# of its sections
-CACHE_VERSION = 11
-CHECK_BYTES = 4
+CHECK_BYTES = 4  # the CRC-32 that ends each section of a column cache
 
 # what a child runs: argv[1] is the checkout root, argv[2] a JSON spec;
 # the last line of its stdout is a JSON object with ru_maxrss in KiB
@@ -108,18 +105,19 @@ def run_child(root: str, step: str, duration_s: int, work: str) -> dict:
 def cache_sections(path: str) -> dict:
     """Bytes of each section of the column cache at ``path`` past its JSON
     line, the check that ends it included; zeros when there is no cache.
-    In a version 11 cache each device's frames take its frame count times
-    the itemsizes of frame_seq, frame_timestamp and arrival ('I', 'q' and
-    'd'), and the table is what is left.  A cache of any other version is
-    reported whole, as "other", so checkouts on either side of a version
-    change can be measured in one run."""
+    In a cache whose JSON line holds "frame_counts" and "itemsizes"
+    (version 11 on), each device's frames take its frame count times the
+    itemsizes of frame_seq, frame_timestamp and arrival ('I', 'q' and
+    'd'), and the table is what is left.  Any other cache is reported
+    whole, as "other", so checkouts on either side of a layout change
+    can be measured in one run."""
     if not os.path.exists(path):
         return dict.fromkeys(SECTIONS, 0)
     with open(path, "rb") as fh:
         meta_line = fh.readline()
     meta = json.loads(meta_line)
     rest = os.path.getsize(path) - len(meta_line)
-    if meta.get("version") != CACHE_VERSION:
+    if "frame_counts" not in meta or "itemsizes" not in meta:
         return {"other": rest}
     frame = sum(meta["itemsizes"][code] for code in "Iqd")
     frames = sum(count * frame + CHECK_BYTES for count in meta["frame_counts"])
