@@ -7,7 +7,7 @@ Everything in this module is a pure function of that file, so re-running
 an analysis always reproduces the same bytes, and the order of the record
 lines after the header never changes a figure, bit for bit: every sum is
 of integers or exactly rounded (math.fsum), and the delay series lists
-each device's frames by frame_seq, then timestamp, then arrival.
+each device's frames by frame_seq, one completion per frame.
 
 Metric definitions, chosen once and used everywhere:
 
@@ -55,14 +55,20 @@ trailer the writer appended; a capture without a trailer was cut short.
 Slot table: every summary figure and the throughput series are folds
 over 1-second slots, kept in a SlotTable per device and slot, and
 summaries of any set of slots and the series read that table alone.  The
-parse folds each record line into the table's uplink half as it reads
-it, so no record is kept, and ends by folding the frame columns into its
-delay half.
+parse, one pass of _parse, folds each record line into the table's
+uplink half as it reads it, so no record is kept, ends by folding the
+frame columns into its delay half, and then builds the Capture whole.
+
+One completion per frame: of the completions of one (device,
+frame_seq), the loader keeps the one with the smallest (arrival,
+frame_timestamp), which a concentrator reading in arrival order keeps,
+and counts the rest in Capture.duplicate_completions.
 
 Outputs: the analyze command writes summarize() as summary.csv,
 SlotTable.series() as throughput_series.csv and delay_rows() as
-delay_series.csv; one_way_delays, throughput_series and
-retransmission_stats give the same figures as Python values.
+delay_series.csv, one row per kept completion; one_way_delays,
+throughput_series and retransmission_stats give the same figures as
+Python values.
 
 Column cache: load_capture keeps the slot table and the columns of a
 finished capture in ``<capture>.columns`` beside it, keyed by the
@@ -158,9 +164,12 @@ class Capture:
     """A parsed capture log: its SlotTable, and its frames in typed
     columns.
 
-    device_frames()  the frame_complete entries, one device's columns
-                     per step
+    device_frames()  the frame_complete entries the loader keeps, one
+                     per frame, one device's columns per step
     counts           what the parse found, under the TRAILER_KEYS names
+    skipped_lines    the corrupt lines the parse skipped
+    duplicate_completions
+                     the frame completions it left out, one per frame kept
 
     The frame columns are kept as a list of sections, in the column
     cache's order: section k the frame columns of the k-th frame device
@@ -171,9 +180,11 @@ class Capture:
     record line into the SlotTable as it reads it.
     """
 
-    def __init__(self, header, integrity, skipped_lines, counts, table, frame_devices, sections, cache=None):
+    def __init__(self, header, integrity, skipped_lines, duplicate_completions, counts, table, frame_devices,
+                 sections, cache=None):
         self.header, self.integrity = header, integrity
         self.skipped_lines, self.counts = skipped_lines, counts
+        self.duplicate_completions = duplicate_completions
         self._table = table  # the SlotTable at the header's t_fdr_ms
         self._frame_devices = frame_devices  # the ids with frames, sorted
         self._sections = sections  # each section's arrays, None while left in the cache
@@ -191,8 +202,8 @@ class Capture:
         """Yield (device_id, frame_seq 'I', frame_timestamp 'q', arrival
         'd') per device that completed a frame, sorted by device id (an
         int: a record with frames names its device), each device's
-        columns sorted by frame_seq; reads one device's section per
-        step."""
+        columns sorted by frame_seq, one completion per frame; reads one
+        device's section per step."""
         for k, dev in enumerate(self._frame_devices):
             yield (dev, *self._section(k))
 
@@ -253,7 +264,9 @@ class Capture:
             return self._table
         _check_ms("t_fdr_ms", t_fdr_ms)
         table = self._table
-        return replace(table, **_fold_delays(self, table.population, table.devices, t_fdr_ms))
+        folded = _fold_delays(self.device_frames(), self.epoch_utc_ms, self.skew_bound_ms, table.population,
+                              table.devices, t_fdr_ms)
+        return replace(table, **folded)
 
     def integrity_problems(self) -> list:
         """Why the trailer does not vouch for the parsed contents; empty
@@ -319,7 +332,9 @@ def load_capture(path) -> Capture:
     The file is read in blocks of whole lines, as UTF-8 text with
     universal newlines, and each line is decoded as JSON on its own.
     Each record line is folded into the capture's SlotTable as it is
-    read, and the parse ends by folding the frame columns into it.
+    read, and the parse ends by folding the frame columns into it, one
+    completion per frame; the rest are counted and warned about as
+    duplicate completions.
 
     A capture with a trailer is cached beside it, at
     ``<capture>.columns``: its SlotTable, then its frame columns, keyed
@@ -340,6 +355,8 @@ def load_capture(path) -> Capture:
             _write_cache(cache_path, capture, identity, fh)
     if capture.skipped_lines:
         log.warning("%s: skipped %d corrupt lines", path, capture.skipped_lines)
+    if capture.duplicate_completions:
+        log.warning("%s: left out %d duplicate frame completions", path, capture.duplicate_completions)
     return capture
 
 
@@ -354,94 +371,73 @@ def _identity(capture_file) -> list:
 
 def _parse(path: Path, capture_file) -> Capture:
     """The Capture of the bytes of ``capture_file``, read from where it
-    stands."""
-    parser = _Parser(path)
+    stands in blocks of whole lines, each line decoded as JSON on its
+    own: the header, the trailer and the record lines, each record line
+    folded as soon as it passes its checks.  CaptureError as soon as the
+    header names another kind of log or holds a value the analyzer
+    cannot use."""
+    limit, max_id, max_values, floor = MS_LIMIT, MAX_DEVICE_ID, MAX_SERIES_VALUES, math.floor
+    direction_index, class_index, uplink = _DIRECTION_INDEX, _CLASS_INDEX, _DIRECTION_INDEX["UPLINK"]
+    count_types = (int, bool)
+    header = integrity = None
+    # from the header: its epoch, and how many windows a row may hold
+    epoch = windows = None
+    skipped = dropped = 0
+    copies = [0] * len(DIRECTIONS)  # the records kept, per direction
+    last_wall = -math.inf  # the largest finite wall time
+    # device id, None for null -> uplink wire bytes per class
+    wire_bytes = {}
+    # device id -> its uplink wire bytes per 1-second window, grown as
+    # windows appear; a null id's row stays empty
+    window_bytes = {}
+    # device id -> (frame_seq, frame_timestamp, arrival)
+    frame_columns = defaultdict(lambda: (array("I"), array("q"), array("d")))
     while block := capture_file.read(_BLOCK_BYTES):
         if not block.endswith(b"\n"):
             block += capture_file.readline()  # a block holds whole lines only
         text = block.decode("utf-8")
         if "\r" in text:  # universal newlines, as text-mode open() reads
             text = text.replace("\r\n", "\n").replace("\r", "\n")
-        parser.feed(text)
-    return parser.capture()
-
-
-_BLOCK_BYTES = 1 << 16
-
-class _Parser:
-    """The state of one load_capture pass over the capture at ``path``:
-    the header and the trailer, the frame columns, and the fold of the
-    record lines into the SlotTable's uplink half."""
-
-    def __init__(self, path: Path):
-        self.path = path
-        self.header = self.integrity = None
-        # from the header: its epoch, and how many windows a row may hold
-        self.epoch = self.windows = None
-        self.skipped = self.dropped = 0
-        self.copies = [0] * len(DIRECTIONS)  # the records kept, per direction
-        self.last_wall = -math.inf  # the largest finite wall time
-        # device id, None for null -> uplink wire bytes per class
-        self.wire_bytes = {}
-        # device id -> its uplink wire bytes per 1-second window, grown
-        # as windows appear; a null id's row stays empty
-        self.window_bytes = {}
-        # device id -> (frame_seq, frame_timestamp, arrival)
-        self.frame_columns = defaultdict(lambda: (array("I"), array("q"), array("d")))
-
-    def feed(self, block: str) -> None:
-        """Parse a block of whole lines, one at a time as JSON: the
-        header, the trailer and the record lines, each record line
-        folded as soon as it passes its checks.  CaptureError as soon as
-        the header names another kind of log or holds a value the
-        analyzer cannot use."""
-        limit, max_id, max_values, floor = MS_LIMIT, MAX_DEVICE_ID, MAX_SERIES_VALUES, math.floor
-        direction_index, class_index, uplink = _DIRECTION_INDEX, _CLASS_INDEX, _DIRECTION_INDEX["UPLINK"]
-        count_types = (int, bool)
-        frame_columns, copies, wire_bytes = self.frame_columns, self.copies, self.wire_bytes
-        window_bytes = self.window_bytes
-        epoch, windows, last_wall = self.epoch, self.windows, self.last_wall
         # "\n" only: str.splitlines() would also split at characters
         # such as U+2028 that JSON allows raw inside a string
-        for line in block.split("\n"):
+        for line in text.split("\n"):
             line = line.strip()
             if not line:
                 continue
             try:
                 obj, end = _decode(line)
             except json.JSONDecodeError:
-                self.skipped += 1
+                skipped += 1
                 continue
             if end != len(line) or obj.__class__ is not dict:
-                self.skipped += 1
+                skipped += 1
                 continue
             if "header" in obj:
-                if self.header is None and isinstance(obj["header"], dict):
+                if header is None and isinstance(obj["header"], dict):
                     # refused here, so another log is not parsed to its end
                     header = obj["header"]
                     kind = header.get("log", "capture")  # a hand-built header may leave it out
                     if kind != "capture":
-                        raise CaptureError(f"{self.path}: the header names a {kind!r} log, not a capture log")
+                        raise CaptureError(f"{path}: the header names a {kind!r} log, not a capture log")
                     try:
                         check_header(header)
                     except ValueError as err:
-                        raise CaptureError(f"{self.path}: header {err}") from None
-                    self.header, self.epoch = header, header.get("epoch_utc_ms") or 0
+                        raise CaptureError(f"{path}: header {err}") from None
+                    epoch = header.get("epoch_utc_ms") or 0
                     # a live capture, without a duration, grows its rows as
                     # far as MAX_SERIES_VALUES lets them
-                    self.windows = header.get("duration_s") or math.inf
-                    epoch, windows = self.epoch, self.windows
+                    windows = header.get("duration_s") or math.inf
                 else:
-                    self.skipped += 1
+                    skipped += 1
                 continue
             if "integrity" in obj:
                 if isinstance(obj["integrity"], dict):
-                    self.integrity = obj["integrity"]
+                    integrity = obj["integrity"]
                 else:
-                    self.skipped += 1
+                    skipped += 1
                 continue
             if epoch is None:  # the header-first rule
-                self.skipped += 1
+                skipped += 1
                 continue
             frame_cols = None
             try:
@@ -477,7 +473,7 @@ class _Parser:
                 if frame_cols is not None:  # undo this line's frames
                     for column in frame_cols:
                         del column[kept:]
-                self.skipped += 1
+                skipped += 1
                 continue
             copies[direction] += 1
             totals = wire_bytes.get(dev)
@@ -485,7 +481,7 @@ class _Parser:
                 totals = wire_bytes[dev] = [0] * len(CLASSES)
                 window_bytes[dev] = array("q")
             if wall is None:
-                self.dropped += 1
+                dropped += 1
             elif wall > last_wall:
                 last_wall = wall
             if direction != uplink:
@@ -499,38 +495,42 @@ class _Parser:
                     row.frombytes(bytes(8 * (w + 1 - len(row))))  # zero bytes up to window w
                 if 0 <= w < len(row):
                     row[w] += wire
-        self.last_wall = last_wall
 
-    def capture(self) -> Capture:
-        path, header, ids = self.path, self.header, self.wire_bytes
-        if header is None:
-            raise CaptureError(f"{path}: no header line, not a capture log")
-        uplink, ack = self.copies
-        counts = dict(records=uplink + ack, uplink_copies=uplink, ack_copies=ack, dropped_copies=self.dropped)
-        frame_devices = sorted(dev for dev, (seqs, _, _) in self.frame_columns.items() if seqs)
-        sections = [list(_sorted_by_seq(*self.frame_columns[dev])) for dev in frame_devices]
-        population = header.get("duration_s") or _covered_slots(self.epoch, sections, self.last_wall)
-        if population * max(1, len(ids)) > MAX_SERIES_VALUES:
-            raise CaptureError(
-                f"{path}: {population} 1-second slots for {len(ids)} device ids is more than "
-                f"{MAX_SERIES_VALUES} slot table values"
-            )
-        windows = max(1, population)
-        devices = sorted(dev for dev in ids if dev is not None)
-        rates = array("d")
-        for dev in devices:
-            row = self.window_bytes.pop(dev)
-            del row[windows:]
-            rates.extend([wire * 8 / 1000.0 for wire in row])
-            rates.frombytes(bytes(8 * (windows - len(row))))
-        wire_bytes = {
-            dev: {cls: total for cls, total in zip(CLASSES, ids[dev]) if total}
-            for dev in ([None] if None in ids else []) + devices
-        }
-        capture = Capture(header, self.integrity, self.skipped, counts, None, frame_devices, sections)
-        capture._table = SlotTable(population=population, devices=devices, rates=rates, wire_bytes=wire_bytes,
-                                   **_fold_delays(capture, population, devices, capture.t_fdr_ms))
-        return capture
+    if header is None:
+        raise CaptureError(f"{path}: no header line, not a capture log")
+    uplink_copies, ack_copies = copies
+    counts = dict(records=uplink_copies + ack_copies, uplink_copies=uplink_copies, ack_copies=ack_copies,
+                  dropped_copies=dropped)
+    frame_devices = sorted(dev for dev, (seqs, _, _) in frame_columns.items() if seqs)
+    sections = [list(_sorted_by_seq(*frame_columns[dev])) for dev in frame_devices]
+    # the completions _sorted_by_seq left out
+    duplicates = sum(len(frame_columns[dev][0]) - len(seqs) for dev, (seqs, _, _) in zip(frame_devices, sections))
+    population = header.get("duration_s") or _covered_slots(epoch, sections, last_wall)
+    if population * max(1, len(wire_bytes)) > MAX_SERIES_VALUES:
+        raise CaptureError(
+            f"{path}: {population} 1-second slots for {len(wire_bytes)} device ids is more than "
+            f"{MAX_SERIES_VALUES} slot table values"
+        )
+    windows = max(1, population)
+    devices = sorted(dev for dev in wire_bytes if dev is not None)
+    rates = array("d")
+    for dev in devices:
+        row = window_bytes.pop(dev)
+        del row[windows:]
+        rates.extend([wire * 8 / 1000.0 for wire in row])
+        rates.frombytes(bytes(8 * (windows - len(row))))
+    by_class = {
+        dev: {cls: total for cls, total in zip(CLASSES, wire_bytes[dev]) if total}
+        for dev in ([None] if None in wire_bytes else []) + devices
+    }
+    frames = ((dev, *section) for dev, section in zip(frame_devices, sections))
+    delays = _fold_delays(frames, epoch, header.get("skew_bound_ms") or 0.0, population, devices,
+                          header.get("t_fdr_ms") or 0.0)
+    table = SlotTable(population=population, devices=devices, rates=rates, wire_bytes=by_class, **delays)
+    return Capture(header, integrity, skipped, duplicates, counts, table, frame_devices, sections)
+
+
+_BLOCK_BYTES = 1 << 16
 
 
 def _covered_slots(epoch: int, frame_sections: list, last_wall: float) -> int:
@@ -546,13 +546,17 @@ def _covered_slots(epoch: int, frame_sections: list, last_wall: float) -> int:
 
 
 def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
-    """One device's frame columns ordered by (frame_seq, frame_timestamp,
-    arrival), whatever their file order; columns whose frame_seq already
-    rises strictly are kept as they are."""
+    """One device's frame columns ordered by frame_seq, whatever their
+    file order, with one completion per frame_seq: the one with the
+    smallest (arrival, frame_timestamp), which a concentrator reading in
+    arrival order keeps.  Columns whose frame_seq already rises strictly
+    are kept as they are."""
     if all(map(lt, seqs, islice(seqs, 1, None))):
         return seqs, stamps, arrivals
-    order = sorted(range(len(seqs)), key=lambda i: (seqs[i], stamps[i], arrivals[i]))
-    return tuple(array(column.typecode, [column[i] for i in order]) for column in (seqs, stamps, arrivals))
+    first = {}  # frame_seq -> the index of its kept completion, in frame_seq order
+    for i in sorted(range(len(seqs)), key=lambda i: (seqs[i], arrivals[i], stamps[i])):
+        first.setdefault(seqs[i], i)
+    return tuple(array(column.typecode, [column[i] for i in first.values()]) for column in (seqs, stamps, arrivals))
 
 
 # -- column cache --------------------------------------------------------------
@@ -586,7 +590,7 @@ def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
 # cache that fails either test is not read: the capture is parsed and
 # cached anew under its identity now.
 
-CACHE_VERSION = 12
+CACHE_VERSION = 13
 _CHECK_BYTES = 4  # the CRC-32 that ends each section
 _FRAME_TYPECODES = "Iqd"
 # this platform's itemsizes of every typecode the cache holds
@@ -667,8 +671,8 @@ def _read_cache(path: Path, cache_path: Path, identity: list) -> Optional[Captur
         if (table.part_ends[-1] if entries else 0) != fields["partials"]:  # where the last entry's partials end
             return None
         cache = _CacheSections(path, cache_path, meta_line, identity, sections)
-        return Capture(meta["header"], meta["integrity"], meta["skipped_lines"], meta["counts"], table,
-                       devices, [None] * len(sections), cache)
+        return Capture(meta["header"], meta["integrity"], meta["skipped_lines"], meta["duplicate_completions"],
+                       meta["counts"], table, devices, [None] * len(sections), cache)
     except _BAD_CACHE:
         return None
 
@@ -701,6 +705,7 @@ def _write_cache(cache_path: Path, capture: Capture, identity: list, capture_fil
     meta = dict(
         version=CACHE_VERSION, byteorder=sys.byteorder, itemsizes=_ITEMSIZES, identity=identity,
         header=capture.header, integrity=capture.integrity, skipped_lines=capture.skipped_lines,
+        duplicate_completions=capture.duplicate_completions,
         counts=capture.counts, frame_devices=capture._frame_devices,
         frame_counts=[len(seqs) for seqs, _, _ in capture._sections],
         table=table_fields,
@@ -864,7 +869,7 @@ class SlotTable:
     """Every figure a summary and the throughput series read, per device
     and 1-second slot, so a summary of any set of slots costs
     O(devices x slots) and touches no record or frame.  Built once by
-    the parse (_Parser) and kept in the column cache.
+    the parse (_parse) and kept in the column cache.
 
     population  Capture.population_slots()
     devices     the ids with a summary row: every id of a record, null
@@ -930,18 +935,18 @@ class SlotTable:
         return math.fsum(parts) / sum(counts[k] for k in drawn), max(self.tops[k] for k in drawn)
 
 
-def _fold_delays(capture: Capture, population: int, devices: list, t_fdr_ms) -> dict:
-    """The SlotTable fields that depend on t_fdr_ms, from the frame
-    columns read one device at a time, with a row per id of ``devices``,
-    which holds the ids of Capture.device_frames() in the same order."""
-    flag_below = -capture.skew_bound_ms
-    epoch = capture.epoch_utc_ms
+def _fold_delays(frames, epoch: int, skew_bound_ms: float, population: int, devices: list, t_fdr_ms) -> dict:
+    """The SlotTable fields that depend on t_fdr_ms, from ``frames``, the
+    frame columns as Capture.device_frames() yields them, read one device
+    at a time, with a row per id of ``devices``, which holds their ids in
+    the same order; ``epoch`` and ``skew_bound_ms`` are the header's."""
+    flag_below = -skew_bound_ms
     row_of = {dev: row for row, dev in enumerate(devices)}
     zeros = bytes(8 * len(devices) * population)
     counts, tops, part_ends = array("q", zeros), array("d", zeros), array("q", zeros)
     partials = array("d")
     flagged = 0
-    for dev, seqs, stamps, arrivals in capture.device_frames():
+    for dev, seqs, stamps, arrivals in frames:
         slots = defaultdict(list)  # slot -> the delays counted there
         for ts, arrival in zip(stamps, arrivals):
             t_ci = arrival - (ts + t_fdr_ms)

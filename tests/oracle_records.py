@@ -18,6 +18,11 @@ no column, no cache and no streaming:
               value is not an object is corrupt
   records     every other object, kept when each field fits its rule
               and it follows the header (the header-first rule)
+  frames      one completion per (device_id, frame_seq): of the entries
+              of a kept record that complete it, the one with the
+              smallest (arrival, frame_timestamp), the one a concentrator
+              reading the copies in arrival order keeps; the others are
+              duplicate completions
 """
 
 import json
@@ -44,6 +49,21 @@ class Reading(NamedTuple):
     frames: list  # (device_id, frame_seq, frame_timestamp, arrival) per entry, in file order
     skipped_lines: int
     integrity: Optional[dict]
+
+    def kept_frames(self) -> list:
+        """The frames the loader keeps, sorted by (device_id, frame_seq):
+        per (device_id, frame_seq), the entry with the smallest (arrival,
+        frame_timestamp)."""
+        kept = {}
+        for dev, seq, ts, arrival in self.frames:
+            best = kept.get((dev, seq))
+            if best is None or (arrival, ts) < (best[3], best[2]):
+                kept[dev, seq] = (dev, seq, ts, arrival)
+        return sorted(kept.values())
+
+    def duplicate_completions(self) -> int:
+        """The entries kept_frames leaves out."""
+        return len(self.frames) - len(self.kept_frames())
 
     def counts(self) -> dict:
         """The trailer's counters, as the loader computes them."""

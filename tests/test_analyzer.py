@@ -30,7 +30,7 @@ from itertools import accumulate
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle_logs
@@ -270,9 +270,9 @@ class TestLoader:
         reversed_path.write_text("\n".join(shuffled) + "\n")
         assert summarize(load_capture(reversed_path)) == forward
 
-    def test_frames_sharing_a_seq_list_in_the_same_order_either_way(self, tmp_path):
-        # device 1 completes frame 7 twice; the delay series lists the two
-        # by arrival, whichever line comes first
+    def test_frames_sharing_a_seq_list_in_the_same_order_either_way(self, tmp_path, caplog):
+        # device 1 completes frame 7 twice; the loader keeps the earlier
+        # arrival, as a concentrator does, whichever line comes first
         records = [
             oracle_logs._rec(150.0, 1, 55, complete=oracle_logs._done(7, 100, 150.0)),
             oracle_logs._rec(180.0, 1, 55, complete=oracle_logs._done(7, 100, 180.0)),
@@ -281,11 +281,17 @@ class TestLoader:
         for name, ordered in (("fwd", records), ("rev", records[::-1])):
             path = oracle_logs.write_log(tmp_path / f"{name}.jsonl", oracle_logs._header(duration_s=1), ordered)
             out = tmp_path / f"{name}.csv"
-            write_delay_series_csv(analyzer.delay_rows(load_capture(path)), out)
+            caplog.clear()
+            cap = load_capture(path)
+            assert cap.duplicate_completions == 1
+            assert caplog.messages == [f"{path}: left out 1 duplicate frame completions"]
+            assert summarize(cap).devices[0].avg_delay_ms == 50.0
+            write_delay_series_csv(analyzer.delay_rows(cap), out)
             csvs.append(out.read_bytes())
+            _assert_records_are_the_oracle_s(cap, path)
         assert csvs[0] == csvs[1]
         assert [line.split(",")[1:5] for line in csvs[0].decode().splitlines()[1:]] == [
-            ["7", "100", "150.000", "50.000"], ["7", "100", "180.000", "80.000"]
+            ["7", "100", "150.000", "50.000"]
         ]
 
     def test_population_derived_when_duration_unknown(self, tmp_path):
@@ -357,20 +363,22 @@ def _uplink_half(cap) -> tuple:
 
 
 def _assert_records_are_the_oracle_s(cap, path) -> None:
-    """The loader's counts, skipped lines, table ids and uplink half and
-    frames for the capture at ``path`` are those of the oracle's
-    reading of it."""
+    """The loader's counts, skipped lines, table ids and uplink half,
+    frames and duplicate completions for the capture at ``path`` are
+    those of the oracle's reading of it."""
     oracle = oracle_records.read(path)
     assert (cap.counts, cap.skipped_lines) == (oracle.counts(), oracle.skipped_lines)
     series, wire_bytes = oracle_records.uplink_half(oracle, cap.population_slots())
     assert _uplink_half(cap) == (series, wire_bytes)
     assert list(cap.slot_table().wire_bytes) == list(wire_bytes)  # in the same order
-    assert _frame_rows(cap) == sorted(oracle.frames, key=lambda frame: frame[:2])
+    assert _frame_rows(cap) == oracle.kept_frames()
+    assert cap.duplicate_completions == oracle.duplicate_completions()
 
 
 def _frame_rows(cap) -> list:
     """The frames of ``cap`` as tuples (device_id, frame_seq,
-    frame_timestamp, arrival_time), sorted by (device_id, frame_seq)."""
+    frame_timestamp, arrival_time), in the order Capture.device_frames()
+    gives them: sorted by (device_id, frame_seq), one per frame."""
     return [(dev, *row) for dev, *columns in cap.device_frames() for row in zip(*columns)]
 
 
@@ -380,8 +388,8 @@ def _state(cap) -> tuple:
     count), the rest as repr (so the int 1 and True differ)."""
     frames = [(repr(dev), *map(_typed, cols)) for dev, *cols in cap.device_frames()]
     table = cap.slot_table()
-    values = (cap.header, cap.integrity, cap.skipped_lines, cap.counts, table.population, table.devices,
-              table.wire_bytes, table.flagged)
+    values = (cap.header, cap.integrity, cap.skipped_lines, cap.duplicate_completions, cap.counts,
+              table.population, table.devices, table.wire_bytes, table.flagged)
     arrays = [_typed(getattr(table, name)) for name in analyzer._TABLE_ARRAYS]
     return frames, arrays, repr(values)
 
@@ -599,6 +607,9 @@ class TestCompactLines:
             max_size=30,
         )
     )
+    # one frame completed twice, the later arrival first in the file
+    @example(records=[("to_json", None, 0, "UPLINK", 0, "FIRST", [(0, 0, 1.0)]),
+                      ("to_json", None, 0, "UPLINK", 0, "FIRST", [(0, 0, 0.0)])])
     def test_mixed_lines_load_as_their_json_reencoding(self, records, tmp_path_factory):
         lines = []
         for form, wall, dev, direction, payload, cls, entries in records:
@@ -1088,7 +1099,7 @@ def _cold(path) -> tuple:
 def _warm(path) -> tuple:
     """_state of a load that must read the cache, not parse."""
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(analyzer, "_Parser", _no_parse)
+        monkeypatch.setattr(analyzer, "_parse", _no_parse)
         return _state(load_capture(path))
 
 
@@ -1512,9 +1523,17 @@ def test_negative_cache_length_is_refused_before_any_column_is_read(tmp_path):
     assert _cache_of(path).read_bytes() == good
 
 
+def _as_version_12(meta, version=12):
+    # versions 11 and 12 counted no duplicate completion, since they kept
+    # every one
+    del meta["duplicate_completions"]
+    meta.update(version=version)
+
+
 def _as_version_10(meta):
     # version 10 listed the typecode, itemsize and length of every
     # column: the table's under "table", then three per frame device
+    _as_version_12(meta)
     table = meta["table"]
     lengths = _table_lengths(table)
     del table["partials"], meta["itemsizes"]
@@ -1557,9 +1576,10 @@ def _older_cache(version: int, path, current: bytes) -> bytes:
     identity, to trust a copied or racy cache by, version 9 with a
     section of records, version 10 with a list of columns in place of
     counts, version 11 with the frames of one device that share a
-    frame_seq in file order."""
-    if version == 11:
-        return _edit_meta(lambda meta: meta.update(version=11))(current)
+    frame_seq in file order, version 12 with each of them in the order
+    of (frame_seq, frame_timestamp, arrival)."""
+    if version in (11, 12):
+        return _edit_meta(partial(_as_version_12, version=version))(current)
     if version == 7:
         older = _edit_meta(_as_version_7, sign=_sha256)(current)
         assert len(older) - len(older.split(b"\n", 1)[0]) == (
@@ -1579,7 +1599,7 @@ def _older_cache(version: int, path, current: bytes) -> bytes:
     return _edit_meta(as_version_8)(current)
 
 
-@pytest.mark.parametrize("version", [7, 8, 9, 10, 11])
+@pytest.mark.parametrize("version", [7, 8, 9, 10, 11, 12])
 def test_older_cache_is_ignored_and_rewritten_as_the_current_version(version, tmp_path):
     path = _two_device_capture(tmp_path / "c.jsonl")
     state = _cached(path)
@@ -1589,7 +1609,7 @@ def test_older_cache_is_ignored_and_rewritten_as_the_current_version(version, tm
     _cache_of(path).write_bytes(_older_cache(version, path, current))
     assert _state(load_capture(path)) == state
     assert _cache_of(path).read_bytes() == current
-    assert json.loads(current.split(b"\n", 1)[0])["version"] == analyzer.CACHE_VERSION == 12
+    assert json.loads(current.split(b"\n", 1)[0])["version"] == analyzer.CACHE_VERSION == 13
 
 
 def test_cache_holds_0_bytes_per_record_and_20_per_frame(analyzer_captures, tmp_path):
@@ -1639,7 +1659,7 @@ def test_warm_summary_reads_no_column(tmp_path, monkeypatch):
 def test_warm_devices_read_no_column(tmp_path, monkeypatch):
     path = _null_device_capture(tmp_path / "c.jsonl")
     assert load_capture(path).slot_table().devices == [3]  # leaves the cache
-    monkeypatch.setattr(analyzer, "_Parser", _no_parse)
+    monkeypatch.setattr(analyzer, "_parse", _no_parse)
     monkeypatch.setattr(analyzer, "_read_cached_section", _no_parse)
     assert load_capture(path).slot_table().devices == [3]
 
@@ -1651,7 +1671,7 @@ def test_warm_uplink_figures_are_the_record_fold_read_from_the_table(analyzer_ca
     series, by_class = oracle_records.uplink_half(oracle_records.read(path), cold.population_slots())
     retx = analyzer._retx_pcts(analyzer._uplink_wire_bytes(by_class))
     assert min(retx) > 0
-    monkeypatch.setattr(analyzer, "_Parser", _no_parse)
+    monkeypatch.setattr(analyzer, "_parse", _no_parse)
     monkeypatch.setattr(analyzer, "_read_cached_section", _no_parse)
     cap = load_capture(path)
     assert throughput_series(cap) == series
@@ -1686,7 +1706,7 @@ def test_warm_analyze_reads_each_device_section_once_and_no_record(analyzer_capt
     shutil.copyfile(source, path)
     devices = len(list(load_capture(path).device_frames()))  # leaves the cache
     assert devices == 10
-    monkeypatch.setattr(analyzer, "_Parser", _no_parse)
+    monkeypatch.setattr(analyzer, "_parse", _no_parse)
     reads = _CountingReads(monkeypatch)
     assert cli.main(["analyze", str(path), "--out-dir", str(tmp_path)]) == 0
     assert reads.sections == list(range(devices))
@@ -1754,7 +1774,7 @@ def test_deferred_read_after_the_capture_changed(tmp_path, monkeypatch):
     path = _two_device_capture(tmp_path / "c.jsonl")
     cold = _cached(path)
     # both loads trust the cache, and nothing below may parse
-    monkeypatch.setattr(analyzer, "_Parser", _no_parse)
+    monkeypatch.setattr(analyzer, "_parse", _no_parse)
     kept, gone = load_capture(path), load_capture(path)
     _edit(path)
     # the cache still holds the columns of the bytes that were loaded
@@ -1802,7 +1822,7 @@ def test_golden_outputs_from_cold_and_warm_loads(name, warm, analyzer_captures, 
     path, sample = analyzer_captures[name]
     load_capture(path)  # leaves the cache
     if warm:
-        monkeypatch.setattr(analyzer, "_Parser", _no_parse)
+        monkeypatch.setattr(analyzer, "_parse", _no_parse)
 
     def run(argv):
         if not warm:

@@ -277,20 +277,20 @@ def test_measurement_log_is_refused_before_any_file_is_written(command, mini_run
     run = tmp_path / "run"
     shutil.copytree(mini_run, run)
     # rows repeated past the parser's block size: the header line refuses
-    # the log, so the load stops after its first block
+    # the log, so no line after it is decoded
     measurements = run / "measurements.jsonl"
     header, rows = measurements.read_text().split("\n", 1)
     measurements.write_text(header + "\n" + rows * (2 * analyzer._BLOCK_BYTES // len(rows) + 1))
     assert measurements.stat().st_size > 2 * analyzer._BLOCK_BYTES
     files = {path.name: path.read_bytes() for path in run.iterdir()}
-    blocks = []
-    feed = analyzer._Parser.feed
-    monkeypatch.setattr(analyzer._Parser, "feed", lambda parser, block: (blocks.append(block), feed(parser, block)))
+    decoded = []
+    decode = analyzer._decode
+    monkeypatch.setattr(analyzer, "_decode", lambda line: (decoded.append(line), decode(line))[1])
     assert cli.main([command, str(measurements)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {measurements}: the header names a 'measurements' log, not a capture log\n"
-    assert len(blocks) == 1
+    assert decoded == [header]
     assert {path.name: path.read_bytes() for path in run.iterdir()} == files
     assert not (run / "measurements.jsonl.columns").exists()
 
