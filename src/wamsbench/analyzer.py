@@ -117,6 +117,12 @@ SUMMARY_COLUMNS = [
 # the trailer counters a capture writer keeps, each recomputed on load
 TRAILER_KEYS = ("records", "uplink_copies", "ack_copies", "dropped_copies")
 
+# why the parse skips a line: not JSON; trailing bytes, or not an object;
+# a second header, or a header whose value is not an object; a trailer
+# whose value is not an object; a record before the header; a record
+# that breaks the value or the identifier rule
+SKIP_REASONS = ("not_json", "not_one_object", "bad_header", "bad_trailer", "before_header", "bad_record")
+
 # the bound of the value rule: the int64 range of frame_timestamp
 MS_LIMIT = 2.0**63
 
@@ -167,7 +173,10 @@ class Capture:
     device_frames()  the frame_complete entries the loader keeps, one
                      per frame, one device's columns per step
     counts           what the parse found, under the TRAILER_KEYS names
-    skipped_lines    the corrupt lines the parse skipped
+    skipped_by_reason
+                     the corrupt lines the parse skipped, per SKIP_REASONS
+                     name, every reason listed
+    skipped_lines    their total
     duplicate_completions
                      the frame completions it left out, one per frame kept
 
@@ -180,15 +189,19 @@ class Capture:
     record line into the SlotTable as it reads it.
     """
 
-    def __init__(self, header, integrity, skipped_lines, duplicate_completions, counts, table, frame_devices,
+    def __init__(self, header, integrity, skipped_by_reason, duplicate_completions, counts, table, frame_devices,
                  sections, cache=None):
         self.header, self.integrity = header, integrity
-        self.skipped_lines, self.counts = skipped_lines, counts
+        self.skipped_by_reason, self.counts = skipped_by_reason, counts
         self.duplicate_completions = duplicate_completions
         self._table = table  # the SlotTable at the header's t_fdr_ms
         self._frame_devices = frame_devices  # the ids with frames, sorted
         self._sections = sections  # each section's arrays, None while left in the cache
         self._cache = cache  # the _CacheSections a cached load reads its sections from
+
+    @property
+    def skipped_lines(self) -> int:
+        return sum(self.skipped_by_reason.values())
 
     @property
     def records(self) -> range:
@@ -354,7 +367,8 @@ def load_capture(path) -> Capture:
             capture = _parse(path, fh)
             _write_cache(cache_path, capture, identity, fh)
     if capture.skipped_lines:
-        log.warning("%s: skipped %d corrupt lines", path, capture.skipped_lines)
+        reasons = ", ".join(f"{reason}={n}" for reason, n in capture.skipped_by_reason.items() if n)
+        log.warning("%s: skipped %d corrupt lines (%s)", path, capture.skipped_lines, reasons)
     if capture.duplicate_completions:
         log.warning("%s: left out %d duplicate frame completions", path, capture.duplicate_completions)
     return capture
@@ -382,7 +396,8 @@ def _parse(path: Path, capture_file) -> Capture:
     header = integrity = None
     # from the header: its epoch, and how many windows a row may hold
     epoch = windows = None
-    skipped = dropped = 0
+    skipped = dict.fromkeys(SKIP_REASONS, 0)
+    dropped = 0
     copies = [0] * len(DIRECTIONS)  # the records kept, per direction
     last_wall = -math.inf  # the largest finite wall time
     # device id, None for null -> uplink wire bytes per class
@@ -407,10 +422,10 @@ def _parse(path: Path, capture_file) -> Capture:
             try:
                 obj, end = _decode(line)
             except json.JSONDecodeError:
-                skipped += 1
+                skipped["not_json"] += 1
                 continue
             if end != len(line) or obj.__class__ is not dict:
-                skipped += 1
+                skipped["not_one_object"] += 1
                 continue
             if "header" in obj:
                 if header is None and isinstance(obj["header"], dict):
@@ -428,16 +443,16 @@ def _parse(path: Path, capture_file) -> Capture:
                     # far as MAX_SERIES_VALUES lets them
                     windows = header.get("duration_s") or math.inf
                 else:
-                    skipped += 1
+                    skipped["bad_header"] += 1
                 continue
             if "integrity" in obj:
                 if isinstance(obj["integrity"], dict):
                     integrity = obj["integrity"]
                 else:
-                    skipped += 1
+                    skipped["bad_trailer"] += 1
                 continue
             if epoch is None:  # the header-first rule
-                skipped += 1
+                skipped["before_header"] += 1
                 continue
             frame_cols = None
             try:
@@ -473,7 +488,7 @@ def _parse(path: Path, capture_file) -> Capture:
                 if frame_cols is not None:  # undo this line's frames
                     for column in frame_cols:
                         del column[kept:]
-                skipped += 1
+                skipped["bad_record"] += 1
                 continue
             copies[direction] += 1
             totals = wire_bytes.get(dev)
@@ -590,7 +605,7 @@ def _sorted_by_seq(seqs, stamps, arrivals) -> tuple:
 # cache that fails either test is not read: the capture is parsed and
 # cached anew under its identity now.
 
-CACHE_VERSION = 13
+CACHE_VERSION = 14
 _CHECK_BYTES = 4  # the CRC-32 that ends each section
 _FRAME_TYPECODES = "Iqd"
 # this platform's itemsizes of every typecode the cache holds
@@ -671,7 +686,7 @@ def _read_cache(path: Path, cache_path: Path, identity: list) -> Optional[Captur
         if (table.part_ends[-1] if entries else 0) != fields["partials"]:  # where the last entry's partials end
             return None
         cache = _CacheSections(path, cache_path, meta_line, identity, sections)
-        return Capture(meta["header"], meta["integrity"], meta["skipped_lines"], meta["duplicate_completions"],
+        return Capture(meta["header"], meta["integrity"], meta["skipped_by_reason"], meta["duplicate_completions"],
                        meta["counts"], table, devices, [None] * len(sections), cache)
     except _BAD_CACHE:
         return None
@@ -704,7 +719,7 @@ def _write_cache(cache_path: Path, capture: Capture, identity: list, capture_fil
     )
     meta = dict(
         version=CACHE_VERSION, byteorder=sys.byteorder, itemsizes=_ITEMSIZES, identity=identity,
-        header=capture.header, integrity=capture.integrity, skipped_lines=capture.skipped_lines,
+        header=capture.header, integrity=capture.integrity, skipped_by_reason=capture.skipped_by_reason,
         duplicate_completions=capture.duplicate_completions,
         counts=capture.counts, frame_devices=capture._frame_devices,
         frame_counts=[len(seqs) for seqs, _, _ in capture._sections],

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import analyzer, stats
 from .dcs import LiveDcsServer
-from .fdr import GRID_MS, FdrConfig, LiveEmulator, emulate
+from .fdr import GRID_MS, LiveEmulator, emulate
 from .scenario import ScenarioError, builtin_scenarios, load_scenario
 from .sim import run_simulation
 
@@ -215,17 +215,7 @@ def cmd_emulate(args) -> int:
             f"--first-device + --devices - 1 must be at most {analyzer.MAX_DEVICE_ID}, got {last_device}"
         )
     emulators = [
-        LiveEmulator(
-            FdrConfig(
-                device_id=dev,
-                t_fdr_ms=args.t_fdr_ms,
-                host=args.host,
-                port=args.port,
-            ),
-            duration_s=args.duration_s,
-            seed=args.seed,
-            connect_attempts=args.connect_attempts,
-        )
+        LiveEmulator(dev, args.host, args.port, args.duration_s, args.t_fdr_ms, args.seed, args.connect_attempts)
         for dev in range(args.first_device, args.first_device + args.devices)
     ]
     interrupted = False
@@ -238,13 +228,13 @@ def cmd_emulate(args) -> int:
     ok = True
     for emu, outcome in zip(emulators, outcomes):
         print(
-            f"device {emu.config.device_id}: generated {emu.frames_generated} frames, "
+            f"device {emu.device_id}: generated {emu.frames_generated} frames, "
             f"sent {emu.frames_sent}"
         )
         if not outcome:
             ok = False
             if emu.failed_reason:
-                print(f"device {emu.config.device_id}: {emu.failed_reason}", file=sys.stderr)
+                print(f"device {emu.device_id}: {emu.failed_reason}", file=sys.stderr)
     if interrupted:
         return INTERRUPTED
     return 0 if ok else RUNTIME_ERROR

@@ -22,12 +22,12 @@ it skipped.
 
 import json
 import logging
-import math
 import threading
 import time
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple, Optional
@@ -342,7 +342,9 @@ class IngestState:
     Deduplication is global on (device_id, frame_seq): the first
     arrival produces the row, later copies only bump a counter.  Each
     device's seen frame numbers are SeqRuns, which frames arriving in
-    order keep at one run.
+    order keep at one run.  A CRC-valid frame can still carry NaN or
+    inf, which no JSON line may hold: its first arrival makes no row and
+    is counted in ``nonfinite_rows``, and later copies are duplicates.
     """
 
     def __init__(self) -> None:
@@ -357,24 +359,22 @@ class IngestState:
         if events:
             self.counters.update(events)
         rows = []
+        nonfinite = 0
         for frame in frames:
             runs = self.seen.get(frame.device_id)
             if runs is None:
                 runs = self.seen[frame.device_id] = SeqRuns()
             if not runs.add(frame.frame_seq):
                 self.counters["duplicate_frames"] += 1
-                continue
-            rows.append(MeasurementRow.from_frame(frame, arrival_ms))
+            elif isfinite(frame.frequency) and isfinite(frame.voltage_mag) and isfinite(frame.voltage_angle):
+                rows.append(MeasurementRow.from_frame(frame, arrival_ms))
+            else:
+                nonfinite += 1
         self.counters["rows"] += len(rows)
+        if nonfinite:
+            log.warning("device %d: dropping %d frame(s) with non-finite values", asm.device_id, nonfinite)
+            self.counters["nonfinite_rows"] += nonfinite
         return rows
-
-
-def _finite_row(row: MeasurementRow) -> bool:
-    return (
-        math.isfinite(row.frequency)
-        and math.isfinite(row.voltage_mag)
-        and math.isfinite(row.voltage_angle)
-    )
 
 
 class LiveDcsServer:
@@ -502,16 +502,6 @@ class LiveDcsServer:
         conn = self._conns[conn_id]
         start, asm = conn
         rows = self.ingest.deliver(asm, data, arrival)
-        finite = [r for r in rows if _finite_row(r)]
-        if len(finite) < len(rows):
-            # a CRC-valid frame can still carry NaN or inf, which no JSON
-            # line may hold; such a row is never logged and never counted
-            # as one
-            bad = len(rows) - len(finite)
-            log.warning("conn %d: dropping %d row(s) with non-finite values", conn_id, bad)
-            self.ingest.counters["nonfinite_rows"] += bad
-            self.ingest.counters["rows"] -= bad
-            rows = finite
         end = conn[0] = start + len(data)
         # no sniffer in live mode: payload bytes only, every copy an
         # UPLINK one of class FIRST

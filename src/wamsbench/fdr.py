@@ -7,8 +7,10 @@ optional exponentially-decaying step disturbances, with the angle
 integrating the frequency deviation.  What matters downstream is the
 timing and framing behavior, which is exact.
 
-``LiveEmulator`` streams those frames over a real socket; a simulated
-device, which sends them over TCP-lite, is ``sim._Device``.
+``LiveEmulator`` streams those frames over a real socket, set by its
+id, address and t_fdr_ms; a simulated device, which sends them over
+TCP-lite, is ``sim._Device``, set by a ``scenario.DeviceSpec`` and the
+scenario's t_fdr_ms.
 """
 
 import heapq
@@ -56,22 +58,6 @@ class SignalModel:
             raise ValueError("noise_sigma must be non-negative")
         if self.f_wander_period_s <= 0:
             raise ValueError("f_wander_period_s must be positive")
-
-
-@dataclass(frozen=True)
-class FdrConfig:
-    device_id: int
-    t_fdr_ms: float = 0.0
-    p_seg: float = 0.15
-    host: str = "127.0.0.1"
-    port: int = 0
-    signal: SignalModel = SignalModel()
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.t_fdr_ms < math.inf:
-            raise ValueError(f"t_fdr_ms must be finite and non-negative, got {self.t_fdr_ms}")
-        if not 0.0 <= self.p_seg <= 1.0:
-            raise ValueError("p_seg outside [0, 1]")
 
 
 def _wrap_angle(deg: float) -> float:
@@ -127,18 +113,24 @@ class LiveEmulator:
 
     Frames ride the kernel's TCP stack back-to-back; the DCS side
     reassembles them from the byte stream.  Timestamps come from the
-    host clock rounded to the 100 ms grid.  ``emulate`` runs any number
-    of them on one thread.
+    host clock rounded to the 100 ms grid; the signal is the default
+    ``SignalModel``.  ``emulate`` runs any number of them on one thread.
     """
 
     def __init__(
         self,
-        config: FdrConfig,
+        device_id: int,
+        host: str,
+        port: int,
         duration_s: int,
-        seed: str = "live",
-        connect_attempts: int = 5,
+        t_fdr_ms: float,
+        seed: str,
+        connect_attempts: int,
     ):
-        self.config = config
+        self.device_id = device_id
+        self.host = host
+        self.port = port
+        self.t_fdr_ms = t_fdr_ms
         self.duration_s = duration_s
         self.seed = seed
         self.connect_attempts = connect_attempts
@@ -156,15 +148,13 @@ class LiveEmulator:
             if attempt:
                 yield time.time() + CONNECT_BACKOFF_S * attempt
             try:
-                sock = socket.create_connection(
-                    (self.config.host, self.config.port), timeout=5.0
-                )
+                sock = socket.create_connection((self.host, self.port), timeout=5.0)
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 return sock
             except OSError as err:
                 last_err = err
-        self.failed_reason = f"connect to {self.config.host}:{self.config.port} failed: {last_err}"
-        log.error("device %d: %s", self.config.device_id, self.failed_reason)
+        self.failed_reason = f"connect to {self.host}:{self.port} failed: {last_err}"
+        log.error("device %d: %s", self.device_id, self.failed_reason)
         return None
 
     def steps(self):
@@ -175,20 +165,16 @@ class LiveEmulator:
         if sock is None:
             return False
         epoch_ms = next_grid_ms(time.time() * 1000.0 + GRID_MS)
-        gen = SignalGenerator(
-            self.config.signal,
-            epoch_ms,
-            random.Random(f"{self.seed}:dev{self.config.device_id}:signal"),
-        )
+        gen = SignalGenerator(SignalModel(), epoch_ms, random.Random(f"{self.seed}:dev{self.device_id}:signal"))
         total = self.duration_s * 1000 // GRID_MS
         try:
             for k in range(total):
                 target_ms = epoch_ms + k * GRID_MS
                 yield target_ms / 1000.0
                 self.frames_generated += 1
-                frame = gen.measure(self.config.device_id, self.frames_generated, target_ms)
-                if self.config.t_fdr_ms:
-                    yield time.time() + self.config.t_fdr_ms / 1000.0
+                frame = gen.measure(self.device_id, self.frames_generated, target_ms)
+                if self.t_fdr_ms:
+                    yield time.time() + self.t_fdr_ms / 1000.0
                 if sock is None:
                     sock = yield from self._connect()
                     if sock is None:
@@ -197,7 +183,7 @@ class LiveEmulator:
                     sock.sendall(encode_frame(frame))
                     self.frames_sent += 1
                 except OSError as err:
-                    log.warning("device %d: send failed (%s)", self.config.device_id, err)
+                    log.warning("device %d: send failed (%s)", self.device_id, err)
                     sock.close()
                     sock = None  # redial before the next frame
         finally:

@@ -11,12 +11,16 @@ Sections:
                devices, t_dcs_ms, skew_bound_ms, dcs_outages
   [uplink]     device-to-concentrator channel defaults
   [downlink]   concentrator-to-device channel defaults
-  [device]     defaults for every device (timing, signal, p_seg)
+  [device]     the run's t_fdr_ms, and defaults for every device's
+               p_seg and signal
   [device N]   overrides for device N: any [device] key except t_fdr_ms,
                plus channel fields prefixed uplink_ / downlink_ (e.g.
                uplink_t_p_ms).  The capture header carries one t_fdr_ms,
                which the analyzer subtracts from every device's delays,
                so t_fdr_ms is set once, under [device].
+
+A ``DeviceSpec`` holds what one simulated device reads; the run's one
+t_fdr_ms is ``Scenario.t_fdr_ms``.
 """
 
 import configparser
@@ -26,7 +30,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .fdr import DisturbanceEvent, FdrConfig, SignalModel
+from .fdr import DisturbanceEvent, SignalModel
 from .simnet import ChannelParams, JitterSpec
 
 
@@ -42,7 +46,9 @@ class ScenarioError(Exception):
 
 @dataclass(frozen=True)
 class DeviceSpec:
-    config: FdrConfig
+    device_id: int
+    p_seg: float
+    signal: SignalModel
     uplink: ChannelParams
     downlink: ChannelParams
 
@@ -54,7 +60,7 @@ class Scenario:
     duration_s: int
     epoch_utc_ms: int
     t_dcs_ms: float
-    default_t_fdr_ms: float
+    t_fdr_ms: float
     skew_bound_ms: float
     devices: tuple
     outages: tuple
@@ -149,6 +155,8 @@ def _parse_disturbances(sec: _Section, epoch_utc_ms: int) -> tuple:
 def _device_fields(sec: _Section, defaults: dict, epoch_utc_ms: int) -> dict:
     fields = dict(defaults)
     fields["p_seg"] = sec.take_float("p_seg", fields["p_seg"])
+    if not 0.0 <= fields["p_seg"] <= 1.0:
+        raise ScenarioError(f"[{sec.name}] p_seg: must be in [0, 1], got {fields['p_seg']}")
     for key in ("f_nominal", "f_wander_amp", "f_wander_period_s", "noise_sigma", "v_nominal"):
         fields[key] = sec.take_float(key, fields[key])
     dist = _parse_disturbances(sec, epoch_utc_ms)
@@ -210,8 +218,10 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
 
     dev_sec = section("device")
     t_fdr_ms = dev_sec.take_float("t_fdr_ms", 0.0)
-    # the defaults are FdrConfig's p_seg and SignalModel's fields
-    base_fields = _device_fields(dev_sec, dict(vars(SignalModel()), p_seg=FdrConfig.p_seg), epoch_utc_ms)
+    if t_fdr_ms < 0:
+        raise ScenarioError(f"[device] t_fdr_ms: must be non-negative, got {t_fdr_ms}")
+    # by default a device sends 15% of its frames as two segments
+    base_fields = _device_fields(dev_sec, dict(vars(SignalModel()), p_seg=0.15), epoch_utc_ms)
     dev_sec.finish()
 
     known = {"scenario", "uplink", "downlink", "device"}
@@ -238,10 +248,10 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
         sec.finish()
         p_seg = fields.pop("p_seg")
         try:
-            config = FdrConfig(device_id=dev_id, t_fdr_ms=t_fdr_ms, p_seg=p_seg, signal=SignalModel(**fields))
+            signal = SignalModel(**fields)
         except ValueError as err:
             raise ScenarioError(f"[device {dev_id}]: {err}") from None
-        devices.append(DeviceSpec(config=config, uplink=dev_up, downlink=dev_down))
+        devices.append(DeviceSpec(dev_id, p_seg, signal, dev_up, dev_down))
 
     return Scenario(
         name=name,
@@ -249,7 +259,7 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
         duration_s=duration_s,
         epoch_utc_ms=epoch_utc_ms,
         t_dcs_ms=t_dcs_ms,
-        default_t_fdr_ms=t_fdr_ms,
+        t_fdr_ms=t_fdr_ms,
         skew_bound_ms=skew_bound_ms,
         devices=tuple(devices),
         outages=outages,

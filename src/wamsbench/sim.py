@@ -151,13 +151,14 @@ class _Device:
         sc = run.scenario
         self.run = run
         self.sim = run.sim
-        self.config = config = spec.config
-        self.device_id = device_id = config.device_id
+        self.device_id = device_id = spec.device_id
+        self.p_seg = spec.p_seg
+        self.t_fdr_ms = sc.t_fdr_ms
         self.uplink = Link(run.sim, spec.uplink, random.Random(f"{sc.seed}:dev{device_id}:up"))
         self.downlink = Link(run.sim, spec.downlink, random.Random(f"{sc.seed}:dev{device_id}:down"))
         self.epoch_utc_ms = sc.epoch_utc_ms
         self.signal = SignalGenerator(
-            config.signal, sc.epoch_utc_ms, random.Random(f"{sc.seed}:dev{device_id}:signal")
+            spec.signal, sc.epoch_utc_ms, random.Random(f"{sc.seed}:dev{device_id}:signal")
         )
         self._split_rng = random.Random(f"{sc.seed}:dev{device_id}:split")
         self.conn: Optional[Connection] = None  # the client end of the latest dial
@@ -203,9 +204,9 @@ class _Device:
         # looked up on the module at each call, where a tracer that wraps
         # fdr.encode_frame sees it
         payload = fdr.encode_frame(frame)
-        split = self._split_rng.random() < self.config.p_seg
-        if self.config.t_fdr_ms:
-            self.sim.schedule_in(round(self.config.t_fdr_ms * 1000), self._send, payload, split)
+        split = self._split_rng.random() < self.p_seg
+        if self.t_fdr_ms:
+            self.sim.schedule_in(round(self.t_fdr_ms * 1000), self._send, payload, split)
         else:
             self._send(payload, split)
         if self.frames_generated < self.frames_total:
@@ -352,7 +353,7 @@ class _SimulationRun:
         sc = self.scenario
         header = log_header(kind, "sim", sc.seed, sc.epoch_utc_ms, sc.duration_s, sc.skew_bound_ms)
         header["scenario"] = sc.name
-        header["t_fdr_ms"] = sc.default_t_fdr_ms
+        header["t_fdr_ms"] = sc.t_fdr_ms
         header["t_dcs_ms"] = sc.t_dcs_ms
         return header
 

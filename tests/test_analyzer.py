@@ -122,6 +122,34 @@ class TestLoader:
         assert cap.counts["records"] == 5
         _assert_records_are_the_oracle_s(cap, path)
 
+    @pytest.mark.parametrize(
+        "reason,before,after",
+        [
+            ("not_json", [], ["{not json", '{"wall_time":1.5,']),
+            ("not_one_object", [], ["[1,2,3]", "1 2", '{"direction":"UPLINK"} []']),
+            # a second header, and a header whose value is not an object
+            ("bad_header", ['{"header":5}'], ['{"header":{"log":"capture"}}']),
+            ("bad_trailer", [], ['{"integrity":[1]}']),
+            ("before_header", [json.dumps(oracle_logs._rec(5.0, 1, 85))], []),
+            # a missing key, then an id that breaks the identifier rule
+            ("bad_record", [], ['{"direction":"UPLINK"}', json.dumps(oracle_logs._rec(5.0, "1", 85))]),
+        ],
+    )
+    def test_skipped_lines_are_counted_by_reason(self, reason, before, after, tmp_path, caplog):
+        path, _ = oracle_logs.simple_delays(tmp_path / "base.jsonl")
+        header, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([*before, header, *after, *rest]) + "\n")
+        _wait_past_ctime(path)  # so the second load trusts the cache the first one writes
+        cold = load_capture(path)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(analyzer, "_parse", _no_parse)
+            warm = load_capture(path)
+        for cap in (cold, warm):
+            assert cap.skipped_by_reason == {r: len(before + after) if r == reason else 0 for r in analyzer.SKIP_REASONS}
+            assert cap.skipped_lines == len(before + after)
+            assert cap.counts["records"] == 5
+        assert caplog.messages[0] == f"{path}: skipped {len(before + after)} corrupt lines ({reason}={len(before + after)})"
+
     def test_records_and_frames_are_compact_tuples(self, tmp_path):
         header = oracle_logs._header(duration_s=2)
         records = [
@@ -561,7 +589,7 @@ class TestCompactLines:
             caplog.clear()
             assert cli.main(["report", str(path), "--allow-incomplete"]) == 0
             out, err = capsys.readouterr()
-            assert caplog.messages == [f"{path}: skipped 1 corrupt lines"]
+            assert caplog.messages == [f"{path}: skipped 1 corrupt lines (bad_record=1)"]
             assert "corrupt" not in err
             outputs.append(out)
         assert outputs[0] == outputs[1]
@@ -1165,7 +1193,7 @@ def test_warm_load_still_warns_of_skipped_lines(tmp_path, caplog):
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="wamsbench.analyzer"):
         _warm(path)
-    assert caplog.messages == [f"{path}: skipped 2 corrupt lines"]
+    assert caplog.messages == [f"{path}: skipped 2 corrupt lines (not_json=1, bad_record=1)"]
 
 
 def _two_device_capture(path):
@@ -1523,11 +1551,17 @@ def test_negative_cache_length_is_refused_before_any_column_is_read(tmp_path):
     assert _cache_of(path).read_bytes() == good
 
 
+def _as_version_13(meta, version=13):
+    # version 13 kept only the total of the skipped lines
+    meta["skipped_lines"] = sum(meta.pop("skipped_by_reason").values())
+    meta.update(version=version)
+
+
 def _as_version_12(meta, version=12):
     # versions 11 and 12 counted no duplicate completion, since they kept
     # every one
+    _as_version_13(meta, version)
     del meta["duplicate_completions"]
-    meta.update(version=version)
 
 
 def _as_version_10(meta):
@@ -1577,7 +1611,10 @@ def _older_cache(version: int, path, current: bytes) -> bytes:
     section of records, version 10 with a list of columns in place of
     counts, version 11 with the frames of one device that share a
     frame_seq in file order, version 12 with each of them in the order
-    of (frame_seq, frame_timestamp, arrival)."""
+    of (frame_seq, frame_timestamp, arrival), version 13 with the total
+    of the skipped lines alone."""
+    if version == 13:
+        return _edit_meta(_as_version_13)(current)
     if version in (11, 12):
         return _edit_meta(partial(_as_version_12, version=version))(current)
     if version == 7:
@@ -1599,7 +1636,7 @@ def _older_cache(version: int, path, current: bytes) -> bytes:
     return _edit_meta(as_version_8)(current)
 
 
-@pytest.mark.parametrize("version", [7, 8, 9, 10, 11, 12])
+@pytest.mark.parametrize("version", [7, 8, 9, 10, 11, 12, 13])
 def test_older_cache_is_ignored_and_rewritten_as_the_current_version(version, tmp_path):
     path = _two_device_capture(tmp_path / "c.jsonl")
     state = _cached(path)
@@ -1609,7 +1646,7 @@ def test_older_cache_is_ignored_and_rewritten_as_the_current_version(version, tm
     _cache_of(path).write_bytes(_older_cache(version, path, current))
     assert _state(load_capture(path)) == state
     assert _cache_of(path).read_bytes() == current
-    assert json.loads(current.split(b"\n", 1)[0])["version"] == analyzer.CACHE_VERSION == 13
+    assert json.loads(current.split(b"\n", 1)[0])["version"] == analyzer.CACHE_VERSION == 14
 
 
 def test_cache_holds_0_bytes_per_record_and_20_per_frame(analyzer_captures, tmp_path):

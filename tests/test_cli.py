@@ -129,7 +129,7 @@ class TestAnalyze:
         mangled.write_text("\n".join([lines[0], "{truncated", *lines[1:]]) + "\n")
         code = cli.main(["analyze", str(mangled), "--out-dir", str(tmp_path / "out")])
         assert code == 0
-        assert caplog.messages == [f"{mangled}: skipped 1 corrupt lines"]
+        assert caplog.messages == [f"{mangled}: skipped 1 corrupt lines (not_json=1)"]
 
     def test_missing_file_is_a_runtime_error(self, tmp_path):
         assert cli.main(["analyze", str(tmp_path / "gone.jsonl")]) == 1
@@ -227,7 +227,7 @@ def test_arrivals_whose_delays_summed_past_the_largest_float_are_refused(command
     argv = [command, str(path), *(["--out-dir", str(out)] if command == "analyze" else [])]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
-    assert caplog.messages == [f"{path}: skipped {len(arrivals)} corrupt lines"]
+    assert caplog.messages == [f"{path}: skipped {len(arrivals)} corrupt lines (bad_record={len(arrivals)})"]
     assert captured.err.splitlines() == [
         f"error: {path}: trailer counts records={len(arrivals)}, parsed 0",
         "error: not reporting on an incomplete capture; see --allow-incomplete",
@@ -576,7 +576,7 @@ class TestEmulate:
 
         monkeypatch.setattr(cli, "emulate", record)
         assert cli.main(["emulate", "--port", "9", "--first-device", "65534", "--devices", "2"]) == 0
-        assert [emu.config.device_id for emu in started] == [65534, 65535]
+        assert [emu.device_id for emu in started] == [65534, 65535]
         capsys.readouterr()
 
     @pytest.mark.parametrize("duration", ["0", "-3"])
@@ -619,7 +619,7 @@ class TestEmulate:
 
         monkeypatch.setattr(cli, "emulate", record)
         assert cli.main(["emulate", "--port", "9", "--t-fdr-ms", "99.9"]) == 0
-        assert [emu.config.t_fdr_ms for emu in started] == [99.9]
+        assert [emu.t_fdr_ms for emu in started] == [99.9]
         capsys.readouterr()
 
     @pytest.mark.parametrize("attempts", ["0", "-1"])

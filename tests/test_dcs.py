@@ -154,6 +154,17 @@ class TestIngestState:
         assert ingest.counters["duplicate_frames"] == 1
         assert ingest.counters["rows"] == 1
 
+    def test_non_finite_frame_makes_no_row_but_its_seq_is_seen(self, caplog):
+        # CRC-valid, so it decodes; NaN has no JSON spelling
+        body = struct.pack(">HHIQdddB12x", MAGIC, 1, 1, 1_700_000_000_000, 50.0, math.nan, 0.0, 0)
+        ingest, asm = IngestState(), FrameAssembler()
+        assert ingest.deliver(asm, body + struct.pack(">H", crc16(body)), 1000.0) == []
+        assert (ingest.counters["nonfinite_rows"], ingest.counters["rows"]) == (1, 0)
+        assert caplog.messages == ["device 1: dropping 1 frame(s) with non-finite values"]
+        assert ingest.deliver(asm, wire(frame_seq=1), 1100.0) == []  # a finite copy of seq 1
+        assert ingest.counters["duplicate_frames"] == 1
+        assert (ingest.counters["nonfinite_rows"], ingest.counters["rows"]) == (1, 0)
+
     def test_duplicate_detection_spans_connections(self):
         # same frame resent on a new connection after a reconnect
         ingest = IngestState()

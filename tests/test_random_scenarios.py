@@ -104,6 +104,7 @@ def test_random_scenario_keeps_every_invariant(text, tmp_path_factory):
     _cache_of(path).unlink(missing_ok=True)
     _wait_past_ctime(path)  # so a warm load trusts the cache the cold one writes
     cap = load_capture(path)
+    assert cap.skipped_by_reason == dict.fromkeys(analyzer.SKIP_REASONS, 0)
     assert cap.skipped_lines == 0
     assert cap.duplicate_completions == 0
     assert cap.counts == {key: cap.integrity[key] for key in analyzer.TRAILER_KEYS}

@@ -18,7 +18,7 @@ class TestParsing:
         assert sc.name == "tiny"
         assert sc.seed == "tiny"  # defaults to the name
         assert len(sc.devices) == 2
-        assert sc.devices[0].config.device_id == 1
+        assert sc.devices[0].device_id == 1
         assert sc.devices[0].uplink.r_ul_bps == 384_000.0
         assert sc.devices[0].downlink.r_ul_bps == 7_200_000.0
         assert sc.frames_expected == 100
@@ -34,8 +34,8 @@ p_seg = 0.5
 uplink_t_p_ms = 42.0
 """
         )
-        assert sc.devices[0].config.p_seg == 0.2
-        assert sc.devices[1].config.p_seg == 0.5
+        assert sc.devices[0].p_seg == 0.2
+        assert sc.devices[1].p_seg == 0.5
         assert sc.devices[0].uplink.t_p_ms == 0.0
         assert sc.devices[1].uplink.t_p_ms == 42.0
 
@@ -47,7 +47,7 @@ uplink_t_p_ms = 42.0
 disturbance = 2.5:-0.2:10
 """
         )
-        (event,) = sc.devices[0].config.signal.disturbances
+        (event,) = sc.devices[0].signal.disturbances
         assert event.at_utc_ms == 1_700_000_000_000 + 2_500
         assert event.step_hz == -0.2
         assert event.tau_s == 10.0
@@ -90,6 +90,9 @@ dcs_outages = 10-15, 42.5-44
             ("[scenario]\nskew_bound_ms = nan\n", "[scenario] skew_bound_ms: not a finite number: 'nan'"),
             ("[scenario]\nt_dcs_ms = inf\n", "[scenario] t_dcs_ms: not a finite number: 'inf'"),
             ("[device]\nt_fdr_ms = -Infinity\n", "[device] t_fdr_ms: not a finite number: '-Infinity'"),
+            ("[device]\nt_fdr_ms = -0.5\n", "[device] t_fdr_ms: must be non-negative, got -0.5"),
+            ("[device]\np_seg = -0.1\n", "[device] p_seg: must be in [0, 1], got -0.1"),
+            ("[scenario]\ndevices = 2\n[device 1]\np_seg = 1.5\n", "[device 1] p_seg: must be in [0, 1], got 1.5"),
             # the capture header carries only the [device] t_fdr_ms
             ("[scenario]\ndevices = 2\n[device 2]\nt_fdr_ms = 2.0\n", "[device 2] t_fdr_ms: set only under [device]"),
         ],
@@ -111,7 +114,7 @@ class TestBundled:
         assert day.frames_expected == 9_504_000
         assert day.devices[:10] == paper.devices
         assert day.devices[10].uplink.t_p_ms == 108.0
-        assert day.devices[10].config.device_id == 11
+        assert day.devices[10].device_id == 11
         assert (day.epoch_utc_ms, day.outages) == (paper.epoch_utc_ms, paper.outages)
 
     def test_lossless_is_actually_lossless(self):
@@ -121,7 +124,7 @@ class TestBundled:
         for dev in sc.devices:
             assert dev.uplink.p_loss == 0.0
             assert dev.uplink.jitter.median_ms == 0.0
-            assert dev.config.p_seg == 0.0
+            assert dev.p_seg == 0.0
             assert dev.uplink.t_p_ms == 100.0
 
     def test_paper_like_spreads_propagation(self):
@@ -129,7 +132,7 @@ class TestBundled:
         t_ps = [dev.uplink.t_p_ms for dev in sc.devices]
         assert t_ps == [103.0 + 0.5 * k for k in range(10)]
         assert all(dev.downlink.t_p_ms == 100.0 for dev in sc.devices)
-        assert sc.devices[4].config.signal.disturbances
+        assert sc.devices[4].signal.disturbances
 
     def test_lossy_scenario_volume(self):
         sc = load_scenario("lossy_0p3")
