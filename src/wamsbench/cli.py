@@ -215,7 +215,7 @@ def cmd_emulate(args) -> int:
             f"--first-device + --devices - 1 must be at most {analyzer.MAX_DEVICE_ID}, got {last_device}"
         )
     emulators = [
-        LiveEmulator(dev, args.host, args.port, args.duration_s, args.t_fdr_ms, args.seed, args.connect_attempts)
+        LiveEmulator(dev, args.host, args.port, args.duration_s, args.t_fdr_ms, args.connect_attempts)
         for dev in range(args.first_device, args.first_device + args.devices)
     ]
     interrupted = False
@@ -319,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--first-device", type=int, default=1, help="device id of the first emulator")
     p.add_argument("--duration-s", type=int, default=10)
     p.add_argument("--t-fdr-ms", type=_finite_float, default=0.0)
-    p.add_argument("--seed", default="live")
     p.add_argument("--connect-attempts", type=int, default=5)
     p.set_defaults(handler=cmd_emulate)
 

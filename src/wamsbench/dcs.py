@@ -29,7 +29,6 @@ from collections import Counter
 from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
-from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .analyzer import CLASSES, DIRECTIONS, check_header
@@ -48,10 +47,6 @@ log = logging.getLogger(__name__)
 # not speaking the protocol and gets dropped
 JUNK_DROP_BYTES = 65_536
 
-# what FrameAssembler.feed reports for a delivery without integrity
-# events: one shared read-only Counter, so missing keys still read 0
-_NO_EVENTS = MappingProxyType(Counter())
-
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 
@@ -67,6 +62,8 @@ def ms(value: float) -> float:
 
 
 class MeasurementRow(NamedTuple):
+    """The schema of a measurements.jsonl line; see measurement_line."""
+
     device_id: int
     frame_seq: int
     frame_timestamp: int
@@ -124,7 +121,8 @@ class CaptureRecord:
 # the lines of MeasurementRow.to_json and CaptureRecord.to_json, spelled
 # out for the writers' hot paths; %r or %s of an int or a finite float
 # is exactly what dumps writes for it.  An arrival instant comes in as
-# its repr, formatted once for every line that carries it.
+# its repr, formatted once for every line that carries it.  A frame, like
+# a row, holds its frame_seq and timestamp at positions 1 and 2.
 _MEASUREMENT_LINE = (
     '{"device_id":%r,"frame_seq":%r,"frame_timestamp":%r,"arrival_time":%s,'
     '"frequency":%r,"voltage_mag":%r,"voltage_angle":%r,"status":%r}'
@@ -136,11 +134,11 @@ _CAPTURE_LINE = (
 _FRAME_COMPLETE = '{"frame_seq":%r,"frame_timestamp":%r,"arrival_time_of_last_byte":%s}'
 
 
-def measurement_line(row: MeasurementRow, arrival_time: str) -> str:
-    """``dumps(row.to_json())`` for a row whose floats are finite, as
-    every row decoded from an encoded frame is; ``arrival_time`` is
-    ``repr(row.arrival_time)``."""
-    device_id, frame_seq, frame_timestamp, _, frequency, voltage_mag, voltage_angle, status = row
+def measurement_line(frame: FdrFrame, arrival_time: str) -> str:
+    """``dumps`` of the MeasurementRow of ``frame`` arriving at ``a``,
+    for a frame with finite floats, as ``IngestState.deliver`` returns
+    them; ``arrival_time`` is ``repr(a)``."""
+    device_id, frame_seq, frame_timestamp, frequency, voltage_mag, voltage_angle, status = frame
     return _MEASUREMENT_LINE % (
         device_id, frame_seq, frame_timestamp, arrival_time, frequency, voltage_mag, voltage_angle, status
     )
@@ -155,19 +153,19 @@ def capture_line(
     payload_bytes: int,
     header_bytes: int,
     retransmission_class: str,
-    rows: Optional[list] = None,
+    frames: Optional[list] = None,
 ) -> str:
     """The encoded JSON line of the CaptureRecord with these fields,
     without building the record.
 
     ``wall_time`` is the record's wall time as JSON text: the repr of
     the arrival instant, or "null" for a copy the channel dropped.
-    ``rows`` are the MeasurementRows that make up its frame_complete
-    list; they were completed by this copy's arrival, so each one's
-    arrival_time is that same instant.
+    ``frames`` are the FdrFrames that make up its frame_complete list;
+    this copy's arrival completed them, so each one's arrival time is
+    that same instant.
     """
-    if rows:
-        entries = ",".join([_FRAME_COMPLETE % (r[1], r[2], wall_time) for r in rows])
+    if frames:
+        entries = ",".join([_FRAME_COMPLETE % (f[1], f[2], wall_time) for f in frames])
         frame_complete = f"[{entries}]"
     else:
         frame_complete = "null"
@@ -214,29 +212,26 @@ class LogWriter:
     """Append-only JSON-lines file with a header line and a trailer.
 
     ValueError, before the file is opened, for a header the analyzer
-    would refuse to load."""
+    would refuse to load or JSON cannot encode."""
 
     def __init__(self, path, header: dict):
         check_header(header)
+        line = dumps({"header": header})
         self.path = Path(path)
         self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
-        try:
-            self.write({"header": header})
-        except BaseException:
-            self._fh.close()
-            raise
+        self.write(line)
 
-    def write(self, obj) -> None:
-        """Append ``obj`` JSON-encoded as one line, or, when it is a str,
-        as is: one encoded JSON value, or a block of them joined by
-        newlines.  A newline ends what it appends, so every byte either
-        log holds passes through here."""
-        self._fh.write((obj if obj.__class__ is str else dumps(obj)) + "\n")
+    def write(self, text: str) -> None:
+        """Append ``text``, one encoded JSON value or a block of them
+        joined by newlines, and a newline; every byte either log holds
+        passes through here."""
+        self._fh.write(text + "\n")
 
     def close(self, integrity: Optional[dict] = None) -> None:
+        """Write the trailer, its counters sorted by name, and close."""
         try:
             if integrity is not None:
-                self.write({"integrity": dict(integrity)})
+                self.write(dumps({"integrity": dict(sorted(integrity.items()))}))
         finally:
             self._fh.close()
 
@@ -249,9 +244,9 @@ class FrameAssembler:
         self.device_id: Optional[int] = None
         self.junk_since_frame = 0
 
-    def feed(self, data: bytes) -> tuple:
-        """Returns (decoded frames, Counter of integrity events); the
-        counts are read-only when the delivery had none."""
+    def feed(self, data: bytes, counters: Counter) -> list:
+        """Returns the frames ``data`` completed, counting skipped bytes
+        and bad CRCs in ``counters`` (resync_bytes, crc_errors)."""
         if not self.buf and len(data) == FRAME_LEN and data.startswith(MAGIC_BYTES):
             # the usual case: exactly one whole frame and nothing buffered
             try:
@@ -261,10 +256,10 @@ class FrameAssembler:
             else:
                 self.device_id = frame.device_id
                 self.junk_since_frame = 0
-                return [frame], _NO_EVENTS
-        events: Counter = Counter()
+                return [frame]
         self.buf.extend(data)
         frames = []
+        skipped = 0
         while True:
             idx = self.buf.find(MAGIC_BYTES)
             if idx < 0:
@@ -272,29 +267,31 @@ class FrameAssembler:
                 keep = 1 if self.buf[-1:] == MAGIC_BYTES[:1] else 0
                 junk = len(self.buf) - keep
                 if junk:
-                    events["resync_bytes"] += junk
+                    skipped += junk
                     del self.buf[:junk]
                 break
             if idx > 0:
-                events["resync_bytes"] += idx
+                skipped += idx
                 del self.buf[:idx]
             if len(self.buf) < FRAME_LEN:
                 break
             try:
                 frame = decode_frame(bytes(self.buf[:FRAME_LEN]))
             except ChecksumError:
-                events["crc_errors"] += 1
-                events["resync_bytes"] += 1
+                counters["crc_errors"] += 1
+                skipped += 1
                 del self.buf[:1]  # step past this magic and rescan
                 continue
             del self.buf[:FRAME_LEN]
             frames.append(frame)
             self.device_id = frame.device_id
+        if skipped:
+            counters["resync_bytes"] += skipped
         if frames:
             self.junk_since_frame = 0
         else:
-            self.junk_since_frame += events["resync_bytes"]
-        return frames, events
+            self.junk_since_frame += skipped
+        return frames
 
 
 class SeqRuns:
@@ -351,30 +348,27 @@ class IngestState:
         self.seen: dict = {}  # device_id -> SeqRuns of frame_seq
         self.counters: Counter = Counter()
 
-    def deliver(self, asm: FrameAssembler, data: bytes, arrival_ms: float) -> list:
+    def deliver(self, asm: FrameAssembler, data: bytes) -> list:
         """Feed bytes delivered in order on the connection ``asm``
-        reassembles, at ``arrival_ms``, a time at microsecond precision;
-        returns the MeasurementRows completed by this delivery."""
-        frames, events = asm.feed(data)
-        if events:
-            self.counters.update(events)
-        rows = []
+        reassembles; returns the FdrFrames this delivery completed that
+        make rows, in delivery order."""
+        kept = []
         nonfinite = 0
-        for frame in frames:
+        for frame in asm.feed(data, self.counters):
             runs = self.seen.get(frame.device_id)
             if runs is None:
                 runs = self.seen[frame.device_id] = SeqRuns()
             if not runs.add(frame.frame_seq):
                 self.counters["duplicate_frames"] += 1
             elif isfinite(frame.frequency) and isfinite(frame.voltage_mag) and isfinite(frame.voltage_angle):
-                rows.append(MeasurementRow.from_frame(frame, arrival_ms))
+                kept.append(frame)
             else:
                 nonfinite += 1
-        self.counters["rows"] += len(rows)
+        self.counters["rows"] += len(kept)
         if nonfinite:
             log.warning("device %d: dropping %d frame(s) with non-finite values", asm.device_id, nonfinite)
             self.counters["nonfinite_rows"] += nonfinite
-        return rows
+        return kept
 
 
 class LiveDcsServer:
@@ -497,20 +491,19 @@ class LiveDcsServer:
         if not data:
             self._close(sock, conn_id)
             return
-        arrival = ms(time.time() * 1000.0)
-        arrival_time = repr(arrival)
+        arrival_time = repr(ms(time.time() * 1000.0))
         conn = self._conns[conn_id]
         start, asm = conn
-        rows = self.ingest.deliver(asm, data, arrival)
+        frames = self.ingest.deliver(asm, data)
         end = conn[0] = start + len(data)
         # no sniffer in live mode: payload bytes only, every copy an
         # UPLINK one of class FIRST
         self._capture.write(
-            capture_line(arrival_time, asm.device_id, DIRECTIONS[0], start, end, len(data), 0, CLASSES[0], rows)
+            capture_line(arrival_time, asm.device_id, DIRECTIONS[0], start, end, len(data), 0, CLASSES[0], frames)
         )
         self.ingest.counters["records"] += 1
-        for row in rows:
-            self._rows.write(measurement_line(row, arrival_time))
+        for frame in frames:
+            self._rows.write(measurement_line(frame, arrival_time))
         if asm.junk_since_frame > JUNK_DROP_BYTES:
             log.warning("conn %d: dropping malformed stream", conn_id)
             self.ingest.counters["dropped_connections"] += 1

@@ -124,7 +124,6 @@ class LiveEmulator:
         port: int,
         duration_s: int,
         t_fdr_ms: float,
-        seed: str,
         connect_attempts: int,
     ):
         self.device_id = device_id
@@ -132,7 +131,6 @@ class LiveEmulator:
         self.port = port
         self.t_fdr_ms = t_fdr_ms
         self.duration_s = duration_s
-        self.seed = seed
         self.connect_attempts = connect_attempts
         self.frames_generated = 0
         self.frames_sent = 0
@@ -165,7 +163,8 @@ class LiveEmulator:
         if sock is None:
             return False
         epoch_ms = next_grid_ms(time.time() * 1000.0 + GRID_MS)
-        gen = SignalGenerator(SignalModel(), epoch_ms, random.Random(f"{self.seed}:dev{self.device_id}:signal"))
+        # the default model has no noise, so nothing draws from the rng
+        gen = SignalGenerator(SignalModel(), epoch_ms, random.Random(0))
         total = self.duration_s * 1000 // GRID_MS
         try:
             for k in range(total):

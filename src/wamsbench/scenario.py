@@ -25,7 +25,7 @@ t_fdr_ms is ``Scenario.t_fdr_ms``.
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -152,17 +152,23 @@ def _parse_disturbances(sec: _Section, epoch_utc_ms: int) -> tuple:
     return tuple(events)
 
 
-def _device_fields(sec: _Section, defaults: dict, epoch_utc_ms: int) -> dict:
-    fields = dict(defaults)
-    fields["p_seg"] = sec.take_float("p_seg", fields["p_seg"])
-    if not 0.0 <= fields["p_seg"] <= 1.0:
-        raise ScenarioError(f"[{sec.name}] p_seg: must be in [0, 1], got {fields['p_seg']}")
-    for key in ("f_nominal", "f_wander_amp", "f_wander_period_s", "noise_sigma", "v_nominal"):
-        fields[key] = sec.take_float(key, fields[key])
+def _device_fields(sec: _Section, p_seg: float, signal: SignalModel, epoch_utc_ms: int) -> tuple:
+    """(p_seg, signal) of a device section over the defaults given; a
+    bad value is blamed on ``sec``, the section that set it."""
+    p_seg = sec.take_float("p_seg", p_seg)
+    if not 0.0 <= p_seg <= 1.0:
+        raise ScenarioError(f"[{sec.name}] p_seg: must be in [0, 1], got {p_seg}")
+    changes = {
+        key: sec.take_float(key, getattr(signal, key))
+        for key in ("f_nominal", "f_wander_amp", "f_wander_period_s", "noise_sigma", "v_nominal")
+    }
     dist = _parse_disturbances(sec, epoch_utc_ms)
     if dist:
-        fields["disturbances"] = dist
-    return fields
+        changes["disturbances"] = dist
+    try:
+        return p_seg, replace(signal, **changes)
+    except ValueError as err:
+        raise ScenarioError(f"[{sec.name}]: {err}") from None
 
 
 def _parse_outages(sec: _Section) -> tuple:
@@ -221,7 +227,7 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
     if t_fdr_ms < 0:
         raise ScenarioError(f"[device] t_fdr_ms: must be non-negative, got {t_fdr_ms}")
     # by default a device sends 15% of its frames as two segments
-    base_fields = _device_fields(dev_sec, dict(vars(SignalModel()), p_seg=0.15), epoch_utc_ms)
+    defaults = _device_fields(dev_sec, 0.15, SignalModel(), epoch_utc_ms)
     dev_sec.finish()
 
     known = {"scenario", "uplink", "downlink", "device"}
@@ -242,15 +248,10 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
         sec = by_id.get(dev_id, _Section(f"device {dev_id}", {}))
         if "t_fdr_ms" in sec.data:
             raise ScenarioError(f"[{sec.name}] t_fdr_ms: set only under [device], for every device")
-        fields = _device_fields(sec, base_fields, epoch_utc_ms)
+        p_seg, signal = _device_fields(sec, *defaults, epoch_utc_ms)
         dev_up = _parse_channel(sec, uplink, prefix="uplink_")
         dev_down = _parse_channel(sec, downlink, prefix="downlink_")
         sec.finish()
-        p_seg = fields.pop("p_seg")
-        try:
-            signal = SignalModel(**fields)
-        except ValueError as err:
-            raise ScenarioError(f"[device {dev_id}]: {err}") from None
         devices.append(DeviceSpec(dev_id, p_seg, signal, dev_up, dev_down))
 
     return Scenario(

@@ -103,11 +103,10 @@ class _DcsEndpoint(Connection):
         )
         self.device = device
         self.assembler = FrameAssembler()
-        self._rows: Optional[list] = None  # rows completed by the segment being delivered
+        self._frames: Optional[list] = None  # frames the segment being delivered completed
 
     def _ingest(self, data: bytes) -> None:
-        run = self.device.run
-        self._rows = run.ingest.deliver(self.assembler, data, run.wall_ms(run.sim.now_us))
+        self._frames = self.device.run.ingest.deliver(self.assembler, data)
 
     def deliver_segment(self, seg: Segment) -> None:
         device = self.device
@@ -120,8 +119,8 @@ class _DcsEndpoint(Connection):
             return
         super().deliver_segment(seg)
         if seg.payload:
-            run.write_record(device.device_id, _UPLINK, seg, now_us, self._rows)
-            self._rows = None
+            run.write_record(device.device_id, _UPLINK, seg, now_us, self._frames)
+            self._frames = None
 
     def detach(self) -> None:
         super().detach()
@@ -266,17 +265,6 @@ class _SimulationRun:
         self._capture_lines: list = []
         self._row_lines: list = []
 
-    def wall_ms(self, t_us: int) -> float:
-        """UTC milliseconds of simulation instant ``t_us``, at
-        microsecond precision.
-
-        The exact integer microsecond count divided by 1000.0 is the
-        double nearest the 3-decimal value, which is what
-        ``ms(epoch_utc_ms + t_us / 1000.0)`` returns while the epoch is
-        below 2**43 ms, at a tenth of the cost of ``round``.
-        """
-        return (self.epoch_us + t_us) / 1000.0
-
     def in_outage(self, t_us: int) -> bool:
         t_s = t_us / 1_000_000.0
         return any(start <= t_s < end for start, end in self.outages)
@@ -287,14 +275,11 @@ class _SimulationRun:
         direction: str,
         seg: Segment,
         arrival_us: Optional[int],
-        rows: Optional[list] = None,
+        frames: Optional[list] = None,
     ) -> None:
         """Log one wire copy: its capture line, encoded straight from the
-        segment, and the measurement lines of the ``rows`` it completed.
-
-        The arrival instant is formatted once for all of them: a row's
-        arrival_time is the double ``wall_ms(arrival_us)`` by
-        construction (see ``_DcsEndpoint._ingest``).  Lines gather into
+        segment, and the measurement lines of the ``frames`` it
+        completed, all at its one arrival instant.  Lines gather into
         blocks of up to BLOCK_LINES, each handed to its log in one
         write.
         """
@@ -304,7 +289,11 @@ class _SimulationRun:
             wall_time = "null"
             self.dropped_copies += 1
         else:
-            wall_time = repr((self.epoch_us + arrival_us) / 1000.0)  # wall_ms, inlined
+            # the exact integer microsecond count over 1000.0 is the double
+            # nearest the 3-decimal value, ms(epoch_utc_ms + arrival_us /
+            # 1000.0), while the epoch is below 2**43 ms, at a tenth of the
+            # cost of round
+            wall_time = repr((self.epoch_us + arrival_us) / 1000.0)
         if direction == _UPLINK:
             self.uplink_copies += 1
         else:
@@ -321,13 +310,13 @@ class _SimulationRun:
                 payload_bytes,
                 HEADER_BYTES,
                 retx_class._value_,  # Enum's value is a Python-level property
-                rows,
+                frames,
             )
         )
-        if rows:
+        if frames:
             row_lines = self._row_lines
-            for row in rows:
-                row_lines.append(measurement_line(row, wall_time))
+            for frame in frames:
+                row_lines.append(measurement_line(frame, wall_time))
             if len(row_lines) >= BLOCK_LINES:
                 self._flush(self.rows_log, row_lines)
         if len(lines) >= BLOCK_LINES:
@@ -373,7 +362,7 @@ class _SimulationRun:
         finally:
             for writer, lines, counters in (
                 (self.capture_log, self._capture_lines, self._capture_counters()),
-                (self.rows_log, self._row_lines, dict(sorted(self.ingest.counters.items()))),
+                (self.rows_log, self._row_lines, self.ingest.counters),
             ):
                 if writer is not None:
                     try:

@@ -211,7 +211,6 @@ def test_criterion_10_live_loopback(tmp_path):
                     "--devices", "1",
                     "--first-device", str(dev),
                     "--duration-s", "30",
-                    "--seed", f"live-{dev}",
                 ],
                 stdout=subprocess.PIPE,
                 stderr=subprocess.STDOUT,

@@ -12,6 +12,7 @@ import struct
 import threading
 import time
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -56,49 +57,44 @@ def wire(device_id=1, frame_seq=1, ts=1_700_000_000_000):
 
 class TestFrameAssembler:
     def test_whole_frame_decodes(self):
-        asm = FrameAssembler()
-        frames, events = asm.feed(wire())
-        assert len(frames) == 1
-        assert frames[0].device_id == 1
+        asm, counters = FrameAssembler(), Counter()
+        frames = asm.feed(wire(), counters)
+        assert frames == [make_frame()]
         assert asm.device_id == 1
-        assert not events
+        assert not counters
 
     def test_partial_then_rest(self):
-        asm = FrameAssembler()
+        asm, counters = FrameAssembler(), Counter()
         data = wire()
-        frames, _ = asm.feed(data[:27])
-        assert frames == []
-        frames, _ = asm.feed(data[27:])
-        assert len(frames) == 1
+        assert asm.feed(data[:27], counters) == []
+        assert asm.feed(data[27:], counters) == [make_frame()]
 
     def test_byte_by_byte_completes_on_final_byte(self):
-        asm = FrameAssembler()
+        asm, counters = FrameAssembler(), Counter()
         data = wire()
         for b in data[:-1]:
-            frames, _ = asm.feed(bytes([b]))
-            assert frames == []
-        frames, _ = asm.feed(data[-1:])
-        assert len(frames) == 1
+            assert asm.feed(bytes([b]), counters) == []
+        assert asm.feed(data[-1:], counters) == [make_frame()]
+        assert not counters
 
     def test_two_frames_one_chunk(self):
-        asm = FrameAssembler()
-        frames, _ = asm.feed(wire(frame_seq=1) + wire(frame_seq=2))
+        frames = FrameAssembler().feed(wire(frame_seq=1) + wire(frame_seq=2), Counter())
         assert [f.frame_seq for f in frames] == [1, 2]
 
     def test_resync_over_leading_garbage(self):
-        asm = FrameAssembler()
-        frames, events = asm.feed(b"\x00\xffjunk" + wire())
+        asm, counters = FrameAssembler(), Counter()
+        frames = asm.feed(b"\x00\xffjunk" + wire(), counters)
         assert len(frames) == 1
-        assert events["resync_bytes"] == 6
+        assert counters == {"resync_bytes": 6}
+        assert asm.junk_since_frame == 0
 
     def test_corrupt_frame_skipped_clean_frame_recovered(self):
         corrupt = bytearray(wire(frame_seq=1))
         corrupt[30] ^= 0x01  # breaks the CRC, keeps the magic
-        asm = FrameAssembler()
-        frames, events = asm.feed(bytes(corrupt) + wire(frame_seq=2))
+        counters = Counter(crc_errors=2, rows=3)  # a run's counts so far
+        frames = FrameAssembler().feed(bytes(corrupt) + wire(frame_seq=2), counters)
         assert [f.frame_seq for f in frames] == [2]
-        assert events["crc_errors"] == 1
-        assert events["resync_bytes"] == 55
+        assert counters == {"crc_errors": 3, "resync_bytes": 55, "rows": 3}
 
     @pytest.mark.parametrize("corrupt_at", [None, 30, 54])
     def test_whole_frame_fast_path_matches_the_scan(self, corrupt_at):
@@ -106,13 +102,13 @@ class TestFrameAssembler:
         if corrupt_at is not None:
             data[corrupt_at] ^= 0x01
         data = bytes(data)
-        whole = FrameAssembler()
-        frames, events = whole.feed(data)
-        split = FrameAssembler()
-        split.feed(data[:1])  # a lone first magic byte is only buffered
-        split_frames, split_events = split.feed(data[1:])
+        whole, counters = FrameAssembler(), Counter()
+        frames = whole.feed(data, counters)
+        split, split_counters = FrameAssembler(), Counter()
+        split.feed(data[:1], split_counters)  # a lone first magic byte is only buffered
+        split_frames = split.feed(data[1:], split_counters)
         assert frames == split_frames
-        assert events == split_events
+        assert counters == split_counters
         assert bytes(whole.buf) == bytes(split.buf)
         assert (whole.device_id, whole.junk_since_frame) == (
             split.device_id,
@@ -120,36 +116,42 @@ class TestFrameAssembler:
         )
 
     def test_magic_split_across_feeds(self):
-        asm = FrameAssembler()
+        asm, counters = FrameAssembler(), Counter()
         data = wire()
-        frames, _ = asm.feed(b"junk" + data[:1])
-        assert frames == []
-        frames, _ = asm.feed(data[1:])
-        assert len(frames) == 1
+        assert asm.feed(b"junk" + data[:1], counters) == []
+        assert asm.feed(data[1:], counters) == [make_frame()]
+        assert counters == {"resync_bytes": 4}
 
 
 class TestIngestState:
-    def test_split_frame_arrival_is_second_segment_time(self):
+    # a frame's arrival is the delivery that returns it: the writers
+    # stamp every frame a delivery returns with that delivery's instant
+    def test_split_frame_comes_back_from_the_second_delivery(self):
         ingest, asm = IngestState(), FrameAssembler()
         data = wire()
-        assert ingest.deliver(asm, data[:27], 1000.0) == []
-        rows = ingest.deliver(asm, data[27:], 1002.5)
-        assert len(rows) == 1
-        assert rows[0].arrival_time == 1002.5
+        assert ingest.deliver(asm, data[:27]) == []
+        assert ingest.deliver(asm, data[27:]) == [make_frame()]
+        assert ingest.counters == {"rows": 1}
 
-    def test_whole_frame_arrival_is_segment_time(self):
-        rows = IngestState().deliver(FrameAssembler(), wire(), 1001.0)
-        assert rows[0].arrival_time == 1001.0
+    def test_whole_frame_comes_back_from_its_delivery(self):
+        assert IngestState().deliver(FrameAssembler(), wire()) == [make_frame()]
 
-    def test_two_frames_one_segment_share_arrival(self):
-        rows = IngestState().deliver(FrameAssembler(), wire(frame_seq=1) + wire(frame_seq=2), 2000.0)
-        assert [r.frame_seq for r in rows] == [1, 2]
-        assert [r.arrival_time for r in rows] == [2000.0, 2000.0]
+    def test_two_frames_one_delivery_come_back_together_in_order(self):
+        frames = IngestState().deliver(FrameAssembler(), wire(frame_seq=2) + wire(frame_seq=1))
+        assert frames == [make_frame(frame_seq=2), make_frame(frame_seq=1)]
+
+    def test_integrity_events_reach_the_run_counters(self):
+        corrupt = bytearray(wire(frame_seq=1))
+        corrupt[30] ^= 0x01
+        ingest = IngestState()
+        frames = ingest.deliver(FrameAssembler(), b"junk" + bytes(corrupt) + wire(frame_seq=2))
+        assert frames == [make_frame(frame_seq=2)]
+        assert ingest.counters == {"resync_bytes": 4 + 55, "crc_errors": 1, "rows": 1}
 
     def test_duplicate_frame_keeps_first(self):
         ingest, asm = IngestState(), FrameAssembler()
-        first = ingest.deliver(asm, wire(), 1000.0)
-        again = ingest.deliver(asm, wire(), 1500.0)
+        first = ingest.deliver(asm, wire())
+        again = ingest.deliver(asm, wire())
         assert len(first) == 1 and again == []
         assert ingest.counters["duplicate_frames"] == 1
         assert ingest.counters["rows"] == 1
@@ -158,18 +160,18 @@ class TestIngestState:
         # CRC-valid, so it decodes; NaN has no JSON spelling
         body = struct.pack(">HHIQdddB12x", MAGIC, 1, 1, 1_700_000_000_000, 50.0, math.nan, 0.0, 0)
         ingest, asm = IngestState(), FrameAssembler()
-        assert ingest.deliver(asm, body + struct.pack(">H", crc16(body)), 1000.0) == []
+        assert ingest.deliver(asm, body + struct.pack(">H", crc16(body))) == []
         assert (ingest.counters["nonfinite_rows"], ingest.counters["rows"]) == (1, 0)
         assert caplog.messages == ["device 1: dropping 1 frame(s) with non-finite values"]
-        assert ingest.deliver(asm, wire(frame_seq=1), 1100.0) == []  # a finite copy of seq 1
+        assert ingest.deliver(asm, wire(frame_seq=1)) == []  # a finite copy of seq 1
         assert ingest.counters["duplicate_frames"] == 1
         assert (ingest.counters["nonfinite_rows"], ingest.counters["rows"]) == (1, 0)
 
     def test_duplicate_detection_spans_connections(self):
         # same frame resent on a new connection after a reconnect
         ingest = IngestState()
-        ingest.deliver(FrameAssembler(), wire(), 1000.0)
-        again = ingest.deliver(FrameAssembler(), wire(), 1200.0)
+        ingest.deliver(FrameAssembler(), wire())
+        again = ingest.deliver(FrameAssembler(), wire())
         assert again == []
         assert ingest.counters["duplicate_frames"] == 1
 
@@ -187,10 +189,8 @@ class TestIngestState:
         assemblers = (FrameAssembler(), FrameAssembler())  # two connections
         reference = set()
         for k, (dev, seq) in enumerate(arrivals):
-            rows = ingest.deliver(assemblers[k % 2], wire(device_id=dev, frame_seq=seq), float(k))
-            assert [(r.device_id, r.frame_seq, r.arrival_time) for r in rows] == (
-                [] if (dev, seq) in reference else [(dev, seq, float(k))]
-            )
+            frames = ingest.deliver(assemblers[k % 2], wire(device_id=dev, frame_seq=seq))
+            assert frames == ([] if (dev, seq) in reference else [make_frame(dev, seq)])
             reference.add((dev, seq))
         assert ingest.counters["rows"] == len(reference)
         assert ingest.counters["duplicate_frames"] == len(arrivals) - len(reference)
@@ -210,16 +210,14 @@ class TestIngestState:
         assert (runs.starts, runs.ends) == ([1, 5], [2, 10])
         assert not runs.add(7)
 
-    def test_row_carries_decoded_fields(self):
-        (row,) = IngestState().deliver(FrameAssembler(), wire(device_id=7, frame_seq=3), 1000.0)
-        assert row.device_id == 7
-        assert row.frame_seq == 3
-        assert row.frame_timestamp == 1_700_000_000_000
-        assert row.frequency == 50.0
-        assert row.status == 0
+    def test_row_carries_the_frame_s_fields_and_its_arrival(self):
+        (frame,) = IngestState().deliver(FrameAssembler(), wire(device_id=7, frame_seq=3))
+        row = MeasurementRow.from_frame(frame, 1000.0)
+        assert row == (7, 3, 1_700_000_000_000, 1000.0, 50.0, 1.0, 0.0, 0)
+        assert row.frame_timestamp == frame.utc_timestamp
 
     def test_row_is_immutable(self):
-        (row,) = IngestState().deliver(FrameAssembler(), wire(), 1000.0)
+        row = MeasurementRow.from_frame(make_frame(), 1000.0)
         with pytest.raises(AttributeError):
             row.arrival_time = 0.0
 
@@ -238,7 +236,7 @@ class TestLogWriter:
             retransmission_class="FIRST",
             frame_complete=None,
         )
-        writer.write(record.to_json())
+        writer.write(dumps(record.to_json()))
         writer.close({"records": 1})
         lines = path.read_text().splitlines()
         assert len(lines) == 3
@@ -260,10 +258,8 @@ class TestLogWriter:
     @pytest.mark.parametrize("device_id", [7, None])
     @pytest.mark.parametrize("n_rows", [0, 1, 2])
     def test_capture_line_is_the_encoded_record(self, wall_time, device_id, n_rows):
-        # the rows a copy completes arrive with it, at its wall time
-        rows = IngestState().deliver(
-            FrameAssembler(), b"".join(wire(frame_seq=k) for k in range(1, n_rows + 1)), wall_time
-        )
+        # the frames a copy completes arrive with it, at its wall time
+        frames = IngestState().deliver(FrameAssembler(), b"".join(wire(frame_seq=k) for k in range(1, n_rows + 1)))
         record = CaptureRecord(
             wall_time=wall_time,
             device_id=device_id,
@@ -272,9 +268,9 @@ class TestLogWriter:
             payload_bytes=55 * n_rows,
             header_bytes=40,
             retransmission_class="RTO_RETX",
-            frame_complete=[frame_complete_entry(r) for r in rows] or None,
+            frame_complete=[frame_complete_entry(MeasurementRow.from_frame(f, wall_time)) for f in frames] or None,
         )
-        line = capture_line(repr(wall_time), device_id, "ACK", 1, 1 + 55 * n_rows, 55 * n_rows, 40, "RTO_RETX", rows)
+        line = capture_line(repr(wall_time), device_id, "ACK", 1, 1 + 55 * n_rows, 55 * n_rows, 40, "RTO_RETX", frames)
         assert line == dumps(record.to_json())
 
     @pytest.mark.parametrize("device_id", [7, None])
@@ -282,18 +278,28 @@ class TestLogWriter:
         record = CaptureRecord(None, device_id, "UPLINK", (1, 56), 55, 40, "FIRST", None)
         assert capture_line("null", device_id, "UPLINK", 1, 56, 55, 40, "FIRST") == dumps(record.to_json())
 
-    def test_measurement_line_is_the_encoded_row(self):
-        row = MeasurementRow(3, 9, 1_700_000_000_900, 1_700_000_001_012.345, 49.98765432101, 1.0, -179.5, 2)
-        assert measurement_line(row, repr(row.arrival_time)) == dumps(row.to_json())
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 65_535),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2**64 - 1),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(0, 255),
+        st.integers(0, 2**42 * 1000).map(lambda us: us / 1000.0),
+    )
+    def test_measurement_line_is_the_encoded_row(self, device_id, seq, ts, freq, vmag, vangle, status, arrival):
+        frame = FdrFrame(device_id, seq, ts, freq, vmag, vangle, status)
+        assert measurement_line(frame, repr(arrival)) == dumps(MeasurementRow.from_frame(frame, arrival).to_json())
 
     def test_write_takes_an_encoded_line_as_is(self, tmp_path):
         path = tmp_path / "log.jsonl"
         writer = LogWriter(path, {"k": 1})
         writer.write('{"already":"encoded"}')
-        writer.write({"already": "encoded"})
         writer.write('{"already":"encoded"}\n{"already":"encoded"}')  # a block of lines
         writer.close()
-        assert path.read_text().splitlines()[1:] == ['{"already":"encoded"}'] * 4
+        assert path.read_text().splitlines()[1:] == ['{"already":"encoded"}'] * 3
 
     def test_header_that_cannot_be_written_closes_the_file(self, tmp_path):
         with warnings.catch_warnings(record=True) as caught:
@@ -302,6 +308,7 @@ class TestLogWriter:
                 LogWriter(tmp_path / "log.jsonl", {"note": math.nan})  # a key the analyzer does not read
             gc.collect()
         assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key,value", [("skew_bound_ms", math.nan), ("t_fdr_ms", 1e300), ("t_dcs_ms", -2**63),
                                            ("duration_s", 2.5), ("epoch_utc_ms", "0")])
@@ -311,8 +318,7 @@ class TestLogWriter:
         assert list(tmp_path.iterdir()) == []
 
     def test_frame_complete_entry_shape(self):
-        (row,) = IngestState().deliver(FrameAssembler(), wire(), 1000.25)
-        entry = frame_complete_entry(row)
+        entry = frame_complete_entry(MeasurementRow.from_frame(make_frame(), 1000.25))
         assert entry == {
             "frame_seq": 1,
             "frame_timestamp": 1_700_000_000_000,
@@ -367,6 +373,23 @@ class TestLiveDcsServer:
         completed = [e["frame_seq"] for r in cap_lines[1:-1] for e in r["frame_complete"] or ()]
         assert completed == [2]
         assert cap_lines[-1]["integrity"]["records"] == len(cap_lines) - 2
+
+    def test_trailers_list_integrity_counts_sorted_by_name(self, tmp_path):
+        # how recv splits these bytes decides which event is counted
+        # first, and so the order of the counters in memory
+        corrupt = bytearray(wire(frame_seq=1))
+        corrupt[30] ^= 0x01  # breaks the CRC, keeps the magic
+        server = LiveDcsServer(out_dir=tmp_path, max_conns=4)
+        server.start()
+        try:
+            self._send_frames(server.port, [b"junk", bytes(corrupt), wire(frame_seq=2)])
+            time.sleep(0.3)
+        finally:
+            server.stop()
+        for name in ("capture.jsonl", "measurements.jsonl"):
+            integrity = json.loads((tmp_path / name).read_text().splitlines()[-1])["integrity"]
+            assert list(integrity) == sorted(integrity)
+            assert (integrity["resync_bytes"], integrity["crc_errors"], integrity["rows"]) == (4 + 55, 1, 1)
 
     def test_closed_connections_leave_no_ingest_state(self, tmp_path):
         server = LiveDcsServer(out_dir=tmp_path)

@@ -93,6 +93,14 @@ dcs_outages = 10-15, 42.5-44
             ("[device]\nt_fdr_ms = -0.5\n", "[device] t_fdr_ms: must be non-negative, got -0.5"),
             ("[device]\np_seg = -0.1\n", "[device] p_seg: must be in [0, 1], got -0.1"),
             ("[scenario]\ndevices = 2\n[device 1]\np_seg = 1.5\n", "[device 1] p_seg: must be in [0, 1], got 1.5"),
+            # a signal value is blamed on the section that set it, not on
+            # the first device that inherits it
+            ("[scenario]\ndevices = 2\n[device]\nf_nominal = -1\n", "[device]: f_nominal must be positive"),
+            ("[scenario]\ndevices = 2\n[device]\nnoise_sigma = -1\n", "[device]: noise_sigma must be non-negative"),
+            (
+                "[scenario]\ndevices = 2\n[device 2]\nf_wander_period_s = 0\n",
+                "[device 2]: f_wander_period_s must be positive",
+            ),
             # the capture header carries only the [device] t_fdr_ms
             ("[scenario]\ndevices = 2\n[device 2]\nt_fdr_ms = 2.0\n", "[device 2] t_fdr_ms: set only under [device]"),
         ],

@@ -355,9 +355,11 @@ class TestWallClock:
     )
     @settings(max_examples=2000, deadline=None)
     def test_integer_clock_equals_rounded_float_clock(self, epoch_ms, t_us):
+        # write_record's arrival: the run's integer clock over 1000.0
         scenario = dataclasses.replace(parse_scenario(LOSSLESS), epoch_utc_ms=epoch_ms)
-        wall = _SimulationRun(scenario, "unused").wall_ms(t_us)
-        assert wall == (epoch_ms * 1000 + t_us) / 1000.0 == ms(epoch_ms + t_us / 1000.0)
+        run = _SimulationRun(scenario, "unused")
+        assert run.epoch_us == epoch_ms * 1000
+        assert (run.epoch_us + t_us) / 1000.0 == ms(epoch_ms + t_us / 1000.0)
 
     @pytest.mark.parametrize("epoch_ms", [2**42, 2**43 + 100, -100])
     def test_run_rejects_epoch_outside_integer_clock_range(self, epoch_ms, tmp_path):
