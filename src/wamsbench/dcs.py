@@ -10,8 +10,10 @@ of its final byte, and appends everything to two JSON-lines logs:
 
 Both logs start with a ``{"header": ...}`` line carrying run metadata
 and end with an ``{"integrity": ...}`` trailer of counters, so a log is
-self-describing and an analyzer can detect truncation.  All times are
-UTC milliseconds; fractional digits carry microsecond precision.
+self-describing and an analyzer can detect truncation.  ``RunLogs``
+writes every line of both, for the simulator and the live server alike.
+All times are UTC milliseconds; fractional digits carry microsecond
+precision.
 
 A frame that arrives twice (retransmitted after a late ACK, or resent
 across a reconnect) produces one row only: first arrival wins, the
@@ -62,7 +64,7 @@ def ms(value: float) -> float:
 
 
 class MeasurementRow(NamedTuple):
-    """The schema of a measurements.jsonl line; see measurement_line."""
+    """The schema of a measurements.jsonl line; see RunLogs.write."""
 
     device_id: int
     frame_seq: int
@@ -119,10 +121,10 @@ class CaptureRecord:
 
 
 # the lines of MeasurementRow.to_json and CaptureRecord.to_json, spelled
-# out for the writers' hot paths; %r or %s of an int or a finite float
-# is exactly what dumps writes for it.  An arrival instant comes in as
-# its repr, formatted once for every line that carries it.  A frame, like
-# a row, holds its frame_seq and timestamp at positions 1 and 2.
+# out for RunLogs.write, the one place that fills them; %r or %s of an
+# int or a finite float is exactly what dumps writes for it.  An arrival
+# instant comes in as its repr, formatted once for every line that
+# carries it.
 _MEASUREMENT_LINE = (
     '{"device_id":%r,"frame_seq":%r,"frame_timestamp":%r,"arrival_time":%s,'
     '"frequency":%r,"voltage_mag":%r,"voltage_angle":%r,"status":%r}'
@@ -133,61 +135,11 @@ _CAPTURE_LINE = (
 )
 _FRAME_COMPLETE = '{"frame_seq":%r,"frame_timestamp":%r,"arrival_time_of_last_byte":%s}'
 
+# the most lines RunLogs holds for a log before it hands them on as one
+# block
+BLOCK_LINES = 256
 
-def measurement_line(frame: FdrFrame, arrival_time: str) -> str:
-    """``dumps`` of the MeasurementRow of ``frame`` arriving at ``a``,
-    for a frame with finite floats, as ``IngestState.deliver`` returns
-    them; ``arrival_time`` is ``repr(a)``."""
-    device_id, frame_seq, frame_timestamp, frequency, voltage_mag, voltage_angle, status = frame
-    return _MEASUREMENT_LINE % (
-        device_id, frame_seq, frame_timestamp, arrival_time, frequency, voltage_mag, voltage_angle, status
-    )
-
-
-def capture_line(
-    wall_time: str,
-    device_id: Optional[int],
-    direction: str,
-    seq_start: int,
-    seq_end: int,
-    payload_bytes: int,
-    header_bytes: int,
-    retransmission_class: str,
-    frames: Optional[list] = None,
-) -> str:
-    """The encoded JSON line of the CaptureRecord with these fields,
-    without building the record.
-
-    ``wall_time`` is the record's wall time as JSON text: the repr of
-    the arrival instant, or "null" for a copy the channel dropped.
-    ``frames`` are the FdrFrames that make up its frame_complete list;
-    this copy's arrival completed them, so each one's arrival time is
-    that same instant.
-    """
-    if frames:
-        entries = ",".join([_FRAME_COMPLETE % (f[1], f[2], wall_time) for f in frames])
-        frame_complete = f"[{entries}]"
-    else:
-        frame_complete = "null"
-    return _CAPTURE_LINE % (
-        wall_time,
-        "null" if device_id is None else device_id,
-        direction,
-        seq_start,
-        seq_end,
-        payload_bytes,
-        header_bytes,
-        retransmission_class,
-        frame_complete,
-    )
-
-
-def frame_complete_entry(row: MeasurementRow) -> dict:
-    return {
-        "frame_seq": row.frame_seq,
-        "frame_timestamp": row.frame_timestamp,
-        "arrival_time_of_last_byte": row.arrival_time,
-    }
+_UPLINK = DIRECTIONS[0]
 
 
 def log_header(
@@ -234,6 +186,102 @@ class LogWriter:
                 self.write(dumps({"integrity": dict(sorted(integrity.items()))}))
         finally:
             self._fh.close()
+
+
+class RunLogs:
+    """Both logs of one run, simulated or live, and the one writer of
+    every line they hold.
+
+    ``write`` logs one wire copy: its capture line and the measurement
+    line of each frame it completed, all at the copy's wall time.  Lines
+    gather into blocks of up to BLOCK_LINES, each handed to its
+    LogWriter in one write; ``flush`` hands on what is held.  ``close``
+    writes both trailers: the capture's copy counts, ``records`` and the
+    run's connection ``events``, and the measurements' ingest counters.
+
+    ``header(kind)`` is the header of the log of that kind.  A log that
+    cannot be opened leaves none open: the capture log, opened first,
+    is closed with its trailer.
+    """
+
+    def __init__(self, out_dir, header, events: tuple):
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        self.capture_path = out_dir / "capture.jsonl"
+        self.measurements_path = out_dir / "measurements.jsonl"
+        self.uplink_copies = self.ack_copies = self.dropped_copies = 0
+        # the mode's connection events, counted by whoever meets them
+        self.events = dict.fromkeys(events, 0)
+        self._capture_lines: list = []
+        self._row_lines: list = []
+        self._capture = LogWriter(self.capture_path, header("capture"))
+        try:
+            self._rows = LogWriter(self.measurements_path, header("measurements"))
+        except BaseException:
+            self._capture.close(self.capture_counters())
+            raise
+
+    def write(self, wall_time: Optional[float], device_id: Optional[int], direction: str, seq_start: int,
+              seq_end: int, payload_bytes: int, header_bytes: int, retransmission_class: str, frames) -> None:
+        """Log the CaptureRecord with these fields, and the row of each of
+        ``frames``, the FdrFrames its arrival completed (as
+        ``IngestState.deliver`` returns them), without building either.
+        ``wall_time`` is None for a copy the channel dropped."""
+        if wall_time is None:
+            wall = "null"
+            self.dropped_copies += 1
+        else:
+            wall = repr(wall_time)
+        if direction == _UPLINK:
+            self.uplink_copies += 1
+        else:
+            self.ack_copies += 1
+        if frames:
+            rows = self._row_lines
+            entries = []
+            for device, frame_seq, timestamp, frequency, voltage_mag, voltage_angle, status in frames:
+                entries.append(_FRAME_COMPLETE % (frame_seq, timestamp, wall))
+                rows.append(_MEASUREMENT_LINE % (device, frame_seq, timestamp, wall, frequency, voltage_mag,
+                                                 voltage_angle, status))
+            frame_complete = "[" + ",".join(entries) + "]"
+            if len(rows) >= BLOCK_LINES:
+                self._hand_on(self._rows, rows)
+        else:
+            frame_complete = "null"
+        lines = self._capture_lines
+        lines.append(_CAPTURE_LINE % (wall, "null" if device_id is None else device_id, direction, seq_start, seq_end,
+                                      payload_bytes, header_bytes, retransmission_class, frame_complete))
+        if len(lines) >= BLOCK_LINES:
+            self._hand_on(self._capture, lines)
+
+    @staticmethod
+    def _hand_on(writer: LogWriter, lines: list) -> None:
+        if lines:
+            writer.write("\n".join(lines))
+            lines.clear()
+
+    def flush(self) -> None:
+        """Hand every held line to its log."""
+        self._hand_on(self._capture, self._capture_lines)
+        self._hand_on(self._rows, self._row_lines)
+
+    def capture_counters(self) -> dict:
+        """The capture trailer's counters."""
+        records = self.uplink_copies + self.ack_copies
+        return {"ack_copies": self.ack_copies, "dropped_copies": self.dropped_copies, "records": records,
+                "uplink_copies": self.uplink_copies, **self.events}
+
+    def close(self, ingest_counters: dict) -> None:
+        """Hand on the held lines and write both trailers, the
+        measurements' holding ``ingest_counters``; both logs are closed
+        whatever fails."""
+        try:
+            self.flush()
+        finally:
+            try:
+                self._capture.close(self.capture_counters())
+            finally:
+                self._rows.close(ingest_counters)
 
 
 class FrameAssembler:
@@ -375,8 +423,9 @@ class LiveDcsServer:
     """Real-socket concentrator: N device connections, one thread.
 
     start() runs one selectors loop on its own thread.  The loop
-    accepts, reads, ingests and writes both logs, so records and rows
-    land in arrival order with no queue and no lock.  A connection the
+    accepts, reads, ingests and writes both logs, handing the lines it
+    holds to the files once per pass, so records and rows land in
+    arrival order with no queue and no lock.  A connection the
     loop has not read yet backs up in the kernel's socket buffers, so
     memory stays bounded however far the writes fall behind.
     """
@@ -404,8 +453,7 @@ class LiveDcsServer:
         self._listener = None
         self._selector = None
         self._loop = None
-        self._capture = None
-        self._rows = None
+        self.logs: Optional[RunLogs] = None
 
     def start(self) -> None:
         """Bind, then open both logs, so a port that cannot be bound
@@ -419,14 +467,11 @@ class LiveDcsServer:
         # 1 s retransmission timeout
         self._listener = socket.create_server((self.host, self.port), backlog=socket.SOMAXCONN)
         try:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
-            epoch = round(time.time() * 1000)
-            args = ("live", None, epoch, self.duration_s, self.skew_bound_ms)
-            self._capture = LogWriter(self.out_dir / "capture.jsonl", log_header("capture", *args))
-            self._rows = LogWriter(self.out_dir / "measurements.jsonl", log_header("measurements", *args))
+            args = ("live", None, round(time.time() * 1000), self.duration_s, self.skew_bound_ms)
+            self.logs = RunLogs(
+                self.out_dir, lambda kind: log_header(kind, *args), ("dropped_connections", "refused_connections")
+            )
         except BaseException:
-            if self._capture is not None:
-                self._capture.close()
             self._listener.close()
             raise
         self.port = self._listener.getsockname()[1]
@@ -441,8 +486,7 @@ class LiveDcsServer:
     def stop(self) -> None:
         self._stop.set()
         self._loop.join(timeout=10.0)
-        self._capture.close(self.ingest.counters)
-        self._rows.close(self.ingest.counters)
+        self.logs.close(self.ingest.counters)
 
     # -- the loop ----------------------------------------------------------
 
@@ -454,6 +498,8 @@ class LiveDcsServer:
                         self._accept()
                     else:
                         self._read(key.fileobj, key.data)
+                # a running capture lags by no more than its file buffer
+                self.logs.flush()
         finally:
             for key in list(self._selector.get_map().values()):
                 key.fileobj.close()
@@ -471,7 +517,7 @@ class LiveDcsServer:
                 return
             if len(self._conns) >= self.max_conns:
                 log.warning("refusing connection from %s: at max_conns", addr)
-                self.ingest.counters["refused_connections"] += 1
+                self.logs.events["refused_connections"] += 1
                 sock.close()
                 continue
             self._next_id += 1
@@ -491,20 +537,15 @@ class LiveDcsServer:
         if not data:
             self._close(sock, conn_id)
             return
-        arrival_time = repr(ms(time.time() * 1000.0))
+        arrival_time = ms(time.time() * 1000.0)
         conn = self._conns[conn_id]
         start, asm = conn
         frames = self.ingest.deliver(asm, data)
         end = conn[0] = start + len(data)
         # no sniffer in live mode: payload bytes only, every copy an
         # UPLINK one of class FIRST
-        self._capture.write(
-            capture_line(arrival_time, asm.device_id, DIRECTIONS[0], start, end, len(data), 0, CLASSES[0], frames)
-        )
-        self.ingest.counters["records"] += 1
-        for frame in frames:
-            self._rows.write(measurement_line(frame, arrival_time))
+        self.logs.write(arrival_time, asm.device_id, _UPLINK, start, end, len(data), 0, CLASSES[0], frames)
         if asm.junk_since_frame > JUNK_DROP_BYTES:
             log.warning("conn %d: dropping malformed stream", conn_id)
-            self.ingest.counters["dropped_connections"] += 1
+            self.logs.events["dropped_connections"] += 1
             self._close(sock, conn_id)

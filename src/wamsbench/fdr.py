@@ -158,15 +158,17 @@ class LiveEmulator:
     def steps(self):
         """Stream frames until the duration elapses, as a generator: it
         yields each instant (``time.time()`` seconds) it waits for, and
-        returns True when every frame was sent."""
+        returns True when every frame was sent.  Once its first dial is
+        up it yields None, and is sent the grid epoch of its first
+        frame."""
         sock = yield from self._connect()
         if sock is None:
             return False
-        epoch_ms = next_grid_ms(time.time() * 1000.0 + GRID_MS)
-        # the default model has no noise, so nothing draws from the rng
-        gen = SignalGenerator(SignalModel(), epoch_ms, random.Random(0))
         total = self.duration_s * 1000 // GRID_MS
         try:
+            epoch_ms = yield None
+            # the default model has no noise, so nothing draws from the rng
+            gen = SignalGenerator(SignalModel(), epoch_ms, random.Random(0))
             for k in range(total):
                 target_ms = epoch_ms + k * GRID_MS
                 yield target_ms / 1000.0
@@ -199,24 +201,38 @@ def emulate(emulators: list) -> list:
     t_fdr_ms send delay or a redial backoff.  It sleeps until the
     earliest and runs that device up to its next wait.  A dial or a
     send blocks the loop for as long as it takes, up to the socket's
-    5 s timeout.
+    5 s timeout.  Every device dials before the first tick: once none
+    is still dialing, each one connected is sent one grid epoch, the
+    first grid instant a grid interval after the last dial.
     """
     outcomes = [None] * len(emulators)
     # (deadline, index, steps): the index breaks ties, so steps are never
     # compared; a list in order is a heap
     heap = [(0.0, k, emu.steps()) for k, emu in enumerate(emulators)]
+    connected = []  # the entries of the devices dialed in, waiting for the epoch
+    # sent at each resume: None while a device is dialing, then the
+    # fleet's epoch, which a device reads once, where it yielded None
+    epoch_ms = None
     try:
-        while heap:
+        while heap or connected:
+            if not heap:
+                epoch_ms = next_grid_ms(time.time() * 1000.0 + GRID_MS)
+                heap, connected = sorted(connected), []
             deadline, k, steps = heap[0]
             delay = deadline - time.time()
             if delay > 0:
                 time.sleep(delay)
             try:
-                heapq.heapreplace(heap, (next(steps), k, steps))
+                wait = steps.send(epoch_ms)
             except StopIteration as done:
                 heapq.heappop(heap)
                 outcomes[k] = done.value
+                continue
+            if wait is None:
+                connected.append(heapq.heappop(heap))
+            else:
+                heapq.heapreplace(heap, (wait, k, steps))
     finally:
-        for _, _, steps in heap:
+        for _, _, steps in heap + connected:
             steps.close()  # closes the device's socket
     return outcomes

@@ -5,9 +5,9 @@ A run gives every configured device its own uplink/downlink pair.  The
 device dials over them, re-dials a fresh transport connection whenever
 one fails, and ticks at 10 Hz from the first grid point after its first
 handshake.  Each connection's concentrator end reassembles exactly the
-byte stream the transport releases.  The run writes the same two
-JSON-lines logs the live server produces, so the analyzer treats both
-modes identically.
+byte stream the transport releases.  The run writes its two JSON-lines
+logs through ``dcs.RunLogs``, as the live server does, so the analyzer
+treats both modes identically.
 
 Devices never buffer: a frame generated while the connection is down
 is counted and dropped, and the sequence number still advances, so
@@ -35,7 +35,7 @@ from typing import Optional
 
 from . import fdr
 from .analyzer import DIRECTIONS
-from .dcs import FrameAssembler, IngestState, LogWriter, capture_line, log_header, measurement_line
+from .dcs import FrameAssembler, IngestState, RunLogs, log_header
 from .fdr import GRID_MS, SignalGenerator, next_grid_ms
 from .scenario import MAX_EPOCH_UTC_MS, Scenario
 from .simnet import Link, Simulator
@@ -49,10 +49,6 @@ DRAIN_GRACE_S = 30
 
 # a device's wait after a failed connection before it redials
 RECONNECT_BACKOFF_MS = 1_000.0
-
-# the most lines a log's writer holds before it hands them on as one
-# block
-BLOCK_LINES = 256
 
 # the record directions, as analyzer.DIRECTIONS names them
 _UPLINK, _ACK = DIRECTIONS
@@ -128,7 +124,7 @@ class _DcsEndpoint(Connection):
 
     def _refuse(self) -> None:
         run = self.device.run
-        run.outage_rsts += 1
+        run.logs.events["outage_rsts"] += 1
         rst = Segment(0, 0, frozenset({RST}))
         arrival_us = self.link.transmit(HEADER_BYTES)
         run.write_record(self.device.device_id, _ACK, rst, arrival_us)
@@ -256,14 +252,7 @@ class _SimulationRun:
         self.outages = scenario.outages
         self.sim = Simulator()
         self.ingest = IngestState()
-        # the capture trailer's counters, but records: uplink_copies + ack_copies
-        self.uplink_copies = self.ack_copies = self.dropped_copies = self.outage_rsts = 0
-        self.capture_log: Optional[LogWriter] = None
-        self.rows_log: Optional[LogWriter] = None
-        # lines written but not yet handed to their log, at most
-        # BLOCK_LINES each
-        self._capture_lines: list = []
-        self._row_lines: list = []
+        self.logs: Optional[RunLogs] = None
 
     def in_outage(self, t_us: int) -> bool:
         t_s = t_us / 1_000_000.0
@@ -277,66 +266,26 @@ class _SimulationRun:
         arrival_us: Optional[int],
         frames: Optional[list] = None,
     ) -> None:
-        """Log one wire copy: its capture line, encoded straight from the
-        segment, and the measurement lines of the ``frames`` it
-        completed, all at its one arrival instant.  Lines gather into
-        blocks of up to BLOCK_LINES, each handed to its log in one
-        write.
-        """
+        """Log one wire copy, encoded straight from the segment, with the
+        ``frames`` its arrival completed."""
         seq, _, flags, payload, retx_class = seg
         payload_bytes = len(payload)
-        if arrival_us is None:
-            wall_time = "null"
-            self.dropped_copies += 1
-        else:
+        self.logs.write(
             # the exact integer microsecond count over 1000.0 is the double
             # nearest the 3-decimal value, ms(epoch_utc_ms + arrival_us /
             # 1000.0), while the epoch is below 2**43 ms, at a tenth of the
             # cost of round
-            wall_time = repr((self.epoch_us + arrival_us) / 1000.0)
-        if direction == _UPLINK:
-            self.uplink_copies += 1
-        else:
-            self.ack_copies += 1
-        lines = self._capture_lines
-        lines.append(
-            capture_line(
-                wall_time,
-                device_id,
-                direction,
-                seq,
-                # Segment.seq_len: a SYN takes one sequence number
-                seq + payload_bytes + (SYN in flags),
-                payload_bytes,
-                HEADER_BYTES,
-                retx_class._value_,  # Enum's value is a Python-level property
-                frames,
-            )
+            None if arrival_us is None else (self.epoch_us + arrival_us) / 1000.0,
+            device_id,
+            direction,
+            seq,
+            # Segment.seq_len: a SYN takes one sequence number
+            seq + payload_bytes + (SYN in flags),
+            payload_bytes,
+            HEADER_BYTES,
+            retx_class._value_,  # Enum's value is a Python-level property
+            frames,
         )
-        if frames:
-            row_lines = self._row_lines
-            for frame in frames:
-                row_lines.append(measurement_line(frame, wall_time))
-            if len(row_lines) >= BLOCK_LINES:
-                self._flush(self.rows_log, row_lines)
-        if len(lines) >= BLOCK_LINES:
-            self._flush(self.capture_log, lines)
-
-    @staticmethod
-    def _flush(writer: LogWriter, lines: list) -> None:
-        if lines:
-            writer.write("\n".join(lines))
-            lines.clear()
-
-    def _capture_counters(self) -> dict:
-        """The capture trailer's counters, in key order."""
-        return {
-            "ack_copies": self.ack_copies,
-            "dropped_copies": self.dropped_copies,
-            "outage_rsts": self.outage_rsts,
-            "records": self.uplink_copies + self.ack_copies,
-            "uplink_copies": self.uplink_copies,
-        }
 
     def _header(self, kind: str) -> dict:
         sc = self.scenario
@@ -348,34 +297,23 @@ class _SimulationRun:
 
     def run(self) -> RunResult:
         sc = self.scenario
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        capture_path = self.out_dir / "capture.jsonl"
-        rows_path = self.out_dir / "measurements.jsonl"
         devices = []
         try:
-            self.capture_log = LogWriter(capture_path, self._header("capture"))
-            self.rows_log = LogWriter(rows_path, self._header("measurements"))
+            self.logs = RunLogs(self.out_dir, self._header, ("outage_rsts",))
             devices = [_Device(self, spec) for spec in sc.devices]
             for device in devices:
                 device.dial()
             processed = self.sim.run_until((sc.duration_s + DRAIN_GRACE_S) * 1_000_000)
         finally:
-            for writer, lines, counters in (
-                (self.capture_log, self._capture_lines, self._capture_counters()),
-                (self.rows_log, self._row_lines, self.ingest.counters),
-            ):
-                if writer is not None:
-                    try:
-                        self._flush(writer, lines)
-                    finally:
-                        writer.close(counters)
+            if self.logs is not None:
+                self.logs.close(self.ingest.counters)
             # a finished run is freed by reference counting alone, so the
             # process's peak memory does not depend on when the cyclic
             # collector happens to run
             self.sim.clear()
             for device in devices:
                 device.close()
-        capture_counters = self._capture_counters()
+        capture_counters = self.logs.capture_counters()
         log.info(
             "scenario %s: %d events, %d rows, %d capture records",
             sc.name,
@@ -384,8 +322,8 @@ class _SimulationRun:
             capture_counters["records"],
         )
         return RunResult(
-            capture_path=capture_path,
-            measurements_path=rows_path,
+            capture_path=self.logs.capture_path,
+            measurements_path=self.logs.measurements_path,
             devices=tuple(device.report() for device in devices),
             capture_counters=capture_counters,
             ingest_counters=dict(self.ingest.counters),

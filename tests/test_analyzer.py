@@ -452,12 +452,13 @@ def _compact(wall, dev, payload, direction="UPLINK", cls="FIRST", header=40, fra
     (frame_seq, frame_timestamp, arrival) triples, each arriving at
     ``wall`` as every completed frame does."""
     assert all(arrival == wall for _, _, arrival in frames)
-    rows = [dcs.MeasurementRow(dev, seq, ts, arrival, 50.0, 1.0, 0.0, 0) for seq, ts, arrival in frames]
-    return dcs.capture_line(_json_number(wall), dev, direction, 0, payload, payload, header, cls, rows)
+    complete = [_completion(*frame) for frame in frames] or None
+    return dcs.dumps(dcs.CaptureRecord(wall, dev, direction, (0, payload), payload, header, cls, complete).to_json())
 
 
-def _json_number(value) -> str:
-    return "null" if value is None else repr(value)
+def _completion(frame_seq, frame_timestamp, arrival) -> dict:
+    """A frame_complete entry."""
+    return {"frame_seq": frame_seq, "frame_timestamp": frame_timestamp, "arrival_time_of_last_byte": arrival}
 
 
 def _write(path, lines, end="\n"):
@@ -617,7 +618,7 @@ class TestCompactLines:
     @given(
         records=st.lists(
             st.tuples(
-                st.sampled_from(["capture_line", "to_json", "spaced"]),
+                st.sampled_from(["to_json", "spaced"]),
                 st.one_of(st.none(), st.floats(-1e20, 1e20, allow_nan=False), st.integers(-10**20, 10**20)),
                 st.one_of(st.none(), st.integers(0, 2**16), st.integers(-10**19, 10**19)),
                 st.sampled_from(["UPLINK", "ACK", "ÜP", " "]),
@@ -641,13 +642,7 @@ class TestCompactLines:
     def test_mixed_lines_load_as_their_json_reencoding(self, records, tmp_path_factory):
         lines = []
         for form, wall, dev, direction, payload, cls, entries in records:
-            if form == "capture_line":
-                # frames a copy completes arrive at its wall time; a dropped copy completes none
-                rows = [dcs.MeasurementRow(dev, seq, ts, wall, 50.0, 1.0, 0.0, 0) for seq, ts, _ in entries]
-                lines.append(dcs.capture_line(_json_number(wall), dev, direction, 0, 1, payload, 40, cls,
-                                              rows if wall is not None else None))
-                continue
-            complete = [dcs.frame_complete_entry(dcs.MeasurementRow(dev, *e, 50.0, 1.0, 0.0, 0)) for e in entries]
+            complete = [_completion(*e) for e in entries]
             record = dcs.CaptureRecord(wall, dev, direction, (0, 1), payload, 0, cls, complete or None)
             line = dcs.dumps(record.to_json())
             lines.append(line if form == "to_json" else _spaced(line))
@@ -744,7 +739,7 @@ def test_live_capture_loads_its_records_and_frames(tmp_path):
     # as the live concentrator writes it: no header bytes, and no device
     # id until the connection's first frame is whole
     def record(wall, dev, start, size, rows):
-        complete = [dcs.frame_complete_entry(row) for row in rows] or None
+        complete = [_completion(row.frame_seq, row.frame_timestamp, row.arrival_time) for row in rows] or None
         return dcs.CaptureRecord(wall, dev, "UPLINK", (start, start + size), size, 0, "FIRST", complete).to_json()
 
     rows = [dcs.MeasurementRow(3, seq, 1000 * seq, 1000 * seq + 0.25, 50.0, 1.0, 0.0, 0) for seq in range(1, 4)]

@@ -662,6 +662,33 @@ class TestEmulate:
             assert all(ts % 100 == 0 for ts in series)
             assert all(b > a for a, b in zip(series, series[1:]))
 
+    def test_fleet_starts_on_one_grid_instant(self, tmp_path, monkeypatch):
+        # three 60 ms dials span more than a grid interval: a device that
+        # picked its own epoch after its dial started a tick later
+        create_connection = socket.create_connection
+
+        def slow_dial(*args, **kwargs):
+            time.sleep(0.06)
+            return create_connection(*args, **kwargs)
+
+        server = LiveDcsServer(out_dir=tmp_path)
+        server.start()
+        try:
+            monkeypatch.setattr(socket, "create_connection", slow_dial)
+            code = cli.main(["emulate", "--port", str(server.port), "--devices", "3", "--duration-s", "1"])
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and server.ingest.counters["rows"] < 30:
+                time.sleep(0.05)
+        finally:
+            server.stop()
+        assert code == 0
+        first = {}
+        for line in (tmp_path / "measurements.jsonl").read_text().splitlines()[1:-1]:
+            row = json.loads(line)
+            first[row["device_id"]] = min(first.get(row["device_id"], row["frame_timestamp"]), row["frame_timestamp"])
+        assert sorted(first) == [1, 2, 3]
+        assert len(set(first.values())) == 1, first
+
 
 class TestServe:
     @pytest.mark.parametrize("argv", [["--skew-bound-ms", "nan"], ["--skew-bound-ms", "inf"],

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wamsbench import cli
 from wamsbench.analyzer import load_capture
 from wamsbench.dcs import (
     CaptureRecord,
@@ -26,12 +27,10 @@ from wamsbench.dcs import (
     LiveDcsServer,
     LogWriter,
     MeasurementRow,
+    RunLogs,
     SeqRuns,
-    capture_line,
     dumps,
-    frame_complete_entry,
     log_header,
-    measurement_line,
 )
 from wamsbench.frame import MAGIC, FdrFrame, crc16, encode_frame
 
@@ -53,6 +52,15 @@ def _no_thread(thread):
 
 def wire(device_id=1, frame_seq=1, ts=1_700_000_000_000):
     return encode_frame(make_frame(device_id, frame_seq, ts))
+
+
+def logged(out_dir, *copy):
+    """The lines after the header of the capture log and of the
+    measurements log that RunLogs writes for one wire copy."""
+    logs = RunLogs(out_dir, lambda kind: log_header(kind, "sim", "s1", 0, 60, 0.0), ("outage_rsts",))
+    logs.write(*copy)
+    logs.close({"rows": 0})
+    return [(out_dir / name).read_text().splitlines()[1:] for name in ("capture.jsonl", "measurements.jsonl")]
 
 
 class TestFrameAssembler:
@@ -257,7 +265,7 @@ class TestLogWriter:
     @pytest.mark.parametrize("wall_time", [1000.125, 1_700_000_000_101.146, 0.5])
     @pytest.mark.parametrize("device_id", [7, None])
     @pytest.mark.parametrize("n_rows", [0, 1, 2])
-    def test_capture_line_is_the_encoded_record(self, wall_time, device_id, n_rows):
+    def test_capture_line_is_the_encoded_record(self, wall_time, device_id, n_rows, tmp_path):
         # the frames a copy completes arrive with it, at its wall time
         frames = IngestState().deliver(FrameAssembler(), b"".join(wire(frame_seq=k) for k in range(1, n_rows + 1)))
         record = CaptureRecord(
@@ -268,15 +276,24 @@ class TestLogWriter:
             payload_bytes=55 * n_rows,
             header_bytes=40,
             retransmission_class="RTO_RETX",
-            frame_complete=[frame_complete_entry(MeasurementRow.from_frame(f, wall_time)) for f in frames] or None,
+            frame_complete=[
+                {"frame_seq": f.frame_seq, "frame_timestamp": f.utc_timestamp, "arrival_time_of_last_byte": wall_time}
+                for f in frames
+            ] or None,
         )
-        line = capture_line(repr(wall_time), device_id, "ACK", 1, 1 + 55 * n_rows, 55 * n_rows, 40, "RTO_RETX", frames)
-        assert line == dumps(record.to_json())
+        capture, rows = logged(tmp_path, wall_time, device_id, "ACK", 1, 1 + 55 * n_rows, 55 * n_rows, 40,
+                               "RTO_RETX", frames)
+        counts = {"ack_copies": 1, "dropped_copies": 0, "outage_rsts": 0, "records": 1, "uplink_copies": 0}
+        assert capture == [dumps(record.to_json()), dumps({"integrity": counts})]
+        assert rows[:-1] == [dumps(MeasurementRow.from_frame(f, wall_time).to_json()) for f in frames]
 
     @pytest.mark.parametrize("device_id", [7, None])
-    def test_capture_line_of_a_dropped_copy_is_the_encoded_record(self, device_id):
+    def test_capture_line_of_a_dropped_copy_is_the_encoded_record(self, device_id, tmp_path):
         record = CaptureRecord(None, device_id, "UPLINK", (1, 56), 55, 40, "FIRST", None)
-        assert capture_line("null", device_id, "UPLINK", 1, 56, 55, 40, "FIRST") == dumps(record.to_json())
+        capture, rows = logged(tmp_path, None, device_id, "UPLINK", 1, 56, 55, 40, "FIRST", None)
+        counts = {"ack_copies": 0, "dropped_copies": 1, "outage_rsts": 0, "records": 1, "uplink_copies": 1}
+        assert capture == [dumps(record.to_json()), dumps({"integrity": counts})]
+        assert rows == [dumps({"integrity": {"rows": 0}})]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -289,9 +306,11 @@ class TestLogWriter:
         st.integers(0, 255),
         st.integers(0, 2**42 * 1000).map(lambda us: us / 1000.0),
     )
-    def test_measurement_line_is_the_encoded_row(self, device_id, seq, ts, freq, vmag, vangle, status, arrival):
+    def test_measurement_line_is_the_encoded_row(self, tmp_path_factory, device_id, seq, ts, freq, vmag, vangle,
+                                                 status, arrival):
         frame = FdrFrame(device_id, seq, ts, freq, vmag, vangle, status)
-        assert measurement_line(frame, repr(arrival)) == dumps(MeasurementRow.from_frame(frame, arrival).to_json())
+        _, rows = logged(tmp_path_factory.mktemp("logs"), arrival, device_id, "UPLINK", 0, 55, 55, 0, "FIRST", [frame])
+        assert rows[0] == dumps(MeasurementRow.from_frame(frame, arrival).to_json())
 
     def test_write_takes_an_encoded_line_as_is(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -316,14 +335,6 @@ class TestLogWriter:
         with pytest.raises(ValueError, match=f"^{key} must be "):
             LogWriter(tmp_path / "log.jsonl", {key: value})
         assert list(tmp_path.iterdir()) == []
-
-    def test_frame_complete_entry_shape(self):
-        entry = frame_complete_entry(MeasurementRow.from_frame(make_frame(), 1000.25))
-        assert entry == {
-            "frame_seq": 1,
-            "frame_timestamp": 1_700_000_000_000,
-            "arrival_time_of_last_byte": 1000.25,
-        }
 
 
 class TestLiveDcsServer:
@@ -386,10 +397,15 @@ class TestLiveDcsServer:
             time.sleep(0.3)
         finally:
             server.stop()
-        for name in ("capture.jsonl", "measurements.jsonl"):
-            integrity = json.loads((tmp_path / name).read_text().splitlines()[-1])["integrity"]
+        capture, rows = ((tmp_path / name).read_text().splitlines() for name in ("capture.jsonl", "measurements.jsonl"))
+        captured, ingested = (json.loads(lines[-1])["integrity"] for lines in (capture, rows))
+        for integrity in captured, ingested:
             assert list(integrity) == sorted(integrity)
-            assert (integrity["resync_bytes"], integrity["crc_errors"], integrity["rows"]) == (4 + 55, 1, 1)
+        # the capture trailer counts the copies, as a simulated one does,
+        # and the connection events; the measurements trailer the ingest
+        assert captured == {"ack_copies": 0, "dropped_connections": 0, "dropped_copies": 0,
+                            "records": len(capture) - 2, "refused_connections": 0, "uplink_copies": len(capture) - 2}
+        assert ingested == {"crc_errors": 1, "resync_bytes": 4 + 55, "rows": 1}
 
     def test_closed_connections_leave_no_ingest_state(self, tmp_path):
         server = LiveDcsServer(out_dir=tmp_path)
@@ -411,7 +427,7 @@ class TestLiveDcsServer:
         assert sorted(r["frame_seq"] for r in lines[1:-1]) == list(range(1, 51))
         assert lines[-1]["integrity"]["rows"] == 50
 
-    def test_half_frame_logs_a_null_device_then_the_id(self, tmp_path):
+    def test_half_frame_logs_a_null_device_then_the_id(self, tmp_path, capsys):
         data = wire(device_id=4)
         server = LiveDcsServer(out_dir=tmp_path)
         server.start()
@@ -433,6 +449,12 @@ class TestLiveDcsServer:
         assert capture.counts["records"] == 2
         assert list(capture.slot_table().wire_bytes) == [None, 4]
         assert capture.slot_table().devices == [4]
+        # the trailer vouches for the copies, so one edited count is caught
+        head, *records, trailer = path.read_text().splitlines()
+        assert trailer.count('"uplink_copies":2') == 1
+        path.write_text("\n".join([head, *records, trailer.replace('"uplink_copies":2', '"uplink_copies":3')]) + "\n")
+        assert cli.main(["analyze", str(path), "--out-dir", str(tmp_path / "report")]) == 1
+        assert "trailer counts uplink_copies=3, parsed 2" in capsys.readouterr().err
 
     def test_connections_start_no_thread(self, tmp_path, monkeypatch):
         server = LiveDcsServer(out_dir=tmp_path)
@@ -476,15 +498,14 @@ class TestLiveDcsServer:
                 socks.append(socket.create_connection(("127.0.0.1", server.port), timeout=5.0))
             server._accept()
             assert len(server._conns) == 32
-            assert server.ingest.counters["refused_connections"] == 8
+            assert server.logs.events["refused_connections"] == 8
             assert backlogs == [socket.SOMAXCONN]
         finally:
             for sock in socks:
                 sock.close()
             server._stop.set()
             server._run()  # stopped: closes the listener and every connection
-            server._capture.close(server.ingest.counters)
-            server._rows.close(server.ingest.counters)
+            server.logs.close(server.ingest.counters)
 
     def test_max_conns_refuses_extra_connection(self, tmp_path):
         server = LiveDcsServer(out_dir=tmp_path, max_conns=1)
@@ -505,3 +526,4 @@ class TestLiveDcsServer:
             (tmp_path / "capture.jsonl").read_text().splitlines()[-1]
         )
         assert trailer["integrity"]["refused_connections"] == 1
+        assert "refused_connections" not in json.loads((tmp_path / "measurements.jsonl").read_text().splitlines()[-1])
